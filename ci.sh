@@ -82,22 +82,24 @@ cargo test -q -p selsync-net --test frame_fuzz
 echo "==> selsync_soak --quick (randomized fault sweep)"
 ./target/release/selsync_soak --quick --out /tmp/SOAK_repro_ci.json > /dev/null
 
-# Regenerates BENCH_kernels.json and exits nonzero if the file is
-# malformed or any optimized kernel's checksum diverges from the naive
-# reference kernels beyond float-reassociation tolerance. The overlap
-# smoke rides along: the `overlap_steps_per_sec` rows re-run the real
-# bucketed vs monolithic BSP cluster and fail the run unless the two
-# are bit-identical (DESIGN.md §12).
+# Writes a quick-mode kernel table to /tmp (the committed
+# BENCH_kernels.json is a full-mode snapshot a smoke run must not
+# overwrite) and exits nonzero if the file is malformed or any optimized
+# kernel's checksum diverges from the naive reference kernels beyond
+# float-reassociation tolerance. The overlap smoke rides along: the
+# `overlap_steps_per_sec` rows re-run the real bucketed vs monolithic
+# BSP cluster and fail the run unless the two are bit-identical
+# (DESIGN.md §12).
 echo "==> kernel bench (quick; checksum + overlap bit-identity + JSON validation)"
-./target/release/kernel_bench --quick > /dev/null
+./target/release/kernel_bench --quick --out /tmp/BENCH_kernels_ci.json > /dev/null
 
-# Merges the sharded-PS sweep rows into BENCH_kernels.json (must run
+# Merges the sharded-PS sweep rows into the same /tmp table (must run
 # after kernel_bench, which rewrites the file wholesale) and exits
 # nonzero if the fan-out byte accounting drifts, results diverge across
 # shard counts, or the modeled K=4 stops beating K=1 at the congested
 # point.
 echo "==> shard bench (quick; byte-accounting + crossover validation)"
-./target/release/shard_bench --quick > /dev/null
+./target/release/shard_bench --quick --out /tmp/BENCH_kernels_ci.json > /dev/null
 
 # Regenerates BENCH_serve.json from an in-process serving group and
 # exits nonzero if any grid point dropped a request, produced a

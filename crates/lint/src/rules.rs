@@ -570,14 +570,17 @@ impl Rule for WireWildcard {
 /// stalls *all* peers at once. The rule builds the intra-file call
 /// graph from `driver_loop` and denies a fixed list of blocking calls
 /// in every reachable fn; justified `lint:allow(poll-blocking)` marks
-/// the deliberate exceptions (the idle backoff sleep, the bounded
+/// the deliberate exceptions (the bounded readiness wait, the bounded
 /// redial attempt).
 struct PollBlocking;
 
 /// Call names that block the calling thread. `recv` is exact — the
 /// nonblocking `try_recv` and deadline-bounded `recv_timeout` pass.
-const BLOCKING_CALLS: [&str; 14] = [
+/// `poll` is the FFI `poll(2)`: the driver's one intended wait, which
+/// must carry a justification naming its timeout bound.
+const BLOCKING_CALLS: [&str; 15] = [
     "sleep",
+    "poll",
     "read_exact",
     "write_all",
     "read_to_end",

@@ -321,17 +321,20 @@ fn seeded_codec_mutations_are_caught_exactly() {
 #[test]
 fn poll_blocking_positive_and_negative() {
     let r = run_fixtures();
-    // the sleep in driver_loop itself, and the recv two hops down the
-    // call graph (driver_loop -> sweep_once -> drain_control)
+    // the sleep in driver_loop itself, and two hops down the call graph
+    // (driver_loop -> sweep_once -> ...) the recv and the FFI poll(2)
+    // call — the call, not its extern declaration four lines up
     assert_eq!(
         findings(&r, "crates/net/src/poll_blocking_pos.rs"),
         vec![
             ("poll-blocking".into(), 8, false),
-            ("poll-blocking".into(), 17, false),
+            ("poll-blocking".into(), 18, false),
+            ("poll-blocking".into(), 28, false),
         ]
     );
-    // try_recv is nonblocking, and blocking_setup is unreachable from
-    // driver_loop, so the call graph keeps its connect out of scope
+    // try_recv is nonblocking and declaring poll(2) is not calling it;
+    // blocking_setup is unreachable from driver_loop, so the call graph
+    // keeps its connect and its poll call out of scope
     assert!(rules_hit(&r, "crates/net/src/poll_blocking_neg.rs").is_empty());
 }
 
@@ -340,7 +343,7 @@ fn poll_blocking_suppression_lifecycle() {
     let r = run_fixtures();
     assert_eq!(
         findings(&r, "crates/net/src/poll_blocking_suppressed.rs"),
-        vec![("poll-blocking".into(), 10, true)]
+        vec![("poll-blocking".into(), 11, true)]
     );
     let f = r
         .findings
@@ -349,7 +352,7 @@ fn poll_blocking_suppression_lifecycle() {
         .expect("suppressed finding recorded");
     assert_eq!(
         f.justification.as_deref(),
-        Some("bounded idle backoff between sweeps")
+        Some("readiness wait bounded by PARK_CAP (100ms)")
     );
 }
 

@@ -35,5 +35,5 @@ pub use codec::{
     crc32, decode_frame, decode_handshake, encode_frame, encode_handshake, FrameError, Handshake,
     CRC_BYTES, HANDSHAKE_BYTES, PROTOCOL_MAGIC, PROTOCOL_VERSION,
 };
-pub use poll::PollTcpEndpoint;
+pub use poll::{DriverGauges, PollTcpEndpoint};
 pub use tcp::{LinkFault, TcpEndpoint, TcpFabricConfig, DEFAULT_MAX_FRAME_BYTES};
