@@ -7,6 +7,15 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# benchmark/ is a standalone package outside the workspace, so nothing
+# above compiles it; it links against selsync-net's public surface (two
+# distinct endpoint types, `connect_with_listener` as a fn value,
+# `link_faults`, `selsync_net::crc32`), and a refactor that breaks that
+# surface must fail here, not in the benchmark pipeline.
+echo "==> benchmark/ build + tests"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -53,13 +53,10 @@ use selsync_core::{
 use selsync_core::{
     run_shard_server_rank, run_shard_server_rank_from, run_shard_worker_rank, shard_state_path,
 };
-use selsync_net::{TcpEndpoint, TcpFabricConfig};
+use selsync_net::TcpEndpoint;
 use selsync_nn::models::ModelKind;
 use selsync_shard::{Role, ShardLayout};
 use serde::Serialize;
-// lint:allow(raw-net): binds port 0 only to reserve free loopback ports
-// for the spawned cluster; no protocol traffic flows over this listener
-use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
@@ -355,26 +352,9 @@ fn run_shard_scenario<T: Transport + Send + 'static>(
     }
 }
 
-/// Bind `n_ranks` ephemeral loopback ports and connect the full mesh,
-/// as `tests/integration_tcp.rs` does.
 fn tcp_fabric(n_ranks: usize) -> Vec<TcpEndpoint> {
-    let listeners: Vec<TcpListener> = (0..n_ranks)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    let peers: Vec<String> = listeners
-        .iter()
-        .map(|l| l.local_addr().unwrap().to_string())
-        .collect();
-    let handles: Vec<_> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(rank, listener)| {
-            let mut cfg = TcpFabricConfig::new(rank, peers.clone());
-            cfg.recv_timeout = Duration::from_secs(60);
-            thread::spawn(move || TcpEndpoint::connect_with_listener(cfg, listener).unwrap())
-        })
-        .collect();
-    handles.into_iter().map(|h| h.join().unwrap()).collect()
+    TcpEndpoint::loopback_mesh(n_ranks, |cfg| cfg.recv_timeout = Duration::from_secs(60))
+        .expect("loopback mesh")
 }
 
 fn emit(row: &Row) {

@@ -808,36 +808,45 @@ fn main() {
         dist.peers[dist.rank]
     );
     let code = if dist.poll_fabric {
-        match PollTcpEndpoint::connect(fabric) {
-            Ok(ep) => drive_endpoint(ep, &dist, &run, &workload, plan, shards),
-            Err(e) => {
-                eprintln!("[rank {}] fabric setup failed: {e}", dist.rank);
-                1
-            }
-        }
+        connect_and_drive(
+            PollTcpEndpoint::connect(fabric),
+            &dist,
+            &run,
+            &workload,
+            plan,
+            shards,
+        )
     } else {
-        match TcpEndpoint::connect(fabric) {
-            Ok(ep) => drive_endpoint(ep, &dist, &run, &workload, plan, shards),
-            Err(e) => {
-                eprintln!("[rank {}] fabric setup failed: {e}", dist.rank);
-                1
-            }
-        }
+        connect_and_drive(
+            TcpEndpoint::connect(fabric),
+            &dist,
+            &run,
+            &workload,
+            plan,
+            shards,
+        )
     };
     std::process::exit(code);
 }
 
-/// Run this rank over an established fabric endpoint (blocking or
-/// poll — the training code is fabric-agnostic) and return the exit
+/// Connect this rank's fabric endpoint (blocking or poll — the training
+/// code is fabric-agnostic), run the rank over it and return the exit
 /// code, with the fabric cleanly flushed before `main` exits.
-fn drive_endpoint<T: Transport>(
-    mut ep: T,
+fn connect_and_drive<E: Transport>(
+    connected: std::io::Result<E>,
     dist: &DistArgs,
     run: &selsync_bench::cli::CliRun,
     workload: &Workload,
     plan: Option<FaultPlan>,
     shards: Option<ShardLayout>,
 ) -> i32 {
+    let mut ep = match connected {
+        Ok(ep) => ep,
+        Err(e) => {
+            eprintln!("[rank {}] fabric setup failed: {e}", dist.rank);
+            return 1;
+        }
+    };
     let job = RankJob {
         dist,
         run,

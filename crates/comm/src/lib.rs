@@ -15,6 +15,7 @@
 pub mod bucket;
 pub mod clock;
 pub mod collectives;
+pub mod crc;
 pub mod densify;
 pub mod elastic;
 pub mod error;
@@ -27,6 +28,7 @@ pub mod transport;
 
 pub use bucket::{BucketAssembler, BucketError, BucketIntake};
 pub use clock::ClusterClock;
+pub use crc::crc32;
 pub use densify::densify_payload;
 pub use error::TransportError;
 pub use fabric::{

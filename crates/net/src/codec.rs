@@ -158,44 +158,9 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-// ---------------------------------------------------------------------
-// CRC32 (IEEE 802.3 reflected polynomial) — local implementation, no
-// external dependency. Table built at compile time. Mirrors the
-// checkpoint checksum in `selsync-core` (`net` deliberately does not
-// depend on `core`).
-// ---------------------------------------------------------------------
-
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// CRC32 of `bytes` (IEEE, as used by zip/gzip/ethernet) — the checksum
-/// stamped on every frame trailer.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+/// The checksum stamped on every frame trailer: the workspace's one
+/// CRC32 (IEEE), shared with the checkpoint format.
+pub use selsync_comm::crc32;
 
 /// A decoded connection preamble.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

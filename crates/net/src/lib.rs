@@ -1,11 +1,17 @@
 //! # selsync-net
 //!
 //! Real-socket transport for the SelSync fabric: a length-prefixed
-//! binary wire codec for [`selsync_comm::Payload`] frames and a blocking
-//! TCP fabric ([`TcpEndpoint`]) implementing
-//! [`selsync_comm::Transport`], so every strategy in `selsync-core` runs
-//! unchanged across OS processes (DESIGN.md substitution 1, lifted: the
-//! transport is no longer simulated).
+//! binary wire codec for [`selsync_comm::Payload`] frames and a
+//! full-mesh TCP fabric implementing [`selsync_comm::Transport`], so
+//! every strategy in `selsync-core` runs unchanged across OS processes
+//! (DESIGN.md substitution 1, lifted: the transport is no longer
+//! simulated). The fabric is one endpoint (private module `endpoint`:
+//! connect, tagged receive, byte accounting, link-fault reports,
+//! teardown — the crate's single `impl Transport`) over one of two
+//! socket drivers: [`TcpEndpoint`] runs it on blocking
+//! reader/writer/acceptor threads ([`tcp`]), [`PollTcpEndpoint`] on one
+//! `poll(2)` thread ([`poll`]). Both speak the same wire protocol and
+//! mix freely in one mesh.
 //!
 //! Wire format (all integers big-endian):
 //!
@@ -28,6 +34,7 @@
 //! [`Payload::wire_bytes`]: selsync_comm::Payload::wire_bytes
 
 pub mod codec;
+mod endpoint;
 pub mod poll;
 pub mod tcp;
 

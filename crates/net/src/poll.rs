@@ -1,13 +1,15 @@
-//! Event-driven TCP fabric: one driver thread, nonblocking sockets, a
+//! The event-driven driver: one thread, nonblocking sockets, a
 //! readiness wait in `poll(2)`.
 //!
-//! [`PollTcpEndpoint`] speaks exactly the wire protocol of the blocking
-//! fabric ([`crate::tcp::TcpEndpoint`]) — same 8-byte version
+//! [`PollTcpEndpoint`] is the shared [`MeshEndpoint`] — the same type,
+//! hence the same `Transport` semantics, as the blocking
+//! [`crate::tcp::TcpEndpoint`] — over this driver, which speaks exactly
+//! the blocking driver's wire protocol — same 8-byte version
 //! handshake, same CRC-checked codec-v2 frames, same
 //! `max_frame_bytes` hostile-length cap, same typed
-//! [`TransportError`]s and [`LinkFault`] reports — but replaces the
-//! 2(N−1)+1 reader/writer/acceptor threads per rank with a **single
-//! driver thread** multiplexing every connection:
+//! [`crate::LinkFault`] reports — but replaces the 2(N−1)+1
+//! reader/writer/acceptor threads per rank with a **single driver
+//! thread** multiplexing every connection:
 //!
 //! * every socket (listener included) runs nonblocking; the driver
 //!   sweeps them in a loop, and when a full sweep makes no progress it
@@ -43,9 +45,8 @@
 //! * each outbound peer owns a **write backpressure queue**: frames a
 //!   kernel send buffer will not take (`WouldBlock`) park in the queue
 //!   with a byte offset into the partially-written front frame, and the
-//!   driver resumes mid-frame when `POLLOUT` fires —
-//!   [`Transport::send`] never blocks the caller, exactly like the
-//!   channel fabric;
+//!   driver resumes mid-frame when `POLLOUT` fires — `Transport::send`
+//!   never blocks the caller, exactly like the channel fabric;
 //! * inbound connections parse incrementally: bytes are read straight
 //!   into a per-connection buffer and complete handshakes/frames peel
 //!   off as they arrive, so one slow peer trickling a large frame never
@@ -59,7 +60,7 @@
 //!
 //! Byte-level damage — torn frames, CRC mismatches, hostile length
 //! prefixes, rejected handshakes — is reported and tallied exactly as
-//! the blocking fabric does: a typed [`LinkFault`] with the peer
+//! the blocking driver does: a typed [`crate::LinkFault`] with the peer
 //! address and stream byte offset, a `corrupt_messages` tick, and the
 //! connection torn down (a stream that lost framing cannot be
 //! resynchronized; the peer's writer redials).
@@ -75,17 +76,13 @@
 //! same. Frames already handed in full to the dead kernel socket may be
 //! lost (the protocol retry layers absorb that), and the receiver may
 //! see the resent frame's abandoned prefix as a torn-frame
-//! [`LinkFault`] on the old connection.
+//! [`crate::LinkFault`] on the old connection.
 
-use crate::codec::{
-    decode_after_len, decode_handshake, encode_frame, encode_handshake, HANDSHAKE_BYTES,
-};
-use crate::tcp::{
-    bind_reuse, dial, link_fault, shake_hands_as_dialer, InboxEvent, LinkFault, TcpFabricConfig,
-};
+use crate::codec::{decode_after_len, decode_handshake, encode_handshake, HANDSHAKE_BYTES};
+use crate::endpoint::{link_fault, Driver, InboxEvent, Links, MeshEndpoint, TcpFabricConfig};
+use crate::tcp::{dial, shake_hands_as_dialer};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use selsync_comm::{CommStats, Msg, Payload, Transport, TransportError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -120,29 +117,19 @@ const READ_MIN: usize = 16 * 1024;
 /// attempts.
 const REDIAL_ATTEMPT: Duration = Duration::from_millis(100);
 
-/// One rank's handle on the event-driven TCP fabric. Implements
-/// [`Transport`] with the exact semantics of the blocking
-/// [`crate::tcp::TcpEndpoint`]; only the threading model differs.
-pub struct PollTcpEndpoint {
-    id: usize,
-    n: usize,
-    /// Frame queues into the driver; `None` at `id` (self-sends loop
-    /// back through `inbox_tx`). The driver drops a peer's receiver
-    /// when it declares the peer unreachable, which surfaces here as
-    /// `PeerUnreachable` on the next send — same contract as the
-    /// blocking fabric's writer threads.
-    outbound: Vec<Option<Sender<Bytes>>>,
+/// One rank's handle on the event-driven TCP fabric: the shared
+/// [`MeshEndpoint`] — the exact semantics of the blocking
+/// [`crate::tcp::TcpEndpoint`] — served by a single driver thread.
+pub type PollTcpEndpoint = MeshEndpoint<PollDriver>;
+
+/// The endpoint's side of the poll driver. Only names the driver in
+/// [`PollTcpEndpoint`]; there is nothing to construct or call.
+pub struct PollDriver {
     /// Waker + gauges shared with the driver thread.
     shared: Arc<DriverShared>,
-    inbox_tx: Sender<InboxEvent>,
-    inbox: Receiver<InboxEvent>,
-    pending: VecDeque<Msg>,
-    faults: Vec<LinkFault>,
-    stats: Arc<CommStats>,
-    recv_timeout: Duration,
-    shutdown: Arc<AtomicBool>,
-    driver: Option<JoinHandle<()>>,
-    local_addr: SocketAddr,
+    /// Hands dialled streams to the driver thread.
+    new_conns: Sender<OutboundConn>,
+    thread: Option<JoinHandle<()>>,
 }
 
 /// A snapshot of the driver thread's activity counters (see
@@ -189,44 +176,12 @@ impl DriverShared {
     }
 }
 
-impl PollTcpEndpoint {
-    /// Bind `peers[rank]` and connect the mesh; see
-    /// [`crate::tcp::TcpEndpoint::connect`]. Dialing is blocking (ranks
-    /// may start in any order); once the mesh is up, everything runs on
-    /// the single driver thread.
-    ///
-    /// # Errors
-    /// Propagates bind/dial/handshake failures.
-    pub fn connect(config: TcpFabricConfig) -> io::Result<PollTcpEndpoint> {
-        let addr = config.peers[config.rank].as_str();
-        let deadline = Instant::now() + config.connect_timeout;
-        let listener = loop {
-            match bind_reuse(addr) {
-                Ok(l) => break l,
-                Err(e) if e.kind() == io::ErrorKind::AddrInUse && Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        Self::connect_with_listener(config, listener)
-    }
-
-    /// Like [`connect`](Self::connect) but over a pre-bound listener —
-    /// lets tests bind port 0 and exchange the real addresses first.
-    ///
-    /// # Errors
-    /// Propagates dial/handshake failures.
-    pub fn connect_with_listener(
-        config: TcpFabricConfig,
-        listener: TcpListener,
-    ) -> io::Result<PollTcpEndpoint> {
-        let n = config.peers.len();
-        assert!(config.rank < n, "rank {} out of range 0..{n}", config.rank);
-        let local_addr = listener.local_addr()?;
-        let (inbox_tx, inbox) = unbounded::<InboxEvent>();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(CommStats::default());
+impl Driver for PollDriver {
+    fn start(
+        listener: Option<TcpListener>,
+        links: Links,
+        config: &TcpFabricConfig,
+    ) -> io::Result<Self> {
         let (wake_tx, wake_rx) = wake_pipe()?;
         let shared = Arc::new(DriverShared {
             parked: AtomicBool::new(false),
@@ -235,29 +190,16 @@ impl PollTcpEndpoint {
             parks: AtomicU64::new(0),
             wakes: AtomicU64::new(0),
         });
-
-        // Spawn the driver *before* dialing: every dial below blocks on
-        // the peer's handshake echo, and the peer's own dials block on
-        // ours — so each rank's acceptor must already be serving while
-        // it dials, exactly as the blocking fabric's acceptor thread
-        // does. Established streams reach the driver over a channel.
-        listener.set_nonblocking(true)?;
-        let (conn_tx, conn_rx) = unbounded::<OutboundConn>();
-        let driver = {
-            let inbox = inbox_tx.clone();
-            let shutdown = Arc::clone(&shutdown);
-            let stats = Arc::clone(&stats);
+        let (new_conns, conn_rx) = unbounded::<OutboundConn>();
+        let thread = {
             let shared = Arc::clone(&shared);
             let reconnect_timeout = config.reconnect_timeout;
             let max_frame = config.max_frame_bytes;
-            let listener = (n > 1).then_some(listener);
             std::thread::spawn(move || {
                 driver_loop(
                     listener,
                     &conn_rx,
-                    &inbox,
-                    &shutdown,
-                    &stats,
+                    &links,
                     &shared,
                     &wake_rx,
                     max_frame,
@@ -265,221 +207,42 @@ impl PollTcpEndpoint {
                 );
             })
         };
-
-        let mut outbound_tx: Vec<Option<Sender<Bytes>>> = Vec::with_capacity(n);
-        for (peer, addr) in config.peers.iter().enumerate() {
-            if peer == config.rank {
-                outbound_tx.push(None);
-                continue;
-            }
-            let established = dial(addr, config.connect_timeout).and_then(|mut stream| {
-                stream.set_nodelay(true)?;
-                shake_hands_as_dialer(&mut stream, config.connect_timeout)?;
-                stream.set_nonblocking(true)?;
-                Ok(stream)
-            });
-            match established {
-                Ok(stream) => {
-                    let (tx, rx) = unbounded::<Bytes>();
-                    outbound_tx.push(Some(tx));
-                    let _ = conn_tx.send(OutboundConn::established(addr.clone(), stream, rx));
-                    shared.wake();
-                }
-                Err(e) => {
-                    // unwind the half-built mesh before reporting
-                    shutdown.store(true, Ordering::SeqCst);
-                    drop(conn_tx);
-                    drop(outbound_tx);
-                    shared.wake();
-                    let _ = driver.join();
-                    return Err(e);
-                }
-            }
-        }
-        drop(conn_tx);
-
-        Ok(PollTcpEndpoint {
-            id: config.rank,
-            n,
-            outbound: outbound_tx,
+        Ok(PollDriver {
             shared,
-            inbox_tx,
-            inbox,
-            pending: VecDeque::new(),
-            faults: Vec::new(),
-            stats,
-            recv_timeout: config.recv_timeout,
-            shutdown,
-            driver: Some(driver),
-            local_addr,
+            new_conns,
+            thread: Some(thread),
         })
     }
 
-    /// The address this rank's listener actually bound.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Byte-level faults the driver has reported so far, in arrival
-    /// order (see [`crate::tcp::TcpEndpoint::link_faults`]).
-    pub fn link_faults(&mut self) -> &[LinkFault] {
-        while let Ok(ev) = self.inbox.try_recv() {
-            match ev {
-                InboxEvent::Msg(m) => {
-                    self.stats.record_recv(m.payload.wire_bytes());
-                    self.pending.push_back(m);
-                }
-                InboxEvent::Fault(f) => self.faults.push(f),
-            }
-        }
-        &self.faults
-    }
-
-    /// The driver thread's activity counters so far: how often it swept,
-    /// parked, and was woken by readiness rather than by its timeout.
-    pub fn driver_gauges(&self) -> DriverGauges {
-        DriverGauges {
-            sweeps: self.shared.sweeps.load(Ordering::Relaxed),
-            parks: self.shared.parks.load(Ordering::Relaxed),
-            wakes: self.shared.wakes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Flush queued frames to every peer, close the outbound streams,
-    /// and join the driver. Called implicitly on drop.
-    pub fn close(mut self) {
-        self.teardown();
-    }
-
-    fn teardown(&mut self) {
-        // Dropping the queues tells the driver to drain whatever is in
-        // flight, then FIN each peer and exit; only then raise the
-        // shutdown flag so inbound reading stops too.
-        self.outbound.clear();
-        self.shutdown.store(true, Ordering::SeqCst);
+    fn adopt(&mut self, addr: &str, stream: TcpStream, frames: Receiver<Bytes>) -> io::Result<()> {
+        stream.set_nonblocking(true)?;
+        let conn = OutboundConn::established(addr.to_string(), stream, frames);
+        let _ = self.new_conns.send(conn);
         self.shared.wake();
-        if let Some(h) = self.driver.take() {
-            let _ = h.join();
-        }
-    }
-
-    fn blocking_recv(
-        &mut self,
-        timeout: Duration,
-        mut matches: impl FnMut(&Msg) -> bool,
-    ) -> Result<Msg, TransportError> {
-        if let Some(pos) = self.pending.iter().position(&mut matches) {
-            if let Some(m) = self.pending.remove(pos) {
-                return Ok(m);
-            }
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = match deadline.checked_duration_since(Instant::now()) {
-                Some(d) => d,
-                None => {
-                    return Err(TransportError::RecvTimeout {
-                        rank: self.id,
-                        waited: timeout,
-                        buffered: self.pending.len(),
-                    })
-                }
-            };
-            match self.inbox.recv_timeout(remaining) {
-                Ok(InboxEvent::Msg(m)) => {
-                    self.stats.record_recv(m.payload.wire_bytes());
-                    if matches(&m) {
-                        return Ok(m);
-                    }
-                    self.pending.push_back(m);
-                }
-                // a damaged frame behaves like a lost one, as on the
-                // blocking fabric
-                Ok(InboxEvent::Fault(f)) => self.faults.push(f),
-                Err(RecvTimeoutError::Timeout) => continue, // errors above
-                Err(RecvTimeoutError::Disconnected) => return Err(TransportError::Closed),
-            }
-        }
-    }
-}
-
-impl Transport for PollTcpEndpoint {
-    fn id(&self) -> usize {
-        self.id
-    }
-
-    fn fabric_size(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> &Arc<CommStats> {
-        &self.stats
-    }
-
-    fn send(&mut self, to: usize, tag: u64, payload: Payload) -> Result<(), TransportError> {
-        assert!(to < self.n, "destination {to} out of range");
-        let bytes = payload.wire_bytes();
-        if to == self.id {
-            self.inbox_tx
-                .send(InboxEvent::Msg(Msg {
-                    from: self.id,
-                    tag,
-                    payload,
-                }))
-                .map_err(|_| TransportError::Closed)?;
-            self.stats.record(bytes);
-            return Ok(());
-        }
-        let frame = encode_frame(self.id, tag, &payload);
-        match self.outbound.get(to).and_then(|s| s.as_ref()) {
-            None => return Err(TransportError::Closed),
-            Some(tx) => tx
-                .send(frame)
-                .map_err(|_| TransportError::PeerUnreachable { peer: to })?,
-        }
-        self.shared.wake();
-        self.stats.record(bytes);
         Ok(())
     }
 
-    fn recv_any(&mut self) -> Result<Msg, TransportError> {
-        self.blocking_recv(self.recv_timeout, |_| true)
+    fn notify(&self) {
+        self.shared.wake();
     }
 
-    fn recv_tagged(&mut self, from: Option<usize>, tag: u64) -> Result<Msg, TransportError> {
-        self.blocking_recv(self.recv_timeout, |m| {
-            m.tag == tag && from.is_none_or(|f| m.from == f)
-        })
-    }
-
-    fn recv_deadline(
-        &mut self,
-        from: Option<usize>,
-        tag: Option<u64>,
-        timeout: Duration,
-    ) -> Result<Msg, TransportError> {
-        self.blocking_recv(timeout, |m| m.matches(from, tag))
-    }
-
-    fn try_recv(&mut self) -> Option<Msg> {
-        if let Some(m) = self.pending.pop_front() {
-            return Some(m);
-        }
-        loop {
-            match self.inbox.try_recv().ok()? {
-                InboxEvent::Msg(m) => {
-                    self.stats.record_recv(m.payload.wire_bytes());
-                    return Some(m);
-                }
-                InboxEvent::Fault(f) => self.faults.push(f),
-            }
+    fn stop(&mut self) {
+        if let Some(h) = self.thread.take() {
+            let _ = h.join();
         }
     }
 }
 
-impl Drop for PollTcpEndpoint {
-    fn drop(&mut self) {
-        self.teardown();
+impl PollTcpEndpoint {
+    /// The driver thread's activity counters so far: how often it swept,
+    /// parked, and was woken by readiness rather than by its timeout.
+    pub fn driver_gauges(&self) -> DriverGauges {
+        let shared = &self.driver.shared;
+        DriverGauges {
+            sweeps: shared.sweeps.load(Ordering::Relaxed),
+            parks: shared.parks.load(Ordering::Relaxed),
+            wakes: shared.wakes.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -577,18 +340,17 @@ impl OutboundConn {
 /// redials for broken links. When a sweep moves nothing it arms the
 /// waker, sweeps once more, and parks in [`wait_ready`] (module doc,
 /// park/wake protocol).
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+#[allow(clippy::too_many_lines)]
 fn driver_loop(
     listener: Option<TcpListener>,
     new_conns: &Receiver<OutboundConn>,
-    inbox: &Sender<InboxEvent>,
-    shutdown: &AtomicBool,
-    stats: &CommStats,
+    links: &Links,
     shared: &DriverShared,
     wake_rx: &WakeRx,
     max_frame: usize,
     reconnect_timeout: Duration,
 ) {
+    let shutdown = &*links.shutdown;
     let mut outbound: Vec<OutboundConn> = Vec::new();
     let mut inbound: Vec<InboundConn> = Vec::new();
     let mut interest = Interest::default();
@@ -644,7 +406,7 @@ fn driver_loop(
         if !shutting {
             let mut i = 0;
             while i < inbound.len() {
-                match pump_inbound(&mut inbound[i], inbox, stats, max_frame, shutdown) {
+                match pump_inbound(&mut inbound[i], links, max_frame) {
                     PumpOutcome::Progress => {
                         progressed = true;
                         i += 1;
@@ -1026,13 +788,12 @@ fn frame_len(buf: &[u8]) -> usize {
 /// Service one inbound connection: push our handshake echo, read
 /// whatever the socket has (up to [`READ_CHUNK`]), and peel completed
 /// handshakes/frames off the buffer.
-fn pump_inbound(
-    conn: &mut InboundConn,
-    inbox: &Sender<InboxEvent>,
-    stats: &CommStats,
-    max_frame: usize,
-    shutdown: &AtomicBool,
-) -> PumpOutcome {
+fn pump_inbound(conn: &mut InboundConn, links: &Links, max_frame: usize) -> PumpOutcome {
+    let Links {
+        inbox,
+        shutdown,
+        stats,
+    } = links;
     let mut progressed = false;
 
     // write our half of the preamble (opportunistically, never blocking)
@@ -1195,148 +956,17 @@ fn pump_inbound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode_frame;
+    use crate::endpoint::tests::accept_and_shake;
+    use selsync_comm::{Payload, Transport};
     use std::thread;
 
-    /// Bind `n` loopback listeners on ephemeral ports and connect a
-    /// full mesh of poll endpoints over them.
     fn loopback_fabric(n: usize) -> Vec<PollTcpEndpoint> {
         loopback_fabric_with(n, Duration::from_secs(20))
     }
 
     fn loopback_fabric_with(n: usize, recv_timeout: Duration) -> Vec<PollTcpEndpoint> {
-        let listeners: Vec<TcpListener> = (0..n)
-            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
-            .collect();
-        let peers: Vec<String> = listeners
-            .iter()
-            .map(|l| l.local_addr().unwrap().to_string())
-            .collect();
-        let handles: Vec<_> = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(rank, listener)| {
-                let mut config = TcpFabricConfig::new(rank, peers.clone());
-                config.recv_timeout = recv_timeout;
-                thread::spawn(move || {
-                    PollTcpEndpoint::connect_with_listener(config, listener).unwrap()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    }
-
-    /// Play rank 1 over raw sockets for `ep` = rank 0: accept its dial on
-    /// `raw` and answer the handshake.
-    fn accept_and_shake(raw: &TcpListener) -> TcpStream {
-        let (mut s, _) = raw.accept().unwrap();
-        let mut preamble = [0u8; HANDSHAKE_BYTES];
-        s.read_exact(&mut preamble).unwrap();
-        decode_handshake(&preamble).unwrap();
-        s.write_all(&encode_handshake()).unwrap();
-        s
-    }
-
-    fn read_frame(s: &mut TcpStream) -> Msg {
-        let mut len = [0u8; 4];
-        s.read_exact(&mut len).unwrap();
-        let mut rest = vec![0u8; u32::from_be_bytes(len) as usize];
-        s.read_exact(&mut rest).unwrap();
-        decode_after_len(&rest).unwrap()
-    }
-
-    #[test]
-    fn point_to_point_and_self_send() {
-        let mut eps = loopback_fabric(2);
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        b.send(0, 1, Payload::Params(vec![1.0, -2.0])).unwrap();
-        let m = a.recv_tagged(Some(1), 1).unwrap();
-        assert_eq!(m.from, 1);
-        assert_eq!(m.payload, Payload::Params(vec![1.0, -2.0]));
-        a.send(0, 2, Payload::Control(9)).unwrap(); // self-send loops back
-        assert_eq!(
-            a.recv_tagged(Some(0), 2).unwrap().payload,
-            Payload::Control(9)
-        );
-        a.close();
-        b.close();
-    }
-
-    #[test]
-    fn tagged_receive_buffers_out_of_order() {
-        let mut eps = loopback_fabric(2);
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        b.send(0, 2, Payload::Control(2)).unwrap();
-        b.send(0, 1, Payload::Control(1)).unwrap();
-        assert_eq!(a.recv_tagged(None, 1).unwrap().payload, Payload::Control(1));
-        assert_eq!(
-            a.recv_tagged(Some(1), 2).unwrap().payload,
-            Payload::Control(2)
-        );
-        a.close();
-        b.close();
-    }
-
-    #[test]
-    fn byte_accounting_matches_encoded_frames() {
-        let mut eps = loopback_fabric(2);
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        let payloads = [
-            Payload::Params(vec![0.5; 33]),
-            Payload::Bucket {
-                bucket: 1,
-                n_buckets: 3,
-                values: vec![2.0; 9],
-            },
-            Payload::SparseGrad {
-                len: 16,
-                indices: vec![3, 9],
-                values: vec![1.5, -0.5],
-            },
-            Payload::Control(7),
-        ];
-        let mut expected = 0u64;
-        for (i, p) in payloads.iter().enumerate() {
-            expected += encode_frame(1, i as u64, p).len() as u64;
-            b.send(0, i as u64, p.clone()).unwrap();
-        }
-        for i in 0..payloads.len() {
-            let _ = a.recv_tagged(Some(1), i as u64).unwrap();
-        }
-        assert_eq!(b.stats().total_bytes(), expected);
-        assert_eq!(b.stats().total_messages(), payloads.len() as u64);
-        a.close();
-        b.close();
-    }
-
-    /// One driver thread multiplexes all peers: a 4-rank mesh exchanges
-    /// ring traffic with every endpoint on its own thread.
-    #[test]
-    fn mesh_ring_traffic_across_threads() {
-        let n = 4;
-        let eps = loopback_fabric(n);
-        let handles: Vec<_> = eps
-            .into_iter()
-            .map(|mut ep| {
-                thread::spawn(move || {
-                    let me = ep.id();
-                    let next = (me + 1) % n;
-                    let prev = (me + n - 1) % n;
-                    for step in 0..50u64 {
-                        ep.send(next, step, Payload::Params(vec![me as f32, step as f32]))
-                            .unwrap();
-                        let m = ep.recv_tagged(Some(prev), step).unwrap();
-                        assert_eq!(m.payload, Payload::Params(vec![prev as f32, step as f32]));
-                    }
-                    ep.close();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        PollTcpEndpoint::loopback_mesh(n, |c| c.recv_timeout = recv_timeout).unwrap()
     }
 
     /// The write backpressure queue: a burst of large frames far beyond
@@ -1357,30 +987,6 @@ mod tests {
             assert!(matches!(m.payload, Payload::Params(v) if v.len() == big.len()));
         }
         a.close();
-        b.close();
-    }
-
-    #[test]
-    fn recv_watchdog_is_an_error_not_a_panic() {
-        let mut eps = loopback_fabric(2);
-        let b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        let err = a
-            .recv_deadline(None, Some(42), Duration::from_millis(50))
-            .unwrap_err();
-        assert!(matches!(err, TransportError::RecvTimeout { rank: 0, .. }));
-        a.close();
-        b.close();
-    }
-
-    #[test]
-    fn send_after_close_is_an_error_not_a_panic() {
-        let mut eps = loopback_fabric(2);
-        let b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        a.teardown();
-        let err = a.send(1, 0, Payload::Control(1)).unwrap_err();
-        assert_eq!(err, TransportError::Closed);
         b.close();
     }
 
@@ -1431,119 +1037,6 @@ mod tests {
         );
         polled.close();
         blocking.close();
-    }
-
-    /// A CRC-corrupted frame surfaces as a typed `LinkFault` with the
-    /// stream offset, tallies `corrupt_messages`, and never decodes —
-    /// the same contract the blocking fabric's torn-frame suite proves.
-    #[test]
-    fn corrupt_frame_is_a_typed_fault_not_a_message() {
-        // 2-rank fabric where the test plays rank 1 over raw sockets:
-        // the answer thread completes rank 0's outbound handshake, then
-        // the test dials rank 0's listener directly to inject damage.
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let raw = TcpListener::bind("127.0.0.1:0").unwrap();
-        let peers = vec![
-            l0.local_addr().unwrap().to_string(),
-            raw.local_addr().unwrap().to_string(),
-        ];
-        let mut cfg = TcpFabricConfig::new(0, peers);
-        cfg.recv_timeout = Duration::from_secs(5);
-        let answer = thread::spawn(move || accept_and_shake(&raw));
-        let mut ep = PollTcpEndpoint::connect_with_listener(cfg, l0).unwrap();
-        let _peer_side = answer.join().unwrap();
-
-        // dial rank 0's listener raw and send a handshake + a frame with
-        // a flipped CRC byte, then a clean frame on a fresh connection
-        let addr = ep.local_addr().to_string();
-        let mut evil = TcpStream::connect(&addr).unwrap();
-        evil.write_all(&encode_handshake()).unwrap();
-        let mut good = encode_frame(1, 9, &Payload::Control(9)).to_vec();
-        let last = good.len() - 1;
-        good[last] ^= 0xFF; // break the CRC trailer
-        evil.write_all(&good).unwrap();
-        evil.flush().unwrap();
-
-        // the fault arrives instead of a message
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let faults = ep.link_faults();
-            if !faults.is_empty() {
-                assert!(matches!(faults[0].error, TransportError::Protocol(_)));
-                assert_eq!(faults[0].offset, HANDSHAKE_BYTES as u64);
-                break;
-            }
-            assert!(Instant::now() < deadline, "fault never reported");
-            thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(ep.stats().corrupt_messages(), 1);
-
-        // the damaged connection is torn down; a fresh one still works
-        let mut clean = TcpStream::connect(&addr).unwrap();
-        clean.write_all(&encode_handshake()).unwrap();
-        clean
-            .write_all(&encode_frame(1, 10, &Payload::Control(10)))
-            .unwrap();
-        let m = ep
-            .recv_deadline(None, Some(10), Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(m.payload, Payload::Control(10));
-        ep.close();
-    }
-
-    /// A hostile length prefix is rejected before any allocation.
-    #[test]
-    fn hostile_length_prefix_is_rejected() {
-        let raw = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let peers = vec![
-            l0.local_addr().unwrap().to_string(),
-            raw.local_addr().unwrap().to_string(),
-        ];
-        let mut cfg = TcpFabricConfig::new(0, peers);
-        cfg.recv_timeout = Duration::from_secs(5);
-        cfg.max_frame_bytes = 1024;
-        let answer = thread::spawn(move || accept_and_shake(&raw));
-        let mut ep = PollTcpEndpoint::connect_with_listener(cfg, l0).unwrap();
-        drop(answer.join().unwrap());
-
-        let mut evil = TcpStream::connect(ep.local_addr()).unwrap();
-        evil.write_all(&encode_handshake()).unwrap();
-        evil.write_all(&u32::MAX.to_be_bytes()).unwrap(); // 4 GiB "frame"
-        evil.flush().unwrap();
-
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let faults = ep.link_faults();
-            if !faults.is_empty() {
-                let TransportError::Protocol(detail) = &faults[0].error else {
-                    panic!("expected a Protocol fault");
-                };
-                assert!(detail.contains("hostile frame length"), "{detail}");
-                break;
-            }
-            assert!(Instant::now() < deadline, "fault never reported");
-            thread::sleep(Duration::from_millis(10));
-        }
-        ep.close();
-    }
-
-    /// `close()` right behind a frame far larger than the socket buffers
-    /// still delivers it: the driver keeps waiting on `POLLOUT` until the
-    /// queue is flushed, and only then sends FIN and exits.
-    #[test]
-    fn close_flushes_a_large_frame_queued_just_before_it() {
-        let mut eps = loopback_fabric(2);
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        let big = vec![0.25f32; 1024 * 1024]; // 4 MiB
-        b.send(0, 7, Payload::Params(big.clone())).unwrap();
-        b.close();
-        assert_eq!(
-            a.recv_tagged(Some(1), 7).unwrap().payload,
-            Payload::Params(big)
-        );
-        a.close();
     }
 
     /// The read buffer across read boundaries: frames dribbled in odd
@@ -1621,7 +1114,7 @@ mod tests {
             loop {
                 let before = ep.driver_gauges();
                 thread::sleep(Duration::from_millis(20));
-                if ep.driver_gauges() == before && ep.shared.parked.load(Ordering::SeqCst) {
+                if ep.driver_gauges() == before && ep.driver.shared.parked.load(Ordering::SeqCst) {
                     return before;
                 }
                 assert!(Instant::now() < deadline, "driver never parked");
@@ -1722,7 +1215,7 @@ mod tests {
             let b = eps.pop().unwrap();
             let a = eps.pop().unwrap();
             let before = wait_until_parked(&a);
-            let shared = Arc::clone(&a.shared);
+            let shared = Arc::clone(&a.driver.shared);
             a.close();
             assert_eq!(
                 shared.wakes.load(Ordering::Relaxed),
@@ -1730,41 +1223,6 @@ mod tests {
                 "the park in progress should have ended by readiness"
             );
             b.close();
-        }
-
-        /// Fault parity with the blocking fabric's `write_loop`: the frame in
-        /// the backpressure queue when the link breaks — here partly
-        /// written — is resent whole on the redialled link, ahead of what
-        /// was queued behind it.
-        #[test]
-        fn broken_link_resends_the_queued_frame_after_redial() {
-            let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-            let raw = TcpListener::bind("127.0.0.1:0").unwrap();
-            let raw_addr = raw.local_addr().unwrap().to_string();
-            let peers = vec![l0.local_addr().unwrap().to_string(), raw_addr.clone()];
-            let cfg = TcpFabricConfig::new(0, peers);
-            // the listener goes away with the thread; only the accepted
-            // socket comes back
-            let answer = thread::spawn(move || accept_and_shake(&raw));
-            let mut ep = PollTcpEndpoint::connect_with_listener(cfg, l0).unwrap();
-            let accepted = answer.join().unwrap();
-
-            // 16 MiB that nobody reads: more than the socket buffers hold, so
-            // the driver parks with the frame partly written
-            let big = vec![-1.5f32; 4 * 1024 * 1024];
-            ep.send(1, 1, Payload::Params(big.clone())).unwrap();
-            ep.send(1, 2, Payload::Control(2)).unwrap();
-            wait_until_parked(&ep);
-            drop(accepted); // unread data: the peer answers with a reset
-
-            let raw = bind_reuse(&raw_addr).expect("rebind of the released port");
-            let mut redialled = accept_and_shake(&raw);
-            let first = read_frame(&mut redialled);
-            assert_eq!((first.from, first.tag), (0, 1));
-            assert_eq!(first.payload, Payload::Params(big));
-            let second = read_frame(&mut redialled);
-            assert_eq!((second.tag, second.payload), (2, Payload::Control(2)));
-            ep.close();
         }
     }
 }

@@ -1,36 +1,21 @@
-//! Blocking TCP fabric: a fully-connected mesh of processes (or
-//! threads) speaking the [`codec`](crate::codec) wire format.
+//! The blocking driver: a fully-connected mesh of processes (or
+//! threads) served by one acceptor thread, one reader thread per
+//! inbound connection and one writer thread per peer, all on blocking
+//! sockets — plus the socket helpers (`bind_reuse`, `dial`, the dialer
+//! handshake) both drivers and the shared [`MeshEndpoint`] use.
 //!
-//! Topology: rank `i` listens on `peers[i]` and dials one outbound
-//! connection to every other rank, so each ordered pair owns a
-//! unidirectional frame stream. Every new connection opens with the
-//! 8-byte protocol preamble ([`crate::codec::encode_handshake`]):
-//! each side sends its own and validates the peer's, so a mixed-version
-//! fleet (or a stranger speaking another protocol entirely) fails fast
-//! instead of mis-parsing frames. Per-peer writer threads drain an
-//! unbounded frame queue (keeping [`Transport::send`] non-blocking,
-//! like the channel fabric), and per-connection reader threads decode
-//! frames into one shared inbox feeding the same tagged-receive
-//! semantics as the in-process endpoint.
-//!
-//! Byte-level damage on an inbound connection — a torn frame, a CRC
-//! mismatch, a hostile length prefix — is surfaced as a typed
-//! [`LinkFault`] (peer address + stream byte offset + a
-//! [`TransportError::Protocol`] error) and tallied in
-//! [`CommStats::corrupt_messages`], then the connection is torn down:
-//! a stream that has lost framing cannot be resynchronized, so the
-//! peer's writer redials and the protocol retry layers absorb the
-//! loss. Blocking receives never return these faults as errors — a
-//! damaged frame behaves like a lost one (`RecvTimeout` + resend), so
-//! clean-link behavior is unchanged.
+//! [`TcpEndpoint`] is [`MeshEndpoint`] over this driver; everything a
+//! caller sees — `connect`, the `Transport` receive semantics,
+//! [`LinkFault`] reporting, teardown — is documented on
+//! [`MeshEndpoint`]. Writer threads drain their peer's
+//! frame queue with `write_all` and redial a broken link within
+//! `reconnect_timeout`; reader threads decode frames into the shared
+//! inbox and report byte-level damage as typed faults.
 
-use crate::codec::{
-    decode_after_len, decode_handshake, encode_frame, encode_handshake, HANDSHAKE_BYTES,
-};
+use crate::codec::{decode_after_len, decode_handshake, encode_handshake, HANDSHAKE_BYTES};
+use crate::endpoint::{link_fault, Driver, InboxEvent, Links, MeshEndpoint};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use selsync_comm::{CommStats, Msg, Payload, Transport, TransportError};
-use std::collections::VecDeque;
+use crossbeam::channel::Receiver;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,91 +23,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Default ceiling on a single frame's declared size; a corrupted
-/// length prefix fails fast instead of attempting a huge allocation.
-/// Configurable per fabric via [`TcpFabricConfig::max_frame_bytes`].
-pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 30;
+pub use crate::endpoint::{LinkFault, TcpFabricConfig, DEFAULT_MAX_FRAME_BYTES};
 
 /// How often blocked reader/acceptor threads wake to check shutdown.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
-
-/// Configuration for one rank of a TCP fabric.
-#[derive(Debug, Clone)]
-pub struct TcpFabricConfig {
-    /// This process's rank (index into `peers`).
-    pub rank: usize,
-    /// `host:port` of every rank, in rank order. `peers.len()` is the
-    /// fabric size.
-    pub peers: Vec<String>,
-    /// Total budget for dialing each peer (retry with backoff inside).
-    pub connect_timeout: Duration,
-    /// Socket write timeout per frame.
-    pub write_timeout: Duration,
-    /// Watchdog for blocking receives: a `recv_*` that sees no matching
-    /// message for this long returns [`TransportError::RecvTimeout`]
-    /// (deadlock/peer-death detector).
-    pub recv_timeout: Duration,
-    /// Budget for re-establishing a *broken* established link (peer
-    /// crashed and restarted, transient network fault). Writer threads
-    /// redial with capped exponential backoff for this long before the
-    /// peer is declared unreachable; failover protocols need this to
-    /// survive a parameter-server restart without tearing the fabric
-    /// down.
-    pub reconnect_timeout: Duration,
-    /// Ceiling on a single inbound frame's declared size. A length
-    /// prefix above this — hostile or corrupt — is rejected as a
-    /// [`LinkFault`] before any allocation is attempted.
-    pub max_frame_bytes: usize,
-}
-
-impl TcpFabricConfig {
-    /// Config with production-lenient timeouts.
-    pub fn new(rank: usize, peers: Vec<String>) -> Self {
-        TcpFabricConfig {
-            rank,
-            peers,
-            connect_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(30),
-            recv_timeout: Duration::from_secs(300),
-            reconnect_timeout: Duration::from_secs(15),
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-        }
-    }
-}
-
-/// A byte-level fault a reader thread detected on one inbound
-/// connection: a frame torn mid-read, a CRC mismatch, a hostile length
-/// prefix, or a rejected handshake. Distinguishes in-flight damage
-/// from a peer crash (which shows up as a clean EOF or
-/// `PeerUnreachable` instead) in soak and chaos logs.
-#[derive(Debug, Clone)]
-pub struct LinkFault {
-    /// Remote address of the damaged connection.
-    pub peer: SocketAddr,
-    /// Bytes successfully consumed from this connection's stream
-    /// before the fault (handshake included) — where in the stream the
-    /// damage was detected.
-    pub offset: u64,
-    /// The typed error, always [`TransportError::Protocol`].
-    pub error: TransportError,
-}
-
-pub(crate) fn link_fault(peer: SocketAddr, offset: u64, detail: &str) -> LinkFault {
-    LinkFault {
-        peer,
-        offset,
-        error: TransportError::Protocol(format!(
-            "{detail} (peer {peer}, stream byte offset {offset})"
-        )),
-    }
-}
-
-/// What reader threads feed the shared inbox: decoded messages, plus
-/// typed fault reports the endpoint collects off to the side.
-pub(crate) enum InboxEvent {
-    Msg(Msg),
-    Fault(LinkFault),
-}
 
 /// Bind a listener with `SO_REUSEADDR`, so a restarted rank can
 /// reclaim its advertised port while the previous process's accepted
@@ -221,291 +125,66 @@ fn bind_reuse_v4(addr: &std::net::SocketAddrV4) -> io::Result<TcpListener> {
     }
 }
 
-/// One rank's handle on the TCP fabric. Implements [`Transport`], so
-/// the PS, collectives and trainer run over it unchanged.
-pub struct TcpEndpoint {
-    id: usize,
-    n: usize,
-    /// Frame queues to each peer's writer thread; `None` at `id`
-    /// (self-sends loop back through `inbox_tx`).
-    outbound: Vec<Option<Sender<Bytes>>>,
-    inbox_tx: Sender<InboxEvent>,
-    inbox: Receiver<InboxEvent>,
-    pending: VecDeque<Msg>,
-    /// Byte-level faults reader threads have reported, in arrival order.
-    faults: Vec<LinkFault>,
-    stats: Arc<CommStats>,
-    recv_timeout: Duration,
-    shutdown: Arc<AtomicBool>,
+/// One rank's handle on the blocking TCP fabric: the shared
+/// [`MeshEndpoint`] served by reader/writer/acceptor threads.
+pub type TcpEndpoint = MeshEndpoint<ThreadDriver>;
+
+/// The blocking driver's threads. Only names the driver in
+/// [`TcpEndpoint`]; there is nothing to construct or call.
+pub struct ThreadDriver {
+    /// The acceptor (which owns and joins its reader threads) and one
+    /// writer per peer.
     threads: Vec<JoinHandle<()>>,
-    local_addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    write_timeout: Duration,
+    reconnect_timeout: Duration,
 }
 
-impl TcpEndpoint {
-    /// Bind `peers[rank]`, accept inbound connections from every other
-    /// rank, and dial every peer (with retry/backoff, so ranks may
-    /// start in any order). Returns once all outbound connections are
-    /// established.
-    ///
-    /// The bind itself also retries within `connect_timeout`: the
-    /// assigned port may be transiently occupied — typically as the
-    /// ephemeral *source* port of someone else's outbound connection —
-    /// and giving up immediately would strand the whole fabric waiting
-    /// on this rank.
-    pub fn connect(config: TcpFabricConfig) -> io::Result<TcpEndpoint> {
-        let addr = config.peers[config.rank].as_str();
-        let deadline = Instant::now() + config.connect_timeout;
-        let listener = loop {
-            match bind_reuse(addr) {
-                Ok(l) => break l,
-                Err(e) if e.kind() == io::ErrorKind::AddrInUse && Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        Self::connect_with_listener(config, listener)
-    }
-
-    /// Like [`connect`](Self::connect) but over a pre-bound listener —
-    /// lets tests bind port 0 and exchange the real addresses first.
-    pub fn connect_with_listener(
-        config: TcpFabricConfig,
-        listener: TcpListener,
-    ) -> io::Result<TcpEndpoint> {
-        let n = config.peers.len();
-        assert!(config.rank < n, "rank {} out of range 0..{n}", config.rank);
-        let local_addr = listener.local_addr()?;
-        let (inbox_tx, inbox) = unbounded::<InboxEvent>();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(CommStats::default());
-        let mut threads = Vec::new();
-
-        // Acceptor: owns the listener and every reader thread it spawns.
-        if n > 1 {
-            let acceptor_inbox = inbox_tx.clone();
-            let acceptor_shutdown = Arc::clone(&shutdown);
-            let acceptor_stats = Arc::clone(&stats);
-            let max_frame = config.max_frame_bytes;
-            listener.set_nonblocking(true)?;
-            threads.push(std::thread::spawn(move || {
-                accept_loop(
-                    listener,
-                    acceptor_inbox,
-                    acceptor_shutdown,
-                    acceptor_stats,
-                    max_frame,
-                );
-            }));
-        }
-
-        // Dial every peer. Synchronous here is deadlock-free: inbound
-        // connections land in the already-running acceptor, and the
-        // handshake echo each dial waits for is produced by the *peer's*
-        // reader thread, never by a thread blocked in this loop.
-        let mut outbound: Vec<Option<Sender<Bytes>>> = Vec::with_capacity(n);
-        for (peer, addr) in config.peers.iter().enumerate() {
-            if peer == config.rank {
-                outbound.push(None);
-                continue;
-            }
-            let mut stream = dial(addr, config.connect_timeout)?;
-            stream.set_nodelay(true)?;
-            stream.set_write_timeout(Some(config.write_timeout))?;
-            shake_hands_as_dialer(&mut stream, config.connect_timeout)?;
-            let (tx, rx) = unbounded::<Bytes>();
-            let writer_shutdown = Arc::clone(&shutdown);
-            let writer_addr = addr.clone();
-            let write_timeout = config.write_timeout;
-            let reconnect_timeout = config.reconnect_timeout;
-            threads.push(std::thread::spawn(move || {
-                write_loop(
-                    stream,
-                    &writer_addr,
-                    rx,
-                    &writer_shutdown,
-                    write_timeout,
-                    reconnect_timeout,
-                );
-            }));
-            outbound.push(Some(tx));
-        }
-
-        Ok(TcpEndpoint {
-            id: config.rank,
-            n,
-            outbound,
-            inbox_tx,
-            inbox,
-            pending: VecDeque::new(),
-            faults: Vec::new(),
-            stats,
-            recv_timeout: config.recv_timeout,
-            shutdown,
+impl Driver for ThreadDriver {
+    fn start(
+        listener: Option<TcpListener>,
+        links: Links,
+        config: &TcpFabricConfig,
+    ) -> io::Result<Self> {
+        let shutdown = Arc::clone(&links.shutdown);
+        let max_frame = config.max_frame_bytes;
+        let threads = listener
+            .map(|l| std::thread::spawn(move || accept_loop(&l, &links, max_frame)))
+            .into_iter()
+            .collect();
+        Ok(ThreadDriver {
             threads,
-            local_addr,
+            shutdown,
+            write_timeout: config.write_timeout,
+            reconnect_timeout: config.reconnect_timeout,
         })
     }
 
-    /// The address this rank's listener actually bound.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Byte-level faults reader threads have reported so far (torn
-    /// frames, CRC mismatches, hostile lengths, rejected handshakes),
-    /// in arrival order. Drains freshly reported faults first, so a
-    /// caller polling after an injected corruption sees it without an
-    /// intervening receive.
-    pub fn link_faults(&mut self) -> &[LinkFault] {
-        while let Ok(ev) = self.inbox.try_recv() {
-            match ev {
-                InboxEvent::Msg(m) => {
-                    self.stats.record_recv(m.payload.wire_bytes());
-                    self.pending.push_back(m);
-                }
-                InboxEvent::Fault(f) => self.faults.push(f),
-            }
-        }
-        &self.faults
-    }
-
-    /// Flush queued frames to every peer, close the outbound streams,
-    /// and join all fabric threads. Called implicitly on drop; explicit
-    /// calls make shutdown ordering visible in launcher code.
-    pub fn close(mut self) {
-        self.teardown();
-    }
-
-    fn teardown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Dropping the queues lets writers drain whatever is in flight,
-        // then send FIN, so peers see clean EOFs at frame boundaries.
-        self.outbound.clear();
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-    }
-
-    fn blocking_recv(
-        &mut self,
-        timeout: Duration,
-        mut matches: impl FnMut(&Msg) -> bool,
-    ) -> Result<Msg, TransportError> {
-        if let Some(pos) = self.pending.iter().position(&mut matches) {
-            if let Some(m) = self.pending.remove(pos) {
-                return Ok(m);
-            }
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = match deadline.checked_duration_since(Instant::now()) {
-                Some(d) => d,
-                None => {
-                    return Err(TransportError::RecvTimeout {
-                        rank: self.id,
-                        waited: timeout,
-                        buffered: self.pending.len(),
-                    })
-                }
-            };
-            match self.inbox.recv_timeout(remaining) {
-                Ok(InboxEvent::Msg(m)) => {
-                    self.stats.record_recv(m.payload.wire_bytes());
-                    if matches(&m) {
-                        return Ok(m);
-                    }
-                    self.pending.push_back(m);
-                }
-                // a damaged frame behaves like a lost one: collect the
-                // typed report and keep waiting — the caller's timeout
-                // and resend layers handle the loss
-                Ok(InboxEvent::Fault(f)) => self.faults.push(f),
-                Err(RecvTimeoutError::Timeout) => continue, // errors above
-                Err(RecvTimeoutError::Disconnected) => return Err(TransportError::Closed),
-            }
-        }
-    }
-}
-
-impl Transport for TcpEndpoint {
-    fn id(&self) -> usize {
-        self.id
-    }
-
-    fn fabric_size(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> &Arc<CommStats> {
-        &self.stats
-    }
-
-    fn send(&mut self, to: usize, tag: u64, payload: Payload) -> Result<(), TransportError> {
-        assert!(to < self.n, "destination {to} out of range");
-        let bytes = payload.wire_bytes();
-        if to == self.id {
-            // loop back without touching a socket, like the channel
-            // fabric's self-send
-            self.inbox_tx
-                .send(InboxEvent::Msg(Msg {
-                    from: self.id,
-                    tag,
-                    payload,
-                }))
-                .map_err(|_| TransportError::Closed)?;
-            self.stats.record(bytes);
-            return Ok(());
-        }
-        let frame = encode_frame(self.id, tag, &payload);
-        match self.outbound.get(to).and_then(|s| s.as_ref()) {
-            None => return Err(TransportError::Closed),
-            Some(tx) => tx
-                .send(frame)
-                .map_err(|_| TransportError::PeerUnreachable { peer: to })?,
-        }
-        self.stats.record(bytes);
+    fn adopt(&mut self, addr: &str, stream: TcpStream, frames: Receiver<Bytes>) -> io::Result<()> {
+        let addr = addr.to_string();
+        let shutdown = Arc::clone(&self.shutdown);
+        let (write_timeout, reconnect_timeout) = (self.write_timeout, self.reconnect_timeout);
+        self.threads.push(std::thread::spawn(move || {
+            write_loop(
+                stream,
+                &addr,
+                &frames,
+                &shutdown,
+                write_timeout,
+                reconnect_timeout,
+            );
+        }));
         Ok(())
     }
 
-    fn recv_any(&mut self) -> Result<Msg, TransportError> {
-        self.blocking_recv(self.recv_timeout, |_| true)
-    }
+    /// Writers block on their queues and readers on their sockets;
+    /// nobody needs telling.
+    fn notify(&self) {}
 
-    fn recv_tagged(&mut self, from: Option<usize>, tag: u64) -> Result<Msg, TransportError> {
-        self.blocking_recv(self.recv_timeout, |m| {
-            m.tag == tag && from.is_none_or(|f| m.from == f)
-        })
-    }
-
-    fn recv_deadline(
-        &mut self,
-        from: Option<usize>,
-        tag: Option<u64>,
-        timeout: Duration,
-    ) -> Result<Msg, TransportError> {
-        self.blocking_recv(timeout, |m| m.matches(from, tag))
-    }
-
-    fn try_recv(&mut self) -> Option<Msg> {
-        if let Some(m) = self.pending.pop_front() {
-            return Some(m);
+    fn stop(&mut self) {
+        for handle in self.threads.drain(..) {
+            let _ = handle.join();
         }
-        loop {
-            match self.inbox.try_recv().ok()? {
-                InboxEvent::Msg(m) => {
-                    self.stats.record_recv(m.payload.wire_bytes());
-                    return Some(m);
-                }
-                InboxEvent::Fault(f) => self.faults.push(f),
-            }
-        }
-    }
-}
-
-impl Drop for TcpEndpoint {
-    fn drop(&mut self) {
-        self.teardown();
     }
 }
 
@@ -549,32 +228,18 @@ pub(crate) fn shake_hands_as_dialer(stream: &mut TcpStream, timeout: Duration) -
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    inbox: Sender<InboxEvent>,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<CommStats>,
-    max_frame: usize,
-) {
+fn accept_loop(listener: &TcpListener, links: &Links, max_frame: usize) {
     let mut readers = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
+    while !links.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
                     continue;
                 }
                 let _ = stream.set_nodelay(true);
-                let reader_inbox = inbox.clone();
-                let reader_shutdown = Arc::clone(&shutdown);
-                let reader_stats = Arc::clone(&stats);
+                let links = links.clone();
                 readers.push(std::thread::spawn(move || {
-                    read_loop(
-                        stream,
-                        reader_inbox,
-                        reader_shutdown,
-                        reader_stats,
-                        max_frame,
-                    );
+                    read_loop(stream, &links, max_frame);
                 }));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -639,13 +304,12 @@ fn read_full(
     Ok(ReadOutcome::Full)
 }
 
-fn read_loop(
-    mut stream: TcpStream,
-    inbox: Sender<InboxEvent>,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<CommStats>,
-    max_frame: usize,
-) {
+fn read_loop(mut stream: TcpStream, links: &Links, max_frame: usize) {
+    let Links {
+        inbox,
+        shutdown,
+        stats,
+    } = links;
     let Ok(peer) = stream.peer_addr() else { return };
     let report = |offset: u64, detail: &str| {
         if !shutdown.load(Ordering::SeqCst) {
@@ -660,7 +324,7 @@ fn read_loop(
         return;
     }
     let mut preamble = [0u8; HANDSHAKE_BYTES];
-    match read_full(&mut stream, &mut preamble, &shutdown, true) {
+    match read_full(&mut stream, &mut preamble, shutdown, true) {
         Ok(ReadOutcome::Full) => {}
         Ok(ReadOutcome::CleanEof) | Ok(ReadOutcome::Shutdown) => return,
         Err(short) => {
@@ -684,7 +348,7 @@ fn read_loop(
     loop {
         let frame_start = offset;
         let mut len_bytes = [0u8; 4];
-        match read_full(&mut stream, &mut len_bytes, &shutdown, true) {
+        match read_full(&mut stream, &mut len_bytes, shutdown, true) {
             Ok(ReadOutcome::Full) => offset += 4,
             Ok(ReadOutcome::CleanEof) | Ok(ReadOutcome::Shutdown) => return,
             Err(short) => {
@@ -710,7 +374,7 @@ fn read_loop(
             return;
         }
         let mut body = vec![0u8; len];
-        match read_full(&mut stream, &mut body, &shutdown, false) {
+        match read_full(&mut stream, &mut body, shutdown, false) {
             Ok(ReadOutcome::Full) => offset += len as u64,
             // lint:allow(unwrap-in-prod): read_full(eof_ok = false) maps a
             // mid-frame EOF to an error, so CleanEof cannot reach this arm
@@ -750,7 +414,7 @@ fn read_loop(
 fn write_loop(
     mut stream: TcpStream,
     addr: &str,
-    frames: Receiver<Bytes>,
+    frames: &Receiver<Bytes>,
     shutdown: &AtomicBool,
     write_timeout: Duration,
     reconnect_timeout: Duration,
@@ -842,28 +506,6 @@ mod tests {
     use super::*;
     use std::thread;
 
-    /// Bind `n` loopback listeners on ephemeral ports and connect a
-    /// full mesh of endpoints over them.
-    pub(crate) fn loopback_fabric(n: usize) -> Vec<TcpEndpoint> {
-        let listeners: Vec<TcpListener> = (0..n)
-            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
-            .collect();
-        let peers: Vec<String> = listeners
-            .iter()
-            .map(|l| l.local_addr().unwrap().to_string())
-            .collect();
-        let handles: Vec<_> = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(rank, listener)| {
-                let mut config = TcpFabricConfig::new(rank, peers.clone());
-                config.recv_timeout = Duration::from_secs(20);
-                thread::spawn(move || TcpEndpoint::connect_with_listener(config, listener).unwrap())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    }
-
     /// A restarted rank must reclaim its advertised port immediately,
     /// even though the dead process's accepted connections (local port
     /// = the listen port) linger in `TIME_WAIT` after an active close.
@@ -884,243 +526,6 @@ mod tests {
         thread::sleep(Duration::from_millis(50));
         let again = bind_reuse(&addr).expect("rebind of a just-released port");
         assert_eq!(again.local_addr().unwrap().to_string(), addr);
-    }
-
-    #[test]
-    fn point_to_point_and_self_send() {
-        let mut eps = loopback_fabric(2);
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        b.send(0, 1, Payload::Params(vec![1.0, -2.0])).unwrap();
-        let m = a.recv_tagged(Some(1), 1).unwrap();
-        assert_eq!(m.from, 1);
-        assert_eq!(m.payload, Payload::Params(vec![1.0, -2.0]));
-        a.send(0, 2, Payload::Control(9)).unwrap(); // self-send loops back
-        assert_eq!(
-            a.recv_tagged(Some(0), 2).unwrap().payload,
-            Payload::Control(9)
-        );
-        a.close();
-        b.close();
-    }
-
-    #[test]
-    fn tagged_receive_buffers_out_of_order() {
-        let mut eps = loopback_fabric(2);
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        b.send(0, 2, Payload::Control(2)).unwrap();
-        b.send(0, 1, Payload::Control(1)).unwrap();
-        let m1 = a.recv_tagged(None, 1).unwrap();
-        assert_eq!(m1.payload, Payload::Control(1));
-        let m2 = a.recv_tagged(Some(1), 2).unwrap();
-        assert_eq!(m2.payload, Payload::Control(2));
-        a.close();
-        b.close();
-    }
-
-    #[test]
-    fn byte_accounting_matches_encoded_frames() {
-        let mut eps = loopback_fabric(2);
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        let payloads = [
-            Payload::Params(vec![0.5; 33]),
-            Payload::Flags(vec![1; 5]),
-            Payload::Control(7),
-            Payload::Samples {
-                data: vec![1.0; 12],
-                targets: vec![0, 1, 2],
-                dims: vec![2, 2, 3],
-            },
-        ];
-        let mut expected = 0u64;
-        for (i, p) in payloads.iter().enumerate() {
-            expected += encode_frame(1, i as u64, p).len() as u64;
-            b.send(0, i as u64, p.clone()).unwrap();
-        }
-        for i in 0..payloads.len() {
-            let _ = a.recv_tagged(Some(1), i as u64).unwrap();
-        }
-        assert_eq!(b.stats().total_bytes(), expected);
-        assert_eq!(b.stats().total_messages(), payloads.len() as u64);
-        a.close();
-        b.close();
-    }
-
-    #[test]
-    fn mesh_ring_traffic_across_threads() {
-        let n = 4;
-        let eps = loopback_fabric(n);
-        let handles: Vec<_> = eps
-            .into_iter()
-            .map(|mut ep| {
-                thread::spawn(move || {
-                    let me = ep.id();
-                    let next = (me + 1) % n;
-                    let prev = (me + n - 1) % n;
-                    for step in 0..50u64 {
-                        ep.send(next, step, Payload::Params(vec![me as f32, step as f32]))
-                            .unwrap();
-                        let m = ep.recv_tagged(Some(prev), step).unwrap();
-                        assert_eq!(m.payload, Payload::Params(vec![prev as f32, step as f32]));
-                    }
-                    ep.close();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn recv_watchdog_is_an_error_not_a_panic() {
-        let mut eps = loopback_fabric(2);
-        let b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        let err = a
-            .recv_deadline(None, Some(42), Duration::from_millis(50))
-            .unwrap_err();
-        assert!(matches!(err, TransportError::RecvTimeout { rank: 0, .. }));
-        a.close();
-        b.close();
-    }
-
-    #[test]
-    fn send_after_close_is_an_error_not_a_panic() {
-        let mut eps = loopback_fabric(2);
-        let b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        a.teardown();
-        let err = a.send(1, 0, Payload::Control(1)).unwrap_err();
-        assert_eq!(err, TransportError::Closed);
-        b.close();
-    }
-
-    /// Answer the SelSync preamble on a raw test-controlled socket, the
-    /// way a real acceptor's reader thread would.
-    fn raw_handshake(conn: &mut TcpStream) {
-        let mut preamble = [0u8; HANDSHAKE_BYTES];
-        conn.read_exact(&mut preamble).unwrap();
-        decode_handshake(&preamble).unwrap();
-        conn.write_all(&encode_handshake()).unwrap();
-    }
-
-    /// Read one wire frame (length prefix + body) off a raw socket.
-    fn read_raw_frame(stream: &mut TcpStream) -> io::Result<Msg> {
-        let mut len_bytes = [0u8; 4];
-        stream.read_exact(&mut len_bytes)?;
-        let mut body = vec![0u8; u32::from_be_bytes(len_bytes) as usize];
-        stream.read_exact(&mut body)?;
-        decode_after_len(&body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-
-    /// A broken established link is redialed by the writer thread: drop
-    /// the first accepted connection mid-run and frames keep arriving on
-    /// a second one — sends never surface `PeerUnreachable`.
-    #[test]
-    fn writer_reconnects_after_peer_restart() {
-        // rank 1 is a raw listener the test controls, standing in for a
-        // peer that crashes and restarts
-        let raw = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let peers = vec![
-            l0.local_addr().unwrap().to_string(),
-            raw.local_addr().unwrap().to_string(),
-        ];
-        let mut config = TcpFabricConfig::new(0, peers);
-        config.reconnect_timeout = Duration::from_secs(10);
-        let accept_first = thread::spawn(move || {
-            let (mut s, _) = raw.accept()?;
-            raw_handshake(&mut s);
-            Ok::<_, io::Error>((s, raw))
-        });
-        let mut ep = TcpEndpoint::connect_with_listener(config, l0).unwrap();
-        let (mut conn1, raw) = accept_first.join().unwrap().unwrap();
-
-        ep.send(1, 7, Payload::Control(7)).unwrap();
-        assert_eq!(read_raw_frame(&mut conn1).unwrap().tag, 7);
-
-        // "crash" the peer: kill the established connection
-        conn1.shutdown(Shutdown::Both).unwrap();
-        drop(conn1);
-
-        // keep sending until the writer notices the dead link and
-        // redials; the listener is still bound, so the redial lands here
-        let (tx, rx) = std::sync::mpsc::channel();
-        let accept_second = thread::spawn(move || {
-            let conn = raw.accept().map(|(s, _)| s).map(|mut s| {
-                raw_handshake(&mut s);
-                s
-            });
-            tx.send(()).ok();
-            conn
-        });
-        let mut probes = 0u64;
-        while rx.try_recv().is_err() {
-            probes += 1;
-            assert!(probes < 200, "writer never redialed the restarted peer");
-            ep.send(1, 100 + probes, Payload::Control(probes)).unwrap();
-            thread::sleep(Duration::from_millis(25));
-        }
-        let mut conn2 = accept_second.join().unwrap().unwrap();
-
-        // everything sent after the reconnect arrives on the new link
-        ep.send(1, 999, Payload::Params(vec![1.0, 2.0])).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let m = read_raw_frame(&mut conn2).unwrap();
-            if m.tag == 999 {
-                assert_eq!(m.payload, Payload::Params(vec![1.0, 2.0]));
-                break;
-            }
-            assert!(Instant::now() < deadline, "tag 999 never arrived");
-        }
-        ep.close();
-    }
-
-    /// Mixed protocol versions must fail the connect, fast and typed:
-    /// the dialer gets an `InvalidData` error wrapping
-    /// `FrameError::VersionMismatch`, not a hang or a garbled fabric.
-    #[test]
-    fn mixed_versions_fail_the_connect_handshake() {
-        use crate::codec::{FrameError, PROTOCOL_VERSION};
-        let raw = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let peers = vec![
-            l0.local_addr().unwrap().to_string(),
-            raw.local_addr().unwrap().to_string(),
-        ];
-        let mut config = TcpFabricConfig::new(0, peers);
-        config.connect_timeout = Duration::from_secs(5);
-        let future_peer = thread::spawn(move || {
-            let (mut s, _) = raw.accept().unwrap();
-            let mut preamble = [0u8; HANDSHAKE_BYTES];
-            s.read_exact(&mut preamble).unwrap();
-            // echo a preamble from one protocol version ahead
-            let mut echo = encode_handshake();
-            echo[4..6].copy_from_slice(&(PROTOCOL_VERSION + 1).to_be_bytes());
-            s.write_all(&echo).unwrap();
-            s
-        });
-        let err = match TcpEndpoint::connect_with_listener(config, l0) {
-            Err(e) => e,
-            Ok(_) => panic!("connect accepted a mismatched protocol version"),
-        };
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let inner = err
-            .get_ref()
-            .and_then(|e| e.downcast_ref::<FrameError>())
-            .expect("typed FrameError inside the io::Error");
-        assert_eq!(
-            *inner,
-            FrameError::VersionMismatch {
-                ours: PROTOCOL_VERSION,
-                theirs: PROTOCOL_VERSION + 1,
-            }
-        );
-        drop(future_peer.join().unwrap());
     }
 
     #[test]

@@ -2,46 +2,58 @@
 //! in-process over the channel fabric and (b) over real 127.0.0.1
 //! sockets must make the same sync decision at every step and end with
 //! bit-identical parameters — the trainer is transport-agnostic and the
-//! wire codec is lossless.
+//! wire codec is lossless. Every test runs over both socket drivers.
 
 use selsync_comm::Transport;
 use selsync_core::prelude::*;
 use selsync_core::trainer::{run_server_rank, run_worker_rank, WorkerOutput};
 use selsync_core::{run_distributed, RunConfig};
-use selsync_net::{TcpEndpoint, TcpFabricConfig};
-use std::net::TcpListener;
+use selsync_net::{PollTcpEndpoint, TcpEndpoint, TcpFabricConfig};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-/// Bind `n_ranks` ephemeral loopback ports and connect the full mesh.
-fn tcp_fabric(n_ranks: usize) -> Vec<TcpEndpoint> {
-    let listeners: Vec<TcpListener> = (0..n_ranks)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    let peers: Vec<String> = listeners
-        .iter()
-        .map(|l| l.local_addr().unwrap().to_string())
-        .collect();
-    let handles: Vec<_> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(rank, listener)| {
-            let mut cfg = TcpFabricConfig::new(rank, peers.clone());
-            cfg.recv_timeout = Duration::from_secs(60);
-            thread::spawn(move || TcpEndpoint::connect_with_listener(cfg, listener).unwrap())
-        })
-        .collect();
-    handles.into_iter().map(|h| h.join().unwrap()).collect()
+fn watchdog(cfg: &mut TcpFabricConfig) {
+    cfg.recv_timeout = Duration::from_secs(60);
 }
 
-/// Run `config` over real sockets: one thread per rank, each owning a
-/// [`TcpEndpoint`] — the same topology `selsync_dist` gives separate
+fn blocking_mesh(n_ranks: usize) -> Vec<TcpEndpoint> {
+    TcpEndpoint::loopback_mesh(n_ranks, watchdog).expect("loopback mesh")
+}
+
+fn poll_mesh(n_ranks: usize) -> Vec<PollTcpEndpoint> {
+    PollTcpEndpoint::loopback_mesh(n_ranks, watchdog).expect("loopback mesh")
+}
+
+/// Instantiate each generic test below over a mesh of either driver.
+macro_rules! over_both_drivers {
+    ($($test:ident),* $(,)?) => {
+        mod blocking {
+            $(#[test] fn $test() { super::$test(super::blocking_mesh); })*
+        }
+        mod poll {
+            $(#[test] fn $test() { super::$test(super::poll_mesh); })*
+        }
+    };
+}
+
+over_both_drivers!(
+    selsync_over_tcp_matches_in_process_bitwise,
+    bsp_over_tcp_matches_in_process_bitwise,
+    ssp_over_tcp_completes_and_accounts_bytes,
+);
+
+/// Run `config` over real sockets: one thread per rank, each owning an
+/// endpoint of `mesh` — the same topology `selsync_dist` gives separate
 /// OS processes. Returns (worker outputs in rank order, final global
 /// params, total bytes actually framed onto sockets).
-fn run_over_tcp(config: &RunConfig, workload: &Workload) -> (Vec<WorkerOutput>, Vec<f32>, u64) {
+fn run_over_tcp<E: Transport + Send + 'static>(
+    mesh: fn(usize) -> Vec<E>,
+    config: &RunConfig,
+    workload: &Workload,
+) -> (Vec<WorkerOutput>, Vec<f32>, u64) {
     let n = config.n_workers;
-    let mut endpoints = tcp_fabric(n + 1);
+    let mut endpoints = mesh(n + 1);
     let server_ep = endpoints.pop().unwrap();
     let stats: Vec<_> = endpoints
         .iter()
@@ -92,12 +104,13 @@ fn workload() -> Workload {
     Workload::vision(ModelKind::VggMini, 96, 32, 7)
 }
 
-#[test]
-fn selsync_over_tcp_matches_in_process_bitwise() {
+fn selsync_over_tcp_matches_in_process_bitwise<E: Transport + Send + 'static>(
+    mesh: fn(usize) -> Vec<E>,
+) {
     let cfg = selsync_config();
     let wl = workload();
     let reference = run_distributed(&cfg, &wl);
-    let (outputs, final_params, tcp_bytes) = run_over_tcp(&cfg, &wl);
+    let (outputs, final_params, tcp_bytes) = run_over_tcp(mesh, &cfg, &wl);
 
     // step-for-step identical sync decisions (worker 0 keeps the log)
     let ref_decisions: Vec<bool> = reference.step_records.iter().map(|r| r.synced).collect();
@@ -147,8 +160,9 @@ fn selsync_over_tcp_matches_in_process_bitwise() {
     assert_eq!(tcp_bytes, reference.comm_bytes, "framed bytes must match");
 }
 
-#[test]
-fn bsp_over_tcp_matches_in_process_bitwise() {
+fn bsp_over_tcp_matches_in_process_bitwise<E: Transport + Send + 'static>(
+    mesh: fn(usize) -> Vec<E>,
+) {
     let mut cfg = selsync_config();
     cfg.strategy = Strategy::Bsp {
         aggregation: Aggregation::Gradient,
@@ -156,7 +170,7 @@ fn bsp_over_tcp_matches_in_process_bitwise() {
     cfg.max_steps = 8;
     let wl = workload();
     let reference = run_distributed(&cfg, &wl);
-    let (outputs, final_params, tcp_bytes) = run_over_tcp(&cfg, &wl);
+    let (outputs, final_params, tcp_bytes) = run_over_tcp(mesh, &cfg, &wl);
     assert_eq!(
         reference
             .final_params
@@ -169,8 +183,9 @@ fn bsp_over_tcp_matches_in_process_bitwise() {
     assert_eq!(tcp_bytes, reference.comm_bytes);
 }
 
-#[test]
-fn ssp_over_tcp_completes_and_accounts_bytes() {
+fn ssp_over_tcp_completes_and_accounts_bytes<E: Transport + Send + 'static>(
+    mesh: fn(usize) -> Vec<E>,
+) {
     // SSP is valid but order-sensitive server-side, so require only a
     // clean finish and exact byte accounting (not bitwise identity)
     let mut cfg = selsync_config();
@@ -178,7 +193,7 @@ fn ssp_over_tcp_completes_and_accounts_bytes() {
     cfg.max_steps = 8;
     let wl = workload();
     let reference = run_distributed(&cfg, &wl);
-    let (outputs, final_params, tcp_bytes) = run_over_tcp(&cfg, &wl);
+    let (outputs, final_params, tcp_bytes) = run_over_tcp(mesh, &cfg, &wl);
     assert!(final_params.iter().all(|v| v.is_finite()));
     assert_eq!(outputs.len(), 2);
     assert_eq!(tcp_bytes, reference.comm_bytes);
