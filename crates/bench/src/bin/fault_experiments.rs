@@ -30,12 +30,15 @@
 //!   checkpoint generation is torn on top of that; recovery falls back
 //!   to the retained `.prev` generation and replays the lost round from
 //!   the workers' resent pushes.
-//! * `crash-one-shard`  — sharded PS group (K = 2): one shard dies
-//!   mid-sync and resumes from *its own* `.s<shard>` checkpoint while
-//!   the sibling shard keeps serving its range; nobody is evicted.
-//! * `shard-skew`       — sharded PS group (K = 2): one shard answers
-//!   slowly, pacing every fan-out round at the slowest shard — the
-//!   sharded analogue of `slow-straggler`.
+//! * `crash-one-shard`  — K = 2 PS group: one shard dies mid-sync and
+//!   resumes from *its own* `.s<shard>` checkpoint while the sibling
+//!   shard keeps serving its range; nobody is evicted.
+//! * `shard-skew`       — K = 2 PS group: one shard answers slowly,
+//!   pacing every fan-out round at the slowest shard — the server-side
+//!   analogue of `slow-straggler`.
+//!
+//! Every scenario but the last two runs the default K = 1 group (one
+//! server, on the rank after the workers).
 //!
 //! One JSON row per (scenario × fabric), after the aligned table.
 
@@ -49,9 +52,7 @@ use selsync_core::trainer::WorkerOutput;
 use selsync_core::ElasticOptions;
 use selsync_core::{
     run_elastic_server_rank, run_elastic_server_rank_from, run_elastic_worker_rank,
-};
-use selsync_core::{
-    run_shard_server_rank, run_shard_server_rank_from, run_shard_worker_rank, shard_state_path,
+    shard_state_path,
 };
 use selsync_net::TcpEndpoint;
 use selsync_nn::models::ModelKind;
@@ -116,11 +117,15 @@ struct Outcome {
     wall: Duration,
 }
 
-/// How a scheduled PS crash is recovered in-process: wait, optionally
-/// tear the current checkpoint generation (forcing the `.prev`
-/// fallback), reload, and continue the run on the same endpoint.
+/// How a scheduled PS crash is recovered in-process: shard `shard`'s
+/// server honors the scheduled `opts.server_crash` (its siblings serve
+/// on), waits, optionally tears the current checkpoint generation
+/// (forcing the `.prev` fallback), reloads its own checkpoint file, and
+/// continues the run on the same endpoint.
 #[derive(Clone)]
 struct PsRecovery {
+    shard: usize,
+    /// The run's base checkpoint path (see [`shard_state_path`]).
     checkpoint: PathBuf,
     restart_after: Duration,
     tear_current: bool,
@@ -142,10 +147,12 @@ fn tear_checkpoint(path: &PathBuf) {
     }
 }
 
-/// Drive one full elastic run — PS on rank `n`, workers `0..n`, every
-/// endpoint wrapped in a [`ChaosTransport`] executing `plan`.
+/// Drive one full elastic run over the workers-first `layout` — workers
+/// `0..n`, the K-shard PS group after them — with every endpoint wrapped
+/// in a [`ChaosTransport`] executing `plan`.
 fn run_scenario<T: Transport + Send + 'static>(
-    mut endpoints: Vec<T>,
+    endpoints: Vec<T>,
+    layout: ShardLayout,
     cfg: &RunConfig,
     wl: &Workload,
     opts: &ElasticOptions,
@@ -153,55 +160,66 @@ fn run_scenario<T: Transport + Send + 'static>(
     recovery: Option<PsRecovery>,
 ) -> Outcome {
     let start = Instant::now();
-    let server_ep = endpoints.pop().expect("fabric includes the PS rank");
-    let server = {
-        let (cfg, wl, opts, plan) = (cfg.clone(), wl.clone(), opts.clone(), plan.clone());
-        thread::spawn(move || {
-            let mut cep = ChaosTransport::new(server_ep, plan);
-            let mut recovered = false;
-            let mut res = run_elastic_server_rank(&mut cep, &cfg, &wl, &opts);
-            if let (Ok(report), Some(rec)) = (&res, &recovery) {
-                if report.crashed {
-                    thread::sleep(rec.restart_after);
-                    if rec.tear_current {
-                        tear_checkpoint(&rec.checkpoint);
-                    }
-                    res = match load_state_with_fallback(&rec.checkpoint) {
-                        Ok((state, fallback)) => {
-                            println!(
-                                "  recovery=ps_resumed step={} syncs={} fallback_prev={}",
-                                state.step,
-                                state.syncs,
-                                u8::from(fallback)
-                            );
-                            recovered = true;
-                            let mut ropts = opts.clone();
-                            ropts.server_crash = None;
-                            run_elastic_server_rank_from(&mut cep, &cfg, &wl, &ropts, &state)
-                        }
-                        Err(e) => Err(TransportError::Protocol(format!(
-                            "recovering {}: {e}",
-                            rec.checkpoint.display()
-                        ))),
-                    };
-                }
+    let mut servers = Vec::new();
+    let mut workers = Vec::new();
+    for ep in endpoints {
+        let (cfg, wl, plan) = (cfg.clone(), wl.clone(), plan.clone());
+        let mut opts = opts.clone();
+        match layout.role_of(ep.id()) {
+            Role::Worker(_) => {
+                opts.crash_at = plan.crash_step(ep.id());
+                workers.push(thread::spawn(move || {
+                    let mut cep = ChaosTransport::new(ep, plan);
+                    let res = run_elastic_worker_rank(&mut cep, &cfg, &wl, &opts, layout);
+                    (res, snapshot(&cep))
+                }));
             }
-            (res, snapshot(&cep), recovered)
-        })
-    };
-    let workers: Vec<_> = endpoints
-        .into_iter()
-        .map(|ep| {
-            let (cfg, wl, plan) = (cfg.clone(), wl.clone(), plan.clone());
-            let mut opts = opts.clone();
-            opts.crash_at = plan.crash_step(ep.id());
-            thread::spawn(move || {
-                let mut cep = ChaosTransport::new(ep, plan);
-                let res = run_elastic_worker_rank(&mut cep, &cfg, &wl, &opts);
-                (res, snapshot(&cep))
-            })
-        })
-        .collect();
+            Role::Shard(s) => {
+                let rec = recovery.clone().filter(|r| r.shard == s);
+                if rec.is_none() {
+                    // the crash schedule is per-process: siblings serve on
+                    opts.server_crash = None;
+                }
+                servers.push(thread::spawn(move || {
+                    let mut cep = ChaosTransport::new(ep, plan);
+                    let mut recovered = false;
+                    let mut res = run_elastic_server_rank(&mut cep, &cfg, &wl, &opts, layout);
+                    if let (Ok(report), Some(rec)) = (&res, &rec) {
+                        if report.crashed {
+                            thread::sleep(rec.restart_after);
+                            let ckpt = shard_state_path(&rec.checkpoint, &layout, s);
+                            if rec.tear_current {
+                                tear_checkpoint(&ckpt);
+                            }
+                            res = match load_state_with_fallback(&ckpt) {
+                                Ok((state, fallback)) => {
+                                    println!(
+                                        "  recovery=ps_resumed shard={s} step={} syncs={} \
+                                         fallback_prev={}",
+                                        state.step,
+                                        state.syncs,
+                                        u8::from(fallback)
+                                    );
+                                    recovered = true;
+                                    let mut ropts = opts.clone();
+                                    ropts.server_crash = None;
+                                    run_elastic_server_rank_from(
+                                        &mut cep, &cfg, &wl, &ropts, layout, &state,
+                                    )
+                                }
+                                Err(e) => Err(TransportError::Protocol(format!(
+                                    "recovering {}: {e}",
+                                    ckpt.display()
+                                ))),
+                            };
+                        }
+                    }
+                    (res, snapshot(&cep), recovered)
+                }));
+            }
+            Role::Standby(_) => unreachable!("scenarios run without standbys"),
+        }
+    }
 
     let mut completed = Vec::new();
     let mut failed = 0;
@@ -217,125 +235,13 @@ fn run_scenario<T: Transport + Send + 'static>(
             }
         }
     }
-    let (report, server_snap, ps_recovered) = server.join().expect("server thread");
-    let report = report.expect("the elastic PS must survive (or recover from) every scenario");
-    chaos.push(server_snap);
-    completed.sort_by_key(|o| o.worker);
-
-    Outcome {
-        rounds: report.rounds,
-        syncs: report.syncs,
-        evictions: report.evictions.len(),
-        completed,
-        failed,
-        chaos,
-        ps_recovered,
-        wall: start.elapsed(),
-    }
-}
-
-/// Drive one elastic run over a K-shard PS group laid out shards-first
-/// ([`ShardLayout`]); `crash_shard` names the shard whose server honors
-/// the scheduled `opts.server_crash` and then recovers from its own
-/// `.s<shard>` checkpoint, while the sibling shards keep serving.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_scenario<T: Transport + Send + 'static>(
-    mut endpoints: Vec<T>,
-    layout: ShardLayout,
-    cfg: &RunConfig,
-    wl: &Workload,
-    opts: &ElasticOptions,
-    plan: &FaultPlan,
-    crash_shard: Option<usize>,
-    recovery: Option<PsRecovery>,
-) -> Outcome {
-    let start = Instant::now();
-    let mut shard_handles = Vec::new();
-    let mut worker_handles = Vec::new();
-    while let Some(ep) = endpoints.pop() {
-        let (cfg, wl, plan) = (cfg.clone(), wl.clone(), plan.clone());
-        let mut opts = opts.clone();
-        match layout.role_of(ep.id()) {
-            Role::Shard(s) => {
-                let rec = recovery.clone().filter(|_| crash_shard == Some(s));
-                if crash_shard != Some(s) {
-                    // the crash schedule is per-process: siblings serve on
-                    opts.server_crash = None;
-                }
-                shard_handles.push((
-                    s,
-                    thread::spawn(move || {
-                        let mut cep = ChaosTransport::new(ep, plan);
-                        let mut recovered = false;
-                        let mut res = run_shard_server_rank(&mut cep, &cfg, &wl, &opts, layout);
-                        if let (Ok(report), Some(rec)) = (&res, &rec) {
-                            if report.crashed {
-                                thread::sleep(rec.restart_after);
-                                let ckpt = shard_state_path(&rec.checkpoint, s);
-                                if rec.tear_current {
-                                    tear_checkpoint(&ckpt);
-                                }
-                                res = match load_state_with_fallback(&ckpt) {
-                                    Ok((state, fallback)) => {
-                                        println!(
-                                            "  recovery=shard_resumed shard={s} step={} \
-                                             syncs={} fallback_prev={}",
-                                            state.step,
-                                            state.syncs,
-                                            u8::from(fallback)
-                                        );
-                                        recovered = true;
-                                        let mut ropts = opts.clone();
-                                        ropts.server_crash = None;
-                                        run_shard_server_rank_from(
-                                            &mut cep, &cfg, &wl, &ropts, layout, &state,
-                                        )
-                                    }
-                                    Err(e) => Err(TransportError::Protocol(format!(
-                                        "recovering {}: {e}",
-                                        ckpt.display()
-                                    ))),
-                                };
-                            }
-                        }
-                        (res, snapshot(&cep), recovered)
-                    }),
-                ));
-            }
-            Role::Worker(_) => {
-                opts.crash_at = plan.crash_step(ep.id());
-                worker_handles.push(thread::spawn(move || {
-                    let mut cep = ChaosTransport::new(ep, plan);
-                    let res = run_shard_worker_rank(&mut cep, &cfg, &wl, &opts, layout);
-                    (res, snapshot(&cep))
-                }));
-            }
-            Role::Standby(_) => unreachable!("shard scenarios run without standbys"),
-        }
-    }
-
-    let mut completed = Vec::new();
-    let mut failed = 0;
-    let mut chaos = Vec::new();
-    for h in worker_handles {
-        let (res, snap) = h.join().expect("worker thread");
-        chaos.push(snap);
-        match res {
-            Ok(out) => completed.push(out),
-            Err(e) => {
-                eprintln!("  worker fault (absorbed by eviction): {e}");
-                failed += 1;
-            }
-        }
-    }
-    shard_handles.sort_by_key(|(s, _)| *s);
     let mut ps_recovered = false;
     let mut reports = Vec::new();
-    for (_, h) in shard_handles {
-        let (res, snap, recovered) = h.join().expect("shard thread");
+    for h in servers {
+        let (res, snap, recovered) = h.join().expect("server thread");
         chaos.push(snap);
         ps_recovered |= recovered;
-        reports.push(res.expect("every shard must survive (or recover from) the scenario"));
+        reports.push(res.expect("every PS shard must survive (or recover from) the scenario"));
     }
     completed.sort_by_key(|o| o.worker);
 
@@ -427,24 +333,28 @@ fn main() {
         o
     };
 
-    // (name, plan, options, scheduled PS crash point + torn-write flag)
-    type CrashSpec = Option<(ServerCrashPoint, bool)>;
-    let scenarios: Vec<(&'static str, FaultPlan, &ElasticOptions, CrashSpec)> = vec![
-        ("fault-free", FaultPlan::quiet(seed), &calm, None),
+    // (name, PS shards, plan, options, scheduled PS crash: victim shard,
+    // crash point, torn-write flag)
+    type CrashSpec = Option<(usize, ServerCrashPoint, bool)>;
+    let scenarios: Vec<(&'static str, usize, FaultPlan, &ElasticOptions, CrashSpec)> = vec![
+        ("fault-free", 1, FaultPlan::quiet(seed), &calm, None),
         (
             "crash-one-worker",
+            1,
             FaultPlan::crash_one(seed, n - 1, steps / 3),
             &calm,
             None,
         ),
         (
             "slow-straggler",
+            1,
             FaultPlan::slow_straggler(seed, 1 % n, 3),
             &calm,
             None,
         ),
         (
             "flaky-network",
+            1,
             FaultPlan::flaky_network(seed, 0.02, 0.03, 2),
             &flaky_opts,
             None,
@@ -455,24 +365,43 @@ fn main() {
             // truncated one at the length audit — either way the
             // protocol sees a lost message and resends
             "corrupt-link",
+            1,
             FaultPlan::corrupt_link(seed, 0.02, 0.01),
             &flaky_opts,
             None,
         ),
         (
             "crash-ps-midrun",
+            1,
             FaultPlan::crash_server(seed, steps / 3, 150),
             &ps_crash_opts,
-            Some((ServerCrashPoint::RoundStart(steps / 3), false)),
+            Some((0, ServerCrashPoint::RoundStart(steps / 3), false)),
         ),
         (
             // crash at the first sync round past step 2: early steps
             // always sync (Δ(g) starts high), so at least two durable
             // generations exist for the torn-write fallback
             "crash-ps-midckpt",
+            1,
             FaultPlan::crash_server(seed, 2, 150),
             &ps_crash_opts,
-            Some((ServerCrashPoint::MidSync(2), true)),
+            Some((0, ServerCrashPoint::MidSync(2), true)),
+        ),
+        (
+            // K = 2, no standbys: shard 1 is the victim, shard 0 stays
+            // authoritative
+            "crash-one-shard",
+            2,
+            FaultPlan::crash_one_shard(seed, 2, 150),
+            &ps_crash_opts,
+            Some((1, ServerCrashPoint::MidSync(2), false)),
+        ),
+        (
+            "shard-skew",
+            2,
+            FaultPlan::slow_shard(seed, ShardLayout::new(2, n, false).shard_rank(1), 3),
+            &calm,
+            None,
         ),
     ];
 
@@ -490,10 +419,11 @@ fn main() {
         "metric",
         "wall",
     );
-    for (name, plan, opts, crash) in &scenarios {
+    for (name, k, plan, opts, crash) in &scenarios {
+        let layout = ShardLayout::new(*k, n, false);
         for fabric in ["channel", "tcp"] {
             let mut opts = (*opts).clone();
-            let recovery = crash.map(|(point, tear_current)| {
+            let recovery = crash.map(|(shard, point, tear_current)| {
                 let mut ckpt = std::env::temp_dir();
                 ckpt.push(format!(
                     "selsync_faultexp_{}_{name}_{fabric}.ckpt",
@@ -507,119 +437,36 @@ fn main() {
                         .map_or(150, |c| c.restart_after_ms),
                 );
                 PsRecovery {
+                    shard,
                     checkpoint: ckpt,
                     restart_after,
                     tear_current,
                 }
             });
+            let ranks = layout.total_ranks();
             let outcome = match fabric {
-                "channel" => {
-                    run_scenario(Fabric::new(n + 1), &cfg, &wl, &opts, plan, recovery.clone())
-                }
-                _ => run_scenario(tcp_fabric(n + 1), &cfg, &wl, &opts, plan, recovery.clone()),
-            };
-            if let Some(rec) = &recovery {
-                let _ = std::fs::remove_file(&rec.checkpoint);
-                let _ = std::fs::remove_file(selsync_core::checkpoint::prev_path(&rec.checkpoint));
-            }
-            let full_run = outcome
-                .completed
-                .iter()
-                .filter(|o| o.lssr.total() == steps)
-                .count();
-            let final_metric = outcome
-                .completed
-                .iter()
-                .find(|o| o.worker == 0)
-                .and_then(|o| o.evals.last())
-                .map(|e| e.metric);
-            emit(&Row {
-                scenario: name,
-                fabric,
-                workers: n,
-                steps,
-                seed,
-                rounds: outcome.rounds,
-                syncs: outcome.syncs,
-                evictions: outcome.evictions,
-                completed_workers: outcome.completed.len(),
-                failed_workers: outcome.failed,
-                full_run_workers: full_run,
-                final_metric,
-                ps_recovered: outcome.ps_recovered,
-                chaos_sent_messages: outcome.chaos.iter().map(|c| c.sent).sum(),
-                chaos_dropped_messages: outcome.chaos.iter().map(|c| c.dropped).sum(),
-                chaos_duplicated_messages: outcome.chaos.iter().map(|c| c.duplicated).sum(),
-                chaos_corrupt_messages: outcome.chaos.iter().map(|c| c.corrupt).sum(),
-                fault_fingerprint: format!(
-                    "0x{:016x}",
-                    outcome.chaos.iter().fold(0u64, |a, c| a ^ c.fingerprint)
-                ),
-                wall_ms: outcome.wall.as_millis() as u64,
-            });
-        }
-    }
-    // sharded PS group scenarios: K = 2 shards (shards-first ranks), no
-    // standbys — per-shard recovery and fan-out pacing under one roof
-    let layout = ShardLayout::new(2, n, false);
-    let shard_scenarios: Vec<(&'static str, FaultPlan, &ElasticOptions, bool)> = vec![
-        (
-            "crash-one-shard",
-            FaultPlan::crash_one_shard(seed, 2, 150),
-            &ps_crash_opts,
-            true,
-        ),
-        (
-            "shard-skew",
-            FaultPlan::slow_shard(seed, 1, 3),
-            &calm,
-            false,
-        ),
-    ];
-    for (name, plan, opts, crashes) in &shard_scenarios {
-        for fabric in ["channel", "tcp"] {
-            let mut opts = (*opts).clone();
-            // shard 1 is the victim; shard 0 stays authoritative
-            let crash_shard = crashes.then_some(1usize);
-            let recovery = crashes.then(|| {
-                let mut ckpt = std::env::temp_dir();
-                ckpt.push(format!(
-                    "selsync_faultexp_{}_{name}_{fabric}.ckpt",
-                    std::process::id()
-                ));
-                opts.server_crash = Some(ServerCrashPoint::MidSync(2));
-                opts.checkpoint = Some(ckpt.clone());
-                PsRecovery {
-                    checkpoint: ckpt,
-                    restart_after: Duration::from_millis(150),
-                    tear_current: false,
-                }
-            });
-            let outcome = match fabric {
-                "channel" => run_shard_scenario(
-                    Fabric::new(layout.total_ranks()),
+                "channel" => run_scenario(
+                    Fabric::new(ranks),
                     layout,
                     &cfg,
                     &wl,
                     &opts,
                     plan,
-                    crash_shard,
                     recovery.clone(),
                 ),
-                _ => run_shard_scenario(
-                    tcp_fabric(layout.total_ranks()),
+                _ => run_scenario(
+                    tcp_fabric(ranks),
                     layout,
                     &cfg,
                     &wl,
                     &opts,
                     plan,
-                    crash_shard,
                     recovery.clone(),
                 ),
             };
             if let Some(rec) = &recovery {
                 for s in 0..layout.k {
-                    let p = shard_state_path(&rec.checkpoint, s);
+                    let p = shard_state_path(&rec.checkpoint, &layout, s);
                     let _ = std::fs::remove_file(&p);
                     let _ = std::fs::remove_file(selsync_core::checkpoint::prev_path(&p));
                 }

@@ -19,7 +19,10 @@
 //! `--elastic` upgrades the failure to a tolerated event — the PS evicts
 //! silent workers and the survivors keep training — and `--fault-plan`
 //! injects a seeded chaos schedule (drops, duplicates, delays,
-//! stragglers, crashes) for reproducible failure experiments.
+//! stragglers, crashes) for reproducible failure experiments. The
+//! elastic PS is a group of K servers (`--ps-shards`, default 1), each
+//! owning one range of the parameter vector; ranks stay workers-first
+//! (workers `0..n`, ps ranks `n..n+K`, standbys after).
 
 use selsync_bench::cli::parse_args;
 use selsync_chaos::{ChaosTransport, FaultPlan, ServerCrash};
@@ -28,17 +31,13 @@ use selsync_comm::{Transport, TransportError};
 use selsync_core::checkpoint::load_state_with_fallback;
 use selsync_core::elastic::{
     run_elastic_server_rank, run_elastic_server_rank_from, run_elastic_worker_rank,
-    run_standby_server_rank, ElasticOptions,
-};
-use selsync_core::shard::{
-    run_shard_server_rank, run_shard_server_rank_from, run_shard_standby_rank,
-    run_shard_worker_rank, shard_state_path,
+    run_standby_server_rank, shard_state_path, ElasticOptions,
 };
 use selsync_core::trainer::{run_server_rank, run_worker_rank, WorkerOutput};
 use selsync_core::Workload;
 use selsync_net::{PollTcpEndpoint, TcpEndpoint, TcpFabricConfig};
 use selsync_shard::{Role, ShardLayout};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -52,10 +51,12 @@ USAGE:
 DIST KEYS:
   --role             ps | worker | standby             (required)
   --rank             this process's rank; workers are 0..n, the ps is
-                     n, the standby (with --standby) n+1 (required)
+                     n, the standby (with --standby) n+1; with
+                     --ps-shards K the ps ranks are n..n+K and the
+                     standbys n+K..n+2K                 (required)
   --peers            comma-separated host:port of every rank, in rank
-                     order; the ps follows the workers and the standby
-                     (if any) is last                   (required)
+                     order; the ps ranks follow the workers and the
+                     standbys (if any) are last         (required)
   --connect-timeout  seconds to keep redialing peers    (default 60)
   --recv-timeout     watchdog seconds for blocking receives; a silent
                      fabric fails instead of hanging    (default 300)
@@ -82,35 +83,34 @@ RECOVERY (all require --elastic):
   --resume FILE        ps: restart from the last durable sync round in
                        FILE (falls back to FILE.prev on a torn write)
                        and print a one-line `recovery=` report
-  --standby            every rank: the cluster has a hot-standby ps at
-                       rank n+1 shadowing each sync; workers fail over
-                       to it when the primary goes silent
+  --standby            every rank: each ps has a hot standby (rank n+1
+                       for the default single ps) shadowing each sync;
+                       workers fail over to it when the primary goes
+                       silent
   --ps-patience-ms     worker budget for re-reaching a silent ps before
                        failing over (default 3 x reply timeout)
+  --ps-shards K        every rank: the elastic ps is a group of K
+                       servers, each owning one contiguous range of the
+                       parameter vector               (default 1)
+                       The ps ranks are n..n+K (--role ps serves shard
+                       rank-n) and, with --standby, one standby per
+                       shard at n+K..n+2K. With K >= 2 each shard
+                       checkpoints to FILE.s<shard>, --resume reloads
+                       that shard's own file and --save-params writes
+                       FILE.s<shard>, so one shard can be killed and
+                       restarted while the others keep serving; with
+                       K = 1 all three use FILE itself.
 
-SHARDED PS (requires --elastic):
-  --ps-shards K        run a K-shard PS group instead of one monolithic
-                       ps. Rank layout changes to shards-first: shards
-                       are ranks 0..K, workers K..K+W, and (with
-                       --standby) one standby per shard at K+W..K+W+K.
-                       --role ps serves the shard equal to its rank;
-                       each shard checkpoints to FILE.s<shard> and
-                       --resume reloads that shard's own file, so one
-                       shard can be killed and restarted while the
-                       others keep serving. --ps-shards 1 runs the
-                       sharded code path with one shard — bit-identical
-                       results to the monolithic layout, different rank
-                       numbering.
-
-The worker count is taken from --peers (entries minus the ps, minus the
-standby when --standby is given); any --workers flag must agree. All
-ranks must be given identical training flags and the same --seed, or
-they will disagree on partitions and initial state.
+The worker count is taken from --peers (entries minus the ps ranks,
+minus their standbys when --standby is given); any --workers flag must
+agree. All ranks must be given identical training flags and the same
+--seed, or they will disagree on partitions and initial state.
 
 Training flags are those of selsync_run (see selsync_run --help).
 --save-params writes the final parameters in the legacy v1 format: on
-the ps rank the final global parameters, on a worker rank that
-replica's; per-sync durable state goes to --checkpoint.
+a ps rank the final global parameters (its range of them, with
+--ps-shards >= 2), on a worker rank that replica's; per-sync durable
+state goes to --checkpoint.
 
 EXIT CODES: 0 ok (including a scheduled crash) / 1 comm fault or
 eviction / 2 usage error.
@@ -282,12 +282,13 @@ struct RankJob<'a> {
     fabric_stats: Arc<selsync_comm::CommStats>,
     crash_at: Option<u64>,
     server_crash: Option<ServerCrash>,
-    /// Shards-first rank layout when `--ps-shards` is given.
-    shards: Option<ShardLayout>,
+    /// Workers-first rank layout; K = 1 unless `--ps-shards` says
+    /// otherwise (and always for the static trainer).
+    layout: ShardLayout,
 }
 
-/// The worker's result lines, identical across the monolithic and
-/// sharded paths so same-seed runs can be compared field by field.
+/// The worker's result lines, identical across every deployment so
+/// same-seed runs can be compared field by field.
 fn print_worker_output(job: &RankJob, out: &WorkerOutput) {
     let dist = job.dist;
     println!(
@@ -324,10 +325,32 @@ fn print_worker_output(job: &RankJob, out: &WorkerOutput) {
     }
 }
 
-fn print_ps_report(rank: usize, steps: u64, report: &ElasticReport) {
+/// The closing lines of every server rank: fingerprint of the
+/// parameters it holds and its fabric byte count.
+fn print_server_params(job: &RankJob, params: &[f32]) {
+    println!("params_fingerprint=0x{:016x}", params_fingerprint(params));
+    println!("fabric_bytes_sent={}", job.fabric_stats.total_bytes());
+}
+
+/// `--save-params` on a PS rank: write the parameters it ends with in
+/// the v1 format at `shard`'s [`shard_state_path`] (the path as given
+/// for the only server of a K = 1 group, `FILE.s<shard>` otherwise).
+fn save_server_params(job: &RankJob, shard: usize, params: &[f32]) {
+    if let Some(path) = &job.run.save_params {
+        let p = shard_state_path(Path::new(path), &job.layout, shard);
+        selsync_core::checkpoint::save_params(&p, params).expect("writable checkpoint path");
+        eprintln!(
+            "[rank {}] saved global params to {}",
+            job.dist.rank,
+            p.display()
+        );
+    }
+}
+
+fn print_ps_report(job: &RankJob, shard: usize, report: &ElasticReport) {
     println!(
-        "role=ps rank={rank} steps={steps} elastic=1 rounds={} syncs={}",
-        report.rounds, report.syncs
+        "role=ps rank={} steps={} elastic=1 rounds={} syncs={}",
+        job.dist.rank, job.run.config.max_steps, report.rounds, report.syncs
     );
     let fmt = |v: &[(u64, usize)]| {
         v.iter()
@@ -337,46 +360,50 @@ fn print_ps_report(rank: usize, steps: u64, report: &ElasticReport) {
     };
     println!("evictions={}", fmt(&report.evictions));
     println!("joins={}", fmt(&report.joins));
+    println!("shard={shard} shard_len={}", report.final_params.len());
+    print_server_params(job, &report.final_params);
 }
 
-/// Run the elastic PS to completion, honoring `--resume` at startup and
-/// the fault plan's scheduled `server_crash` (crash mid-sync, then —
-/// when a restart delay is set — reload the durable checkpoint and
-/// continue on the same fabric). Each recovery prints one
-/// `recovery=ps_resumed` line.
-fn run_elastic_ps<T: Transport>(
+/// Run one server of the elastic PS group to completion, honoring
+/// `--resume` (from this shard's own checkpoint file) at startup and the
+/// fault plan's scheduled `server_crash` (crash mid-sync, then — when a
+/// restart delay is set — reload the durable checkpoint and continue on
+/// the same fabric). Each recovery prints one `recovery=ps_resumed`
+/// line.
+fn run_ps_shard<T: Transport>(
     ep: &mut T,
     job: &RankJob,
+    shard: usize,
     eopts: &mut ElasticOptions,
 ) -> Result<ElasticReport, TransportError> {
     let (dist, run) = (job.dist, job.run);
-    let load = |path: &PathBuf| {
-        load_state_with_fallback(path).map_err(|e| {
+    let resume = |ep: &mut T, eopts: &ElasticOptions, base: &Path| {
+        let path = shard_state_path(base, &job.layout, shard);
+        let (state, fallback) = load_state_with_fallback(&path).map_err(|e| {
             TransportError::Protocol(format!("loading checkpoint {}: {e}", path.display()))
-        })
+        })?;
+        println!(
+            "recovery=ps_resumed shard={shard} step={} syncs={} fallback_prev={}",
+            state.step,
+            state.syncs,
+            u8::from(fallback)
+        );
+        run_elastic_server_rank_from(ep, &run.config, job.workload, eopts, job.layout, &state)
     };
     eopts.server_crash = job
         .server_crash
         .as_ref()
         .map(|c| ServerCrashPoint::MidSync(c.at_step));
-    let mut report = if let Some(path) = &dist.resume {
-        let (state, fallback) = load(path)?;
-        println!(
-            "recovery=ps_resumed step={} syncs={} fallback_prev={}",
-            state.step,
-            state.syncs,
-            u8::from(fallback)
-        );
-        run_elastic_server_rank_from(&mut *ep, &run.config, job.workload, eopts, &state)?
-    } else {
-        run_elastic_server_rank(&mut *ep, &run.config, job.workload, eopts)?
+    let mut report = match &dist.resume {
+        Some(base) => resume(&mut *ep, eopts, base)?,
+        None => run_elastic_server_rank(&mut *ep, &run.config, job.workload, eopts, job.layout)?,
     };
     while report.crashed {
         let restart_ms = job.server_crash.as_ref().map_or(0, |c| c.restart_after_ms);
-        let Some(ckpt) = eopts.checkpoint.clone().filter(|_| restart_ms > 0) else {
+        let Some(base) = eopts.checkpoint.clone().filter(|_| restart_ms > 0) else {
             // no restart scheduled (or nothing durable): stay dead and
             // let the standby — if any — take over
-            println!("recovery=ps_dead syncs={}", report.syncs);
+            println!("recovery=ps_dead shard={shard} syncs={}", report.syncs);
             break;
         };
         eprintln!(
@@ -384,15 +411,8 @@ fn run_elastic_ps<T: Transport>(
             dist.rank
         );
         std::thread::sleep(Duration::from_millis(restart_ms));
-        let (state, fallback) = load(&ckpt)?;
-        println!(
-            "recovery=ps_resumed step={} syncs={} fallback_prev={}",
-            state.step,
-            state.syncs,
-            u8::from(fallback)
-        );
         eopts.server_crash = None;
-        report = run_elastic_server_rank_from(&mut *ep, &run.config, job.workload, eopts, &state)?;
+        report = resume(&mut *ep, eopts, &base)?;
     }
     Ok(report)
 }
@@ -401,245 +421,57 @@ fn run_elastic_ps<T: Transport>(
 /// process exit code. Every comm fault becomes a one-line `fatal:`
 /// diagnostic and a nonzero exit instead of a hang or a panic.
 fn run_one_rank<T: Transport>(ep: &mut T, job: &RankJob) -> i32 {
-    let dist = job.dist;
-    let run = job.run;
-    let steps = run.config.max_steps;
+    let (dist, run, layout) = (job.dist, job.run, job.layout);
     let mut eopts = ElasticOptions::with_liveness(dist.round_timeout, dist.max_missed);
     eopts.crash_at = job.crash_at;
-    eopts.standby = dist.standby;
     eopts.checkpoint = dist.checkpoint.clone().or_else(|| dist.resume.clone());
     if let Some(p) = dist.ps_patience {
         eopts.ps_patience = p;
     }
-    if let Some(layout) = job.shards {
-        return run_sharded_rank(&mut *ep, job, layout, &mut eopts);
-    }
-    if dist.role == "standby" {
-        return match run_standby_server_rank(&mut *ep, &run.config, job.workload, &eopts) {
-            Ok(StandbyOutcome::Retired { shadowed_syncs }) => {
-                println!(
-                    "role=standby rank={} promoted=0 shadowed_syncs={shadowed_syncs}",
-                    dist.rank
-                );
-                0
-            }
-            Ok(StandbyOutcome::Promoted(report)) => {
-                println!("recovery=promoted_standby syncs={}", report.syncs);
-                print_ps_report(dist.rank, steps, &report);
-                println!(
-                    "params_fingerprint=0x{:016x}",
-                    params_fingerprint(&report.final_params)
-                );
-                println!("fabric_bytes_sent={}", job.fabric_stats.total_bytes());
-                0
-            }
-            Err(e) => {
-                eprintln!("[rank {}] fatal: {e}", dist.rank);
-                1
-            }
-        };
-    }
-    if dist.role == "ps" {
-        let final_params = if dist.elastic {
-            match run_elastic_ps(&mut *ep, job, &mut eopts) {
-                Ok(report) => {
-                    print_ps_report(dist.rank, steps, &report);
-                    report.final_params
-                }
-                Err(e) => {
-                    eprintln!("[rank {}] fatal: {e}", dist.rank);
-                    return 1;
-                }
-            }
-        } else {
-            match run_server_rank(&mut *ep, &run.config, job.workload) {
-                Ok(p) => {
-                    println!("role=ps rank={} steps={steps}", dist.rank);
-                    p
-                }
-                Err(e) => {
-                    eprintln!("[rank {}] fatal: {e}", dist.rank);
-                    return 1;
-                }
-            }
-        };
-        println!(
-            "params_fingerprint=0x{:016x}",
-            params_fingerprint(&final_params)
-        );
-        println!("fabric_bytes_sent={}", job.fabric_stats.total_bytes());
-        if let Some(path) = &run.save_params {
-            selsync_core::checkpoint::save_params(path, &final_params)
-                .expect("writable checkpoint path");
-            eprintln!("[rank {}] saved global params to {path}", dist.rank);
+    let done = match (layout.role_of(dist.rank), dist.elastic) {
+        (Role::Worker(_), false) => run_worker_rank(&mut *ep, &run.config, job.workload)
+            .map(|out| print_worker_output(job, &out)),
+        (Role::Worker(_), true) => {
+            run_elastic_worker_rank(&mut *ep, &run.config, job.workload, &eopts, layout)
+                .map(|out| print_worker_output(job, &out))
         }
-        0
-    } else {
-        let out = if dist.elastic {
-            match run_elastic_worker_rank(&mut *ep, &run.config, job.workload, &eopts) {
-                Ok(out) => out,
-                Err(e @ TransportError::Evicted { .. }) => {
-                    eprintln!("[rank {}] fatal: {e}", dist.rank);
-                    return 1;
-                }
-                Err(e) => {
-                    eprintln!("[rank {}] fatal: {e}", dist.rank);
-                    return 1;
-                }
-            }
-        } else {
-            match run_worker_rank(&mut *ep, &run.config, job.workload) {
-                Ok(out) => out,
-                Err(e) => {
-                    eprintln!("[rank {}] fatal: {e}", dist.rank);
-                    return 1;
-                }
-            }
-        };
-        print_worker_output(job, &out);
-        0
-    }
-}
-
-/// Run one shard of the PS group to completion: honor `--resume` from
-/// this shard's own `FILE.s<shard>` checkpoint, then re-enter the serve
-/// loop after any scheduled `server_crash`, exactly mirroring the
-/// monolithic [`run_elastic_ps`] recovery loop but scoped to one range.
-fn run_shard_ps<T: Transport>(
-    ep: &mut T,
-    job: &RankJob,
-    layout: ShardLayout,
-    shard: usize,
-    eopts: &mut ElasticOptions,
-) -> Result<ElasticReport, TransportError> {
-    let (dist, run) = (job.dist, job.run);
-    let load = |base: &PathBuf| {
-        let path = shard_state_path(base, shard);
-        load_state_with_fallback(&path).map_err(|e| {
-            TransportError::Protocol(format!("loading checkpoint {}: {e}", path.display()))
-        })
-    };
-    eopts.server_crash = job
-        .server_crash
-        .as_ref()
-        .map(|c| ServerCrashPoint::MidSync(c.at_step));
-    let mut report = if let Some(base) = &dist.resume {
-        let (state, fallback) = load(base)?;
-        println!(
-            "recovery=shard_resumed shard={shard} step={} syncs={} fallback_prev={}",
-            state.step,
-            state.syncs,
-            u8::from(fallback)
-        );
-        run_shard_server_rank_from(&mut *ep, &run.config, job.workload, eopts, layout, &state)?
-    } else {
-        run_shard_server_rank(&mut *ep, &run.config, job.workload, eopts, layout)?
-    };
-    while report.crashed {
-        let restart_ms = job.server_crash.as_ref().map_or(0, |c| c.restart_after_ms);
-        let Some(base) = eopts.checkpoint.clone().filter(|_| restart_ms > 0) else {
-            println!("recovery=shard_dead shard={shard} syncs={}", report.syncs);
-            break;
-        };
-        eprintln!(
-            "[rank {}] shard {shard} crashed at a scheduled point; restarting in {restart_ms} ms",
-            dist.rank
-        );
-        std::thread::sleep(Duration::from_millis(restart_ms));
-        let (state, fallback) = load(&base)?;
-        println!(
-            "recovery=shard_resumed shard={shard} step={} syncs={} fallback_prev={}",
-            state.step,
-            state.syncs,
-            u8::from(fallback)
-        );
-        eopts.server_crash = None;
-        report =
-            run_shard_server_rank_from(&mut *ep, &run.config, job.workload, eopts, layout, &state)?;
-    }
-    Ok(report)
-}
-
-/// Sharded-layout dispatch: the same three roles as [`run_one_rank`],
-/// but ranks are laid out shards-first and each PS rank serves one
-/// range of the parameter vector.
-fn run_sharded_rank<T: Transport>(
-    ep: &mut T,
-    job: &RankJob,
-    layout: ShardLayout,
-    eopts: &mut ElasticOptions,
-) -> i32 {
-    let dist = job.dist;
-    let steps = job.run.config.max_steps;
-    match layout.role_of(dist.rank) {
-        Role::Standby(shard) => {
-            match run_shard_standby_rank(&mut *ep, &job.run.config, job.workload, eopts, layout) {
-                Ok(StandbyOutcome::Retired { shadowed_syncs }) => {
-                    println!(
-                        "role=standby rank={} shard={shard} promoted=0 shadowed_syncs={shadowed_syncs}",
+        (Role::Shard(shard), false) => {
+            run_server_rank(&mut *ep, &run.config, job.workload).map(|params| {
+                println!("role=ps rank={} steps={}", dist.rank, run.config.max_steps);
+                print_server_params(job, &params);
+                save_server_params(job, shard, &params);
+            })
+        }
+        (Role::Shard(shard), true) => {
+            run_ps_shard(&mut *ep, job, shard, &mut eopts).map(|report| {
+                print_ps_report(job, shard, &report);
+                save_server_params(job, shard, &report.final_params);
+            })
+        }
+        (Role::Standby(shard), _) => {
+            run_standby_server_rank(&mut *ep, &run.config, job.workload, &eopts, layout).map(
+                |outcome| match outcome {
+                    StandbyOutcome::Retired { shadowed_syncs } => println!(
+                        "role=standby rank={} shard={shard} promoted=0 \
+                         shadowed_syncs={shadowed_syncs}",
                         dist.rank
-                    );
-                    0
-                }
-                Ok(StandbyOutcome::Promoted(report)) => {
-                    println!(
-                        "recovery=promoted_standby shard={shard} syncs={}",
-                        report.syncs
-                    );
-                    print_ps_report(dist.rank, steps, &report);
-                    println!(
-                        "params_fingerprint=0x{:016x}",
-                        params_fingerprint(&report.final_params)
-                    );
-                    println!("fabric_bytes_sent={}", job.fabric_stats.total_bytes());
-                    0
-                }
-                Err(e) => {
-                    eprintln!("[rank {}] fatal: {e}", dist.rank);
-                    1
-                }
-            }
-        }
-        Role::Shard(shard) => match run_shard_ps(&mut *ep, job, layout, shard, eopts) {
-            Ok(report) => {
-                print_ps_report(dist.rank, steps, &report);
-                println!("shard={shard} shard_len={}", report.final_params.len());
-                println!(
-                    "params_fingerprint=0x{:016x}",
-                    params_fingerprint(&report.final_params)
-                );
-                println!("fabric_bytes_sent={}", job.fabric_stats.total_bytes());
-                if let Some(path) = &job.run.save_params {
-                    // per-shard range in the same v1 format, suffixed
-                    // like the durable checkpoints
-                    let p = shard_state_path(std::path::Path::new(path), shard);
-                    selsync_core::checkpoint::save_params(&p, &report.final_params)
-                        .expect("writable checkpoint path");
-                    eprintln!(
-                        "[rank {}] saved shard {shard} params to {}",
-                        dist.rank,
-                        p.display()
-                    );
-                }
-                0
-            }
-            Err(e) => {
-                eprintln!("[rank {}] fatal: {e}", dist.rank);
-                1
-            }
-        },
-        Role::Worker(_) => {
-            let out =
-                match run_shard_worker_rank(&mut *ep, &job.run.config, job.workload, eopts, layout)
-                {
-                    Ok(out) => out,
-                    Err(e) => {
-                        eprintln!("[rank {}] fatal: {e}", dist.rank);
-                        return 1;
+                    ),
+                    StandbyOutcome::Promoted(report) => {
+                        println!(
+                            "recovery=promoted_standby shard={shard} syncs={}",
+                            report.syncs
+                        );
+                        print_ps_report(job, shard, &report);
                     }
-                };
-            print_worker_output(job, &out);
-            0
+                },
+            )
+        }
+    };
+    match done {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("[rank {}] fatal: {e}", dist.rank);
+            1
         }
     }
 }
@@ -657,14 +489,13 @@ fn main() {
             });
         }
     };
-    // server ranks the peer list must carry: K shards (plus K standbys)
-    // in sharded mode, 1 ps (plus 1 standby) otherwise
+    // server ranks the peer list must carry: K ps ranks, plus K standbys
     let k = dist.ps_shards.unwrap_or(1);
     let servers = k * (1 + usize::from(dist.standby));
     let n_workers = dist.peers.len().saturating_sub(servers);
     if n_workers == 0 {
         eprintln!(
-            "--peers needs at least {} entries (1 worker + {k} server rank(s){})",
+            "--peers needs at least {} entries (1 worker + {k} ps rank(s){})",
             1 + servers,
             if dist.standby {
                 " + their standbys"
@@ -674,26 +505,25 @@ fn main() {
         );
         std::process::exit(2);
     }
-    if !dist.elastic && (dist.standby || dist.resume.is_some() || dist.checkpoint.is_some()) {
-        eprintln!("--standby / --resume / --checkpoint require --elastic");
+    if !dist.elastic
+        && (dist.standby
+            || dist.resume.is_some()
+            || dist.checkpoint.is_some()
+            || dist.ps_shards.is_some())
+    {
+        eprintln!("--standby / --resume / --checkpoint / --ps-shards require --elastic");
         std::process::exit(2);
     }
-    if dist.ps_shards.is_some() && !dist.elastic {
-        eprintln!("--ps-shards requires --elastic");
-        std::process::exit(2);
-    }
-    let shards = dist
-        .ps_shards
-        .map(|k| ShardLayout::new(k, n_workers, dist.standby));
+    let layout = ShardLayout::new(k, n_workers, dist.standby);
 
     // force the cluster size the peer list implies; reject contradictions
     let mut training = dist.rest.clone();
     if let Some(i) = training.iter().position(|a| a == "--workers") {
         if training[i + 1] != n_workers.to_string() {
             eprintln!(
-                "--workers {} contradicts --peers ({} workers + 1 ps)",
-                training[i + 1],
-                n_workers
+                "--workers {} contradicts --peers ({n_workers} workers + {servers} ps/standby \
+                 rank(s))",
+                training[i + 1]
             );
             std::process::exit(2);
         }
@@ -709,74 +539,31 @@ fn main() {
         }
     };
 
-    let role_label = if let Some(layout) = shards {
-        // shards-first layout: the rank decides the role, the --role
-        // flag must agree
-        if dist.rank >= layout.total_ranks() {
-            eprintln!(
-                "rank {} out of range 0..{} for a {k}-shard layout",
-                dist.rank,
-                layout.total_ranks()
-            );
-            std::process::exit(2);
-        }
-        let expected = match layout.role_of(dist.rank) {
-            Role::Shard(_) => "ps",
-            Role::Worker(_) => "worker",
-            Role::Standby(_) => "standby",
-        };
-        if dist.role != expected {
-            eprintln!(
-                "rank {} is the {expected} rank in a {k}-shard layout (shards 0..{k}, \
-                 workers {k}..{}, standbys after), got --role {}",
-                dist.rank,
-                k + n_workers,
-                dist.role
-            );
-            std::process::exit(2);
-        }
-        if dist.role == "standby" && !dist.standby {
-            eprintln!("--role standby requires the --standby cluster flag");
-            std::process::exit(2);
-        }
-        expected
-    } else {
-        match dist.role.as_str() {
-            "ps" => {
-                if dist.rank != n_workers {
-                    eprintln!("the ps must be rank {n_workers}, got {}", dist.rank);
-                    std::process::exit(2);
-                }
-                "ps"
-            }
-            "worker" => {
-                if dist.rank >= n_workers {
-                    eprintln!("worker rank {} out of range 0..{n_workers}", dist.rank);
-                    std::process::exit(2);
-                }
-                "worker"
-            }
-            "standby" => {
-                if !dist.standby {
-                    eprintln!("--role standby requires the --standby cluster flag");
-                    std::process::exit(2);
-                }
-                if dist.rank != n_workers + 1 {
-                    eprintln!(
-                        "the standby must be rank {}, got {}",
-                        n_workers + 1,
-                        dist.rank
-                    );
-                    std::process::exit(2);
-                }
-                "standby"
-            }
-            other => {
-                eprintln!("unknown role '{other}' (ps | worker | standby)");
-                std::process::exit(2);
-            }
-        }
+    // workers-first layout: the rank decides the role, the --role flag
+    // must agree
+    if dist.rank >= layout.total_ranks() {
+        eprintln!(
+            "rank {} out of range 0..{} ({n_workers} workers + {servers} ps/standby rank(s))",
+            dist.rank,
+            layout.total_ranks()
+        );
+        std::process::exit(2);
+    }
+    let role_label = match layout.role_of(dist.rank) {
+        Role::Worker(_) => "worker",
+        Role::Shard(_) => "ps",
+        Role::Standby(_) => "standby",
     };
+    if dist.role != role_label {
+        eprintln!(
+            "rank {} is a {role_label} rank (workers 0..{n_workers}, ps {n_workers}..{}, \
+             standbys after, with --standby), got --role {}",
+            dist.rank,
+            n_workers + k,
+            dist.role
+        );
+        std::process::exit(2);
+    }
 
     let plan = dist
         .fault_plan
@@ -814,7 +601,7 @@ fn main() {
             &run,
             &workload,
             plan,
-            shards,
+            layout,
         )
     } else {
         connect_and_drive(
@@ -823,7 +610,7 @@ fn main() {
             &run,
             &workload,
             plan,
-            shards,
+            layout,
         )
     };
     std::process::exit(code);
@@ -838,7 +625,7 @@ fn connect_and_drive<E: Transport>(
     run: &selsync_bench::cli::CliRun,
     workload: &Workload,
     plan: Option<FaultPlan>,
-    shards: Option<ShardLayout>,
+    layout: ShardLayout,
 ) -> i32 {
     let mut ep = match connected {
         Ok(ep) => ep,
@@ -854,7 +641,7 @@ fn connect_and_drive<E: Transport>(
         fabric_stats: Arc::clone(ep.stats()),
         crash_at: plan.as_ref().and_then(|p| p.crash_step(dist.rank)),
         server_crash: plan.as_ref().and_then(|p| p.server_crash.clone()),
-        shards,
+        layout,
     };
     match plan {
         Some(plan) => {

@@ -5,7 +5,7 @@
 //! reads it back, drops any stale `shard_*` rows and appends fresh
 //! ones, so the two tables coexist in one report):
 //!
-//! * `shard_sync` — *measured*: a real in-process sharded cluster per K
+//! * `shard_sync` — *measured*: a real in-process elastic cluster per K
 //!   (channel fabric, VGG-mini, same seed), reporting wall time per
 //!   step and validating two invariants end-to-end: the worker's fan-out
 //!   wire bytes match the closed-form accounting (each extra sub-frame
@@ -33,7 +33,7 @@ use selsync_comm::{Fabric, NetworkModel, Payload};
 use selsync_core::prelude::*;
 use selsync_core::trainer::WorkerOutput;
 use selsync_core::ElasticOptions;
-use selsync_core::{run_shard_server_rank, run_shard_standby_rank, run_shard_worker_rank};
+use selsync_core::{run_elastic_server_rank, run_elastic_worker_rank};
 use selsync_shard::{Role, ShardLayout, ShardMap};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -87,54 +87,40 @@ fn sweep_config(n_workers: usize, steps: u64) -> RunConfig {
 }
 
 /// Run a full K-shard cluster on the channel fabric and collect the
-/// measurements. Mirrors the layout convention everywhere else: shards
-/// first, then workers.
+/// measurements. Mirrors the layout convention everywhere else: workers
+/// first, then shards.
 fn run_measured(cfg: &RunConfig, wl: &Workload, opts: &ElasticOptions, k: usize) -> Measured {
-    let layout = ShardLayout::new(k, cfg.n_workers, opts.standby);
-    let mut eps: Vec<_> = Fabric::new(layout.total_ranks()).into_iter().collect();
+    let layout = ShardLayout::new(k, cfg.n_workers, false);
+    let eps = Fabric::new(layout.total_ranks());
     // the channel fabric shares one CommStats across every endpoint, so
     // any endpoint's counter reads the whole cluster's traffic
-    let mut fabric_stats = None;
-    let mut shard_handles = Vec::new();
-    let mut worker_handles = Vec::new();
+    let fabric_stats = Arc::clone(eps[0].stats());
+    let mut servers = Vec::new();
+    let mut workers = Vec::new();
     let start = Instant::now();
-    while let Some(ep) = eps.pop() {
+    for mut ep in eps {
         let (cfg, wl, opts) = (cfg.clone(), wl.clone(), opts.clone());
         match layout.role_of(ep.id()) {
-            Role::Shard(s) => shard_handles.push((
-                s,
-                thread::spawn(move || run_shard_server_rank(ep, &cfg, &wl, &opts, layout)),
-            )),
-            Role::Worker(w) => {
-                if w == 0 {
-                    fabric_stats = Some(Arc::clone(ep.stats()));
-                }
-                worker_handles.push((
-                    w,
-                    thread::spawn(move || {
-                        let mut ep = ep;
-                        run_shard_worker_rank(&mut ep, &cfg, &wl, &opts, layout)
-                    }),
-                ));
-            }
-            Role::Standby(_) => {
-                thread::spawn(move || run_shard_standby_rank(ep, &cfg, &wl, &opts, layout));
-            }
+            Role::Worker(_) => workers.push(thread::spawn(move || {
+                run_elastic_worker_rank(&mut ep, &cfg, &wl, &opts, layout)
+            })),
+            _ => servers.push(thread::spawn(move || {
+                run_elastic_server_rank(ep, &cfg, &wl, &opts, layout)
+            })),
         }
     }
-    worker_handles.sort_by_key(|(w, _)| *w);
-    let outs: Vec<WorkerOutput> = worker_handles
+    let outs: Vec<WorkerOutput> = workers
         .into_iter()
-        .map(|(_, h)| h.join().expect("worker thread").expect("worker ok"))
+        .map(|h| h.join().expect("worker thread").expect("worker ok"))
         .collect();
-    for (_, h) in shard_handles {
+    for h in servers {
         h.join().expect("shard thread").expect("shard ok");
     }
     let secs = start.elapsed().as_secs_f64();
     let syncs = outs[0].records.iter().filter(|r| r.synced).count() as u64;
     Measured {
         secs,
-        cluster_bytes: fabric_stats.expect("worker 0 endpoint").total_bytes(),
+        cluster_bytes: fabric_stats.total_bytes(),
         syncs,
         outs,
     }

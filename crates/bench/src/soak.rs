@@ -2,10 +2,10 @@
 //!
 //! `selsync_soak` sweeps N seeded random [`FaultPlan`]s — drops,
 //! duplicates, delays, stragglers, partitions, worker crashes, and
-//! byte-level corruption/truncation — across four topologies
-//! (monolithic elastic PS, the same cluster with bucketed parameter
-//! pushes, sharded PS group, serve router/replica) and asserts global
-//! invariants on every run:
+//! byte-level corruption/truncation — across four topologies (the
+//! default single-server elastic PS, the same cluster with bucketed
+//! parameter pushes, a K-shard PS group, serve router/replica) and
+//! asserts global invariants on every run:
 //!
 //! 1. **Deadline** — the run terminates within a budget (a watchdog
 //!    thread converts a hang into a violation instead of a wedged CI).
@@ -39,9 +39,7 @@ use selsync_comm::{Fabric, Transport};
 use selsync_core::prelude::*;
 use selsync_core::trainer::WorkerOutput;
 use selsync_core::ElasticOptions;
-use selsync_core::{
-    run_elastic_server_rank, run_elastic_worker_rank, run_shard_server_rank, run_shard_worker_rank,
-};
+use selsync_core::{run_elastic_server_rank, run_elastic_worker_rank};
 use selsync_nn::models::ModelKind;
 use selsync_serve::{
     run_client, run_replica, run_router, ClientConfig, ModelSpec, PredictEngine, Ranks,
@@ -57,14 +55,15 @@ use std::time::{Duration, Instant};
 /// Which cluster shape a schedule runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
-    /// Workers `0..W`, one elastic PS on rank `W`.
+    /// Workers `0..W`, the default K = 1 elastic PS group: one server,
+    /// on rank `W`.
     Monolithic,
     /// Same cluster as [`Topology::Monolithic`], but every parameter
     /// push ships as [`SOAK_BUCKET_VALUES`]-value `Bucket` frames, so
     /// drops/corruption land mid-assembly and retries resend whole
     /// bucket sets (DESIGN.md §12).
     Bucketed,
-    /// Sharded PS group: shards `0..K`, workers `K..K+W`.
+    /// K-shard PS group: workers `0..W`, shards `W..W+K`.
     Sharded(usize),
     /// Serving tier: replicas `0..R`, router `R`, client `R+1`.
     Serve,
@@ -81,6 +80,15 @@ impl Topology {
             Topology::Bucketed => "bucketed",
             Topology::Sharded(_) => "sharded",
             Topology::Serve => "serve",
+        }
+    }
+
+    /// Shard count of a training topology's PS group.
+    fn shards(&self) -> usize {
+        match self {
+            Topology::Sharded(k) => *k,
+            Topology::Monolithic | Topology::Bucketed => 1,
+            Topology::Serve => unreachable!("serve schedules use run_serve"),
         }
     }
 }
@@ -178,13 +186,11 @@ pub fn random_plan(
             }
         }
         Topology::Monolithic | Topology::Bucketed | Topology::Sharded(_) => {
-            let wbase = match topo {
-                Topology::Sharded(k) => k,
-                _ => 0,
-            };
-            let server_of = |d: &mut Draw| match topo {
-                Topology::Sharded(k) => d.below(k as u64) as usize,
-                _ => workers, // the monolithic PS rank
+            // a single server is not drawn, which keeps every plan of
+            // the sweep what it was when K = 1 had its own driver
+            let server_of = |d: &mut Draw| match topo.shards() {
+                1 => workers,
+                k => workers + d.below(k as u64) as usize,
             };
             // 1–3 distinct fault kinds per schedule (or none, ~1 in 8)
             if d.below(8) == 0 {
@@ -197,7 +203,7 @@ pub fn random_plan(
                     1 => plan.duplicate_prob = 0.01 + d.unit() * 0.04,
                     2 => plan.delay_ms_max = 1 + d.below(2),
                     3 => {
-                        let rank = wbase + d.below(workers as u64) as usize;
+                        let rank = d.below(workers as u64) as usize;
                         if plan.stragglers.iter().all(|s| s.rank != rank) {
                             plan.stragglers.push(Straggler {
                                 rank,
@@ -208,14 +214,14 @@ pub fn random_plan(
                     4 => {
                         let from_seq = d.below(16);
                         plan.partitions.push(Partition {
-                            a: wbase + d.below(workers as u64) as usize,
+                            a: d.below(workers as u64) as usize,
                             b: server_of(&mut d),
                             from_seq,
                             to_seq: from_seq + 2 + d.below(4),
                         });
                     }
                     5 => {
-                        let rank = wbase + d.below(workers as u64) as usize;
+                        let rank = d.below(workers as u64) as usize;
                         if plan.crashes.iter().all(|c| c.rank != rank) {
                             plan.crashes.push(Crash {
                                 rank,
@@ -370,38 +376,37 @@ fn tally<T: Transport>(raw: &mut RawRun, cep: &ChaosTransport<T>) {
     raw.corrupt += s.corrupt_messages();
 }
 
-fn drive_monolithic(plan: &FaultPlan, knobs: &TrainingKnobs) -> Result<RawRun, String> {
-    let mut endpoints = Fabric::new(knobs.workers + 1);
+/// Drive one elastic run — workers `0..W`, a `k`-shard PS group after
+/// them — with every endpoint wrapped in a [`ChaosTransport`] executing
+/// `plan`.
+fn drive_training(k: usize, plan: &FaultPlan, knobs: &TrainingKnobs) -> Result<RawRun, String> {
+    let layout = ShardLayout::new(k, knobs.workers, false);
+    let endpoints = Fabric::new(layout.total_ranks());
     // the channel fabric shares one CommStats across endpoints: its
     // total is exactly "messages every rank's chaos layer forwarded"
     let fabric_stats = endpoints[0].stats().clone();
-    let server_ep = endpoints.pop().expect("fabric includes the PS rank");
-    let server = {
-        let (cfg, wl, opts, plan) = (
-            knobs.cfg.clone(),
-            knobs.wl.clone(),
-            knobs.opts.clone(),
-            plan.clone(),
-        );
-        thread::spawn(move || {
-            let mut cep = ChaosTransport::new(server_ep, plan);
-            let res = run_elastic_server_rank(&mut cep, &cfg, &wl, &opts);
-            (res, cep)
-        })
-    };
-    let workers: Vec<_> = endpoints
-        .into_iter()
-        .map(|ep| {
-            let (cfg, wl, plan) = (knobs.cfg.clone(), knobs.wl.clone(), plan.clone());
-            let mut opts = knobs.opts.clone();
-            opts.crash_at = plan.crash_step(ep.id());
-            thread::spawn(move || {
+    let mut servers = Vec::new();
+    let mut workers = Vec::new();
+    for ep in endpoints {
+        let (cfg, wl, plan) = (knobs.cfg.clone(), knobs.wl.clone(), plan.clone());
+        let mut opts = knobs.opts.clone();
+        match layout.role_of(ep.id()) {
+            Role::Worker(_) => {
+                opts.crash_at = plan.crash_step(ep.id());
+                workers.push(thread::spawn(move || {
+                    let mut cep = ChaosTransport::new(ep, plan);
+                    let res = run_elastic_worker_rank(&mut cep, &cfg, &wl, &opts, layout);
+                    (res, cep)
+                }));
+            }
+            Role::Shard(_) => servers.push(thread::spawn(move || {
                 let mut cep = ChaosTransport::new(ep, plan);
-                let res = run_elastic_worker_rank(&mut cep, &cfg, &wl, &opts);
+                let res = run_elastic_server_rank(&mut cep, &cfg, &wl, &opts, layout);
                 (res, cep)
-            })
-        })
-        .collect();
+            })),
+            Role::Standby(_) => unreachable!("soak runs without standbys"),
+        }
+    }
 
     let mut raw = RawRun {
         rounds: 0,
@@ -423,74 +428,10 @@ fn drive_monolithic(plan: &FaultPlan, knobs: &TrainingKnobs) -> Result<RawRun, S
             Err(_) => raw.failed += 1,
         }
     }
-    let (report, cep) = server.join().expect("server thread");
-    tally(&mut raw, &cep);
-    let report = report.map_err(|e| format!("PS failed: {e}"))?;
-    raw.rounds = report.rounds;
-    raw.syncs = report.syncs;
-    raw.evictions = report.evictions.len();
-    raw.completed.sort_by_key(|o| o.worker);
-    raw.forwarded = fabric_stats.total_messages();
-    Ok(raw)
-}
-
-fn drive_sharded(k: usize, plan: &FaultPlan, knobs: &TrainingKnobs) -> Result<RawRun, String> {
-    let layout = ShardLayout::new(k, knobs.workers, false);
-    let mut endpoints = Fabric::new(layout.total_ranks());
-    let fabric_stats = endpoints[0].stats().clone();
-    let mut shard_handles = Vec::new();
-    let mut worker_handles = Vec::new();
-    while let Some(ep) = endpoints.pop() {
-        let (cfg, wl, plan) = (knobs.cfg.clone(), knobs.wl.clone(), plan.clone());
-        let mut opts = knobs.opts.clone();
-        match layout.role_of(ep.id()) {
-            Role::Shard(s) => {
-                shard_handles.push((
-                    s,
-                    thread::spawn(move || {
-                        let mut cep = ChaosTransport::new(ep, plan);
-                        let res = run_shard_server_rank(&mut cep, &cfg, &wl, &opts, layout);
-                        (res, cep)
-                    }),
-                ));
-            }
-            Role::Worker(_) => {
-                opts.crash_at = plan.crash_step(ep.id());
-                worker_handles.push(thread::spawn(move || {
-                    let mut cep = ChaosTransport::new(ep, plan);
-                    let res = run_shard_worker_rank(&mut cep, &cfg, &wl, &opts, layout);
-                    (res, cep)
-                }));
-            }
-            Role::Standby(_) => unreachable!("soak runs without standbys"),
-        }
-    }
-
-    let mut raw = RawRun {
-        rounds: 0,
-        syncs: 0,
-        evictions: 0,
-        completed: Vec::new(),
-        failed: 0,
-        sent: 0,
-        dropped: 0,
-        duplicated: 0,
-        corrupt: 0,
-        forwarded: 0,
-    };
-    for h in worker_handles {
-        let (res, cep) = h.join().expect("worker thread");
+    for (s, h) in servers.into_iter().enumerate() {
+        let (res, cep) = h.join().expect("server thread");
         tally(&mut raw, &cep);
-        match res {
-            Ok(out) => raw.completed.push(out),
-            Err(_) => raw.failed += 1,
-        }
-    }
-    shard_handles.sort_by_key(|(s, _)| *s);
-    for (s, h) in shard_handles {
-        let (res, cep) = h.join().expect("shard thread");
-        tally(&mut raw, &cep);
-        let report = res.map_err(|e| format!("shard {s} failed: {e}"))?;
+        let report = res.map_err(|e| format!("PS shard {s} failed: {e}"))?;
         if s == 0 {
             // shard 0 is the authoritative membership view
             raw.rounds = report.rounds;
@@ -516,19 +457,13 @@ pub fn run_training(
     {
         let (plan, knobs) = (plan.clone(), knobs.clone());
         thread::spawn(move || {
-            let res = match topo {
-                Topology::Monolithic => drive_monolithic(&plan, &knobs),
-                Topology::Bucketed => {
-                    // identical cluster, bucketed wire format: the
-                    // elastic param push becomes several Bucket frames
-                    let mut knobs = knobs;
-                    knobs.cfg.overlap_buckets = Some(SOAK_BUCKET_VALUES);
-                    drive_monolithic(&plan, &knobs)
-                }
-                Topology::Sharded(k) => drive_sharded(k, &plan, &knobs),
-                Topology::Serve => unreachable!("serve schedules use run_serve"),
-            };
-            let _ = tx.send(res);
+            let mut knobs = knobs;
+            if topo == Topology::Bucketed {
+                // identical cluster, bucketed wire format: the elastic
+                // param push becomes several Bucket frames
+                knobs.cfg.overlap_buckets = Some(SOAK_BUCKET_VALUES);
+            }
+            let _ = tx.send(drive_training(topo.shards(), &plan, &knobs));
         });
     }
     let raw = match rx.recv_timeout(knobs.deadline) {

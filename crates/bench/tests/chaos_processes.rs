@@ -13,125 +13,47 @@
 //!    survivor runs every step, and the final training loss lands near
 //!    a fault-free run with the same surviving-worker count.
 
+mod common;
+
+use common::{collect_cluster, field, free_ports, spawn_rank, tmp, ClusterRun};
 use selsync_chaos::FaultPlan;
-use std::net::TcpListener;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
 
-/// Reserve `n` distinct loopback ports *below* the kernel's ephemeral
-/// range (same rationale and allocator as `dist_processes.rs`: a
-/// kernel-assigned port can be stolen as an outbound source port before
-/// the spawned rank re-binds it; low ports cannot).
-fn free_ports(n: usize) -> Vec<String> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static PORT_CURSOR: AtomicUsize = AtomicUsize::new(0);
-    let base = 27000 + (std::process::id() as usize % 4000);
-    let mut held = Vec::new();
-    let mut addrs = Vec::new();
-    while addrs.len() < n {
-        let port = base + PORT_CURSOR.fetch_add(1, Ordering::Relaxed) % 1700;
-        if let Ok(l) = TcpListener::bind(("127.0.0.1", port as u16)) {
-            addrs.push(format!("127.0.0.1:{port}"));
-            held.push(l);
-        }
-    }
-    addrs
-}
+const RECIPE: &[&str] = &[
+    "--model",
+    "vgg",
+    "--strategy",
+    "selsync",
+    "--delta",
+    "0.25",
+    "--steps",
+    "12",
+    "--batch",
+    "8",
+    "--data",
+    "96",
+    "--eval-every",
+    "12",
+    "--seed",
+    "42",
+    "--elastic",
+    "--round-timeout-ms",
+    "1000",
+    "--max-missed",
+    "2",
+    "--recv-timeout",
+    "120",
+];
 
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("selsync_chaos_{}_{name}", std::process::id()));
-    p
-}
-
-fn spawn_rank(role: &str, rank: usize, peers: &str, n_workers: usize, extra: &[&str]) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_selsync_dist"))
-        .args([
-            "--role",
-            role,
-            "--rank",
-            &rank.to_string(),
-            "--peers",
-            peers,
-        ])
-        .args([
-            "--model",
-            "vgg",
-            "--strategy",
-            "selsync",
-            "--delta",
-            "0.25",
-            "--steps",
-            "12",
-            "--batch",
-            "8",
-            "--data",
-            "96",
-            "--eval-every",
-            "12",
-            "--seed",
-            "42",
-            "--elastic",
-            "--round-timeout-ms",
-            "1000",
-            "--max-missed",
-            "2",
-            "--recv-timeout",
-            "120",
-        ])
-        .args(["--workers", &n_workers.to_string()])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn selsync_dist")
-}
-
-/// Extract `key=value` from stdout, where several pairs may share a
-/// line (the chaos counter lines do).
-fn field(stdout: &str, key: &str) -> String {
-    stdout
-        .lines()
-        .flat_map(|l| l.split_whitespace())
-        .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
-        .unwrap_or_else(|| panic!("missing {key} in output:\n{stdout}"))
-        .to_string()
-}
-
-struct TrioRun {
-    ps: String,
-    workers: Vec<String>,
-    codes: Vec<i32>,
-    stderr: String,
-}
-
-/// Run one PS + `n` workers to completion and collect each rank's
-/// stdout and exit code (PS first in `codes`), plus the concatenated
-/// stderr of every rank for failure diagnostics.
-fn run_trio(n_workers: usize, plan_path: &str) -> TrioRun {
-    let peers = free_ports(n_workers + 1).join(",");
-    let extra = ["--fault-plan", plan_path];
-    let ps = spawn_rank("ps", n_workers, &peers, n_workers, &extra);
-    let workers: Vec<Child> = (0..n_workers)
-        .map(|r| spawn_rank("worker", r, &peers, n_workers, &extra))
+/// Run one PS + `n` workers to completion under the shared fault plan.
+fn run_trio(n_workers: usize, plan_path: &str) -> ClusterRun {
+    let peers = free_ports(27000, 1700, n_workers + 1).join(",");
+    let n = n_workers.to_string();
+    let extra = ["--workers", &n, "--fault-plan", plan_path];
+    let ps = spawn_rank("ps", n_workers, &peers, RECIPE, &extra);
+    let workers = (0..n_workers)
+        .map(|r| spawn_rank("worker", r, &peers, RECIPE, &extra))
         .collect();
-
-    let ps_out = ps.wait_with_output().unwrap();
-    let mut codes = vec![ps_out.status.code().unwrap_or(-1)];
-    let mut stderr = String::from_utf8_lossy(&ps_out.stderr).into_owned();
-    let mut worker_stdout = Vec::new();
-    for w in workers {
-        let out = w.wait_with_output().unwrap();
-        codes.push(out.status.code().unwrap_or(-1));
-        worker_stdout.push(String::from_utf8(out.stdout).unwrap());
-        stderr.push_str(&String::from_utf8_lossy(&out.stderr));
-    }
-    TrioRun {
-        ps: String::from_utf8(ps_out.stdout).unwrap(),
-        workers: worker_stdout,
-        codes,
-        stderr,
-    }
+    collect_cluster(ps, workers)
 }
 
 #[test]

@@ -5,10 +5,11 @@
 //! parameters, and fabric byte totals equal to the shared in-process
 //! counter.
 
+mod common;
+
+use common::{collect_cluster, field, free_ports, spawn_rank, tmp};
 use selsync_bench::cli::parse_args;
 use selsync_core::{checkpoint, run_distributed, Workload};
-use std::net::TcpListener;
-use std::process::{Child, Command, Stdio};
 
 const TRAINING_FLAGS: &[&str] = &[
     "--model",
@@ -31,83 +32,26 @@ const TRAINING_FLAGS: &[&str] = &[
     "2",
 ];
 
-/// Reserve `n` distinct loopback ports *below* the kernel's ephemeral
-/// range. A kernel-assigned (port 0) listen port can be stolen — as the
-/// source port of some other test's outbound connection — between
-/// dropping the probe listener here and the spawned rank re-binding it,
-/// which strands the whole fabric (observed under full-workspace test
-/// load). Low ports are never handed out as source ports, so a
-/// successful probe stays bindable; the cursor keeps concurrent callers
-/// in one process disjoint.
-fn free_ports(n: usize) -> Vec<String> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static PORT_CURSOR: AtomicUsize = AtomicUsize::new(0);
-    let base = 23000 + (std::process::id() as usize % 4000);
-    let mut held = Vec::new();
-    let mut addrs = Vec::new();
-    while addrs.len() < n {
-        let port = base + PORT_CURSOR.fetch_add(1, Ordering::Relaxed) % 5000;
-        if let Ok(l) = TcpListener::bind(("127.0.0.1", port as u16)) {
-            addrs.push(format!("127.0.0.1:{port}"));
-            held.push(l);
-        }
-    }
-    addrs
-}
-
-fn spawn_rank(role: &str, rank: usize, peers: &str, extra: &[&str]) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_selsync_dist"))
-        .args([
-            "--role",
-            role,
-            "--rank",
-            &rank.to_string(),
-            "--peers",
-            peers,
-        ])
-        .args(TRAINING_FLAGS)
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn selsync_dist")
-}
-
-fn stdout_field(stdout: &str, key: &str) -> String {
-    stdout
-        .lines()
-        .find_map(|l| l.strip_prefix(&format!("{key}=")))
-        .unwrap_or_else(|| panic!("missing {key} in output:\n{stdout}"))
-        .to_string()
-}
-
 #[test]
 fn three_processes_reproduce_the_in_process_run() {
-    let peers = free_ports(3).join(",");
-    let ckpt = std::env::temp_dir().join(format!("selsync_dist_test_{}.bin", std::process::id()));
+    let peers = free_ports(23000, 4000, 3).join(",");
+    let ckpt = tmp("dist_test.bin");
     let ckpt_str = ckpt.to_str().unwrap();
 
-    let ps = spawn_rank("ps", 2, &peers, &["--save-params", ckpt_str]);
-    let w0 = spawn_rank("worker", 0, &peers, &[]);
-    let w1 = spawn_rank("worker", 1, &peers, &[]);
-
-    let ps_out = ps.wait_with_output().unwrap();
-    let w0_out = w0.wait_with_output().unwrap();
-    let w1_out = w1.wait_with_output().unwrap();
-    for (name, out) in [
-        ("ps", &ps_out),
-        ("worker 0", &w0_out),
-        ("worker 1", &w1_out),
-    ] {
-        assert!(
-            out.status.success(),
-            "{name} exited nonzero; stderr:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    let ps_stdout = String::from_utf8(ps_out.stdout).unwrap();
-    let w0_stdout = String::from_utf8(w0_out.stdout).unwrap();
-    let w1_stdout = String::from_utf8(w1_out.stdout).unwrap();
+    let cluster = collect_cluster(
+        spawn_rank(
+            "ps",
+            2,
+            &peers,
+            TRAINING_FLAGS,
+            &["--save-params", ckpt_str],
+        ),
+        vec![
+            spawn_rank("worker", 0, &peers, TRAINING_FLAGS, &[]),
+            spawn_rank("worker", 1, &peers, TRAINING_FLAGS, &[]),
+        ],
+    );
+    assert_eq!(cluster.codes, vec![0, 0, 0], "stderr:\n{}", cluster.stderr);
 
     // reference: the same configuration through the in-process trainer
     let run = parse_args(
@@ -126,7 +70,7 @@ fn three_processes_reproduce_the_in_process_run() {
         .iter()
         .map(|r| if r.synced { '1' } else { '0' })
         .collect();
-    assert_eq!(stdout_field(&w0_stdout, "decisions"), ref_decisions);
+    assert_eq!(field(&cluster.workers[0], "decisions"), ref_decisions);
 
     // bit-identical final global parameters
     let dist_params = checkpoint::load_params(&ckpt).expect("ps checkpoint");
@@ -142,9 +86,9 @@ fn three_processes_reproduce_the_in_process_run() {
     );
 
     // per-process send counters sum to the in-process shared counter
-    let total: u64 = [&ps_stdout, &w0_stdout, &w1_stdout]
-        .iter()
-        .map(|s| stdout_field(s, "fabric_bytes_sent").parse::<u64>().unwrap())
+    let total: u64 = std::iter::once(&cluster.ps)
+        .chain(&cluster.workers)
+        .map(|s| field(s, "fabric_bytes_sent").parse::<u64>().unwrap())
         .sum();
     assert_eq!(total, reference.comm_bytes, "framed byte totals must match");
 }

@@ -9,8 +9,9 @@
 //! boundaries; they are not allowed to change a single bit of the
 //! result.
 
-use std::net::TcpListener;
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use common::{collect_cluster, field, free_ports, spawn_rank};
 
 const TRAINING_FLAGS: &[&str] = &[
     "--model",
@@ -33,50 +34,6 @@ const TRAINING_FLAGS: &[&str] = &[
     "2",
 ];
 
-/// Reserve `n` distinct loopback ports below the kernel's ephemeral
-/// range (see dist_processes.rs for why port-0 probing is unsafe here).
-fn free_ports(n: usize) -> Vec<String> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static PORT_CURSOR: AtomicUsize = AtomicUsize::new(0);
-    let base = 33000 + (std::process::id() as usize % 4000);
-    let mut held = Vec::new();
-    let mut addrs = Vec::new();
-    while addrs.len() < n {
-        let port = base + PORT_CURSOR.fetch_add(1, Ordering::Relaxed) % 5000;
-        if let Ok(l) = TcpListener::bind(("127.0.0.1", port as u16)) {
-            addrs.push(format!("127.0.0.1:{port}"));
-            held.push(l);
-        }
-    }
-    addrs
-}
-
-fn spawn_rank(role: &str, rank: usize, peers: &str, extra: &[&str]) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_selsync_dist"))
-        .args([
-            "--role",
-            role,
-            "--rank",
-            &rank.to_string(),
-            "--peers",
-            peers,
-        ])
-        .args(TRAINING_FLAGS)
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn selsync_dist")
-}
-
-fn stdout_field(stdout: &str, key: &str) -> String {
-    stdout
-        .lines()
-        .find_map(|l| l.strip_prefix(&format!("{key}=")))
-        .unwrap_or_else(|| panic!("missing {key} in output:\n{stdout}"))
-        .to_string()
-}
-
 /// One cluster run's observable identity: the PS's and worker 0's
 /// `params_fingerprint` lines (FNV over the exact f32 bit patterns).
 struct ClusterResult {
@@ -87,29 +44,18 @@ struct ClusterResult {
 /// Run 2 workers + 1 PS to completion; `per_rank_extra[rank]` lets a
 /// caller give each rank different fabric flags (mixed-fabric interop).
 fn run_cluster(per_rank_extra: [&[&str]; 3]) -> ClusterResult {
-    let peers = free_ports(3).join(",");
-    let ps = spawn_rank("ps", 2, &peers, per_rank_extra[2]);
-    let w0 = spawn_rank("worker", 0, &peers, per_rank_extra[0]);
-    let w1 = spawn_rank("worker", 1, &peers, per_rank_extra[1]);
-    let ps_out = ps.wait_with_output().unwrap();
-    let w0_out = w0.wait_with_output().unwrap();
-    let w1_out = w1.wait_with_output().unwrap();
-    for (name, out) in [
-        ("ps", &ps_out),
-        ("worker 0", &w0_out),
-        ("worker 1", &w1_out),
-    ] {
-        assert!(
-            out.status.success(),
-            "{name} exited nonzero; stderr:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    let ps_stdout = String::from_utf8(ps_out.stdout).unwrap();
-    let w0_stdout = String::from_utf8(w0_out.stdout).unwrap();
+    let peers = free_ports(33000, 4000, 3).join(",");
+    let run = collect_cluster(
+        spawn_rank("ps", 2, &peers, TRAINING_FLAGS, per_rank_extra[2]),
+        vec![
+            spawn_rank("worker", 0, &peers, TRAINING_FLAGS, per_rank_extra[0]),
+            spawn_rank("worker", 1, &peers, TRAINING_FLAGS, per_rank_extra[1]),
+        ],
+    );
+    assert_eq!(run.codes, vec![0, 0, 0], "stderr:\n{}", run.stderr);
     ClusterResult {
-        ps_fingerprint: stdout_field(&ps_stdout, "params_fingerprint"),
-        w0_fingerprint: stdout_field(&w0_stdout, "params_fingerprint"),
+        ps_fingerprint: field(&run.ps, "params_fingerprint"),
+        w0_fingerprint: field(&run.workers[0], "params_fingerprint"),
     }
 }
 

@@ -16,35 +16,15 @@
 //!    from the checkpoint; two independent runs reproduce each other
 //!    and the fault-free run bit-for-bit.
 
+mod common;
+
+use common::{collect_cluster, field, free_ports, tmp, ClusterRun};
 use selsync_chaos::FaultPlan;
-use std::net::TcpListener;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::Child;
 use std::time::{Duration, Instant};
 
-/// Reserve `n` distinct loopback ports *below* the kernel's ephemeral
-/// range (same rationale and allocator as `dist_processes.rs`, with a
-/// disjoint base so concurrent test binaries cannot collide).
-fn free_ports(n: usize) -> Vec<String> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static PORT_CURSOR: AtomicUsize = AtomicUsize::new(0);
-    let base = 25000 + (std::process::id() as usize % 1900);
-    let mut held = Vec::new();
-    let mut addrs = Vec::new();
-    while addrs.len() < n {
-        let port = base + PORT_CURSOR.fetch_add(1, Ordering::Relaxed) % 1900;
-        if let Ok(l) = TcpListener::bind(("127.0.0.1", port as u16)) {
-            addrs.push(format!("127.0.0.1:{port}"));
-            held.push(l);
-        }
-    }
-    addrs
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("selsync_psfail_{}_{name}", std::process::id()));
-    p
+fn ports() -> String {
+    free_ports(25000, 1900, 3).join(",")
 }
 
 /// Spawn one rank with the shared training recipe. Liveness is tuned
@@ -52,100 +32,49 @@ fn tmp(name: &str) -> PathBuf {
 /// (round 400 ms × (3+2)) and a 30 s worker patience budget, so the
 /// kill→respawn gap stalls the workers instead of evicting them.
 fn spawn_rank(role: &str, rank: usize, peers: &str, extra: &[&str]) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_selsync_dist"))
-        .args([
-            "--role",
-            role,
-            "--rank",
-            &rank.to_string(),
-            "--peers",
-            peers,
-        ])
-        .args([
-            "--model",
-            "vgg",
-            "--strategy",
-            "selsync",
-            "--delta",
-            "0.25",
-            "--steps",
-            "12",
-            "--batch",
-            "8",
-            "--data",
-            "96",
-            "--eval-every",
-            "12",
-            "--seed",
-            "42",
-            "--elastic",
-            "--round-timeout-ms",
-            "400",
-            "--max-missed",
-            "3",
-            "--ps-patience-ms",
-            "30000",
-            "--recv-timeout",
-            "120",
-            "--workers",
-            "2",
-        ])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn selsync_dist")
-}
-
-/// Extract `key=value` from stdout (pairs may share a line).
-fn field(stdout: &str, key: &str) -> String {
-    stdout
-        .lines()
-        .flat_map(|l| l.split_whitespace())
-        .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
-        .unwrap_or_else(|| panic!("missing {key} in output:\n{stdout}"))
-        .to_string()
-}
-
-struct ClusterRun {
-    ps: String,
-    workers: Vec<String>,
-    codes: Vec<i32>,
-    stderr: String,
-}
-
-/// Collect every rank's stdout and exit code (PS first in `codes`),
-/// plus concatenated stderr for failure diagnostics.
-fn collect(ps: Child, workers: Vec<Child>) -> ClusterRun {
-    let ps_out = ps.wait_with_output().unwrap();
-    let mut codes = vec![ps_out.status.code().unwrap_or(-1)];
-    let mut stderr = String::from_utf8_lossy(&ps_out.stderr).into_owned();
-    let mut worker_stdout = Vec::new();
-    for w in workers {
-        let out = w.wait_with_output().unwrap();
-        codes.push(out.status.code().unwrap_or(-1));
-        worker_stdout.push(String::from_utf8(out.stdout).unwrap());
-        stderr.push_str(&String::from_utf8_lossy(&out.stderr));
-    }
-    ClusterRun {
-        ps: String::from_utf8(ps_out.stdout).unwrap(),
-        workers: worker_stdout,
-        codes,
-        stderr,
-    }
+    const RECIPE: &[&str] = &[
+        "--model",
+        "vgg",
+        "--strategy",
+        "selsync",
+        "--delta",
+        "0.25",
+        "--steps",
+        "12",
+        "--batch",
+        "8",
+        "--data",
+        "96",
+        "--eval-every",
+        "12",
+        "--seed",
+        "42",
+        "--elastic",
+        "--round-timeout-ms",
+        "400",
+        "--max-missed",
+        "3",
+        "--ps-patience-ms",
+        "30000",
+        "--recv-timeout",
+        "120",
+        "--workers",
+        "2",
+    ];
+    common::spawn_rank(role, rank, peers, RECIPE, extra)
 }
 
 /// One PS + two workers, no kill, shared fault plan — the reference
 /// every failover run must reproduce bit-for-bit.
 fn run_reference(plan_path: &str, extra_ps: &[&str]) -> ClusterRun {
-    let peers = free_ports(3).join(",");
+    let peers = ports();
     let mut ps_flags = vec!["--fault-plan", plan_path];
     ps_flags.extend_from_slice(extra_ps);
     let ps = spawn_rank("ps", 2, &peers, &ps_flags);
     let workers = (0..2)
         .map(|r| spawn_rank("worker", r, &peers, &["--fault-plan", plan_path]))
         .collect();
-    collect(ps, workers)
+    collect_cluster(ps, workers)
 }
 
 fn assert_bit_identical(run: &ClusterRun, reference: &ClusterRun) {
@@ -184,7 +113,7 @@ fn sigkill_ps_mid_run_resume_is_bit_identical_to_fault_free() {
     std::fs::remove_file(&prev).ok();
     let ckpt_str = ckpt.to_str().unwrap().to_string();
 
-    let peers = free_ports(3).join(",");
+    let peers = ports();
     let mut ps = spawn_rank(
         "ps",
         2,
@@ -220,7 +149,7 @@ fn sigkill_ps_mid_run_resume_is_bit_identical_to_fault_free() {
         &peers,
         &["--fault-plan", &plan_str, "--resume", &ckpt_str],
     );
-    let run = collect(ps2, workers);
+    let run = collect_cluster(ps2, workers);
     std::fs::remove_file(&ckpt).ok();
     std::fs::remove_file(&prev).ok();
 
@@ -264,7 +193,7 @@ fn scheduled_server_crash_reproduces_and_matches_fault_free() {
         let prev = selsync_core::checkpoint::prev_path(&ckpt);
         std::fs::remove_file(&ckpt).ok();
         std::fs::remove_file(&prev).ok();
-        let peers = free_ports(3).join(",");
+        let peers = ports();
         let ps = spawn_rank(
             "ps",
             2,
@@ -279,7 +208,7 @@ fn scheduled_server_crash_reproduces_and_matches_fault_free() {
         let workers = (0..2)
             .map(|r| spawn_rank("worker", r, &peers, &["--fault-plan", &plan_str]))
             .collect();
-        let run = collect(ps, workers);
+        let run = collect_cluster(ps, workers);
         std::fs::remove_file(&ckpt).ok();
         std::fs::remove_file(&prev).ok();
         run

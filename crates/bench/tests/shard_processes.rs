@@ -1,233 +1,186 @@
-//! Process-level acceptance for the sharded parameter-server group:
-//! real `selsync_dist` OS processes on localhost TCP, shards-first rank
-//! layout (`--ps-shards`).
+//! Process-level acceptance for the elastic parameter-server group:
+//! real `selsync_dist --elastic` OS processes on localhost TCP,
+//! workers-first rank layout.
 //!
-//! Two properties, the sharded counterparts of `dist_processes.rs`
+//! Two properties, the elastic counterparts of `dist_processes.rs`
 //! (fault-free bit-identity) and `ps_failover_processes.rs` (SIGKILL
 //! recovery):
 //!
-//! 1. **K = 1 transparency** — a `--ps-shards 1` run is bit-identical
-//!    to the monolithic elastic run of the same seed: same sync
-//!    decisions, same worker and server parameter fingerprints. The
-//!    sharded path is a pure re-layout, not a different algorithm.
+//! 1. **Elastic ≡ static when nothing fails** — a fault-free elastic
+//!    run on the default K = 1 group (spelled with or without
+//!    `--ps-shards 1`) ends on exactly the parameters `selsync_run`
+//!    writes for the same seed, and costs exactly the heartbeat/sync
+//!    conversation plus one `ShardMap` frame each way per worker.
 //! 2. **Per-shard SIGKILL failover** — in a K = 2 group one shard is
 //!    killed mid-run with no warning and respawned with `--resume`; it
 //!    reloads *its own* `FILE.s1` checkpoint while the sibling shard
 //!    keeps serving, nobody is evicted, and every rank's final
-//!    parameters are bit-identical to the fault-free sharded run.
+//!    parameters are bit-identical to the fault-free K = 2 run.
 
+mod common;
+
+use common::{assert_clean, collect, field, free_ports, tmp, RankOut};
 use selsync_chaos::{FaultPlan, Straggler};
-use std::net::TcpListener;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use selsync_comm::Payload;
+use selsync_shard::{ShardLayout, ShardMap};
+use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
-/// Reserve `n` distinct loopback ports below the ephemeral range (same
-/// allocator as the sibling suites, disjoint base so leftover sockets
-/// from another suite's range can never collide: serve owns
-/// 20000-21899, dist 23000-26999, ps_failover 25000-26899, chaos
-/// 27000-30999; this suite takes 31000-32699, below the 32768 ephemeral
-/// floor).
-fn free_ports(n: usize) -> Vec<String> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static PORT_CURSOR: AtomicUsize = AtomicUsize::new(0);
-    let base = 31000 + (std::process::id() as usize % 850);
-    let mut held = Vec::new();
-    let mut addrs = Vec::new();
-    while addrs.len() < n {
-        let port = base + PORT_CURSOR.fetch_add(1, Ordering::Relaxed) % 850;
-        if let Ok(l) = TcpListener::bind(("127.0.0.1", port as u16)) {
-            addrs.push(format!("127.0.0.1:{port}"));
-            held.push(l);
-        }
-    }
-    addrs
+/// The recipe `selsync_run` and every `selsync_dist` rank share.
+const TRAINING: &[&str] = &[
+    "--model",
+    "vgg",
+    "--strategy",
+    "selsync",
+    "--delta",
+    "0.25",
+    "--steps",
+    "12",
+    "--batch",
+    "8",
+    "--data",
+    "96",
+    "--eval-every",
+    "12",
+    "--seed",
+    "42",
+    "--workers",
+    "2",
+];
+const STEPS: u64 = 12;
+const WORKERS: usize = 2;
+
+fn ports(n: usize) -> String {
+    free_ports(31000, 850, n).join(",")
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("selsync_shardproc_{}_{name}", std::process::id()));
-    p
-}
-
-/// Spawn one rank with the shared training recipe. Liveness mirrors the
-/// PS-failover suite: 2 s reply timeout per attempt and a 30 s patience
-/// budget, so a shard outage stalls the workers instead of evicting
-/// them (the sibling shard widens its own eviction budget by the same
-/// patience window — see DESIGN.md §10).
+/// Spawn one elastic rank with the shared training recipe. Liveness
+/// mirrors the PS-failover suite: 2 s reply timeout per attempt and a
+/// 30 s patience budget, so a shard outage stalls the workers instead
+/// of evicting them (the sibling shard widens its own eviction budget
+/// by the same patience window — see DESIGN.md §10).
 fn spawn_rank(role: &str, rank: usize, peers: &str, extra: &[&str]) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_selsync_dist"))
-        .args([
-            "--role",
-            role,
-            "--rank",
-            &rank.to_string(),
-            "--peers",
-            peers,
-        ])
-        .args([
-            "--model",
-            "vgg",
-            "--strategy",
-            "selsync",
-            "--delta",
-            "0.25",
-            "--steps",
-            "12",
-            "--batch",
-            "8",
-            "--data",
-            "96",
-            "--eval-every",
-            "12",
-            "--seed",
-            "42",
-            "--elastic",
-            "--round-timeout-ms",
-            "400",
-            "--max-missed",
-            "3",
-            "--ps-patience-ms",
-            "30000",
-            "--recv-timeout",
-            "120",
-            "--workers",
-            "2",
-        ])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn selsync_dist")
+    const LIVENESS: &[&str] = &[
+        "--elastic",
+        "--round-timeout-ms",
+        "400",
+        "--max-missed",
+        "3",
+        "--ps-patience-ms",
+        "30000",
+        "--recv-timeout",
+        "120",
+    ];
+    let recipe = [TRAINING, LIVENESS].concat();
+    common::spawn_rank(role, rank, peers, &recipe, extra)
 }
 
-/// Extract `key=value` from stdout (pairs may share a line).
-fn field(stdout: &str, key: &str) -> String {
-    stdout
-        .lines()
-        .flat_map(|l| l.split_whitespace())
-        .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
-        .unwrap_or_else(|| panic!("missing {key} in output:\n{stdout}"))
-        .to_string()
-}
-
-struct RankOut {
-    stdout: String,
-    code: i32,
-}
-
-/// Wait for every rank and collect stdout/exit codes, concatenating
-/// stderr for failure diagnostics.
-fn collect(ranks: Vec<Child>) -> (Vec<RankOut>, String) {
-    let mut outs = Vec::new();
-    let mut stderr = String::new();
-    for c in ranks {
-        let out = c.wait_with_output().unwrap();
-        stderr.push_str(&String::from_utf8_lossy(&out.stderr));
-        outs.push(RankOut {
-            stdout: String::from_utf8(out.stdout).unwrap(),
-            code: out.status.code().unwrap_or(-1),
-        });
-    }
-    (outs, stderr)
-}
-
-fn assert_clean(outs: &[RankOut], stderr: &str, label: &str) {
-    let codes: Vec<i32> = outs.iter().map(|o| o.code).collect();
-    let stdouts: Vec<&str> = outs.iter().map(|o| o.stdout.as_str()).collect();
-    assert!(
-        codes.iter().all(|&c| c == 0),
-        "{label}: exit codes {codes:?}; stderr:\n{stderr}\nstdouts:\n{stdouts:#?}"
-    );
-}
-
-/// Fault-free K = 2 sharded run: ranks 0-1 are shards, 2-3 workers.
-/// Returns outputs indexed by rank.
-fn run_sharded_reference(plan: &str) -> (Vec<RankOut>, String) {
-    let peers = free_ports(4).join(",");
-    let mut ranks = Vec::new();
-    for s in 0..2 {
-        ranks.push(spawn_rank(
-            "ps",
-            s,
-            &peers,
-            &["--ps-shards", "2", "--fault-plan", plan],
-        ));
-    }
-    for w in 2..4 {
-        ranks.push(spawn_rank(
-            "worker",
-            w,
-            &peers,
-            &["--ps-shards", "2", "--fault-plan", plan],
-        ));
+/// Run a fault-free K-shard cluster with `flags` on every rank (plus
+/// `ps_flags` on the shards). Returns outputs indexed by rank: workers
+/// `0..2`, then the shards.
+fn run_group(k: usize, flags: &[&str], ps_flags: &[&str]) -> (Vec<RankOut>, String) {
+    let layout = ShardLayout::new(k, WORKERS, false);
+    let peers = ports(layout.total_ranks());
+    let mut ranks: Vec<Child> = (0..WORKERS)
+        .map(|w| spawn_rank("worker", w, &peers, flags))
+        .collect();
+    for s in 0..k {
+        let all = [flags, ps_flags].concat();
+        ranks.push(spawn_rank("ps", layout.shard_rank(s), &peers, &all));
     }
     collect(ranks)
 }
 
 #[test]
-fn k1_sharded_tcp_run_is_bit_identical_to_monolithic() {
-    // monolithic: workers at ranks 0-1, PS at rank 2
-    let peers = free_ports(3).join(",");
-    let mut ranks: Vec<Child> = (0..2)
-        .map(|w| spawn_rank("worker", w, &peers, &[]))
-        .collect();
-    ranks.push(spawn_rank("ps", 2, &peers, &[]));
-    let (mono, mono_err) = collect(ranks);
-    assert_clean(&mono, &mono_err, "monolithic");
+fn fault_free_elastic_k1_run_matches_selsync_run_and_the_byte_accounting() {
+    // the static reference: one process, in-process fabric
+    let run_params = tmp("k1_selsync_run.bin");
+    let status = Command::new(env!("CARGO_BIN_EXE_selsync_run"))
+        .args(TRAINING)
+        .args(["--save-params", run_params.to_str().unwrap()])
+        .output()
+        .expect("spawn selsync_run");
+    assert!(status.status.success(), "selsync_run failed");
+    let reference = std::fs::read(&run_params).expect("selsync_run params");
+    std::fs::remove_file(&run_params).ok();
 
-    // sharded K = 1: shard at rank 0, workers at ranks 1-2
-    let peers = free_ports(3).join(",");
-    let mut ranks = vec![spawn_rank("ps", 0, &peers, &["--ps-shards", "1"])];
-    for w in 1..3 {
-        ranks.push(spawn_rank("worker", w, &peers, &["--ps-shards", "1"]));
+    // `--elastic` alone and `--elastic --ps-shards 1` are the same
+    // deployment: workers at ranks 0-1, the single PS at rank 2
+    let mut runs = Vec::new();
+    for (label, flags) in [("default", &[][..]), ("k1", &["--ps-shards", "1"][..])] {
+        let saved = tmp(&format!("k1_{label}.bin"));
+        let (outs, stderr) = run_group(1, flags, &["--save-params", saved.to_str().unwrap()]);
+        assert_clean(&outs, &stderr, label);
+        let elastic = std::fs::read(&saved).expect("ps --save-params writes the path as given");
+        std::fs::remove_file(&saved).ok();
+        assert!(
+            elastic == reference,
+            "{label}: the elastic PS's --save-params file must `cmp` equal to selsync_run's"
+        );
+        runs.push(outs);
     }
-    let (shard, shard_err) = collect(ranks);
-    assert_clean(&shard, &shard_err, "sharded k=1");
+    let (a, b) = (&runs[0], &runs[1]);
+    assert_eq!(
+        field(&a[0].stdout, "decisions"),
+        field(&b[0].stdout, "decisions")
+    );
+    for r in 0..3 {
+        for key in ["params_fingerprint", "fabric_bytes_sent"] {
+            assert_eq!(
+                field(&a[r].stdout, key),
+                field(&b[r].stdout, key),
+                "rank {r} {key}"
+            );
+        }
+    }
 
-    // logical worker 0 is mono rank 0 / sharded rank 1, and so on
-    assert_eq!(
-        field(&shard[1].stdout, "decisions"),
-        field(&mono[0].stdout, "decisions"),
-        "sync decisions must be identical"
-    );
-    for w in 0..2 {
+    // Byte accounting, in closed form: per worker, the heartbeat/sync
+    // conversation with a single PS — a flags frame per step, a whole
+    // push per synced step, one shutdown frame — plus exactly one
+    // ShardMap frame (the map handshake), and the mirror image on the
+    // PS. (At the parent commit the monolithic path sent 117 621 bytes
+    // per worker and 235 214 from the PS over 15 such steps; the
+    // handshake adds one 49-byte frame each way per worker.)
+    let ps = &a[2].stdout;
+    let params: usize = field(ps, "shard_len").parse().unwrap();
+    let syncs = field(&a[0].stdout, "decisions").matches('1').count() as u64;
+    assert_eq!(field(ps, "syncs"), syncs.to_string());
+    let map = Payload::ShardMap(ShardMap::compute(params as u64, 1).spec().clone()).wire_bytes();
+    let push = Payload::ShardPush(vec![0.0; params]).wire_bytes();
+    let pull = Payload::ShardPull(vec![0.0; params]).wire_bytes();
+    assert_eq!(push, Payload::Params(vec![0.0; params]).wire_bytes());
+    let worker_bytes = STEPS * Payload::Flags(vec![0]).wire_bytes()
+        + syncs * push
+        + Payload::Control(0).wire_bytes()
+        + map;
+    let w = WORKERS as u64;
+    let ps_bytes = w * (STEPS * Payload::Flags(vec![0; WORKERS]).wire_bytes() + syncs * pull + map);
+    for worker in &a[..WORKERS] {
         assert_eq!(
-            field(&shard[w + 1].stdout, "params_fingerprint"),
-            field(&mono[w].stdout, "params_fingerprint"),
-            "worker {w} replica must be bit-identical"
-        );
-        assert_eq!(
-            field(&shard[w + 1].stdout, "lssr"),
-            field(&mono[w].stdout, "lssr"),
+            field(&worker.stdout, "fabric_bytes_sent"),
+            worker_bytes.to_string()
         );
     }
-    assert_eq!(
-        field(&shard[0].stdout, "params_fingerprint"),
-        field(&mono[2].stdout, "params_fingerprint"),
-        "the single shard must hold the exact monolithic global vector"
-    );
-    assert_eq!(
-        field(&shard[0].stdout, "syncs"),
-        field(&mono[2].stdout, "syncs"),
-        "same sync schedule on the server side"
-    );
+    assert_eq!(field(ps, "fabric_bytes_sent"), ps_bytes.to_string());
 }
 
 #[test]
 fn sigkill_one_shard_resumes_from_its_own_checkpoint() {
-    // a 50 ms straggler on logical worker 0 (rank 2) paces the run so
-    // the kill lands mid-run; wall-clock delays never change the math.
-    // Shard 1's sends are delayed 200 ms so the SIGKILL below lands in
-    // the write-ahead window deterministically: the checkpoint rename
-    // (which the kill poll watches) happens before the sync replies,
-    // and 200 ms per send gives the poll + 50 ms fuse time to fire
-    // first. The replies die with the process, workers must recover via
-    // the respawned shard's stale-push arm, and the sibling shard must
-    // hold its round clock for them — the most adversarial schedule.
-    let mut plan = FaultPlan::slow_straggler(17, 2, 50);
+    // K = 2: workers at ranks 0-1, shards at ranks 2-3
+    let layout = ShardLayout::new(2, WORKERS, false);
+    let (shard0, shard1) = (layout.shard_rank(0), layout.shard_rank(1));
+    // a 50 ms straggler on worker 0 paces the run so the kill lands
+    // mid-run; wall-clock delays never change the math. Shard 1's sends
+    // are delayed 200 ms so the SIGKILL below lands in the write-ahead
+    // window deterministically: the checkpoint rename (which the kill
+    // poll watches) happens before the sync replies, and 200 ms per
+    // send gives the poll + 50 ms fuse time to fire first. The replies
+    // die with the process, workers must recover via the respawned
+    // shard's stale-push arm, and the sibling shard must hold its round
+    // clock for them — the most adversarial schedule.
+    let mut plan = FaultPlan::slow_straggler(17, 0, 50);
     plan.stragglers.push(Straggler {
-        rank: 1,
+        rank: shard1,
         delay_ms: 200,
     });
     let plan_path = tmp("shard_kill_plan.json");
@@ -235,10 +188,10 @@ fn sigkill_one_shard_resumes_from_its_own_checkpoint() {
     let plan_str = plan_path.to_str().unwrap().to_string();
 
     let ckpt = tmp("shard_kill.ckpt");
-    let shard1_ckpt = selsync_core::shard_state_path(&ckpt, 1);
+    let shard1_ckpt = selsync_core::shard_state_path(&ckpt, &layout, 1);
     let cleanup = || {
         for s in 0..2 {
-            let p = selsync_core::shard_state_path(&ckpt, s);
+            let p = selsync_core::shard_state_path(&ckpt, &layout, s);
             std::fs::remove_file(selsync_core::checkpoint::prev_path(&p)).ok();
             std::fs::remove_file(&p).ok();
         }
@@ -246,27 +199,14 @@ fn sigkill_one_shard_resumes_from_its_own_checkpoint() {
     cleanup();
     let ckpt_str = ckpt.to_str().unwrap().to_string();
 
-    let peers = free_ports(4).join(",");
-    let shard_flags = [
-        "--ps-shards",
-        "2",
-        "--fault-plan",
-        &plan_str,
-        "--checkpoint",
-        &ckpt_str,
-    ];
-    let shard0 = spawn_rank("ps", 0, &peers, &shard_flags);
-    let mut shard1 = spawn_rank("ps", 1, &peers, &shard_flags);
-    let workers: Vec<Child> = (2..4)
-        .map(|w| {
-            spawn_rank(
-                "worker",
-                w,
-                &peers,
-                &["--ps-shards", "2", "--fault-plan", &plan_str],
-            )
-        })
+    let peers = ports(4);
+    let group_flags = ["--ps-shards", "2", "--fault-plan", &plan_str];
+    let shard_flags = [&group_flags[..], &["--checkpoint", &ckpt_str]].concat();
+    let workers: Vec<Child> = (0..WORKERS)
+        .map(|w| spawn_rank("worker", w, &peers, &group_flags))
         .collect();
+    let shard0_proc = spawn_rank("ps", shard0, &peers, &shard_flags);
+    let mut shard1_proc = spawn_rank("ps", shard1, &peers, &shard_flags);
 
     // wait until shard 1 has written its own durable generation, then
     // SIGKILL it with no warning — possibly mid-round, possibly mid-write
@@ -278,40 +218,29 @@ fn sigkill_one_shard_resumes_from_its_own_checkpoint() {
             shard1_ckpt.display()
         );
         assert!(
-            shard1.try_wait().unwrap().is_none(),
+            shard1_proc.try_wait().unwrap().is_none(),
             "shard 1 exited before writing a checkpoint"
         );
         std::thread::sleep(Duration::from_millis(2));
     }
     std::thread::sleep(Duration::from_millis(50));
-    shard1.kill().expect("SIGKILL shard 1");
-    shard1.wait().unwrap();
+    shard1_proc.kill().expect("SIGKILL shard 1");
+    shard1_proc.wait().unwrap();
 
-    // respawn rank 1 on the same advertised port, resuming from the
+    // respawn shard 1 on the same advertised port, resuming from the
     // shard's own FILE.s1 while shard 0 keeps serving its range
-    let shard1b = spawn_rank(
-        "ps",
-        1,
-        &peers,
-        &[
-            "--ps-shards",
-            "2",
-            "--fault-plan",
-            &plan_str,
-            "--resume",
-            &ckpt_str,
-        ],
-    );
+    let resume_flags = [&group_flags[..], &["--resume", &ckpt_str]].concat();
+    let shard1b = spawn_rank("ps", shard1, &peers, &resume_flags);
 
-    let mut ranks = vec![shard0, shard1b];
-    ranks.extend(workers);
+    let mut ranks = workers;
+    ranks.extend([shard0_proc, shard1b]);
     let (run, run_err) = collect(ranks);
     cleanup();
     assert_clean(&run, &run_err, "sigkill run");
 
-    assert_eq!(field(&run[1].stdout, "recovery"), "shard_resumed");
-    assert_eq!(field(&run[1].stdout, "shard"), "1");
-    for (s, shard_out) in run.iter().take(2).enumerate() {
+    assert_eq!(field(&run[shard1].stdout, "recovery"), "ps_resumed");
+    assert_eq!(field(&run[shard1].stdout, "shard"), "1");
+    for (s, shard_out) in run.iter().skip(WORKERS).enumerate() {
         assert_eq!(
             field(&shard_out.stdout, "evictions"),
             "",
@@ -320,13 +249,13 @@ fn sigkill_one_shard_resumes_from_its_own_checkpoint() {
         );
     }
 
-    let (reference, ref_err) = run_sharded_reference(&plan_str);
+    let (reference, ref_err) = run_group(2, &group_flags, &[]);
     std::fs::remove_file(&plan_path).ok();
     assert_clean(&reference, &ref_err, "fault-free reference");
 
-    // every rank's final parameters — the killed shard, its survivor
-    // sibling, and both workers — must match the fault-free run
-    for r in 0..4 {
+    // every rank's final parameters — both workers, the killed shard
+    // and its survivor sibling — must match the fault-free run
+    for r in 0..layout.total_ranks() {
         assert_eq!(
             field(&run[r].stdout, "params_fingerprint"),
             field(&reference[r].stdout, "params_fingerprint"),
@@ -334,8 +263,8 @@ fn sigkill_one_shard_resumes_from_its_own_checkpoint() {
         );
     }
     assert_eq!(
-        field(&run[2].stdout, "decisions"),
-        field(&reference[2].stdout, "decisions"),
+        field(&run[0].stdout, "decisions"),
+        field(&reference[0].stdout, "decisions"),
         "sync decisions must match the fault-free run"
     );
 }

@@ -187,18 +187,18 @@ impl FaultPlan {
         p
     }
 
-    /// Scenario (sharded PS): shard server `shard_rank` dies at sync
-    /// round `at_step` and restarts from its own `FILE.s<shard>`
-    /// checkpoint `restart_after_ms` later, while the sibling shards
-    /// keep serving. The plan is given only to the dying shard's
-    /// process — `server_crash` has no rank field because the
-    /// monolithic launcher had exactly one server; in a shard group
-    /// "which server" is chosen by which process loads the plan.
+    /// Scenario (K ≥ 2 PS group): one shard server dies at sync round
+    /// `at_step` and restarts from its own `FILE.s<shard>` checkpoint
+    /// `restart_after_ms` later, while the sibling shards keep
+    /// serving. The plan is given only to the dying shard's process —
+    /// `server_crash` has no rank field; in a shard group "which
+    /// server" is chosen by which process loads the plan.
     pub fn crash_one_shard(seed: u64, at_step: u64, restart_after_ms: u64) -> FaultPlan {
         FaultPlan::crash_server(seed, at_step, restart_after_ms)
     }
 
-    /// Scenario (sharded PS): shard server `shard_rank` answers every
+    /// Scenario (K ≥ 2 PS group): the shard server on rank `shard_rank`
+    /// (`ShardLayout::shard_rank`, after the workers) answers every
     /// send `delay_ms` late — one slow shard skews the whole fan-out,
     /// since a worker's round completes only when the slowest shard
     /// replies. Give this plan to the slow shard's process.

@@ -1,17 +1,20 @@
 //! Elastic membership: liveness tracking, worker eviction,
-//! checkpoint-based rejoin, and — new in the failover revision — a
-//! **resumable** parameter server with a hot-standby protocol, all
-//! coordinated over the same per-step heartbeat.
+//! checkpoint-based rejoin, and a **resumable** parameter server with a
+//! hot-standby protocol, all coordinated over the same per-step
+//! heartbeat.
 //!
-//! In elastic mode every training step routes its SelSync flags exchange
-//! through the PS instead of a worker-to-worker allgather — the per-step
-//! flags round doubles as a **heartbeat**. The server collects each
-//! round with a deadline; a worker that keeps missing deadlines (crash,
-//! partition, pathological straggling) is **evicted** and the survivors
-//! learn about it in the very next status vector, re-partition the
-//! dataset deterministically, and keep training. An evicted (or
-//! late-starting) worker can **rejoin** with [`join_request`], receiving
-//! the resume step, the current global parameters, and the membership.
+//! This is the server side of one shard of an elastic PS group (the
+//! whole service when K = 1); the worker side is the fan-out client in
+//! [`crate::shard`]. In elastic mode every training step routes its
+//! SelSync flags exchange through the PS instead of a worker-to-worker
+//! allgather — the per-step flags round doubles as a **heartbeat**. The
+//! server collects each round with a deadline; a worker that keeps
+//! missing deadlines (crash, partition, pathological straggling) is
+//! **evicted** and the survivors learn about it in the very next status
+//! vector, re-partition the dataset deterministically, and keep
+//! training. An evicted (or late-starting) worker can **rejoin** with
+//! [`join_request`], receiving the resume step, the current global
+//! parameters, and the membership.
 //!
 //! Protocol per step `s` (tags inside the step's [`phase_tag`] space):
 //!
@@ -23,8 +26,10 @@
 //!    misses, [`STATUS_DEAD`].
 //! 2. *Sync round* at `phase_tag(s, SYNC_PHASE)`, only if any status
 //!    byte is [`STATUS_SYNC`]: every round-1 contributor pushes its
-//!    parameters; the server averages (in rank order, so runs are
-//!    bit-reproducible) and replies the new global to each.
+//!    slice of the parameters ([`Payload::ShardPush`], or a set of
+//!    [`Payload::Bucket`] frames); the server averages (in rank order,
+//!    so runs are bit-reproducible) and replies the new range
+//!    ([`Payload::ShardPull`]) to each.
 //! 3. *Joins* (tag [`JOIN_TAG`]) are queued while a round is in flight
 //!    and granted between rounds, so a joiner always starts at a clean
 //!    step boundary.
@@ -131,14 +136,13 @@ pub struct ElasticConfig {
     pub standby: Option<usize>,
     /// Simulated server death for chaos/fault experiments.
     pub crash: Option<ServerCrashPoint>,
-    /// When serving one shard of a range-partitioned PS group: the
-    /// partition map this server computed locally. Enables the sharded
-    /// wire protocol ([`Payload::ShardPush`] pushes, [`Payload::ShardPull`]
-    /// replies) and the [`SHARD_MAP_TAG`] agreement handshake, under
-    /// which the server echoes this map so every worker can prove it
-    /// partitioned identically. `None` = monolithic server (unchanged
-    /// behavior).
-    pub shard_map: Option<ShardSpec>,
+    /// The partition map of the PS group this server computed locally
+    /// (one range at K = 1), echoed under the [`SHARD_MAP_TAG`]
+    /// agreement handshake so every worker can prove it partitioned
+    /// identically. Its shard count also selects the sync-window
+    /// eviction policy: only a K > 1 server can see a pusher stalled on
+    /// a *sibling* shard.
+    pub shard_map: ShardSpec,
     /// Initial window during which collection timeouts neither count as
     /// missed rounds nor advance the step. A restarted or promoted
     /// server sets this to cover the workers' resend budget: their
@@ -153,14 +157,17 @@ pub struct ElasticConfig {
     pub resume_grace: Duration,
 }
 
-impl Default for ElasticConfig {
-    fn default() -> Self {
+impl ElasticConfig {
+    /// The default liveness policy for a server of the group `shard_map`
+    /// describes: 1 s rounds, eviction after 3 misses, no standby, no
+    /// scheduled crash, no resume grace.
+    pub fn new(shard_map: ShardSpec) -> Self {
         Self {
             round_timeout: Duration::from_secs(1),
             max_missed: 3,
             standby: None,
             crash: None,
-            shard_map: None,
+            shard_map,
             resume_grace: Duration::ZERO,
         }
     }
@@ -314,14 +321,6 @@ where
     run_elastic_server_from(ep, ServerState::fresh(n_workers, init_params), cfg, on_sync)
 }
 
-/// Run the elastic parameter server from a recovered [`ServerState`]
-/// (checkpoint resume or standby promotion). See the module docs for the
-/// three worker configurations a restart can find and how each is
-/// reconciled.
-///
-/// # Errors
-/// As [`run_elastic_server`].
-#[allow(clippy::too_many_lines)]
 /// Record a member's first message since a resume/promotion and adjust
 /// the grace window: extend it by one `resume_grace` unit while other
 /// members are still silent (their next resend is at most one cycle
@@ -354,6 +353,66 @@ fn note_contact(
     }
 }
 
+/// Normalize an arriving push. A [`Payload::Bucket`] frame is absorbed
+/// into its sender's assembler and only a *completed* set comes back
+/// out, as the [`Payload::ShardPush`] it stands for (`None` while the
+/// set is partial) — a retrying worker resends its complete set and
+/// duplicate frames overwrite, so assembly is idempotent under the
+/// failover policy. Every whole push must then cover exactly this
+/// server's range: `average` zips its inputs, so a short push would
+/// silently truncate the round. Other payloads pass through.
+fn whole_push(
+    asm: &mut BTreeMap<(u64, usize), BucketAssembler>,
+    tag: u64,
+    from: usize,
+    payload: Payload,
+    range_len: usize,
+) -> Result<Option<Payload>, TransportError> {
+    let payload = match payload {
+        Payload::Bucket {
+            bucket,
+            n_buckets,
+            values,
+        } => match asm
+            .entry((tag, from))
+            .or_default()
+            .absorb(bucket, n_buckets, values)?
+        {
+            Some(flat) => Payload::ShardPush(flat),
+            None => return Ok(None),
+        },
+        p => p,
+    };
+    if let Payload::ShardPush(v) = &payload {
+        if v.len() != range_len {
+            return Err(TransportError::Protocol(format!(
+                "elastic server: rank {from} pushed {} values at tag {tag}, \
+                 this server's range holds {range_len}",
+                v.len()
+            )));
+        }
+    }
+    Ok(Some(payload))
+}
+
+/// A sender that is not one of the `n` workers (a sibling shard, a
+/// standby, a rank from a differently-sized launch) has no slot in the
+/// membership vectors; its traffic is a wiring fault, not a protocol
+/// event.
+fn foreign_sender(from: usize, n: usize) -> TransportError {
+    TransportError::Protocol(format!(
+        "elastic server: message from rank {from}, which is not one of the {n} workers"
+    ))
+}
+
+/// Run the elastic parameter server from a recovered [`ServerState`]
+/// (checkpoint resume or standby promotion). See the module docs for the
+/// three worker configurations a restart can find and how each is
+/// reconciled.
+///
+/// # Errors
+/// As [`run_elastic_server`].
+#[allow(clippy::too_many_lines)]
 pub fn run_elastic_server_from<T, F>(
     mut ep: T,
     state: ServerState,
@@ -389,11 +448,8 @@ where
     let mut future_pushes: BTreeMap<u64, BTreeMap<usize, Vec<f32>>> = BTreeMap::new();
     let mut pending_joins: Vec<usize> = Vec::new();
     // Bucketed parameter pushes (DESIGN.md §12): partial Bucket frames
-    // assemble per (tag, sender); only *completed* sets enter the
-    // protocol below, as ordinary Params pushes, so every arm still
-    // sees whole vectors. A retrying worker resends its complete set
-    // and duplicate frames overwrite, making assembly idempotent under
-    // the failover policy.
+    // assemble per (tag, sender) in `whole_push`, so every arm below
+    // only ever sees whole vectors.
     let mut bucket_asm: BTreeMap<(u64, usize), BucketAssembler> = BTreeMap::new();
 
     'run: loop {
@@ -490,14 +546,19 @@ where
                     if m.tag == SHARD_MAP_TAG {
                         // map-agreement handshake: echo our map so the
                         // worker can prove both sides partitioned alike
-                        if let Some(mine) = &cfg.shard_map {
-                            let _ = ep.send(from, SHARD_MAP_TAG, Payload::ShardMap(mine.clone()));
-                        }
+                        let _ = ep.send(
+                            from,
+                            SHARD_MAP_TAG,
+                            Payload::ShardMap(cfg.shard_map.clone()),
+                        );
                         continue;
                     }
                     if m.tag >= STANDBY_TAG {
                         // reserved tags this role never consumes
                         continue;
+                    }
+                    if from >= n {
+                        return Err(foreign_sender(from, n));
                     }
                     if !alive[from] {
                         // tell an evicted-but-alive sender its fate so it
@@ -508,28 +569,16 @@ where
                         }
                         continue;
                     }
-                    let payload = match m.payload {
-                        // bucketed push: absorb the frame; only a
-                        // completed set proceeds, as a Params push
-                        Payload::Bucket {
-                            bucket,
-                            n_buckets,
-                            values,
-                        } => match bucket_asm
-                            .entry((m.tag, from))
-                            .or_default()
-                            .absorb(bucket, n_buckets, values)?
-                        {
-                            Some(flat) => Payload::Params(flat),
-                            None => continue,
-                        },
-                        p => p,
+                    let Some(payload) =
+                        whole_push(&mut bucket_asm, m.tag, from, m.payload, global.len())?
+                    else {
+                        continue;
                     };
                     match (m.tag, payload) {
                         (t, Payload::Flags(b)) if t == ftag => {
                             bits.insert(from, b.first().copied().unwrap_or(0));
                         }
-                        (t, Payload::Params(v) | Payload::ShardPush(v)) if t == stag => {
+                        (t, Payload::ShardPush(v)) if t == stag => {
                             // a re-sent push for *this* round: the sender
                             // already holds a SYNC status from before a
                             // server restart — count it as a contributor
@@ -546,15 +595,11 @@ where
                             let status = status_vec(n, &alive, &done, None, from);
                             let _ = ep.send(from, t, Payload::Flags(status));
                         }
-                        (t, Payload::Params(_)) if t < ftag => {
+                        (t, Payload::ShardPush(_)) if t < ftag => {
                             // stale push from a sync round that already
                             // closed (or whose replies died with the old
                             // server); unblock the sender with the global,
                             // which is exactly that round's average
-                            let _ = ep.send(from, t, Payload::Params(global.clone()));
-                        }
-                        (t, Payload::ShardPush(_)) if t < ftag => {
-                            // sharded flavor of the stale-push reply
                             let _ = ep.send(from, t, Payload::ShardPull(global.clone()));
                         }
                         (t, Payload::Flags(b)) if t > ftag => {
@@ -568,7 +613,7 @@ where
                                 break;
                             }
                         }
-                        (t, Payload::Params(v) | Payload::ShardPush(v))
+                        (t, Payload::ShardPush(v))
                             if t > ftag && t == phase_tag(tag_step(t), SYNC_PHASE) =>
                         {
                             let s = tag_step(t);
@@ -646,15 +691,15 @@ where
             if any_sync {
                 let mut pushes: BTreeMap<usize, Vec<f32>> = early_pushes;
                 // how many empty round_timeouts to sit through before
-                // declaring the missing pushers crashed. A monolithic
-                // server evicts after one: a worker that flagged a sync
-                // and then fell silent is gone. A shard server extends
-                // the window to its (recovery-widened) miss budget — the
-                // pusher may be stalled in its fan-out on a *sibling*
-                // shard that is crashing and resuming, and evicting it
-                // here would tear down a cluster that is seconds from
-                // recovering (DESIGN.md §10).
-                let push_patience = if cfg.shard_map.is_some() {
+                // declaring the missing pushers crashed. The only server
+                // of a K = 1 group evicts after one: a worker that
+                // flagged a sync and then fell silent is gone. With
+                // siblings the window extends to the (recovery-widened)
+                // miss budget — the pusher may be stalled in its fan-out
+                // on a *sibling* shard that is crashing and resuming,
+                // and evicting it here would tear down a cluster that is
+                // seconds from recovering (DESIGN.md §10).
+                let push_patience = if cfg.shard_map.starts.len() > 1 {
                     cfg.max_missed.max(1)
                 } else {
                     1
@@ -705,38 +750,27 @@ where
                                 continue;
                             }
                             if m.tag == SHARD_MAP_TAG {
-                                if let Some(mine) = &cfg.shard_map {
-                                    let _ = ep.send(
-                                        from,
-                                        SHARD_MAP_TAG,
-                                        Payload::ShardMap(mine.clone()),
-                                    );
-                                }
+                                let _ = ep.send(
+                                    from,
+                                    SHARD_MAP_TAG,
+                                    Payload::ShardMap(cfg.shard_map.clone()),
+                                );
                                 continue;
                             }
                             if m.tag >= STANDBY_TAG {
                                 continue;
                             }
-                            let payload = match m.payload {
-                                // bucketed push mid-sync: absorb; only a
-                                // completed set counts as a contribution
-                                Payload::Bucket {
-                                    bucket,
-                                    n_buckets,
-                                    values,
-                                } => match bucket_asm
-                                    .entry((m.tag, from))
-                                    .or_default()
-                                    .absorb(bucket, n_buckets, values)?
-                                {
-                                    Some(flat) => Payload::Params(flat),
-                                    None => continue,
-                                },
-                                p => p,
+                            if from >= n {
+                                return Err(foreign_sender(from, n));
+                            }
+                            let Some(payload) =
+                                whole_push(&mut bucket_asm, m.tag, from, m.payload, global.len())?
+                            else {
+                                continue;
                             };
                             if m.tag == stag && alive[from] {
                                 match payload {
-                                    Payload::Params(v) | Payload::ShardPush(v) => {
+                                    Payload::ShardPush(v) => {
                                         if !sync_members.contains(&from) {
                                             sync_members.push(from);
                                         }
@@ -744,7 +778,7 @@ where
                                     }
                                     p => {
                                         return Err(TransportError::Protocol(format!(
-                                            "elastic server: expected Params at sync \
+                                            "elastic server: expected ShardPush at sync \
                                              tag {stag}, got {p:?} from rank {from}"
                                         )));
                                     }
@@ -787,20 +821,9 @@ where
                             Payload::Flags(membership_bytes(&alive, &done)),
                         );
                     }
-                    // one model copy shared across every reply: the
-                    // per-pusher sends clone only the Arc. A shard
-                    // server replies ShardPull instead (same wire
-                    // bytes), copying its — K× smaller — range per
-                    // pusher.
-                    let shared = std::sync::Arc::new(global.clone());
                     let pushers: Vec<usize> = pushes.keys().copied().collect();
                     for i in pushers {
-                        let reply = if cfg.shard_map.is_some() {
-                            Payload::ShardPull(global.clone())
-                        } else {
-                            Payload::SharedParams(std::sync::Arc::clone(&shared))
-                        };
-                        match ep.send(i, stag, reply) {
+                        match ep.send(i, stag, Payload::ShardPull(global.clone())) {
                             Ok(()) => {}
                             Err(TransportError::PeerUnreachable { .. }) => {
                                 alive[i] = false;
@@ -866,11 +889,11 @@ pub enum StandbyOutcome {
     Promoted(ElasticReport),
 }
 
-/// Run the hot-standby role: shadow the primary's [`STANDBY_TAG`] state
-/// updates, and promote to a full elastic server the moment worker
-/// traffic lands on this rank (workers only redirect here after their
-/// failover patience on the primary expires — see the worker retry
-/// layer). While waiting, worker messages are buffered, not consumed, so
+/// Run the hot-standby role for the server on rank `primary`: shadow
+/// its [`STANDBY_TAG`] state updates, and promote to a full elastic
+/// server the moment worker traffic lands on this rank (workers only
+/// redirect here after their failover patience on the primary expires —
+/// see the worker retry layer). While waiting, worker messages are buffered, not consumed, so
 /// the promoted server's first round sees them all.
 ///
 /// `max_silence` bounds how long the standby outlives a cluster that
@@ -882,6 +905,7 @@ pub enum StandbyOutcome {
 pub fn run_standby_server<T, F>(
     mut ep: T,
     n_workers: usize,
+    primary: usize,
     init_params: Vec<f32>,
     cfg: &ElasticConfig,
     max_silence: Duration,
@@ -891,12 +915,11 @@ where
     T: Transport,
     F: FnMut(&ServerState),
 {
-    let ps = n_workers; // primary's rank, by fabric convention
     let mut state = ServerState::fresh(n_workers, init_params);
     let mut shadowed = 0u64;
     let mut silence = Duration::ZERO;
     loop {
-        match ep.recv_deadline(Some(ps), Some(STANDBY_TAG), cfg.round_timeout) {
+        match ep.recv_deadline(Some(primary), Some(STANDBY_TAG), cfg.round_timeout) {
             Ok(m) => {
                 silence = Duration::ZERO;
                 match m.payload {
@@ -910,7 +933,7 @@ where
                         // the same tag; a torn triple (primary died mid-
                         // send) leaves the previous consistent state
                         let params = match ep.recv_deadline(
-                            Some(ps),
+                            Some(primary),
                             Some(STANDBY_TAG),
                             cfg.round_timeout,
                         ) {
@@ -937,7 +960,7 @@ where
                             Err(e) => return Err(e),
                         };
                         let mem = match ep.recv_deadline(
-                            Some(ps),
+                            Some(primary),
                             Some(STANDBY_TAG),
                             cfg.round_timeout,
                         ) {
@@ -1015,111 +1038,6 @@ where
     }
 }
 
-/// Worker side of one heartbeat/flags round: send the local sync bit,
-/// block for the membership status vector.
-///
-/// # Errors
-/// [`TransportError::Evicted`] if the server reports this rank dead;
-/// `RecvTimeout` if the server is silent past `reply_timeout` (set it
-/// well above the server's `round_timeout` so a round stalled on a
-/// crashed peer is not mistaken for a dead server).
-pub fn heartbeat_round<T: Transport>(
-    ep: &mut T,
-    server: usize,
-    step: u64,
-    my_bit: u8,
-    reply_timeout: Duration,
-) -> Result<Vec<u8>, TransportError> {
-    let tag = phase_tag(step, FLAGS_PHASE);
-    ep.send(server, tag, Payload::Flags(vec![my_bit]))?;
-    let me = ep.id();
-    let m = ep.recv_deadline(Some(server), Some(tag), reply_timeout)?;
-    match m.payload {
-        Payload::Flags(status) => {
-            if status.get(me).copied().unwrap_or(STATUS_DEAD) == STATUS_DEAD {
-                Err(TransportError::Evicted { rank: me })
-            } else {
-                Ok(status)
-            }
-        }
-        p => Err(TransportError::Protocol(format!(
-            "heartbeat reply was {p:?}, expected Flags"
-        ))),
-    }
-}
-
-/// Worker side of the elastic sync round: push local parameters, block
-/// for the averaged global.
-///
-/// # Errors
-/// Propagates transport faults; `RecvTimeout` usually means this rank
-/// was evicted mid-sync.
-pub fn elastic_sync_round<T: Transport>(
-    ep: &mut T,
-    server: usize,
-    step: u64,
-    params: Vec<f32>,
-    reply_timeout: Duration,
-) -> Result<FlatVec, TransportError> {
-    let tag = phase_tag(step, SYNC_PHASE);
-    ep.send(server, tag, Payload::Params(params))?;
-    let m = ep.recv_deadline(Some(server), Some(tag), reply_timeout)?;
-    match m.payload {
-        Payload::Params(v) => Ok(FlatVec::Owned(v)),
-        Payload::SharedParams(a) => Ok(FlatVec::Shared(a)),
-        p => Err(TransportError::Protocol(format!(
-            "sync reply was {p:?}, expected Params"
-        ))),
-    }
-}
-
-/// Bucketed flavor of [`elastic_sync_round`] (DESIGN.md §12): the
-/// parameter push ships as `bucket_size`-value [`Payload::Bucket`]
-/// frames instead of one monolithic vector. The server reassembles per
-/// sender and averages the completed set, so the result is bit-identical
-/// to the monolithic push. A retry under the failover policy resends
-/// the *complete* set; duplicate frames overwrite at the assembler,
-/// which makes the round idempotent across lost partial pushes.
-///
-/// # Errors
-/// As [`elastic_sync_round`].
-pub fn elastic_sync_round_bucketed<T: Transport>(
-    ep: &mut T,
-    server: usize,
-    step: u64,
-    params: &[f32],
-    bucket_size: usize,
-    reply_timeout: Duration,
-) -> Result<FlatVec, TransportError> {
-    let tag = phase_tag(step, SYNC_PHASE);
-    crate::bucket::send_all_buckets(ep, server, tag, params, bucket_size)?;
-    let m = ep.recv_deadline(Some(server), Some(tag), reply_timeout)?;
-    match m.payload {
-        Payload::Params(v) => Ok(FlatVec::Owned(v)),
-        Payload::SharedParams(a) => Ok(FlatVec::Shared(a)),
-        p => Err(TransportError::Protocol(format!(
-            "sync reply was {p:?}, expected Params"
-        ))),
-    }
-}
-
-/// Tell the elastic server this worker is finished (fire-and-forget,
-/// tagged with the step *after* the last one run).
-///
-/// # Errors
-/// Propagates transport faults.
-pub fn elastic_shutdown<T: Transport>(
-    ep: &mut T,
-    server: usize,
-    step: u64,
-) -> Result<(), TransportError> {
-    ep.send(
-        server,
-        phase_tag(step, FLAGS_PHASE),
-        Payload::Control(CTRL_SHUTDOWN),
-    )
-}
-
 /// Ask the elastic server to (re)admit this rank. Blocks until the
 /// grant: resume step, current global parameters, and membership.
 ///
@@ -1176,28 +1094,58 @@ pub fn join_request<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::Fabric;
+    use crate::fabric::{Endpoint, Fabric};
+    use crate::shard::{ShardClientConfig, ShardedPsClient};
     use std::sync::{Arc, Mutex};
     use std::thread;
 
     const REPLY: Duration = Duration::from_secs(5);
 
-    /// Worker-side sync with re-send on timeout, as the trainer's retry
-    /// layer does — needed whenever the server may crash mid-round.
-    fn sync_with_retry(
-        ep: &mut crate::fabric::Endpoint,
-        server: usize,
-        step: u64,
-        params: Vec<f32>,
-    ) -> Vec<f32> {
-        for _ in 0..40 {
-            match elastic_sync_round(ep, server, step, params.clone(), Duration::from_millis(250)) {
-                Ok(v) => return v.into_vec(),
-                Err(TransportError::RecvTimeout { .. }) => continue,
-                Err(e) => panic!("sync failed: {e}"),
-            }
+    /// The K = 1 map of a `len`-value vector: one range, the whole thing.
+    fn one_shard(len: usize) -> ShardSpec {
+        ShardSpec {
+            version: 1,
+            total: len as u64,
+            starts: shard_starts(len as u64, 1),
         }
-        panic!("sync round never completed at step {step}");
+    }
+
+    fn server_cfg(len: usize, round_timeout: Duration, max_missed: u32) -> ElasticConfig {
+        ElasticConfig {
+            round_timeout,
+            max_missed,
+            ..ElasticConfig::new(one_shard(len))
+        }
+    }
+
+    /// The worker's client onto the single server on rank `server`
+    /// (standby on `standby`), resending every `reply_timeout` for up to
+    /// `ps_patience` before failing over or giving up.
+    fn client(
+        ep: &Endpoint,
+        len: usize,
+        server: usize,
+        standby: Option<usize>,
+        reply_timeout: Duration,
+        ps_patience: Duration,
+    ) -> ShardedPsClient {
+        ShardedPsClient::new(
+            ep.id(),
+            one_shard(len),
+            &[server],
+            standby.as_ref().map(std::slice::from_ref),
+            ShardClientConfig {
+                reply_timeout,
+                comm_retries: 3,
+                ps_patience,
+                bucket: None,
+            },
+        )
+    }
+
+    /// A client that never needs its retry layer: one patient wait.
+    fn calm_client(ep: &Endpoint, len: usize, server: usize) -> ShardedPsClient {
+        client(ep, len, server, None, REPLY, REPLY)
     }
 
     #[test]
@@ -1205,11 +1153,7 @@ mod tests {
         let n = 3;
         let mut eps = Fabric::new(n + 1);
         let server_ep = eps.pop().unwrap();
-        let cfg = ElasticConfig {
-            round_timeout: Duration::from_millis(500),
-            max_missed: 3,
-            ..ElasticConfig::default()
-        };
+        let cfg = server_cfg(4, Duration::from_millis(500), 3);
         let server = thread::spawn(move || {
             run_elastic_server(server_ep, n, vec![0.0; 4], &cfg, |_| {}).unwrap()
         });
@@ -1218,19 +1162,18 @@ mod tests {
             .map(|mut ep| {
                 thread::spawn(move || {
                     let id = ep.id();
+                    let mut ps = calm_client(&ep, 4, n);
+                    ps.handshake(&mut ep).unwrap();
                     let mut last_sync = Vec::new();
                     for step in 0..6u64 {
                         let bit = u8::from(step % 3 == 0);
-                        let status = heartbeat_round(&mut ep, n, step, bit, REPLY).unwrap();
+                        let status = ps.heartbeat(&mut ep, step, bit).unwrap();
                         assert_eq!(status.len(), n);
                         if status.contains(&STATUS_SYNC) {
-                            last_sync =
-                                elastic_sync_round(&mut ep, n, step, vec![id as f32; 4], REPLY)
-                                    .unwrap()
-                                    .into_vec();
+                            last_sync = ps.sync(&mut ep, step, &[id as f32; 4]).unwrap().into_vec();
                         }
                     }
-                    elastic_shutdown(&mut ep, n, 6).unwrap();
+                    ps.shutdown(&mut ep, 6);
                     last_sync
                 })
             })
@@ -1248,53 +1191,46 @@ mod tests {
     }
 
     /// A worker pushing its parameters as Bucket frames must land in the
-    /// same average as a monolithic pusher in the same round — and a
+    /// same average as a whole-frame pusher in the same round — and a
     /// full resend of an already-consumed set (the retry layer's move
     /// after a lost reply) must draw the stale-push catch-up reply, not
     /// wedge the server.
     #[test]
-    fn bucketed_param_push_averages_with_monolithic_peers() {
+    fn bucketed_param_push_averages_with_whole_frame_peers() {
         let n = 2;
         let mut eps = Fabric::new(n + 1);
         let server_ep = eps.pop().unwrap();
-        let cfg = ElasticConfig {
-            round_timeout: Duration::from_millis(400),
-            max_missed: 3,
-            ..ElasticConfig::default()
-        };
+        let cfg = server_cfg(5, Duration::from_millis(400), 3);
         let server = thread::spawn(move || {
             run_elastic_server(server_ep, n, vec![0.0; 5], &cfg, |_| {}).unwrap()
         });
         let mut bucketed = eps.pop().unwrap(); // rank 1
-        let mut mono = eps.pop().unwrap(); // rank 0
-        let mono_h = thread::spawn(move || {
-            let status = heartbeat_round(&mut mono, n, 0, 1, REPLY).unwrap();
+        let mut whole = eps.pop().unwrap(); // rank 0
+        let whole_h = thread::spawn(move || {
+            let mut ps = calm_client(&whole, 5, n);
+            let status = ps.heartbeat(&mut whole, 0, 1).unwrap();
             assert!(status.contains(&STATUS_SYNC));
-            let avg = elastic_sync_round(&mut mono, n, 0, vec![1.0; 5], REPLY)
-                .unwrap()
-                .into_vec();
-            elastic_shutdown(&mut mono, n, 1).unwrap();
+            let avg = ps.sync(&mut whole, 0, &[1.0; 5]).unwrap().into_vec();
+            ps.shutdown(&mut whole, 1);
             avg
         });
         let bucketed_h = thread::spawn(move || {
-            let status = heartbeat_round(&mut bucketed, n, 0, 1, REPLY).unwrap();
+            let mut ps = calm_client(&bucketed, 5, n);
+            ps.set_bucket(Some(2));
+            let status = ps.heartbeat(&mut bucketed, 0, 1).unwrap();
             assert!(status.contains(&STATUS_SYNC));
-            let params = vec![2.0, 4.0, 6.0, 8.0, 10.0];
-            let avg = elastic_sync_round_bucketed(&mut bucketed, n, 0, &params, 2, REPLY)
-                .unwrap()
-                .into_vec();
+            let params = [2.0, 4.0, 6.0, 8.0, 10.0];
+            let avg = ps.sync(&mut bucketed, 0, &params).unwrap().into_vec();
             // simulate a lost reply: resend the whole set; the server
             // answers the stale push with the current global
-            let catch_up = elastic_sync_round_bucketed(&mut bucketed, n, 0, &params, 2, REPLY)
-                .unwrap()
-                .into_vec();
-            elastic_shutdown(&mut bucketed, n, 1).unwrap();
+            let catch_up = ps.sync(&mut bucketed, 0, &params).unwrap().into_vec();
+            ps.shutdown(&mut bucketed, 1);
             (avg, catch_up)
         });
-        let mono_avg = mono_h.join().unwrap();
+        let whole_avg = whole_h.join().unwrap();
         let (bucket_avg, catch_up) = bucketed_h.join().unwrap();
         let want = vec![1.5, 2.5, 3.5, 4.5, 5.5];
-        assert_eq!(mono_avg, want);
+        assert_eq!(whole_avg, want);
         assert_eq!(bucket_avg, want);
         assert_eq!(catch_up, want, "stale bucketed resend draws the global");
         let report = server.join().unwrap();
@@ -1309,11 +1245,7 @@ mod tests {
         let steps = 8u64;
         let mut eps = Fabric::new(n + 1);
         let server_ep = eps.pop().unwrap();
-        let cfg = ElasticConfig {
-            round_timeout: Duration::from_millis(100),
-            max_missed: 2,
-            ..ElasticConfig::default()
-        };
+        let cfg = server_cfg(1, Duration::from_millis(100), 2);
         let server = thread::spawn(move || {
             run_elastic_server(server_ep, n, vec![0.0], &cfg, |_| {}).unwrap()
         });
@@ -1322,21 +1254,22 @@ mod tests {
             .map(|mut ep| {
                 thread::spawn(move || {
                     let id = ep.id();
+                    let mut ps = calm_client(&ep, 1, n);
                     let mut dead_seen_at = None;
                     for step in 0..steps {
                         if id == 2 && step == 2 {
                             return dead_seen_at; // crash: drop the endpoint
                         }
                         let bit = u8::from(step == 5);
-                        let status = heartbeat_round(&mut ep, n, step, bit, REPLY).unwrap();
+                        let status = ps.heartbeat(&mut ep, step, bit).unwrap();
                         if status[2] == STATUS_DEAD && dead_seen_at.is_none() {
                             dead_seen_at = Some(step);
                         }
                         if status.contains(&STATUS_SYNC) {
-                            elastic_sync_round(&mut ep, n, step, vec![id as f32], REPLY).unwrap();
+                            ps.sync(&mut ep, step, &[id as f32]).unwrap();
                         }
                     }
-                    elastic_shutdown(&mut ep, n, steps).unwrap();
+                    ps.shutdown(&mut ep, steps);
                     dead_seen_at
                 })
             })
@@ -1371,26 +1304,24 @@ mod tests {
         let steps = 100u64;
         let mut eps = Fabric::new(n + 1);
         let server_ep = eps.pop().unwrap();
-        let cfg = ElasticConfig {
-            round_timeout: Duration::from_millis(80),
-            max_missed: 2,
-            ..ElasticConfig::default()
-        };
+        let cfg = server_cfg(1, Duration::from_millis(80), 2);
         let server = thread::spawn(move || {
             run_elastic_server(server_ep, n, vec![7.0], &cfg, |_| {}).unwrap()
         });
         let mut rejoiner = eps.pop().unwrap(); // rank 1
         let mut steady = eps.pop().unwrap(); // rank 0
         let steady_h = thread::spawn(move || {
+            let mut ps = calm_client(&steady, 1, n);
             for step in 0..steps {
-                heartbeat_round(&mut steady, n, step, 0, REPLY).unwrap();
+                ps.heartbeat(&mut steady, step, 0).unwrap();
                 thread::sleep(Duration::from_millis(10));
             }
-            elastic_shutdown(&mut steady, n, steps).unwrap();
+            ps.shutdown(&mut steady, steps);
         });
         let rejoin_h = thread::spawn(move || {
+            let mut ps = calm_client(&rejoiner, 1, n);
             for step in 0..3u64 {
-                heartbeat_round(&mut rejoiner, n, step, 0, REPLY).unwrap();
+                ps.heartbeat(&mut rejoiner, step, 0).unwrap();
             }
             // go dark long enough to be evicted, then come back
             thread::sleep(Duration::from_millis(400));
@@ -1399,9 +1330,9 @@ mod tests {
             assert_eq!(grant.status[1], STATUS_ALIVE, "readmitted before resuming");
             assert!(grant.resume_step > 3);
             for step in grant.resume_step..steps {
-                heartbeat_round(&mut rejoiner, n, step, 0, REPLY).unwrap();
+                ps.heartbeat(&mut rejoiner, step, 0).unwrap();
             }
-            elastic_shutdown(&mut rejoiner, n, steps).unwrap();
+            ps.shutdown(&mut rejoiner, steps);
             grant.resume_step
         });
         steady_h.join().unwrap();
@@ -1431,10 +1362,8 @@ mod tests {
         let last_state: Arc<Mutex<Option<ServerState>>> = Arc::new(Mutex::new(None));
         let sink = Arc::clone(&last_state);
         let crash_cfg = ElasticConfig {
-            round_timeout: Duration::from_millis(400),
-            max_missed: 5,
             crash: Some(ServerCrashPoint::MidSync(3)),
-            ..ElasticConfig::default()
+            ..server_cfg(1, Duration::from_millis(400), 5)
         };
         let resume_cfg = ElasticConfig {
             crash: None,
@@ -1458,15 +1387,19 @@ mod tests {
             .map(|mut ep| {
                 thread::spawn(move || {
                     let id = ep.id();
+                    // the push consumed by the dying server is re-sent
+                    // every 250 ms until the resumed one answers
+                    let mut ps = client(&ep, 1, n, None, Duration::from_millis(250), REPLY * 2);
                     for step in 0..steps {
-                        let status = heartbeat_round(&mut ep, n, step, 1, REPLY).unwrap();
+                        let status = ps.heartbeat(&mut ep, step, 1).unwrap();
                         assert!(status.contains(&STATUS_SYNC));
-                        let avg =
-                            sync_with_retry(&mut ep, n, step, vec![(id * 10) as f32 + step as f32]);
+                        let avg = ps
+                            .sync(&mut ep, step, &[(id * 10) as f32 + step as f32])
+                            .unwrap();
                         // avg of (0 + s, 10 + s) = 5 + s at every step
-                        assert_eq!(avg, vec![5.0 + step as f32], "step {step}");
+                        assert_eq!(&*avg, &[5.0 + step as f32], "step {step}");
                     }
-                    elastic_shutdown(&mut ep, n, steps).unwrap();
+                    ps.shutdown(&mut ep, steps);
                 })
             })
             .collect();
@@ -1492,11 +1425,7 @@ mod tests {
         let n = 2;
         let mut eps = Fabric::new(n + 1);
         let server_ep = eps.pop().unwrap();
-        let cfg = ElasticConfig {
-            round_timeout: Duration::from_millis(300),
-            max_missed: 3,
-            ..ElasticConfig::default()
-        };
+        let cfg = server_cfg(1, Duration::from_millis(300), 3);
         // the server believes it is at step 0; workers start at step 5
         let server = thread::spawn(move || {
             run_elastic_server(server_ep, n, vec![1.0], &cfg, |_| {}).unwrap()
@@ -1505,10 +1434,11 @@ mod tests {
             .into_iter()
             .map(|mut ep| {
                 thread::spawn(move || {
+                    let mut ps = calm_client(&ep, 1, n);
                     for step in 5..8u64 {
-                        heartbeat_round(&mut ep, n, step, 0, REPLY).unwrap();
+                        ps.heartbeat(&mut ep, step, 0).unwrap();
                     }
-                    elastic_shutdown(&mut ep, n, 8).unwrap();
+                    ps.shutdown(&mut ep, 8);
                 })
             })
             .collect();
@@ -1531,10 +1461,8 @@ mod tests {
         let standby_ep = eps.pop().unwrap(); // rank 3
         let server_ep = eps.pop().unwrap(); // rank 2
         let cfg = ElasticConfig {
-            round_timeout: Duration::from_millis(400),
-            max_missed: 3,
             standby: Some(n + 1),
-            ..ElasticConfig::default()
+            ..server_cfg(1, Duration::from_millis(400), 3)
         };
         let standby_cfg = cfg.clone();
         let server = thread::spawn(move || {
@@ -1543,6 +1471,7 @@ mod tests {
         let standby = thread::spawn(move || {
             run_standby_server(
                 standby_ep,
+                n,
                 n,
                 vec![0.0],
                 &standby_cfg,
@@ -1556,12 +1485,13 @@ mod tests {
             .map(|mut ep| {
                 thread::spawn(move || {
                     let id = ep.id();
+                    let mut ps = client(&ep, 1, n, Some(n + 1), REPLY, REPLY);
                     for step in 0..steps {
-                        let status = heartbeat_round(&mut ep, n, step, 1, REPLY).unwrap();
+                        let status = ps.heartbeat(&mut ep, step, 1).unwrap();
                         assert!(status.contains(&STATUS_SYNC));
-                        elastic_sync_round(&mut ep, n, step, vec![id as f32], REPLY).unwrap();
+                        ps.sync(&mut ep, step, &[id as f32]).unwrap();
                     }
-                    elastic_shutdown(&mut ep, n, steps).unwrap();
+                    ps.shutdown(&mut ep, steps);
                 })
             })
             .collect();
@@ -1578,9 +1508,10 @@ mod tests {
         }
     }
 
-    /// The primary dies mid-run; workers fail over to the standby rank,
-    /// which promotes itself from the shadowed state and finishes the
-    /// run with the fault-free averages.
+    /// The primary dies mid-run; once their patience on it is spent the
+    /// workers' clients fail over to the standby rank, which promotes
+    /// itself from the shadowed state and finishes the run with the
+    /// fault-free averages.
     #[test]
     fn standby_promotes_when_workers_fail_over() {
         let n = 2;
@@ -1589,11 +1520,9 @@ mod tests {
         let standby_ep = eps.pop().unwrap(); // rank 3
         let server_ep = eps.pop().unwrap(); // rank 2
         let cfg = ElasticConfig {
-            round_timeout: Duration::from_millis(300),
-            max_missed: 5,
             standby: Some(n + 1),
             crash: Some(ServerCrashPoint::RoundStart(3)),
-            ..ElasticConfig::default()
+            ..server_cfg(1, Duration::from_millis(300), 5)
         };
         let standby_cfg = ElasticConfig {
             crash: None,
@@ -1607,6 +1536,7 @@ mod tests {
             run_standby_server(
                 standby_ep,
                 n,
+                n,
                 vec![0.0],
                 &standby_cfg,
                 Duration::from_secs(20),
@@ -1619,57 +1549,29 @@ mod tests {
             .map(|mut ep| {
                 thread::spawn(move || {
                     let id = ep.id();
-                    let mut server = n; // primary until failover
+                    let mut ps = client(
+                        &ep,
+                        1,
+                        n,
+                        Some(n + 1),
+                        Duration::from_millis(250),
+                        Duration::from_millis(600),
+                    );
                     for step in 0..steps {
-                        // heartbeat with failover: on a dead primary,
-                        // redirect to the standby rank and retry
-                        let status = loop {
-                            match heartbeat_round(
-                                &mut ep,
-                                server,
-                                step,
-                                1,
-                                Duration::from_millis(250),
-                            ) {
-                                Ok(s) => break s,
-                                Err(TransportError::PeerUnreachable { peer })
-                                    if peer == n && server == n =>
-                                {
-                                    server = n + 1;
-                                }
-                                Err(TransportError::RecvTimeout { .. }) => {
-                                    // lost reply: the primary died after
-                                    // our send — fail over as well
-                                    if server == n {
-                                        server = n + 1;
-                                    }
-                                }
-                                Err(e) => panic!("heartbeat failed: {e}"),
-                            }
-                        };
+                        let status = ps.heartbeat(&mut ep, step, 1).unwrap();
                         assert!(status.contains(&STATUS_SYNC));
-                        let avg = sync_with_retry(
-                            &mut ep,
-                            server,
-                            step,
-                            vec![(id * 10) as f32 + step as f32],
-                        );
-                        assert_eq!(avg, vec![5.0 + step as f32], "step {step}");
+                        let avg = ps
+                            .sync(&mut ep, step, &[(id * 10) as f32 + step as f32])
+                            .unwrap();
+                        assert_eq!(&*avg, &[5.0 + step as f32], "step {step}");
                     }
-                    elastic_shutdown(&mut ep, server, steps).unwrap();
-                    server
+                    ps.shutdown(&mut ep, steps);
                 })
             })
             .collect();
-        let mut final_servers = Vec::new();
         for h in handles {
-            final_servers.push(h.join().unwrap());
+            h.join().unwrap();
         }
-        assert_eq!(
-            final_servers,
-            vec![n + 1, n + 1],
-            "both workers ended on the standby"
-        );
         let primary = server.join().unwrap();
         assert!(primary.crashed);
         assert_eq!(primary.syncs, 3, "steps 0..2 synced before the crash");
@@ -1682,6 +1584,50 @@ mod tests {
             }
             StandbyOutcome::Retired { .. } => panic!("standby must be promoted"),
         }
+    }
+
+    /// `average` zips its inputs, so a push shorter than the server's
+    /// range would silently truncate the round: the server must refuse
+    /// it, whether it arrives whole or as a bucket set.
+    #[test]
+    fn wrong_length_push_errors_the_server() {
+        for bucketed in [false, true] {
+            let mut eps = Fabric::new(2);
+            let server_ep = eps.pop().unwrap();
+            let w = eps.pop().unwrap();
+            let cfg = server_cfg(3, Duration::from_millis(400), 3);
+            let server =
+                thread::spawn(move || run_elastic_server(server_ep, 1, vec![0.0; 3], &cfg, |_| {}));
+            let tag = phase_tag(0, SYNC_PHASE);
+            if bucketed {
+                for p in crate::bucket::bucket_payloads(&[1.0, 2.0], 1) {
+                    w.send(1, tag, p).unwrap();
+                }
+            } else {
+                w.send(1, tag, Payload::ShardPush(vec![1.0, 2.0])).unwrap();
+            }
+            let err = server.join().unwrap().unwrap_err();
+            assert!(matches!(err, TransportError::Protocol(_)), "{err:?}");
+        }
+    }
+
+    /// Only workers converse with a shard's server; traffic from any
+    /// other rank (here: a sibling shard of a K = 2 group) is a wiring
+    /// fault the server reports instead of indexing its membership with.
+    #[test]
+    fn foreign_rank_traffic_is_a_protocol_error() {
+        let n = 1;
+        let mut eps = Fabric::new(n + 2);
+        let sibling = eps.pop().unwrap(); // rank 2
+        let server_ep = eps.pop().unwrap(); // rank 1
+        let cfg = server_cfg(1, Duration::from_millis(400), 3);
+        let server =
+            thread::spawn(move || run_elastic_server(server_ep, n, vec![0.0], &cfg, |_| {}));
+        sibling
+            .send(1, phase_tag(0, FLAGS_PHASE), Payload::Flags(vec![0]))
+            .unwrap();
+        let err = server.join().unwrap().unwrap_err();
+        assert!(matches!(err, TransportError::Protocol(_)), "{err:?}");
     }
 
     /// The eviction rule replayed as the pure function it is: a worker
@@ -1786,12 +1732,8 @@ mod tests {
         let n = 2;
         let mut eps = Fabric::new(n + 1);
         let server_ep = eps.pop().unwrap();
-        let cfg = ElasticConfig {
-            round_timeout: Duration::from_millis(60),
-            // plenty of miss budget: the stall must age, not evict
-            max_missed: 50,
-            ..ElasticConfig::default()
-        };
+        // plenty of miss budget: the stall must age, not evict
+        let cfg = server_cfg(2, Duration::from_millis(60), 50);
         let server = thread::spawn(move || {
             run_elastic_server(server_ep, n, vec![0.0; 2], &cfg, |_| {}).unwrap()
         });
@@ -1800,23 +1742,24 @@ mod tests {
             .map(|mut ep| {
                 thread::spawn(move || {
                     let id = ep.id();
+                    let mut ps = calm_client(&ep, 2, n);
                     for step in 0..2u64 {
-                        heartbeat_round(&mut ep, n, step, 0, REPLY).unwrap();
+                        ps.heartbeat(&mut ep, step, 0).unwrap();
                     }
                     // both workers go dark for ~7 empty round-timeouts
                     thread::sleep(Duration::from_millis(400));
-                    let status = heartbeat_round(&mut ep, n, 2, 1, REPLY).unwrap();
+                    let status = ps.heartbeat(&mut ep, 2, 1).unwrap();
                     assert!(
                         status.contains(&STATUS_SYNC),
                         "sync bit after the stall must survive into the status, got {status:?}"
                     );
-                    let avg = elastic_sync_round(&mut ep, n, 2, vec![id as f32; 2], REPLY).unwrap();
+                    let avg = ps.sync(&mut ep, 2, &[id as f32; 2]).unwrap();
                     assert_eq!(
                         &*avg,
                         &[0.5, 0.5],
                         "post-stall sync must average both replicas"
                     );
-                    elastic_shutdown(&mut ep, n, 3).unwrap();
+                    ps.shutdown(&mut ep, 3);
                 })
             })
             .collect();

@@ -134,8 +134,9 @@ pub fn send_shutdown<T: Transport>(
 ///
 /// # Errors
 /// Propagates transport faults; [`TransportError::Protocol`] on a
-/// malformed round (mixed push kinds, partial shutdown, unknown payload,
-/// structurally invalid bucket/compressed frame).
+/// malformed round (mixed push kinds, pushes of unequal length, partial
+/// shutdown, unknown payload, structurally invalid bucket/compressed
+/// frame).
 pub fn run_round_server<T: Transport>(
     mut ep: T,
     n_workers: usize,
@@ -185,6 +186,20 @@ pub fn run_round_server<T: Transport>(
             return Err(TransportError::Protocol(
                 "a round cannot mix parameter and gradient pushes".into(),
             ));
+        }
+        // `average` zips its inputs: pushes of unequal length would
+        // silently truncate the round to the shortest one
+        let pushes = if param_pushes.is_empty() {
+            &grad_pushes
+        } else {
+            &param_pushes
+        };
+        if let Some(w) = pushes.windows(2).find(|w| w[0].len() != w[1].len()) {
+            return Err(TransportError::Protocol(format!(
+                "a round's pushes must agree in length, got {} and {} values",
+                w[0].len(),
+                w[1].len()
+            )));
         }
         if shutdowns > 0 {
             if shutdowns != batch.len() {
@@ -511,6 +526,19 @@ mod tests {
             },
         )
         .unwrap();
+        let err = server.join().unwrap().unwrap_err();
+        assert!(matches!(err, TransportError::Protocol(_)), "{err:?}");
+    }
+
+    #[test]
+    fn unequal_length_pushes_error_the_server() {
+        // a shorter first push would otherwise truncate the averaged
+        // "global" that is stored and broadcast
+        let mut eps = Fabric::new(3);
+        let server_ep = eps.pop().unwrap();
+        let server = thread::spawn(move || run_round_server(server_ep, 2, vec![0.0; 2]));
+        eps[0].send(2, 0, Payload::Params(vec![1.0])).unwrap();
+        eps[1].send(2, 0, Payload::Params(vec![1.0, 2.0])).unwrap();
         let err = server.join().unwrap().unwrap_err();
         assert!(matches!(err, TransportError::Protocol(_)), "{err:?}");
     }

@@ -1,14 +1,17 @@
-//! Worker-side client for a **range-sharded parameter-server group**.
+//! Worker-side client for the **elastic parameter-server group** — the
+//! only elastic PS client there is.
 //!
-//! A sharded PS group splits the flat parameter vector into K contiguous
-//! ranges ([`crate::elastic::shard_starts`]) and runs one elastic server
-//! per range. [`ShardedPsClient`] is the worker's view of the group: it
-//! splits every push into K [`Payload::ShardPush`] sub-frames, fans them
-//! out to the K shard ranks back-to-back (all K requests are in flight
-//! concurrently — the congested `model_bytes × N` single-socket ingress
-//! of the monolithic PS becomes K parallel `model_bytes × N / K`
-//! streams), then collects the K [`Payload::ShardPull`] replies in
-//! whatever order they arrive and reassembles the full vector.
+//! An elastic PS group splits the flat parameter vector into K
+//! contiguous ranges ([`crate::elastic::shard_starts`]) and runs one
+//! elastic server per range; the default deployment is the K = 1 group,
+//! one server owning the whole vector. [`ShardedPsClient`] is the
+//! worker's view of the group: it splits every push into K
+//! [`Payload::ShardPush`] sub-frames, fans them out to the K shard ranks
+//! back-to-back (all K requests are in flight concurrently — the
+//! congested `model_bytes × N` single-socket ingress of one server
+//! becomes K parallel `model_bytes × N / K` streams), then collects the
+//! K [`Payload::ShardPull`] replies in whatever order they arrive and
+//! reassembles the full vector.
 //!
 //! Heartbeats fan out the same way: every shard tracks worker liveness
 //! independently, so each can evict dead workers and keep its range
@@ -33,7 +36,7 @@
 //! plus `(K−1) × (FRAME_HEADER_BYTES + 4 + FRAME_CRC_BYTES)` of
 //! per-frame framing — see
 //! [`monolithic_push_wire_bytes`]/[`fanout_push_wire_bytes`]. At K = 1
-//! the sharded path is byte-for-byte identical to the monolithic one.
+//! a push is one frame of exactly the `Params` size.
 //! Per-shard [`CommStats`] instances record every sub-frame, so the
 //! accounting is auditable per shard as well as in total.
 
@@ -46,7 +49,7 @@ use crate::stats::CommStats;
 use crate::transport::Transport;
 use std::time::{Duration, Instant};
 
-/// Exact wire bytes of a monolithic parameter push (or pull reply) of
+/// Exact wire bytes of a one-frame parameter push (or pull reply) of
 /// `len` floats: frame header + `u32 count` + the values + CRC trailer.
 pub fn monolithic_push_wire_bytes(len: usize) -> u64 {
     FRAME_HEADER_BYTES + 4 + 4 * len as u64 + FRAME_CRC_BYTES
@@ -59,8 +62,7 @@ pub fn fanout_push_wire_bytes(len: usize, k: usize) -> u64 {
     monolithic_push_wire_bytes(len) + (k as u64 - 1) * (FRAME_HEADER_BYTES + 4 + FRAME_CRC_BYTES)
 }
 
-/// Timeouts and retry budget for the sharded client, mirroring the
-/// worker-side knobs of the monolithic failover layer.
+/// Timeouts and retry budget for the client's per-shard failover.
 #[derive(Debug, Clone)]
 pub struct ShardClientConfig {
     /// Wait for any outstanding shard reply before resending.
@@ -73,7 +75,7 @@ pub struct ShardClientConfig {
     /// `Some(B)` ships each shard's push as B-value [`Payload::Bucket`]
     /// frames instead of one [`Payload::ShardPush`]; the shard server
     /// reassembles them by index, so retries (which resend the whole
-    /// per-shard set) stay idempotent. `None` keeps the monolithic
+    /// per-shard set) stay idempotent. `None` keeps the single
     /// sub-frame.
     pub bucket: Option<usize>,
 }
@@ -104,7 +106,7 @@ struct ShardLink {
 
 /// The worker's client onto a K-shard PS group. See the module docs.
 pub struct ShardedPsClient {
-    /// This worker's *logical* id (index into status vectors).
+    /// This worker's rank, which is its index into status vectors.
     me: usize,
     /// The agreed partition map.
     spec: ShardSpec,
@@ -163,7 +165,7 @@ impl ShardedPsClient {
         self.links.len()
     }
 
-    /// This worker's logical id (its index in status vectors).
+    /// This worker's rank (its index in status vectors).
     pub fn me(&self) -> usize {
         self.me
     }

@@ -1,20 +1,29 @@
-//! Elastic fault-tolerant training: the SelSync worker loop rebuilt on
-//! the `selsync-comm` elastic membership protocol.
+//! Elastic fault-tolerant training: the SelSync worker loop and the
+//! server ranks of one **elastic PS group**, built on the `selsync-comm`
+//! elastic membership protocol.
 //!
-//! In elastic mode every step's flags exchange routes through the PS and
-//! doubles as a heartbeat ([`selsync_comm::elastic`]). This module adds
-//! the training side of the protocol:
+//! There is one elastic deployment: W workers and a group of K elastic
+//! servers, each owning one contiguous range of the flat parameter
+//! vector (K = 1 unless the launcher says otherwise — one server owning
+//! everything), optionally with one hot standby per server. Ranks are
+//! laid out workers-first ([`ShardLayout`]). Every step's flags exchange
+//! routes through the group and doubles as a heartbeat
+//! ([`selsync_comm::elastic`]); workers reach it through the fan-out
+//! client ([`ShardedPsClient`]). This module adds the training side of
+//! the protocol:
 //!
 //! - **Eviction tolerance**: when the status vector reports a rank dead,
 //!   the survivors deterministically *re-partition* the dataset over the
 //!   remaining members and keep training — no barrier ever waits on a
 //!   corpse.
-//! - **Checkpointing**: the server writes the global parameters to disk
-//!   (via [`crate::checkpoint`]) after every completed sync round.
+//! - **Checkpointing**: each server writes its range of the global
+//!   parameters to disk (via [`crate::checkpoint`], at
+//!   [`shard_state_path`]) after every completed sync round, so one
+//!   server can crash, resume from its own file or promote its standby,
+//!   and catch its workers up while its siblings keep serving.
 //! - **Rejoin**: an evicted or restarted worker warm-starts from the
-//!   latest checkpoint (falling back to the parameters carried by the
-//!   join grant), resumes at the server-assigned step, and re-enters the
-//!   membership.
+//!   parameters carried by the servers' join grants, resumes at the
+//!   server-assigned step, and re-enters the membership.
 //!
 //! Scheduled crashes ([`ElasticOptions::crash_at`]) are enforced here —
 //! the worker goes silent just before the given step — because a
@@ -27,17 +36,18 @@ use crate::metrics::{EvalRecord, StepRecord};
 use crate::trainer::{evaluate, grad_sqnorm, AnyCursor, AnyOptimizer, WorkerOutput};
 use crate::workload::{Workload, WorkloadData, SEQ_LEN};
 use selsync_comm::elastic::{
-    elastic_shutdown, elastic_sync_round, elastic_sync_round_bucketed, heartbeat_round,
     join_request, run_elastic_server, run_elastic_server_from, run_standby_server, ElasticConfig,
     ElasticReport, ServerCrashPoint, ServerState, StandbyOutcome, STATUS_DEAD, STATUS_SYNC,
 };
-use selsync_comm::{FlatVec, Transport, TransportError};
+use selsync_comm::shard::{ShardClientConfig, ShardedPsClient};
+use selsync_comm::{Transport, TransportError};
 use selsync_data::{partition_indices, BatchCursor, TextBatchCursor};
 use selsync_nn::flat::{clip_grad_norm, flat_params, flat_params_into, set_flat_params};
 use selsync_nn::loss::softmax_cross_entropy;
+use selsync_shard::{Role, ShardLayout, ShardMap};
 use selsync_stats::{LssrCounter, RelativeGradChange};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Knobs of an elastic run, shared by the server and worker ranks.
 #[derive(Debug, Clone)]
@@ -55,20 +65,18 @@ pub struct ElasticOptions {
     /// network can eat a heartbeat; the server answers stale resends
     /// with catch-up replies).
     pub comm_retries: u32,
-    /// Server: write a crash-consistent v2 state checkpoint here after
-    /// every sync. Rejoining workers warm-start from this file, a
-    /// restarted PS resumes from it, and each worker mirrors its own
-    /// private state next to it (see [`worker_state_path`]).
+    /// Server: write a crash-consistent v2 state checkpoint after every
+    /// sync, at [`shard_state_path`] of this base path. A restarted
+    /// server resumes from it, and each worker mirrors its own private
+    /// state next to it (see [`worker_state_path`]).
     pub checkpoint: Option<PathBuf>,
     /// Worker: go silent just before this step (scheduled crash).
     pub crash_at: Option<u64>,
-    /// Worker: total budget for re-reaching a silent or unreachable PS
-    /// (resend with capped-backoff redials) before failing over to the
-    /// standby — or, without one, giving up with the transport error.
+    /// Worker: per-server budget for re-reaching a silent or unreachable
+    /// server (resend with capped-backoff redials) before failing over
+    /// to its standby — or, without one, giving up with the transport
+    /// error.
     pub ps_patience: Duration,
-    /// Cluster runs a hot-standby PS at rank `n_workers + 1`: the server
-    /// shadows state to it and workers fail over to it.
-    pub standby: bool,
     /// Server: die at a scheduled point (chaos/fault experiments).
     pub server_crash: Option<ServerCrashPoint>,
 }
@@ -92,31 +100,52 @@ impl ElasticOptions {
             checkpoint: None,
             crash_at: None,
             ps_patience: reply_timeout * 3,
-            standby: false,
             server_crash: None,
         }
     }
-
-    /// Rank of the hot standby, when configured.
-    pub fn standby_rank(&self, n_workers: usize) -> Option<usize> {
-        self.standby.then_some(n_workers + 1)
-    }
 }
 
-/// Where worker `rank` mirrors its private training state (optimizer
-/// slots, Δ(g) stream, cursor position) relative to the server's
-/// checkpoint path: `<ckpt>.w<rank>`.
-pub fn worker_state_path(base: &Path, rank: usize) -> PathBuf {
+fn with_suffix(base: &Path, suffix: &str) -> PathBuf {
     let mut name = base
         .file_name()
         .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
-    name.push_str(&format!(".w{rank}"));
+    name.push_str(suffix);
     base.with_file_name(name)
 }
 
-pub(crate) fn validate_elastic(config: &RunConfig, workload: &Workload) {
+/// Where worker `rank` mirrors its private training state (optimizer
+/// slots, Δ(g) stream, cursor position) relative to the run's base
+/// checkpoint path: `<ckpt>.w<rank>`.
+pub fn worker_state_path(base: &Path, rank: usize) -> PathBuf {
+    with_suffix(base, &format!(".w{rank}"))
+}
+
+/// Where shard `s` keeps its durable state (and its `--save-params`
+/// output) relative to the run's base path — the one naming rule: the
+/// only server of a K = 1 group writes the base path itself, a K ≥ 2
+/// group writes one `<base>.s<s>` per shard (each with its own `.prev`
+/// generation). One file per shard is what makes recovery independent:
+/// a crashed shard resumes from *its* last sync without touching its
+/// siblings' files.
+pub fn shard_state_path(base: &Path, layout: &ShardLayout, s: usize) -> PathBuf {
+    if layout.k == 1 {
+        base.to_path_buf()
+    } else {
+        with_suffix(base, &format!(".s{s}"))
+    }
+}
+
+/// The partition map every rank of an elastic run computes: the model's
+/// flat parameter count split over the layout's K shards.
+pub fn shard_map_for(workload: &Workload, layout: &ShardLayout) -> ShardMap {
+    let total = flat_params(workload.build_model().as_visitor()).len() as u64;
+    ShardMap::compute(total, layout.k)
+}
+
+fn validate_elastic(config: &RunConfig, layout: &ShardLayout) {
     assert!(config.n_workers >= 1, "need at least one worker");
     assert!(config.max_steps >= 1, "need at least one step");
+    assert_eq!(layout.n_workers, config.n_workers, "layout/config mismatch");
     assert_eq!(
         config.backend,
         SyncBackend::ParameterServer,
@@ -153,12 +182,21 @@ pub(crate) fn validate_elastic(config: &RunConfig, workload: &Workload) {
         // cheap frame set instead of wedging on one giant write
         assert!(bucket > 0, "overlap bucket size must be positive");
     }
-    let _ = workload;
+}
+
+/// Launch-time wiring check: the index `rank` holds under the role
+/// `want` (`Role::Shard`, `Role::Worker` or `Role::Standby`). A rank
+/// started under the wrong role must die loudly before serving.
+fn expect_role(rank: usize, layout: &ShardLayout, want: fn(usize) -> Role) -> usize {
+    let is = layout.role_of(rank);
+    let (Role::Shard(i) | Role::Worker(i) | Role::Standby(i)) = is;
+    assert_eq!(is, want(i), "rank {rank} was launched under the wrong role");
+    i
 }
 
 /// Ranks a status vector reports as members (anything but dead — a rank
 /// that merely missed a round is still in the membership).
-pub(crate) fn alive_ranks(status: &[u8]) -> Vec<usize> {
+fn alive_ranks(status: &[u8]) -> Vec<usize> {
     status
         .iter()
         .enumerate()
@@ -198,291 +236,66 @@ fn build_cursor(
     }
 }
 
-/// The worker's view of the parameter server, including the failover
-/// budget and target. Shared by every round helper so a mid-step
-/// failover sticks for the rest of the run.
-struct PsLink {
-    server: usize,
-    standby: Option<usize>,
+/// What one server-side rank — a shard's server or its standby — derives
+/// from the launch: which shard it holds, that shard's slice of the
+/// seeded initial parameters, its liveness policy, and its checkpoint
+/// file.
+struct ShardSeat {
+    shard: usize,
+    init: Vec<f32>,
+    cfg: ElasticConfig,
+    checkpoint: Option<PathBuf>,
 }
 
-/// Drive one PS round to completion through the failover policy: resend
-/// on a lost reply, redial with capped exponential backoff on an
-/// unreachable server, and — once the patience budget is spent — switch
-/// to the standby rank (at most once) before giving up.
-fn round_with_failover<R>(
-    link: &mut PsLink,
-    opts: &ElasticOptions,
-    mut round: impl FnMut(usize) -> Result<R, TransportError>,
-) -> Result<R, TransportError> {
-    let mut deadline: Option<Instant> = None;
-    let mut attempts = 0u32;
-    let mut backoff = Duration::from_millis(50);
-    loop {
-        let err = match round(link.server) {
-            Ok(r) => return Ok(r),
-            Err(e @ TransportError::RecvTimeout { .. }) => e,
-            Err(TransportError::PeerUnreachable { peer }) if peer == link.server => {
-                // instant failure: pace the redials
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_secs(1));
-                TransportError::PeerUnreachable { peer }
-            }
-            other => return other,
-        };
-        attempts += 1;
-        let deadline = *deadline.get_or_insert_with(|| Instant::now() + opts.ps_patience);
-        if attempts > opts.comm_retries && Instant::now() >= deadline {
-            match link.standby.take() {
-                Some(sb) => {
-                    // fail over: the standby promotes itself on first
-                    // contact and answers from the shadowed state
-                    link.server = sb;
-                    attempts = 0;
-                    backoff = Duration::from_millis(50);
-                }
-                None => return Err(err),
-            }
-        }
-    }
-}
-
-fn heartbeat_retry<T: Transport>(
-    ep: &mut T,
-    link: &mut PsLink,
-    step: u64,
-    bit: u8,
-    opts: &ElasticOptions,
-) -> Result<Vec<u8>, TransportError> {
-    round_with_failover(link, opts, |server| {
-        heartbeat_round(ep, server, step, bit, opts.reply_timeout)
-    })
-}
-
-fn sync_retry<T: Transport>(
-    ep: &mut T,
-    link: &mut PsLink,
-    step: u64,
-    params: &[f32],
-    bucket: Option<usize>,
-    opts: &ElasticOptions,
-) -> Result<FlatVec, TransportError> {
-    round_with_failover(link, opts, |server| match bucket {
-        // bucketed push (DESIGN.md §12): each retry resends the complete
-        // frame set, which the server assembles idempotently
-        Some(b) => elastic_sync_round_bucketed(ep, server, step, params, b, opts.reply_timeout),
-        None => elastic_sync_round(ep, server, step, params.to_vec(), opts.reply_timeout),
-    })
-}
-
-/// The worker's session onto its parameter service — a single
-/// monolithic PS ([`MonoSession`]) or a K-shard group
-/// (`crate::shard::ShardSession`) — so the elastic training loop is one
-/// code path regardless of how the service is deployed. At K = 1 the
-/// sharded implementation performs the identical message sequence, which
-/// is what makes the bit-identity guarantee a structural property rather
-/// than a testing accident.
-pub(crate) trait PsSession {
-    /// This worker's logical id (its index in status vectors).
-    fn me(&self) -> usize;
-    /// One flags/heartbeat round; returns the membership status vector.
-    fn heartbeat(&mut self, step: u64, bit: u8) -> Result<Vec<u8>, TransportError>;
-    /// One parameter-averaging round; returns the new global vector.
-    fn sync(&mut self, step: u64, params: &[f32]) -> Result<FlatVec, TransportError>;
-    /// Announce a clean finish to the service.
-    fn shutdown(&mut self, step: u64) -> Result<(), TransportError>;
-}
-
-/// [`PsSession`] over the monolithic single-PS deployment: rank
-/// `n_workers`, with the PR 3 failover policy toward its hot standby.
-pub(crate) struct MonoSession<'a, T: Transport> {
-    ep: &'a mut T,
-    link: PsLink,
-    opts: &'a ElasticOptions,
-    /// `Some(B)` ships parameter pushes as B-value Bucket frames
-    /// (DESIGN.md §12) instead of one monolithic vector.
-    bucket: Option<usize>,
-}
-
-impl<'a, T: Transport> MonoSession<'a, T> {
-    pub(crate) fn new(
-        ep: &'a mut T,
-        n_workers: usize,
-        opts: &'a ElasticOptions,
-        bucket: Option<usize>,
-    ) -> Self {
-        let link = PsLink {
-            server: n_workers,
-            standby: opts.standby_rank(n_workers),
-        };
-        MonoSession {
-            ep,
-            link,
-            opts,
-            bucket,
-        }
-    }
-}
-
-impl<T: Transport> PsSession for MonoSession<'_, T> {
-    fn me(&self) -> usize {
-        self.ep.id()
-    }
-
-    fn heartbeat(&mut self, step: u64, bit: u8) -> Result<Vec<u8>, TransportError> {
-        heartbeat_retry(&mut *self.ep, &mut self.link, step, bit, self.opts)
-    }
-
-    fn sync(&mut self, step: u64, params: &[f32]) -> Result<FlatVec, TransportError> {
-        sync_retry(
-            &mut *self.ep,
-            &mut self.link,
-            step,
-            params,
-            self.bucket,
-            self.opts,
-        )
-    }
-
-    fn shutdown(&mut self, step: u64) -> Result<(), TransportError> {
-        elastic_shutdown(&mut *self.ep, self.link.server, step)
-    }
-}
-
-/// Run the elastic parameter server for one experiment. Blocks until
-/// every member has finished or been evicted; returns the membership
-/// history and final global parameters.
-///
-/// # Errors
-/// Propagates unrecoverable transport faults; dying *workers* are not
-/// errors — they are evicted and reported in the [`ElasticReport`].
-pub fn run_elastic_server_rank<T: Transport>(
-    ep: T,
+fn shard_seat(
+    rank: usize,
+    role: fn(usize) -> Role,
     config: &RunConfig,
     workload: &Workload,
     opts: &ElasticOptions,
-) -> Result<ElasticReport, TransportError> {
-    validate_elastic(config, workload);
-    assert_eq!(
-        ep.id(),
-        config.n_workers,
-        "the PS listens on rank n_workers"
-    );
-    let init = flat_params(workload.build_model().as_visitor());
-    let cfg = server_elastic_config(config, opts);
-    run_elastic_server(
-        ep,
-        config.n_workers,
-        init,
-        &cfg,
-        server_checkpoint_writer(config, opts),
-    )
-}
-
-/// Restart the elastic PS from a recovered [`checkpoint::TrainState`]
-/// (the durable image of its last completed sync): training continues
-/// from that sync boundary, reconciling workers wherever the crash left
-/// them (see [`selsync_comm::elastic::run_elastic_server_from`]).
-///
-/// # Errors
-/// As [`run_elastic_server_rank`].
-pub fn run_elastic_server_rank_from<T: Transport>(
-    ep: T,
-    config: &RunConfig,
-    workload: &Workload,
-    opts: &ElasticOptions,
-    state: &checkpoint::TrainState,
-) -> Result<ElasticReport, TransportError> {
-    validate_elastic(config, workload);
-    assert_eq!(
-        ep.id(),
-        config.n_workers,
-        "the PS listens on rank n_workers"
-    );
-    assert_eq!(
-        state.alive.len(),
-        config.n_workers,
-        "checkpoint membership must match the configured worker count"
-    );
-    let mut cfg = server_elastic_config(config, opts);
-    // the workers' in-flight rounds died with the old PS: hold off
-    // liveness judgements until their resends can possibly arrive.
-    // Two reply windows, not one — a resend written into the dying
-    // kernel socket before the reset surfaces is silently lost, and
-    // the worker only notices one full reply timeout later.
-    cfg.resume_grace = opts.reply_timeout * 2 + opts.round_timeout;
-    run_elastic_server_from(
-        ep,
-        ServerState {
-            step: state.step,
-            syncs: state.syncs,
-            global: state.params.clone(),
-            alive: state.alive.clone(),
-            done: state.done.clone(),
-            evictions: state.evictions.clone(),
-            joins: state.joins.clone(),
-        },
-        &cfg,
-        server_checkpoint_writer(config, opts),
-    )
-}
-
-/// Run the hot-standby PS rank (`n_workers + 1`): shadow the primary's
-/// sync state, promote to a full server if workers fail over here, and
-/// keep writing the same checkpoint once promoted.
-///
-/// # Errors
-/// Propagates unrecoverable transport faults.
-pub fn run_standby_server_rank<T: Transport>(
-    ep: T,
-    config: &RunConfig,
-    workload: &Workload,
-    opts: &ElasticOptions,
-) -> Result<StandbyOutcome, TransportError> {
-    validate_elastic(config, workload);
-    assert_eq!(
-        ep.id(),
-        config.n_workers + 1,
-        "the standby listens on rank n_workers + 1"
-    );
-    let init = flat_params(workload.build_model().as_visitor());
-    let mut cfg = server_elastic_config(config, opts);
-    // once promoted, wait out the failover skew: workers switch over one
-    // by one as their individual patience budgets run dry
-    cfg.resume_grace = opts.ps_patience + opts.reply_timeout;
-    // outlive every worker's failover budget before concluding the
-    // whole cluster is gone
-    let max_silence = (opts.ps_patience + opts.reply_timeout) * 3;
-    run_standby_server(
-        ep,
-        config.n_workers,
-        init,
-        &cfg,
-        max_silence,
-        server_checkpoint_writer(config, opts),
-    )
-}
-
-pub(crate) fn server_elastic_config(config: &RunConfig, opts: &ElasticOptions) -> ElasticConfig {
-    ElasticConfig {
+    layout: &ShardLayout,
+) -> ShardSeat {
+    validate_elastic(config, layout);
+    let shard = expect_role(rank, layout, role);
+    let full = flat_params(workload.build_model().as_visitor());
+    let map = ShardMap::compute(full.len() as u64, layout.k);
+    let mut cfg = ElasticConfig {
         round_timeout: opts.round_timeout,
         max_missed: opts.max_missed,
-        standby: opts.standby_rank(config.n_workers),
+        standby: layout.standby.then(|| layout.standby_rank(shard)),
         crash: opts.server_crash,
-        shard_map: None,
-        resume_grace: Duration::ZERO,
+        ..ElasticConfig::new(map.spec().clone())
+    };
+    if map.k() > 1 {
+        // Widen the eviction budget to cover a *sibling* shard's
+        // recovery window. A worker whose fan-out is stalled on a dead
+        // shard goes silent toward the healthy shards for up to
+        // `ps_patience` (its per-shard failover budget); without this
+        // allowance the healthy shards would read that stall as worker
+        // death and evict the whole cluster. The only server of a K = 1
+        // group has no sibling to wait for and keeps `max_missed` as
+        // given. Fault-free rounds never accumulate misses, so this only
+        // slows eviction of genuinely dead workers by the patience
+        // window (DESIGN.md §10).
+        let round_ms = cfg.round_timeout.as_millis().max(1);
+        let stall_rounds = (opts.ps_patience.as_millis() / round_ms) as u32 + 1;
+        cfg.max_missed = cfg.max_missed.saturating_add(stall_rounds);
+    }
+    ShardSeat {
+        shard,
+        init: map.slice(&full, shard).to_vec(),
+        cfg,
+        checkpoint: opts
+            .checkpoint
+            .as_ref()
+            .map(|p| shard_state_path(p, layout, shard)),
     }
 }
 
 /// The write-ahead checkpoint hook: persist every completed sync round's
 /// server state as a v2 checkpoint before any worker can see the round's
 /// result. Best effort — a full disk must not take the cluster down.
-pub(crate) fn server_checkpoint_writer(
-    config: &RunConfig,
-    opts: &ElasticOptions,
-) -> impl FnMut(&ServerState) {
-    let ckpt = opts.checkpoint.clone();
-    let seed = config.seed;
+fn server_checkpoint_writer(seed: u64, ckpt: Option<PathBuf>) -> impl FnMut(&ServerState) {
     move |state: &ServerState| {
         if let Some(path) = &ckpt {
             let ts = checkpoint::TrainState {
@@ -505,67 +318,224 @@ pub(crate) fn server_checkpoint_writer(
     }
 }
 
-/// Run one elastic worker rank from step 0. Takes the endpoint by
+/// Run one server of the elastic PS group — the shard `layout` assigns
+/// to this rank. Blocks until every member has finished or been evicted;
+/// returns this shard's membership history and final range parameters.
+///
+/// # Errors
+/// Propagates unrecoverable transport faults; dying *workers* are not
+/// errors — they are evicted and reported in the [`ElasticReport`].
+pub fn run_elastic_server_rank<T: Transport>(
+    ep: T,
+    config: &RunConfig,
+    workload: &Workload,
+    opts: &ElasticOptions,
+    layout: ShardLayout,
+) -> Result<ElasticReport, TransportError> {
+    let seat = shard_seat(ep.id(), Role::Shard, config, workload, opts, &layout);
+    run_elastic_server(
+        ep,
+        config.n_workers,
+        seat.init,
+        &seat.cfg,
+        server_checkpoint_writer(config.seed, seat.checkpoint),
+    )
+}
+
+/// Restart one server of the group from its recovered
+/// [`checkpoint::TrainState`] (the durable image of its last completed
+/// sync, loaded from [`shard_state_path`]): training on this range
+/// continues from that sync boundary, reconciling workers wherever the
+/// crash left them (see
+/// [`selsync_comm::elastic::run_elastic_server_from`]), while any
+/// sibling shards keep serving uninterrupted.
+///
+/// # Errors
+/// As [`run_elastic_server_rank`].
+pub fn run_elastic_server_rank_from<T: Transport>(
+    ep: T,
+    config: &RunConfig,
+    workload: &Workload,
+    opts: &ElasticOptions,
+    layout: ShardLayout,
+    state: &checkpoint::TrainState,
+) -> Result<ElasticReport, TransportError> {
+    let mut seat = shard_seat(ep.id(), Role::Shard, config, workload, opts, &layout);
+    assert_eq!(
+        state.params.len(),
+        seat.init.len(),
+        "checkpoint holds a different range than shard {} owns",
+        seat.shard
+    );
+    assert_eq!(
+        state.alive.len(),
+        config.n_workers,
+        "checkpoint membership must match the configured worker count"
+    );
+    // the workers' in-flight rounds died with the old server: hold off
+    // liveness judgements until their resends can possibly arrive.
+    // Two reply windows, not one — a resend written into the dying
+    // kernel socket before the reset surfaces is silently lost, and
+    // the worker only notices one full reply timeout later.
+    seat.cfg.resume_grace = opts.reply_timeout * 2 + opts.round_timeout;
+    run_elastic_server_from(
+        ep,
+        ServerState {
+            step: state.step,
+            syncs: state.syncs,
+            global: state.params.clone(),
+            alive: state.alive.clone(),
+            done: state.done.clone(),
+            evictions: state.evictions.clone(),
+            joins: state.joins.clone(),
+        },
+        &seat.cfg,
+        server_checkpoint_writer(config.seed, seat.checkpoint),
+    )
+}
+
+/// Run one shard's hot standby: shadow that shard's sync state, promote
+/// to a full server if its workers fail over here, and keep writing the
+/// shard's checkpoint once promoted.
+///
+/// # Errors
+/// Propagates unrecoverable transport faults.
+pub fn run_standby_server_rank<T: Transport>(
+    ep: T,
+    config: &RunConfig,
+    workload: &Workload,
+    opts: &ElasticOptions,
+    layout: ShardLayout,
+) -> Result<StandbyOutcome, TransportError> {
+    let mut seat = shard_seat(ep.id(), Role::Standby, config, workload, opts, &layout);
+    // once promoted, wait out the failover skew: workers switch over one
+    // by one as their individual patience budgets run dry
+    seat.cfg.resume_grace = opts.ps_patience + opts.reply_timeout;
+    // outlive every worker's failover budget before concluding the
+    // whole cluster is gone
+    let max_silence = (opts.ps_patience + opts.reply_timeout) * 3;
+    run_standby_server(
+        ep,
+        config.n_workers,
+        layout.shard_rank(seat.shard),
+        seat.init,
+        &seat.cfg,
+        max_silence,
+        server_checkpoint_writer(config.seed, seat.checkpoint),
+    )
+}
+
+/// Build this worker's client onto the group and prove map agreement
+/// with every shard before any parameter traffic flows.
+fn connect_client<T: Transport>(
+    ep: &mut T,
+    config: &RunConfig,
+    opts: &ElasticOptions,
+    layout: &ShardLayout,
+    map: &ShardMap,
+) -> Result<ShardedPsClient, TransportError> {
+    let mut client = ShardedPsClient::new(
+        ep.id(),
+        map.spec().clone(),
+        &layout.shard_ranks(),
+        layout.standby_ranks().as_deref(),
+        ShardClientConfig {
+            reply_timeout: opts.reply_timeout,
+            comm_retries: opts.comm_retries,
+            ps_patience: opts.ps_patience,
+            // per-shard Bucket frames; each shard reassembles its range
+            bucket: config.overlap_buckets,
+        },
+    );
+    client.handshake(ep)?;
+    Ok(client)
+}
+
+/// Run one elastic worker rank from step 0: prove map agreement with
+/// every shard, then train with fan-out rounds. Takes the endpoint by
 /// mutable reference (unlike the static-membership trainer) so a
 /// scheduled crash can later [`rejoin_elastic_worker_rank`] on the same
 /// endpoint.
 ///
 /// # Errors
-/// [`TransportError::Evicted`] if the server expelled this rank (it may
-/// rejoin); other variants on unrecoverable comm faults.
+/// [`TransportError::Evicted`] if any shard expelled this rank (it may
+/// rejoin); [`TransportError::Protocol`] if the map handshake fails;
+/// other variants on unrecoverable comm faults.
 pub fn run_elastic_worker_rank<T: Transport>(
     ep: &mut T,
     config: &RunConfig,
     workload: &Workload,
     opts: &ElasticOptions,
+    layout: ShardLayout,
 ) -> Result<WorkerOutput, TransportError> {
-    validate_elastic(config, workload);
-    let worker = ep.id();
-    assert!(worker < config.n_workers, "worker rank out of range");
+    validate_elastic(config, &layout);
+    expect_role(ep.id(), &layout, Role::Worker);
+    let map = shard_map_for(workload, &layout);
+    let mut client = connect_client(ep, config, opts, &layout, &map)?;
     let members: Vec<usize> = (0..config.n_workers).collect();
-    let mut sess = MonoSession::new(ep, config.n_workers, opts, config.overlap_buckets);
-    elastic_loop(&mut sess, config, workload, opts, None, None, 0, members)
+    elastic_loop(
+        ep,
+        &mut client,
+        config,
+        workload,
+        opts,
+        None,
+        None,
+        0,
+        members,
+    )
 }
 
-/// Re-admit this rank into a running elastic experiment: warm-start from
-/// the newest checkpoint (or the parameters in the join grant), resume
-/// at the server-assigned step with the granted membership, and train to
-/// the end. Returns the resume step alongside the worker output.
+/// Re-admit this rank into a running elastic experiment: request a join
+/// grant from every shard, assemble the warm-start parameters from the
+/// per-range grants, and resume at shard 0's assigned step with its
+/// granted membership (shard 0 is the authoritative membership view),
+/// then train to the end. Returns the resume step alongside the worker
+/// output.
 ///
 /// # Errors
-/// `RecvTimeout` if the server never grants the join (training already
+/// `RecvTimeout` if any shard never grants the join (training already
 /// over); otherwise as [`run_elastic_worker_rank`].
 pub fn rejoin_elastic_worker_rank<T: Transport>(
     ep: &mut T,
     config: &RunConfig,
     workload: &Workload,
     opts: &ElasticOptions,
+    layout: ShardLayout,
 ) -> Result<(u64, WorkerOutput), TransportError> {
-    validate_elastic(config, workload);
-    let worker = ep.id();
-    assert!(worker < config.n_workers, "worker rank out of range");
-    let grant = join_request(ep, config.n_workers, opts.reply_timeout)?;
-    let members = alive_ranks(&grant.status);
-    let resume_step = grant.resume_step;
-    // prefer the on-disk checkpoint the server wrote at the last sync;
-    // the grant carries the same state over the wire as a fallback
-    let init = opts
-        .checkpoint
-        .as_ref()
-        .and_then(|p| checkpoint::load_state_with_fallback(p).ok())
-        .map(|(s, _)| s.params)
-        .filter(|v| v.len() == grant.params.len())
-        .unwrap_or(grant.params);
+    validate_elastic(config, &layout);
+    let worker = expect_role(ep.id(), &layout, Role::Worker);
+    let map = shard_map_for(workload, &layout);
+    let mut init = vec![0.0f32; map.total() as usize];
+    let mut members = Vec::new();
+    let mut resume_step = 0;
+    for s in 0..layout.k {
+        let grant = join_request(ep, layout.shard_rank(s), opts.reply_timeout)?;
+        let range = map.range(s);
+        if grant.params.len() != range.len() {
+            return Err(TransportError::Protocol(format!(
+                "shard {s} join grant carried {} params, its range holds {}",
+                grant.params.len(),
+                range.len()
+            )));
+        }
+        init[range].copy_from_slice(&grant.params);
+        if s == 0 {
+            members = alive_ranks(&grant.status);
+            resume_step = grant.resume_step;
+        }
+    }
     // this rank's private state (optimizer slots, Δ(g) stream) survives
-    // in its own mirror file; the parameters above stay authoritative
+    // in its own mirror file; the granted parameters stay authoritative
     let private = opts
         .checkpoint
         .as_ref()
         .and_then(|p| checkpoint::load_state_with_fallback(worker_state_path(p, worker)).ok())
         .map(|(s, _)| s);
-    let mut sess = MonoSession::new(ep, config.n_workers, opts, config.overlap_buckets);
+    let mut client = connect_client(ep, config, opts, &layout, &map)?;
     let out = elastic_loop(
-        &mut sess,
+        ep,
+        &mut client,
         config,
         workload,
         opts,
@@ -578,8 +548,9 @@ pub fn rejoin_elastic_worker_rank<T: Transport>(
 }
 
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-pub(crate) fn elastic_loop<S: PsSession>(
-    sess: &mut S,
+fn elastic_loop<T: Transport>(
+    ep: &mut T,
+    client: &mut ShardedPsClient,
     config: &RunConfig,
     workload: &Workload,
     opts: &ElasticOptions,
@@ -588,7 +559,7 @@ pub(crate) fn elastic_loop<S: PsSession>(
     start_step: u64,
     mut members: Vec<usize>,
 ) -> Result<WorkerOutput, TransportError> {
-    let worker = sess.me();
+    let worker = client.me();
     let mut model = workload.build_model();
     if let Some(init) = init_params {
         set_flat_params(model.as_model(), &init);
@@ -650,7 +621,7 @@ pub(crate) fn elastic_loop<S: PsSession>(
         };
 
         // flags round = heartbeat; the reply is the membership status
-        let status = sess.heartbeat(step, my_bit)?;
+        let status = client.heartbeat(ep, step, my_bit)?;
         let now_alive = alive_ranks(&status);
         if now_alive != members {
             // membership changed (eviction or rejoin): every survivor
@@ -666,7 +637,7 @@ pub(crate) fn elastic_loop<S: PsSession>(
             opt.step(model.as_model());
             flat_params_into(model.as_visitor(), &mut params);
             logical_bytes += 4 * params.len() as u64;
-            let global = sess.sync(step, &params)?;
+            let global = client.sync(ep, step, &params)?;
             set_flat_params(model.as_model(), &global);
             if let Some(base) = &opts.checkpoint {
                 // mirror this rank's private state next to the server's
@@ -720,7 +691,7 @@ pub(crate) fn elastic_loop<S: PsSession>(
     }
 
     if !crashed {
-        sess.shutdown(config.max_steps)?;
+        client.shutdown(ep, config.max_steps);
     }
 
     Ok(WorkerOutput {
@@ -736,6 +707,7 @@ pub(crate) fn elastic_loop<S: PsSession>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_distributed;
     use selsync_comm::Fabric;
     use selsync_nn::models::ModelKind;
     use std::thread;
@@ -763,106 +735,143 @@ mod tests {
         p
     }
 
-    /// Remove a checkpoint, its previous generation, and every worker's
-    /// private mirror.
-    fn cleanup(ckpt: &Path, n_workers: usize) {
-        std::fs::remove_file(ckpt).ok();
-        std::fs::remove_file(checkpoint::prev_path(ckpt)).ok();
-        for w in 0..n_workers {
-            let p = worker_state_path(ckpt, w);
+    /// Remove every shard's checkpoint, its previous generation, and
+    /// every worker's private mirror.
+    fn cleanup(ckpt: &Path, layout: &ShardLayout) {
+        let shards = (0..layout.k).map(|s| shard_state_path(ckpt, layout, s));
+        let mirrors = (0..layout.n_workers).map(|w| worker_state_path(ckpt, w));
+        for p in shards.chain(mirrors) {
             std::fs::remove_file(checkpoint::prev_path(&p)).ok();
             std::fs::remove_file(p).ok();
         }
     }
 
-    /// Run a full fault-free elastic cluster and return the server
-    /// report plus worker outputs sorted by rank.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Run a full fault-free K-shard elastic cluster on one fabric;
+    /// returns the server reports by shard and the worker outputs by
+    /// rank.
     fn run_cluster(
         cfg: &RunConfig,
         wl: &Workload,
         opts: &ElasticOptions,
-    ) -> (ElasticReport, Vec<WorkerOutput>) {
-        let mut eps = Fabric::new(cfg.n_workers + 1);
-        let server_ep = eps.pop().unwrap();
-        let (s_cfg, s_wl, s_opts) = (cfg.clone(), wl.clone(), opts.clone());
-        let server =
-            thread::spawn(move || run_elastic_server_rank(server_ep, &s_cfg, &s_wl, &s_opts));
-        let handles: Vec<_> = eps
-            .into_iter()
-            .map(|mut ep| {
-                let (cfg, wl, opts) = (cfg.clone(), wl.clone(), opts.clone());
-                thread::spawn(move || run_elastic_worker_rank(&mut ep, &cfg, &wl, &opts))
-            })
-            .collect();
-        let mut outs: Vec<WorkerOutput> = handles
+        k: usize,
+    ) -> (Vec<ElasticReport>, Vec<WorkerOutput>) {
+        let layout = ShardLayout::new(k, cfg.n_workers, false);
+        let mut servers = Vec::new();
+        let mut workers = Vec::new();
+        for mut ep in Fabric::new(layout.total_ranks()) {
+            let (cfg, wl, opts) = (cfg.clone(), wl.clone(), opts.clone());
+            match layout.role_of(ep.id()) {
+                Role::Worker(_) => workers.push(thread::spawn(move || {
+                    run_elastic_worker_rank(&mut ep, &cfg, &wl, &opts, layout)
+                })),
+                _ => servers.push(thread::spawn(move || {
+                    run_elastic_server_rank(ep, &cfg, &wl, &opts, layout)
+                })),
+            }
+        }
+        let outs = workers
             .into_iter()
             .map(|h| h.join().unwrap().unwrap())
             .collect();
-        outs.sort_by_key(|o| o.worker);
-        (server.join().unwrap().unwrap(), outs)
+        let reports = servers
+            .into_iter()
+            .map(|h| h.join().unwrap().unwrap())
+            .collect();
+        (reports, outs)
     }
 
     #[test]
     fn fault_free_elastic_run_completes() {
-        let n = 3;
-        let cfg = elastic_cfg(n, 10, 0.35);
-        let wl = small_workload();
+        let cfg = elastic_cfg(3, 10, 0.35);
         let opts = ElasticOptions::with_liveness(Duration::from_millis(500), 3);
-        let mut eps = Fabric::new(n + 1);
-        let server_ep = eps.pop().unwrap();
-        let (s_cfg, s_wl, s_opts) = (cfg.clone(), wl.clone(), opts.clone());
-        let server =
-            thread::spawn(move || run_elastic_server_rank(server_ep, &s_cfg, &s_wl, &s_opts));
-        let handles: Vec<_> = eps
-            .into_iter()
-            .map(|mut ep| {
-                let (cfg, wl, opts) = (cfg.clone(), wl.clone(), opts.clone());
-                thread::spawn(move || run_elastic_worker_rank(&mut ep, &cfg, &wl, &opts))
-            })
-            .collect();
-        let outputs: Vec<WorkerOutput> = handles
-            .into_iter()
-            .map(|h| h.join().unwrap().unwrap())
-            .collect();
-        let report = server.join().unwrap().unwrap();
-        assert!(report.evictions.is_empty());
-        assert!(report.joins.is_empty());
-        assert!(report.syncs >= 1, "step 0 must sync (Δ = ∞)");
+        let (reports, outputs) = run_cluster(&cfg, &small_workload(), &opts, 1);
+        assert!(reports[0].evictions.is_empty());
+        assert!(reports[0].joins.is_empty());
+        assert!(reports[0].syncs >= 1, "step 0 must sync (Δ = ∞)");
         for o in &outputs {
             assert!(o.final_params.iter().all(|v| v.is_finite()));
             assert_eq!(o.lssr.total(), 10);
         }
-        let w0 = outputs.iter().find(|o| o.worker == 0).unwrap();
-        assert!(w0.records[0].synced, "first step always synchronizes");
+        assert!(
+            outputs[0].records[0].synced,
+            "first step always synchronizes"
+        );
     }
 
-    /// Shipping elastic parameter pushes as Bucket frames must change
-    /// nothing but the wire format: same-seed runs end bit-identical.
+    /// The surviving reference: a fault-free elastic run on the default
+    /// K = 1 group is the static trainer's run bit for bit — same sync
+    /// decisions, same per-step loss, same replicas, same global vector.
+    /// Membership that never changes must cost nothing but heartbeats.
     #[test]
-    fn bucketed_elastic_sync_is_bit_identical_to_monolithic() {
-        let n = 2;
-        let mut cfg = elastic_cfg(n, 6, 0.0); // δ=0: sync every step
+    fn fault_free_elastic_k1_run_is_bit_identical_to_the_static_trainer() {
+        let cfg = elastic_cfg(2, 8, 0.25);
+        let wl = small_workload();
+        let reference = run_distributed(&cfg, &wl);
+        let opts = ElasticOptions::with_liveness(Duration::from_millis(500), 3);
+        let (reports, outs) = run_cluster(&cfg, &wl, &opts, 1);
+
+        assert_eq!(
+            bits(&reports[0].final_params),
+            bits(&reference.final_params)
+        );
+        let synced = reference.step_records.iter().filter(|r| r.synced).count();
+        assert!(synced < 8, "δ = 0.25 must leave some steps local");
+        assert_eq!(reports[0].syncs, synced as u64);
+        assert_eq!(outs[0].records.len(), reference.step_records.len());
+        for (e, r) in outs[0].records.iter().zip(&reference.step_records) {
+            assert_eq!(e.synced, r.synced, "step {}", r.step);
+            assert_eq!(e.loss.to_bits(), r.loss.to_bits(), "step {}", r.step);
+        }
+        for (o, r) in outs.iter().zip(&reference.worker_params) {
+            assert_eq!(bits(&o.final_params), bits(r), "worker {}", o.worker);
+        }
+        assert_eq!(outs[0].logical_sync_bytes, reference.logical_sync_bytes);
+    }
+
+    #[test]
+    fn k2_shards_reassemble_the_global_vector() {
+        let cfg = elastic_cfg(2, 6, 0.0); // δ=0: sync every step
+        let opts = ElasticOptions::with_liveness(Duration::from_millis(500), 3);
+        let (reports, outs) = run_cluster(&cfg, &small_workload(), &opts, 2);
+        assert_eq!(reports.len(), 2);
+        // both shards saw the same sync schedule
+        assert_eq!(reports[0].syncs, reports[1].syncs);
+        // concatenating the shard ranges rebuilds every worker's final
+        // params exactly (δ=0 ⇒ the last step synced)
+        let global = [&reports[0].final_params[..], &reports[1].final_params].concat();
+        for o in &outs {
+            assert_eq!(o.final_params, global, "worker {}", o.worker);
+        }
+    }
+
+    /// Shipping parameter pushes as Bucket frames must change nothing
+    /// but the wire format, for the single server and for a shard group
+    /// alike: same-seed runs end bit-identical.
+    #[test]
+    fn bucketed_elastic_sync_is_bit_identical_to_whole_frame_push() {
         let wl = small_workload();
         let opts = ElasticOptions::with_liveness(Duration::from_millis(500), 3);
-        let (mono_report, mono_outs) = run_cluster(&cfg, &wl, &opts);
-        cfg.overlap_buckets = Some(1000);
-        let (bucket_report, bucket_outs) = run_cluster(&cfg, &wl, &opts);
-        assert_eq!(
-            mono_report
-                .final_params
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            bucket_report
-                .final_params
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            "bucketed elastic sync must be bit-identical"
-        );
-        assert_eq!(mono_report.syncs, bucket_report.syncs);
-        for (m, b) in mono_outs.iter().zip(&bucket_outs) {
-            assert_eq!(m.final_params, b.final_params);
+        for k in [1, 2] {
+            let mut cfg = elastic_cfg(2, 6, 0.0); // δ=0: sync every step
+            let (plain_reports, plain_outs) = run_cluster(&cfg, &wl, &opts, k);
+            cfg.overlap_buckets = Some(1000);
+            let (bucket_reports, bucket_outs) = run_cluster(&cfg, &wl, &opts, k);
+            for (p, b) in plain_reports.iter().zip(&bucket_reports) {
+                assert_eq!(bits(&p.final_params), bits(&b.final_params), "k={k}");
+                assert_eq!(p.syncs, b.syncs, "k={k}");
+            }
+            for (p, b) in plain_outs.iter().zip(&bucket_outs) {
+                assert_eq!(
+                    bits(&p.final_params),
+                    bits(&b.final_params),
+                    "k={k} worker {}",
+                    p.worker
+                );
+            }
         }
     }
 
@@ -876,11 +885,13 @@ mod tests {
         let mut opts = ElasticOptions::with_liveness(Duration::from_millis(150), 2);
         opts.reply_timeout = Duration::from_secs(5);
         opts.checkpoint = Some(ckpt.clone());
+        let layout = ShardLayout::new(1, n, false);
         let mut eps = Fabric::new(n + 1);
         let server_ep = eps.pop().unwrap();
         let (s_cfg, s_wl, s_opts) = (cfg.clone(), wl.clone(), opts.clone());
-        let server =
-            thread::spawn(move || run_elastic_server_rank(server_ep, &s_cfg, &s_wl, &s_opts));
+        let server = thread::spawn(move || {
+            run_elastic_server_rank(server_ep, &s_cfg, &s_wl, &s_opts, layout)
+        });
         let handles: Vec<_> = eps
             .into_iter()
             .map(|mut ep| {
@@ -889,7 +900,7 @@ mod tests {
                 if ep.id() == 2 {
                     opts.crash_at = Some(4);
                 }
-                thread::spawn(move || run_elastic_worker_rank(&mut ep, &cfg, &wl, &opts))
+                thread::spawn(move || run_elastic_worker_rank(&mut ep, &cfg, &wl, &opts, layout))
             })
             .collect();
         let outputs: Vec<WorkerOutput> = handles
@@ -919,55 +930,90 @@ mod tests {
         assert_eq!(saved.params, report.final_params);
         assert_eq!(saved.alive, vec![true, true, false]);
         assert_eq!(saved.evictions, report.evictions);
-        cleanup(&ckpt, n);
+        cleanup(&ckpt, &layout);
     }
 
+    /// A crashed worker is evicted, asks every shard to readmit it,
+    /// warm-starts from the per-range join grants and finishes the run —
+    /// against the single server and against a K = 2 group, where the
+    /// warm start is assembled from two range grants and the resume step
+    /// is shard 0's.
     #[test]
     fn crashed_worker_rejoins_from_checkpoint_and_finishes() {
-        let n = 2;
-        let steps = 60;
-        let mut cfg = elastic_cfg(n, steps, 0.0);
-        cfg.straggler = Some((0, 10_000)); // pace rank 0 at ~10 ms/step
-        let wl = small_workload();
-        let ckpt = tmp("rejoin.bin");
-        let mut opts = ElasticOptions::with_liveness(Duration::from_millis(80), 2);
-        opts.reply_timeout = Duration::from_secs(10);
-        opts.checkpoint = Some(ckpt.clone());
-        let mut eps = Fabric::new(n + 1);
-        let server_ep = eps.pop().unwrap();
-        let (s_cfg, s_wl, s_opts) = (cfg.clone(), wl.clone(), opts.clone());
-        let server =
-            thread::spawn(move || run_elastic_server_rank(server_ep, &s_cfg, &s_wl, &s_opts));
-        let mut rejoiner_ep = eps.pop().unwrap(); // rank 1
-        let mut steady_ep = eps.pop().unwrap(); // rank 0
-        let (cfg0, wl0, opts0) = (cfg.clone(), wl.clone(), opts.clone());
-        let steady =
-            thread::spawn(move || run_elastic_worker_rank(&mut steady_ep, &cfg0, &wl0, &opts0));
-        let rejoin = thread::spawn(move || {
-            let mut first = opts.clone();
-            first.crash_at = Some(3);
-            let partial = run_elastic_worker_rank(&mut rejoiner_ep, &cfg, &wl, &first).unwrap();
-            assert_eq!(partial.lssr.total(), 3);
-            // stay dark long enough to be evicted, then come back
-            thread::sleep(Duration::from_millis(400));
-            rejoin_elastic_worker_rank(&mut rejoiner_ep, &cfg, &wl, &opts).unwrap()
-        });
-        let steady_out = steady.join().unwrap().unwrap();
-        let (resume_step, rejoined_out) = rejoin.join().unwrap();
-        let report = server.join().unwrap().unwrap();
+        for k in [1, 2] {
+            let n = 2;
+            let steps = 60;
+            let mut cfg = elastic_cfg(n, steps, 0.0);
+            // pace rank 0 at ~10 ms/step per shard: a K = 2 group evicts
+            // later (sibling-recovery allowance), so its run must last
+            // longer for the rejoiner to come back mid-training
+            cfg.straggler = Some((0, 10_000 * k as u64));
+            let wl = small_workload();
+            let ckpt = tmp(&format!("rejoin_k{k}.bin"));
+            let mut opts = ElasticOptions::with_liveness(Duration::from_millis(80), 2);
+            opts.reply_timeout = Duration::from_secs(10);
+            // K = 2: evict after 2 + (160 / 80 + 1) = 5 silent rounds
+            opts.ps_patience = Duration::from_millis(160);
+            opts.checkpoint = Some(ckpt.clone());
+            let layout = ShardLayout::new(k, n, false);
+            let mut eps = Fabric::new(layout.total_ranks());
+            let servers: Vec<_> = eps
+                .split_off(n)
+                .into_iter()
+                .map(|ep| {
+                    let (cfg, wl, opts) = (cfg.clone(), wl.clone(), opts.clone());
+                    thread::spawn(move || run_elastic_server_rank(ep, &cfg, &wl, &opts, layout))
+                })
+                .collect();
+            let mut rejoiner_ep = eps.pop().unwrap(); // rank 1
+            let mut steady_ep = eps.pop().unwrap(); // rank 0
+            let (cfg0, wl0, opts0) = (cfg.clone(), wl.clone(), opts.clone());
+            let steady = thread::spawn(move || {
+                run_elastic_worker_rank(&mut steady_ep, &cfg0, &wl0, &opts0, layout)
+            });
+            let rejoin = thread::spawn(move || {
+                let mut first = opts.clone();
+                first.crash_at = Some(3);
+                let partial =
+                    run_elastic_worker_rank(&mut rejoiner_ep, &cfg, &wl, &first, layout).unwrap();
+                assert_eq!(partial.lssr.total(), 3);
+                // stay dark long enough to be evicted, then come back
+                thread::sleep(Duration::from_millis(400 * k as u64));
+                rejoin_elastic_worker_rank(&mut rejoiner_ep, &cfg, &wl, &opts, layout).unwrap()
+            });
+            let steady_out = steady.join().unwrap().unwrap();
+            let (resume_step, rejoined_out) = rejoin.join().unwrap();
+            let reports: Vec<ElasticReport> = servers
+                .into_iter()
+                .map(|h| h.join().unwrap().unwrap())
+                .collect();
 
-        assert_eq!(report.evictions.len(), 1);
-        assert_eq!(report.evictions[0].1, 1);
-        assert_eq!(report.joins, vec![(resume_step, 1)]);
-        assert!(resume_step > 3, "rejoined after the crash step");
-        assert!(resume_step < steps, "rejoined before training ended");
-        // correct step count: the rejoiner ran exactly the rest
-        assert_eq!(rejoined_out.lssr.total(), steps - resume_step);
-        assert_eq!(steady_out.lssr.total(), steps);
-        // δ=0 ⇒ both members end on the synced global state
-        assert_eq!(steady_out.final_params, report.final_params);
-        assert_eq!(rejoined_out.final_params, report.final_params);
-        cleanup(&ckpt, n);
+            for (s, report) in reports.iter().enumerate() {
+                assert_eq!(report.evictions.len(), 1, "k={k} shard {s}");
+                assert_eq!(report.evictions[0].1, 1, "k={k} shard {s}");
+                assert_eq!(report.joins.len(), 1, "k={k} shard {s}");
+                assert_eq!(report.joins[0].1, 1, "k={k} shard {s}");
+            }
+            assert_eq!(
+                reports[0].joins,
+                vec![(resume_step, 1)],
+                "k={k}: the resume step is shard 0's"
+            );
+            assert!(resume_step > 3, "k={k}: rejoined after the crash step");
+            assert!(resume_step < steps, "k={k}: rejoined before training ended");
+            // correct step count: the rejoiner ran exactly the rest
+            assert_eq!(rejoined_out.lssr.total(), steps - resume_step, "k={k}");
+            assert_eq!(steady_out.lssr.total(), steps, "k={k}");
+            // δ=0 ⇒ both members end on the synced global state: the
+            // concatenated shard ranges
+            let global: Vec<f32> = reports
+                .iter()
+                .flat_map(|r| r.final_params.iter().copied())
+                .collect();
+            assert_eq!(steady_out.final_params, global, "k={k}");
+            assert_eq!(rejoined_out.final_params, global, "k={k}");
+            cleanup(&ckpt, &layout);
+        }
     }
 
     #[test]
@@ -980,41 +1026,43 @@ mod tests {
         // reference: the same cluster with no faults
         let mut ref_opts = ElasticOptions::with_liveness(Duration::from_millis(400), 3);
         ref_opts.ps_patience = Duration::from_secs(30);
-        let (ref_report, ref_outs) = run_cluster(&cfg, &wl, &ref_opts);
-        assert!(!ref_report.crashed);
+        let (ref_reports, ref_outs) = run_cluster(&cfg, &wl, &ref_opts, 1);
+        assert!(!ref_reports[0].crashed);
 
         // faulted run: PS dies mid-sync at step 4, then resumes from the
         // durable checkpoint on the same endpoint
         let ckpt = tmp("ps_resume.bin");
         let mut opts = ref_opts.clone();
         opts.checkpoint = Some(ckpt.clone());
+        let layout = ShardLayout::new(1, n, false);
         let mut eps = Fabric::new(n + 1);
         let mut server_ep = eps.pop().unwrap();
         let (s_cfg, s_wl, s_opts, s_ckpt) = (cfg.clone(), wl.clone(), opts.clone(), ckpt.clone());
         let server = thread::spawn(move || {
             let mut crash_opts = s_opts.clone();
             crash_opts.server_crash = Some(ServerCrashPoint::MidSync(4));
-            let dead = run_elastic_server_rank(&mut server_ep, &s_cfg, &s_wl, &crash_opts).unwrap();
+            let dead = run_elastic_server_rank(&mut server_ep, &s_cfg, &s_wl, &crash_opts, layout)
+                .unwrap();
             assert!(dead.crashed, "the scheduled crash must fire");
             assert_eq!(dead.syncs, 4, "rounds 0..4 completed before the crash");
             // the write-ahead snapshot for round 4 is already durable
             let (state, used_prev) = checkpoint::load_state_with_fallback(&s_ckpt).unwrap();
             assert!(!used_prev);
             assert_eq!(state.step, 4);
-            run_elastic_server_rank_from(&mut server_ep, &s_cfg, &s_wl, &s_opts, &state).unwrap()
+            run_elastic_server_rank_from(&mut server_ep, &s_cfg, &s_wl, &s_opts, layout, &state)
+                .unwrap()
         });
         let handles: Vec<_> = eps
             .into_iter()
             .map(|mut ep| {
                 let (cfg, wl, opts) = (cfg.clone(), wl.clone(), opts.clone());
-                thread::spawn(move || run_elastic_worker_rank(&mut ep, &cfg, &wl, &opts))
+                thread::spawn(move || run_elastic_worker_rank(&mut ep, &cfg, &wl, &opts, layout))
             })
             .collect();
-        let mut outs: Vec<WorkerOutput> = handles
+        let outs: Vec<WorkerOutput> = handles
             .into_iter()
             .map(|h| h.join().unwrap().unwrap())
             .collect();
-        outs.sort_by_key(|o| o.worker);
         let report = server.join().unwrap();
 
         assert!(!report.crashed);
@@ -1024,12 +1072,90 @@ mod tests {
         );
         assert_eq!(report.syncs, steps, "every round syncs after resume");
         // bit-identical to the unfailed run from the last sync boundary on
-        assert_eq!(report.final_params, ref_report.final_params);
+        assert_eq!(report.final_params, ref_reports[0].final_params);
         for (o, r) in outs.iter().zip(&ref_outs) {
             assert_eq!(o.lssr.total(), steps);
             assert_eq!(o.final_params, r.final_params);
         }
-        cleanup(&ckpt, n);
+        cleanup(&ckpt, &layout);
+    }
+
+    /// One shard of a K = 2 group dies mid-sync (the most adversarial
+    /// point: pushes consumed, nothing durable, no replies) and resumes
+    /// from its own `.s<shard>` checkpoint while shard 0 keeps serving.
+    /// The workers must finish with parameters bit-identical to a
+    /// fault-free run.
+    #[test]
+    fn one_shard_crash_resumes_from_its_own_checkpoint() {
+        let n = 2;
+        let cfg = elastic_cfg(n, 8, 0.25);
+        let wl = small_workload();
+        let ref_opts = ElasticOptions::with_liveness(Duration::from_millis(300), 5);
+        let ckpt = tmp("shard_crash.bin");
+        let mut opts = ref_opts.clone();
+        opts.checkpoint = Some(ckpt.clone());
+
+        // fault-free reference (no checkpointing, same seed)
+        let (_, reference) = run_cluster(&cfg, &wl, &ref_opts, 2);
+
+        let layout = ShardLayout::new(2, n, false);
+        let mut servers = Vec::new();
+        let mut workers = Vec::new();
+        for mut ep in Fabric::new(layout.total_ranks()) {
+            let (cfg, wl, opts, ckpt) = (cfg.clone(), wl.clone(), opts.clone(), ckpt.clone());
+            match layout.role_of(ep.id()) {
+                Role::Worker(_) => workers.push(thread::spawn(move || {
+                    run_elastic_worker_rank(&mut ep, &cfg, &wl, &opts, layout)
+                })),
+                Role::Shard(s) => servers.push(thread::spawn(move || {
+                    let mut crash_opts = opts.clone();
+                    if s == 1 {
+                        crash_opts.server_crash = Some(ServerCrashPoint::MidSync(1));
+                    }
+                    let mut report =
+                        run_elastic_server_rank(&mut ep, &cfg, &wl, &crash_opts, layout).unwrap();
+                    if report.crashed {
+                        assert_eq!(s, 1, "only shard 1 is scheduled to die");
+                        thread::sleep(Duration::from_millis(100));
+                        let (state, _) = checkpoint::load_state_with_fallback(shard_state_path(
+                            &ckpt, &layout, s,
+                        ))
+                        .unwrap();
+                        report =
+                            run_elastic_server_rank_from(&mut ep, &cfg, &wl, &opts, layout, &state)
+                                .unwrap();
+                    }
+                    report
+                })),
+                Role::Standby(_) => unreachable!(),
+            }
+        }
+        let outs: Vec<WorkerOutput> = workers
+            .into_iter()
+            .map(|h| h.join().unwrap().unwrap())
+            .collect();
+        for (s, h) in servers.into_iter().enumerate() {
+            let report = h.join().unwrap();
+            assert!(
+                report.evictions.is_empty(),
+                "shard {s}: {:?}",
+                report.evictions
+            );
+        }
+        for (r, o) in reference.iter().zip(&outs) {
+            assert_eq!(
+                o.lssr.total(),
+                cfg.max_steps,
+                "worker {} ran every step",
+                o.worker
+            );
+            assert_eq!(
+                r.final_params, o.final_params,
+                "worker {}: surviving params must be bit-identical to fault-free",
+                o.worker
+            );
+        }
+        cleanup(&ckpt, &layout);
     }
 
     #[test]
@@ -1041,26 +1167,26 @@ mod tests {
         let mut opts = ElasticOptions::with_liveness(Duration::from_millis(300), 5);
         opts.reply_timeout = Duration::from_millis(400);
         opts.ps_patience = Duration::from_millis(900);
-        opts.standby = true;
+        let layout = ShardLayout::new(1, n, true);
 
-        let mut eps = Fabric::new(n + 2);
+        let mut eps = Fabric::new(layout.total_ranks());
         let standby_ep = eps.pop().unwrap(); // rank n+1
         let server_ep = eps.pop().unwrap(); // rank n
         let (s_cfg, s_wl, mut s_opts) = (cfg.clone(), wl.clone(), opts.clone());
         s_opts.server_crash = Some(ServerCrashPoint::RoundStart(4));
         let primary = thread::spawn(move || {
             // the endpoint drops with this thread: the PS stays dead
-            run_elastic_server_rank(server_ep, &s_cfg, &s_wl, &s_opts).unwrap()
+            run_elastic_server_rank(server_ep, &s_cfg, &s_wl, &s_opts, layout).unwrap()
         });
         let (b_cfg, b_wl, b_opts) = (cfg.clone(), wl.clone(), opts.clone());
         let standby = thread::spawn(move || {
-            run_standby_server_rank(standby_ep, &b_cfg, &b_wl, &b_opts).unwrap()
+            run_standby_server_rank(standby_ep, &b_cfg, &b_wl, &b_opts, layout).unwrap()
         });
         let handles: Vec<_> = eps
             .into_iter()
             .map(|mut ep| {
                 let (cfg, wl, opts) = (cfg.clone(), wl.clone(), opts.clone());
-                thread::spawn(move || run_elastic_worker_rank(&mut ep, &cfg, &wl, &opts))
+                thread::spawn(move || run_elastic_worker_rank(&mut ep, &cfg, &wl, &opts, layout))
             })
             .collect();
         let outs: Vec<WorkerOutput> = handles
@@ -1086,5 +1212,24 @@ mod tests {
             // δ=0 ⇒ the last step synced against the promoted standby
             assert_eq!(o.final_params, report.final_params);
         }
+    }
+
+    #[test]
+    fn shard_state_path_follows_the_one_naming_rule() {
+        let base = PathBuf::from("/tmp/run/ckpt.bin");
+        // the only server of a K = 1 group owns the base path itself
+        assert_eq!(
+            shard_state_path(&base, &ShardLayout::new(1, 2, false), 0),
+            base
+        );
+        let k2 = ShardLayout::new(2, 2, false);
+        assert_eq!(
+            shard_state_path(&base, &k2, 0),
+            PathBuf::from("/tmp/run/ckpt.bin.s0")
+        );
+        assert_ne!(
+            shard_state_path(&base, &k2, 0),
+            shard_state_path(&base, &k2, 1)
+        );
     }
 }

@@ -33,7 +33,6 @@ pub mod config;
 pub mod divergence;
 pub mod elastic;
 pub mod metrics;
-pub mod shard;
 pub mod timing;
 pub mod trainer;
 pub mod workload;
@@ -42,13 +41,10 @@ pub use checkpoint::{CheckpointError, TrainState};
 pub use config::{Aggregation, CompressionKind, OptimKind, RunConfig, Strategy, SyncBackend};
 pub use elastic::{
     rejoin_elastic_worker_rank, run_elastic_server_rank, run_elastic_server_rank_from,
-    run_elastic_worker_rank, run_standby_server_rank, worker_state_path, ElasticOptions,
+    run_elastic_worker_rank, run_standby_server_rank, shard_map_for, shard_state_path,
+    worker_state_path, ElasticOptions,
 };
 pub use metrics::{EvalRecord, RunResult, StepRecord};
-pub use shard::{
-    rejoin_shard_worker_rank, run_shard_server_rank, run_shard_server_rank_from,
-    run_shard_standby_rank, run_shard_worker_rank, shard_map_for, shard_state_path,
-};
 pub use trainer::{run_distributed, run_server_rank, run_worker_rank, WorkerOutput};
 pub use workload::Workload;
 

@@ -148,11 +148,10 @@ struct NondetTime;
 
 /// Modules allowed to read the clock: they implement timeouts,
 /// watchdogs and liveness deadlines, where wall time is the point.
-const TIME_ALLOWLIST: [&str; 8] = [
+const TIME_ALLOWLIST: [&str; 7] = [
     "crates/comm/src/elastic.rs",
     "crates/comm/src/fabric.rs",
     "crates/comm/src/shard.rs",
-    "crates/core/src/elastic.rs",
     "crates/net/src/endpoint.rs",
     "crates/net/src/poll.rs",
     "crates/net/src/tcp.rs",

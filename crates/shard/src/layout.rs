@@ -1,32 +1,32 @@
-//! The shards-first physical rank layout and its inverse.
+//! The workers-first physical rank layout and its inverse.
 //!
-//! A sharded cluster assigns ranks as
+//! An elastic cluster assigns ranks as
 //!
 //! ```text
-//! 0 .. K            the K shard servers
-//! K .. K+W          the W workers (logical worker w = rank − K)
-//! K+W .. K+W+K      one hot standby per shard (only with standbys on)
+//! 0 .. W            the W workers (worker w *is* rank w)
+//! W .. W+K          the K shard servers
+//! W+K .. W+2K       one hot standby per shard (only with standbys on)
 //! ```
 //!
-//! Putting shards first keeps worker logical ids (`rank − K`) dense and
-//! ordered identically to the monolithic layout's worker ids `0..W`,
-//! which is what makes the K = 1 sharded run replay the monolithic run
-//! exactly (same per-worker seeds, same data partitions, same
-//! rank-ordered reduction).
+//! Workers come first so a worker's id in status vectors, fault plans
+//! and data partitions equals its rank for every K, and the default
+//! K = 1 group is the classic "PS on rank W, standby on rank W+1"
+//! layout.
 
-/// What a physical rank does in a sharded cluster.
+/// What a physical rank does in an elastic cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// Serves shard `.0`.
     Shard(usize),
-    /// Trains as logical worker `.0`.
+    /// Trains as worker `.0`.
     Worker(usize),
     /// Hot standby for shard `.0`.
     Standby(usize),
 }
 
 /// Rank arithmetic for a K-shard, W-worker cluster. One definition,
-/// shared by the launcher, the benches, and the process tests.
+/// shared by the rank entry points, the launcher, the benches, and the
+/// process tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardLayout {
     /// Shard count K (>= 1).
@@ -54,19 +54,13 @@ impl ShardLayout {
 
     /// Total ranks in the fabric.
     pub fn total_ranks(&self) -> usize {
-        self.k + self.n_workers + if self.standby { self.k } else { 0 }
+        self.n_workers + self.k + if self.standby { self.k } else { 0 }
     }
 
     /// Physical rank serving shard `s`.
     pub fn shard_rank(&self, s: usize) -> usize {
         assert!(s < self.k);
-        s
-    }
-
-    /// Physical rank of logical worker `w`.
-    pub fn worker_rank(&self, w: usize) -> usize {
-        assert!(w < self.n_workers);
-        self.k + w
+        self.n_workers + s
     }
 
     /// Physical rank of shard `s`'s standby.
@@ -76,18 +70,18 @@ impl ShardLayout {
     pub fn standby_rank(&self, s: usize) -> usize {
         assert!(self.standby, "layout has no standbys");
         assert!(s < self.k);
-        self.k + self.n_workers + s
+        self.n_workers + self.k + s
     }
 
     /// All shard-serving ranks, in shard order.
     pub fn shard_ranks(&self) -> Vec<usize> {
-        (0..self.k).collect()
+        (0..self.k).map(|s| self.shard_rank(s)).collect()
     }
 
     /// All standby ranks in shard order, if the layout has them.
     pub fn standby_ranks(&self) -> Option<Vec<usize>> {
         self.standby
-            .then(|| (0..self.k).map(|s| self.k + self.n_workers + s).collect())
+            .then(|| (0..self.k).map(|s| self.standby_rank(s)).collect())
     }
 
     /// What physical rank `rank` does.
@@ -95,12 +89,13 @@ impl ShardLayout {
     /// # Panics
     /// Panics if `rank` is outside the layout — an addressing bug.
     pub fn role_of(&self, rank: usize) -> Role {
-        if rank < self.k {
-            Role::Shard(rank)
-        } else if rank < self.k + self.n_workers {
-            Role::Worker(rank - self.k)
+        let w = self.n_workers;
+        if rank < w {
+            Role::Worker(rank)
+        } else if rank < w + self.k {
+            Role::Shard(rank - w)
         } else if self.standby && rank < self.total_ranks() {
-            Role::Standby(rank - self.k - self.n_workers)
+            Role::Standby(rank - w - self.k)
         } else {
             // lint:allow(unwrap-in-prod): asking for a rank outside the
             // layout is a wiring bug in the caller, not a runtime fault
@@ -117,11 +112,11 @@ mod tests {
     fn layout_round_trips_every_rank() {
         for (k, w, sb) in [(1, 2, false), (2, 3, true), (4, 1, true)] {
             let l = ShardLayout::new(k, w, sb);
+            for wk in 0..w {
+                assert_eq!(l.role_of(wk), Role::Worker(wk), "worker id is its rank");
+            }
             for s in 0..k {
                 assert_eq!(l.role_of(l.shard_rank(s)), Role::Shard(s));
-            }
-            for wk in 0..w {
-                assert_eq!(l.role_of(l.worker_rank(wk)), Role::Worker(wk));
             }
             if sb {
                 for s in 0..k {
@@ -134,16 +129,12 @@ mod tests {
     }
 
     #[test]
-    fn k1_matches_shards_first_relabeling() {
-        // at K = 1 with no standby: shard at 0, workers 1..=W — worker
-        // logical ids are dense 0..W exactly as in the monolithic layout
-        let l = ShardLayout::new(1, 3, false);
-        assert_eq!(l.shard_ranks(), vec![0]);
-        assert_eq!(
-            (0..3).map(|w| l.worker_rank(w)).collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
-        assert_eq!(l.standby_ranks(), None);
+    fn k1_is_the_single_ps_layout() {
+        // at K = 1: workers 0..W, the PS on rank W, its standby on W+1
+        let l = ShardLayout::new(1, 3, true);
+        assert_eq!(l.shard_ranks(), vec![3]);
+        assert_eq!(l.standby_ranks(), Some(vec![4]));
+        assert_eq!(ShardLayout::new(1, 3, false).standby_ranks(), None);
     }
 
     #[test]

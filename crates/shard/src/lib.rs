@@ -1,35 +1,25 @@
 //! # selsync-shard
 //!
-//! The **sharded parameter-server** subsystem: everything needed to run
-//! K independent copies of the elastic PS, each owning one contiguous
-//! range of the flat parameter vector, behind the fan-out client in
-//! `selsync_comm::shard`.
-//!
-//! The design principle is *reuse by translation*, not reimplementation:
+//! Who is who, and who owns what, in an **elastic PS group**: K elastic
+//! servers (K = 1 unless the launcher says otherwise), each owning one
+//! contiguous range of the flat parameter vector, behind the fan-out
+//! client in `selsync_comm::shard`.
 //!
 //! * [`ShardMap`] — a validated wrapper over the wire-level
 //!   [`ShardSpec`](selsync_comm::ShardSpec), built from the pure
 //!   partition function `selsync_comm::elastic::shard_starts` so every
 //!   rank computes the identical map with no coordination;
-//! * [`ShardLayout`] — the shards-first physical rank layout
-//!   (shards `0..K`, workers `K..K+W`, standbys `K+W..K+2W`) and its
-//!   inverse, shared by the launcher, the benches, and the process
-//!   tests so no two layers can disagree about who is who;
-//! * [`ShardView`] — a [`Transport`](selsync_comm::Transport) adapter
-//!   that presents shard `s`'s slice of the physical fabric as the
-//!   *monolithic logical world* (workers `0..W`, server `W`, standby
-//!   `W+1`). The unmodified elastic server, checkpoint writer, and
-//!   hot-standby machinery run verbatim on top of it — which is also
-//!   the K = 1 bit-identity argument: at K = 1 the view is a plain
-//!   relabeling, so the sharded path executes exactly the monolithic
-//!   code over exactly the monolithic message sequence.
+//! * [`ShardLayout`] — the workers-first physical rank layout
+//!   (workers `0..W`, shards `W..W+K`, standbys `W+K..W+2K`) and its
+//!   inverse, shared by the rank entry points, the launcher, the
+//!   benches, and the process tests so no two layers can disagree about
+//!   who is who. A worker's id equals its rank, so the elastic server
+//!   addresses workers directly and needs no rank translation.
 
 #![deny(unsafe_code)]
 
 pub mod layout;
 pub mod map;
-pub mod view;
 
 pub use layout::{Role, ShardLayout};
 pub use map::ShardMap;
-pub use view::{ShardView, ViewRole};
