@@ -56,6 +56,13 @@ diff -u /tmp/selsync_wire_table_design.md /tmp/selsync_wire_table_ci.md || {
 echo "==> cargo test -q (workspace, minus multi-process suites)"
 cargo test -q --workspace --exclude selsync-bench --exclude selsync-serve
 
+# The CRC32 kernel has the only `unsafe` in crates/comm (PCLMULQDQ
+# folding behind runtime detection); the run above tested it in a debug
+# build, this one tests it as the optimiser compiles it. --nocapture
+# shows which kernels this machine could exercise.
+echo "==> cargo test -q --release (crc kernels under the optimiser)"
+cargo test -q --release -p selsync-comm crc -- --nocapture
+
 echo "==> cargo test -q (bench unit tests)"
 cargo test -q -p selsync-bench --lib --bins
 
@@ -92,8 +99,8 @@ echo "==> selsync_soak --quick (randomized fault sweep)"
 ./target/release/selsync_soak --quick --out /tmp/SOAK_repro_ci.json > /dev/null
 
 # Writes a quick-mode kernel table to /tmp (the committed
-# BENCH_kernels.json is a full-mode snapshot a smoke run must not
-# overwrite) and exits nonzero if the file is malformed or any optimized
+# BENCH_kernels.json is itself a quick-mode snapshot, but one a CI smoke
+# run must not overwrite) and exits nonzero if the file is malformed or any optimized
 # kernel's checksum diverges from the naive reference kernels beyond
 # float-reassociation tolerance. The overlap smoke rides along: the
 # `overlap_steps_per_sec` rows re-run the real bucketed vs monolithic

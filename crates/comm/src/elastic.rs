@@ -788,9 +788,8 @@ where
                         }
                     }
                 }
-                if !pushes.is_empty() {
-                    let views: Vec<&[f32]> = pushes.values().map(|v| v.as_slice()).collect();
-                    let avg = average(&views);
+                let pushers: Vec<usize> = pushes.keys().copied().collect();
+                if let Some(avg) = average(pushes.into_values()) {
                     if let Some(ServerCrashPoint::MidSync(s)) = cfg.crash {
                         if step >= s {
                             // die with the average computed but nothing
@@ -821,7 +820,6 @@ where
                             Payload::Flags(membership_bytes(&alive, &done)),
                         );
                     }
-                    let pushers: Vec<usize> = pushes.keys().copied().collect();
                     for i in pushers {
                         match ep.send(i, stag, Payload::ShardPull(global.clone())) {
                             Ok(()) => {}

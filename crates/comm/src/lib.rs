@@ -12,6 +12,8 @@
 //! only wall-clock *claims* about a 16×V100/5 Gbps cluster come from the
 //! cost model.
 
+#![deny(unsafe_code)]
+
 pub mod bucket;
 pub mod clock;
 pub mod collectives;

@@ -164,14 +164,22 @@ pub fn run_round_server<T: Transport>(
         // arrival order is scheduler-dependent; fix the reduction order
         // by worker id so runs are bit-reproducible
         batch.sort_by_key(|m| m.from);
-        // classify the round
-        let mut param_pushes: Vec<&[f32]> = Vec::new();
-        let mut grad_pushes: Vec<&[f32]> = Vec::new();
+        let members: Vec<usize> = batch.iter().map(|m| m.from).collect();
+        // classify the round, taking the pushed vectors out of the batch
+        // so the reduction can accumulate into the first one's buffer
+        let mut pushes: Vec<Vec<f32>> = Vec::new();
+        let (mut params_pushed, mut grads_pushed) = (false, false);
         let mut shutdowns = 0usize;
-        for m in &batch {
-            match &m.payload {
-                Payload::Params(v) => param_pushes.push(v),
-                Payload::Grads(v) => grad_pushes.push(v),
+        for m in batch {
+            match m.payload {
+                Payload::Params(v) => {
+                    params_pushed = true;
+                    pushes.push(v);
+                }
+                Payload::Grads(v) => {
+                    grads_pushed = true;
+                    pushes.push(v);
+                }
                 Payload::Control(CTRL_PULL) => {}
                 Payload::Control(CTRL_SHUTDOWN) => shutdowns += 1,
                 other => {
@@ -182,18 +190,13 @@ pub fn run_round_server<T: Transport>(
                 }
             }
         }
-        if !param_pushes.is_empty() && !grad_pushes.is_empty() {
+        if params_pushed && grads_pushed {
             return Err(TransportError::Protocol(
                 "a round cannot mix parameter and gradient pushes".into(),
             ));
         }
         // `average` zips its inputs: pushes of unequal length would
         // silently truncate the round to the shortest one
-        let pushes = if param_pushes.is_empty() {
-            &grad_pushes
-        } else {
-            &param_pushes
-        };
         if let Some(w) = pushes.windows(2).find(|w| w[0].len() != w[1].len()) {
             return Err(TransportError::Protocol(format!(
                 "a round's pushes must agree in length, got {} and {} values",
@@ -202,45 +205,53 @@ pub fn run_round_server<T: Transport>(
             )));
         }
         if shutdowns > 0 {
-            if shutdowns != batch.len() {
+            if shutdowns != members.len() {
                 return Err(TransportError::Protocol(
                     "shutdown must be a dedicated round (all active workers)".into(),
                 ));
             }
-            for m in &batch {
-                done[m.from] = true;
+            for from in members {
+                done[from] = true;
             }
             continue;
         }
         // one model copy into the shared buffer; each per-worker send
         // below clones only the Arc, so the fan-out is O(1) copies
-        let reply = if !param_pushes.is_empty() {
-            global = average(&param_pushes);
-            Payload::SharedParams(Arc::new(global.clone()))
-        } else if !grad_pushes.is_empty() {
-            Payload::SharedParams(Arc::new(average(&grad_pushes)))
-        } else {
-            Payload::SharedParams(Arc::new(global.clone()))
+        let reply = match average(pushes) {
+            Some(avg) if params_pushed => {
+                global = avg;
+                Payload::SharedParams(Arc::new(global.clone()))
+            }
+            Some(avg) => Payload::SharedParams(Arc::new(avg)),
+            None => Payload::SharedParams(Arc::new(global.clone())),
         };
-        for m in &batch {
-            ep.send(m.from, tag, reply.clone())?;
+        for from in members {
+            ep.send(from, tag, reply.clone())?;
         }
     }
     Ok(global)
 }
 
-pub(crate) fn average(vs: &[&[f32]]) -> Vec<f32> {
-    let n = vs.len() as f32;
-    let mut out = vs[0].to_vec();
-    for v in &vs[1..] {
-        for (o, x) in out.iter_mut().zip(*v) {
+/// Element-wise mean of `pushes`, accumulated in place into the first
+/// push's own buffer — `v0`, `+= v1`, …, `/= n`, the operand order the
+/// reduction has always had, so the result is bit-identical to summing
+/// into a fresh copy. `None` when nothing was pushed. The caller has
+/// checked that the lengths agree.
+pub(crate) fn average(pushes: impl IntoIterator<Item = Vec<f32>>) -> Option<Vec<f32>> {
+    let mut pushes = pushes.into_iter();
+    let mut out = pushes.next()?;
+    let mut n = 1usize;
+    for v in pushes {
+        for (o, x) in out.iter_mut().zip(&v) {
             *o += x;
         }
+        n += 1;
     }
+    let n = n as f32;
     for o in &mut out {
         *o /= n;
     }
-    out
+    Some(out)
 }
 
 /// Client side of one SSP step: push the local delta (non-blocking on
@@ -477,6 +488,50 @@ mod tests {
         );
     }
 
+    /// The reduction as it was before it accumulated into the first
+    /// push's buffer: sum into a fresh copy of `vs[0]`.
+    fn copying_average(vs: &[&[f32]]) -> Vec<f32> {
+        let n = vs.len() as f32;
+        let mut out = vs[0].to_vec();
+        for v in &vs[1..] {
+            for (o, x) in out.iter_mut().zip(*v) {
+                *o += x;
+            }
+        }
+        for o in &mut out {
+            *o /= n;
+        }
+        out
+    }
+
+    #[test]
+    fn in_place_reduce_matches_the_copying_average_bitwise() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let pushed: Vec<Vec<f32>> = (0..3).map(wavy).collect();
+        let views: Vec<&[f32]> = pushed.iter().map(|v| v.as_slice()).collect();
+        let want = bits(&copying_average(&views));
+
+        let (params, global) = with_round_server(3, vec![0.0; 13], |ep, id, n| {
+            let v = sync_round(ep, n, 0, SyncRequest::PushParams(wavy(id))).unwrap();
+            send_shutdown(ep, n, 1).unwrap();
+            v.into_vec()
+        });
+        let (grads, _) = with_round_server(3, vec![0.0; 13], |ep, id, n| {
+            let v = sync_round(ep, n, 0, SyncRequest::PushGrads(wavy(id))).unwrap();
+            send_shutdown(ep, n, 1).unwrap();
+            v.into_vec()
+        });
+        let (bucketed, _) = with_round_server(3, vec![0.0; 13], |ep, id, n| {
+            let v = sync_round_bucketed(ep, n, 0, &wavy(id), 4).unwrap();
+            send_shutdown(ep, n, 1).unwrap();
+            v.into_vec()
+        });
+        assert_eq!(bits(&global), want, "stored global after a Params round");
+        for reply in params.iter().chain(&grads).chain(&bucketed) {
+            assert_eq!(bits(reply), want);
+        }
+    }
+
     #[test]
     fn mixed_bucketed_compressed_and_dense_round() {
         // worker 0 streams buckets, worker 1 pushes dense, worker 2
@@ -540,7 +595,10 @@ mod tests {
         eps[0].send(2, 0, Payload::Params(vec![1.0])).unwrap();
         eps[1].send(2, 0, Payload::Params(vec![1.0, 2.0])).unwrap();
         let err = server.join().unwrap().unwrap_err();
-        assert!(matches!(err, TransportError::Protocol(_)), "{err:?}");
+        assert!(
+            matches!(&err, TransportError::Protocol(why) if why.contains("agree in length")),
+            "{err:?}"
+        );
     }
 
     #[test]

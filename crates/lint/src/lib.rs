@@ -14,7 +14,7 @@
 //! | `nondet-time` | wall-clock reads outside the timeout/watchdog modules |
 //! | `unwrap-in-prod` | panicking escape hatches killing ranks mid-protocol |
 //! | `unsafe-needs-safety` | undocumented `unsafe` |
-//! | `unsafe-outside-kernels` | `unsafe` escaping the two audited crates |
+//! | `unsafe-outside-kernels` | `unsafe` escaping the two audited crates and the checksum kernel file |
 //! | `float-order` | unordered parallel float reductions |
 //! | `raw-net` | sockets bypassing the Transport layer |
 //! | `wire-wildcard` | `_ =>` arms silently swallowing new wire variants |

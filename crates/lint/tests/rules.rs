@@ -98,6 +98,12 @@ fn unsafe_outside_kernels_positive_and_negative() {
         vec![("unsafe-outside-kernels".into(), 8, false)]
     );
     assert!(rules_hit(&r, "crates/tensor/src/unsafe_kernel_neg.rs").is_empty());
+    // the checksum kernel's file is allowed; the crate around it is not
+    assert!(rules_hit(&r, "crates/comm/src/crc.rs").is_empty());
+    assert_eq!(
+        findings(&r, "crates/comm/src/unsafe_outside_pos.rs"),
+        vec![("unsafe-outside-kernels".into(), 7, false)]
+    );
 }
 
 #[test]

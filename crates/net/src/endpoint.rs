@@ -23,6 +23,19 @@
 //! like the channel fabric); a driver feeds decoded messages into one
 //! shared inbox.
 //!
+//! Two things about the send side are decided here, before a driver
+//! sees a frame. A payload whose frame would exceed the fabric's
+//! `max_frame_bytes` — which the receiving rank would reject as hostile,
+//! tearing the link down and losing the message in silence — is refused
+//! with [`TransportError::Protocol`] before it is encoded. And a
+//! [`Payload::SharedParams`] is encoded once per fan-out: a frame names
+//! its sender, tag and body but not its destination, so when the
+//! parameter server answers every worker of a round with the same `Arc`
+//! under the same tag, the sends after the first queue a clone of the
+//! first one's bytes. Both live inside [`Transport::send`], so wrappers
+//! that call it once per link (chaos, the benchmark's tracer) see
+//! exactly the calls, bytes and counters they always did.
+//!
 //! Byte-level damage on an inbound connection — a torn frame, a CRC
 //! mismatch, a hostile length prefix — is surfaced by either driver as
 //! a typed [`LinkFault`] (peer address + stream byte offset + a
@@ -74,9 +87,11 @@ pub struct TcpFabricConfig {
     /// survive a parameter-server restart without tearing the fabric
     /// down.
     pub reconnect_timeout: Duration,
-    /// Ceiling on a single inbound frame's declared size. A length
+    /// Ceiling on a single frame's declared size. Inbound, a length
     /// prefix above this — hostile or corrupt — is rejected as a
-    /// [`LinkFault`] before any allocation is attempted.
+    /// [`LinkFault`] before any allocation is attempted; outbound,
+    /// [`Transport::send`] refuses a payload whose frame would exceed it
+    /// (the peer would only tear the link down over it).
     pub max_frame_bytes: usize,
 }
 
@@ -183,6 +198,13 @@ pub struct MeshEndpoint<D: Driver> {
     pending: VecDeque<Msg>,
     /// Byte-level faults the driver has reported, in arrival order.
     faults: Vec<LinkFault>,
+    /// The last [`Payload::SharedParams`] frame encoded, with the tag and
+    /// the buffer it was encoded from: a fan-out of one buffer encodes
+    /// once. Holding the `Arc` keeps the allocation alive and unshared
+    /// for writing, so pointer equality means same contents.
+    fanout: Option<(u64, Arc<Vec<f32>>, Bytes)>,
+    /// Largest declared length (`wire_bytes - 4`) `send` will frame.
+    max_declared_len: u64,
     recv_timeout: Duration,
     local_addr: SocketAddr,
     pub(crate) driver: D,
@@ -249,6 +271,9 @@ impl<D: Driver> MeshEndpoint<D> {
             inbox,
             pending: VecDeque::new(),
             faults: Vec::new(),
+            fanout: None,
+            // the length prefix is a u32 whatever the configured cap
+            max_declared_len: (config.max_frame_bytes as u64).min(u64::from(u32::MAX)),
             recv_timeout: config.recv_timeout,
             local_addr,
             driver,
@@ -351,6 +376,24 @@ impl<D: Driver> MeshEndpoint<D> {
         self.driver.stop();
     }
 
+    /// The wire frame for `payload`. Nothing in a frame names its
+    /// destination, so a [`Payload::SharedParams`] sent again under the
+    /// same tag from the same buffer — the parameter server answering
+    /// every worker of a round — reuses the bytes of the first encode.
+    fn frame_for(&mut self, tag: u64, payload: &Payload) -> Bytes {
+        let Payload::SharedParams(params) = payload else {
+            return encode_frame(self.id, tag, payload);
+        };
+        if let Some((t, p, frame)) = &self.fanout {
+            if *t == tag && Arc::ptr_eq(p, params) {
+                return frame.clone();
+            }
+        }
+        let frame = encode_frame(self.id, tag, payload);
+        self.fanout = Some((tag, Arc::clone(params), frame.clone()));
+        frame
+    }
+
     /// Account for one inbox event: a message is tallied and handed
     /// back, a fault report is filed.
     fn admit(&mut self, ev: InboxEvent) -> Option<Msg> {
@@ -439,7 +482,17 @@ impl<D: Driver> Transport for MeshEndpoint<D> {
             self.links.stats.record(bytes);
             return Ok(());
         }
-        let frame = encode_frame(self.id, tag, &payload);
+        // the receiver would call a longer frame hostile and drop the
+        // link, losing the message without telling anyone; past u32::MAX
+        // the length prefix itself would wrap
+        let declared = bytes - 4;
+        if declared > self.max_declared_len {
+            return Err(TransportError::Protocol(format!(
+                "a {declared}-byte frame to rank {to} exceeds the fabric's {}-byte frame cap",
+                self.max_declared_len
+            )));
+        }
+        let frame = self.frame_for(tag, &payload);
         match self.outbound.get(to).and_then(|s| s.as_ref()) {
             None => return Err(TransportError::Closed),
             Some(tx) => tx
@@ -527,6 +580,8 @@ pub(crate) mod tests {
         writer_reconnects_after_peer_restart,
         broken_link_resends_the_queued_frame_after_redial,
         mixed_versions_fail_the_connect_handshake,
+        oversized_send_is_refused_before_it_reaches_the_wire,
+        shared_params_fan_out_encodes_once_and_never_serves_stale_bytes,
     );
 
     fn loopback_fabric<D: Driver>(n: usize) -> Vec<MeshEndpoint<D>> {
@@ -775,6 +830,117 @@ pub(crate) mod tests {
         let second = read_frame(&mut redialled);
         assert_eq!((second.tag, second.payload), (2, Payload::Control(2)));
         ep.close();
+    }
+
+    /// A payload the receiver's frame cap would reject is an error at the
+    /// sender, not a torn-down link and a message lost in silence: the
+    /// link stays up, the next send arrives, and nothing was counted.
+    fn oversized_send_is_refused_before_it_reaches_the_wire<D: Driver>() {
+        let mut eps = MeshEndpoint::<D>::loopback_mesh(2, |c| {
+            c.recv_timeout = Duration::from_secs(20);
+            c.max_frame_bytes = 1024;
+        })
+        .unwrap();
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        // a flags frame declares 21 + len bytes after its length prefix
+        let err = a.send(1, 1, Payload::Flags(vec![1; 1004])).unwrap_err();
+        assert!(matches!(err, TransportError::Protocol(_)), "{err:?}");
+        let err = a.send(1, 2, Payload::Params(vec![0.5; 4096])).unwrap_err();
+        assert!(matches!(err, TransportError::Protocol(_)), "{err:?}");
+        assert_eq!(
+            a.stats().total_messages(),
+            0,
+            "a refused send is not a send"
+        );
+
+        a.send(1, 3, Payload::Flags(vec![1; 1003])).unwrap(); // exactly the cap
+        a.send(1, 4, Payload::Control(7)).unwrap();
+        assert_eq!(
+            b.recv_tagged(Some(0), 3).unwrap().payload,
+            Payload::Flags(vec![1; 1003])
+        );
+        assert_eq!(
+            b.recv_tagged(Some(0), 4).unwrap().payload,
+            Payload::Control(7)
+        );
+        assert!(b.link_faults().is_empty(), "{:?}", b.link_faults());
+        a.close();
+        b.close();
+    }
+
+    /// The parameter server's reply fan-out: one `SharedParams` buffer to
+    /// W peers is encoded once, arrives bit-equal everywhere and is
+    /// counted W times — and the remembered frame is never served for
+    /// another tag or another buffer.
+    fn shared_params_fan_out_encodes_once_and_never_serves_stale_bytes<D: Driver>() {
+        const W: usize = 3;
+        let mut eps = loopback_fabric::<D>(W + 1);
+        let mut ps = eps.pop().unwrap();
+        let values = |salt: u32| -> Arc<Vec<f32>> {
+            // NaN payloads included: the comparison below is on bits
+            Arc::new(
+                (0..300u32)
+                    .map(|i| f32::from_bits((i ^ salt).wrapping_mul(0x9E37_79B9)))
+                    .collect(),
+            )
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+
+        let first = values(1);
+        let payload = Payload::SharedParams(Arc::clone(&first));
+        let frame = ps.frame_for(5, &payload);
+        let again = ps.frame_for(5, &payload);
+        assert_eq!(frame.as_ptr(), again.as_ptr(), "second encode of a fan-out");
+        let retagged = ps.frame_for(6, &payload);
+        assert_ne!(
+            frame.as_ptr(),
+            retagged.as_ptr(),
+            "a new tag is a new frame"
+        );
+        drop((frame, again, retagged));
+
+        // (tag, what must arrive), in send order on every link
+        let second = values(2);
+        let mut sent = vec![
+            (5, bits(&first)),
+            (6, bits(&first)),  // same buffer, new tag
+            (6, bits(&second)), // new buffer, same tag
+        ];
+        for (tag, buffer) in [(5, &first), (6, &first), (6, &second)] {
+            for to in 0..W {
+                ps.send(to, tag, Payload::SharedParams(Arc::clone(buffer)))
+                    .unwrap();
+            }
+        }
+        // a buffer allocated after the last one sent was released by its
+        // owner: the endpoint still holds that one, so its address cannot
+        // come back and vouch for the old bytes
+        drop(second);
+        let third = values(3);
+        sent.push((6, bits(&third)));
+        for to in 0..W {
+            ps.send(to, 6, Payload::SharedParams(Arc::clone(&third)))
+                .unwrap();
+        }
+
+        let frame_bytes = payload.wire_bytes();
+        assert_eq!(ps.stats().total_messages(), (sent.len() * W) as u64);
+        assert_eq!(
+            ps.stats().total_bytes(),
+            (sent.len() * W) as u64 * frame_bytes
+        );
+        for mut peer in eps {
+            for (tag, want) in &sent {
+                let m = peer.recv_tagged(Some(W), *tag).unwrap();
+                match m.payload {
+                    Payload::Params(got) => assert_eq!(&bits(&got), want, "tag {tag}"),
+                    other => panic!("SharedParams must decode as Params, got {other:?}"),
+                }
+            }
+            peer.close();
+        }
+        ps.close();
     }
 
     /// Mixed protocol versions must fail the connect, fast and typed:

@@ -345,6 +345,10 @@ fn read_loop(mut stream: TcpStream, links: &Links, max_frame: usize) {
 
     // bytes consumed from this connection's stream so far
     let mut offset = HANDSHAKE_BYTES as u64;
+    // One receive buffer per connection, resized per frame: it grows to
+    // the largest frame seen (bounded by `max_frame`) and never shrinks,
+    // the retention rule the poll driver's `conn.buf` has.
+    let mut body = Vec::new();
     loop {
         let frame_start = offset;
         let mut len_bytes = [0u8; 4];
@@ -373,7 +377,7 @@ fn read_loop(mut stream: TcpStream, links: &Links, max_frame: usize) {
             );
             return;
         }
-        let mut body = vec![0u8; len];
+        body.resize(len, 0);
         match read_full(&mut stream, &mut body, shutdown, false) {
             Ok(ReadOutcome::Full) => offset += len as u64,
             // lint:allow(unwrap-in-prod): read_full(eof_ok = false) maps a
