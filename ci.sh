@@ -63,6 +63,13 @@ cargo test -q --workspace --exclude selsync-bench --exclude selsync-serve
 echo "==> cargo test -q --release (crc kernels under the optimiser)"
 cargo test -q --release -p selsync-comm crc -- --nocapture
 
+# The GEMM microkernel reads B in place through raw pointers and the
+# conv / norm loops lean on the optimiser for their speed; the debug run
+# above checked their bit-identity oracles without it, this one checks
+# them as they ship.
+echo "==> cargo test -q --release (tensor + nn kernels under the optimiser)"
+cargo test -q --release -p selsync-tensor -p selsync-nn
+
 echo "==> cargo test -q (bench unit tests)"
 cargo test -q -p selsync-bench --lib --bins
 

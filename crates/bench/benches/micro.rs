@@ -114,8 +114,13 @@ fn bench_conv_im2col(c: &mut Criterion) {
         stride: 1,
         pad: 1,
     };
+    // patch-major: 27 tap rows of 8·8·8 output pixels, written in place
+    let mut cols = selsync_tensor::Tensor::zeros([3 * 3 * 3, 8 * 8 * 8]);
     c.bench_function("im2col_8x3x8x8_k3", |b| {
-        b.iter(|| black_box(selsync_tensor::conv::im2col(black_box(&x), &g)));
+        b.iter(|| {
+            selsync_tensor::conv::im2col_into(black_box(&x), &g, &mut cols);
+            black_box(&cols);
+        });
     });
 }
 

@@ -26,7 +26,8 @@
 use selsync_bench::{banner, json_row, paper_config, Scale};
 use selsync_core::prelude::*;
 use selsync_nn::layers::{Conv2d, MultiHeadSelfAttention};
-use selsync_nn::Module;
+use selsync_nn::module::ParamVisitor;
+use selsync_nn::{Module, Workspace};
 use selsync_tensor::matmul::{matmul_into, matmul_nt_into, matmul_tn_into, set_reference_mode};
 use selsync_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -336,19 +337,45 @@ fn layer_benches(b: &mut Bench) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    // ResNetMini block-1 geometry: 8 images of 8×16×16, 3×3 kernel
+    // ResNetMini block-1 geometry: 8 images of 8×16×16, 3×3 kernel; both
+    // directions on the workspace path the models run
     let mut rng = StdRng::seed_from_u64(7);
     let conv = RefCell::new(Conv2d::new("bench.conv", 8, 8, 16, 16, 3, 1, 1, &mut rng));
+    let ws = RefCell::new(Workspace::new());
     let mut x = Tensor::zeros([8, 8, 16, 16]);
     fill(&mut x, 8);
     let out = RefCell::new(Tensor::zeros([0]));
     let flops = 2.0 * (8 * 16 * 16) as f64 * (8 * 3 * 3) as f64 * 8.0;
+    // hand the previous call's output back, as a model's step does
+    let recycle = |ws: &mut Workspace, next: Tensor| ws.give(out.replace(next));
     b.kernel(
         "conv2d_fwd",
         "8x8x16x16-k3",
         flops,
-        || *out.borrow_mut() = conv.borrow_mut().forward(&x, false),
+        || {
+            let ws = &mut *ws.borrow_mut();
+            let y = conv.borrow_mut().forward_ws(&x, false, ws);
+            recycle(ws, y);
+        },
         || checksum(&out.borrow()),
+    );
+    // dW and dcols GEMMs: twice the forward's flops. The forward above
+    // left the layer's im2col cache for `x` in place.
+    let mut dy = Tensor::zeros([8, 8, 16, 16]);
+    fill(&mut dy, 11);
+    b.kernel(
+        "conv2d_bwd",
+        "8x8x16x16-k3",
+        2.0 * flops,
+        || {
+            let ws = &mut *ws.borrow_mut();
+            let mut conv = conv.borrow_mut();
+            conv.zero_grad();
+            let dx = conv.backward_ws(&dy, ws);
+            recycle(ws, dx);
+        },
+        // input gradient plus the weight gradient it was computed beside
+        || checksum(&out.borrow()) + checksum(&conv.borrow().w.grad),
     );
 
     // TransformerMini attention geometry: batch 4, seq 32, dim 64

@@ -1,15 +1,18 @@
-//! 2-D convolution via the im2col lowering.
+//! 2-D convolution via the patch-major im2col lowering.
 
 use crate::module::{Module, Param, ParamVisitor};
 use crate::workspace::Workspace;
 use rand::rngs::StdRng;
-use selsync_tensor::conv::{col2im, col2im_into, im2col, im2col_into, ConvGeom};
+use selsync_tensor::conv::{col2im_into, im2col_into, ConvGeom};
 use selsync_tensor::{init, matmul, ops, reduce, Tensor};
 
 /// A 2-D convolution layer.
 ///
 /// Weights are stored flattened `[out_ch, in_ch*k_h*k_w]` so the forward
-/// pass is a single `cols · Wᵀ` product over the im2col expansion.
+/// pass is a single `W · cols` product over the patch-major im2col
+/// expansion `[in_ch*k_h*k_w, n*out_h*out_w]`; the product, and the
+/// gradient coming back, are `[out_ch, n*out_h*out_w]`, which differs
+/// from NCHW only in the order of `out_h*out_w`-long runs.
 #[derive(Clone)]
 pub struct Conv2d {
     /// Flattened kernel `[out_ch, in_ch*k_h*k_w]`.
@@ -73,56 +76,6 @@ impl Conv2d {
     pub fn out_ch(&self) -> usize {
         self.out_ch
     }
-
-    /// Reorder `[n*oh*ow, oc]` row-major rows into `[n, oc, oh, ow]`.
-    fn rows_to_nchw(&self, rows: &Tensor, n: usize) -> Tensor {
-        let (oh, ow, oc) = (self.out_h(), self.out_w(), self.out_ch);
-        let mut out = Tensor::zeros([n, oc, oh, ow]);
-        self.rows_to_nchw_into(rows, n, &mut out);
-        out
-    }
-
-    /// [`Conv2d::rows_to_nchw`] into a preallocated `[n, oc, oh, ow]`.
-    fn rows_to_nchw_into(&self, rows: &Tensor, n: usize, out: &mut Tensor) {
-        let (oh, ow, oc) = (self.out_h(), self.out_w(), self.out_ch);
-        debug_assert_eq!(out.shape().dims(), &[n, oc, oh, ow]);
-        let src = rows.as_slice();
-        let dst = out.as_mut_slice();
-        for b in 0..n {
-            for p in 0..oh * ow {
-                let row = &src[(b * oh * ow + p) * oc..(b * oh * ow + p + 1) * oc];
-                for (c, &v) in row.iter().enumerate() {
-                    dst[((b * oc) + c) * oh * ow + p] = v;
-                }
-            }
-        }
-    }
-
-    /// Inverse of [`Conv2d::rows_to_nchw`].
-    fn nchw_to_rows(&self, x: &Tensor) -> Tensor {
-        let dims = x.shape().dims();
-        let (n, oc, oh, ow) = (dims[0], dims[1], dims[2], dims[3]);
-        let mut out = Tensor::zeros([n * oh * ow, oc]);
-        self.nchw_to_rows_into(x, &mut out);
-        out
-    }
-
-    /// [`Conv2d::nchw_to_rows`] into a preallocated `[n*oh*ow, oc]`.
-    fn nchw_to_rows_into(&self, x: &Tensor, out: &mut Tensor) {
-        let dims = x.shape().dims();
-        let (n, oc, oh, ow) = (dims[0], dims[1], dims[2], dims[3]);
-        debug_assert_eq!(out.shape().dims(), &[n * oh * ow, oc]);
-        let src = x.as_slice();
-        let dst = out.as_mut_slice();
-        for b in 0..n {
-            for c in 0..oc {
-                let plane = &src[((b * oc) + c) * oh * ow..((b * oc) + c + 1) * oh * ow];
-                for (p, &v) in plane.iter().enumerate() {
-                    dst[(b * oh * ow + p) * oc + c] = v;
-                }
-            }
-        }
-    }
 }
 
 impl ParamVisitor for Conv2d {
@@ -137,56 +90,65 @@ impl ParamVisitor for Conv2d {
 }
 
 impl Module for Conv2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let n = x.shape().dim(0);
-        self.cache_n = n;
-        self.cache_cols = im2col(x, &self.geom);
-        let mut rows = matmul::matmul_nt(&self.cache_cols, &self.w.value);
-        ops::add_row_bias(&mut rows, &self.b.value);
-        self.rows_to_nchw(&rows, n)
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        self.forward_ws(x, train, &mut Workspace::new())
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let dy_rows = self.nchw_to_rows(dy);
-        // dW += dy_rowsᵀ · cols    ([oc, rows]·[rows, plen])
-        let dw = matmul::matmul_tn(&dy_rows, &self.cache_cols);
-        ops::add_assign(&mut self.w.grad, &dw);
-        ops::add_assign(&mut self.b.grad, &reduce::sum_axis0(&dy_rows));
-        // dcols = dy_rows · W, then scatter back to the input image
-        let dcols = matmul::matmul(&dy_rows, &self.w.value);
-        col2im(&dcols, self.cache_n, &self.geom)
+        self.backward_ws(dy, &mut Workspace::new())
     }
 
     fn forward_ws(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
         let n = x.shape().dim(0);
-        let (oh, ow, oc) = (self.out_h(), self.out_w(), self.out_ch);
+        let (plane, oc) = (self.out_h() * self.out_w(), self.out_ch);
         self.cache_n = n;
         self.cache_cols
-            .ensure_shape([n * oh * ow, self.geom.patch_len()]);
+            .ensure_shape([self.geom.patch_len(), n * plane]);
         im2col_into(x, &self.geom, &mut self.cache_cols);
-        let mut rows = ws.take([n * oh * ow, oc]);
-        matmul::matmul_nt_into(&self.cache_cols, &self.w.value, &mut rows);
-        ops::add_row_bias(&mut rows, &self.b.value);
-        let mut out = ws.take([n, oc, oh, ow]);
-        self.rows_to_nchw_into(&rows, n, &mut out);
-        ws.give(rows);
+        let mut y_mat = ws.take([oc, n * plane]);
+        matmul::matmul_into(&self.w.value, &self.cache_cols, &mut y_mat);
+        // [oc, n, plane] -> [n, oc, plane], adding the bias on the way
+        let mut out = ws.take([n, oc, self.out_h(), self.out_w()]);
+        let bias = self.b.value.as_slice();
+        for (b, image) in out.as_mut_slice().chunks_exact_mut(oc * plane).enumerate() {
+            for (c, dst) in image.chunks_exact_mut(plane).enumerate() {
+                let src = &y_mat.as_slice()[(c * n + b) * plane..][..plane];
+                let bias = bias[c];
+                for (d, v) in dst.iter_mut().zip(src) {
+                    *d = v + bias;
+                }
+            }
+        }
+        ws.give(y_mat);
         out
     }
 
     fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let (n, oh, ow, oc) = (self.cache_n, self.out_h(), self.out_w(), self.out_ch);
-        let mut dy_rows = ws.take([n * oh * ow, oc]);
-        self.nchw_to_rows_into(dy, &mut dy_rows);
-        // dW += dy_rowsᵀ · cols    ([oc, rows]·[rows, plen])
+        let (n, oc) = (self.cache_n, self.out_ch);
+        let plane = self.out_h() * self.out_w();
+        assert_eq!(
+            dy.shape().dims(),
+            &[n, oc, self.out_h(), self.out_w()],
+            "Conv2d::backward gradient shape mismatch"
+        );
+        // [n, oc, plane] -> [oc, n, plane]
+        let mut dy_mat = ws.take([oc, n * plane]);
+        for (b, image) in dy.as_slice().chunks_exact(oc * plane).enumerate() {
+            for (c, src) in image.chunks_exact(plane).enumerate() {
+                dy_mat.as_mut_slice()[(c * n + b) * plane..][..plane].copy_from_slice(src);
+            }
+        }
+        // db[c] += Σ_r dy_mat[c, r], each channel summed in ascending r
+        reduce::sum_axis1_acc(&dy_mat, self.b.grad.as_mut_slice());
+        // dW += dy_mat · colsᵀ    ([oc, r]·[r, plen])
         let mut dw = ws.take(self.w.value.shape().clone());
-        matmul::matmul_tn_into(&dy_rows, &self.cache_cols, &mut dw);
+        matmul::matmul_nt_into(&dy_mat, &self.cache_cols, &mut dw);
         ops::add_assign(&mut self.w.grad, &dw);
         ws.give(dw);
-        reduce::sum_axis0_acc(&dy_rows, self.b.grad.as_mut_slice());
-        // dcols = dy_rows · W, then scatter back to the input image
+        // dcols = Wᵀ · dy_mat, then scatter back to the input image
         let mut dcols = ws.take(self.cache_cols.shape().clone());
-        matmul::matmul_into(&dy_rows, &self.w.value, &mut dcols);
-        ws.give(dy_rows);
+        matmul::matmul_tn_into(&self.w.value, &dy_mat, &mut dcols);
+        ws.give(dy_mat);
         let mut dx = ws.take([n, self.geom.in_ch, self.geom.in_h, self.geom.in_w]);
         col2im_into(&dcols, n, &self.geom, &mut dx);
         ws.give(dcols);
@@ -198,6 +160,250 @@ impl Module for Conv2d {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// The row-major lowering this layer used before the patch-major
+    /// one, kept verbatim as the bit-identity oracle: one im2col row per
+    /// output pixel, `cols · Wᵀ` / `dyᵀ · cols` / `dy · W`, and a scatter
+    /// transpose on either side of each GEMM.
+    mod oracle {
+        use super::*;
+
+        fn im2col_image(img: &[f32], rows: &mut [f32], g: &ConvGeom) {
+            let (c, h, w) = (g.in_ch, g.in_h, g.in_w);
+            let (oh, ow, plen) = (g.out_h(), g.out_w(), g.patch_len());
+            let mut row = 0usize;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let out_row = &mut rows[row * plen..(row + 1) * plen];
+                    let mut col = 0usize;
+                    for ch in 0..c {
+                        let plane = &img[ch * h * w..(ch + 1) * h * w];
+                        for ky in 0..g.k_h {
+                            let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                            for kx in 0..g.k_w {
+                                let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                                out_row[col] =
+                                    if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w
+                                    {
+                                        plane[iy as usize * w + ix as usize]
+                                    } else {
+                                        0.0
+                                    };
+                                col += 1;
+                            }
+                        }
+                    }
+                    row += 1;
+                }
+            }
+        }
+
+        fn col2im_image(rows: &[f32], img: &mut [f32], g: &ConvGeom) {
+            let (h, w) = (g.in_h, g.in_w);
+            let (oh, ow, plen) = (g.out_h(), g.out_w(), g.patch_len());
+            img.fill(0.0);
+            let mut row = 0usize;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let in_row = &rows[row * plen..(row + 1) * plen];
+                    let mut col = 0usize;
+                    for ch in 0..g.in_ch {
+                        let plane_off = ch * h * w;
+                        for ky in 0..g.k_h {
+                            let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                            for kx in 0..g.k_w {
+                                let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                                if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
+                                    img[plane_off + iy as usize * w + ix as usize] += in_row[col];
+                                }
+                                col += 1;
+                            }
+                        }
+                    }
+                    row += 1;
+                }
+            }
+        }
+
+        fn im2col(x: &Tensor, g: &ConvGeom) -> Tensor {
+            let n = x.shape().dim(0);
+            let rows_len = g.out_h() * g.out_w() * g.patch_len();
+            let img_len = g.in_ch * g.in_h * g.in_w;
+            let mut cols = Tensor::zeros([n * g.out_h() * g.out_w(), g.patch_len()]);
+            for (b, rows) in cols
+                .as_mut_slice()
+                .chunks_exact_mut(rows_len.max(1))
+                .enumerate()
+            {
+                im2col_image(&x.as_slice()[b * img_len..(b + 1) * img_len], rows, g);
+            }
+            cols
+        }
+
+        fn col2im(cols: &Tensor, n: usize, g: &ConvGeom) -> Tensor {
+            let rows_len = g.out_h() * g.out_w() * g.patch_len();
+            let img_len = g.in_ch * g.in_h * g.in_w;
+            let mut out = Tensor::zeros([n, g.in_ch, g.in_h, g.in_w]);
+            for (b, img) in out.as_mut_slice().chunks_exact_mut(img_len).enumerate() {
+                col2im_image(&cols.as_slice()[b * rows_len..(b + 1) * rows_len], img, g);
+            }
+            out
+        }
+
+        fn rows_to_nchw(rows: &Tensor, n: usize, oc: usize, oh: usize, ow: usize) -> Tensor {
+            let mut out = Tensor::zeros([n, oc, oh, ow]);
+            let (src, dst) = (rows.as_slice(), out.as_mut_slice());
+            for b in 0..n {
+                for p in 0..oh * ow {
+                    let row = &src[(b * oh * ow + p) * oc..(b * oh * ow + p + 1) * oc];
+                    for (c, &v) in row.iter().enumerate() {
+                        dst[((b * oc) + c) * oh * ow + p] = v;
+                    }
+                }
+            }
+            out
+        }
+
+        fn nchw_to_rows(x: &Tensor) -> Tensor {
+            let dims = x.shape().dims();
+            let (n, oc, oh, ow) = (dims[0], dims[1], dims[2], dims[3]);
+            let mut out = Tensor::zeros([n * oh * ow, oc]);
+            let (src, dst) = (x.as_slice(), out.as_mut_slice());
+            for b in 0..n {
+                for c in 0..oc {
+                    let plane = &src[((b * oc) + c) * oh * ow..((b * oc) + c + 1) * oh * ow];
+                    for (p, &v) in plane.iter().enumerate() {
+                        dst[(b * oh * ow + p) * oc + c] = v;
+                    }
+                }
+            }
+            out
+        }
+
+        /// The old `forward_ws`: returns `y`.
+        pub fn forward(c: &Conv2d, x: &Tensor) -> Tensor {
+            let n = x.shape().dim(0);
+            let cols = im2col(x, &c.geom);
+            let mut rows = Tensor::zeros([n * c.out_h() * c.out_w(), c.out_ch]);
+            matmul::matmul_nt_into(&cols, &c.w.value, &mut rows);
+            ops::add_row_bias(&mut rows, &c.b.value);
+            rows_to_nchw(&rows, n, c.out_ch, c.out_h(), c.out_w())
+        }
+
+        /// The old `backward_ws` on zeroed gradients: returns `(dW, db, dx)`.
+        pub fn backward(c: &Conv2d, x: &Tensor, dy: &Tensor) -> (Tensor, Tensor, Tensor) {
+            let n = x.shape().dim(0);
+            let cols = im2col(x, &c.geom);
+            let dy_rows = nchw_to_rows(dy);
+            let mut dw = Tensor::zeros(c.w.value.shape().clone());
+            matmul::matmul_tn_into(&dy_rows, &cols, &mut dw);
+            let mut w_grad = Tensor::zeros(c.w.value.shape().clone());
+            ops::add_assign(&mut w_grad, &dw);
+            let mut db = Tensor::zeros([c.out_ch]);
+            reduce::sum_axis0_acc(&dy_rows, db.as_mut_slice());
+            let mut dcols = Tensor::zeros(cols.shape().clone());
+            matmul::matmul_into(&dy_rows, &c.w.value, &mut dcols);
+            (w_grad, db, col2im(&dcols, n, &c.geom))
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `(in_ch, out_ch, in_h, in_w, kernel, stride, pad)`
+    type Geometry = (usize, usize, usize, usize, usize, usize, usize);
+
+    /// Forward + backward on the layer (both entry-point pairs) against
+    /// the oracle, bit for bit.
+    fn assert_matches_oracle(batch: usize, (ic, oc, h, w, k, s, p): Geometry) {
+        let label = format!("n{batch} {ic}->{oc} {h}x{w} k{k} s{s} p{p}");
+        let mut rng = StdRng::seed_from_u64((batch * 131 + ic * 17 + oc + h * 7 + k) as u64);
+        let mut c = Conv2d::new("c", ic, oc, h, w, k, s, p, &mut rng);
+        c.b.value = init::randn([oc], 1.0, &mut rng);
+        let x = init::randn([batch, ic, h, w], 1.0, &mut rng);
+        let dy = init::randn([batch, oc, c.out_h(), c.out_w()], 1.0, &mut rng);
+        let want_y = oracle::forward(&c, &x);
+        let (want_dw, want_db, want_dx) = oracle::backward(&c, &x, &dy);
+
+        let mut ws = Workspace::new();
+        let y = c.forward_ws(&x, true, &mut ws);
+        c.zero_grad();
+        let dx = c.backward_ws(&dy, &mut ws);
+        assert_eq!(bits(&y), bits(&want_y), "y {label}");
+        assert_eq!(bits(&c.w.grad), bits(&want_dw), "dW {label}");
+        assert_eq!(bits(&c.b.grad), bits(&want_db), "db {label}");
+        assert_eq!(bits(&dx), bits(&want_dx), "dx {label}");
+    }
+
+    /// Every conv geometry the three conv minis build.
+    const MINI_GEOMETRIES: [Geometry; 9] = [
+        // ResNetMini
+        (3, 8, 8, 8, 3, 1, 1),
+        (8, 8, 8, 8, 3, 1, 1),
+        (8, 16, 8, 8, 3, 2, 1),
+        (16, 16, 4, 4, 3, 1, 1),
+        (8, 16, 8, 8, 1, 2, 0),
+        // VggMini
+        (3, 16, 8, 8, 3, 1, 1),
+        (16, 32, 4, 4, 3, 1, 1),
+        // AlexNetMini
+        (3, 12, 8, 8, 3, 1, 1),
+        (12, 24, 4, 4, 3, 1, 1),
+    ];
+
+    #[test]
+    fn mini_geometries_match_the_row_major_oracle_bitwise() {
+        for batch in [1, 3, 8, 128] {
+            for g in MINI_GEOMETRIES {
+                assert_matches_oracle(batch, g);
+            }
+        }
+    }
+
+    #[test]
+    fn geometry_sweep_matches_the_row_major_oracle_bitwise() {
+        // stride x pad x kernel on a non-square input; batch 3 makes
+        // n·oh·ow a non-multiple of the 16-wide GEMM panel throughout
+        for k in [1, 3, 5] {
+            for s in [1, 2] {
+                for p in [0, 1, 2] {
+                    assert_matches_oracle(3, (2, 5, 7, 6, k, s, p));
+                }
+            }
+        }
+        // plen = 32·3·3 = 288 crosses a KC = 256 cut in forward and dW's
+        // k = n·oh·ow = 5·64 = 320 crosses one too
+        assert_matches_oracle(5, (32, 7, 8, 8, 3, 1, 1));
+        // fewer output channels than one MR panel, and exactly one
+        assert_matches_oracle(2, (4, 1, 6, 5, 3, 1, 1));
+        assert_matches_oracle(2, (4, 6, 6, 5, 3, 2, 1));
+    }
+
+    #[test]
+    fn allocating_and_workspace_paths_mix_freely() {
+        // One lowering, one cache layout: a `forward` may be followed by
+        // `backward_ws` and the reverse, with the same bits either way.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut c = Conv2d::new("c", 3, 8, 8, 8, 3, 1, 1, &mut rng);
+        let x = init::randn([4, 3, 8, 8], 1.0, &mut rng);
+        let dy = init::randn([4, 8, 8, 8], 1.0, &mut rng);
+        let mut ws = Workspace::new();
+
+        let y_ws = c.forward_ws(&x, true, &mut ws);
+        c.zero_grad();
+        let dx_plain = c.backward(&dy);
+        let dw_a = c.w.grad.clone();
+
+        let y_plain = c.forward(&x, true);
+        c.zero_grad();
+        let dx_ws = c.backward_ws(&dy, &mut ws);
+
+        assert_eq!(bits(&y_ws), bits(&y_plain));
+        assert_eq!(bits(&dx_plain), bits(&dx_ws));
+        assert_eq!(bits(&dw_a), bits(&c.w.grad));
+        assert_eq!(bits(&y_ws), bits(&oracle::forward(&c, &x)));
+    }
 
     #[test]
     fn identity_1x1_kernel_passes_through() {

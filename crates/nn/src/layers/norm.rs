@@ -1,6 +1,14 @@
 //! Normalization layers: BatchNorm (1d / 2d) and LayerNorm.
+//!
+//! Every layer writes `y` and the cached x̂ in one pass, x̂ into a buffer
+//! kept across steps and `y` (and `dx`) into a workspace buffer, so a
+//! steady-state step allocates nothing. Each statistic is still one
+//! sequential sum per channel (per row for LayerNorm) in ascending
+//! element order; the loops only interleave *different* channels'
+//! chains, which reorders no sum.
 
 use crate::module::{Module, Param, ParamVisitor};
+use crate::workspace::Workspace;
 use selsync_tensor::Tensor;
 
 const EPS: f32 = 1e-5;
@@ -17,6 +25,10 @@ struct NormState {
     // backward caches
     xhat: Tensor,
     inv_std: Vec<f32>,
+    // per-channel scratch: the statistics forward normalizes with, then
+    // the two gradient sums of backward
+    stat_a: Vec<f32>,
+    stat_b: Vec<f32>,
 }
 
 impl NormState {
@@ -28,6 +40,46 @@ impl NormState {
             running_var: vec![1.0; features],
             xhat: Tensor::zeros([0]),
             inv_std: Vec::new(),
+            stat_a: Vec::new(),
+            stat_b: Vec::new(),
+        }
+    }
+
+    /// Zero both per-channel scratch vectors at length `c`.
+    fn reset_stats(&mut self, c: usize) {
+        for v in [&mut self.stat_a, &mut self.stat_b] {
+            v.clear();
+            v.resize(c, 0.0);
+        }
+    }
+
+    /// Shared tail of the batch-norm forward statistics: turn the
+    /// per-channel sums of squared deviations in `stat_b` into variances,
+    /// fold the batch statistics into the running ones (training) or
+    /// replace them by the running ones (evaluation), and fill `inv_std`.
+    fn finish_batch_stats(&mut self, count: f32, train: bool) {
+        self.inv_std.clear();
+        for j in 0..self.stat_a.len() {
+            if train {
+                self.stat_b[j] /= count;
+                let (m, v) = (self.stat_a[j], self.stat_b[j]);
+                self.running_mean[j] = (1.0 - MOMENTUM) * self.running_mean[j] + MOMENTUM * m;
+                self.running_var[j] = (1.0 - MOMENTUM) * self.running_var[j] + MOMENTUM * v;
+            } else {
+                self.stat_a[j] = self.running_mean[j];
+                self.stat_b[j] = self.running_var[j];
+            }
+            self.inv_std.push(1.0 / (self.stat_b[j] + EPS).sqrt());
+        }
+    }
+
+    /// Accumulate the backward sums into the affine gradients.
+    fn accumulate_affine_grads(&mut self) {
+        for (g, s) in self.gamma.grad.as_mut_slice().iter_mut().zip(&self.stat_b) {
+            *g += s;
+        }
+        for (g, s) in self.beta.grad.as_mut_slice().iter_mut().zip(&self.stat_a) {
+            *g += s;
         }
     }
 }
@@ -62,65 +114,84 @@ impl ParamVisitor for BatchNorm1d {
 
 impl Module for BatchNorm1d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.shape().dims()[1], self.features, "feature mismatch");
-        let n = x.shape().dim(0);
-        let c = self.features;
-        let mut y = x.clone();
-        self.st.inv_std.clear();
-        let mut xhat = Tensor::zeros([n, c]);
-        for j in 0..c {
-            let (mean, var) = if train {
-                let mut m = 0.0;
-                for i in 0..n {
-                    m += x.at(&[i, j]);
-                }
-                m /= n as f32;
-                let mut v = 0.0;
-                for i in 0..n {
-                    let d = x.at(&[i, j]) - m;
-                    v += d * d;
-                }
-                v /= n as f32;
-                self.st.running_mean[j] = (1.0 - MOMENTUM) * self.st.running_mean[j] + MOMENTUM * m;
-                self.st.running_var[j] = (1.0 - MOMENTUM) * self.st.running_var[j] + MOMENTUM * v;
-                (m, v)
-            } else {
-                (self.st.running_mean[j], self.st.running_var[j])
-            };
-            let inv = 1.0 / (var + EPS).sqrt();
-            self.st.inv_std.push(inv);
-            let g = self.st.gamma.value.as_slice()[j];
-            let b = self.st.beta.value.as_slice()[j];
-            for i in 0..n {
-                let xh = (x.at(&[i, j]) - mean) * inv;
-                *xhat.at_mut(&[i, j]) = xh;
-                *y.at_mut(&[i, j]) = g * xh + b;
-            }
-        }
-        self.st.xhat = xhat;
-        y
+        self.forward_ws(x, train, &mut Workspace::new())
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.backward_ws(dy, &mut Workspace::new())
+    }
+
+    fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        assert_eq!(x.shape().dims()[1], self.features, "feature mismatch");
+        let n = x.shape().dim(0);
+        let c = self.features;
+        let st = &mut self.st;
+        let src = x.as_slice();
+        st.reset_stats(c);
+        if train {
+            // column j's sums run down the rows in ascending i
+            for row in src.chunks_exact(c) {
+                for (m, v) in st.stat_a.iter_mut().zip(row) {
+                    *m += v;
+                }
+            }
+            for m in &mut st.stat_a {
+                *m /= n as f32;
+            }
+            for row in src.chunks_exact(c) {
+                for ((v, m), x) in st.stat_b.iter_mut().zip(&st.stat_a).zip(row) {
+                    let d = x - m;
+                    *v += d * d;
+                }
+            }
+        }
+        st.finish_batch_stats(n as f32, train);
+        st.xhat.ensure_shape([n, c]);
+        let mut y = ws.take([n, c]);
+        let (gamma, beta) = (st.gamma.value.as_slice(), st.beta.value.as_slice());
+        for ((row, xh_row), y_row) in src
+            .chunks_exact(c)
+            .zip(st.xhat.as_mut_slice().chunks_exact_mut(c))
+            .zip(y.as_mut_slice().chunks_exact_mut(c))
+        {
+            for j in 0..c {
+                let xh = (row[j] - st.stat_a[j]) * st.inv_std[j];
+                xh_row[j] = xh;
+                y_row[j] = gamma[j] * xh + beta[j];
+            }
+        }
+        y
+    }
+
+    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let n = dy.shape().dim(0);
         let c = self.features;
-        let mut dx = Tensor::zeros([n, c]);
-        for j in 0..c {
-            let g = self.st.gamma.value.as_slice()[j];
-            let inv = self.st.inv_std[j];
-            let mut sum_dy = 0.0;
-            let mut sum_dyxh = 0.0;
-            for i in 0..n {
-                let d = dy.at(&[i, j]);
-                sum_dy += d;
-                sum_dyxh += d * self.st.xhat.at(&[i, j]);
+        let st = &mut self.st;
+        // stat_a = Σ dy, stat_b = Σ dy·x̂, each down the rows in ascending i
+        st.reset_stats(c);
+        for (d_row, xh_row) in dy
+            .as_slice()
+            .chunks_exact(c)
+            .zip(st.xhat.as_slice().chunks_exact(c))
+        {
+            for j in 0..c {
+                st.stat_a[j] += d_row[j];
+                st.stat_b[j] += d_row[j] * xh_row[j];
             }
-            self.st.gamma.grad.as_mut_slice()[j] += sum_dyxh;
-            self.st.beta.grad.as_mut_slice()[j] += sum_dy;
-            let nf = n as f32;
-            for i in 0..n {
-                let xh = self.st.xhat.at(&[i, j]);
-                *dx.at_mut(&[i, j]) = g * inv / nf * (nf * dy.at(&[i, j]) - sum_dy - xh * sum_dyxh);
+        }
+        st.accumulate_affine_grads();
+        let nf = n as f32;
+        let gamma = st.gamma.value.as_slice();
+        let mut dx = ws.take([n, c]);
+        for ((d_row, xh_row), dx_row) in dy
+            .as_slice()
+            .chunks_exact(c)
+            .zip(st.xhat.as_slice().chunks_exact(c))
+            .zip(dx.as_mut_slice().chunks_exact_mut(c))
+        {
+            for j in 0..c {
+                dx_row[j] = gamma[j] * st.inv_std[j] / nf
+                    * (nf * d_row[j] - st.stat_a[j] - xh_row[j] * st.stat_b[j]);
             }
         }
         dx
@@ -157,86 +228,105 @@ impl ParamVisitor for BatchNorm2d {
 
 impl Module for BatchNorm2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let dims = x.shape().dims().to_vec();
-        assert_eq!(dims.len(), 4, "BatchNorm2d expects [n,c,h,w]");
-        assert_eq!(dims[1], self.channels, "channel mismatch");
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let plane = h * w;
-        let count = (n * plane) as f32;
-        let mut y = x.clone();
-        let mut xhat = Tensor::zeros(x.shape().clone());
-        self.st.inv_std.clear();
-        let src = x.as_slice();
-        for j in 0..c {
-            let (mean, var) = if train {
-                let mut m = 0.0;
-                for b in 0..n {
-                    let off = (b * c + j) * plane;
-                    for p in 0..plane {
-                        m += src[off + p];
-                    }
-                }
-                m /= count;
-                let mut v = 0.0;
-                for b in 0..n {
-                    let off = (b * c + j) * plane;
-                    for p in 0..plane {
-                        let d = src[off + p] - m;
-                        v += d * d;
-                    }
-                }
-                v /= count;
-                self.st.running_mean[j] = (1.0 - MOMENTUM) * self.st.running_mean[j] + MOMENTUM * m;
-                self.st.running_var[j] = (1.0 - MOMENTUM) * self.st.running_var[j] + MOMENTUM * v;
-                (m, v)
-            } else {
-                (self.st.running_mean[j], self.st.running_var[j])
-            };
-            let inv = 1.0 / (var + EPS).sqrt();
-            self.st.inv_std.push(inv);
-            let g = self.st.gamma.value.as_slice()[j];
-            let bt = self.st.beta.value.as_slice()[j];
-            let (ydst, xh) = (y.as_mut_slice(), xhat.as_mut_slice());
-            for b in 0..n {
-                let off = (b * c + j) * plane;
-                for p in 0..plane {
-                    let v = (src[off + p] - mean) * inv;
-                    xh[off + p] = v;
-                    ydst[off + p] = g * v + bt;
-                }
-            }
-        }
-        self.st.xhat = xhat;
-        y
+        self.forward_ws(x, train, &mut Workspace::new())
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let dims = dy.shape().dims().to_vec();
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let plane = h * w;
+        self.backward_ws(dy, &mut Workspace::new())
+    }
+
+    fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        let dims = x.shape().dims();
+        assert_eq!(dims.len(), 4, "BatchNorm2d expects [n,c,h,w]");
+        assert_eq!(dims[1], self.channels, "channel mismatch");
+        let (n, c, plane) = (dims[0], dims[1], dims[2] * dims[3]);
         let count = (n * plane) as f32;
-        let mut dx = Tensor::zeros(dy.shape().clone());
-        let (dsrc, xh) = (dy.as_slice(), self.st.xhat.as_slice());
-        for j in 0..c {
-            let g = self.st.gamma.value.as_slice()[j];
-            let inv = self.st.inv_std[j];
-            let mut sum_dy = 0.0;
-            let mut sum_dyxh = 0.0;
+        let st = &mut self.st;
+        let src = x.as_slice();
+        st.reset_stats(c);
+        if train {
+            // Channel j's sums take its planes in ascending (b, p). With
+            // the image loop outside, consecutive chains belong to
+            // different channels and overlap in the pipeline.
             for b in 0..n {
-                let off = (b * c + j) * plane;
-                for p in 0..plane {
-                    sum_dy += dsrc[off + p];
-                    sum_dyxh += dsrc[off + p] * xh[off + p];
+                for (j, m) in st.stat_a.iter_mut().enumerate() {
+                    let at = (b * c + j) * plane;
+                    *m = src[at..at + plane].iter().fold(*m, |s, v| s + v);
                 }
             }
-            self.st.gamma.grad.as_mut_slice()[j] += sum_dyxh;
-            self.st.beta.grad.as_mut_slice()[j] += sum_dy;
-            let d = dx.as_mut_slice();
+            for m in &mut st.stat_a {
+                *m /= count;
+            }
             for b in 0..n {
-                let off = (b * c + j) * plane;
-                for p in 0..plane {
-                    d[off + p] =
-                        g * inv / count * (count * dsrc[off + p] - sum_dy - xh[off + p] * sum_dyxh);
+                for (j, (v, m)) in st.stat_b.iter_mut().zip(&st.stat_a).enumerate() {
+                    let at = (b * c + j) * plane;
+                    *v = src[at..at + plane].iter().fold(*v, |s, x| {
+                        let d = x - m;
+                        s + d * d
+                    });
+                }
+            }
+        }
+        st.finish_batch_stats(count, train);
+        st.xhat.ensure_shape(x.shape().clone());
+        let mut y = ws.take(x.shape().clone());
+        let (gamma, beta) = (st.gamma.value.as_slice(), st.beta.value.as_slice());
+        let (xhat, out) = (st.xhat.as_mut_slice(), y.as_mut_slice());
+        for b in 0..n {
+            for j in 0..c {
+                let at = (b * c + j) * plane;
+                let (mean, inv, g, bt) = (st.stat_a[j], st.inv_std[j], gamma[j], beta[j]);
+                for ((x, xh), y) in src[at..at + plane]
+                    .iter()
+                    .zip(&mut xhat[at..at + plane])
+                    .zip(&mut out[at..at + plane])
+                {
+                    let v = (x - mean) * inv;
+                    *xh = v;
+                    *y = g * v + bt;
+                }
+            }
+        }
+        y
+    }
+
+    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+        let dims = dy.shape().dims();
+        let (n, c, plane) = (dims[0], dims[1], dims[2] * dims[3]);
+        let count = (n * plane) as f32;
+        let st = &mut self.st;
+        let dsrc = dy.as_slice();
+        // stat_a = Σ dy, stat_b = Σ dy·x̂ per channel, in ascending (b, p)
+        st.reset_stats(c);
+        for b in 0..n {
+            for j in 0..c {
+                let at = (b * c + j) * plane;
+                let (mut sum_dy, mut sum_dyxh) = (st.stat_a[j], st.stat_b[j]);
+                for (d, x) in dsrc[at..at + plane]
+                    .iter()
+                    .zip(&st.xhat.as_slice()[at..at + plane])
+                {
+                    sum_dy += d;
+                    sum_dyxh += d * x;
+                }
+                st.stat_a[j] = sum_dy;
+                st.stat_b[j] = sum_dyxh;
+            }
+        }
+        st.accumulate_affine_grads();
+        let mut dx = ws.take(dy.shape().clone());
+        let (xhat, out) = (st.xhat.as_slice(), dx.as_mut_slice());
+        for b in 0..n {
+            for j in 0..c {
+                let at = (b * c + j) * plane;
+                let (g, inv) = (st.gamma.value.as_slice()[j], st.inv_std[j]);
+                let (sum_dy, sum_dyxh) = (st.stat_a[j], st.stat_b[j]);
+                for ((d, x), o) in dsrc[at..at + plane]
+                    .iter()
+                    .zip(&xhat[at..at + plane])
+                    .zip(&mut out[at..at + plane])
+                {
+                    *o = g * inv / count * (count * d - sum_dy - x * sum_dyxh);
                 }
             }
         }
@@ -273,48 +363,63 @@ impl ParamVisitor for LayerNorm {
 }
 
 impl Module for LayerNorm {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        assert_eq!(x.shape().dims()[1], self.features, "feature mismatch");
-        let n = x.shape().dim(0);
-        let c = self.features;
-        let mut y = x.clone();
-        let mut xhat = Tensor::zeros([n, c]);
-        self.st.inv_std.clear();
-        let gamma = self.st.gamma.value.as_slice();
-        let beta = self.st.beta.value.as_slice();
-        for i in 0..n {
-            let row = x.row(i);
-            let mean: f32 = row.iter().sum::<f32>() / c as f32;
-            let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / c as f32;
-            let inv = 1.0 / (var + EPS).sqrt();
-            self.st.inv_std.push(inv);
-            let yr = y.row_mut(i);
-            for j in 0..c {
-                let xh = (row[j] - mean) * inv;
-                yr[j] = gamma[j] * xh + beta[j];
-            }
-            xhat.row_mut(i)
-                .copy_from_slice(&row.iter().map(|v| (v - mean) * inv).collect::<Vec<_>>());
-        }
-        self.st.xhat = xhat;
-        y
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        self.forward_ws(x, train, &mut Workspace::new())
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.backward_ws(dy, &mut Workspace::new())
+    }
+
+    fn forward_ws(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
+        assert_eq!(x.shape().dims()[1], self.features, "feature mismatch");
+        let n = x.shape().dim(0);
+        let c = self.features;
+        let st = &mut self.st;
+        st.xhat.ensure_shape([n, c]);
+        st.inv_std.clear();
+        let mut y = ws.take([n, c]);
+        let gamma = st.gamma.value.as_slice();
+        let beta = st.beta.value.as_slice();
+        for ((row, xh_row), y_row) in x
+            .as_slice()
+            .chunks_exact(c)
+            .zip(st.xhat.as_mut_slice().chunks_exact_mut(c))
+            .zip(y.as_mut_slice().chunks_exact_mut(c))
+        {
+            let mean: f32 = row.iter().sum::<f32>() / c as f32;
+            let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / c as f32;
+            let inv = 1.0 / (var + EPS).sqrt();
+            st.inv_std.push(inv);
+            for j in 0..c {
+                let xh = (row[j] - mean) * inv;
+                xh_row[j] = xh;
+                y_row[j] = gamma[j] * xh + beta[j];
+            }
+        }
+        y
+    }
+
+    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let n = dy.shape().dim(0);
         let c = self.features;
-        let mut dx = Tensor::zeros([n, c]);
-        let gamma = self.st.gamma.value.as_slice();
-        for i in 0..n {
-            let dyr = dy.row(i);
-            let xhr = self.st.xhat.row(i);
-            let inv = self.st.inv_std[i];
+        let st = &mut self.st;
+        let mut dx = ws.take([n, c]);
+        let gamma = st.gamma.value.as_slice();
+        let (dgamma, dbeta) = (st.gamma.grad.as_mut_slice(), st.beta.grad.as_mut_slice());
+        let cf = c as f32;
+        for (((dyr, xhr), dxr), &inv) in dy
+            .as_slice()
+            .chunks_exact(c)
+            .zip(st.xhat.as_slice().chunks_exact(c))
+            .zip(dx.as_mut_slice().chunks_exact_mut(c))
+            .zip(&st.inv_std)
+        {
             // accumulate parameter grads
             for j in 0..c {
-                self.st.gamma.grad.as_mut_slice()[j] += dyr[j] * xhr[j];
-                self.st.beta.grad.as_mut_slice()[j] += dyr[j];
+                dgamma[j] += dyr[j] * xhr[j];
+                dbeta[j] += dyr[j];
             }
-            let cf = c as f32;
             let mut sum_g = 0.0;
             let mut sum_gxh = 0.0;
             for j in 0..c {
@@ -322,7 +427,6 @@ impl Module for LayerNorm {
                 sum_g += gj;
                 sum_gxh += gj * xhr[j];
             }
-            let dxr = dx.row_mut(i);
             for j in 0..c {
                 let gj = dyr[j] * gamma[j];
                 dxr[j] = inv / cf * (cf * gj - sum_g - xhr[j] * sum_gxh);
@@ -469,6 +573,110 @@ mod tests {
                 dx.as_slice()[i]
             );
         }
+    }
+
+    /// The plain per-channel formulation the batch norms interleave:
+    /// one channel at a time, every statistic one sequential sum over
+    /// that channel's elements in ascending order. Returns
+    /// `(y, dx, dγ, dβ)`, the gradients accumulated from zero.
+    fn channelwise_oracle(
+        x: &Tensor,
+        dy: &Tensor,
+        gamma: &[f32],
+        beta: &[f32],
+        // element index of channel `j`'s `i`-th member, and members per channel
+        index: &dyn Fn(usize, usize) -> usize,
+        members: usize,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
+        let (xs, ds) = (x.as_slice(), dy.as_slice());
+        let count = members as f32;
+        let mut y = vec![0.0; xs.len()];
+        let mut dx = vec![0.0; xs.len()];
+        let (mut dgamma, mut dbeta) = (vec![0.0; gamma.len()], vec![0.0; gamma.len()]);
+        for j in 0..gamma.len() {
+            let mut m = 0.0;
+            for i in 0..members {
+                m += xs[index(j, i)];
+            }
+            m /= count;
+            let mut v = 0.0;
+            for i in 0..members {
+                let d = xs[index(j, i)] - m;
+                v += d * d;
+            }
+            v /= count;
+            let inv = 1.0 / (v + EPS).sqrt();
+            let (mut sum_dy, mut sum_dyxh) = (0.0, 0.0);
+            for i in 0..members {
+                let at = index(j, i);
+                let xh = (xs[at] - m) * inv;
+                y[at] = gamma[j] * xh + beta[j];
+                sum_dy += ds[at];
+                sum_dyxh += ds[at] * xh;
+            }
+            dgamma[j] += sum_dyxh;
+            dbeta[j] += sum_dy;
+            for i in 0..members {
+                let at = index(j, i);
+                let xh = (xs[at] - m) * inv;
+                dx[at] = gamma[j] * inv / count * (count * ds[at] - sum_dy - xh * sum_dyxh);
+            }
+        }
+        (y, dx, dgamma, dbeta)
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn batchnorm_matches_the_channelwise_formulation_bitwise() {
+        let mut rng = StdRng::seed_from_u64(6);
+        // 11 channels: more than one pipeline's worth, and odd
+        let (n, c, h, w) = (5, 11, 3, 4);
+        let gamma = init::randn([c], 1.0, &mut rng);
+        let beta = init::randn([c], 1.0, &mut rng);
+
+        let x = init::randn([n, c, h, w], 3.0, &mut rng);
+        let dy = init::randn([n, c, h, w], 1.0, &mut rng);
+        let mut bn = BatchNorm2d::new("bn", c);
+        bn.st.gamma.value = gamma.clone();
+        bn.st.beta.value = beta.clone();
+        let y = bn.forward(&x, true);
+        let dx = bn.backward(&dy);
+        let plane = h * w;
+        let want = channelwise_oracle(
+            &x,
+            &dy,
+            gamma.as_slice(),
+            beta.as_slice(),
+            &|j, i| (i / plane * c + j) * plane + i % plane,
+            n * plane,
+        );
+        assert_eq!(bits(y.as_slice()), bits(&want.0));
+        assert_eq!(bits(dx.as_slice()), bits(&want.1));
+        assert_eq!(bits(bn.st.gamma.grad.as_slice()), bits(&want.2));
+        assert_eq!(bits(bn.st.beta.grad.as_slice()), bits(&want.3));
+
+        let x = init::randn([n, c], 3.0, &mut rng);
+        let dy = init::randn([n, c], 1.0, &mut rng);
+        let mut bn = BatchNorm1d::new("bn", c);
+        bn.st.gamma.value = gamma.clone();
+        bn.st.beta.value = beta.clone();
+        let y = bn.forward(&x, true);
+        let dx = bn.backward(&dy);
+        let want = channelwise_oracle(
+            &x,
+            &dy,
+            gamma.as_slice(),
+            beta.as_slice(),
+            &|j, i| i * c + j,
+            n,
+        );
+        assert_eq!(bits(y.as_slice()), bits(&want.0));
+        assert_eq!(bits(dx.as_slice()), bits(&want.1));
+        assert_eq!(bits(bn.st.gamma.grad.as_slice()), bits(&want.2));
+        assert_eq!(bits(bn.st.beta.grad.as_slice()), bits(&want.3));
     }
 
     #[test]

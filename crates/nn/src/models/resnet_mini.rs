@@ -94,26 +94,31 @@ impl ResBlock {
         }
     }
 
-    /// Forward pass. Convolution temporaries come from `ws`; the returned
-    /// activation is heap-owned (ReLU output) so callers just drop it.
+    /// Forward pass. Convolution and batch-norm temporaries come from
+    /// `ws`; the returned activation is heap-owned (ReLU output) so
+    /// callers just drop it.
     fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let c1 = self.conv1.forward_ws(x, train, ws);
-        let h = self.bn1.forward(&c1, train);
+        let n1 = self.bn1.forward_ws(&c1, train, ws);
         ws.give(c1);
-        let h = self.relu1.forward(&h, train);
+        let h = self.relu1.forward(&n1, train);
+        ws.give(n1);
         let c2 = self.conv2.forward_ws(&h, train, ws);
-        let mut h = self.bn2.forward(&c2, train);
+        let mut sum = self.bn2.forward_ws(&c2, train, ws);
         ws.give(c2);
         match &mut self.shortcut {
             Some((conv, bn)) => {
                 let s = conv.forward_ws(x, train, ws);
-                let sb = bn.forward(&s, train);
+                let sb = bn.forward_ws(&s, train, ws);
                 ws.give(s);
-                ops::add_assign(&mut h, &sb);
+                ops::add_assign(&mut sum, &sb);
+                ws.give(sb);
             }
-            None => ops::add_assign(&mut h, x),
+            None => ops::add_assign(&mut sum, x),
         }
-        self.relu_out.forward(&h, train)
+        let out = self.relu_out.forward(&sum, train);
+        ws.give(sum);
+        out
     }
 
     /// Backward pass. The returned `dx` is workspace-owned — the caller
@@ -121,17 +126,20 @@ impl ResBlock {
     fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let dsum = self.relu_out.backward(dy);
         // main branch
-        let g = self.bn2.backward(&dsum);
+        let g = self.bn2.backward_ws(&dsum, ws);
         let gc = self.conv2.backward_ws(&g, ws);
-        let g = self.relu1.backward(&gc);
+        ws.give(g);
+        let gr = self.relu1.backward(&gc);
         ws.give(gc);
-        let g = self.bn1.backward(&g);
+        let g = self.bn1.backward_ws(&gr, ws);
         let mut dx = self.conv1.backward_ws(&g, ws);
+        ws.give(g);
         // skip branch
         match &mut self.shortcut {
             Some((conv, bn)) => {
-                let s = bn.backward(&dsum);
+                let s = bn.backward_ws(&dsum, ws);
                 let sc = conv.backward_ws(&s, ws);
+                ws.give(s);
                 ops::add_assign(&mut dx, &sc);
                 ws.give(sc);
             }
@@ -241,9 +249,10 @@ impl Model for ResNetMini {
     fn forward(&mut self, input: &Input, train: bool) -> Tensor {
         let x = input.dense();
         let c1 = self.conv1.forward_ws(x, train, &mut self.ws);
-        let h = self.bn1.forward(&c1, train);
+        let n1 = self.bn1.forward_ws(&c1, train, &mut self.ws);
         self.ws.give(c1);
-        let h = self.relu1.forward(&h, train);
+        let h = self.relu1.forward(&n1, train);
+        self.ws.give(n1);
         let h = self.block1.forward(&h, train, &mut self.ws);
         let h = self.block2.forward(&h, train, &mut self.ws);
         let h = self.block3.forward(&h, train, &mut self.ws);
@@ -282,12 +291,13 @@ impl Model for ResNetMini {
         self.ws.give(g2);
         watermark -= self.block1.param_count();
         hook(watermark, &*self);
-        let g = self.relu1.backward(&g1);
+        let gr = self.relu1.backward(&g1);
         self.ws.give(g1);
-        let g = self.bn1.backward(&g);
+        let g = self.bn1.backward_ws(&gr, &mut self.ws);
         watermark -= self.bn1.num_params();
         hook(watermark, &*self);
         let gc = self.conv1.backward_ws(&g, &mut self.ws);
+        self.ws.give(g);
         self.ws.give(gc);
         watermark -= self.conv1.num_params();
         debug_assert_eq!(watermark, 0);

@@ -40,8 +40,9 @@ impl EncoderLayer {
         }
     }
 
-    /// Forward pass; attention and feed-forward temporaries come from
-    /// `ws`. The returned activation is heap-owned (LayerNorm output).
+    /// Forward pass; every temporary and the returned activation come
+    /// from `ws` — the caller must `ws.give` the result back once
+    /// consumed.
     fn forward(
         &mut self,
         x: &Tensor,
@@ -52,14 +53,15 @@ impl EncoderLayer {
     ) -> Tensor {
         let mut a = self.attn.forward_seq_ws(x, batch, seq, true, ws);
         ops::add_assign(&mut a, x);
-        let h = self.norm1.forward(&a, train);
+        let h = self.norm1.forward_ws(&a, train, ws);
         ws.give(a);
         let f1 = self.ff1.forward_ws(&h, train, ws);
         let f = self.act.forward(&f1, train);
         ws.give(f1);
         let mut f2 = self.ff2.forward_ws(&f, train, ws);
         ops::add_assign(&mut f2, &h);
-        let out = self.norm2.forward(&f2, train);
+        ws.give(h);
+        let out = self.norm2.forward_ws(&f2, train, ws);
         ws.give(f2);
         out
     }
@@ -67,7 +69,7 @@ impl EncoderLayer {
     /// Backward pass. The returned `dx` is workspace-owned — the caller
     /// must `ws.give` it back once consumed.
     fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let dsum2 = self.norm2.backward(dy);
+        let dsum2 = self.norm2.backward_ws(dy, ws);
         // ffn branch
         let g2 = self.ff2.backward_ws(&dsum2, ws);
         let ga = self.act.backward(&g2);
@@ -75,11 +77,13 @@ impl EncoderLayer {
         let mut g = self.ff1.backward_ws(&ga, ws);
         // + residual into norm1 output
         ops::add_assign(&mut g, &dsum2);
-        let dsum1 = self.norm1.backward(&g);
+        ws.give(dsum2);
+        let dsum1 = self.norm1.backward_ws(&g, ws);
         ws.give(g);
         // attention branch + residual into layer input
         let mut dx = self.attn.backward_seq_ws(&dsum1, ws);
         ops::add_assign(&mut dx, &dsum1);
+        ws.give(dsum1);
         dx
     }
 
@@ -186,13 +190,23 @@ impl Model for TransformerMini {
         self.cache_batch = batch;
         self.cache_seq = seq;
         let flat_ids: Vec<usize> = seqs.iter().flatten().copied().collect();
-        let mut h = self.embed.forward_tokens(&flat_ids);
-        self.pos.add_to(&mut h, seq);
+        let mut emb = self.embed.forward_tokens(&flat_ids);
+        self.pos.add_to(&mut emb, seq);
+        // the latest layer output; workspace-owned, unlike the embedding
+        let mut h: Option<Tensor> = None;
         for l in &mut self.layers {
-            h = l.forward(&h, batch, seq, train, &mut self.ws);
+            let x = h.as_ref().unwrap_or(&emb);
+            let next = l.forward(x, batch, seq, train, &mut self.ws);
+            if let Some(prev) = h.replace(next) {
+                self.ws.give(prev);
+            }
         }
         // last layer stays on the allocating path: the logits escape
-        self.head.forward(&h, train)
+        let logits = self.head.forward(h.as_ref().unwrap_or(&emb), train);
+        if let Some(h) = h {
+            self.ws.give(h);
+        }
+        logits
     }
 
     fn backward(&mut self, dlogits: &Tensor) {

@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selsync_nn::layers::{Conv2d, Linear};
+use selsync_nn::layers::{BatchNorm2d, Conv2d, LayerNorm, Linear};
 use selsync_nn::models::{Mlp, Model};
 use selsync_nn::module::ParamVisitor;
 use selsync_nn::{Module, Workspace};
@@ -57,6 +57,33 @@ fn conv2d_steady_state_is_allocation_free() {
     let (start, end) = drive(&mut c, &x, &dy, &mut ws, 2, 8);
     assert!(start > 0, "warmup must have populated the arena");
     assert_eq!(end, start, "steady-state Conv2d steps must not allocate");
+}
+
+#[test]
+fn batchnorm2d_steady_state_is_allocation_free() {
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut bn = BatchNorm2d::new("bn", 8);
+    let x = init::randn([4, 8, 8, 8], 1.0, &mut rng);
+    let dy = Tensor::ones([4, 8, 8, 8]);
+    let mut ws = Workspace::new();
+    let (start, end) = drive(&mut bn, &x, &dy, &mut ws, 2, 8);
+    assert!(start > 0, "warmup must have populated the arena");
+    assert_eq!(
+        end, start,
+        "steady-state BatchNorm2d steps must not allocate"
+    );
+}
+
+#[test]
+fn layernorm_steady_state_is_allocation_free() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut ln = LayerNorm::new("ln", 16);
+    let x = init::randn([96, 16], 1.0, &mut rng);
+    let dy = Tensor::ones([96, 16]);
+    let mut ws = Workspace::new();
+    let (start, end) = drive(&mut ln, &x, &dy, &mut ws, 2, 8);
+    assert!(start > 0, "warmup must have populated the arena");
+    assert_eq!(end, start, "steady-state LayerNorm steps must not allocate");
 }
 
 #[test]

@@ -26,24 +26,12 @@ pub use matmul::{reference_mode, set_reference_mode, Par};
 pub use shape::Shape;
 pub use tensor::Tensor;
 
-// Per-kernel parallel dispatch thresholds. The vendored rayon has no
-// persistent pool — every parallel region spawns scoped OS threads
-// (tens of microseconds) — so each kernel crosses over only once the
-// serial work clearly dominates the spawn cost. The packed matmul
-// kernels sustain several GFLOP/s per core, pushing their crossover far
-// above the old scalar kernels' single `PAR_FLOP_THRESHOLD = 1 << 18`.
-
-/// `C = A·B` multiply-accumulate count before row-blocks go parallel.
-pub const MATMUL_NN_PAR_MACS: usize = 1 << 21;
-/// `C = Aᵀ·B` crossover. Lower than NN: the strided pack of Aᵀ makes
-/// the serial path relatively more expensive per MAC, so threads pay
-/// off earlier.
-pub const MATMUL_TN_PAR_MACS: usize = 1 << 20;
-/// `C = A·Bᵀ` crossover. Bᵀ packs with unit-stride reads, same cost
-/// profile as NN.
-pub const MATMUL_NT_PAR_MACS: usize = 1 << 21;
-/// Total patch elements before `im2col` fans images out over threads.
-/// Pure data movement (~bytes, not MACs), so the crossover is lower.
-pub const IM2COL_PAR_ELEMS: usize = 1 << 20;
-/// Total patch elements before `col2im` fans images out over threads.
-pub const COL2IM_PAR_ELEMS: usize = 1 << 20;
+/// Multiply-accumulate count one parallel region of the packed gemm (one
+/// KC×NC block of `B` against every row block of `C`) must hold before
+/// the row blocks fan out over threads. The vendored rayon has no
+/// persistent pool — every parallel region spawns scoped OS threads
+/// (tens of microseconds) — so the kernels cross over only once the
+/// serial work clearly dominates the spawn cost. One value serves
+/// `matmul`, `matmul_tn` and `matmul_nt`: all three pack their operands
+/// in storage order, so none is dearer per MAC than the others.
+pub const MATMUL_PAR_MACS: usize = 1 << 21;

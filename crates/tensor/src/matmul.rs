@@ -8,12 +8,12 @@
 //! * [`matmul_nt`]  — `C = A·Bᵀ`     (input gradients)
 //!
 //! All three route through one packed gemm core: operands are described
-//! by a strided [`MatRef`] view (so a transpose is just swapped strides,
-//! never a copy), then blocked MC×KC×NC and packed into contiguous
-//! panels so the MR×NR register microkernel always streams unit-stride
-//! memory regardless of the caller's layout. `matmul_tn` in particular
-//! used to stride column-wise through `A` on every output row; packing
-//! turns that into one strided sweep per KC block.
+//! by a [`MatRef`] view (a transpose is a flag on the view, never a
+//! copy) and blocked MC×KC×NC. `A` is packed into MR-wide panels; a
+//! row-major `B` (every NN and TN call) is streamed by the MR×NR
+//! register microkernel where it lies, at its own row stride, and only
+//! a ragged last panel is packed; a transposed `B` (NT) is packed into
+//! NR-wide panels. Both packs walk their source contiguously.
 //!
 //! Parallelism fans the MC row-blocks of `C` out over threads. Each
 //! block runs byte-for-byte the same code serially or in parallel, so
@@ -26,7 +26,7 @@
 //! [`set_reference_mode`] routes the public entry points through them.
 
 use crate::tensor::Tensor;
-use crate::{MATMUL_NN_PAR_MACS, MATMUL_NT_PAR_MACS, MATMUL_TN_PAR_MACS};
+use crate::MATMUL_PAR_MACS;
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,7 +51,8 @@ const NC: usize = 512;
 /// Explicit parallelism control for the `*_into_with` kernel variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Par {
-    /// Parallelize when the kernel's MAC count crosses its threshold.
+    /// Parallelize when one parallel region's MAC count crosses
+    /// [`MATMUL_PAR_MACS`](crate::MATMUL_PAR_MACS).
     Auto,
     /// Force the serial path.
     Never,
@@ -61,8 +62,9 @@ pub enum Par {
 
 static REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
 
-/// Route every tensor kernel (matmul family and im2col/col2im) through
-/// the naive [`reference`] implementations. Used by `kernel_bench
+/// Route the matmul family through the naive [`reference`]
+/// implementations (im2col/col2im are pure data movement and have no
+/// second implementation). Used by `kernel_bench
 /// --reference` to measure the pre-optimization baseline; not intended
 /// for concurrent toggling mid-computation.
 pub fn set_reference_mode(on: bool) {
@@ -74,22 +76,16 @@ pub fn reference_mode() -> bool {
     REFERENCE_MODE.load(Ordering::SeqCst)
 }
 
-/// Strided read-only view of a rank-2 operand. A transpose is expressed
-/// by swapping `rs`/`cs`, so one gemm core serves NN, TN and NT.
+/// Read-only view of a rank-2 operand over row-major storage, so one
+/// gemm core serves NN, TN and NT.
 #[derive(Clone, Copy)]
 struct MatRef<'a> {
     data: &'a [f32],
-    /// Element distance between consecutive rows.
-    rs: usize,
-    /// Element distance between consecutive columns.
-    cs: usize,
-}
-
-impl MatRef<'_> {
-    #[inline(always)]
-    fn at(&self, i: usize, j: usize) -> f32 {
-        self.data[i * self.rs + j * self.cs]
-    }
+    /// Element distance between consecutive stored rows.
+    ld: usize,
+    /// The operand is the transpose of what is stored: element `(i, j)`
+    /// lives at `data[j * ld + i]` instead of `data[i * ld + j]`.
+    trans: bool,
 }
 
 thread_local! {
@@ -121,15 +117,15 @@ pub fn matmul_into_with(a: &Tensor, b: &Tensor, c: &mut Tensor, par: Par) {
     }
     let av = MatRef {
         data: a.as_slice(),
-        rs: k,
-        cs: 1,
+        ld: k,
+        trans: false,
     };
     let bv = MatRef {
         data: b.as_slice(),
-        rs: n,
-        cs: 1,
+        ld: n,
+        trans: false,
     };
-    gemm(m, n, k, av, bv, c.as_mut_slice(), par, MATMUL_NN_PAR_MACS);
+    gemm(m, n, k, av, bv, c.as_mut_slice(), par);
 }
 
 /// `C[k,n] = Aᵀ[k,m] · B[m,n]` where `A` is `[m,k]`.
@@ -156,19 +152,18 @@ pub fn matmul_tn_into_with(a: &Tensor, b: &Tensor, c: &mut Tensor, par: Par) {
         reference::matmul_tn_into(a, b, c);
         return;
     }
-    // Effective operand Aᵀ is [k, m]: element (i, p) lives at A[p, i],
-    // i.e. row stride 1, column stride k.
+    // Effective operand Aᵀ is [k, m]: element (i, p) lives at A[p, i].
     let av = MatRef {
         data: a.as_slice(),
-        rs: 1,
-        cs: k,
+        ld: k,
+        trans: true,
     };
     let bv = MatRef {
         data: b.as_slice(),
-        rs: n,
-        cs: 1,
+        ld: n,
+        trans: false,
     };
-    gemm(k, n, m, av, bv, c.as_mut_slice(), par, MATMUL_TN_PAR_MACS);
+    gemm(k, n, m, av, bv, c.as_mut_slice(), par);
 }
 
 /// `C[m,k] = A[m,n] · Bᵀ[n,k]` where `B` is `[k,n]`.
@@ -197,31 +192,50 @@ pub fn matmul_nt_into_with(a: &Tensor, b: &Tensor, c: &mut Tensor, par: Par) {
     }
     let av = MatRef {
         data: a.as_slice(),
-        rs: n,
-        cs: 1,
+        ld: n,
+        trans: false,
     };
     // Effective operand Bᵀ is [n, k]: element (p, j) lives at B[j, p].
     let bv = MatRef {
         data: b.as_slice(),
-        rs: 1,
-        cs: n,
+        ld: n,
+        trans: true,
     };
-    gemm(m, k, n, av, bv, c.as_mut_slice(), par, MATMUL_NT_PAR_MACS);
+    gemm(m, k, n, av, bv, c.as_mut_slice(), par);
+}
+
+/// One KC×NC block of `B` as the microkernel reads it: `direct`
+/// NR-wide panels streamed from the operand where it lies (row stride
+/// `ld`), followed by the panels packed into `packed` (row stride NR).
+#[derive(Clone, Copy)]
+struct BBlock<'a> {
+    /// The operand from row `pc`, column `jc` on; empty when `direct == 0`.
+    src: &'a [f32],
+    ld: usize,
+    direct: usize,
+    packed: &'a [f32],
+}
+
+impl BBlock<'_> {
+    fn panels(&self, kc: usize) -> usize {
+        self.direct + self.packed.len() / (kc * NR)
+    }
+
+    /// Panel `jp` as `(rows, row stride)`: row `p` is `rows[p*ld..][..NR]`.
+    #[inline(always)]
+    fn panel(&self, jp: usize, kc: usize) -> (&[f32], usize) {
+        if jp < self.direct {
+            (&self.src[jp * NR..], self.ld)
+        } else {
+            let at = (jp - self.direct) * kc * NR;
+            (&self.packed[at..at + kc * NR], NR)
+        }
+    }
 }
 
 /// Packed gemm core: `C[m,n] = A_eff[m,k] · B_eff[k,n]` with both
-/// operands given as strided views. `C` is fully overwritten.
-#[allow(clippy::too_many_arguments)]
-fn gemm(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    c: &mut [f32],
-    par: Par,
-    threshold: usize,
-) {
+/// operands given as views. `C` is fully overwritten.
+fn gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], par: Par) {
     debug_assert_eq!(c.len(), m * n);
     if m == 0 || n == 0 {
         return;
@@ -231,11 +245,13 @@ fn gemm(
         return;
     }
     // Parallelize only when there are at least two row blocks to fan
-    // out AND the work amortizes the per-call OS-thread spawn of the
-    // vendored rayon (no persistent pool). The decision depends only on
-    // the shape, so every rank in a distributed run takes the same path.
+    // out AND the work amortizes the OS-thread spawn of the vendored
+    // rayon (no persistent pool). Every (KC, NC) block below is its own
+    // parallel region, so it is one region's work, not the call's, that
+    // has to pay for a spawn. The decision depends only on the shape, so
+    // every rank in a distributed run takes the same path.
     let parallel = match par {
-        Par::Auto => m * n * k >= threshold && m > MC,
+        Par::Auto => m > MC && m * n.min(NC) * k.min(KC) >= MATMUL_PAR_MACS,
         Par::Never => false,
         Par::Always => true,
     };
@@ -246,12 +262,27 @@ fn gemm(
             let first = pc == 0;
             for jc in (0..n).step_by(NC) {
                 let nc = NC.min(n - jc);
-                let need = nc.div_ceil(NR) * NR * kc;
+                // A row-major B already has the microkernel's layout but
+                // for its row stride: stream its full panels in place and
+                // pack only the ragged rest (zero-padded to NR).
+                let direct = if b.trans { 0 } else { nc / NR };
+                let j_packed = jc + direct * NR;
+                let packed_cols = jc + nc - j_packed;
+                let need = packed_cols.div_ceil(NR) * NR * kc;
                 if pb.len() < need {
                     pb.resize(need, 0.0);
                 }
-                pack_b(&mut pb[..need], b, pc, kc, jc, nc);
-                let bp = &pb[..need];
+                pack_b(&mut pb[..need], b, pc, kc, j_packed, packed_cols);
+                let bb = BBlock {
+                    src: if direct > 0 {
+                        &b.data[pc * b.ld + jc..]
+                    } else {
+                        &[]
+                    },
+                    ld: b.ld,
+                    direct,
+                    packed: &pb[..need],
+                };
                 if parallel {
                     c.par_chunks_mut(MC * n)
                         .enumerate()
@@ -265,7 +296,7 @@ fn gemm(
                                 jc,
                                 nc,
                                 a,
-                                bp,
+                                bb,
                                 rows,
                                 first,
                             );
@@ -281,7 +312,7 @@ fn gemm(
                             jc,
                             nc,
                             a,
-                            bp,
+                            bb,
                             rows,
                             first,
                         );
@@ -292,7 +323,7 @@ fn gemm(
     });
 }
 
-/// Compute one MC row-block of `C` against the packed B panels.
+/// Compute one MC row-block of `C` against one block of `B`.
 /// `c_rows` is the block's `mc` full rows of `C`; `first` selects store
 /// vs accumulate (KC blocks after the first add into `C`).
 #[allow(clippy::too_many_arguments)]
@@ -305,67 +336,81 @@ fn gemm_block(
     jc: usize,
     nc: usize,
     a: MatRef<'_>,
-    bp: &[f32],
+    bb: BBlock<'_>,
     c_rows: &mut [f32],
     first: bool,
 ) {
-    // One packed A panel ([kc × MR], zero-padded) lives on the stack.
+    // One packed A panel ([kc × MR]) lives on the stack.
     let mut ap = [0.0f32; KC * MR];
     for ir in (0..mc).step_by(MR) {
         let mr = MR.min(mc - ir);
         pack_a(&mut ap, a, ic + ir, mr, pc, kc);
-        for (jp, bpanel) in bp.chunks_exact(kc * NR).enumerate() {
+        for jp in 0..bb.panels(kc) {
             let j0 = jc + jp * NR;
             let nr = NR.min(jc + nc - j0);
+            let (bpanel, ldb) = bb.panel(jp, kc);
             let mut acc = [[0.0f32; NR]; MR];
-            microkernel(&ap, bpanel, kc, &mut acc);
+            microkernel(mr, &ap, bpanel, ldb, kc, &mut acc);
             for (i, acc_row) in acc.iter().enumerate().take(mr) {
                 let base = (ir + i) * n + j0;
                 let row = &mut c_rows[base..base + nr];
-                if first {
-                    row.copy_from_slice(&acc_row[..nr]);
-                } else {
+                if !first {
                     for (cv, av) in row.iter_mut().zip(acc_row) {
                         *cv += av;
                     }
+                } else if let Ok(full) = <&mut [f32; NR]>::try_from(&mut *row) {
+                    // a full panel is a fixed-size move, not a memcpy call
+                    *full = *acc_row;
+                } else {
+                    row.copy_from_slice(&acc_row[..nr]);
                 }
             }
         }
     }
 }
 
-/// Pack `mr` rows (zero-padding to MR) of the A view's KC block into
-/// `ap` in panel-major order: `ap[p*MR + i] = A_eff[row0+i, pc+p]`.
+/// Pack `mr` rows of the A view's KC block into `ap` in panel-major
+/// order: `ap[p*MR + i] = A_eff[row0+i, pc+p]` for `i < mr` (the
+/// microkernel never reads the rest of a short panel). Either layout is
+/// read in storage order.
 fn pack_a(ap: &mut [f32; KC * MR], a: MatRef<'_>, row0: usize, mr: usize, pc: usize, kc: usize) {
-    for p in 0..kc {
-        let dst = &mut ap[p * MR..(p + 1) * MR];
-        for (i, d) in dst.iter_mut().enumerate().take(mr) {
-            *d = a.at(row0 + i, pc + p);
+    if a.trans {
+        for (p, dst) in ap.chunks_exact_mut(MR).take(kc).enumerate() {
+            let src = (pc + p) * a.ld + row0;
+            dst[..mr].copy_from_slice(&a.data[src..src + mr]);
         }
-        for d in dst.iter_mut().take(MR).skip(mr) {
-            *d = 0.0;
+    } else {
+        for i in 0..mr {
+            let src = (row0 + i) * a.ld + pc;
+            for (dst, &v) in ap.chunks_exact_mut(MR).zip(&a.data[src..src + kc]) {
+                dst[i] = v;
+            }
         }
     }
 }
 
-/// Pack the B view's KC×NC block into NR-wide panels (zero-padded):
-/// panel `jp` holds `bp[jp*kc*NR + p*NR + j] = B_eff[pc+p, jc+jp*NR+j]`.
-fn pack_b(bp: &mut [f32], b: MatRef<'_>, pc: usize, kc: usize, jc: usize, nc: usize) {
+/// Pack `nc` columns of the B view's KC block, from column `j0` on,
+/// into NR-wide panels (zero-padded): panel `jp` holds
+/// `bp[jp*kc*NR + p*NR + j] = B_eff[pc+p, j0+jp*NR+j]`. Either layout
+/// is read in storage order.
+fn pack_b(bp: &mut [f32], b: MatRef<'_>, pc: usize, kc: usize, j0: usize, nc: usize) {
     for (jp, panel) in bp.chunks_exact_mut(kc * NR).enumerate() {
-        let j0 = jc + jp * NR;
-        let nr = NR.min(jc + nc - j0);
-        for p in 0..kc {
-            let dst = &mut panel[p * NR..(p + 1) * NR];
-            if b.cs == 1 {
-                let src = (pc + p) * b.rs + j0;
-                dst[..nr].copy_from_slice(&b.data[src..src + nr]);
-            } else {
-                for (j, d) in dst.iter_mut().enumerate().take(nr) {
-                    *d = b.at(pc + p, j0 + j);
+        let j0 = j0 + jp * NR;
+        let nr = NR.min(nc - jp * NR);
+        if nr < NR {
+            panel.fill(0.0);
+        }
+        if b.trans {
+            for j in 0..nr {
+                let src = (j0 + j) * b.ld + pc;
+                for (dst, &v) in panel.chunks_exact_mut(NR).zip(&b.data[src..src + kc]) {
+                    dst[j] = v;
                 }
             }
-            for d in dst.iter_mut().take(NR).skip(nr) {
-                *d = 0.0;
+        } else {
+            for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
+                let src = (pc + p) * b.ld + j0;
+                dst[..nr].copy_from_slice(&b.data[src..src + nr]);
             }
         }
     }
@@ -388,32 +433,70 @@ fn avx2_available() -> bool {
     false
 }
 
-/// MR×NR register microkernel: `acc = Apanel[kc×MR]ᵀ · Bpanel[kc×NR]`.
-/// Both panels are contiguous and zero-padded, so the loop body is
-/// branch-free. Dispatches to the AVX2+FMA variant when the host
-/// supports it (rustc's baseline x86-64 target only autovectorizes the
-/// portable loop to SSE2 width, which caps it near the old scalar
-/// kernels' throughput).
+/// Register microkernel: `acc[..mr] = Apanel[kc×MR]ᵀ[..mr] · Bpanel[kc×NR]`,
+/// row `p` of the B panel at `bp[p*ldb..][..NR]`. The B panel is either
+/// packed and zero-padded or a full in-place panel, and a short A panel
+/// runs the variant with exactly `mr` accumulator rows, so the loop
+/// body is branch-free and multiplies no padding rows. Dispatches to the
+/// AVX2+FMA variant when the host supports it (rustc's baseline x86-64
+/// target only autovectorizes the portable loop to SSE2 width, which
+/// caps it near the old scalar kernels' throughput).
 #[inline(always)]
-fn microkernel(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
+fn microkernel(
+    mr: usize,
+    ap: &[f32],
+    bp: &[f32],
+    ldb: usize,
+    kc: usize,
+    acc: &mut [[f32; NR]; MR],
+) {
+    match mr {
+        1 => microkernel_rows::<1>(ap, bp, ldb, kc, acc),
+        2 => microkernel_rows::<2>(ap, bp, ldb, kc, acc),
+        3 => microkernel_rows::<3>(ap, bp, ldb, kc, acc),
+        4 => microkernel_rows::<4>(ap, bp, ldb, kc, acc),
+        5 => microkernel_rows::<5>(ap, bp, ldb, kc, acc),
+        _ => microkernel_rows::<MR>(ap, bp, ldb, kc, acc),
+    }
+}
+
+/// [`microkernel`] on the first `M` rows of the A panel and of `acc`.
+#[inline(always)]
+fn microkernel_rows<const M: usize>(
+    ap: &[f32],
+    bp: &[f32],
+    ldb: usize,
+    kc: usize,
+    acc: &mut [[f32; NR]; MR],
+) {
+    // The AVX2 kernel reads through raw pointers: its bounds are checked
+    // here, once per tile.
+    assert!(kc > 0 && ap.len() >= kc * MR && bp.len() >= (kc - 1) * ldb + NR);
+    let acc: &mut [[f32; NR]; M] = (&mut acc[..M]).try_into().expect("M <= MR");
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
-        // SAFETY: avx2_available() verified the avx2 and fma features.
-        unsafe { microkernel_avx2(ap, bp, kc, acc) };
+        // SAFETY: avx2_available() verified the avx2 and fma features,
+        // and the assert above is the kernel's bounds contract.
+        unsafe { microkernel_avx2(ap, bp, ldb, kc, acc) };
         return;
     }
-    microkernel_portable(ap, bp, kc, acc);
+    microkernel_portable(ap, bp, ldb, kc, acc);
 }
 
 /// Portable fallback microkernel (autovectorizes at the target's
 /// baseline SIMD width).
 #[inline(always)]
-fn microkernel_portable(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
+fn microkernel_portable<const M: usize>(
+    ap: &[f32],
+    bp: &[f32],
+    ldb: usize,
+    kc: usize,
+    acc: &mut [[f32; NR]; M],
+) {
     for p in 0..kc {
-        let arow: &[f32; MR] = ap[p * MR..(p + 1) * MR].try_into().unwrap();
-        let brow: &[f32; NR] = bp[p * NR..(p + 1) * NR].try_into().unwrap();
-        for (i, acc_row) in acc.iter_mut().enumerate() {
-            let ai = arow[i];
+        let arow = &ap[p * MR..p * MR + M];
+        let brow: &[f32; NR] = bp[p * ldb..p * ldb + NR].try_into().unwrap();
+        for (acc_row, &ai) in acc.iter_mut().zip(arow) {
             for (av, bv) in acc_row.iter_mut().zip(brow) {
                 *av += ai * bv;
             }
@@ -421,27 +504,34 @@ fn microkernel_portable(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR];
     }
 }
 
-/// AVX2+FMA microkernel: the 6×16 accumulator tile is 12 ymm registers,
-/// leaving two for the B panel row and one for the A broadcast.
+/// AVX2+FMA microkernel: the full 6×16 accumulator tile is 12 ymm
+/// registers, leaving two for the B panel row and one for the A
+/// broadcast.
 ///
 /// # Safety
-/// Caller must ensure the CPU supports `avx2` and `fma`.
-// SAFETY: unsafe only because of #[target_feature] — the sole caller is
-// gated on avx2_available(). All pointer arithmetic stays in bounds: the
-// debug_assert'd panel lengths bound `p * NR + 8 + 8 <= bp.len()` and
-// `p * MR + i < ap.len()`, and each acc row is NR = 16 floats, covering
-// the two 8-lane stores.
+/// Caller must ensure the CPU supports `avx2` and `fma`, and that
+/// `ap.len() >= kc * MR` and `bp.len() >= (kc - 1) * ldb + NR`.
+// SAFETY: unsafe because of #[target_feature] and the raw-pointer loads
+// — the sole caller is gated on avx2_available() and asserts the panel
+// lengths, which bound `p * ldb + 8 + 8 <= bp.len()` and
+// `p * MR + i < ap.len()` for every `p < kc`, `i < M <= MR`; each acc
+// row is NR = 16 floats, covering the two 8-lane stores.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn microkernel_avx2(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
+unsafe fn microkernel_avx2<const M: usize>(
+    ap: &[f32],
+    bp: &[f32],
+    ldb: usize,
+    kc: usize,
+    acc: &mut [[f32; NR]; M],
+) {
     use std::arch::x86_64::*;
-    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-    let mut c = [[_mm256_setzero_ps(); 2]; MR];
+    let mut c = [[_mm256_setzero_ps(); 2]; M];
     for p in 0..kc {
-        let b0 = _mm256_loadu_ps(bp.as_ptr().add(p * NR));
-        let b1 = _mm256_loadu_ps(bp.as_ptr().add(p * NR + 8));
+        let b0 = _mm256_loadu_ps(bp.as_ptr().add(p * ldb));
+        let b1 = _mm256_loadu_ps(bp.as_ptr().add(p * ldb + 8));
         for (i, ci) in c.iter_mut().enumerate() {
-            let a = _mm256_broadcast_ss(&ap[p * MR + i]);
+            let a = _mm256_broadcast_ss(ap.get_unchecked(p * MR + i));
             ci[0] = _mm256_fmadd_ps(a, b0, ci[0]);
             ci[1] = _mm256_fmadd_ps(a, b1, ci[1]);
         }

@@ -123,6 +123,29 @@ pub fn sum_axis0_acc(t: &Tensor, acc: &mut [f32]) {
     }
 }
 
+/// Row sums of a rank-2 tensor `[rows, cols]` accumulated into an
+/// existing length-`rows` slice: `acc[i] += Σ_j t[i, j]`, every row
+/// summed sequentially in ascending `j` straight into its accumulator
+/// (the bias-gradient reduction of a channel-major gradient). Rows are
+/// taken eight at a time so eight independent add chains are in flight
+/// instead of one.
+pub fn sum_axis1_acc(t: &Tensor, acc: &mut [f32]) {
+    const LANES: usize = 8;
+    assert_eq!(t.shape().ndim(), 2, "sum_axis1_acc needs rank-2 input");
+    let (rows, cols) = (t.shape().dim(0), t.shape().dim(1));
+    assert_eq!(acc.len(), rows, "sum_axis1_acc accumulator length mismatch");
+    if cols == 0 {
+        return;
+    }
+    for (block, accs) in t.as_slice().chunks(LANES * cols).zip(acc.chunks_mut(LANES)) {
+        for j in 0..cols {
+            for (i, a) in accs.iter_mut().enumerate() {
+                *a += block[i * cols + j];
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,6 +203,27 @@ mod tests {
     fn axis0_sum() {
         let x = Tensor::from_vec(vec![1.0, 2.0, 10.0, 20.0], [2, 2]);
         assert_eq!(sum_axis0(&x).as_slice(), &[11.0, 22.0]);
+    }
+
+    #[test]
+    fn axis1_sum_accumulates_each_row_in_order() {
+        // 11 rows straddles the 8-row blocking; the per-row result must
+        // be the plain sequential sum, bit for bit.
+        let (rows, cols) = (11, 37);
+        let x = Tensor::from_vec(
+            (0..rows * cols)
+                .map(|i| (i as f32 * 0.37).sin() * 1e3)
+                .collect(),
+            [rows, cols],
+        );
+        let mut acc: Vec<f32> = (0..rows).map(|i| i as f32 * 0.5).collect();
+        let want: Vec<f32> = acc
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| x.row(i).iter().fold(a, |s, v| s + v))
+            .collect();
+        sum_axis1_acc(&x, &mut acc);
+        assert_eq!(acc, want);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Property-based equivalence of the packed/tiled GEMM kernels against
 //! the naive reference kernels, over irregular shapes — degenerate 1×N
 //! strips, sizes straddling the MR/NR/KC tile boundaries, and anything
-//! in between — plus the determinism property the distributed protocol
-//! relies on: the serial and parallel code paths are bit-identical.
+//! in between — plus the determinism properties the distributed protocol
+//! relies on: the serial and parallel code paths are bit-identical, and
+//! so are the three operand paths (B streamed in place, B packed from a
+//! transpose, A packed from a transpose) on the same product.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -89,6 +91,48 @@ proptest! {
         matmul_nt_into_with(&a_nt, &b_nt, &mut serial, Par::Never);
         matmul_nt_into_with(&a_nt, &b_nt, &mut par, Par::Always);
         prop_assert_eq!(bits(&serial), bits(&par));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The shapes the in-place-B path meets in the conv lowering: a
+    /// short `m` (fewer rows than one MR panel up to a few panels), `k`
+    /// past the KC = 256 cut, `n` ragged against NR = 16 and past the
+    /// NC = 512 block. An output element is one FMA chain over `p` with
+    /// the same cuts whichever operand path feeds it, so NN (B in
+    /// place), NT on the stored transpose of B (B packed) and TN on the
+    /// stored transpose of A (A packed contiguously) must agree bit for
+    /// bit, serial and parallel.
+    #[test]
+    fn operand_paths_and_parallelism_are_bit_identical(
+        m in 1usize..=20,
+        k_small in 1usize..=40,
+        k_large in 250usize..=530,
+        n_small in 1usize..=50,
+        n_large in 500usize..=560,
+        large in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        let k = if large & 1 == 0 { k_small } else { k_large };
+        let n = if large & 2 == 0 { n_small } else { n_large };
+        let a = randt(&[m, k], seed);
+        let b = randt(&[k, n], seed + 8);
+        let mut want = Tensor::zeros([m, n]);
+        matmul_into_with(&a, &b, &mut want, Par::Never);
+        prop_assert!(close(&want, &reference::matmul(&a, &b), 1e-3));
+
+        let mut got = Tensor::zeros([m, n]);
+        matmul_into_with(&a, &b, &mut got, Par::Always);
+        prop_assert_eq!(bits(&want), bits(&got), "nn parallel");
+        let (at, bt) = (matmul::transpose(&a), matmul::transpose(&b));
+        for par in [Par::Never, Par::Always] {
+            matmul_nt_into_with(&a, &bt, &mut got, par);
+            prop_assert_eq!(bits(&want), bits(&got), "nt {:?}", par);
+            matmul_tn_into_with(&at, &b, &mut got, par);
+            prop_assert_eq!(bits(&want), bits(&got), "tn {:?}", par);
+        }
     }
 }
 

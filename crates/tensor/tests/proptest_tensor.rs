@@ -64,20 +64,25 @@ proptest! {
 
     #[test]
     fn conv_adjoint_identity(
+        n in 1usize..3,
         c in 1usize..3,
-        hw in 3usize..7,
+        h in 3usize..7,
+        w in 3usize..7,
         k in 1usize..4,
+        stride in 1usize..3,
         pad in 0usize..2,
         seed in 0u64..500,
     ) {
-        prop_assume!(hw + 2 * pad >= k);
-        let g = ConvGeom { in_ch: c, in_h: hw, in_w: hw, k_h: k, k_w: k, stride: 1, pad };
-        let x = randt(&[1, c, hw, hw], seed);
+        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+        let g = ConvGeom { in_ch: c, in_h: h, in_w: w, k_h: k, k_w: k, stride, pad };
+        let x = randt(&[n, c, h, w], seed);
+        // patch-major: one row per tap (c, ky, kx), one column per output pixel
         let cols = im2col(&x, &g);
-        let y = randt(&[cols.shape().dim(0), cols.shape().dim(1)], seed + 6);
+        prop_assert_eq!(cols.shape().dims(), &[c * k * k, n * g.out_h() * g.out_w()]);
+        let y = randt(cols.shape().dims(), seed + 6);
         // <im2col(x), y> == <x, col2im(y)>
         let lhs = ops::dot(&cols, &y);
-        let rhs = ops::dot(&x, &col2im(&y, 1, &g));
+        let rhs = ops::dot(&x, &col2im(&y, n, &g));
         prop_assert!((lhs - rhs).abs() <= 1e-2 * lhs.abs().max(1.0));
     }
 
