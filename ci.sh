@@ -66,7 +66,11 @@ cargo test -q --release -p selsync-comm crc -- --nocapture
 # The GEMM microkernel reads B in place through raw pointers and the
 # conv / norm loops lean on the optimiser for their speed; the debug run
 # above checked their bit-identity oracles without it, this one checks
-# them as they ship.
+# them as they ship. Both runs include nn's `model_digests` (gradients
+# and parameters of the five models, bit for bit against constants
+# recorded before the layer contract was unified) and `heap_allocations`
+# (a counting global allocator: two allocations per steady-state training
+# step, none per predict), so the optimiser is held to both as well.
 echo "==> cargo test -q --release (tensor + nn kernels under the optimiser)"
 cargo test -q --release -p selsync-tensor -p selsync-nn
 

@@ -338,7 +338,7 @@ fn layer_benches(b: &mut Bench) {
     use rand::SeedableRng;
 
     // ResNetMini block-1 geometry: 8 images of 8×16×16, 3×3 kernel; both
-    // directions on the workspace path the models run
+    // directions, recycling buffers as the models do
     let mut rng = StdRng::seed_from_u64(7);
     let conv = RefCell::new(Conv2d::new("bench.conv", 8, 8, 16, 16, 3, 1, 1, &mut rng));
     let ws = RefCell::new(Workspace::new());
@@ -354,7 +354,7 @@ fn layer_benches(b: &mut Bench) {
         flops,
         || {
             let ws = &mut *ws.borrow_mut();
-            let y = conv.borrow_mut().forward_ws(&x, false, ws);
+            let y = conv.borrow_mut().forward(&x, false, ws);
             recycle(ws, y);
         },
         || checksum(&out.borrow()),
@@ -371,7 +371,7 @@ fn layer_benches(b: &mut Bench) {
             let ws = &mut *ws.borrow_mut();
             let mut conv = conv.borrow_mut();
             conv.zero_grad();
-            let dx = conv.backward_ws(&dy, ws);
+            let dx = conv.backward(&dy, ws);
             recycle(ws, dx);
         },
         // input gradient plus the weight gradient it was computed beside
@@ -386,7 +386,11 @@ fn layer_benches(b: &mut Bench) {
         "attention_fwd",
         "b4-s32-d64-h4",
         0.0,
-        || *out.borrow_mut() = attn.borrow_mut().forward_seq(&x, 4, 32, true),
+        || {
+            let ws = &mut *ws.borrow_mut();
+            let y = attn.borrow_mut().forward_seq(&x, 4, 32, true, ws);
+            recycle(ws, y);
+        },
         || checksum(&out.borrow()),
     );
 }

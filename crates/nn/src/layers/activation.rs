@@ -1,6 +1,7 @@
 //! Parameter-free activation layers.
 
 use crate::module::{Module, Param, ParamVisitor};
+use crate::workspace::Workspace;
 use selsync_tensor::Tensor;
 
 /// Rectified linear unit `max(0, x)`.
@@ -22,26 +23,34 @@ impl ParamVisitor for Relu {
 }
 
 impl Module for Relu {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        self.mask.clear();
-        self.mask.reserve(x.numel());
-        let mut y = x.clone();
-        for v in y.as_mut_slice() {
-            self.mask.push(*v > 0.0);
-            if *v <= 0.0 {
-                *v = 0.0;
-            }
+    fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
+        self.mask.resize(x.numel(), false);
+        let mut y = ws.take(x.shape().clone());
+        // Both comparisons are false for NaN: it passes through and its
+        // gradient is masked. `<=` sends -0.0 to +0.0. Two selects and no
+        // data-dependent branch, so the loop vectorises.
+        for ((y, keep), &v) in y
+            .as_mut_slice()
+            .iter_mut()
+            .zip(&mut self.mask)
+            .zip(x.as_slice())
+        {
+            *keep = v > 0.0;
+            *y = if v <= 0.0 { 0.0 } else { v };
         }
         y
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         assert_eq!(dy.numel(), self.mask.len(), "backward before forward");
-        let mut dx = dy.clone();
-        for (v, &keep) in dx.as_mut_slice().iter_mut().zip(&self.mask) {
-            if !keep {
-                *v = 0.0;
-            }
+        let mut dx = ws.take(dy.shape().clone());
+        for ((d, &keep), &g) in dx
+            .as_mut_slice()
+            .iter_mut()
+            .zip(&self.mask)
+            .zip(dy.as_slice())
+        {
+            *d = if keep { g } else { 0.0 };
         }
         dx
     }
@@ -56,9 +65,7 @@ pub struct Tanh {
 impl Tanh {
     /// A fresh Tanh layer.
     pub fn new() -> Self {
-        Tanh {
-            cache_y: Tensor::zeros([0]),
-        }
+        Self::default()
     }
 }
 
@@ -68,19 +75,30 @@ impl ParamVisitor for Tanh {
 }
 
 impl Module for Tanh {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let mut y = x.clone();
-        for v in y.as_mut_slice() {
-            *v = v.tanh();
+    fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
+        self.cache_y.ensure_shape(x.shape().clone());
+        let mut y = ws.take(x.shape().clone());
+        for ((y, c), v) in y
+            .as_mut_slice()
+            .iter_mut()
+            .zip(self.cache_y.as_mut_slice())
+            .zip(x.as_slice())
+        {
+            *y = v.tanh();
+            *c = *y;
         }
-        self.cache_y = y.clone();
         y
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut dx = dy.clone();
-        for (v, y) in dx.as_mut_slice().iter_mut().zip(self.cache_y.as_slice()) {
-            *v *= 1.0 - y * y;
+    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+        let mut dx = ws.take(dy.shape().clone());
+        for ((d, g), y) in dx
+            .as_mut_slice()
+            .iter_mut()
+            .zip(dy.as_slice())
+            .zip(self.cache_y.as_slice())
+        {
+            *d = g * (1.0 - y * y);
         }
         dx
     }
@@ -96,9 +114,7 @@ pub struct Gelu {
 impl Gelu {
     /// A fresh GELU layer.
     pub fn new() -> Self {
-        Gelu {
-            cache_x: Tensor::zeros([0]),
-        }
+        Self::default()
     }
 
     #[inline]
@@ -114,25 +130,31 @@ impl ParamVisitor for Gelu {
 }
 
 impl Module for Gelu {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        self.cache_x = x.clone();
-        let mut y = x.clone();
-        for v in y.as_mut_slice() {
-            *v *= Self::phi(*v);
+    fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
+        self.cache_x.ensure_shape(x.shape().clone());
+        self.cache_x.copy_from(x);
+        let mut y = ws.take(x.shape().clone());
+        for (y, &v) in y.as_mut_slice().iter_mut().zip(x.as_slice()) {
+            *y = v * Self::phi(v);
         }
         y
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         // numerical derivative of x·Φ(x) via the analytic tanh form
-        let mut dx = dy.clone();
+        let mut dx = ws.take(dy.shape().clone());
         const C: f32 = 0.797_884_6;
-        for (v, &x) in dx.as_mut_slice().iter_mut().zip(self.cache_x.as_slice()) {
+        for ((d, g), &x) in dx
+            .as_mut_slice()
+            .iter_mut()
+            .zip(dy.as_slice())
+            .zip(self.cache_x.as_slice())
+        {
             let inner = C * (x + 0.044715 * x * x * x);
             let t = inner.tanh();
             let sech2 = 1.0 - t * t;
             let dphi = 0.5 * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x);
-            *v *= 0.5 * (1.0 + t) + x * dphi;
+            *d = g * (0.5 * (1.0 + t) + x * dphi);
         }
         dx
     }
@@ -148,28 +170,50 @@ mod tests {
 
     #[test]
     fn relu_clamps_and_masks() {
+        let mut ws = Workspace::new();
         let mut r = Relu::new();
-        let y = r.forward(&t(&[-1.0, 0.0, 2.0]), true);
+        let y = r.forward(&t(&[-1.0, 0.0, 2.0]), true, &mut ws);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
-        let dx = r.backward(&t(&[1.0, 1.0, 1.0]));
+        let dx = r.backward(&t(&[1.0, 1.0, 1.0]), &mut ws);
         assert_eq!(dx.as_slice(), &[0.0, 0.0, 1.0]);
     }
 
     #[test]
+    fn relu_edge_cases_keep_their_bits() {
+        // -0.0 becomes +0.0; NaN passes through forward and gets a zero
+        // gradient; a recycled output buffer's old contents never show
+        let mut ws = Workspace::new();
+        let mut stale = ws.take([3]);
+        stale.fill(7.0);
+        ws.give(stale);
+        let mut r = Relu::new();
+        let y = r.forward(&t(&[-0.0, f32::NAN, 3.0]), true, &mut ws);
+        assert_eq!(y.as_slice()[0].to_bits(), 0.0f32.to_bits());
+        assert!(y.as_slice()[1].is_nan());
+        assert_eq!(y.as_slice()[2], 3.0);
+        ws.give(y);
+        let dx = r.backward(&t(&[5.0, 5.0, f32::NAN]), &mut ws);
+        assert_eq!(dx.as_slice()[..2], [0.0, 0.0]);
+        assert!(dx.as_slice()[2].is_nan(), "a kept gradient is copied as is");
+    }
+
+    #[test]
     fn tanh_gradient_at_zero_is_one() {
+        let mut ws = Workspace::new();
         let mut th = Tanh::new();
-        let _ = th.forward(&t(&[0.0]), true);
-        let dx = th.backward(&t(&[1.0]));
+        let _ = th.forward(&t(&[0.0]), true, &mut ws);
+        let dx = th.backward(&t(&[1.0]), &mut ws);
         assert!((dx.as_slice()[0] - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn gelu_matches_finite_differences() {
+        let mut ws = Workspace::new();
         let mut g = Gelu::new();
         let xs = [-2.0f32, -0.5, 0.0, 0.7, 3.0];
         let x = t(&xs);
-        let _ = g.forward(&x, true);
-        let dx = g.backward(&t(&[1.0; 5]));
+        let _ = g.forward(&x, true, &mut ws);
+        let dx = g.backward(&t(&[1.0; 5]), &mut ws);
         let eps = 1e-3;
         for (i, &xv) in xs.iter().enumerate() {
             let f = |v: f32| v * Gelu::phi(v);

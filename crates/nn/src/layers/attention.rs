@@ -12,7 +12,8 @@ use selsync_tensor::{ops, Tensor};
 ///
 /// Like [`crate::layers::Embedding`], this is not a plain
 /// tensor→tensor `Module` because it needs the `(batch, seq)` layout and
-/// a causality flag; it exposes `forward_seq` / `backward_seq`.
+/// a causality flag; it exposes `forward_seq` / `backward_seq`, which
+/// take the workspace like [`Module::forward`] / [`Module::backward`].
 #[derive(Clone)]
 pub struct MultiHeadSelfAttention {
     wq: Linear,
@@ -55,118 +56,10 @@ impl MultiHeadSelfAttention {
         }
     }
 
-    /// Extract head `h` of sequence `b` from `[batch*seq, dim]` → `[seq, head_dim]`.
-    fn slice_head(&self, t: &Tensor, b: usize, h: usize) -> Tensor {
-        let hd = self.head_dim;
-        let mut out = Tensor::zeros([self.seq, hd]);
-        for s in 0..self.seq {
-            out.row_mut(s)
-                .copy_from_slice(&t.row(b * self.seq + s)[h * hd..(h + 1) * hd]);
-        }
-        out
-    }
-
-    /// Scatter `[seq, head_dim]` back into head `h` of sequence `b`.
-    fn write_head(&self, dst: &mut Tensor, src: &Tensor, b: usize, h: usize, accumulate: bool) {
-        let hd = self.head_dim;
-        for s in 0..self.seq {
-            let row = &mut dst.row_mut(b * self.seq + s)[h * hd..(h + 1) * hd];
-            if accumulate {
-                for (d, v) in row.iter_mut().zip(src.row(s)) {
-                    *d += v;
-                }
-            } else {
-                row.copy_from_slice(src.row(s));
-            }
-        }
-    }
-
-    /// Forward pass over `[batch*seq, dim]` activations.
-    pub fn forward_seq(&mut self, x: &Tensor, batch: usize, seq: usize, causal: bool) -> Tensor {
-        assert_eq!(
-            x.shape().dims(),
-            &[batch * seq, self.dim],
-            "layout mismatch"
-        );
-        self.batch = batch;
-        self.seq = seq;
-        self.q = self.wq.forward(x, true);
-        self.k = self.wk.forward(x, true);
-        self.v = self.wv.forward(x, true);
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut ctx = Tensor::zeros([batch * seq, self.dim]);
-        self.attn.clear();
-        for b in 0..batch {
-            for h in 0..self.heads {
-                let qh = self.slice_head(&self.q, b, h);
-                let kh = self.slice_head(&self.k, b, h);
-                let vh = self.slice_head(&self.v, b, h);
-                // scores = Q·Kᵀ * scale, causal-masked, softmax per row
-                let mut scores = selsync_tensor::matmul::matmul_nt(&qh, &kh);
-                ops::scale_assign(&mut scores, scale);
-                for i in 0..seq {
-                    let row = scores.row_mut(i);
-                    if causal {
-                        for v in row.iter_mut().skip(i + 1) {
-                            *v = f32::NEG_INFINITY;
-                        }
-                    }
-                    softmax_in_place(row);
-                }
-                let out = selsync_tensor::matmul::matmul(&scores, &vh);
-                self.write_head(&mut ctx, &out, b, h, false);
-                self.attn.push(scores);
-            }
-        }
-        self.wo.forward(&ctx, true)
-    }
-
-    /// Backward pass; returns gradient w.r.t. the input activations.
-    pub fn backward_seq(&mut self, dy: &Tensor) -> Tensor {
-        let (batch, seq) = (self.batch, self.seq);
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let dctx = self.wo.backward(dy);
-        let mut dq = Tensor::zeros([batch * seq, self.dim]);
-        let mut dk = Tensor::zeros([batch * seq, self.dim]);
-        let mut dv = Tensor::zeros([batch * seq, self.dim]);
-        for b in 0..batch {
-            for h in 0..self.heads {
-                let a = &self.attn[b * self.heads + h];
-                let dctx_h = self.slice_head(&dctx, b, h);
-                let vh = self.slice_head(&self.v, b, h);
-                let qh = self.slice_head(&self.q, b, h);
-                let kh = self.slice_head(&self.k, b, h);
-                // dV = Aᵀ · dctx, dA = dctx · Vᵀ
-                let dvh = selsync_tensor::matmul::matmul_tn(a, &dctx_h);
-                let mut da = selsync_tensor::matmul::matmul_nt(&dctx_h, &vh);
-                // softmax backward per row: dS = A ⊙ (dA - sum(dA ⊙ A))
-                for i in 0..seq {
-                    let arow = a.row(i).to_vec();
-                    let darow = da.row_mut(i);
-                    let dot: f32 = darow.iter().zip(&arow).map(|(x, y)| x * y).sum();
-                    for (dv_, av) in darow.iter_mut().zip(&arow) {
-                        *dv_ = av * (*dv_ - dot);
-                    }
-                }
-                ops::scale_assign(&mut da, scale);
-                // dQ = dS · K ;  dK = dSᵀ · Q
-                let dqh = selsync_tensor::matmul::matmul(&da, &kh);
-                let dkh = selsync_tensor::matmul::matmul_tn(&da, &qh);
-                self.write_head(&mut dq, &dqh, b, h, false);
-                self.write_head(&mut dk, &dkh, b, h, false);
-                self.write_head(&mut dv, &dvh, b, h, false);
-            }
-        }
-        let mut dx = self.wq.backward(&dq);
-        ops::add_assign(&mut dx, &self.wk.backward(&dk));
-        ops::add_assign(&mut dx, &self.wv.backward(&dv));
-        dx
-    }
-
-    /// [`MultiHeadSelfAttention::forward_seq`] drawing every temporary
-    /// from `ws`; the q/k/v and attention-weight caches persist in the
-    /// layer and are recycled in place across steps.
-    pub fn forward_seq_ws(
+    /// Forward pass over `[batch*seq, dim]` activations. Every temporary
+    /// and the result come from `ws`; the q/k/v and attention-weight
+    /// caches persist in the layer and are recycled in place across steps.
+    pub fn forward_seq(
         &mut self,
         x: &Tensor,
         batch: usize,
@@ -181,11 +74,11 @@ impl MultiHeadSelfAttention {
         );
         self.batch = batch;
         self.seq = seq;
-        let q = self.wq.forward_ws(x, true, ws);
+        let q = self.wq.forward(x, true, ws);
         ws.give(std::mem::replace(&mut self.q, q));
-        let k = self.wk.forward_ws(x, true, ws);
+        let k = self.wk.forward(x, true, ws);
         ws.give(std::mem::replace(&mut self.k, k));
-        let v = self.wv.forward_ws(x, true, ws);
+        let v = self.wv.forward(x, true, ws);
         ws.give(std::mem::replace(&mut self.v, v));
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let hd = self.head_dim;
@@ -228,18 +121,18 @@ impl MultiHeadSelfAttention {
         ws.give(kh);
         ws.give(vh);
         ws.give(out);
-        let y = self.wo.forward_ws(&ctx, true, ws);
+        let y = self.wo.forward(&ctx, true, ws);
         ws.give(ctx);
         y
     }
 
-    /// [`MultiHeadSelfAttention::backward_seq`] drawing every temporary
-    /// from `ws`.
-    pub fn backward_seq_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+    /// Backward pass; returns the gradient w.r.t. the input activations,
+    /// drawn from `ws` like every temporary.
+    pub fn backward_seq(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let (batch, seq) = (self.batch, self.seq);
         let (hd, heads) = (self.head_dim, self.heads);
         let scale = 1.0 / (hd as f32).sqrt();
-        let dctx = self.wo.backward_ws(dy, ws);
+        let dctx = self.wo.backward(dy, ws);
         let mut dq = ws.take([batch * seq, self.dim]);
         let mut dk = ws.take([batch * seq, self.dim]);
         let mut dv = ws.take([batch * seq, self.dim]);
@@ -288,11 +181,11 @@ impl MultiHeadSelfAttention {
         ws.give(dkh);
         ws.give(da);
         ws.give(dctx);
-        let mut dx = self.wq.backward_ws(&dq, ws);
-        let dxk = self.wk.backward_ws(&dk, ws);
+        let mut dx = self.wq.backward(&dq, ws);
+        let dxk = self.wk.backward(&dk, ws);
         ops::add_assign(&mut dx, &dxk);
         ws.give(dxk);
-        let dxv = self.wv.backward_ws(&dv, ws);
+        let dxv = self.wv.backward(&dv, ws);
         ops::add_assign(&mut dx, &dxv);
         ws.give(dxv);
         ws.give(dq);
@@ -366,7 +259,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut a = MultiHeadSelfAttention::new("a", 8, 2, &mut rng);
         let x = init::randn([4, 8], 1.0, &mut rng); // batch 1, seq 4
-        let _ = a.forward_seq(&x, 1, 4, true);
+        let _ = a.forward_seq(&x, 1, 4, true, &mut Workspace::new());
         for attn in &a.attn {
             for i in 0..4 {
                 for j in i + 1..4 {
@@ -381,7 +274,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut a = MultiHeadSelfAttention::new("a", 8, 2, &mut rng);
         let x = init::randn([6, 8], 1.0, &mut rng); // batch 2, seq 3
-        let _ = a.forward_seq(&x, 2, 3, false);
+        let _ = a.forward_seq(&x, 2, 3, false, &mut Workspace::new());
         for attn in &a.attn {
             for i in 0..3 {
                 let s: f32 = attn.row(i).iter().sum();
@@ -395,7 +288,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut a = MultiHeadSelfAttention::new("a", 16, 4, &mut rng);
         let x = init::randn([8, 16], 1.0, &mut rng);
-        let y = a.forward_seq(&x, 2, 4, true);
+        let y = a.forward_seq(&x, 2, 4, true, &mut Workspace::new());
         assert_eq!(y.shape().dims(), &[8, 16]);
     }
 
@@ -406,7 +299,7 @@ mod tests {
         let x = init::randn([4, 4], 0.5, &mut rng); // batch 2, seq 2
         let wts: Vec<f32> = (0..16).map(|i| ((i * 7) as f32 * 0.13).sin()).collect();
         let obj = |a: &mut MultiHeadSelfAttention, x: &Tensor| -> f32 {
-            a.forward_seq(x, 2, 2, true)
+            a.forward_seq(x, 2, 2, true, &mut Workspace::new())
                 .as_slice()
                 .iter()
                 .zip(&wts)
@@ -416,7 +309,7 @@ mod tests {
         let base = obj(&mut a, &x);
         a.zero_grad();
         let dy = Tensor::from_vec(wts.clone(), [4, 4]);
-        let dx = a.backward_seq(&dy);
+        let dx = a.backward_seq(&dy, &mut Workspace::new());
         let eps = 1e-2;
         for &i in &[0usize, 5, 11, 15] {
             let mut xp = x.clone();

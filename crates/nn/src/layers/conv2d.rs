@@ -90,15 +90,7 @@ impl ParamVisitor for Conv2d {
 }
 
 impl Module for Conv2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_ws(x, train, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.backward_ws(dy, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
         let n = x.shape().dim(0);
         let (plane, oc) = (self.out_h() * self.out_w(), self.out_ch);
         self.cache_n = n;
@@ -123,7 +115,7 @@ impl Module for Conv2d {
         out
     }
 
-    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let (n, oc) = (self.cache_n, self.out_ch);
         let plane = self.out_h() * self.out_w();
         assert_eq!(
@@ -280,7 +272,7 @@ mod tests {
             out
         }
 
-        /// The old `forward_ws`: returns `y`.
+        /// The row-major forward: returns `y`.
         pub fn forward(c: &Conv2d, x: &Tensor) -> Tensor {
             let n = x.shape().dim(0);
             let cols = im2col(x, &c.geom);
@@ -290,7 +282,7 @@ mod tests {
             rows_to_nchw(&rows, n, c.out_ch, c.out_h(), c.out_w())
         }
 
-        /// The old `backward_ws` on zeroed gradients: returns `(dW, db, dx)`.
+        /// The row-major backward on zeroed gradients: returns `(dW, db, dx)`.
         pub fn backward(c: &Conv2d, x: &Tensor, dy: &Tensor) -> (Tensor, Tensor, Tensor) {
             let n = x.shape().dim(0);
             let cols = im2col(x, &c.geom);
@@ -314,8 +306,7 @@ mod tests {
     /// `(in_ch, out_ch, in_h, in_w, kernel, stride, pad)`
     type Geometry = (usize, usize, usize, usize, usize, usize, usize);
 
-    /// Forward + backward on the layer (both entry-point pairs) against
-    /// the oracle, bit for bit.
+    /// Forward + backward on the layer against the oracle, bit for bit.
     fn assert_matches_oracle(batch: usize, (ic, oc, h, w, k, s, p): Geometry) {
         let label = format!("n{batch} {ic}->{oc} {h}x{w} k{k} s{s} p{p}");
         let mut rng = StdRng::seed_from_u64((batch * 131 + ic * 17 + oc + h * 7 + k) as u64);
@@ -327,9 +318,9 @@ mod tests {
         let (want_dw, want_db, want_dx) = oracle::backward(&c, &x, &dy);
 
         let mut ws = Workspace::new();
-        let y = c.forward_ws(&x, true, &mut ws);
+        let y = c.forward(&x, true, &mut ws);
         c.zero_grad();
-        let dx = c.backward_ws(&dy, &mut ws);
+        let dx = c.backward(&dy, &mut ws);
         assert_eq!(bits(&y), bits(&want_y), "y {label}");
         assert_eq!(bits(&c.w.grad), bits(&want_dw), "dW {label}");
         assert_eq!(bits(&c.b.grad), bits(&want_db), "db {label}");
@@ -381,38 +372,13 @@ mod tests {
     }
 
     #[test]
-    fn allocating_and_workspace_paths_mix_freely() {
-        // One lowering, one cache layout: a `forward` may be followed by
-        // `backward_ws` and the reverse, with the same bits either way.
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut c = Conv2d::new("c", 3, 8, 8, 8, 3, 1, 1, &mut rng);
-        let x = init::randn([4, 3, 8, 8], 1.0, &mut rng);
-        let dy = init::randn([4, 8, 8, 8], 1.0, &mut rng);
-        let mut ws = Workspace::new();
-
-        let y_ws = c.forward_ws(&x, true, &mut ws);
-        c.zero_grad();
-        let dx_plain = c.backward(&dy);
-        let dw_a = c.w.grad.clone();
-
-        let y_plain = c.forward(&x, true);
-        c.zero_grad();
-        let dx_ws = c.backward_ws(&dy, &mut ws);
-
-        assert_eq!(bits(&y_ws), bits(&y_plain));
-        assert_eq!(bits(&dx_plain), bits(&dx_ws));
-        assert_eq!(bits(&dw_a), bits(&c.w.grad));
-        assert_eq!(bits(&y_ws), bits(&oracle::forward(&c, &x)));
-    }
-
-    #[test]
     fn identity_1x1_kernel_passes_through() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut c = Conv2d::new("c", 1, 1, 3, 3, 1, 1, 0, &mut rng);
         c.w.value = Tensor::ones([1, 1]);
         c.b.value = Tensor::zeros([1]);
         let x = Tensor::from_vec((0..9).map(|i| i as f32).collect(), [1, 1, 3, 3]);
-        let y = c.forward(&x, true);
+        let y = c.forward(&x, true, &mut Workspace::new());
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
@@ -423,7 +389,7 @@ mod tests {
         c.w.value = Tensor::full([1, 4], 0.25);
         c.b.value = Tensor::zeros([1]);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [1, 1, 2, 2]);
-        let y = c.forward(&x, true);
+        let y = c.forward(&x, true, &mut Workspace::new());
         assert_eq!(y.shape().dims(), &[1, 1, 1, 1]);
         assert!((y.as_slice()[0] - 2.5).abs() < 1e-6);
     }
@@ -432,7 +398,7 @@ mod tests {
     fn shapes_with_padding_and_stride() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut c = Conv2d::new("c", 3, 8, 8, 8, 3, 2, 1, &mut rng);
-        let y = c.forward(&Tensor::zeros([2, 3, 8, 8]), true);
+        let y = c.forward(&Tensor::zeros([2, 3, 8, 8]), true, &mut Workspace::new());
         assert_eq!(y.shape().dims(), &[2, 8, 4, 4]);
     }
 
@@ -441,12 +407,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut c = Conv2d::new("c", 2, 3, 4, 4, 3, 1, 1, &mut rng);
         let x = init::randn([1, 2, 4, 4], 1.0, &mut rng);
-        let objective =
-            |c: &mut Conv2d, x: &Tensor| -> f32 { c.forward(x, true).as_slice().iter().sum() };
+        let objective = |c: &mut Conv2d, x: &Tensor| -> f32 {
+            c.forward(x, true, &mut Workspace::new())
+                .as_slice()
+                .iter()
+                .sum()
+        };
         let base = objective(&mut c, &x);
         c.zero_grad();
         let dy = Tensor::ones([1, 3, 4, 4]);
-        let dx = c.backward(&dy);
+        let dx = c.backward(&dy, &mut Workspace::new());
 
         let eps = 1e-2;
         for &wi in &[0usize, 5, 17] {
@@ -475,9 +445,9 @@ mod tests {
     fn bias_gradient_counts_output_pixels() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut c = Conv2d::new("c", 1, 2, 4, 4, 3, 1, 1, &mut rng);
-        let _ = c.forward(&Tensor::zeros([2, 1, 4, 4]), true);
+        let _ = c.forward(&Tensor::zeros([2, 1, 4, 4]), true, &mut Workspace::new());
         c.zero_grad();
-        let _ = c.backward(&Tensor::ones([2, 2, 4, 4]));
+        let _ = c.backward(&Tensor::ones([2, 2, 4, 4]), &mut Workspace::new());
         // each bias sees n*oh*ow = 2*16 = 32 gradient contributions of 1
         assert_eq!(c.b.grad.as_slice(), &[32.0, 32.0]);
     }

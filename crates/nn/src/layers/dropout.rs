@@ -1,6 +1,7 @@
 //! Inverted dropout.
 
 use crate::module::{Module, Param, ParamVisitor};
+use crate::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use selsync_tensor::Tensor;
@@ -53,34 +54,42 @@ impl ParamVisitor for Dropout {
 }
 
 impl Module for Dropout {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        self.mask.resize(x.numel(), 0.0);
+        let mut y = ws.take(x.shape().clone());
         if !train || self.p == 0.0 {
-            self.mask.clear();
-            self.mask.resize(x.numel(), 1.0);
-            return x.clone();
+            self.mask.fill(1.0);
+            y.copy_from(x);
+            return y;
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        self.mask.clear();
-        self.mask.reserve(x.numel());
-        let mut y = x.clone();
-        for v in y.as_mut_slice() {
-            let m = if self.rng.random::<f32>() < keep {
+        for ((y, m), &v) in y
+            .as_mut_slice()
+            .iter_mut()
+            .zip(&mut self.mask)
+            .zip(x.as_slice())
+        {
+            *m = if self.rng.random::<f32>() < keep {
                 scale
             } else {
                 0.0
             };
-            self.mask.push(m);
-            *v *= m;
+            *y = v * *m;
         }
         y
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         assert_eq!(dy.numel(), self.mask.len(), "backward before forward");
-        let mut dx = dy.clone();
-        for (v, &m) in dx.as_mut_slice().iter_mut().zip(&self.mask) {
-            *v *= m;
+        let mut dx = ws.take(dy.shape().clone());
+        for ((d, &m), &g) in dx
+            .as_mut_slice()
+            .iter_mut()
+            .zip(&self.mask)
+            .zip(dy.as_slice())
+        {
+            *d = g * m;
         }
         dx
     }
@@ -94,14 +103,17 @@ mod tests {
     fn eval_mode_is_identity() {
         let mut d = Dropout::new(0.5, 0);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]);
-        assert_eq!(d.forward(&x, false).as_slice(), x.as_slice());
+        assert_eq!(
+            d.forward(&x, false, &mut Workspace::new()).as_slice(),
+            x.as_slice()
+        );
     }
 
     #[test]
     fn train_mode_preserves_expectation() {
         let mut d = Dropout::new(0.3, 1);
         let x = Tensor::ones([20000]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x, true, &mut Workspace::new());
         let mean: f32 = y.as_slice().iter().sum::<f32>() / 20000.0;
         assert!((mean - 1.0).abs() < 0.05, "mean {mean} should stay near 1");
     }
@@ -109,7 +121,7 @@ mod tests {
     #[test]
     fn survivors_are_scaled() {
         let mut d = Dropout::new(0.5, 2);
-        let y = d.forward(&Tensor::ones([100]), true);
+        let y = d.forward(&Tensor::ones([100]), true, &mut Workspace::new());
         for &v in y.as_slice() {
             assert!(v == 0.0 || (v - 2.0).abs() < 1e-6);
         }
@@ -118,15 +130,15 @@ mod tests {
     #[test]
     fn backward_uses_same_mask() {
         let mut d = Dropout::new(0.5, 3);
-        let y = d.forward(&Tensor::ones([64]), true);
-        let dx = d.backward(&Tensor::ones([64]));
+        let y = d.forward(&Tensor::ones([64]), true, &mut Workspace::new());
+        let dx = d.backward(&Tensor::ones([64]), &mut Workspace::new());
         assert_eq!(y.as_slice(), dx.as_slice(), "identical masking of ones");
     }
 
     #[test]
     fn p_zero_never_drops() {
         let mut d = Dropout::new(0.0, 4);
-        let y = d.forward(&Tensor::ones([32]), true);
+        let y = d.forward(&Tensor::ones([32]), true, &mut Workspace::new());
         assert_eq!(y.as_slice(), &[1.0; 32]);
     }
 }

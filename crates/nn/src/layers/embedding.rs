@@ -6,6 +6,7 @@
 //! [`ParamVisitor`].
 
 use crate::module::{Param, ParamVisitor};
+use crate::workspace::Workspace;
 use rand::rngs::StdRng;
 use selsync_tensor::{init, Tensor};
 
@@ -43,10 +44,12 @@ impl Embedding {
         self.dim
     }
 
-    /// Look up a flat list of token ids → `[ids.len(), dim]`.
-    pub fn forward_tokens(&mut self, ids: &[usize]) -> Tensor {
-        self.cache_ids = ids.to_vec();
-        let mut out = Tensor::zeros([ids.len(), self.dim]);
+    /// Look up a flat list of token ids → `[ids.len(), dim]`, drawn from
+    /// `ws` like any layer output.
+    pub fn forward_tokens(&mut self, ids: &[usize], ws: &mut Workspace) -> Tensor {
+        self.cache_ids.clear();
+        self.cache_ids.extend_from_slice(ids);
+        let mut out = ws.take([ids.len(), self.dim]);
         for (r, &id) in ids.iter().enumerate() {
             assert!(id < self.vocab, "token id {id} out of vocab {}", self.vocab);
             out.row_mut(r).copy_from_slice(self.w.value.row(id));
@@ -62,9 +65,7 @@ impl Embedding {
             "backward before forward"
         );
         for (r, &id) in self.cache_ids.iter().enumerate() {
-            let g = dy.row(r).to_vec();
-            let grow = self.w.grad.row_mut(id);
-            for (gv, dv) in grow.iter_mut().zip(&g) {
+            for (gv, dv) in self.w.grad.row_mut(id).iter_mut().zip(dy.row(r)) {
                 *gv += dv;
             }
         }
@@ -118,9 +119,7 @@ impl PositionalEncoding {
             "rows must be a multiple of seq_len"
         );
         for r in 0..rows {
-            let pos = r % seq_len;
-            let enc = self.table.row(pos).to_vec();
-            for (xv, ev) in x.row_mut(r).iter_mut().zip(enc) {
+            for (xv, ev) in x.row_mut(r).iter_mut().zip(self.table.row(r % seq_len)) {
                 *xv += ev;
             }
         }
@@ -136,7 +135,7 @@ mod tests {
     fn lookup_returns_table_rows() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut e = Embedding::new("e", 10, 4, &mut rng);
-        let y = e.forward_tokens(&[3, 3, 7]);
+        let y = e.forward_tokens(&[3, 3, 7], &mut Workspace::new());
         assert_eq!(y.row(0), e.w.value.row(3));
         assert_eq!(y.row(1), e.w.value.row(3));
         assert_eq!(y.row(2), e.w.value.row(7));
@@ -146,7 +145,7 @@ mod tests {
     fn backward_accumulates_repeated_ids() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut e = Embedding::new("e", 5, 2, &mut rng);
-        let _ = e.forward_tokens(&[2, 2]);
+        let _ = e.forward_tokens(&[2, 2], &mut Workspace::new());
         e.zero_grad();
         e.backward_tokens(&Tensor::ones([2, 2]));
         assert_eq!(e.w.grad.row(2), &[2.0, 2.0], "two uses accumulate");
@@ -157,7 +156,7 @@ mod tests {
     #[should_panic]
     fn out_of_vocab_panics() {
         let mut rng = StdRng::seed_from_u64(2);
-        Embedding::new("e", 4, 2, &mut rng).forward_tokens(&[4]);
+        Embedding::new("e", 4, 2, &mut rng).forward_tokens(&[4], &mut Workspace::new());
     }
 
     #[test]

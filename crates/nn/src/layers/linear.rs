@@ -87,28 +87,7 @@ impl ParamVisitor for Linear {
 }
 
 impl Module for Linear {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        assert_eq!(x.shape().ndim(), 2, "Linear expects [n, in] input");
-        self.cache_x = x.clone();
-        let mut y = matmul::matmul_nt(x, &self.w.value);
-        if let Some(b) = &self.b {
-            ops::add_row_bias(&mut y, &b.value);
-        }
-        y
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        // dW += dyᵀ · x   ([out, n]·[n, in] = [out, in])
-        let dw = matmul::matmul_tn(dy, &self.cache_x);
-        ops::add_assign(&mut self.w.grad, &dw);
-        if let Some(b) = &mut self.b {
-            ops::add_assign(&mut b.grad, &reduce::sum_axis0(dy));
-        }
-        // dx = dy · W     ([n, out]·[out, in] = [n, in])
-        matmul::matmul(dy, &self.w.value)
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
         assert_eq!(x.shape().ndim(), 2, "Linear expects [n, in] input");
         self.cache_x.ensure_shape(x.shape().clone());
         self.cache_x.copy_from(x);
@@ -120,7 +99,7 @@ impl Module for Linear {
         y
     }
 
-    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         // dW += dyᵀ · x   ([out, n]·[n, in] = [out, in])
         let mut dw = ws.take(self.w.value.shape().clone());
         matmul::matmul_tn_into(dy, &self.cache_x, &mut dw);
@@ -147,7 +126,11 @@ mod tests {
         let mut l = Linear::new("l", 2, 2, &mut rng);
         l.w.value = Tensor::from_vec(vec![1.0, 0.0, 0.0, 2.0], [2, 2]);
         l.b.as_mut().unwrap().value = Tensor::from_vec(vec![0.5, -0.5], [2]);
-        let y = l.forward(&Tensor::from_vec(vec![3.0, 4.0], [1, 2]), true);
+        let y = l.forward(
+            &Tensor::from_vec(vec![3.0, 4.0], [1, 2]),
+            true,
+            &mut Workspace::new(),
+        );
         assert_eq!(y.as_slice(), &[3.5, 7.5]);
     }
 
@@ -157,17 +140,25 @@ mod tests {
         let mut l = Linear::new("l", 3, 2, &mut rng);
         let x = init::randn([4, 3], 1.0, &mut rng);
         // scalar objective: sum of outputs
-        let y = l.forward(&x, true);
+        let y = l.forward(&x, true, &mut Workspace::new());
         let dy = Tensor::ones(y.shape().clone());
         l.zero_grad();
-        let dx = l.backward(&dy);
+        let dx = l.backward(&dy, &mut Workspace::new());
 
         let eps = 1e-3;
         // check a weight gradient
-        let base: f32 = l.forward(&x, true).as_slice().iter().sum();
+        let base: f32 = l
+            .forward(&x, true, &mut Workspace::new())
+            .as_slice()
+            .iter()
+            .sum();
         let mut l2 = l.clone();
         l2.w.value.as_mut_slice()[1] += eps;
-        let pert: f32 = l2.forward(&x, true).as_slice().iter().sum();
+        let pert: f32 = l2
+            .forward(&x, true, &mut Workspace::new())
+            .as_slice()
+            .iter()
+            .sum();
         let fd = (pert - base) / eps;
         assert!(
             (l.w.grad.as_slice()[1] - fd).abs() < 1e-2,
@@ -178,7 +169,11 @@ mod tests {
         // check an input gradient
         let mut xp = x.clone();
         xp.as_mut_slice()[5] += eps;
-        let pert_x: f32 = l.forward(&xp, true).as_slice().iter().sum();
+        let pert_x: f32 = l
+            .forward(&xp, true, &mut Workspace::new())
+            .as_slice()
+            .iter()
+            .sum();
         let fd_x = (pert_x - base) / eps;
         assert!((dx.as_slice()[5] - fd_x).abs() < 1e-2);
     }
@@ -188,10 +183,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut l = Linear::new("l", 2, 2, &mut rng);
         let x = Tensor::ones([3, 2]);
-        let _ = l.forward(&x, true);
+        let _ = l.forward(&x, true, &mut Workspace::new());
         l.zero_grad();
         let dy = Tensor::ones([3, 2]);
-        let _ = l.backward(&dy);
+        let _ = l.backward(&dy, &mut Workspace::new());
         assert_eq!(l.b.as_ref().unwrap().grad.as_slice(), &[3.0, 3.0]);
     }
 

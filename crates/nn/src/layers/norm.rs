@@ -113,15 +113,7 @@ impl ParamVisitor for BatchNorm1d {
 }
 
 impl Module for BatchNorm1d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_ws(x, train, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.backward_ws(dy, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         assert_eq!(x.shape().dims()[1], self.features, "feature mismatch");
         let n = x.shape().dim(0);
         let c = self.features;
@@ -163,7 +155,7 @@ impl Module for BatchNorm1d {
         y
     }
 
-    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let n = dy.shape().dim(0);
         let c = self.features;
         let st = &mut self.st;
@@ -227,15 +219,7 @@ impl ParamVisitor for BatchNorm2d {
 }
 
 impl Module for BatchNorm2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_ws(x, train, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.backward_ws(dy, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let dims = x.shape().dims();
         assert_eq!(dims.len(), 4, "BatchNorm2d expects [n,c,h,w]");
         assert_eq!(dims[1], self.channels, "channel mismatch");
@@ -290,7 +274,7 @@ impl Module for BatchNorm2d {
         y
     }
 
-    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let dims = dy.shape().dims();
         let (n, c, plane) = (dims[0], dims[1], dims[2] * dims[3]);
         let count = (n * plane) as f32;
@@ -363,15 +347,7 @@ impl ParamVisitor for LayerNorm {
 }
 
 impl Module for LayerNorm {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_ws(x, train, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.backward_ws(dy, &mut Workspace::new())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
         assert_eq!(x.shape().dims()[1], self.features, "feature mismatch");
         let n = x.shape().dim(0);
         let c = self.features;
@@ -400,7 +376,7 @@ impl Module for LayerNorm {
         y
     }
 
-    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let n = dy.shape().dim(0);
         let c = self.features;
         let st = &mut self.st;
@@ -456,7 +432,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut bn = BatchNorm1d::new("bn", 3);
         let x = init::randn([64, 3], 3.0, &mut rng);
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x, true, &mut Workspace::new());
         for j in 0..3 {
             let col: Vec<f32> = (0..64).map(|i| y.at(&[i, j])).collect();
             assert_unit_stats(&col);
@@ -470,9 +446,9 @@ mod tests {
         // feed many batches so running stats converge to batch stats
         let x = init::randn([256, 2], 2.0, &mut rng);
         for _ in 0..60 {
-            let _ = bn.forward(&x, true);
+            let _ = bn.forward(&x, true, &mut Workspace::new());
         }
-        let y = bn.forward(&x, false);
+        let y = bn.forward(&x, false, &mut Workspace::new());
         for j in 0..2 {
             let col: Vec<f32> = (0..256).map(|i| y.at(&[i, j])).collect();
             let m: f32 = col.iter().sum::<f32>() / 256.0;
@@ -485,7 +461,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut bn = BatchNorm2d::new("bn", 2);
         let x = init::randn([8, 2, 4, 4], 5.0, &mut rng);
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x, true, &mut Workspace::new());
         for c in 0..2 {
             let mut vals = Vec::new();
             for b in 0..8 {
@@ -504,7 +480,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut ln = LayerNorm::new("ln", 16);
         let x = init::randn([4, 16], 4.0, &mut rng);
-        let y = ln.forward(&x, true);
+        let y = ln.forward(&x, true, &mut Workspace::new());
         for i in 0..4 {
             assert_unit_stats(y.row(i));
         }
@@ -519,7 +495,7 @@ mod tests {
         // weighted objective to get nonzero dx through normalization
         let wts: Vec<f32> = (0..10).map(|i| (i as f32 * 0.7).sin()).collect();
         let obj = |bn: &mut BatchNorm1d, x: &Tensor| -> f32 {
-            bn.forward(x, true)
+            bn.forward(x, true, &mut Workspace::new())
                 .as_slice()
                 .iter()
                 .zip(&wts)
@@ -529,7 +505,7 @@ mod tests {
         let base = obj(&mut bn, &x);
         bn.zero_grad();
         let dy = Tensor::from_vec(wts.clone(), [5, 2]);
-        let dx = bn.backward(&dy);
+        let dx = bn.backward(&dy, &mut Workspace::new());
         let eps = 1e-3;
         for &i in &[0usize, 3, 7] {
             let mut xp = x.clone();
@@ -551,7 +527,7 @@ mod tests {
         let x = init::randn([2, 4], 1.0, &mut rng);
         let wts: Vec<f32> = (0..8).map(|i| ((i * 3) as f32 * 0.31).cos()).collect();
         let obj = |ln: &mut LayerNorm, x: &Tensor| -> f32 {
-            ln.forward(x, true)
+            ln.forward(x, true, &mut Workspace::new())
                 .as_slice()
                 .iter()
                 .zip(&wts)
@@ -561,7 +537,7 @@ mod tests {
         let base = obj(&mut ln, &x);
         ln.zero_grad();
         let dy = Tensor::from_vec(wts.clone(), [2, 4]);
-        let dx = ln.backward(&dy);
+        let dx = ln.backward(&dy, &mut Workspace::new());
         let eps = 1e-3;
         for &i in &[0usize, 2, 5, 7] {
             let mut xp = x.clone();
@@ -642,8 +618,8 @@ mod tests {
         let mut bn = BatchNorm2d::new("bn", c);
         bn.st.gamma.value = gamma.clone();
         bn.st.beta.value = beta.clone();
-        let y = bn.forward(&x, true);
-        let dx = bn.backward(&dy);
+        let y = bn.forward(&x, true, &mut Workspace::new());
+        let dx = bn.backward(&dy, &mut Workspace::new());
         let plane = h * w;
         let want = channelwise_oracle(
             &x,
@@ -663,8 +639,8 @@ mod tests {
         let mut bn = BatchNorm1d::new("bn", c);
         bn.st.gamma.value = gamma.clone();
         bn.st.beta.value = beta.clone();
-        let y = bn.forward(&x, true);
-        let dx = bn.backward(&dy);
+        let y = bn.forward(&x, true, &mut Workspace::new());
+        let dx = bn.backward(&dy, &mut Workspace::new());
         let want = channelwise_oracle(
             &x,
             &dy,

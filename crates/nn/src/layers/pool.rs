@@ -1,13 +1,14 @@
 //! Spatial pooling layers.
 
 use crate::module::{Module, Param, ParamVisitor};
-use selsync_tensor::Tensor;
+use crate::workspace::Workspace;
+use selsync_tensor::{Shape, Tensor};
 
 /// 2-D max pooling with a square window and matching stride.
 #[derive(Clone)]
 pub struct MaxPool2d {
     k: usize,
-    in_dims: Vec<usize>,
+    in_shape: Shape,
     argmax: Vec<usize>,
 }
 
@@ -17,7 +18,7 @@ impl MaxPool2d {
         assert!(k >= 1);
         MaxPool2d {
             k,
-            in_dims: Vec::new(),
+            in_shape: Shape::default(),
             argmax: Vec::new(),
         }
     }
@@ -29,8 +30,8 @@ impl ParamVisitor for MaxPool2d {
 }
 
 impl Module for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let dims = x.shape().dims().to_vec();
+    fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
+        let dims = x.shape().dims();
         assert_eq!(dims.len(), 4, "MaxPool2d expects [n,c,h,w]");
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let k = self.k;
@@ -39,8 +40,8 @@ impl Module for MaxPool2d {
             "input {h}x{w} not divisible by window {k}"
         );
         let (oh, ow) = (h / k, w / k);
-        self.in_dims = dims;
-        let mut out = Tensor::zeros([n, c, oh, ow]);
+        self.in_shape = x.shape().clone();
+        let mut out = ws.take([n, c, oh, ow]);
         self.argmax.clear();
         self.argmax.reserve(n * c * oh * ow);
         let src = x.as_slice();
@@ -72,9 +73,9 @@ impl Module for MaxPool2d {
         out
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         assert_eq!(dy.numel(), self.argmax.len(), "backward before forward");
-        let mut dx = Tensor::zeros(self.in_dims.as_slice());
+        let mut dx = ws.take_zeroed(self.in_shape.clone());
         let d = dx.as_mut_slice();
         for (g, &idx) in dy.as_slice().iter().zip(&self.argmax) {
             d[idx] += g;
@@ -86,7 +87,7 @@ impl Module for MaxPool2d {
 /// Global average pooling: `[n, c, h, w] → [n, c]`.
 #[derive(Clone, Default)]
 pub struct GlobalAvgPool {
-    in_dims: Vec<usize>,
+    in_shape: Shape,
 }
 
 impl GlobalAvgPool {
@@ -102,13 +103,13 @@ impl ParamVisitor for GlobalAvgPool {
 }
 
 impl Module for GlobalAvgPool {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let dims = x.shape().dims().to_vec();
+    fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
+        let dims = x.shape().dims();
         assert_eq!(dims.len(), 4, "GlobalAvgPool expects [n,c,h,w]");
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        self.in_dims = dims;
+        self.in_shape = x.shape().clone();
         let plane = (h * w) as f32;
-        let mut out = Tensor::zeros([n, c]);
+        let mut out = ws.take([n, c]);
         let src = x.as_slice();
         let dst = out.as_mut_slice();
         for b in 0..n {
@@ -120,15 +121,11 @@ impl Module for GlobalAvgPool {
         out
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (n, c, h, w) = (
-            self.in_dims[0],
-            self.in_dims[1],
-            self.in_dims[2],
-            self.in_dims[3],
-        );
+    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+        let d = self.in_shape.dims();
+        let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
         let plane = (h * w) as f32;
-        let mut dx = Tensor::zeros(self.in_dims.as_slice());
+        let mut dx = ws.take(self.in_shape.clone());
         let d = dx.as_mut_slice();
         let g = dy.as_slice();
         for b in 0..n {
@@ -157,7 +154,7 @@ mod tests {
             ],
             [1, 1, 4, 4],
         );
-        let y = mp.forward(&x, true);
+        let y = mp.forward(&x, true, &mut Workspace::new());
         assert_eq!(y.shape().dims(), &[1, 1, 2, 2]);
         assert_eq!(y.as_slice(), &[6.0, 8.0, 14.0, 16.0]);
     }
@@ -166,8 +163,11 @@ mod tests {
     fn maxpool_routes_gradient_to_argmax() {
         let mut mp = MaxPool2d::new(2);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [1, 1, 2, 2]);
-        let _ = mp.forward(&x, true);
-        let dx = mp.backward(&Tensor::from_vec(vec![7.0], [1, 1, 1, 1]));
+        let _ = mp.forward(&x, true, &mut Workspace::new());
+        let dx = mp.backward(
+            &Tensor::from_vec(vec![7.0], [1, 1, 1, 1]),
+            &mut Workspace::new(),
+        );
         assert_eq!(dx.as_slice(), &[0.0, 0.0, 0.0, 7.0]);
     }
 
@@ -175,7 +175,7 @@ mod tests {
     fn avgpool_means_planes() {
         let mut gp = GlobalAvgPool::new();
         let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0, 0.0, 0.0, 0.0, 4.0], [1, 2, 2, 2]);
-        let y = gp.forward(&x, true);
+        let y = gp.forward(&x, true, &mut Workspace::new());
         assert_eq!(y.shape().dims(), &[1, 2]);
         assert_eq!(y.as_slice(), &[4.0, 1.0]);
     }
@@ -183,14 +183,14 @@ mod tests {
     #[test]
     fn avgpool_backward_spreads_uniformly() {
         let mut gp = GlobalAvgPool::new();
-        let _ = gp.forward(&Tensor::zeros([1, 1, 2, 2]), true);
-        let dx = gp.backward(&Tensor::from_vec(vec![8.0], [1, 1]));
+        let _ = gp.forward(&Tensor::zeros([1, 1, 2, 2]), true, &mut Workspace::new());
+        let dx = gp.backward(&Tensor::from_vec(vec![8.0], [1, 1]), &mut Workspace::new());
         assert_eq!(dx.as_slice(), &[2.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]
     #[should_panic]
     fn maxpool_rejects_indivisible_input() {
-        MaxPool2d::new(2).forward(&Tensor::zeros([1, 1, 3, 3]), true);
+        MaxPool2d::new(2).forward(&Tensor::zeros([1, 1, 3, 3]), true, &mut Workspace::new());
     }
 }

@@ -1,21 +1,21 @@
 //! A configurable multi-layer perceptron — the fast workhorse model used
 //! by unit/integration tests and overhead-measurement experiments.
 
-use crate::batch::Input;
 use crate::layers::{Linear, Relu};
-use crate::models::Model;
-use crate::module::{Module, Param, ParamVisitor};
+use crate::models::sequential::{Flatten, Sequential, Stage};
 use crate::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selsync_tensor::Tensor;
 
 /// Fully-connected ReLU network `dims[0] → … → dims.last()`.
 #[derive(Clone)]
 pub struct Mlp {
-    layers: Vec<Linear>,
-    relus: Vec<Relu>,
+    net: Sequential,
+    in_features: usize,
     classes: usize,
+    /// Scratch-buffer arena recycled across steps (`Clone` yields a fresh
+    /// empty arena, so cloned models never share buffers).
+    ws: Workspace,
 }
 
 impl Mlp {
@@ -26,125 +26,43 @@ impl Mlp {
     pub fn new(dims: &[usize], seed: u64) -> Self {
         assert!(dims.len() >= 2, "need at least input and output widths");
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut layers = Vec::with_capacity(dims.len() - 1);
-        let mut relus = Vec::new();
-        for i in 0..dims.len() - 1 {
-            layers.push(Linear::new_kaiming(
-                &format!("fc{i}"),
-                dims[i],
-                dims[i + 1],
-                &mut rng,
-            ));
-            if i + 2 < dims.len() {
-                relus.push(Relu::new());
+        // accept [n, d] or flatten [n, c, h, w]
+        let mut stages = vec![Stage::Flatten(Flatten::default())];
+        for (i, io) in dims.windows(2).enumerate() {
+            if i > 0 {
+                stages.push(Stage::Relu(Relu::new()));
             }
+            let name = format!("fc{i}");
+            stages.push(Stage::Linear(Linear::new_kaiming(
+                &name, io[0], io[1], &mut rng,
+            )));
         }
         Mlp {
-            layers,
-            relus,
-            classes: *dims.last().unwrap(),
+            net: Sequential::new(stages),
+            in_features: dims[0],
+            classes: dims[dims.len() - 1],
+            ws: Workspace::new(),
         }
     }
 
     /// Input feature width.
     pub fn in_features(&self) -> usize {
-        self.layers[0].in_features()
+        self.in_features
     }
 }
 
-impl ParamVisitor for Mlp {
-    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
-        for l in &self.layers {
-            l.visit_params(f);
-        }
-    }
-    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for l in &mut self.layers {
-            l.visit_params_mut(f);
-        }
-    }
-}
-
-impl Model for Mlp {
-    fn forward(&mut self, input: &Input, train: bool) -> Tensor {
-        let x = input.dense();
-        // accept [n, d] or flatten [n, c, h, w]
-        let n = x.shape().dim(0);
-        let feat: usize = x.shape().dims()[1..].iter().product();
-        let mut h = x.reshaped([n, feat]);
-        for i in 0..self.layers.len() {
-            h = self.layers[i].forward(&h, train);
-            if i < self.relus.len() {
-                h = self.relus[i].forward(&h, train);
-            }
-        }
-        h
-    }
-
-    /// Allocation-free inference for `[rows, features]` batches: every
-    /// intermediate comes from the arena via `Linear::forward_ws`, and
-    /// ReLU runs in place on the hidden activations (inference needs no
-    /// saved mask). Image-shaped input falls back to the allocating
-    /// path, since flattening it requires a copy anyway.
-    fn predict_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        if x.shape().ndim() != 2 {
-            return self.forward(&Input::Dense(x.clone()), false);
-        }
-        let mut h = self.layers[0].forward_ws(x, false, ws);
-        for i in 1..self.layers.len() {
-            for v in h.as_mut_slice() {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
-            let next = self.layers[i].forward_ws(&h, false, ws);
-            ws.give(h);
-            h = next;
-        }
-        h
-    }
-
-    fn backward(&mut self, dlogits: &Tensor) {
-        self.backward_hooked(dlogits, &mut |_, _| {});
-    }
-
-    fn backward_hooked(
-        &mut self,
-        dlogits: &Tensor,
-        hook: &mut dyn FnMut(usize, &dyn ParamVisitor),
-    ) {
-        // forward order is L0 R0 L1 R1 … L_last (no ReLU after the last
-        // layer), so ReLU i-1 precedes layer i on the way back; a
-        // layer's params are final the moment its backward returns.
-        let mut g = dlogits.clone();
-        let mut watermark = self.num_params();
-        for i in (0..self.layers.len()).rev() {
-            g = self.layers[i].backward(&g);
-            watermark -= self.layers[i].num_params();
-            hook(watermark, &*self);
-            if i > 0 {
-                g = self.relus[i - 1].backward(&g);
-            }
-        }
-        debug_assert_eq!(watermark, 0);
-    }
-
-    fn num_classes(&self) -> usize {
-        self.classes
-    }
-
-    fn name(&self) -> &'static str {
-        "mlp"
-    }
-}
+dense_model!(Mlp, "mlp");
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::Batch;
+    use crate::batch::{Batch, Input};
     use crate::loss::softmax_cross_entropy;
+    use crate::models::Model;
+    use crate::module::ParamVisitor;
     use crate::optim::{Optimizer, Sgd};
     use selsync_tensor::init;
+    use selsync_tensor::Tensor;
 
     #[test]
     fn forward_shapes() {
@@ -173,6 +91,20 @@ mod tests {
         let wb: Vec<u32> = want.as_slice().iter().map(|v| v.to_bits()).collect();
         let gb: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
         assert_eq!(gb, wb, "workspace predict must be bit-identical");
+    }
+
+    #[test]
+    fn predict_ws_agrees_with_forward_on_a_negative_zero_preactivation() {
+        // fc0's product underflows to -0.0 where the GEMM fuses its
+        // multiply-add, and a -0.0 bias keeps the sign: the hidden
+        // pre-activation `Relu` clamps with `<=` but a `< 0.0` test, as
+        // predict_ws once inlined, lets through
+        let mut m = Mlp::new(&[1, 1, 1], 0);
+        crate::flat::set_flat_params(&mut m, &[-1e-30, -0.0, 1.0, -0.0]);
+        let x = Tensor::from_vec(vec![1e-30], [1, 1]);
+        let want = m.forward(&Input::Dense(x.clone()), false);
+        let got = m.predict_ws(&x, &mut Workspace::new());
+        assert_eq!(got.as_slice()[0].to_bits(), want.as_slice()[0].to_bits());
     }
 
     #[test]

@@ -13,9 +13,64 @@
 //! [`ModelKind::paper_model_bytes`] so timing figures reflect the
 //! *paper's* model sizes, not the minis'.
 
+/// [`ParamVisitor`] and [`Model`] for a dense-input model: a struct with
+/// a stage list `net`, an arena `ws` and a class count `classes`.
+macro_rules! dense_model {
+    ($model:ty, $name:literal) => {
+        impl $crate::module::ParamVisitor for $model {
+            fn visit_params(&self, f: &mut dyn FnMut(&$crate::module::Param)) {
+                self.net.visit_params(f);
+            }
+            fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut $crate::module::Param)) {
+                self.net.visit_params_mut(f);
+            }
+        }
+
+        impl $crate::models::Model for $model {
+            fn forward(
+                &mut self,
+                input: &$crate::batch::Input,
+                train: bool,
+            ) -> selsync_tensor::Tensor {
+                self.net.forward(input.dense(), train, &mut self.ws, true)
+            }
+
+            fn backward(&mut self, dlogits: &selsync_tensor::Tensor) {
+                self.backward_hooked(dlogits, &mut |_, _| {});
+            }
+
+            fn backward_hooked(
+                &mut self,
+                dlogits: &selsync_tensor::Tensor,
+                hook: &mut dyn FnMut(usize, &dyn $crate::module::ParamVisitor),
+            ) {
+                let dx = self.net.backward(dlogits, &mut self.ws, hook);
+                self.ws.give(dx);
+            }
+
+            fn predict_ws(
+                &mut self,
+                x: &selsync_tensor::Tensor,
+                ws: &mut $crate::workspace::Workspace,
+            ) -> selsync_tensor::Tensor {
+                self.net.forward(x, false, ws, false)
+            }
+
+            fn num_classes(&self) -> usize {
+                self.classes
+            }
+
+            fn name(&self) -> &'static str {
+                $name
+            }
+        }
+    };
+}
+
 pub mod alexnet_mini;
 pub mod mlp;
 pub mod resnet_mini;
+pub(crate) mod sequential;
 pub mod transformer_mini;
 pub mod vgg_mini;
 
@@ -73,15 +128,18 @@ pub trait Model: ParamVisitor + Send {
         self.backward(dlogits);
     }
 
-    /// Workspace-aware inference entry point for the serving tier:
-    /// logits `[rows, classes]` for a dense batch `x` of shape
-    /// `[rows, features…]`, drawing every temporary from `ws` so a
-    /// steady-state predict loop performs zero arena allocations after
-    /// warmup. The caller owns the returned tensor and should `give` it
-    /// back to `ws` once consumed to keep the arena balanced.
+    /// Inference entry point for the serving tier: logits
+    /// `[rows, classes]` for a dense batch `x` of shape
+    /// `[rows, features…]`, drawing every temporary *and the logits*
+    /// from the caller's `ws`, so a steady-state predict loop allocates
+    /// nothing after warmup. The caller should `give` the returned
+    /// tensor back to `ws` once consumed to keep the arena balanced.
     ///
-    /// The default delegates to the allocating [`Model::forward`] path;
-    /// models with a full `_ws` pipeline (the MLP) override it.
+    /// Every dense-input model in the zoo overrides this with its
+    /// evaluation-mode forward run against `ws`. The default is for
+    /// models without such a path (and the token-input
+    /// [`TransformerMini`], which rejects dense input): it delegates to
+    /// [`Model::forward`] and ignores `ws`.
     fn predict_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let _ = &mut *ws;
         self.forward(&Input::Dense(x.clone()), false)
@@ -176,7 +234,10 @@ impl ModelKind {
 mod tests {
     use super::*;
     use crate::flat::flat_grads;
+    use crate::layers::{GlobalAvgPool, Linear, Relu};
     use crate::loss::softmax_cross_entropy;
+    use crate::models::resnet_mini::ResBlock;
+    use crate::models::sequential::{Sequential, Stage};
     use crate::module::Param;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -185,7 +246,8 @@ mod tests {
     /// The `backward_hooked` contract every model must satisfy: strictly
     /// decreasing watermarks ending at 0, each announced suffix already
     /// bit-final, and total grads bit-identical to plain `backward`.
-    fn assert_hook_contract<M: Model>(mut build: impl FnMut() -> M, input: Input) {
+    /// Returns the watermarks in the order the hook saw them.
+    fn assert_hook_contract<M: Model>(mut build: impl FnMut() -> M, input: Input) -> Vec<usize> {
         // reference: plain backward on a fresh same-seed model
         let mut a = build();
         let logits = a.forward(&input, true);
@@ -222,6 +284,7 @@ mod tests {
         let got: Vec<u32> = flat_grads(&b).iter().map(|v| v.to_bits()).collect();
         let exp: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, exp, "hooked grads must be bit-identical to plain");
+        marks
     }
 
     fn image(n: usize, seed: u64) -> Input {
@@ -257,6 +320,41 @@ mod tests {
             || TransformerMini::new(16, 5),
             Input::Tokens(vec![vec![1, 2, 3, 4], vec![5, 6, 7, 8]]),
         );
+    }
+
+    /// A bare stage list: a composite stage, then a parameter-free stage
+    /// between two parameterised ones.
+    #[derive(Clone)]
+    struct Staged {
+        net: Sequential,
+        classes: usize,
+        ws: Workspace,
+    }
+
+    dense_model!(Staged, "staged");
+
+    #[test]
+    fn backward_hooked_contract_sequential() {
+        let build = || {
+            let mut rng = StdRng::seed_from_u64(9);
+            Staged {
+                net: Sequential::new(vec![
+                    Stage::ResBlock(ResBlock::new("block", 3, 4, 8, 8, 2, &mut rng)),
+                    Stage::GlobalAvgPool(GlobalAvgPool::new()),
+                    Stage::Linear(Linear::new("fc1", 4, 6, &mut rng)),
+                    Stage::Relu(Relu::new()),
+                    Stage::Linear(Linear::new("fc2", 6, 3, &mut rng)),
+                ]),
+                classes: 3,
+                ws: Workspace::new(),
+            }
+        };
+        let total = build().num_params();
+        let marks = assert_hook_contract(build, image(2, 6));
+        // one announcement per parameterised stage, none for the pool or
+        // the ReLU, and the block (both branches) all at once
+        let (fc2, fc1) = (6 * 3 + 3, 4 * 6 + 6);
+        assert_eq!(marks, [total - fc2, total - fc2 - fc1, 0]);
     }
 
     struct Plain {

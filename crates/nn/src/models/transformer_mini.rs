@@ -10,6 +10,7 @@
 use crate::batch::Input;
 use crate::layers::embedding::PositionalEncoding;
 use crate::layers::{Embedding, Gelu, LayerNorm, Linear, MultiHeadSelfAttention};
+use crate::models::sequential::{Sequential, Stage};
 use crate::models::Model;
 use crate::module::{Module, Param, ParamVisitor};
 use crate::workspace::Workspace;
@@ -19,13 +20,17 @@ use selsync_tensor::{ops, Tensor};
 
 /// One post-norm Transformer encoder layer.
 #[derive(Clone)]
-struct EncoderLayer {
+pub(crate) struct EncoderLayer {
     attn: MultiHeadSelfAttention,
     norm1: LayerNorm,
     ff1: Linear,
     act: Gelu,
     ff2: Linear,
     norm2: LayerNorm,
+    /// Tokens per sequence in the `[batch*seq, dim]` rows of the next
+    /// forward: the one thing attention needs that a tensor→tensor
+    /// signature cannot carry, so the model sets it before each pass.
+    seq: usize,
 }
 
 impl EncoderLayer {
@@ -37,90 +42,81 @@ impl EncoderLayer {
             act: Gelu::new(),
             ff2: Linear::new(&format!("{name}.linear2"), ff_dim, dim, rng),
             norm2: LayerNorm::new(&format!("{name}.norm2"), dim),
+            seq: 0,
         }
     }
+}
 
-    /// Forward pass; every temporary and the returned activation come
-    /// from `ws` — the caller must `ws.give` the result back once
-    /// consumed.
-    fn forward(
-        &mut self,
-        x: &Tensor,
-        batch: usize,
-        seq: usize,
-        train: bool,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        let mut a = self.attn.forward_seq_ws(x, batch, seq, true, ws);
-        ops::add_assign(&mut a, x);
-        let h = self.norm1.forward_ws(&a, train, ws);
-        ws.give(a);
-        let f1 = self.ff1.forward_ws(&h, train, ws);
-        let f = self.act.forward(&f1, train);
-        ws.give(f1);
-        let mut f2 = self.ff2.forward_ws(&f, train, ws);
-        ops::add_assign(&mut f2, &h);
-        ws.give(h);
-        let out = self.norm2.forward_ws(&f2, train, ws);
-        ws.give(f2);
-        out
-    }
-
-    /// Backward pass. The returned `dx` is workspace-owned — the caller
-    /// must `ws.give` it back once consumed.
-    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let dsum2 = self.norm2.backward_ws(dy, ws);
-        // ffn branch
-        let g2 = self.ff2.backward_ws(&dsum2, ws);
-        let ga = self.act.backward(&g2);
-        ws.give(g2);
-        let mut g = self.ff1.backward_ws(&ga, ws);
-        // + residual into norm1 output
-        ops::add_assign(&mut g, &dsum2);
-        ws.give(dsum2);
-        let dsum1 = self.norm1.backward_ws(&g, ws);
-        ws.give(g);
-        // attention branch + residual into layer input
-        let mut dx = self.attn.backward_seq_ws(&dsum1, ws);
-        ops::add_assign(&mut dx, &dsum1);
-        ws.give(dsum1);
-        dx
-    }
-
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
+impl ParamVisitor for EncoderLayer {
+    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
         self.attn.visit_params(f);
         self.norm1.visit_params(f);
         self.ff1.visit_params(f);
         self.ff2.visit_params(f);
         self.norm2.visit_params(f);
     }
-
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.attn.visit_params_mut(f);
         self.norm1.visit_params_mut(f);
         self.ff1.visit_params_mut(f);
         self.ff2.visit_params_mut(f);
         self.norm2.visit_params_mut(f);
     }
+}
 
-    /// Scalar parameter count across the whole encoder layer.
-    fn param_count(&self) -> usize {
-        let mut n = 0;
-        self.visit(&mut |p| n += p.numel());
-        n
+impl Module for EncoderLayer {
+    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        let batch = x.shape().dim(0) / self.seq;
+        let mut a = self.attn.forward_seq(x, batch, self.seq, true, ws);
+        ops::add_assign(&mut a, x);
+        let h = self.norm1.forward(&a, train, ws);
+        ws.give(a);
+        let f1 = self.ff1.forward(&h, train, ws);
+        let f = self.act.forward(&f1, train, ws);
+        ws.give(f1);
+        let mut f2 = self.ff2.forward(&f, train, ws);
+        ws.give(f);
+        ops::add_assign(&mut f2, &h);
+        ws.give(h);
+        let out = self.norm2.forward(&f2, train, ws);
+        ws.give(f2);
+        out
+    }
+
+    /// All five parameterised members finalize before this returns, so
+    /// the enclosing list may announce the whole layer at once.
+    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+        let dsum2 = self.norm2.backward(dy, ws);
+        // ffn branch
+        let g2 = self.ff2.backward(&dsum2, ws);
+        let ga = self.act.backward(&g2, ws);
+        ws.give(g2);
+        let mut g = self.ff1.backward(&ga, ws);
+        ws.give(ga);
+        // + residual into norm1 output
+        ops::add_assign(&mut g, &dsum2);
+        ws.give(dsum2);
+        let dsum1 = self.norm1.backward(&g, ws);
+        ws.give(g);
+        // attention branch + residual into layer input
+        let mut dx = self.attn.backward_seq(&dsum1, ws);
+        ops::add_assign(&mut dx, &dsum1);
+        ws.give(dsum1);
+        dx
     }
 }
 
 /// The Transformer-style mini language model (see module docs).
 #[derive(Clone)]
 pub struct TransformerMini {
-    embed: Embedding,
+    /// The token embedding, then the encoder layers and the decoder head.
+    net: Sequential,
     pos: PositionalEncoding,
-    layers: Vec<EncoderLayer>,
-    head: Linear,
     vocab: usize,
-    cache_batch: usize,
-    cache_seq: usize,
+    /// The batch's token ids, flattened batch-major; kept across steps.
+    ids: Vec<usize>,
+    /// Scratch-buffer arena recycled across steps (`Clone` yields a fresh
+    /// empty arena, so cloned models never share buffers).
     ws: Workspace,
 }
 
@@ -139,25 +135,34 @@ impl TransformerMini {
     /// Build with `vocab` output classes from a seed.
     pub fn new(vocab: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let layers = (0..Self::LAYERS)
+        // the seeded RNG is consumed encoder layers, embedding, head —
+        // not the visit order, which puts the embedding first
+        let mut stages: Vec<Stage> = (0..Self::LAYERS)
             .map(|i| {
-                EncoderLayer::new(
+                Stage::Encoder(Box::new(EncoderLayer::new(
                     &format!("transformer_encoder.layers.{i}"),
                     Self::DIM,
                     Self::HEADS,
                     Self::FF_DIM,
                     &mut rng,
-                )
+                )))
             })
             .collect();
-        TransformerMini {
-            embed: Embedding::new("embedding", vocab, Self::DIM, &mut rng),
-            pos: PositionalEncoding::new(Self::MAX_SEQ, Self::DIM),
-            layers,
-            head: Linear::new("decoder", Self::DIM, vocab, &mut rng),
+        let embed = Embedding::new("embedding", vocab, Self::DIM, &mut rng);
+        stages.push(Stage::Linear(Linear::new(
+            "decoder",
+            Self::DIM,
             vocab,
-            cache_batch: 0,
-            cache_seq: 0,
+            &mut rng,
+        )));
+        TransformerMini {
+            net: Sequential {
+                embed: Some(embed),
+                stages,
+            },
+            pos: PositionalEncoding::new(Self::MAX_SEQ, Self::DIM),
+            vocab,
+            ids: Vec::new(),
             ws: Workspace::new(),
         }
     }
@@ -165,47 +170,31 @@ impl TransformerMini {
 
 impl ParamVisitor for TransformerMini {
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
-        self.embed.visit_params(f);
-        for l in &self.layers {
-            l.visit(f);
-        }
-        self.head.visit_params(f);
+        self.net.visit_params(f);
     }
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.embed.visit_params_mut(f);
-        for l in &mut self.layers {
-            l.visit_mut(f);
-        }
-        self.head.visit_params_mut(f);
+        self.net.visit_params_mut(f);
     }
 }
 
 impl Model for TransformerMini {
     fn forward(&mut self, input: &Input, train: bool) -> Tensor {
         let seqs = input.tokens();
-        let batch = seqs.len();
         let seq = seqs[0].len();
         assert!(seqs.iter().all(|s| s.len() == seq), "ragged batch");
         assert!(seq <= Self::MAX_SEQ, "sequence too long");
-        self.cache_batch = batch;
-        self.cache_seq = seq;
-        let flat_ids: Vec<usize> = seqs.iter().flatten().copied().collect();
-        let mut emb = self.embed.forward_tokens(&flat_ids);
-        self.pos.add_to(&mut emb, seq);
-        // the latest layer output; workspace-owned, unlike the embedding
-        let mut h: Option<Tensor> = None;
-        for l in &mut self.layers {
-            let x = h.as_ref().unwrap_or(&emb);
-            let next = l.forward(x, batch, seq, train, &mut self.ws);
-            if let Some(prev) = h.replace(next) {
-                self.ws.give(prev);
+        self.ids.clear();
+        self.ids.extend(seqs.iter().flatten());
+        for stage in &mut self.net.stages {
+            if let Stage::Encoder(layer) = stage {
+                layer.seq = seq;
             }
         }
-        // last layer stays on the allocating path: the logits escape
-        let logits = self.head.forward(h.as_ref().unwrap_or(&emb), train);
-        if let Some(h) = h {
-            self.ws.give(h);
-        }
+        let embed = self.net.embed.as_mut().expect("built with an embedding");
+        let mut emb = embed.forward_tokens(&self.ids, &mut self.ws);
+        self.pos.add_to(&mut emb, seq);
+        let logits = self.net.forward(&emb, train, &mut self.ws, true);
+        self.ws.give(emb);
         logits
     }
 
@@ -218,26 +207,14 @@ impl Model for TransformerMini {
         dlogits: &Tensor,
         hook: &mut dyn FnMut(usize, &dyn ParamVisitor),
     ) {
-        // visit order embed layers[0..L] head; an EncoderLayer's
-        // backward finalizes all five of its modules before returning,
-        // and the embedding is untied from the decoder head, so the
-        // finalized region is always a clean suffix.
-        let mut watermark = self.num_params();
-        let mut g = self.head.backward_ws(dlogits, &mut self.ws);
-        watermark -= self.head.num_params();
-        hook(watermark, &*self);
-        for i in (0..self.layers.len()).rev() {
-            let g2 = self.layers[i].backward(&g, &mut self.ws);
-            self.ws.give(g);
-            g = g2;
-            watermark -= self.layers[i].param_count();
-            hook(watermark, &*self);
-        }
-        self.embed.backward_tokens(&g);
+        // the stage walk stops at the embedding's parameter count; the
+        // embedding is untied from the decoder head, so scattering its
+        // gradient last keeps the finalized region a clean suffix
+        let g = self.net.backward(dlogits, &mut self.ws, hook);
+        let embed = self.net.embed.as_mut().expect("built with an embedding");
+        embed.backward_tokens(&g);
         self.ws.give(g);
-        watermark -= self.embed.num_params();
-        debug_assert_eq!(watermark, 0);
-        hook(0, &*self);
+        hook(0, &self.net);
     }
 
     fn num_classes(&self) -> usize {

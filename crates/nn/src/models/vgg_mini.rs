@@ -7,31 +7,19 @@
 //! No skip connections and no batch-norm — the "simpler convolution-based
 //! architecture" whose generalization suffers most under DefDP (§IV-C).
 
-use crate::batch::Input;
 use crate::layers::{Conv2d, Linear, MaxPool2d, Relu};
-use crate::models::Model;
-use crate::module::{Module, Param, ParamVisitor};
+use crate::models::sequential::{Flatten, Sequential, Stage};
 use crate::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selsync_tensor::Tensor;
 
 /// The VGG-style mini model (see module docs).
 #[derive(Clone)]
 pub struct VggMini {
-    conv1: Conv2d,
-    relu1: Relu,
-    pool1: MaxPool2d,
-    conv2: Conv2d,
-    relu2: Relu,
-    pool2: MaxPool2d,
-    fc1: Linear,
-    relu3: Relu,
-    fc2: Linear,
+    net: Sequential,
     classes: usize,
-    flat_dim: usize,
-    cache_n: usize,
-    cache_conv_dims: Vec<usize>,
+    /// Scratch-buffer arena recycled across steps (`Clone` yields a fresh
+    /// empty arena, so cloned models never share buffers).
     ws: Workspace,
 }
 
@@ -43,116 +31,50 @@ impl VggMini {
     pub fn new(classes: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let s = Self::IMAGE_SIZE;
-        let conv1 = Conv2d::new("features.0", 3, 16, s, s, 3, 1, 1, &mut rng);
-        let conv2 = Conv2d::new("features.3", 16, 32, s / 2, s / 2, 3, 1, 1, &mut rng);
         let flat_dim = 32 * (s / 4) * (s / 4);
+        // the seeded RNG is consumed in list order: conv, conv, fc, fc
+        let net = Sequential::new(vec![
+            Stage::Conv2d(Conv2d::new("features.0", 3, 16, s, s, 3, 1, 1, &mut rng)),
+            Stage::Relu(Relu::new()),
+            Stage::MaxPool2d(MaxPool2d::new(2)),
+            Stage::Conv2d(Conv2d::new(
+                "features.3",
+                16,
+                32,
+                s / 2,
+                s / 2,
+                3,
+                1,
+                1,
+                &mut rng,
+            )),
+            Stage::Relu(Relu::new()),
+            Stage::MaxPool2d(MaxPool2d::new(2)),
+            Stage::Flatten(Flatten::default()),
+            Stage::Linear(Linear::new_kaiming("classifier.0", flat_dim, 64, &mut rng)),
+            Stage::Relu(Relu::new()),
+            Stage::Linear(Linear::new("classifier.2", 64, classes, &mut rng)),
+        ]);
         VggMini {
-            conv1,
-            relu1: Relu::new(),
-            pool1: MaxPool2d::new(2),
-            conv2,
-            relu2: Relu::new(),
-            pool2: MaxPool2d::new(2),
-            fc1: Linear::new_kaiming("classifier.0", flat_dim, 64, &mut rng),
-            relu3: Relu::new(),
-            fc2: Linear::new("classifier.2", 64, classes, &mut rng),
+            net,
             classes,
-            flat_dim,
-            cache_n: 0,
-            cache_conv_dims: Vec::new(),
             ws: Workspace::new(),
         }
     }
 }
 
-impl ParamVisitor for VggMini {
-    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
-        self.conv1.visit_params(f);
-        self.conv2.visit_params(f);
-        self.fc1.visit_params(f);
-        self.fc2.visit_params(f);
-    }
-    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.conv1.visit_params_mut(f);
-        self.conv2.visit_params_mut(f);
-        self.fc1.visit_params_mut(f);
-        self.fc2.visit_params_mut(f);
-    }
-}
-
-impl Model for VggMini {
-    fn forward(&mut self, input: &Input, train: bool) -> Tensor {
-        let x = input.dense();
-        self.cache_n = x.shape().dim(0);
-        let c1 = self.conv1.forward_ws(x, train, &mut self.ws);
-        let h = self.relu1.forward(&c1, train);
-        self.ws.give(c1);
-        let h = self.pool1.forward(&h, train);
-        let c2 = self.conv2.forward_ws(&h, train, &mut self.ws);
-        let h = self.relu2.forward(&c2, train);
-        self.ws.give(c2);
-        let h = self.pool2.forward(&h, train);
-        self.cache_conv_dims = h.shape().dims().to_vec();
-        let h = h.reshape([self.cache_n, self.flat_dim]);
-        let f1 = self.fc1.forward_ws(&h, train, &mut self.ws);
-        let h = self.relu3.forward(&f1, train);
-        self.ws.give(f1);
-        // last layer stays on the allocating path: the logits escape
-        self.fc2.forward(&h, train)
-    }
-
-    fn backward(&mut self, dlogits: &Tensor) {
-        self.backward_hooked(dlogits, &mut |_, _| {});
-    }
-
-    fn backward_hooked(
-        &mut self,
-        dlogits: &Tensor,
-        hook: &mut dyn FnMut(usize, &dyn ParamVisitor),
-    ) {
-        // visit order conv1 conv2 fc1 fc2; backward finalizes the exact
-        // reverse, so the watermark walks down one layer at a time.
-        let mut watermark = self.num_params();
-        let g = self.fc2.backward_ws(dlogits, &mut self.ws);
-        watermark -= self.fc2.num_params();
-        hook(watermark, &*self);
-        let gr = self.relu3.backward(&g);
-        self.ws.give(g);
-        let g = self.fc1.backward_ws(&gr, &mut self.ws);
-        watermark -= self.fc1.num_params();
-        hook(watermark, &*self);
-        let g2 = g.reshape(self.cache_conv_dims.as_slice());
-        let g = self.pool2.backward(&g2);
-        self.ws.give(g2);
-        let g = self.relu2.backward(&g);
-        let gc = self.conv2.backward_ws(&g, &mut self.ws);
-        watermark -= self.conv2.num_params();
-        hook(watermark, &*self);
-        let g = self.pool1.backward(&gc);
-        self.ws.give(gc);
-        let g = self.relu1.backward(&g);
-        let gc = self.conv1.backward_ws(&g, &mut self.ws);
-        self.ws.give(gc);
-        watermark -= self.conv1.num_params();
-        debug_assert_eq!(watermark, 0);
-        hook(0, &*self);
-    }
-
-    fn num_classes(&self) -> usize {
-        self.classes
-    }
-
-    fn name(&self) -> &'static str {
-        "vgg_mini"
-    }
-}
+dense_model!(VggMini, "vgg_mini");
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Input;
     use crate::flat::{flat_grads, flat_params, set_flat_params};
     use crate::loss::softmax_cross_entropy;
+    use crate::models::Model;
+    use crate::module::ParamVisitor;
     use selsync_tensor::init;
+    use selsync_tensor::Tensor;
 
     fn input(n: usize, seed: u64) -> Tensor {
         let mut rng = StdRng::seed_from_u64(seed);

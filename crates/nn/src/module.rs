@@ -73,34 +73,22 @@ pub trait ParamVisitor {
 
 /// A differentiable tensor-to-tensor computation with learnable state.
 ///
-/// The contract: `forward` caches what `backward` needs; `backward`
+/// The contract: `forward` caches what `backward` needs in buffers the
+/// layer keeps (resized in place, never drawn from `ws`); `backward`
 /// *accumulates* into each `Param::grad` (callers zero grads between
-/// steps) and returns the gradient w.r.t. the module input.
+/// steps) and returns the gradient w.r.t. the module input. Every
+/// temporary, and the returned tensor itself, comes from `ws`: the
+/// caller hands the result back with [`Workspace::give`] once consumed,
+/// so a steady-state step allocates nothing (DESIGN.md §7).
 pub trait Module: ParamVisitor + Send {
     /// Forward pass. `train` toggles training-time behaviour
     /// (dropout, batch-norm statistics).
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
+    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor;
 
     /// Backward pass given the gradient w.r.t. the forward output.
     /// Must be called after `forward`; returns the gradient w.r.t. the
     /// forward input.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// Workspace-aware forward: like [`Module::forward`] but drawing
-    /// every temporary (including the returned output) from `ws`, so
-    /// steady-state steps allocate nothing. Callers should `ws.give`
-    /// the returned tensor back once consumed. The default delegates to
-    /// the allocating path; hot layers override it.
-    fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        let _ = &mut *ws;
-        self.forward(x, train)
-    }
-
-    /// Workspace-aware backward, mirroring [`Module::forward_ws`].
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let _ = &mut *ws;
-        self.backward(grad_out)
-    }
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor;
 }
 
 #[cfg(test)]
@@ -121,10 +109,10 @@ mod tests {
     }
 
     impl Module for Dummy {
-        fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+        fn forward(&mut self, x: &Tensor, _train: bool, _ws: &mut Workspace) -> Tensor {
             x.clone()
         }
-        fn backward(&mut self, g: &Tensor) -> Tensor {
+        fn backward(&mut self, g: &Tensor, _ws: &mut Workspace) -> Tensor {
             g.clone()
         }
     }

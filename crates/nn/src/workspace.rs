@@ -1,8 +1,8 @@
 //! Reusable scratch-buffer arena for the training hot path.
 //!
-//! Every layer forward/backward used to allocate its activations and
-//! intermediates fresh each step. A [`Workspace`] recycles those
-//! buffers: a layer *takes* a tensor of the shape it needs (served from
+//! Every layer forward/backward needs its activations and
+//! intermediates somewhere, and [`crate::Module`] hands each of them a
+//! [`Workspace`] that recycles those buffers: a layer *takes* a tensor of the shape it needs (served from
 //! a free list when a large-enough buffer exists) and *gives* buffers
 //! back once they are no longer needed. After a warmup step the free
 //! list holds every shape the step uses, and the steady-state step

@@ -34,9 +34,9 @@ fn conv2d_in_reference_mode_stays_within_tolerance() {
         let dy = init::randn([5, oc, c.out_h(), c.out_w()], 1.0, &mut rng);
         let mut ws = Workspace::new();
         let mut run = |c: &mut Conv2d| {
-            let y = c.forward_ws(&x, true, &mut ws);
+            let y = c.forward(&x, true, &mut ws);
             c.zero_grad();
-            let dx = c.backward_ws(&dy, &mut ws);
+            let dx = c.backward(&dy, &mut ws);
             (y, dx, c.w.grad.clone(), c.b.grad.clone())
         };
         let packed = run(&mut c);

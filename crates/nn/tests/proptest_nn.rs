@@ -11,7 +11,7 @@ use selsync_nn::loss::softmax_cross_entropy;
 use selsync_nn::models::{Mlp, Model};
 use selsync_nn::module::{Module, ParamVisitor};
 use selsync_nn::optim::{Adam, Optimizer, Sgd};
-use selsync_nn::Input;
+use selsync_nn::{Input, Workspace};
 use selsync_tensor::{init, Tensor};
 
 proptest! {
@@ -27,15 +27,16 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut l = Linear::new("l", din, dout, &mut rng);
         let x = init::randn([n, din], 1.0, &mut rng);
-        let base: f32 = l.forward(&x, true).as_slice().iter().sum();
+        let mut ws = Workspace::new();
+        let base: f32 = l.forward(&x, true, &mut ws).as_slice().iter().sum();
         l.zero_grad();
-        let _ = l.backward(&Tensor::ones([n, dout]));
+        let _ = l.backward(&Tensor::ones([n, dout]), &mut ws);
         // check one weight coordinate by finite differences
         let wi = (seed as usize) % (din * dout);
         let eps = 1e-2;
         let mut l2 = l.clone();
         l2.w.value.as_mut_slice()[wi] += eps;
-        let pert: f32 = l2.forward(&x, true).as_slice().iter().sum();
+        let pert: f32 = l2.forward(&x, true, &mut ws).as_slice().iter().sum();
         let fd = (pert - base) / eps;
         let an = l.w.grad.as_slice()[wi];
         prop_assert!((an - fd).abs() < 0.05 * fd.abs().max(1.0), "{an} vs {fd}");

@@ -1,11 +1,14 @@
-//! Steady-state allocation discipline for the workspace-aware layer
-//! paths: after a warmup step has sized the arena and the layer caches,
-//! repeated `forward_ws` + `backward_ws` must draw every temporary from
-//! the workspace — the arena's allocation counter stays flat.
+//! Steady-state allocation discipline of the layer contract: after a
+//! warmup step has sized the arena and the layer caches, repeated
+//! `forward` + `backward` must draw every temporary from the workspace —
+//! the arena's allocation counter stays flat. (`heap_allocations.rs`
+//! checks the same steps against the global allocator.)
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selsync_nn::layers::{BatchNorm2d, Conv2d, LayerNorm, Linear};
+use selsync_nn::layers::{
+    BatchNorm2d, Conv2d, Gelu, LayerNorm, Linear, MaxPool2d, MultiHeadSelfAttention, Relu,
+};
 use selsync_nn::models::{Mlp, Model};
 use selsync_nn::module::ParamVisitor;
 use selsync_nn::{Module, Workspace};
@@ -26,10 +29,10 @@ fn drive(
         if step == warmup {
             after_warmup = ws.allocations();
         }
-        let y = layer.forward_ws(x, true, ws);
+        let y = layer.forward(x, true, ws);
         ws.give(y);
         layer.zero_grad();
-        let dx = layer.backward_ws(dy, ws);
+        let dx = layer.backward(dy, ws);
         ws.give(dx);
     }
     (after_warmup, ws.allocations())
@@ -87,6 +90,56 @@ fn layernorm_steady_state_is_allocation_free() {
 }
 
 #[test]
+fn parameter_free_layers_are_allocation_free_in_steady_state() {
+    let mut rng = StdRng::seed_from_u64(6);
+    let x = init::randn([4, 8, 8, 8], 1.0, &mut rng);
+    let rows: [(&str, Box<dyn Module>, Tensor); 3] = [
+        ("Relu", Box::new(Relu::new()), Tensor::ones([4, 8, 8, 8])),
+        (
+            "MaxPool2d",
+            Box::new(MaxPool2d::new(2)),
+            Tensor::ones([4, 8, 4, 4]),
+        ),
+        ("Gelu", Box::new(Gelu::new()), Tensor::ones([4, 8, 8, 8])),
+    ];
+    for (name, mut layer, dy) in rows {
+        let mut ws = Workspace::new();
+        let (start, end) = drive(layer.as_mut(), &x, &dy, &mut ws, 2, 8);
+        assert!(start > 0, "{name}: warmup must have populated the arena");
+        assert_eq!(end, start, "steady-state {name} steps must not allocate");
+    }
+}
+
+#[test]
+fn attention_steady_state_is_allocation_free() {
+    // TransformerMini's geometry; a smaller batch mid-run (the last,
+    // short batch of an epoch) must be served from the same buffers
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut attn = MultiHeadSelfAttention::new("a", 16, 2, &mut rng);
+    let big = init::randn([8 * 12, 16], 1.0, &mut rng);
+    let small = init::randn([3 * 12, 16], 1.0, &mut rng);
+    let mut ws = Workspace::new();
+    let mut after_warmup = 0;
+    for step in 0..10 {
+        if step == 2 {
+            after_warmup = ws.allocations();
+        }
+        let (x, batch) = if step % 4 == 3 {
+            (&small, 3)
+        } else {
+            (&big, 8)
+        };
+        let y = attn.forward_seq(x, batch, 12, true, &mut ws);
+        attn.zero_grad();
+        let dx = attn.backward_seq(&y, &mut ws);
+        ws.give(y);
+        ws.give(dx);
+    }
+    assert!(after_warmup > 0, "warmup must have populated the arena");
+    assert_eq!(ws.allocations(), after_warmup);
+}
+
+#[test]
 fn mlp_predict_steady_state_is_allocation_free() {
     // The serving hot path: after one warmup batch at the largest row
     // count, repeated predict_ws calls (including smaller batches, as a
@@ -131,15 +184,15 @@ fn shared_arena_across_layers_stays_flat() {
         if step == 2 {
             after_warmup = ws.allocations();
         }
-        let y = c.forward_ws(&xc, true, &mut ws);
+        let y = c.forward(&xc, true, &mut ws);
         ws.give(y);
         c.zero_grad();
-        let dx = c.backward_ws(&dyc, &mut ws);
+        let dx = c.backward(&dyc, &mut ws);
         ws.give(dx);
-        let y = l.forward_ws(&xl, true, &mut ws);
+        let y = l.forward(&xl, true, &mut ws);
         ws.give(y);
         l.zero_grad();
-        let dx = l.backward_ws(&dyl, &mut ws);
+        let dx = l.backward(&dyl, &mut ws);
         ws.give(dx);
     }
     assert!(after_warmup > 0);

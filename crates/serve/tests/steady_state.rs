@@ -6,7 +6,7 @@
 //! without allocating.
 
 use selsync_nn::flat::flat_params;
-use selsync_nn::models::Mlp;
+use selsync_nn::models::{Mlp, ModelKind};
 use selsync_serve::{ModelSpec, PredictEngine};
 
 fn engine(dims: &[usize], seed: u64) -> PredictEngine {
@@ -35,6 +35,36 @@ fn steady_state_predict_is_allocation_free() {
         let data = vec![0.25; rows * 16];
         let out = e.predict(&data, &[16]).expect("well-shaped batch");
         assert_eq!(out.len(), rows * 8);
+        assert_eq!(
+            e.allocations(),
+            baseline,
+            "predict with {rows} rows allocated at step {step}"
+        );
+    }
+}
+
+#[test]
+fn conv_model_predict_is_allocation_free_too() {
+    // every dense-input model predicts against the engine's arena, not
+    // only the MLP: a VggMini replica, built the way `--model vgg` does
+    let spec = ModelSpec::Kind {
+        kind: ModelKind::VggMini,
+        data_scale: 64,
+    };
+    let params = flat_params(spec.build(7).as_visitor());
+    let mut e = PredictEngine::new(&spec, 0, &params).expect("params fit the spec");
+    let dims = [3, 8, 8];
+    e.warmup(8, &dims);
+    let baseline = e.allocations();
+    assert!(
+        baseline > 1,
+        "the model's temporaries, not only the input batch, come from the engine's arena"
+    );
+    for step in 0..16u32 {
+        let rows = 1 + (step as usize % 8);
+        let data = vec![0.25; rows * 3 * 8 * 8];
+        let out = e.predict(&data, &dims).expect("well-shaped batch");
+        assert_eq!(out.len(), rows * e.classes());
         assert_eq!(
             e.allocations(),
             baseline,

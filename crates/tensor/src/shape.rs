@@ -1,49 +1,74 @@
 //! Tensor shapes and row-major index arithmetic.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
+
+/// The highest tensor rank the workspace uses: `[batch, channel, height,
+/// width]`.
+const MAX_RANK: usize = 4;
 
 /// The shape of a tensor: an ordered list of dimension extents.
 ///
 /// Shapes are row-major; the last dimension is contiguous in memory.
 /// Rank 0 (scalar) through rank 4 (`[batch, channel, height, width]`)
-/// are the ranks used by the rest of the workspace.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Shape(pub Vec<usize>);
+/// are supported, and the extents are stored inline: building, cloning
+/// or converting into a shape never touches the heap, so a layer that
+/// takes a recycled buffer "as `[n, c]`" every step allocates nothing
+/// for the shape either.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+pub struct Shape {
+    // extents past `rank` stay 0 so the derived comparisons ignore them
+    dims: [usize; MAX_RANK],
+    rank: usize,
+}
 
 impl Shape {
     /// Create a shape from dimension extents.
+    ///
+    /// # Panics
+    /// Panics if more than four extents are given.
     pub fn new(dims: &[usize]) -> Self {
-        Shape(dims.to_vec())
+        assert!(
+            dims.len() <= MAX_RANK,
+            "rank {} exceeds the supported maximum of {MAX_RANK}",
+            dims.len()
+        );
+        let mut inline = [0; MAX_RANK];
+        inline[..dims.len()].copy_from_slice(dims);
+        Shape {
+            dims: inline,
+            rank: dims.len(),
+        }
     }
 
     /// Number of dimensions (rank) of the shape.
     pub fn ndim(&self) -> usize {
-        self.0.len()
+        self.rank
     }
 
     /// Total number of elements described by the shape.
     ///
     /// A rank-0 shape describes exactly one (scalar) element.
     pub fn numel(&self) -> usize {
-        self.0.iter().product()
+        self.dims().iter().product()
     }
 
     /// Extent of dimension `i`. Panics if `i >= ndim()`.
     pub fn dim(&self, i: usize) -> usize {
-        self.0[i]
+        self.dims()[i]
     }
 
     /// The dimension extents as a slice.
     pub fn dims(&self) -> &[usize] {
-        &self.0
+        &self.dims[..self.rank]
     }
 
     /// Row-major strides (in elements) for this shape.
     pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
+        let dims = self.dims();
+        let mut strides = vec![1usize; dims.len()];
+        for i in (0..dims.len().saturating_sub(1)).rev() {
+            strides[i] = strides[i + 1] * dims[i + 1];
         }
         strides
     }
@@ -55,29 +80,29 @@ impl Shape {
         debug_assert_eq!(idx.len(), self.ndim(), "index rank mismatch");
         let mut off = 0;
         let mut stride = 1;
-        for i in (0..self.0.len()).rev() {
-            debug_assert!(idx[i] < self.0[i], "index out of bounds");
-            off += idx[i] * stride;
-            stride *= self.0[i];
+        for (&i, &extent) in idx.iter().zip(self.dims()).rev() {
+            debug_assert!(i < extent, "index out of bounds");
+            off += i * stride;
+            stride *= extent;
         }
         off
     }
 
     /// Whether two shapes are elementwise-compatible (identical).
     pub fn same(&self, other: &Shape) -> bool {
-        self.0 == other.0
+        self == other
     }
 }
 
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Shape{:?}", self.0)
+        write!(f, "Shape{:?}", self.dims())
     }
 }
 
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?}", self.0)
+        write!(f, "{:?}", self.dims())
     }
 }
 
@@ -89,7 +114,28 @@ impl From<&[usize]> for Shape {
 
 impl<const N: usize> From<[usize; N]> for Shape {
     fn from(d: [usize; N]) -> Self {
-        Shape(d.to_vec())
+        Shape::new(&d)
+    }
+}
+
+/// On the wire a shape is the list of its extents, as it was when the
+/// extents lived in a `Vec`.
+impl Serialize for Shape {
+    fn to_value(&self) -> Value {
+        self.dims().to_vec().to_value()
+    }
+}
+
+impl Deserialize for Shape {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let dims = Vec::<usize>::from_value(v)?;
+        if dims.len() > MAX_RANK {
+            return Err(serde::Error::custom(format!(
+                "shape of rank {} exceeds the supported maximum of {MAX_RANK}",
+                dims.len()
+            )));
+        }
+        Ok(Shape::new(&dims))
     }
 }
 
@@ -102,6 +148,27 @@ mod tests {
         assert_eq!(Shape::new(&[2, 3, 4]).numel(), 24);
         assert_eq!(Shape::new(&[7]).numel(), 7);
         assert_eq!(Shape::new(&[]).numel(), 1, "scalar shape has one element");
+    }
+
+    #[test]
+    fn equal_extents_compare_equal_whatever_built_them() {
+        assert_eq!(Shape::from([2, 3]), Shape::new(&[2, 3]));
+        assert_ne!(Shape::new(&[2, 3]), Shape::new(&[2, 3, 0]));
+        assert_eq!(Shape::default(), Shape::new(&[]));
+    }
+
+    #[test]
+    fn serializes_as_the_plain_extent_list() {
+        let s = Shape::new(&[2, 3]);
+        assert_eq!(s.to_value(), vec![2usize, 3].to_value());
+        assert_eq!(Shape::from_value(&s.to_value()).unwrap(), s);
+        assert!(Shape::from_value(&vec![1usize; 5].to_value()).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the supported maximum")]
+    fn rank_five_is_rejected() {
+        Shape::new(&[1, 1, 1, 1, 1]);
     }
 
     #[test]
