@@ -16,6 +16,24 @@ echo "==> benchmark/ build + tests"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+# Run what the pipeline runs. Each workload's warm-up episode is checked
+# bit for bit against the same job on the channel fabric, and the mesh's
+# byte and fault counters are checked at exit; a change that breaks
+# either must fail here, not in the benchmark pipeline. A 2 s window is
+# K = 2 episodes: a few seconds per workload.
+echo "==> benchmark/ workload smoke (seed 1, 2 s windows)"
+for workload in train_local_chan train_bsp_tcp train_selsync_poll sync_dense_tcp; do
+  last="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)" || true
+  case "$last" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *)
+      echo "benchmark workload ${workload} failed its checks: ${last}" >&2
+      exit 1
+      ;;
+  esac
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -378,7 +378,9 @@ fn layer_benches(b: &mut Bench) {
         || checksum(&out.borrow()) + checksum(&conv.borrow().w.grad),
     );
 
-    // TransformerMini attention geometry: batch 4, seq 32, dim 64
+    // batch 4, seq 32, dim 64, 4 heads: a larger attention than any model
+    // here runs (TransformerMini is batch 8, seq 12, dim 16, 2 heads; its
+    // layer-by-layer table is DESIGN.md §7's)
     let mut rng = StdRng::seed_from_u64(9);
     let attn = RefCell::new(MultiHeadSelfAttention::new("bench.attn", 64, 4, &mut rng));
     let x = filled([4 * 32, 64], 10);

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selsync_nn::loss::softmax_cross_entropy;
 use selsync_nn::models::{AlexNetMini, Model, ResNetMini, TransformerMini, VggMini};
-use selsync_nn::{Input, Workspace};
+use selsync_nn::{Input, Module, Workspace};
 use selsync_tensor::{init, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -132,4 +132,27 @@ fn steady_state_steps_stay_within_a_fixed_heap_budget() {
 
     assert_eq!(predict_allocations(&mut ResNetMini::new(10, 2)), 0);
     assert_eq!(predict_allocations(&mut VggMini::new(20, 2)), 0);
+}
+
+#[test]
+fn gelu_keeps_one_tensor_that_resizes_in_place() {
+    // The derivative tensor belongs to the layer, not to the arena, so
+    // only this counter sees it: a training step, an eval forward on a
+    // batch twice the size, and the next training step allocate nothing
+    // once the largest shape has been seen.
+    let mut rng = StdRng::seed_from_u64(24);
+    let train = init::randn([96, 32], 1.0, &mut rng);
+    let eval = init::randn([192, 32], 1.0, &mut rng);
+    let mut g = selsync_nn::layers::Gelu::new();
+    let mut ws = Workspace::new();
+    let mut round = || {
+        let y = g.forward(&eval, false, &mut ws);
+        ws.give(y);
+        let y = g.forward(&train, true, &mut ws);
+        let dx = g.backward(&y, &mut ws);
+        ws.give(y);
+        ws.give(dx);
+    };
+    round();
+    assert_eq!(allocations_in(round), 0);
 }

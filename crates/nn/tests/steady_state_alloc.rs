@@ -111,6 +111,35 @@ fn parameter_free_layers_are_allocation_free_in_steady_state() {
 }
 
 #[test]
+fn gelu_follows_alternating_shapes_without_allocating() {
+    // TransformerMini's feed-forward width; an eval forward on a batch
+    // twice the training one sits between training steps. Once the
+    // largest shape has been seen, outputs come from the arena's buffers
+    // (`heap_allocations.rs` shows the layer's kept tensor resizing in
+    // place too).
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut g = Gelu::new();
+    let train = init::randn([96, 32], 1.0, &mut rng);
+    let eval = init::randn([192, 32], 1.0, &mut rng);
+    let dy = Tensor::ones([96, 32]);
+    let mut ws = Workspace::new();
+    let mut after_warmup = 0;
+    for step in 0..10 {
+        if step == 2 {
+            after_warmup = ws.allocations();
+        }
+        let y = g.forward(&eval, false, &mut ws);
+        ws.give(y);
+        let y = g.forward(&train, true, &mut ws);
+        let dx = g.backward(&dy, &mut ws);
+        ws.give(y);
+        ws.give(dx);
+    }
+    assert!(after_warmup > 0, "warmup must have populated the arena");
+    assert_eq!(ws.allocations(), after_warmup);
+}
+
+#[test]
 fn attention_steady_state_is_allocation_free() {
     // TransformerMini's geometry; a smaller batch mid-run (the last,
     // short batch of an epoch) must be served from the same buffers
