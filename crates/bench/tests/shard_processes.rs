@@ -2,7 +2,7 @@
 //! real `selsync_dist --elastic` OS processes on localhost TCP,
 //! workers-first rank layout.
 //!
-//! Two properties, the elastic counterparts of `dist_processes.rs`
+//! Three properties, the elastic counterparts of `dist_processes.rs`
 //! (fault-free bit-identity) and `ps_failover_processes.rs` (SIGKILL
 //! recovery):
 //!
@@ -16,6 +16,10 @@
 //!    reloads *its own* `FILE.s1` checkpoint while the sibling shard
 //!    keeps serving, nobody is evicted, and every rank's final
 //!    parameters are bit-identical to the fault-free K = 2 run.
+//! 3. **Per-shard standby promotion** — with `--standby`, one shard is
+//!    SIGKILLed for good; its standby is promoted once the workers fail
+//!    over, the sibling shard sits out their failover stall, nobody is
+//!    evicted, and every worker runs every step.
 
 mod common;
 
@@ -58,7 +62,7 @@ fn ports(n: usize) -> String {
 /// mirrors the PS-failover suite: 2 s reply timeout per attempt and a
 /// 30 s patience budget, so a shard outage stalls the workers instead
 /// of evicting them (the sibling shard widens its own eviction budget
-/// by the same patience window — see DESIGN.md §10).
+/// by the workers' failover window — see DESIGN.md §10).
 fn spawn_rank(role: &str, rank: usize, peers: &str, extra: &[&str]) -> Child {
     const LIVENESS: &[&str] = &[
         "--elastic",
@@ -267,4 +271,95 @@ fn sigkill_one_shard_resumes_from_its_own_checkpoint() {
         field(&reference[0].stdout, "decisions"),
         "sync decisions must match the fault-free run"
     );
+}
+
+#[test]
+fn sigkill_one_shard_for_good_promotes_its_standby_and_evicts_nobody() {
+    // K = 2 with standbys: workers 0-1, shards 2-3, standbys 4-5
+    let layout = ShardLayout::new(2, WORKERS, true);
+    let (shard1, standby1) = (layout.shard_rank(1), layout.standby_rank(1));
+    // As in the resume test above, shard 1's sends are delayed 200 ms so
+    // the kill lands after its first checkpoint but before any of that
+    // sync's shadow or replies leave: both workers stall in the same
+    // sync, and the standby is promoted by their re-sent pushes.
+    let mut plan = FaultPlan::slow_straggler(17, 0, 50);
+    plan.stragglers.push(Straggler {
+        rank: shard1,
+        delay_ms: 200,
+    });
+    let plan_path = tmp("shard_standby_plan.json");
+    std::fs::write(&plan_path, plan.to_json()).unwrap();
+    let plan_str = plan_path.to_str().unwrap().to_string();
+    let ckpt = tmp("shard_standby.ckpt");
+    let shard1_ckpt = selsync_core::shard_state_path(&ckpt, &layout, 1);
+    let cleanup = || {
+        for s in 0..2 {
+            let p = selsync_core::shard_state_path(&ckpt, &layout, s);
+            std::fs::remove_file(selsync_core::checkpoint::prev_path(&p)).ok();
+            std::fs::remove_file(&p).ok();
+        }
+    };
+    cleanup();
+    let ckpt_str = ckpt.to_str().unwrap().to_string();
+
+    // a 2 s patience (instead of the suite's 30 s) keeps the failover —
+    // four 2 s reply timeouts — short; the healthy shard must still sit
+    // it out rather than evict the stalled workers
+    let peers = ports(layout.total_ranks());
+    let flags = [
+        "--ps-shards",
+        "2",
+        "--standby",
+        "--fault-plan",
+        &plan_str,
+        "--ps-patience-ms",
+        "2000",
+    ];
+    let shard_flags = [&flags[..], &["--checkpoint", &ckpt_str]].concat();
+    let mut ranks: Vec<Child> = (0..WORKERS)
+        .map(|w| spawn_rank("worker", w, &peers, &flags))
+        .collect();
+    ranks.push(spawn_rank("ps", layout.shard_rank(0), &peers, &shard_flags));
+    let mut shard1_proc = spawn_rank("ps", shard1, &peers, &shard_flags);
+    for s in 0..2 {
+        ranks.push(spawn_rank(
+            "standby",
+            layout.standby_rank(s),
+            &peers,
+            &flags,
+        ));
+    }
+
+    // once shard 1 has checkpointed its first sync, SIGKILL it for good
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !shard1_ckpt.exists() {
+        assert!(Instant::now() < deadline, "shard 1 never synced");
+        assert!(
+            shard1_proc.try_wait().unwrap().is_none(),
+            "shard 1 exited before syncing"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    shard1_proc.kill().expect("SIGKILL shard 1");
+    shard1_proc.wait().unwrap();
+
+    // collected in rank order, minus the killed shard 1
+    let (run, run_err) = collect(ranks);
+    cleanup();
+    std::fs::remove_file(&plan_path).ok();
+    assert_clean(&run, &run_err, "standby promotion run");
+    let (shard0_out, standby1_out) = (&run[WORKERS].stdout, &run[WORKERS + 2].stdout);
+    assert_eq!(field(standby1_out, "recovery"), "promoted_standby");
+    assert_eq!(field(standby1_out, "shard"), "1");
+    for (rank, out) in [(layout.shard_rank(0), shard0_out), (standby1, standby1_out)] {
+        assert_eq!(
+            field(out, "evictions"),
+            "",
+            "rank {rank} must evict nobody; stdout:\n{out}"
+        );
+    }
+    for worker in &run[..WORKERS] {
+        assert_eq!(field(&worker.stdout, "steps_run"), STEPS.to_string());
+    }
 }

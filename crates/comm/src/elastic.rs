@@ -16,64 +16,59 @@
 //! [`join_request`], receiving the resume step, the current global
 //! parameters, and the membership.
 //!
-//! Protocol per step `s` (tags inside the step's [`phase_tag`] space):
+//! ## Events and actions
 //!
-//! 1. *Flags/heartbeat round* at `phase_tag(s, FLAGS_PHASE)`: every
-//!    live worker sends `Flags([my_bit])`; the server answers each
-//!    contributor with a status vector (one byte per rank, see the
-//!    `STATUS_*` constants). Workers that miss the round deadline are
-//!    marked [`STATUS_MISSED`] and, after `max_missed` consecutive
-//!    misses, [`STATUS_DEAD`].
-//! 2. *Sync round* at `phase_tag(s, SYNC_PHASE)`, only if any status
-//!    byte is [`STATUS_SYNC`]: every round-1 contributor pushes its
-//!    slice of the parameters ([`Payload::ShardPush`], or a set of
-//!    [`Payload::Bucket`] frames); the server averages (in rank order,
-//!    so runs are bit-reproducible) and replies the new range
-//!    ([`Payload::ShardPull`]) to each.
-//! 3. *Joins* (tag [`JOIN_TAG`]) are queued while a round is in flight
-//!    and granted between rounds, so a joiner always starts at a clean
-//!    step boundary.
+//! Every protocol decision is made in the private `core` module, a pure
+//! state machine fed one event at a time with the time passed in; one
+//! receive loop performs the actions it asks for, in order, for the
+//! primary, a resumed server and the standby ([`run_standby_server`])
+//! alike. At step `s`, with `ftag`/`stag` the tags of its flags
+//! ([`FLAGS_PHASE`](crate::collectives::FLAGS_PHASE)) and sync
+//! ([`SYNC_PHASE`]) rounds:
 //!
-//! A worker that fell behind (its flags arrive at an old tag) gets an
-//! immediate catch-up reply marking itself `STATUS_MISSED`, letting it
-//! skip the sync it missed and sprint back to the current round.
+//! | event | phase | action |
+//! |---|---|---|
+//! | `Control(CTRL_JOIN)` at [`JOIN_TAG`] | any | at the step boundary, grant `Control(s + 1)`, `Params(global)`, `Flags(status)` |
+//! | `ShardMap` at [`SHARD_MAP_TAG`] | any | echo this server's map |
+//! | `Control(step)`, `Params`, `Flags(membership)` at [`STANDBY_TAG`] | shadow | commit the primary's state after that sync (a torn triple commits nothing); `Control(STANDBY_RETIRE)` retires |
+//! | a message from a rank that is not a worker | serving | `Protocol` error |
+//! | `Flags` from an evicted worker | serving | reply a status marking it [`STATUS_DEAD`] |
+//! | `Control(CTRL_SHUTDOWN)`, any tag | serving | mark the worker done |
+//! | `Flags` at `ftag` | flags | record its bit (in the sync window: drop, a resend into a closed round) |
+//! | `ShardPush` or a completed `Bucket` set at `stag` | serving | count the push (before the sync window: an *early push*) |
+//! | `Flags` below `ftag` | serving | catch-up status: the sender [`STATUS_MISSED`], no sync bits |
+//! | `ShardPush` below `ftag` | serving | reply `ShardPull(global)` |
+//! | `Flags` or `ShardPush` above `ftag` | serving | buffer; with nothing collected in the flags phase, fast-forward to the earliest buffered step |
+//! | any other payload | serving | `Protocol` error |
+//! | silence | shadow | promote if worker traffic is buffered; retire after `max_silence` |
+//! | silence, grace window open | serving | nothing |
+//! | silence | flags | age silent workers' misses, evict at `max_missed`; close the round only if someone joined it or was evicted (an empty round is a liveness tick) |
+//! | silence, 1 (K = 1) or `max_missed` (K > 1) times running | sync | evict the members that did not push, close the window |
+//! | every live worker heard | flags | status to each flag sender; a [`STATUS_SYNC`] opens the sync window, else the next step |
+//! | every live member pushed | sync | rank-order average, `on_sync`, shadow triple, `ShardPull` to each pusher, joins, next step |
+//! | an evicting send (status, pull, grant) finds its peer gone | serving | evict the peer at the send's step |
 //!
 //! ## Recovery
 //!
 //! [`run_elastic_server_from`] restarts the server from a [`ServerState`]
-//! (loaded from a durable checkpoint, or shadowed by a standby). Because
-//! `on_sync` fires *before* the sync replies are sent (write-ahead
-//! ordering), a restart from the last durable state always lands on one
-//! of three worker configurations, and the loop tolerates each:
-//!
-//! * workers blocked in a **later flags round** than the resumed step —
-//!   their flags carry a future tag; with nothing collected yet the
-//!   server *fast-forwards* its round counter to the earliest future
-//!   step seen (nothing in the skipped rounds had durable effects);
-//! * workers blocked **mid-sync at the resumed round** — their re-sent
-//!   pushes arrive during flags collection ("early pushes"); the server
-//!   counts them as sync contributors and seeds the sync round with
-//!   them, reproducing the interrupted average bit-for-bit;
-//! * workers blocked **mid-sync at the round before** the resumed step
-//!   (the checkpoint was written but its replies were lost) — their
-//!   re-sent pushes arrive at a stale tag and draw the recovered global,
-//!   which *is* that round's average.
-//!
-//! ## Hot standby
-//!
-//! A standby rank ([`run_standby_server`]) shadows every sync round's
-//! state via a [`STANDBY_TAG`] triple (`Control(step)`, `Params`,
-//! `Flags(membership)`) and promotes itself to a full server the moment
-//! workers start addressing it — which they only do after their own
-//! failover patience on the primary expires.
+//! (a durable checkpoint, or a standby's shadow). Because `on_sync` fires
+//! *before* the sync replies go out, a restart always finds its workers
+//! in one of three places, and the table reconciles each: blocked in a
+//! **later flags round** (their future flags fast-forward the server);
+//! **mid-sync at the resumed round** (their re-sent pushes arrive early
+//! and rebuild the interrupted average bit for bit); or **mid-sync at the
+//! round before** (their stale pushes draw the recovered global, which
+//! *is* that round's average). A standby is promoted only once workers
+//! address it, after their failover patience on the primary expires
+//! ([`ShardClientConfig::failover_stall`](crate::shard::ShardClientConfig::failover_stall)).
 
-use crate::bucket::BucketAssembler;
-use crate::collectives::{phase_tag, tag_step, FLAGS_PHASE};
+mod core;
+
+use self::core::{Action, Core};
 use crate::error::TransportError;
 use crate::fabric::{FlatVec, Payload, ShardSpec};
-use crate::ps::{average, CTRL_JOIN, CTRL_SHUTDOWN};
+use crate::ps::CTRL_JOIN;
 use crate::transport::Transport;
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Tag reserved for join handshakes (outside every step's tag space).
@@ -243,33 +238,6 @@ pub struct JoinGrant {
     pub status: Vec<u8>,
 }
 
-fn status_vec(
-    n: usize,
-    alive: &[bool],
-    done: &[bool],
-    bits: Option<&BTreeMap<usize, u8>>,
-    missed_requester: usize,
-) -> Vec<u8> {
-    (0..n)
-        .map(|i| {
-            if !alive[i] || done[i] {
-                STATUS_DEAD
-            } else if i == missed_requester {
-                STATUS_MISSED
-            } else {
-                match bits {
-                    Some(b) => match b.get(&i) {
-                        Some(&bit) if bit != 0 => STATUS_SYNC,
-                        Some(_) => STATUS_ALIVE,
-                        None => STATUS_MISSED,
-                    },
-                    None => STATUS_ALIVE,
-                }
-            }
-        })
-        .collect()
-}
-
 /// Deterministic range partition of a flat parameter vector of `total`
 /// elements across `k` shards: shard `i` owns the contiguous range
 /// `starts[i] .. starts[i+1]` (or `total` for the last shard), with
@@ -286,31 +254,21 @@ pub fn shard_starts(total: u64, k: usize) -> Vec<u64> {
     (0..k as u64).map(|i| (i * chunk).min(total)).collect()
 }
 
-/// Membership encoded for the standby shadow: bit 0 = alive, bit 1 =
-/// done (richer than the worker-facing status bytes, which cannot tell
-/// "finished" from "evicted").
-fn membership_bytes(alive: &[bool], done: &[bool]) -> Vec<u8> {
-    alive
-        .iter()
-        .zip(done)
-        .map(|(a, d)| u8::from(*a) | (u8::from(*d) << 1))
-        .collect()
-}
-
-/// Run the elastic parameter server for a brand-new run (state
-/// [`ServerState::fresh`]). `on_sync(state)` fires after each completed
-/// sync round, *before* the sync replies go out — wire it to a
+/// Run the elastic parameter server from `state`: [`ServerState::fresh`]
+/// for a new run, a recovered state for a checkpoint resume. See the
+/// module docs for the three worker configurations a restart can find
+/// and how each is reconciled. `on_sync(state)` fires after each
+/// completed sync round, *before* the sync replies go out — wire it to a
 /// checkpoint writer so a killed server restarts from its last durable
-/// sync via [`run_elastic_server_from`].
+/// sync.
 ///
 /// # Errors
 /// Propagates unrecoverable transport faults ([`TransportError::Closed`])
 /// and protocol violations. Dead *workers* are not errors — they are
 /// evicted and reported in the returned [`ElasticReport`].
-pub fn run_elastic_server<T, F>(
-    ep: T,
-    n_workers: usize,
-    init_params: Vec<f32>,
+pub fn run_elastic_server_from<T, F>(
+    mut ep: T,
+    state: ServerState,
     cfg: &ElasticConfig,
     on_sync: F,
 ) -> Result<ElasticReport, TransportError>
@@ -318,559 +276,9 @@ where
     T: Transport,
     F: FnMut(&ServerState),
 {
-    run_elastic_server_from(ep, ServerState::fresh(n_workers, init_params), cfg, on_sync)
-}
-
-/// Record a member's first message since a resume/promotion and adjust
-/// the grace window: extend it by one `resume_grace` unit while other
-/// members are still silent (their next resend is at most one cycle
-/// away), end it as soon as every live member has reported in. An
-/// already-expired window is never resurrected.
-fn note_contact(
-    grace_until: &mut Option<Instant>,
-    heard: &mut [bool],
-    alive: &[bool],
-    done: &[bool],
-    from: usize,
-    resume_grace: Duration,
-) {
-    let Some(g) = *grace_until else { return };
-    if Instant::now() >= g {
-        *grace_until = None;
-        return;
-    }
-    if from >= heard.len() || heard[from] {
-        return;
-    }
-    heard[from] = true;
-    if (0..heard.len()).all(|i| heard[i] || !alive[i] || done[i]) {
-        *grace_until = None;
-    } else {
-        let horizon = Instant::now() + resume_grace;
-        if g < horizon {
-            *grace_until = Some(horizon);
-        }
-    }
-}
-
-/// Normalize an arriving push. A [`Payload::Bucket`] frame is absorbed
-/// into its sender's assembler and only a *completed* set comes back
-/// out, as the [`Payload::ShardPush`] it stands for (`None` while the
-/// set is partial) — a retrying worker resends its complete set and
-/// duplicate frames overwrite, so assembly is idempotent under the
-/// failover policy. Every whole push must then cover exactly this
-/// server's range: `average` zips its inputs, so a short push would
-/// silently truncate the round. Other payloads pass through.
-fn whole_push(
-    asm: &mut BTreeMap<(u64, usize), BucketAssembler>,
-    tag: u64,
-    from: usize,
-    payload: Payload,
-    range_len: usize,
-) -> Result<Option<Payload>, TransportError> {
-    let payload = match payload {
-        Payload::Bucket {
-            bucket,
-            n_buckets,
-            values,
-        } => match asm
-            .entry((tag, from))
-            .or_default()
-            .absorb(bucket, n_buckets, values)?
-        {
-            Some(flat) => Payload::ShardPush(flat),
-            None => return Ok(None),
-        },
-        p => p,
-    };
-    if let Payload::ShardPush(v) = &payload {
-        if v.len() != range_len {
-            return Err(TransportError::Protocol(format!(
-                "elastic server: rank {from} pushed {} values at tag {tag}, \
-                 this server's range holds {range_len}",
-                v.len()
-            )));
-        }
-    }
-    Ok(Some(payload))
-}
-
-/// A sender that is not one of the `n` workers (a sibling shard, a
-/// standby, a rank from a differently-sized launch) has no slot in the
-/// membership vectors; its traffic is a wiring fault, not a protocol
-/// event.
-fn foreign_sender(from: usize, n: usize) -> TransportError {
-    TransportError::Protocol(format!(
-        "elastic server: message from rank {from}, which is not one of the {n} workers"
-    ))
-}
-
-/// Run the elastic parameter server from a recovered [`ServerState`]
-/// (checkpoint resume or standby promotion). See the module docs for the
-/// three worker configurations a restart can find and how each is
-/// reconciled.
-///
-/// # Errors
-/// As [`run_elastic_server`].
-#[allow(clippy::too_many_lines)]
-pub fn run_elastic_server_from<T, F>(
-    mut ep: T,
-    state: ServerState,
-    cfg: &ElasticConfig,
-    mut on_sync: F,
-) -> Result<ElasticReport, TransportError>
-where
-    T: Transport,
-    F: FnMut(&ServerState),
-{
-    let ServerState {
-        mut step,
-        mut syncs,
-        mut global,
-        mut alive,
-        mut done,
-        mut evictions,
-        mut joins,
-    } = state;
-    let n = alive.len();
-    let mut missed = vec![0u32; n];
-    let mut crashed = false;
-    // A recovering server must outwait the workers' resend budget before
-    // judging silence: their in-flight rounds died with the predecessor.
-    // See `ElasticConfig::resume_grace` for the adaptive-extension rules
-    // `note_contact` applies as members report back in.
-    let mut grace_until =
-        (cfg.resume_grace > Duration::ZERO).then(|| Instant::now() + cfg.resume_grace);
-    let mut heard_since_start = vec![false; n];
-    // Traffic from rounds ahead of this one (recovery: the server
-    // restarted behind the workers). Keyed by step.
-    let mut future_flags: BTreeMap<u64, BTreeMap<usize, u8>> = BTreeMap::new();
-    let mut future_pushes: BTreeMap<u64, BTreeMap<usize, Vec<f32>>> = BTreeMap::new();
-    let mut pending_joins: Vec<usize> = Vec::new();
-    // Bucketed parameter pushes (DESIGN.md §12): partial Bucket frames
-    // assemble per (tag, sender) in `whole_push`, so every arm below
-    // only ever sees whole vectors.
-    let mut bucket_asm: BTreeMap<(u64, usize), BucketAssembler> = BTreeMap::new();
-
-    'run: loop {
-        if (0..n).all(|i| !alive[i] || done[i]) {
-            break;
-        }
-        if let Some(ServerCrashPoint::RoundStart(s)) = cfg.crash {
-            if step >= s {
-                crashed = true;
-                break;
-            }
-        }
-        let ftag = phase_tag(step, FLAGS_PHASE);
-        let stag = phase_tag(step, SYNC_PHASE);
-        // drop bucket partials from rounds that already closed — a
-        // retrying worker resends its complete set, so nothing is lost
-        bucket_asm.retain(|&(t, _), a| a.in_progress() && tag_step(t) + 1 >= step);
-        // seed the round with any buffered traffic that raced ahead
-        let mut bits: BTreeMap<usize, u8> = future_flags.remove(&step).unwrap_or_default();
-        let mut early_pushes: BTreeMap<usize, Vec<f32>> =
-            future_pushes.remove(&step).unwrap_or_default();
-        future_flags.retain(|&s, _| s > step);
-        future_pushes.retain(|&s, _| s > step);
-        bits.retain(|&i, _| alive[i] && !done[i]);
-        early_pushes.retain(|&i, _| alive[i] && !done[i]);
-        let mut jump: Option<u64> = None;
-
-        // ---- flags / heartbeat collection ----
-        loop {
-            let expected = (0..n).filter(|&i| alive[i] && !done[i]).count();
-            let heard = bits.len()
-                + early_pushes
-                    .keys()
-                    .filter(|i| !bits.contains_key(i))
-                    .count();
-            if expected == 0 || heard >= expected {
-                break;
-            }
-            match ep.recv_deadline(None, None, cfg.round_timeout) {
-                Err(TransportError::RecvTimeout { .. }) => {
-                    if grace_until.is_some_and(|g| Instant::now() < g) {
-                        continue;
-                    }
-                    let mut evicted_now = false;
-                    for i in 0..n {
-                        if alive[i]
-                            && !done[i]
-                            && !bits.contains_key(&i)
-                            && !early_pushes.contains_key(&i)
-                        {
-                            missed[i] += 1;
-                            if missed[i] >= cfg.max_missed {
-                                alive[i] = false;
-                                evictions.push((step, i));
-                                evicted_now = true;
-                            }
-                        }
-                    }
-                    // A round nobody joined is a liveness tick, not a
-                    // round: closing it would free-run this server's
-                    // step past workers that are alive but stalled
-                    // elsewhere (sharded: on a sibling shard's
-                    // recovery), stranding all their later traffic in
-                    // the stale arms — whose status replies carry no
-                    // sync bits, so the group can never agree on a sync
-                    // again. Keep collecting at this step; the `missed`
-                    // counters above still age silent workers toward
-                    // eviction, which is the only thing an empty round
-                    // was good for.
-                    if bits.is_empty() && early_pushes.is_empty() && !evicted_now {
-                        continue;
-                    }
-                    break;
-                }
-                Err(e) => return Err(e),
-                Ok(m) => {
-                    let from = m.from;
-                    note_contact(
-                        &mut grace_until,
-                        &mut heard_since_start,
-                        &alive,
-                        &done,
-                        from,
-                        cfg.resume_grace,
-                    );
-                    if m.tag == JOIN_TAG {
-                        if let Payload::Control(c) = m.payload {
-                            if c == CTRL_JOIN {
-                                pending_joins.push(from);
-                            }
-                        }
-                        continue;
-                    }
-                    if m.tag == SHARD_MAP_TAG {
-                        // map-agreement handshake: echo our map so the
-                        // worker can prove both sides partitioned alike
-                        let _ = ep.send(
-                            from,
-                            SHARD_MAP_TAG,
-                            Payload::ShardMap(cfg.shard_map.clone()),
-                        );
-                        continue;
-                    }
-                    if m.tag >= STANDBY_TAG {
-                        // reserved tags this role never consumes
-                        continue;
-                    }
-                    if from >= n {
-                        return Err(foreign_sender(from, n));
-                    }
-                    if !alive[from] {
-                        // tell an evicted-but-alive sender its fate so it
-                        // can stop waiting and rejoin or exit (best effort)
-                        if matches!(m.payload, Payload::Flags(_)) {
-                            let status = status_vec(n, &alive, &done, None, from);
-                            let _ = ep.send(from, m.tag, Payload::Flags(status));
-                        }
-                        continue;
-                    }
-                    let Some(payload) =
-                        whole_push(&mut bucket_asm, m.tag, from, m.payload, global.len())?
-                    else {
-                        continue;
-                    };
-                    match (m.tag, payload) {
-                        (t, Payload::Flags(b)) if t == ftag => {
-                            bits.insert(from, b.first().copied().unwrap_or(0));
-                        }
-                        (t, Payload::ShardPush(v)) if t == stag => {
-                            // a re-sent push for *this* round: the sender
-                            // already holds a SYNC status from before a
-                            // server restart — count it as a contributor
-                            early_pushes.insert(from, v);
-                        }
-                        (_, Payload::Control(c)) if c == CTRL_SHUTDOWN => {
-                            // accepted at any tag: a worker may finish
-                            // while a recovering server is still behind
-                            done[from] = true;
-                            missed[from] = 0;
-                        }
-                        (t, Payload::Flags(_)) if t < ftag => {
-                            // straggler catching up from an older step
-                            let status = status_vec(n, &alive, &done, None, from);
-                            let _ = ep.send(from, t, Payload::Flags(status));
-                        }
-                        (t, Payload::ShardPush(_)) if t < ftag => {
-                            // stale push from a sync round that already
-                            // closed (or whose replies died with the old
-                            // server); unblock the sender with the global,
-                            // which is exactly that round's average
-                            let _ = ep.send(from, t, Payload::ShardPull(global.clone()));
-                        }
-                        (t, Payload::Flags(b)) if t > ftag => {
-                            let s = tag_step(t);
-                            future_flags
-                                .entry(s)
-                                .or_default()
-                                .insert(from, b.first().copied().unwrap_or(0));
-                            if bits.is_empty() && early_pushes.is_empty() {
-                                jump = Some(s);
-                                break;
-                            }
-                        }
-                        (t, Payload::ShardPush(v))
-                            if t > ftag && t == phase_tag(tag_step(t), SYNC_PHASE) =>
-                        {
-                            let s = tag_step(t);
-                            future_pushes.entry(s).or_default().insert(from, v);
-                            if bits.is_empty() && early_pushes.is_empty() {
-                                jump = Some(s);
-                                break;
-                            }
-                        }
-                        (t, p) => {
-                            return Err(TransportError::Protocol(format!(
-                                "elastic server: unexpected {p:?} at tag {t} \
-                                 from rank {from} (round tag {ftag})"
-                            )));
-                        }
-                    }
-                }
-            }
-        }
-
-        if jump.is_some() {
-            // recovery fast-forward: every live worker is already past
-            // this round (nothing durable happened in the skipped
-            // rounds, or their effects were already replied). Jump to
-            // the earliest round with buffered traffic.
-            let next = future_flags
-                .keys()
-                .next()
-                .copied()
-                .into_iter()
-                .chain(future_pushes.keys().next().copied())
-                .min();
-            if let Some(next) = next {
-                step = next;
-                continue 'run;
-            }
-        }
-
-        for &i in bits.keys() {
-            missed[i] = 0;
-        }
-        for &i in early_pushes.keys() {
-            missed[i] = 0;
-        }
-        let contributors: Vec<usize> = bits.keys().copied().collect();
-        let mut sync_members: Vec<usize> = contributors.clone();
-        for &i in early_pushes.keys() {
-            if !sync_members.contains(&i) {
-                sync_members.push(i);
-            }
-        }
-        sync_members.sort_unstable();
-
-        if !contributors.is_empty() || !early_pushes.is_empty() {
-            let any_sync = bits.values().any(|&b| b != 0) || !early_pushes.is_empty();
-            // early pushers are mid-sync: the membership view must show
-            // them as syncing even though no flag arrived this round
-            let mut merged = bits.clone();
-            for &i in early_pushes.keys() {
-                merged.insert(i, 1);
-            }
-            let status = status_vec(n, &alive, &done, Some(&merged), usize::MAX);
-            for &i in &contributors {
-                match ep.send(i, ftag, Payload::Flags(status.clone())) {
-                    Ok(()) => {}
-                    Err(TransportError::PeerUnreachable { .. }) => {
-                        alive[i] = false;
-                        evictions.push((step, i));
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-
-            // ---- sync round: every contributor pushes, server averages ----
-            if any_sync {
-                let mut pushes: BTreeMap<usize, Vec<f32>> = early_pushes;
-                // how many empty round_timeouts to sit through before
-                // declaring the missing pushers crashed. The only server
-                // of a K = 1 group evicts after one: a worker that
-                // flagged a sync and then fell silent is gone. With
-                // siblings the window extends to the (recovery-widened)
-                // miss budget — the pusher may be stalled in its fan-out
-                // on a *sibling* shard that is crashing and resuming,
-                // and evicting it here would tear down a cluster that is
-                // seconds from recovering (DESIGN.md §10).
-                let push_patience = if cfg.shard_map.starts.len() > 1 {
-                    cfg.max_missed.max(1)
-                } else {
-                    1
-                };
-                let mut empty_waits = 0u32;
-                loop {
-                    let expected = sync_members.iter().filter(|&&i| alive[i]).count();
-                    if expected == 0 || pushes.len() >= expected {
-                        break;
-                    }
-                    match ep.recv_deadline(None, None, cfg.round_timeout) {
-                        Err(TransportError::RecvTimeout { .. }) => {
-                            if grace_until.is_some_and(|g| Instant::now() < g) {
-                                continue;
-                            }
-                            empty_waits += 1;
-                            if empty_waits < push_patience {
-                                continue;
-                            }
-                            // a crash inside the sync window: evict at once,
-                            // the partial average keeps the survivors moving
-                            for &i in &sync_members {
-                                if alive[i] && !pushes.contains_key(&i) {
-                                    alive[i] = false;
-                                    evictions.push((step, i));
-                                }
-                            }
-                            break;
-                        }
-                        Err(e) => return Err(e),
-                        Ok(m) => {
-                            let from = m.from;
-                            empty_waits = 0;
-                            note_contact(
-                                &mut grace_until,
-                                &mut heard_since_start,
-                                &alive,
-                                &done,
-                                from,
-                                cfg.resume_grace,
-                            );
-                            if m.tag == JOIN_TAG {
-                                if let Payload::Control(c) = m.payload {
-                                    if c == CTRL_JOIN {
-                                        pending_joins.push(from);
-                                    }
-                                }
-                                continue;
-                            }
-                            if m.tag == SHARD_MAP_TAG {
-                                let _ = ep.send(
-                                    from,
-                                    SHARD_MAP_TAG,
-                                    Payload::ShardMap(cfg.shard_map.clone()),
-                                );
-                                continue;
-                            }
-                            if m.tag >= STANDBY_TAG {
-                                continue;
-                            }
-                            if from >= n {
-                                return Err(foreign_sender(from, n));
-                            }
-                            let Some(payload) =
-                                whole_push(&mut bucket_asm, m.tag, from, m.payload, global.len())?
-                            else {
-                                continue;
-                            };
-                            if m.tag == stag && alive[from] {
-                                match payload {
-                                    Payload::ShardPush(v) => {
-                                        if !sync_members.contains(&from) {
-                                            sync_members.push(from);
-                                        }
-                                        pushes.insert(from, v);
-                                    }
-                                    p => {
-                                        return Err(TransportError::Protocol(format!(
-                                            "elastic server: expected ShardPush at sync \
-                                             tag {stag}, got {p:?} from rank {from}"
-                                        )));
-                                    }
-                                }
-                            }
-                            // anything else mid-sync is stale traffic: drop
-                        }
-                    }
-                }
-                let pushers: Vec<usize> = pushes.keys().copied().collect();
-                if let Some(avg) = average(pushes.into_values()) {
-                    if let Some(ServerCrashPoint::MidSync(s)) = cfg.crash {
-                        if step >= s {
-                            // die with the average computed but nothing
-                            // durable: no checkpoint, no shadow, no reply
-                            crashed = true;
-                            break 'run;
-                        }
-                    }
-                    global = avg;
-                    syncs += 1;
-                    // write-ahead: checkpoint + shadow BEFORE any reply,
-                    // so a durable sync implies no worker saw it early
-                    on_sync(&ServerState {
-                        step: step + 1,
-                        syncs,
-                        global: global.clone(),
-                        alive: alive.clone(),
-                        done: done.clone(),
-                        evictions: evictions.clone(),
-                        joins: joins.clone(),
-                    });
-                    if let Some(sb) = cfg.standby {
-                        let _ = ep.send(sb, STANDBY_TAG, Payload::Control(step));
-                        let _ = ep.send(sb, STANDBY_TAG, Payload::Params(global.clone()));
-                        let _ = ep.send(
-                            sb,
-                            STANDBY_TAG,
-                            Payload::Flags(membership_bytes(&alive, &done)),
-                        );
-                    }
-                    for i in pushers {
-                        match ep.send(i, stag, Payload::ShardPull(global.clone())) {
-                            Ok(()) => {}
-                            Err(TransportError::PeerUnreachable { .. }) => {
-                                alive[i] = false;
-                                evictions.push((step, i));
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- grant joins at the step boundary ----
-        for r in pending_joins.drain(..) {
-            if r < n && !done[r] && !alive[r] {
-                alive[r] = true;
-                missed[r] = 0;
-                let resume = step + 1;
-                let status = status_vec(n, &alive, &done, None, usize::MAX);
-                let granted = ep.send(r, JOIN_TAG, Payload::Control(resume)).is_ok()
-                    && ep
-                        .send(r, JOIN_TAG, Payload::Params(global.clone()))
-                        .is_ok()
-                    && ep.send(r, JOIN_TAG, Payload::Flags(status)).is_ok();
-                if granted {
-                    joins.push((resume, r));
-                } else {
-                    alive[r] = false;
-                    evictions.push((step, r));
-                }
-            }
-        }
-
-        step += 1;
-    }
-
-    if !crashed {
-        if let Some(sb) = cfg.standby {
-            let _ = ep.send(sb, STANDBY_TAG, Payload::Control(STANDBY_RETIRE));
-        }
-    }
-    Ok(ElasticReport {
-        final_params: global,
-        evictions,
-        joins,
-        syncs,
-        rounds: step,
-        crashed,
-    })
+    let mut core = Core::server(state, cfg, Instant::now());
+    serve(&mut ep, &mut core, on_sync)?;
+    Ok(core.into_report())
 }
 
 /// What a standby rank's watch ended in.
@@ -890,8 +298,8 @@ pub enum StandbyOutcome {
 /// Run the hot-standby role for the server on rank `primary`: shadow
 /// its [`STANDBY_TAG`] state updates, and promote to a full elastic
 /// server the moment worker traffic lands on this rank (workers only
-/// redirect here after their failover patience on the primary expires —
-/// see the worker retry layer). While waiting, worker messages are buffered, not consumed, so
+/// redirect here after their failover patience on the primary expires).
+/// While waiting, worker messages stay buffered in the transport, so
 /// the promoted server's first round sees them all.
 ///
 /// `max_silence` bounds how long the standby outlives a cluster that
@@ -913,126 +321,53 @@ where
     T: Transport,
     F: FnMut(&ServerState),
 {
-    let mut state = ServerState::fresh(n_workers, init_params);
-    let mut shadowed = 0u64;
-    let mut silence = Duration::ZERO;
+    let now = Instant::now();
+    let mut core = Core::standby(n_workers, primary, init_params, cfg, max_silence, now);
+    serve(&mut ep, &mut core, on_sync)?;
+    Ok(match core.retired() {
+        Some(shadowed_syncs) => StandbyOutcome::Retired { shadowed_syncs },
+        None => StandbyOutcome::Promoted(core.into_report()),
+    })
+}
+
+/// The one receive loop: perform the core's outbox in order, then
+/// receive as it asks and feed it the message or the silence, until it
+/// has nothing left to wait for.
+fn serve<T, F>(ep: &mut T, core: &mut Core, mut on_sync: F) -> Result<(), TransportError>
+where
+    T: Transport,
+    F: FnMut(&ServerState),
+{
+    let mut wait = core.wait();
     loop {
-        match ep.recv_deadline(Some(primary), Some(STANDBY_TAG), cfg.round_timeout) {
-            Ok(m) => {
-                silence = Duration::ZERO;
-                match m.payload {
-                    Payload::Control(c) if c == STANDBY_RETIRE => {
-                        return Ok(StandbyOutcome::Retired {
-                            shadowed_syncs: shadowed,
-                        });
+        while let Some(action) = core.outbox.pop_front() {
+            match action {
+                Action::Durable(state) => on_sync(&state),
+                Action::Send {
+                    to,
+                    tag,
+                    payload,
+                    evict_at,
+                } => match (ep.send(to, tag, payload), evict_at) {
+                    (Ok(()), _) | (Err(_), None) => {}
+                    (Err(TransportError::PeerUnreachable { .. }), Some(step)) => {
+                        wait = core.on_unreachable(to, step);
                     }
-                    Payload::Control(sync_step) => {
-                        // a shadow triple: Params and membership follow on
-                        // the same tag; a torn triple (primary died mid-
-                        // send) leaves the previous consistent state
-                        let params = match ep.recv_deadline(
-                            Some(primary),
-                            Some(STANDBY_TAG),
-                            cfg.round_timeout,
-                        ) {
-                            Ok(pm) => match pm.payload {
-                                Payload::Params(v) => v,
-                                Payload::SharedParams(a) => FlatVec::Shared(a).into_vec(),
-                                // explicit so new wire variants fail here
-                                // at compile time instead of being dropped
-                                Payload::Grads(_)
-                                | Payload::Flags(_)
-                                | Payload::Samples { .. }
-                                | Payload::Control(_)
-                                | Payload::Predict { .. }
-                                | Payload::Logits { .. }
-                                | Payload::ShardMap(_)
-                                | Payload::ShardPush(_)
-                                | Payload::ShardPull(_)
-                                | Payload::Bucket { .. }
-                                | Payload::SparseGrad { .. }
-                                | Payload::SignGrad { .. }
-                                | Payload::LowRank { .. } => continue,
-                            },
-                            Err(TransportError::RecvTimeout { .. }) => continue,
-                            Err(e) => return Err(e),
-                        };
-                        let mem = match ep.recv_deadline(
-                            Some(primary),
-                            Some(STANDBY_TAG),
-                            cfg.round_timeout,
-                        ) {
-                            Ok(fm) => match fm.payload {
-                                Payload::Flags(b) => b,
-                                // explicit so new wire variants fail here
-                                // at compile time instead of being dropped
-                                Payload::Params(_)
-                                | Payload::SharedParams(_)
-                                | Payload::Grads(_)
-                                | Payload::Samples { .. }
-                                | Payload::Control(_)
-                                | Payload::Predict { .. }
-                                | Payload::Logits { .. }
-                                | Payload::ShardMap(_)
-                                | Payload::ShardPush(_)
-                                | Payload::ShardPull(_)
-                                | Payload::Bucket { .. }
-                                | Payload::SparseGrad { .. }
-                                | Payload::SignGrad { .. }
-                                | Payload::LowRank { .. } => continue,
-                            },
-                            Err(TransportError::RecvTimeout { .. }) => continue,
-                            Err(e) => return Err(e),
-                        };
-                        state.step = sync_step + 1;
-                        state.syncs += 1;
-                        state.global = params;
-                        state.alive = mem.iter().map(|b| b & 1 != 0).collect();
-                        state.done = mem.iter().map(|b| b & 2 != 0).collect();
-                        shadowed += 1;
-                    }
-                    // stray non-control traffic on the standby tag is
-                    // ignored; listed explicitly so new wire variants
-                    // fail here at compile time instead of being dropped
-                    Payload::Params(_)
-                    | Payload::SharedParams(_)
-                    | Payload::Grads(_)
-                    | Payload::Flags(_)
-                    | Payload::Samples { .. }
-                    | Payload::Predict { .. }
-                    | Payload::Logits { .. }
-                    | Payload::ShardMap(_)
-                    | Payload::ShardPush(_)
-                    | Payload::ShardPull(_)
-                    | Payload::Bucket { .. }
-                    | Payload::SparseGrad { .. }
-                    | Payload::SignGrad { .. }
-                    | Payload::LowRank { .. } => {}
-                }
+                    (Err(e), Some(_)) => return Err(e),
+                },
             }
+        }
+        let Some(w) = wait else {
+            return Ok(());
+        };
+        let timeout = w.deadline.saturating_duration_since(Instant::now());
+        wait = match ep.recv_deadline(w.from, w.tag, timeout) {
+            Ok(m) => core.on_msg(m, Instant::now())?,
             Err(TransportError::RecvTimeout { buffered, .. }) => {
-                if buffered > 0 {
-                    // workers are addressing this rank: the primary is
-                    // gone and the cluster failed over — promote. The
-                    // buffered worker traffic is drained by the server
-                    // loop's pending-first receives.
-                    let promoted_cfg = ElasticConfig {
-                        standby: None,
-                        crash: None,
-                        ..cfg.clone()
-                    };
-                    let report = run_elastic_server_from(ep, state, &promoted_cfg, on_sync)?;
-                    return Ok(StandbyOutcome::Promoted(report));
-                }
-                silence += cfg.round_timeout;
-                if silence >= max_silence {
-                    return Ok(StandbyOutcome::Retired {
-                        shadowed_syncs: shadowed,
-                    });
-                }
+                core.on_silence(buffered, Instant::now())
             }
             Err(e) => return Err(e),
-        }
+        };
     }
 }
 
@@ -1048,39 +383,22 @@ pub fn join_request<T: Transport>(
     reply_timeout: Duration,
 ) -> Result<JoinGrant, TransportError> {
     ep.send(server, JOIN_TAG, Payload::Control(CTRL_JOIN))?;
-    let resume_step = match ep
-        .recv_deadline(Some(server), Some(JOIN_TAG), reply_timeout)?
-        .payload
-    {
-        Payload::Control(s) => s,
-        p => {
-            return Err(TransportError::Protocol(format!(
-                "join grant began with {p:?}, expected Control(resume_step)"
-            )))
-        }
+    let mut next = || ep.recv_deadline(Some(server), Some(JOIN_TAG), reply_timeout);
+    let malformed = |want: &str, got: Payload| {
+        TransportError::Protocol(format!("join grant: expected {want}, got {got:?}"))
     };
-    let params = match ep
-        .recv_deadline(Some(server), Some(JOIN_TAG), reply_timeout)?
-        .payload
-    {
+    let resume_step = match next()?.payload {
+        Payload::Control(s) => s,
+        p => return Err(malformed("Control(resume_step)", p)),
+    };
+    let params = match next()?.payload {
         Payload::Params(v) => v,
         Payload::SharedParams(a) => FlatVec::Shared(a).into_vec(),
-        p => {
-            return Err(TransportError::Protocol(format!(
-                "join grant missing Params, got {p:?}"
-            )))
-        }
+        p => return Err(malformed("Params", p)),
     };
-    let status = match ep
-        .recv_deadline(Some(server), Some(JOIN_TAG), reply_timeout)?
-        .payload
-    {
+    let status = match next()?.payload {
         Payload::Flags(s) => s,
-        p => {
-            return Err(TransportError::Protocol(format!(
-                "join grant missing Flags, got {p:?}"
-            )))
-        }
+        p => return Err(malformed("Flags", p)),
     };
     Ok(JoinGrant {
         resume_step,
@@ -1092,6 +410,7 @@ pub fn join_request<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::{phase_tag, FLAGS_PHASE};
     use crate::fabric::{Endpoint, Fabric};
     use crate::shard::{ShardClientConfig, ShardedPsClient};
     use std::sync::{Arc, Mutex};
@@ -1153,7 +472,8 @@ mod tests {
         let server_ep = eps.pop().unwrap();
         let cfg = server_cfg(4, Duration::from_millis(500), 3);
         let server = thread::spawn(move || {
-            run_elastic_server(server_ep, n, vec![0.0; 4], &cfg, |_| {}).unwrap()
+            run_elastic_server_from(server_ep, ServerState::fresh(n, vec![0.0; 4]), &cfg, |_| {})
+                .unwrap()
         });
         let handles: Vec<_> = eps
             .into_iter()
@@ -1200,7 +520,8 @@ mod tests {
         let server_ep = eps.pop().unwrap();
         let cfg = server_cfg(5, Duration::from_millis(400), 3);
         let server = thread::spawn(move || {
-            run_elastic_server(server_ep, n, vec![0.0; 5], &cfg, |_| {}).unwrap()
+            run_elastic_server_from(server_ep, ServerState::fresh(n, vec![0.0; 5]), &cfg, |_| {})
+                .unwrap()
         });
         let mut bucketed = eps.pop().unwrap(); // rank 1
         let mut whole = eps.pop().unwrap(); // rank 0
@@ -1245,7 +566,8 @@ mod tests {
         let server_ep = eps.pop().unwrap();
         let cfg = server_cfg(1, Duration::from_millis(100), 2);
         let server = thread::spawn(move || {
-            run_elastic_server(server_ep, n, vec![0.0], &cfg, |_| {}).unwrap()
+            run_elastic_server_from(server_ep, ServerState::fresh(n, vec![0.0]), &cfg, |_| {})
+                .unwrap()
         });
         let handles: Vec<_> = eps
             .into_iter()
@@ -1304,7 +626,8 @@ mod tests {
         let server_ep = eps.pop().unwrap();
         let cfg = server_cfg(1, Duration::from_millis(80), 2);
         let server = thread::spawn(move || {
-            run_elastic_server(server_ep, n, vec![7.0], &cfg, |_| {}).unwrap()
+            run_elastic_server_from(server_ep, ServerState::fresh(n, vec![7.0]), &cfg, |_| {})
+                .unwrap()
         });
         let mut rejoiner = eps.pop().unwrap(); // rank 1
         let mut steady = eps.pop().unwrap(); // rank 0
@@ -1368,9 +691,14 @@ mod tests {
             ..crash_cfg.clone()
         };
         let server = thread::spawn(move || {
-            let crashed = run_elastic_server(&mut server_ep, n, vec![0.0], &crash_cfg, |s| {
-                *sink.lock().unwrap() = Some(s.clone());
-            })
+            let crashed = run_elastic_server_from(
+                &mut server_ep,
+                ServerState::fresh(n, vec![0.0]),
+                &crash_cfg,
+                |s| {
+                    *sink.lock().unwrap() = Some(s.clone());
+                },
+            )
             .unwrap();
             assert!(crashed.crashed, "the scheduled crash must fire");
             assert_eq!(crashed.syncs, 3, "steps 0..2 synced before the crash");
@@ -1426,7 +754,8 @@ mod tests {
         let cfg = server_cfg(1, Duration::from_millis(300), 3);
         // the server believes it is at step 0; workers start at step 5
         let server = thread::spawn(move || {
-            run_elastic_server(server_ep, n, vec![1.0], &cfg, |_| {}).unwrap()
+            run_elastic_server_from(server_ep, ServerState::fresh(n, vec![1.0]), &cfg, |_| {})
+                .unwrap()
         });
         let handles: Vec<_> = eps
             .into_iter()
@@ -1464,7 +793,8 @@ mod tests {
         };
         let standby_cfg = cfg.clone();
         let server = thread::spawn(move || {
-            run_elastic_server(server_ep, n, vec![0.0], &cfg, |_| {}).unwrap()
+            run_elastic_server_from(server_ep, ServerState::fresh(n, vec![0.0]), &cfg, |_| {})
+                .unwrap()
         });
         let standby = thread::spawn(move || {
             run_standby_server(
@@ -1528,7 +858,8 @@ mod tests {
         };
         let server = thread::spawn(move || {
             // endpoint dropped on return: the primary is truly dead
-            run_elastic_server(server_ep, n, vec![0.0], &cfg, |_| {}).unwrap()
+            run_elastic_server_from(server_ep, ServerState::fresh(n, vec![0.0]), &cfg, |_| {})
+                .unwrap()
         });
         let standby = thread::spawn(move || {
             run_standby_server(
@@ -1594,8 +925,14 @@ mod tests {
             let server_ep = eps.pop().unwrap();
             let w = eps.pop().unwrap();
             let cfg = server_cfg(3, Duration::from_millis(400), 3);
-            let server =
-                thread::spawn(move || run_elastic_server(server_ep, 1, vec![0.0; 3], &cfg, |_| {}));
+            let server = thread::spawn(move || {
+                run_elastic_server_from(
+                    server_ep,
+                    ServerState::fresh(1, vec![0.0; 3]),
+                    &cfg,
+                    |_| {},
+                )
+            });
             let tag = phase_tag(0, SYNC_PHASE);
             if bucketed {
                 for p in crate::bucket::bucket_payloads(&[1.0, 2.0], 1) {
@@ -1619,93 +956,14 @@ mod tests {
         let sibling = eps.pop().unwrap(); // rank 2
         let server_ep = eps.pop().unwrap(); // rank 1
         let cfg = server_cfg(1, Duration::from_millis(400), 3);
-        let server =
-            thread::spawn(move || run_elastic_server(server_ep, n, vec![0.0], &cfg, |_| {}));
+        let server = thread::spawn(move || {
+            run_elastic_server_from(server_ep, ServerState::fresh(n, vec![0.0]), &cfg, |_| {})
+        });
         sibling
             .send(1, phase_tag(0, FLAGS_PHASE), Payload::Flags(vec![0]))
             .unwrap();
         let err = server.join().unwrap().unwrap_err();
         assert!(matches!(err, TransportError::Protocol(_)), "{err:?}");
-    }
-
-    /// The eviction rule replayed as the pure function it is: a worker
-    /// is dead once it has missed `max_missed` consecutive heartbeat
-    /// rounds. `history[round][worker]` is `Some(bit)` if the worker's
-    /// flag arrived that round.
-    fn replay_survivors(history: &[Vec<Option<u8>>], max_missed: u32) -> Vec<bool> {
-        let n = history[0].len();
-        let mut missed = vec![0u32; n];
-        let mut alive = vec![true; n];
-        for round in history {
-            for w in 0..n {
-                if !alive[w] {
-                    continue;
-                }
-                match round[w] {
-                    Some(_) => missed[w] = 0,
-                    None => {
-                        missed[w] += 1;
-                        if missed[w] >= max_missed {
-                            alive[w] = false;
-                        }
-                    }
-                }
-            }
-        }
-        alive
-    }
-
-    /// Every shard server applies the same membership rule to the same
-    /// flags history, so K independent replicas of the decision agree —
-    /// and so do everything downstream of it: the survivor list, each
-    /// survivor's partition slot, and the parameter shard map. This is
-    /// the agreement argument that lets the sharded PS group skip any
-    /// cross-shard membership consensus.
-    #[test]
-    fn independent_replays_agree_on_survivors_slots_and_shard_map() {
-        let n = 5;
-        // worker 2 goes silent at round 3, worker 4 flaps but recovers
-        let history: Vec<Vec<Option<u8>>> = (0..10u64)
-            .map(|r| {
-                (0..n)
-                    .map(|w| {
-                        if (w == 2 && r >= 3) || (w == 4 && r % 3 == 1) {
-                            None
-                        } else {
-                            Some(u8::from(r % 2 == 0))
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        // replica A: batch replay of the full history; replica B: the
-        // same rule applied incrementally, one round at a time
-        let a = replay_survivors(&history, 2);
-        let mut b = vec![true; n];
-        for upto in 1..=history.len() {
-            b = replay_survivors(&history[..upto], 2);
-        }
-        assert_eq!(a, b, "replicas of the eviction rule must agree");
-        assert_eq!(a, vec![true, true, false, true, true]);
-
-        // identical survivor sets => identical sorted survivor lists and
-        // partition slots (the cursor-rebuild rule: slot = index of the
-        // worker among the sorted survivors)
-        let survivors = |alive: &[bool]| -> Vec<usize> { (0..n).filter(|&w| alive[w]).collect() };
-        let (sa, sb) = (survivors(&a), survivors(&b));
-        assert_eq!(sa, sb);
-        for &w in &sa {
-            assert_eq!(
-                sa.binary_search(&w).unwrap(),
-                sb.binary_search(&w).unwrap(),
-                "worker {w} must land in the same partition slot"
-            );
-        }
-        // ... and identical shard maps, since the map is a pure function
-        // of (total, k) — membership changes never move range boundaries
-        for k in [1, 2, 4] {
-            assert_eq!(shard_starts(1000, k), shard_starts(1000, k));
-        }
     }
 
     #[test]
@@ -1733,7 +991,8 @@ mod tests {
         // plenty of miss budget: the stall must age, not evict
         let cfg = server_cfg(2, Duration::from_millis(60), 50);
         let server = thread::spawn(move || {
-            run_elastic_server(server_ep, n, vec![0.0; 2], &cfg, |_| {}).unwrap()
+            run_elastic_server_from(server_ep, ServerState::fresh(n, vec![0.0; 2]), &cfg, |_| {})
+                .unwrap()
         });
         let handles: Vec<_> = eps
             .into_iter()

@@ -71,6 +71,11 @@ pub struct ShardClientConfig {
     pub comm_retries: u32,
     /// Per-shard budget for re-reaching a silent or unreachable shard
     /// before failing over to its standby (or giving up without one).
+    /// Failover fires at the first reply timeout by which the shard has
+    /// been resent `comm_retries` times *and* `ps_patience` has passed,
+    /// so a dead shard stalls the exchange for
+    /// [`ShardClientConfig::failover_stall`], which can be well past
+    /// `ps_patience`.
     pub ps_patience: Duration,
     /// `Some(B)` ships each shard's push as B-value [`Payload::Bucket`]
     /// frames instead of one [`Payload::ShardPush`]; the shard server
@@ -88,6 +93,35 @@ impl Default for ShardClientConfig {
             ps_patience: Duration::from_secs(6),
             bucket: None,
         }
+    }
+}
+
+/// The pause after a failed resend to an unreachable shard, doubling per
+/// pause up to [`MAX_REDIAL_BACKOFF`].
+const FIRST_REDIAL_BACKOFF: Duration = Duration::from_millis(50);
+const MAX_REDIAL_BACKOFF: Duration = Duration::from_secs(1);
+
+impl ShardClientConfig {
+    /// The longest one fan-out exchange stalls on a dead shard before it
+    /// fails over to that shard's standby (or gives up without one).
+    /// `fanout_exchange` fails over at the first reply timeout by which
+    /// the shard has been resent `comm_retries` times and `ps_patience`
+    /// has passed, and each resend to an unreachable shard is followed
+    /// by a redial pause; this replays that schedule. A sibling shard
+    /// must hear nothing from the stalled worker for this long (plus the
+    /// standby's promotion) without reading it as worker death.
+    pub fn failover_stall(&self) -> Duration {
+        let mut stall = Duration::ZERO;
+        let mut backoff = FIRST_REDIAL_BACKOFF;
+        for timeouts in 1u64.. {
+            stall += self.reply_timeout;
+            if timeouts > u64::from(self.comm_retries) && stall >= self.ps_patience {
+                break;
+            }
+            stall += backoff;
+            backoff = (backoff * 2).min(MAX_REDIAL_BACKOFF);
+        }
+        stall
     }
 }
 
@@ -248,7 +282,7 @@ impl ShardedPsClient {
         let mut replies: Vec<Option<Payload>> = (0..k).map(|_| None).collect();
         let mut outstanding: Vec<bool> = vec![true; k];
         let mut attempts = vec![0u32; k];
-        let mut backoff = Duration::from_millis(50);
+        let mut backoff = FIRST_REDIAL_BACKOFF;
         let deadline = Instant::now() + self.cfg.ps_patience;
         for s in 0..k {
             self.send_shard_all(ep, s, tag, mk(self, s));
@@ -297,7 +331,7 @@ impl ShardedPsClient {
                         if !self.send_shard_all(ep, s, tag, mk(self, s)) {
                             // unreachable target: pace the redials
                             std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(Duration::from_secs(1));
+                            backoff = (backoff * 2).min(MAX_REDIAL_BACKOFF);
                         }
                     }
                 }
@@ -493,6 +527,30 @@ mod tests {
             }
             assert_eq!(sum, fanout_push_wire_bytes(total, k));
         }
+    }
+
+    #[test]
+    fn failover_stall_replays_the_exchange_schedule() {
+        let cfg = |reply_ms, comm_retries, patience_ms| ShardClientConfig {
+            reply_timeout: Duration::from_millis(reply_ms),
+            comm_retries,
+            ps_patience: Duration::from_millis(patience_ms),
+            bucket: None,
+        };
+        // retries bind: four 500 ms timeouts and the three redial pauses
+        // between them (50 + 100 + 200 ms), although patience is 1.5 s
+        assert_eq!(
+            cfg(500, 3, 1500).failover_stall(),
+            Duration::from_millis(2350)
+        );
+        // patience binds: timeouts at 100, 250, 450, 750 and 1250 ms,
+        // the pauses doubling from 50 ms
+        assert_eq!(
+            cfg(100, 1, 1000).failover_stall(),
+            Duration::from_millis(1250)
+        );
+        // no retries, no patience: the first timeout fails over
+        assert_eq!(cfg(300, 0, 0).failover_stall(), Duration::from_millis(300));
     }
 
     #[test]

@@ -36,8 +36,8 @@ use crate::metrics::{EvalRecord, StepRecord};
 use crate::trainer::{evaluate, grad_sqnorm, AnyCursor, AnyOptimizer, WorkerOutput};
 use crate::workload::{Workload, WorkloadData, SEQ_LEN};
 use selsync_comm::elastic::{
-    join_request, run_elastic_server, run_elastic_server_from, run_standby_server, ElasticConfig,
-    ElasticReport, ServerCrashPoint, ServerState, StandbyOutcome, STATUS_DEAD, STATUS_SYNC,
+    join_request, run_elastic_server_from, run_standby_server, ElasticConfig, ElasticReport,
+    ServerCrashPoint, ServerState, StandbyOutcome, STATUS_DEAD, STATUS_SYNC,
 };
 use selsync_comm::shard::{ShardClientConfig, ShardedPsClient};
 use selsync_comm::{Transport, TransportError};
@@ -75,7 +75,12 @@ pub struct ElasticOptions {
     /// Worker: per-server budget for re-reaching a silent or unreachable
     /// server (resend with capped-backoff redials) before failing over
     /// to its standby — or, without one, giving up with the transport
-    /// error.
+    /// error. Failover fires at the first `reply_timeout` by which the
+    /// server has also been resent `comm_retries` times, so a dead
+    /// server stalls a worker for
+    /// [`ShardClientConfig::failover_stall`]: with
+    /// [`ElasticOptions::with_liveness`], four reply timeouts plus three
+    /// redial pauses, past this budget.
     pub ps_patience: Duration,
     /// Server: die at a scheduled point (chaos/fault experiments).
     pub server_crash: Option<ServerCrashPoint>,
@@ -269,16 +274,18 @@ fn shard_seat(
     if map.k() > 1 {
         // Widen the eviction budget to cover a *sibling* shard's
         // recovery window. A worker whose fan-out is stalled on a dead
-        // shard goes silent toward the healthy shards for up to
-        // `ps_patience` (its per-shard failover budget); without this
-        // allowance the healthy shards would read that stall as worker
-        // death and evict the whole cluster. The only server of a K = 1
-        // group has no sibling to wait for and keeps `max_missed` as
-        // given. Fault-free rounds never accumulate misses, so this only
-        // slows eviction of genuinely dead workers by the patience
-        // window (DESIGN.md §10).
-        let round_ms = cfg.round_timeout.as_millis().max(1);
-        let stall_rounds = (opts.ps_patience.as_millis() / round_ms) as u32 + 1;
+        // shard goes silent toward the healthy shards until its client
+        // fails over (`failover_stall`), and the dead shard's standby
+        // needs up to one more round to notice the traffic and promote;
+        // without this allowance the healthy shards would read that
+        // stall as worker death and evict the whole cluster. The only
+        // server of a K = 1 group has no sibling to wait for and keeps
+        // `max_missed` as given. Fault-free rounds never accumulate
+        // misses, so this only slows eviction of genuinely dead workers
+        // by the failover window (DESIGN.md §10).
+        let window = client_config(opts, None).failover_stall() + opts.round_timeout;
+        let round = opts.round_timeout.as_nanos().max(1);
+        let stall_rounds = u32::try_from(window.as_nanos().div_ceil(round)).unwrap_or(u32::MAX);
         cfg.max_missed = cfg.max_missed.saturating_add(stall_rounds);
     }
     ShardSeat {
@@ -333,10 +340,9 @@ pub fn run_elastic_server_rank<T: Transport>(
     layout: ShardLayout,
 ) -> Result<ElasticReport, TransportError> {
     let seat = shard_seat(ep.id(), Role::Shard, config, workload, opts, &layout);
-    run_elastic_server(
+    run_elastic_server_from(
         ep,
-        config.n_workers,
-        seat.init,
+        ServerState::fresh(config.n_workers, seat.init),
         &seat.cfg,
         server_checkpoint_writer(config.seed, seat.checkpoint),
     )
@@ -425,6 +431,17 @@ pub fn run_standby_server_rank<T: Transport>(
     )
 }
 
+/// The workers' client policy: built in one place, so the servers size
+/// their sibling allowance from exactly the failover the clients run.
+fn client_config(opts: &ElasticOptions, bucket: Option<usize>) -> ShardClientConfig {
+    ShardClientConfig {
+        reply_timeout: opts.reply_timeout,
+        comm_retries: opts.comm_retries,
+        ps_patience: opts.ps_patience,
+        bucket,
+    }
+}
+
 /// Build this worker's client onto the group and prove map agreement
 /// with every shard before any parameter traffic flows.
 fn connect_client<T: Transport>(
@@ -439,13 +456,8 @@ fn connect_client<T: Transport>(
         map.spec().clone(),
         &layout.shard_ranks(),
         layout.standby_ranks().as_deref(),
-        ShardClientConfig {
-            reply_timeout: opts.reply_timeout,
-            comm_retries: opts.comm_retries,
-            ps_patience: opts.ps_patience,
-            // per-shard Bucket frames; each shard reassembles its range
-            bucket: config.overlap_buckets,
-        },
+        // per-shard Bucket frames; each shard reassembles its range
+        client_config(opts, config.overlap_buckets),
     );
     client.handshake(ep)?;
     Ok(client)
@@ -943,16 +955,25 @@ mod tests {
         for k in [1, 2] {
             let n = 2;
             let steps = 60;
+            // A K = 2 group evicts later: its servers first sit out a
+            // sibling shard's failover window (`failover_stall` + one
+            // round), which a 10 s reply timeout would stretch past the
+            // whole run. So the K = 2 arm's clients give up sooner — a
+            // 250 + 50 + 250 ms window, eviction after 2 + ⌈630 / 80⌉ = 10
+            // silent rounds — the rejoiner stays dark longer, and rank 0
+            // is paced slower so the run outlasts the outage.
+            let (reply_timeout, comm_retries, pace_us, dark_ms) = if k == 1 {
+                (Duration::from_secs(10), 3, 10_000, 400)
+            } else {
+                (Duration::from_millis(250), 1, 60_000, 2_500)
+            };
             let mut cfg = elastic_cfg(n, steps, 0.0);
-            // pace rank 0 at ~10 ms/step per shard: a K = 2 group evicts
-            // later (sibling-recovery allowance), so its run must last
-            // longer for the rejoiner to come back mid-training
-            cfg.straggler = Some((0, 10_000 * k as u64));
+            cfg.straggler = Some((0, pace_us));
             let wl = small_workload();
             let ckpt = tmp(&format!("rejoin_k{k}.bin"));
             let mut opts = ElasticOptions::with_liveness(Duration::from_millis(80), 2);
-            opts.reply_timeout = Duration::from_secs(10);
-            // K = 2: evict after 2 + (160 / 80 + 1) = 5 silent rounds
+            opts.reply_timeout = reply_timeout;
+            opts.comm_retries = comm_retries;
             opts.ps_patience = Duration::from_millis(160);
             opts.checkpoint = Some(ckpt.clone());
             let layout = ShardLayout::new(k, n, false);
@@ -978,7 +999,7 @@ mod tests {
                     run_elastic_worker_rank(&mut rejoiner_ep, &cfg, &wl, &first, layout).unwrap();
                 assert_eq!(partial.lssr.total(), 3);
                 // stay dark long enough to be evicted, then come back
-                thread::sleep(Duration::from_millis(400 * k as u64));
+                thread::sleep(Duration::from_millis(dark_ms));
                 rejoin_elastic_worker_rank(&mut rejoiner_ep, &cfg, &wl, &opts, layout).unwrap()
             });
             let steady_out = steady.join().unwrap().unwrap();
@@ -1211,6 +1232,78 @@ mod tests {
             assert_eq!(o.lssr.total(), steps);
             // δ=0 ⇒ the last step synced against the promoted standby
             assert_eq!(o.final_params, report.final_params);
+        }
+    }
+
+    /// One shard of a K = 2 group with standbys dies for good. Its
+    /// workers' fan-outs stall on it until their clients fail over to
+    /// its standby; the healthy shard must sit that stall out instead of
+    /// reading it as worker death, and the promoted standby must finish
+    /// the run with everyone still a member.
+    #[test]
+    fn k2_standby_promotion_evicts_nobody_from_the_healthy_shard() {
+        let n = 2;
+        let steps = 8;
+        let cfg = elastic_cfg(n, steps, 0.0); // δ=0: sync every step
+        let wl = small_workload();
+        let opts = ElasticOptions::with_liveness(Duration::from_millis(100), 3);
+        let layout = ShardLayout::new(2, n, true);
+        let (mut shards, mut standbys, mut workers) = (Vec::new(), Vec::new(), Vec::new());
+        for mut ep in Fabric::new(layout.total_ranks()) {
+            let (cfg, wl, mut opts) = (cfg.clone(), wl.clone(), opts.clone());
+            match layout.role_of(ep.id()) {
+                Role::Worker(_) => workers.push(thread::spawn(move || {
+                    run_elastic_worker_rank(&mut ep, &cfg, &wl, &opts, layout)
+                })),
+                Role::Shard(s) => {
+                    if s == 1 {
+                        opts.server_crash = Some(ServerCrashPoint::RoundStart(4));
+                    }
+                    // the endpoint drops with the thread: shard 1 stays dead
+                    shards.push(thread::spawn(move || {
+                        run_elastic_server_rank(ep, &cfg, &wl, &opts, layout)
+                    }));
+                }
+                Role::Standby(_) => standbys.push(thread::spawn(move || {
+                    run_standby_server_rank(ep, &cfg, &wl, &opts, layout)
+                })),
+            }
+        }
+        let outs: Vec<WorkerOutput> = workers
+            .into_iter()
+            .map(|h| h.join().unwrap().unwrap())
+            .collect();
+        let reports: Vec<ElasticReport> = shards
+            .into_iter()
+            .map(|h| h.join().unwrap().unwrap())
+            .collect();
+        let outcomes: Vec<StandbyOutcome> = standbys
+            .into_iter()
+            .map(|h| h.join().unwrap().unwrap())
+            .collect();
+
+        assert!(!reports[0].crashed);
+        assert!(reports[1].crashed, "shard 1's scheduled crash must fire");
+        assert!(
+            reports[0].evictions.is_empty(),
+            "the healthy shard evicted {:?}",
+            reports[0].evictions
+        );
+        assert!(
+            matches!(outcomes[0], StandbyOutcome::Retired { .. }),
+            "shard 0's standby is never needed, got {:?}",
+            outcomes[0]
+        );
+        let StandbyOutcome::Promoted(promoted) = &outcomes[1] else {
+            panic!("shard 1's standby must be promoted, got {:?}", outcomes[1]);
+        };
+        assert!(promoted.evictions.is_empty(), "{:?}", promoted.evictions);
+        assert_eq!(reports[0].syncs, steps);
+        assert_eq!(promoted.syncs, steps, "shadowed rounds + promoted rounds");
+        let global = [&reports[0].final_params[..], &promoted.final_params].concat();
+        for o in &outs {
+            assert_eq!(o.lssr.total(), steps, "worker {}", o.worker);
+            assert_eq!(o.final_params, global, "worker {}", o.worker);
         }
     }
 

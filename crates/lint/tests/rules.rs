@@ -61,6 +61,11 @@ fn nondet_time_positive_and_allowlisted_negative() {
     );
     // same call, but in the allowlisted watchdog module path
     assert!(rules_hit(&r, "crates/comm/src/elastic.rs").is_empty());
+    // ...while the protocol core beside it is not on the allowlist
+    assert_eq!(
+        findings(&r, "crates/comm/src/elastic/core.rs"),
+        vec![("nondet-time".into(), 7, false)]
+    );
     // and in the poll loop's allowlisted redial/idle-sleep module
     assert!(rules_hit(&r, "crates/net/src/poll.rs").is_empty());
 }
