@@ -10,8 +10,12 @@ cargo build --release --workspace
 # benchmark/ is a standalone package outside the workspace, so nothing
 # above compiles it; it links against selsync-net's public surface (two
 # distinct endpoint types, `connect_with_listener` as a fn value,
-# `link_faults`, `selsync_net::crc32`), and a refactor that breaks that
-# surface must fail here, not in the benchmark pipeline.
+# `link_faults`, `selsync_net::crc32`) and selsync-core's
+# (`trainer::run_worker_rank` and `run_server_rank` over any
+# `Transport`, `WorkerOutput` built and read field by field, a
+# `RunConfig` literal naming every field, `selsync_core::prelude`), and a
+# refactor that breaks that surface must fail here, not in the benchmark
+# pipeline.
 echo "==> benchmark/ build + tests"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml

@@ -465,6 +465,39 @@ mod tests {
         client(ep, len, server, None, REPLY, REPLY)
     }
 
+    /// A sync reassembles the group's reply in the pushed buffer itself,
+    /// so a worker that keeps its buffer across steps syncs without
+    /// allocating: consecutive syncs leave it where it was.
+    #[test]
+    fn consecutive_syncs_reuse_the_callers_buffer() {
+        let n = 1;
+        let mut eps = Fabric::new(n + 1);
+        let server_ep = eps.pop().unwrap();
+        let cfg = server_cfg(3, Duration::from_millis(500), 3);
+        let server = thread::spawn(move || {
+            run_elastic_server_from(server_ep, ServerState::fresh(n, vec![0.0; 3]), &cfg, |_| {})
+                .unwrap()
+        });
+        let mut ep = eps.pop().unwrap();
+        let mut ps = calm_client(&ep, 3, n);
+        let mut params = vec![1.0, 2.0, 3.0];
+        let buffer = (params.as_ptr(), params.capacity());
+        for step in 0..2u64 {
+            let status = ps.heartbeat(&mut ep, step, 1).unwrap();
+            assert!(status.contains(&STATUS_SYNC));
+            ps.sync(&mut ep, step, &mut params).unwrap();
+            assert_eq!((params.as_ptr(), params.capacity()), buffer, "step {step}");
+            for v in &mut params {
+                *v += 1.0;
+            }
+        }
+        ps.shutdown(&mut ep, 2);
+        let report = server.join().unwrap();
+        assert_eq!(report.syncs, 2);
+        // the one member's second push is the global
+        assert_eq!(report.final_params, vec![2.0, 3.0, 4.0]);
+    }
+
     #[test]
     fn periodic_sync_rounds_average_across_members() {
         let n = 3;
@@ -488,7 +521,8 @@ mod tests {
                         let status = ps.heartbeat(&mut ep, step, bit).unwrap();
                         assert_eq!(status.len(), n);
                         if status.contains(&STATUS_SYNC) {
-                            last_sync = ps.sync(&mut ep, step, &[id as f32; 4]).unwrap().into_vec();
+                            last_sync = vec![id as f32; 4];
+                            ps.sync(&mut ep, step, &mut last_sync).unwrap();
                         }
                     }
                     ps.shutdown(&mut ep, 6);
@@ -529,20 +563,33 @@ mod tests {
             let mut ps = calm_client(&whole, 5, n);
             let status = ps.heartbeat(&mut whole, 0, 1).unwrap();
             assert!(status.contains(&STATUS_SYNC));
-            let avg = ps.sync(&mut whole, 0, &[1.0; 5]).unwrap().into_vec();
+            let mut avg = vec![1.0; 5];
+            ps.sync(&mut whole, 0, &mut avg).unwrap();
             ps.shutdown(&mut whole, 1);
             avg
         });
         let bucketed_h = thread::spawn(move || {
-            let mut ps = calm_client(&bucketed, 5, n);
-            ps.set_bucket(Some(2));
+            let mut ps = ShardedPsClient::new(
+                bucketed.id(),
+                one_shard(5),
+                &[n],
+                None,
+                ShardClientConfig {
+                    reply_timeout: REPLY,
+                    comm_retries: 3,
+                    ps_patience: REPLY,
+                    bucket: Some(2),
+                },
+            );
             let status = ps.heartbeat(&mut bucketed, 0, 1).unwrap();
             assert!(status.contains(&STATUS_SYNC));
             let params = [2.0, 4.0, 6.0, 8.0, 10.0];
-            let avg = ps.sync(&mut bucketed, 0, &params).unwrap().into_vec();
+            let mut avg = params.to_vec();
+            ps.sync(&mut bucketed, 0, &mut avg).unwrap();
             // simulate a lost reply: resend the whole set; the server
             // answers the stale push with the current global
-            let catch_up = ps.sync(&mut bucketed, 0, &params).unwrap().into_vec();
+            let mut catch_up = params.to_vec();
+            ps.sync(&mut bucketed, 0, &mut catch_up).unwrap();
             ps.shutdown(&mut bucketed, 1);
             (avg, catch_up)
         });
@@ -586,7 +633,7 @@ mod tests {
                             dead_seen_at = Some(step);
                         }
                         if status.contains(&STATUS_SYNC) {
-                            ps.sync(&mut ep, step, &[id as f32]).unwrap();
+                            ps.sync(&mut ep, step, &mut [id as f32]).unwrap();
                         }
                     }
                     ps.shutdown(&mut ep, steps);
@@ -719,9 +766,8 @@ mod tests {
                     for step in 0..steps {
                         let status = ps.heartbeat(&mut ep, step, 1).unwrap();
                         assert!(status.contains(&STATUS_SYNC));
-                        let avg = ps
-                            .sync(&mut ep, step, &[(id * 10) as f32 + step as f32])
-                            .unwrap();
+                        let mut avg = vec![(id * 10) as f32 + step as f32];
+                        ps.sync(&mut ep, step, &mut avg).unwrap();
                         // avg of (0 + s, 10 + s) = 5 + s at every step
                         assert_eq!(&*avg, &[5.0 + step as f32], "step {step}");
                     }
@@ -817,7 +863,7 @@ mod tests {
                     for step in 0..steps {
                         let status = ps.heartbeat(&mut ep, step, 1).unwrap();
                         assert!(status.contains(&STATUS_SYNC));
-                        ps.sync(&mut ep, step, &[id as f32]).unwrap();
+                        ps.sync(&mut ep, step, &mut [id as f32]).unwrap();
                     }
                     ps.shutdown(&mut ep, steps);
                 })
@@ -889,9 +935,8 @@ mod tests {
                     for step in 0..steps {
                         let status = ps.heartbeat(&mut ep, step, 1).unwrap();
                         assert!(status.contains(&STATUS_SYNC));
-                        let avg = ps
-                            .sync(&mut ep, step, &[(id * 10) as f32 + step as f32])
-                            .unwrap();
+                        let mut avg = vec![(id * 10) as f32 + step as f32];
+                        ps.sync(&mut ep, step, &mut avg).unwrap();
                         assert_eq!(&*avg, &[5.0 + step as f32], "step {step}");
                     }
                     ps.shutdown(&mut ep, steps);
@@ -1010,7 +1055,8 @@ mod tests {
                         status.contains(&STATUS_SYNC),
                         "sync bit after the stall must survive into the status, got {status:?}"
                     );
-                    let avg = ps.sync(&mut ep, 2, &[id as f32; 2]).unwrap();
+                    let mut avg = vec![id as f32; 2];
+                    ps.sync(&mut ep, 2, &mut avg).unwrap();
                     assert_eq!(
                         &*avg,
                         &[0.5, 0.5],

@@ -37,15 +37,12 @@
 //! per-frame framing — see
 //! [`monolithic_push_wire_bytes`]/[`fanout_push_wire_bytes`]. At K = 1
 //! a push is one frame of exactly the `Params` size.
-//! Per-shard [`CommStats`] instances record every sub-frame, so the
-//! accounting is auditable per shard as well as in total.
 
 use crate::collectives::{phase_tag, FLAGS_PHASE};
 use crate::elastic::{SHARD_MAP_TAG, STATUS_DEAD, SYNC_PHASE};
 use crate::error::TransportError;
-use crate::fabric::{FlatVec, Payload, ShardSpec, FRAME_CRC_BYTES, FRAME_HEADER_BYTES};
+use crate::fabric::{Payload, ShardSpec, FRAME_CRC_BYTES, FRAME_HEADER_BYTES};
 use crate::ps::CTRL_SHUTDOWN;
-use crate::stats::CommStats;
 use crate::transport::Transport;
 use std::time::{Duration, Instant};
 
@@ -83,17 +80,6 @@ pub struct ShardClientConfig {
     /// per-shard set) stay idempotent. `None` keeps the single
     /// sub-frame.
     pub bucket: Option<usize>,
-}
-
-impl Default for ShardClientConfig {
-    fn default() -> Self {
-        ShardClientConfig {
-            reply_timeout: Duration::from_secs(2),
-            comm_retries: 3,
-            ps_patience: Duration::from_secs(6),
-            bucket: None,
-        }
-    }
 }
 
 /// The pause after a failed resend to an unreachable shard, doubling per
@@ -146,10 +132,6 @@ pub struct ShardedPsClient {
     spec: ShardSpec,
     links: Vec<ShardLink>,
     cfg: ShardClientConfig,
-    /// Per-shard sent/received wire-byte tallies.
-    stats: Vec<CommStats>,
-    /// Reassembly buffer for pulls, reused across syncs.
-    assembled: Vec<f32>,
 }
 
 impl ShardedPsClient {
@@ -183,40 +165,17 @@ impl ShardedPsClient {
                 }
             })
             .collect();
-        let stats = (0..k).map(|_| CommStats::default()).collect();
         ShardedPsClient {
             me,
             spec,
             links,
             cfg,
-            stats,
-            assembled: Vec::new(),
         }
     }
 
     /// Number of shards in the group.
     pub fn k(&self) -> usize {
         self.links.len()
-    }
-
-    /// This worker's rank (its index in status vectors).
-    pub fn me(&self) -> usize {
-        self.me
-    }
-
-    /// The agreed partition map.
-    pub fn spec(&self) -> &ShardSpec {
-        &self.spec
-    }
-
-    /// Sent/received wire-byte tallies for shard `s`.
-    pub fn shard_stats(&self, s: usize) -> &CommStats {
-        &self.stats[s]
-    }
-
-    /// Total wire bytes this client pushed across all shards.
-    pub fn total_sent_bytes(&self) -> u64 {
-        self.stats.iter().map(CommStats::total_bytes).sum()
     }
 
     /// Shard `s`'s flat-vector range under the agreed map.
@@ -237,24 +196,12 @@ impl ShardedPsClient {
             .position(|l| l.answers_for.contains(&from))
     }
 
-    /// Best-effort send of one sub-frame, tallied per shard. A send
-    /// failure (shard crashed) is not an error here: the shard stays
-    /// outstanding and the timeout path retries or fails it over.
-    fn send_shard<T: Transport>(&self, ep: &mut T, s: usize, tag: u64, payload: Payload) -> bool {
-        let bytes = payload.wire_bytes();
-        match ep.send(self.links[s].server, tag, payload) {
-            Ok(()) => {
-                self.stats[s].record(bytes);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
     /// Best-effort send of one shard's whole request (one frame, or a
-    /// bucket set). A partial set on the wire is fine: the retry path
-    /// resends the full set and the server's assembler overwrites.
-    fn send_shard_all<T: Transport>(
+    /// bucket set). A send failure (shard crashed) is not an error here:
+    /// the shard stays outstanding and the timeout path retries or fails
+    /// it over. A partial set on the wire is fine: the retry path resends
+    /// the full set and the server's assembler overwrites.
+    fn send_shard<T: Transport>(
         &self,
         ep: &mut T,
         s: usize,
@@ -263,7 +210,7 @@ impl ShardedPsClient {
     ) -> bool {
         let mut ok = true;
         for p in payloads {
-            ok &= self.send_shard(ep, s, tag, p);
+            ok &= ep.send(self.links[s].server, tag, p).is_ok();
         }
         ok
     }
@@ -285,7 +232,7 @@ impl ShardedPsClient {
         let mut backoff = FIRST_REDIAL_BACKOFF;
         let deadline = Instant::now() + self.cfg.ps_patience;
         for s in 0..k {
-            self.send_shard_all(ep, s, tag, mk(self, s));
+            self.send_shard(ep, s, tag, mk(self, s));
         }
         while outstanding.iter().any(|&o| o) {
             match ep.recv_deadline(None, Some(tag), self.cfg.reply_timeout) {
@@ -293,7 +240,6 @@ impl ShardedPsClient {
                     if let Some(s) = self.shard_of(m.from) {
                         if outstanding[s] {
                             outstanding[s] = false;
-                            self.stats[s].record_recv(m.payload.wire_bytes());
                             replies[s] = Some(m.payload);
                         }
                         // a duplicate reply after a resend: drop it
@@ -328,7 +274,7 @@ impl ShardedPsClient {
                                 }
                             }
                         }
-                        if !self.send_shard_all(ep, s, tag, mk(self, s)) {
+                        if !self.send_shard(ep, s, tag, mk(self, s)) {
                             // unreachable target: pace the redials
                             std::thread::sleep(backoff);
                             backoff = (backoff * 2).min(MAX_REDIAL_BACKOFF);
@@ -388,17 +334,16 @@ impl ShardedPsClient {
         let tag = phase_tag(step, FLAGS_PHASE);
         let replies = self.fanout_exchange(ep, tag, |_, _| vec![Payload::Flags(vec![my_bit])])?;
         let me = self.me;
-        let mut first: Option<Vec<u8>> = None;
+        let mut shard0 = Vec::new();
         for (s, r) in replies.into_iter().enumerate() {
             match r {
-                Payload::Flags(status) => {
-                    if status.get(me).copied().unwrap_or(STATUS_DEAD) == STATUS_DEAD {
-                        return Err(TransportError::Evicted { rank: me });
-                    }
-                    if first.is_none() {
-                        first = Some(status);
-                    }
+                Payload::Flags(status)
+                    if status.get(me).copied().unwrap_or(STATUS_DEAD) == STATUS_DEAD =>
+                {
+                    return Err(TransportError::Evicted { rank: me });
                 }
+                Payload::Flags(status) if s == 0 => shard0 = status,
+                Payload::Flags(_) => {}
                 p => {
                     return Err(TransportError::Protocol(format!(
                         "shard {s} heartbeat reply was {p:?}, expected Flags"
@@ -406,14 +351,13 @@ impl ShardedPsClient {
                 }
             }
         }
-        // lint:allow(unwrap-in-prod): k >= 1 is asserted at construction,
-        // so at least one reply filled `first`
-        Ok(first.unwrap())
+        Ok(shard0)
     }
 
     /// One sharded sync round: split `params` along the map, push each
-    /// range to its shard concurrently, reassemble the K averaged
-    /// ranges into the full global vector.
+    /// range to its shard concurrently, and reassemble the K averaged
+    /// ranges into `params` itself: a caller that keeps its buffer
+    /// across steps needs no second model-sized buffer for the reply.
     ///
     /// # Errors
     /// [`TransportError::Protocol`] on a reply of the wrong variant or
@@ -422,29 +366,27 @@ impl ShardedPsClient {
         &mut self,
         ep: &mut T,
         step: u64,
-        params: &[f32],
-    ) -> Result<FlatVec, TransportError> {
+        params: &mut [f32],
+    ) -> Result<(), TransportError> {
         assert_eq!(
             params.len() as u64,
             self.spec.total,
             "pushed vector must match the agreed map"
         );
         let tag = phase_tag(step, SYNC_PHASE);
+        let pushed = &*params;
         let replies = self.fanout_exchange(ep, tag, |c, s| {
             let (start, end) = c.range(s);
             match c.cfg.bucket {
-                Some(b) => crate::bucket::bucket_payloads(&params[start..end], b),
-                None => vec![Payload::ShardPush(params[start..end].to_vec())],
+                Some(b) => crate::bucket::bucket_payloads(&pushed[start..end], b),
+                None => vec![Payload::ShardPush(pushed[start..end].to_vec())],
             }
         })?;
-        let mut assembled = std::mem::take(&mut self.assembled);
-        assembled.clear();
-        assembled.resize(params.len(), 0.0);
         for (s, r) in replies.into_iter().enumerate() {
             let (start, end) = self.range(s);
             match r {
                 Payload::ShardPull(v) if v.len() == end - start => {
-                    assembled[start..end].copy_from_slice(&v);
+                    params[start..end].copy_from_slice(&v);
                 }
                 Payload::ShardPull(v) => {
                     return Err(TransportError::Protocol(format!(
@@ -460,22 +402,14 @@ impl ShardedPsClient {
                 }
             }
         }
-        // hand the assembled buffer out; the next sync starts from an
-        // empty one and re-grows it (allocation-free once both are warm)
-        let out = FlatVec::Owned(assembled);
-        Ok(out)
-    }
-
-    /// Enable or disable bucketed pushes after construction.
-    pub fn set_bucket(&mut self, bucket: Option<usize>) {
-        self.cfg.bucket = bucket;
+        Ok(())
     }
 
     /// Tell every shard this worker is finished (fire-and-forget).
     pub fn shutdown<T: Transport>(&mut self, ep: &mut T, step: u64) {
         let tag = phase_tag(step, FLAGS_PHASE);
         for s in 0..self.k() {
-            self.send_shard(ep, s, tag, Payload::Control(CTRL_SHUTDOWN));
+            self.send_shard(ep, s, tag, vec![Payload::Control(CTRL_SHUTDOWN)]);
         }
     }
 }

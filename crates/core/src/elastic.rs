@@ -1,6 +1,6 @@
-//! Elastic fault-tolerant training: the SelSync worker loop and the
-//! server ranks of one **elastic PS group**, built on the `selsync-comm`
-//! elastic membership protocol.
+//! Elastic fault-tolerant training: the worker and server ranks of one
+//! **elastic PS group**, built on the `selsync-comm` elastic membership
+//! protocol.
 //!
 //! There is one elastic deployment: W workers and a group of K elastic
 //! servers, each owning one contiguous range of the flat parameter
@@ -9,8 +9,12 @@
 //! laid out workers-first ([`ShardLayout`]). Every step's flags exchange
 //! routes through the group and doubles as a heartbeat
 //! ([`selsync_comm::elastic`]); workers reach it through the fan-out
-//! client ([`ShardedPsClient`]). This module adds the training side of
-//! the protocol:
+//! client ([`ShardedPsClient`]).
+//!
+//! One loop, two deployments: an elastic worker runs the static trainer's
+//! step loop ([`crate::trainer`]), with its flags round, its parameter
+//! sync and three hooks routed here through [`ElasticWorker`]. This
+//! module adds the training side of the protocol:
 //!
 //! - **Eviction tolerance**: when the status vector reports a rank dead,
 //!   the survivors deterministically *re-partition* the dataset over the
@@ -31,21 +35,18 @@
 //! *schedules* crashes.
 
 use crate::checkpoint;
-use crate::config::{Aggregation, RunConfig, Strategy, SyncBackend};
-use crate::metrics::{EvalRecord, StepRecord};
-use crate::trainer::{evaluate, grad_sqnorm, AnyCursor, AnyOptimizer, WorkerOutput};
-use crate::workload::{Workload, WorkloadData, SEQ_LEN};
+use crate::config::RunConfig;
+use crate::trainer::{train, validate, AnyOptimizer, Deployment, Start, WorkerOutput};
+use crate::workload::{AnyModel, Workload};
 use selsync_comm::elastic::{
     join_request, run_elastic_server_from, run_standby_server, ElasticConfig, ElasticReport,
     ServerCrashPoint, ServerState, StandbyOutcome, STATUS_DEAD, STATUS_SYNC,
 };
 use selsync_comm::shard::{ShardClientConfig, ShardedPsClient};
 use selsync_comm::{Transport, TransportError};
-use selsync_data::{partition_indices, BatchCursor, TextBatchCursor};
-use selsync_nn::flat::{clip_grad_norm, flat_params, flat_params_into, set_flat_params};
-use selsync_nn::loss::softmax_cross_entropy;
+use selsync_nn::flat::flat_params;
 use selsync_shard::{Role, ShardLayout, ShardMap};
-use selsync_stats::{LssrCounter, RelativeGradChange};
+use selsync_stats::RelativeGradChange;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -147,48 +148,6 @@ pub fn shard_map_for(workload: &Workload, layout: &ShardLayout) -> ShardMap {
     ShardMap::compute(total, layout.k)
 }
 
-fn validate_elastic(config: &RunConfig, layout: &ShardLayout) {
-    assert!(config.n_workers >= 1, "need at least one worker");
-    assert!(config.max_steps >= 1, "need at least one step");
-    assert_eq!(layout.n_workers, config.n_workers, "layout/config mismatch");
-    assert_eq!(
-        config.backend,
-        SyncBackend::ParameterServer,
-        "elastic membership is a PS service"
-    );
-    match config.strategy {
-        Strategy::SelSync {
-            aggregation: Aggregation::Parameter,
-            ..
-        }
-        | Strategy::Bsp {
-            aggregation: Aggregation::Parameter,
-        } => {}
-        // lint:allow(unwrap-in-prod): startup config validation alongside
-        // the assert!s above, rejected before any protocol traffic flows
-        _ => panic!("elastic mode supports parameter-averaged SelSync/BSP"),
-    }
-    assert!(
-        config.noniid_labels.is_none() && config.injection.is_none(),
-        "elastic re-partitioning is defined for the IID schemes"
-    );
-    assert!(
-        config.compression.is_none(),
-        "compression applies to gradient aggregation, not elastic PA"
-    );
-    assert!(
-        !config.wire_compression,
-        "wire compression rides on gradient compression, which elastic PA rejects"
-    );
-    if let Some(bucket) = config.overlap_buckets {
-        // elastic PA cannot overlap comm with backward (parameters only
-        // exist after the post-heartbeat optimizer step), but the push
-        // still ships as Bucket frames: a lossy fabric then retries the
-        // cheap frame set instead of wedging on one giant write
-        assert!(bucket > 0, "overlap bucket size must be positive");
-    }
-}
-
 /// Launch-time wiring check: the index `rank` holds under the role
 /// `want` (`Role::Shard`, `Role::Worker` or `Role::Standby`). A rank
 /// started under the wrong role must die loudly before serving.
@@ -210,37 +169,6 @@ fn alive_ranks(status: &[u8]) -> Vec<usize> {
         .collect()
 }
 
-/// Deterministic repartition of the training set over the current
-/// members: every survivor computes the same split from the same status
-/// vector, so membership changes never need extra coordination.
-fn build_cursor(
-    config: &RunConfig,
-    workload: &Workload,
-    members: &[usize],
-    me: usize,
-) -> AnyCursor {
-    let slot = members
-        .binary_search(&me)
-        // lint:allow(unwrap-in-prod): every caller passes a membership
-        // vector it just observed itself in; a miss is an addressing bug,
-        // not a runtime fault
-        .expect("repartition: this rank must be a member");
-    let partition = partition_indices(
-        workload.num_train_units(),
-        members.len(),
-        slot,
-        config.partition,
-    );
-    match &workload.data {
-        WorkloadData::Vision { .. } => {
-            AnyCursor::Vision(BatchCursor::new(partition, config.batch_size))
-        }
-        WorkloadData::Text { .. } => {
-            AnyCursor::Text(TextBatchCursor::new(partition, SEQ_LEN, config.batch_size))
-        }
-    }
-}
-
 /// What one server-side rank — a shard's server or its standby — derives
 /// from the launch: which shard it holds, that shard's slice of the
 /// seeded initial parameters, its liveness policy, and its checkpoint
@@ -260,7 +188,7 @@ fn shard_seat(
     opts: &ElasticOptions,
     layout: &ShardLayout,
 ) -> ShardSeat {
-    validate_elastic(config, layout);
+    validate(config, workload, Some(layout));
     let shard = expect_role(rank, layout, role);
     let full = flat_params(workload.build_model().as_visitor());
     let map = ShardMap::compute(full.len() as u64, layout.k);
@@ -442,27 +370,6 @@ fn client_config(opts: &ElasticOptions, bucket: Option<usize>) -> ShardClientCon
     }
 }
 
-/// Build this worker's client onto the group and prove map agreement
-/// with every shard before any parameter traffic flows.
-fn connect_client<T: Transport>(
-    ep: &mut T,
-    config: &RunConfig,
-    opts: &ElasticOptions,
-    layout: &ShardLayout,
-    map: &ShardMap,
-) -> Result<ShardedPsClient, TransportError> {
-    let mut client = ShardedPsClient::new(
-        ep.id(),
-        map.spec().clone(),
-        &layout.shard_ranks(),
-        layout.standby_ranks().as_deref(),
-        // per-shard Bucket frames; each shard reassembles its range
-        client_config(opts, config.overlap_buckets),
-    );
-    client.handshake(ep)?;
-    Ok(client)
-}
-
 /// Run one elastic worker rank from step 0: prove map agreement with
 /// every shard, then train with fan-out rounds. Takes the endpoint by
 /// mutable reference (unlike the static-membership trainer) so a
@@ -480,22 +387,7 @@ pub fn run_elastic_worker_rank<T: Transport>(
     opts: &ElasticOptions,
     layout: ShardLayout,
 ) -> Result<WorkerOutput, TransportError> {
-    validate_elastic(config, &layout);
-    expect_role(ep.id(), &layout, Role::Worker);
-    let map = shard_map_for(workload, &layout);
-    let mut client = connect_client(ep, config, opts, &layout, &map)?;
-    let members: Vec<usize> = (0..config.n_workers).collect();
-    elastic_loop(
-        ep,
-        &mut client,
-        config,
-        workload,
-        opts,
-        None,
-        None,
-        0,
-        members,
-    )
+    elastic_worker(ep, config, workload, opts, &layout, false).map(|(_, out)| out)
 }
 
 /// Re-admit this rank into a running elastic experiment: request a join
@@ -515,210 +407,176 @@ pub fn rejoin_elastic_worker_rank<T: Transport>(
     opts: &ElasticOptions,
     layout: ShardLayout,
 ) -> Result<(u64, WorkerOutput), TransportError> {
-    validate_elastic(config, &layout);
-    let worker = expect_role(ep.id(), &layout, Role::Worker);
-    let map = shard_map_for(workload, &layout);
-    let mut init = vec![0.0f32; map.total() as usize];
-    let mut members = Vec::new();
-    let mut resume_step = 0;
-    for s in 0..layout.k {
-        let grant = join_request(ep, layout.shard_rank(s), opts.reply_timeout)?;
-        let range = map.range(s);
-        if grant.params.len() != range.len() {
-            return Err(TransportError::Protocol(format!(
-                "shard {s} join grant carried {} params, its range holds {}",
-                grant.params.len(),
-                range.len()
-            )));
-        }
-        init[range].copy_from_slice(&grant.params);
-        if s == 0 {
-            members = alive_ranks(&grant.status);
-            resume_step = grant.resume_step;
-        }
-    }
-    // this rank's private state (optimizer slots, Δ(g) stream) survives
-    // in its own mirror file; the granted parameters stay authoritative
-    let private = opts
-        .checkpoint
-        .as_ref()
-        .and_then(|p| checkpoint::load_state_with_fallback(worker_state_path(p, worker)).ok())
-        .map(|(s, _)| s);
-    let mut client = connect_client(ep, config, opts, &layout, &map)?;
-    let out = elastic_loop(
-        ep,
-        &mut client,
-        config,
-        workload,
-        opts,
-        Some(init),
-        private,
-        resume_step,
-        members,
-    )?;
-    Ok((resume_step, out))
+    elastic_worker(ep, config, workload, opts, &layout, true)
 }
 
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn elastic_loop<T: Transport>(
+/// Both worker entry points: join the group (from step 0, or through
+/// join grants when `rejoin`), prove map agreement with every shard
+/// before any parameter traffic flows, then run the training loop.
+fn elastic_worker<T: Transport>(
     ep: &mut T,
-    client: &mut ShardedPsClient,
     config: &RunConfig,
     workload: &Workload,
     opts: &ElasticOptions,
-    init_params: Option<Vec<f32>>,
-    private_state: Option<checkpoint::TrainState>,
-    start_step: u64,
-    mut members: Vec<usize>,
-) -> Result<WorkerOutput, TransportError> {
-    let worker = client.me();
-    let mut model = workload.build_model();
-    if let Some(init) = init_params {
-        set_flat_params(model.as_model(), &init);
-    }
-    let mut opt = AnyOptimizer::new(config.optim, config.lr.at(start_step));
-    // without a private checkpoint, a rejoiner restarts its Δ(g) EWMA
-    // from scratch: its first step reports an infinite relative change
-    // and forces a sync — the conservative behaviour for a returning
-    // replica. With one, momentum and the Δ(g) stream pick up where the
-    // crashed incarnation's last sync left them.
-    let mut relchange = RelativeGradChange::new(config.ewma_window, config.ewma_alpha);
-    let mut cursor_consumed = 0u64;
-    if let Some(st) = private_state {
-        opt.import_state(st.optim_t, st.optim_slots);
-        if let Some(d) = st.delta_state {
-            relchange = d;
-        }
-        // the cursor position is recorded for observability but not
-        // replayed: the rejoiner re-partitions over current members
-        cursor_consumed = st.cursor_consumed;
-    }
-    let mut cursor = build_cursor(config, workload, &members, worker);
-    let mut lssr = LssrCounter::new();
-    let mut records = Vec::new();
-    let mut evals = Vec::new();
-    let mut logical_bytes = 0u64;
-    let mut crashed = false;
-    // loop-persistent flat-parameter buffer: sync rounds borrow it, so
-    // after the first sync the snapshot is allocation-free
-    let mut params: Vec<f32> = Vec::new();
-
-    for step in start_step..config.max_steps {
-        if opts.crash_at == Some(step) {
-            crashed = true;
-            break; // go silent: no shutdown, no farewell — a real crash
-        }
-        opt.set_lr(config.lr.at(step));
-        if let Some((slow, delay_us)) = config.straggler {
-            if slow == worker {
-                std::thread::sleep(Duration::from_micros(delay_us));
+    layout: &ShardLayout,
+    rejoin: bool,
+) -> Result<(u64, WorkerOutput), TransportError> {
+    validate(config, workload, Some(layout));
+    let worker = expect_role(ep.id(), layout, Role::Worker);
+    let map = shard_map_for(workload, layout);
+    let mut start = Start {
+        step: 0,
+        members: (0..config.n_workers).collect(),
+        params: None,
+    };
+    let mut private = None;
+    if rejoin {
+        let mut init = vec![0.0f32; map.total() as usize];
+        for s in 0..layout.k {
+            let grant = join_request(ep, layout.shard_rank(s), opts.reply_timeout)?;
+            let range = map.range(s);
+            if grant.params.len() != range.len() {
+                return Err(TransportError::Protocol(format!(
+                    "shard {s} join grant carried {} params, its range holds {}",
+                    grant.params.len(),
+                    range.len()
+                )));
+            }
+            init[range].copy_from_slice(&grant.params);
+            if s == 0 {
+                start.members = alive_ranks(&grant.status);
+                start.step = grant.resume_step;
             }
         }
-        let batch = cursor.next_batch(&workload.data);
-        cursor_consumed += 1;
-        let logits = model.as_model().forward(&batch.input, true);
-        let (loss, dlogits) = softmax_cross_entropy(&logits, &batch.targets);
-        model.as_model().zero_grad();
-        model.as_model().backward(&dlogits);
-        if let Some(max_norm) = config.grad_clip {
-            clip_grad_norm(model.as_model(), max_norm);
-        }
+        start.params = Some(init);
+        // this rank's private state (optimizer slots, Δ(g) stream)
+        // survives in its own mirror file; the granted parameters stay
+        // authoritative
+        private = opts
+            .checkpoint
+            .as_ref()
+            .and_then(|p| checkpoint::load_state_with_fallback(worker_state_path(p, worker)).ok())
+            .map(|(s, _)| s);
+    }
+    let mut client = ShardedPsClient::new(
+        worker,
+        map.spec().clone(),
+        &layout.shard_ranks(),
+        layout.standby_ranks().as_deref(),
+        // per-shard Bucket frames; each shard reassembles its range
+        client_config(opts, config.overlap_buckets),
+    );
+    client.handshake(ep)?;
+    let resume_step = start.step;
+    let dep = Deployment::Elastic(Box::new(ElasticWorker {
+        client,
+        crash_at: opts.crash_at,
+        mirror_path: opts
+            .checkpoint
+            .as_ref()
+            .map(|p| worker_state_path(p, worker)),
+        seed: config.seed,
+        n_workers: config.n_workers,
+        private,
+        consumed: 0,
+    }));
+    Ok((resume_step, train(ep, config, workload, dep, start)?))
+}
 
-        let (my_bit, delta_g) = match config.strategy {
-            Strategy::SelSync { delta, .. } => {
-                let dg = relchange.update(grad_sqnorm(model.as_visitor()));
-                (u8::from(dg >= delta), dg)
+/// The elastic arm of a worker's [`Deployment`]: its client onto the
+/// group, plus the three things only an elastic worker does — a
+/// scheduled crash, restoring a rejoiner's private state, and mirroring
+/// that state after every sync.
+pub(crate) struct ElasticWorker {
+    pub(crate) client: ShardedPsClient,
+    /// Go silent just before this step ([`ElasticOptions::crash_at`]).
+    pub(crate) crash_at: Option<u64>,
+    /// Where this rank mirrors its private state ([`worker_state_path`]),
+    /// when the run checkpoints.
+    mirror_path: Option<PathBuf>,
+    seed: u64,
+    n_workers: usize,
+    /// A rejoiner's mirrored private state, until the loop restores it.
+    private: Option<checkpoint::TrainState>,
+    /// Batches this rank has drawn, carried over from the mirror on a
+    /// rejoin. The cursor position is recorded for observability but not
+    /// replayed: a rejoiner re-partitions over the current members.
+    consumed: u64,
+}
+
+impl ElasticWorker {
+    /// Pick up where the crashed incarnation's last sync left momentum
+    /// and the Δ(g) stream. Without a private checkpoint a rejoiner
+    /// restarts its Δ(g) EWMA from scratch: its first step reports an
+    /// infinite relative change and forces a sync — the conservative
+    /// behaviour for a returning replica.
+    pub(crate) fn restore(&mut self, opt: &mut AnyOptimizer, relchange: &mut RelativeGradChange) {
+        if let Some(st) = self.private.take() {
+            opt.import_state(st.optim_t, st.optim_slots);
+            if let Some(d) = st.delta_state {
+                *relchange = d;
             }
-            _ => (1, f32::NAN), // BSP: raise the flag every step
-        };
-
-        // flags round = heartbeat; the reply is the membership status
-        let status = client.heartbeat(ep, step, my_bit)?;
-        let now_alive = alive_ranks(&status);
-        if now_alive != members {
-            // membership changed (eviction or rejoin): every survivor
-            // recomputes the same partition of the dataset
-            members = now_alive;
-            cursor = build_cursor(config, workload, &members, worker);
+            self.consumed = st.cursor_consumed;
         }
+    }
 
+    /// The elastic flags round: heartbeat every shard with this step's
+    /// flag. Returns whether the step syncs and the membership the
+    /// status vector reports.
+    pub(crate) fn heartbeat<T: Transport>(
+        &mut self,
+        ep: &mut T,
+        step: u64,
+        bit: u8,
+    ) -> Result<(bool, Vec<usize>), TransportError> {
+        // every step draws one batch, then heartbeats once
+        self.consumed += 1;
+        let status = self.client.heartbeat(ep, step, bit)?;
         // a status vector containing SYNC can only come from the current
         // round (catch-up replies never carry sync bits), so every
         // receiver of one participates in the parameter-averaging round
-        let synced = if status.contains(&STATUS_SYNC) {
-            opt.step(model.as_model());
-            flat_params_into(model.as_visitor(), &mut params);
-            logical_bytes += 4 * params.len() as u64;
-            let global = client.sync(ep, step, &params)?;
-            set_flat_params(model.as_model(), &global);
-            if let Some(base) = &opts.checkpoint {
-                // mirror this rank's private state next to the server's
-                // checkpoint so a rejoin resumes momentum and Δ(g)
-                let (optim_t, optim_slots) = opt.export_state();
-                let ts = checkpoint::TrainState {
-                    step: step + 1,
-                    syncs: lssr.sync_steps + 1,
-                    rounds: step + 1,
-                    seed: config.seed,
-                    cursor_consumed,
-                    optim_t,
-                    params: global.to_vec(),
-                    alive: (0..config.n_workers)
-                        .map(|i| members.contains(&i))
-                        .collect(),
-                    done: vec![false; config.n_workers],
-                    evictions: Vec::new(),
-                    joins: Vec::new(),
-                    optim_slots,
-                    delta_state: Some(relchange.clone()),
-                };
-                let _ = checkpoint::save_state(worker_state_path(base, worker), &ts);
-            }
-            true
-        } else {
-            opt.step(model.as_model());
-            false
+        Ok((status.contains(&STATUS_SYNC), alive_ranks(&status)))
+    }
+
+    /// Mirror this rank's private state next to the server's checkpoint
+    /// after the sync of `step`, so a rejoin resumes momentum and Δ(g).
+    /// Best effort, like the server's checkpoint.
+    pub(crate) fn mirror(
+        &self,
+        step: u64,
+        syncs: u64,
+        opt: &AnyOptimizer,
+        relchange: &RelativeGradChange,
+        members: &[usize],
+        model: &AnyModel,
+    ) {
+        let Some(path) = &self.mirror_path else {
+            return;
         };
-
-        if synced {
-            lssr.record_sync();
-        } else {
-            lssr.record_local();
-        }
-        if worker == 0 {
-            records.push(StepRecord {
-                step,
-                loss,
-                synced,
-                delta_g,
-            });
-            if (step + 1).is_multiple_of(config.eval_every) || step + 1 == config.max_steps {
-                evals.push(EvalRecord {
-                    step,
-                    epoch: cursor.epoch_progress(),
-                    metric: evaluate(&mut model, workload),
-                });
-            }
-        }
+        let (optim_t, optim_slots) = opt.export_state();
+        let ts = checkpoint::TrainState {
+            step: step + 1,
+            syncs,
+            rounds: step + 1,
+            seed: self.seed,
+            cursor_consumed: self.consumed,
+            optim_t,
+            params: flat_params(model.as_visitor()),
+            alive: (0..self.n_workers).map(|i| members.contains(&i)).collect(),
+            done: vec![false; self.n_workers],
+            evictions: Vec::new(),
+            joins: Vec::new(),
+            optim_slots,
+            delta_state: Some(relchange.clone()),
+        };
+        let _ = checkpoint::save_state(path, &ts);
     }
-
-    if !crashed {
-        client.shutdown(ep, config.max_steps);
-    }
-
-    Ok(WorkerOutput {
-        worker,
-        final_params: flat_params(model.as_visitor()),
-        lssr,
-        records,
-        evals,
-        logical_sync_bytes: logical_bytes,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{Aggregation, Strategy};
     use crate::run_distributed;
     use selsync_comm::Fabric;
     use selsync_nn::models::ModelKind;
@@ -818,30 +676,64 @@ mod tests {
     /// K = 1 group is the static trainer's run bit for bit — same sync
     /// decisions, same per-step loss, same replicas, same global vector.
     /// Membership that never changes must cost nothing but heartbeats.
+    /// BSP is where the two deployments put different frames on the wire
+    /// (a static BSP step sends no flags frame, an elastic one still
+    /// heartbeats), and they must agree there too.
     #[test]
     fn fault_free_elastic_k1_run_is_bit_identical_to_the_static_trainer() {
-        let cfg = elastic_cfg(2, 8, 0.25);
         let wl = small_workload();
-        let reference = run_distributed(&cfg, &wl);
         let opts = ElasticOptions::with_liveness(Duration::from_millis(500), 3);
-        let (reports, outs) = run_cluster(&cfg, &wl, &opts, 1);
+        for strategy in [
+            Strategy::SelSync {
+                delta: 0.25,
+                aggregation: Aggregation::Parameter,
+            },
+            Strategy::Bsp {
+                aggregation: Aggregation::Parameter,
+            },
+        ] {
+            let cfg = RunConfig {
+                strategy,
+                ..elastic_cfg(2, 8, 0.25)
+            };
+            let reference = run_distributed(&cfg, &wl);
+            let (reports, outs) = run_cluster(&cfg, &wl, &opts, 1);
 
-        assert_eq!(
-            bits(&reports[0].final_params),
-            bits(&reference.final_params)
-        );
-        let synced = reference.step_records.iter().filter(|r| r.synced).count();
-        assert!(synced < 8, "δ = 0.25 must leave some steps local");
-        assert_eq!(reports[0].syncs, synced as u64);
-        assert_eq!(outs[0].records.len(), reference.step_records.len());
-        for (e, r) in outs[0].records.iter().zip(&reference.step_records) {
-            assert_eq!(e.synced, r.synced, "step {}", r.step);
-            assert_eq!(e.loss.to_bits(), r.loss.to_bits(), "step {}", r.step);
+            assert_eq!(
+                bits(&reports[0].final_params),
+                bits(&reference.final_params),
+                "{strategy:?}"
+            );
+            let synced = reference.step_records.iter().filter(|r| r.synced).count();
+            if let Strategy::SelSync { .. } = strategy {
+                assert!(synced < 8, "δ = 0.25 must leave some steps local");
+            } else {
+                assert_eq!(synced, 8, "BSP syncs every step");
+            }
+            assert_eq!(reports[0].syncs, synced as u64, "{strategy:?}");
+            assert_eq!(outs[0].records.len(), reference.step_records.len());
+            for (e, r) in outs[0].records.iter().zip(&reference.step_records) {
+                assert_eq!(e.synced, r.synced, "{strategy:?} step {}", r.step);
+                assert_eq!(
+                    e.loss.to_bits(),
+                    r.loss.to_bits(),
+                    "{strategy:?} step {}",
+                    r.step
+                );
+            }
+            for (o, r) in outs.iter().zip(&reference.worker_params) {
+                assert_eq!(
+                    bits(&o.final_params),
+                    bits(r),
+                    "{strategy:?} worker {}",
+                    o.worker
+                );
+            }
+            assert_eq!(
+                outs[0].logical_sync_bytes, reference.logical_sync_bytes,
+                "{strategy:?}"
+            );
         }
-        for (o, r) in outs.iter().zip(&reference.worker_params) {
-            assert_eq!(bits(&o.final_params), bits(r), "worker {}", o.worker);
-        }
-        assert_eq!(outs[0].logical_sync_bytes, reference.logical_sync_bytes);
     }
 
     #[test]

@@ -1,13 +1,20 @@
-//! The distributed trainer: N worker threads + one parameter-server
-//! thread over the `selsync-comm` fabric, running any [`Strategy`].
+//! The worker training loop, and the static trainer that runs it: N
+//! worker threads + one parameter-server thread over the `selsync-comm`
+//! fabric, running any [`Strategy`].
 //!
 //! This is a faithful executable of Alg. 1 (for SelSync) and of the
 //! baselines' protocols. Every synchronization decision, flags
 //! allgather, PS round and injection transfer is a *real* message
 //! exchange between *real* threads; only the wall-clock claims are later
 //! derived by `crate::timing` from the decision log.
+//!
+//! One loop, two deployments: [`train`] is the crate's only training
+//! loop, run by the static ranks here and by the elastic ranks of
+//! [`crate::elastic`]. A static worker's membership is `0..n` for good;
+//! an elastic worker's is its PS group's status vector (DESIGN.md §10).
 
 use crate::config::{Aggregation, CompressionKind, OptimKind, RunConfig, Strategy, SyncBackend};
+use crate::elastic::ElasticWorker;
 use crate::metrics::{EvalRecord, RunResult, StepRecord};
 use crate::workload::{AnyModel, Workload, WorkloadData, SEQ_LEN};
 use selsync_comm::bucket::{n_buckets, send_bucket_range};
@@ -28,6 +35,7 @@ use selsync_nn::loss::{accuracy, softmax_cross_entropy, topk_accuracy};
 use selsync_nn::models::ModelKind;
 use selsync_nn::module::ParamVisitor;
 use selsync_nn::{Adam, Batch, Input, Optimizer, Sgd};
+use selsync_shard::ShardLayout;
 use selsync_stats::{LssrCounter, RelativeGradChange};
 use selsync_tensor::reduce::sqnorm_slice;
 use selsync_tensor::Tensor;
@@ -44,7 +52,7 @@ const INIT_TAG: u64 = u64::MAX;
 /// Run one distributed training experiment. Blocks until every worker
 /// and the server finish; panics if any thread panicked.
 pub fn run_distributed(config: &RunConfig, workload: &Workload) -> RunResult {
-    validate(config, workload);
+    validate(config, workload, None);
     let n = config.n_workers;
     let mut endpoints = Fabric::new(n + 1);
     // lint:allow(unwrap-in-prod): Fabric::new(n + 1) always returns n + 1
@@ -140,13 +148,22 @@ pub fn run_distributed(config: &RunConfig, workload: &Workload) -> RunResult {
     }
 }
 
-fn validate(config: &RunConfig, workload: &Workload) {
+/// Startup checks every rank runs before any traffic flows, so a bad
+/// configuration fails on the calling thread instead of inside a rank.
+/// `elastic` is the group layout when the rank belongs to an elastic run.
+pub(crate) fn validate(config: &RunConfig, workload: &Workload, elastic: Option<&ShardLayout>) {
     assert!(config.n_workers >= 1, "need at least one worker");
     assert!(config.max_steps >= 1, "need at least one step");
-    if config.noniid_labels.is_some() {
+    if let Some(labels) = config.noniid_labels {
         assert!(
-            !matches!(workload.data, WorkloadData::Text { .. }),
+            matches!(workload.data, WorkloadData::Vision { .. }),
             "non-IID splits are defined for the vision workloads (§IV-A)"
+        );
+        // the label split balances only if every class has as many owners
+        let (slots, classes) = (config.n_workers * labels, workload.num_classes());
+        assert!(
+            slots.is_multiple_of(classes),
+            "workers×labels ({slots}) must be a multiple of classes ({classes})"
         );
     }
     if let Strategy::FedAvg { c, e } = config.strategy {
@@ -173,26 +190,32 @@ fn validate(config: &RunConfig, workload: &Workload) {
     }
     if let Some(bucket) = config.overlap_buckets {
         assert!(bucket > 0, "overlap bucket size must be positive");
-        assert!(
-            matches!(
-                config.strategy,
-                Strategy::Bsp {
-                    aggregation: Aggregation::Gradient
-                }
-            ),
-            "overlap_buckets pipelines the BSP gradient push; SelSync's \
-             sync decision needs the full gradient norm after backward"
-        );
-        assert_eq!(
-            config.backend,
-            SyncBackend::ParameterServer,
-            "overlap_buckets streams buckets to the PS; the ring is a barrier"
-        );
-        assert!(
-            config.grad_clip.is_none() && config.compression.is_none(),
-            "grad clipping and compression are whole-vector transforms; \
-             they cannot run while buckets are already on the wire"
-        );
+        // elastic PA cannot overlap comm with backward (parameters only
+        // exist after the post-heartbeat optimizer step), but the push
+        // still ships as Bucket frames: a lossy fabric then retries the
+        // cheap frame set instead of wedging on one giant write
+        if elastic.is_none() {
+            assert!(
+                matches!(
+                    config.strategy,
+                    Strategy::Bsp {
+                        aggregation: Aggregation::Gradient
+                    }
+                ),
+                "overlap_buckets pipelines the BSP gradient push; SelSync's \
+                 sync decision needs the full gradient norm after backward"
+            );
+            assert_eq!(
+                config.backend,
+                SyncBackend::ParameterServer,
+                "overlap_buckets streams buckets to the PS; the ring is a barrier"
+            );
+            assert!(
+                config.grad_clip.is_none() && config.compression.is_none(),
+                "grad clipping and compression are whole-vector transforms; \
+                 they cannot run while buckets are already on the wire"
+            );
+        }
     }
     if config.wire_compression {
         assert!(
@@ -207,29 +230,67 @@ fn validate(config: &RunConfig, workload: &Workload) {
              reduces dense vectors"
         );
     }
+    // compression (and so wire compression) is already rejected above for
+    // the parameter averaging elastic runs are limited to
+    if let Some(layout) = elastic {
+        assert_eq!(layout.n_workers, config.n_workers, "layout/config mismatch");
+        assert_eq!(
+            config.backend,
+            SyncBackend::ParameterServer,
+            "elastic membership is a PS service"
+        );
+        assert!(
+            matches!(
+                config.strategy,
+                Strategy::SelSync { aggregation, .. } | Strategy::Bsp { aggregation }
+                    if aggregation == Aggregation::Parameter
+            ),
+            "elastic mode supports parameter-averaged SelSync/BSP"
+        );
+        assert!(
+            config.noniid_labels.is_none() && config.injection.is_none(),
+            "elastic re-partitioning is defined for the IID schemes"
+        );
+    }
 }
 
-/// Per-worker epoch index orders.
-fn build_partitions(config: &RunConfig, workload: &Workload) -> Vec<Vec<usize>> {
-    let n = config.n_workers;
-    let units = workload.num_train_units();
-    if let Some(labels_per_worker) = config.noniid_labels {
-        if let WorkloadData::Vision { train, .. } = &workload.data {
-            return noniid_label_partition(
-                &train.labels,
-                train.num_classes,
-                n,
-                labels_per_worker,
-                config.seed,
-            );
+/// This worker's batch cursor: the training set split over `members`,
+/// `me`'s share. Every member computes the same split from the same
+/// membership, so a membership change needs no extra coordination, and
+/// a static run's membership `0..n` splits it as it always has.
+fn cursor_for(config: &RunConfig, workload: &Workload, members: &[usize], me: usize) -> AnyCursor {
+    let slot = members
+        .binary_search(&me)
+        // lint:allow(unwrap-in-prod): every caller passes a membership
+        // vector it just observed itself in; a miss is an addressing bug,
+        // not a runtime fault
+        .expect("this rank must be a member");
+    let partition = match (&workload.data, config.noniid_labels) {
+        (WorkloadData::Vision { train, .. }, Some(labels)) => noniid_label_partition(
+            &train.labels,
+            train.num_classes,
+            members.len(),
+            labels,
+            config.seed,
+        )
+        .swap_remove(slot),
+        _ => partition_indices(
+            workload.num_train_units(),
+            members.len(),
+            slot,
+            config.partition,
+        ),
+    };
+    // data injection (§III-E) shrinks the local batch to b′
+    let batch = config.injection.map_or(config.batch_size, |inj| {
+        inj.adjusted_batch_size(config.batch_size, config.n_workers)
+    });
+    match &workload.data {
+        WorkloadData::Vision { .. } => AnyCursor::Vision(BatchCursor::new(partition, batch)),
+        WorkloadData::Text { .. } => {
+            AnyCursor::Text(TextBatchCursor::new(partition, SEQ_LEN, batch))
         }
-        // lint:allow(unwrap-in-prod): validate() already rejected non-Vision
-        // workloads combined with noniid_labels before training starts
-        unreachable!("validated above");
     }
-    (0..n)
-        .map(|w| partition_indices(units, n, w, config.partition))
-        .collect()
 }
 
 /// What one worker rank produces; [`run_distributed`] merges these into
@@ -266,7 +327,7 @@ pub fn run_server_rank<T: Transport>(
     config: &RunConfig,
     workload: &Workload,
 ) -> Result<Vec<f32>, TransportError> {
-    validate(config, workload);
+    validate(config, workload, None);
     assert_eq!(
         ep.id(),
         config.n_workers,
@@ -299,16 +360,44 @@ pub fn run_worker_rank<T: Transport>(
     config: &RunConfig,
     workload: &Workload,
 ) -> Result<WorkerOutput, TransportError> {
-    validate(config, workload);
-    let worker = ep.id();
-    assert!(worker < config.n_workers, "worker rank out of range");
-    let partition = build_partitions(config, workload)
-        .into_iter()
-        .nth(worker)
-        // lint:allow(unwrap-in-prod): build_partitions returns exactly
-        // n_workers entries and the rank was range-asserted above
-        .expect("partition for rank");
-    worker_main(worker, &mut ep, config, workload, partition)
+    validate(config, workload, None);
+    let n = config.n_workers;
+    assert!(ep.id() < n, "worker rank out of range");
+    // Alg. 1 line 3: pull the initial model state from the PS. With the
+    // decentralized backend there is no server; replicas already share
+    // the seeded init (the §III-C broadcast-equivalent).
+    let params = match config.backend {
+        SyncBackend::ParameterServer => {
+            Some(sync_round(&mut ep, n, INIT_TAG, SyncRequest::Pull)?.into_vec())
+        }
+        SyncBackend::RingAllReduce => None,
+    };
+    let start = Start {
+        step: 0,
+        members: (0..n).collect(),
+        params,
+    };
+    train(&mut ep, config, workload, Deployment::Static, start)
+}
+
+/// Where a worker's flags and parameter averages go: the one thing a
+/// static and an elastic worker do differently.
+pub(crate) enum Deployment {
+    /// A member of `0..n` for the whole run: flags by worker-to-worker
+    /// allgather, syncs with the PS at rank `n` or around the ring.
+    Static,
+    /// A member of an elastic PS group ([`crate::elastic`]).
+    Elastic(Box<ElasticWorker>),
+}
+
+/// Where one incarnation of a worker begins.
+pub(crate) struct Start {
+    /// The first step it runs.
+    pub(crate) step: u64,
+    /// The membership the training set is split over.
+    pub(crate) members: Vec<usize>,
+    /// Warm-start parameters: the PS's initial state or a join grant.
+    pub(crate) params: Option<Vec<f32>>,
 }
 
 pub(crate) enum AnyOptimizer {
@@ -356,13 +445,13 @@ impl AnyOptimizer {
     }
 }
 
-pub(crate) enum AnyCursor {
+enum AnyCursor {
     Vision(BatchCursor),
     Text(TextBatchCursor),
 }
 
 impl AnyCursor {
-    pub(crate) fn next_batch(&mut self, data: &WorkloadData) -> Batch {
+    fn next_batch(&mut self, data: &WorkloadData) -> Batch {
         match (self, data) {
             (AnyCursor::Vision(c), WorkloadData::Vision { train, .. }) => c.next_batch(train),
             (AnyCursor::Text(c), WorkloadData::Text { train, .. }) => c.next_batch(train),
@@ -371,13 +460,13 @@ impl AnyCursor {
             _ => unreachable!("cursor/data kind mismatch"),
         }
     }
-    pub(crate) fn steps_per_epoch(&self) -> usize {
+    fn steps_per_epoch(&self) -> usize {
         match self {
             AnyCursor::Vision(c) => c.batches_per_epoch(),
             AnyCursor::Text(c) => c.batches_per_epoch(),
         }
     }
-    pub(crate) fn epoch_progress(&self) -> f64 {
+    fn epoch_progress(&self) -> f64 {
         match self {
             AnyCursor::Vision(c) => c.epoch_progress(),
             AnyCursor::Text(c) => c.epoch_progress(),
@@ -385,23 +474,23 @@ impl AnyCursor {
     }
 }
 
-/// Per-worker synchronization context: transport, compression state,
-/// and logical-byte accounting.
-struct SyncCtx {
-    server: usize,
-    n_workers: usize,
-    backend: SyncBackend,
-    compression: Option<CompressionKind>,
-    /// Ship the compact wire form ([`Payload::SparseGrad`] etc.) instead
-    /// of the densified reconstruction (DESIGN.md §12).
-    wire_compression: bool,
+/// Per-worker synchronization context: where syncs go, compression
+/// state, and logical-byte accounting.
+struct SyncCtx<'a> {
+    /// The run; the PS listens on rank `config.n_workers`.
+    config: &'a RunConfig,
+    dep: Deployment,
     /// DGC-style error-feedback residual for lossy compression.
     residual: Vec<f32>,
     /// Model bytes this worker contributed to syncs (post-compression).
     logical_bytes: u64,
+    /// Loop-persistent flat-vector scratch — the SSP snapshot, the
+    /// pipelined push's gradients, the elastic push and pull — so those
+    /// paths stop allocating after their first step.
+    flat: Vec<f32>,
 }
 
-impl SyncCtx {
+impl SyncCtx<'_> {
     /// Compress `grads` in place with error feedback; returns the wire
     /// bytes the compressed representation would occupy, plus the
     /// compact wire payload itself when `wire_compression` is on (the
@@ -409,7 +498,7 @@ impl SyncCtx {
     /// in-place reconstruction for Top-k and sign; PowerSGD's padded
     /// reconstruction may reassociate float ops).
     fn compress_with_ef(&mut self, grads: &mut Vec<f32>) -> (u64, Option<Payload>) {
-        let Some(kind) = self.compression else {
+        let Some(kind) = self.config.compression else {
             return (4 * grads.len() as u64, None);
         };
         if self.residual.len() != grads.len() {
@@ -423,7 +512,7 @@ impl SyncCtx {
             CompressionKind::TopK { ratio } => {
                 let k = ((grads.len() as f32 * ratio) as usize).max(1);
                 let sparse = crate::compression::topk_compress(grads, k);
-                let wire = self.wire_compression.then(|| Payload::SparseGrad {
+                let wire = self.config.wire_compression.then(|| Payload::SparseGrad {
                     len: sparse.len as u32,
                     indices: sparse.indices.clone(),
                     values: sparse.values.clone(),
@@ -432,7 +521,7 @@ impl SyncCtx {
             }
             CompressionKind::SignSgd => {
                 let sg = crate::compression::sign_compress(grads);
-                let wire = self.wire_compression.then(|| Payload::SignGrad {
+                let wire = self.config.wire_compression.then(|| Payload::SignGrad {
                     len: sg.len as u32,
                     scale: sg.scale,
                     bits: sg.bits.clone(),
@@ -454,7 +543,7 @@ impl SyncCtx {
                 let (pm, qm) = crate::compression::powersgd_factorize(&padded, rows, rank, 1, 0);
                 // the factorization clamps the rank to the matrix shape
                 let eff_rank = pm.shape().dim(1);
-                let wire = self.wire_compression.then(|| Payload::LowRank {
+                let wire = self.config.wire_compression.then(|| Payload::LowRank {
                     rows: rows as u32,
                     cols: cols as u32,
                     rank: eff_rank as u32,
@@ -479,53 +568,48 @@ impl SyncCtx {
 }
 
 /// Squared L2 norm of all gradients without materializing the flat copy.
-pub(crate) fn grad_sqnorm(m: &dyn ParamVisitor) -> f32 {
+fn grad_sqnorm(m: &dyn ParamVisitor) -> f32 {
     let mut s = 0.0;
     m.visit_params(&mut |p| s += sqnorm_slice(p.grad.as_slice()));
     s
 }
 
+/// The training loop of every worker rank, static or elastic: batch,
+/// forward/backward, the strategy's communication, bookkeeping. `dep`
+/// says where flags and averages go; `start` where this incarnation of
+/// the worker begins.
 #[allow(clippy::too_many_lines)]
-fn worker_main<T: Transport>(
-    worker: usize,
+pub(crate) fn train<T: Transport>(
     ep: &mut T,
     config: &RunConfig,
     workload: &Workload,
-    partition: Vec<usize>,
+    dep: Deployment,
+    start: Start,
 ) -> Result<WorkerOutput, TransportError> {
-    let n = config.n_workers;
+    let worker = ep.id();
+    let n = config.n_workers; // workers are 0..n, the PS is rank n
     let mut ctx = SyncCtx {
-        server: n,
-        n_workers: n,
-        backend: config.backend,
-        compression: config.compression,
-        wire_compression: config.wire_compression,
+        config,
+        dep,
         residual: Vec::new(),
         logical_bytes: 0,
+        flat: Vec::new(),
     };
+    let Start {
+        step: first,
+        mut members,
+        params,
+    } = start;
     let mut model = workload.build_model();
-    let mut opt = AnyOptimizer::new(config.optim, config.lr.at(0));
-
-    // data injection setup (§III-E): shrink the local batch to b′
-    let injection = config.injection;
-    let local_batch = match injection {
-        Some(inj) => inj.adjusted_batch_size(config.batch_size, n),
-        None => config.batch_size,
-    };
-    let mut cursor = match &workload.data {
-        WorkloadData::Vision { .. } => AnyCursor::Vision(BatchCursor::new(partition, local_batch)),
-        WorkloadData::Text { .. } => {
-            AnyCursor::Text(TextBatchCursor::new(partition, SEQ_LEN, local_batch))
-        }
-    };
-
-    // Alg. 1 line 3: pull the initial model state from the PS. With the
-    // decentralized backend there is no server; replicas already share
-    // the seeded init (the §III-C broadcast-equivalent).
-    if ctx.backend == SyncBackend::ParameterServer {
-        let init = sync_round(ep, ctx.server, INIT_TAG, SyncRequest::Pull)?;
+    if let Some(init) = params {
         set_flat_params(model.as_model(), &init);
     }
+    let mut opt = AnyOptimizer::new(config.optim, config.lr.at(first));
+    let mut relchange = RelativeGradChange::new(config.ewma_window, config.ewma_alpha);
+    if let Deployment::Elastic(e) = &mut ctx.dep {
+        e.restore(&mut opt, &mut relchange);
+    }
+    let mut cursor = cursor_for(config, workload, &members, worker);
 
     // FedAvg synchronizes x = 1/E times per epoch, uniformly spaced
     let fedavg_interval = match config.strategy {
@@ -533,18 +617,16 @@ fn worker_main<T: Transport>(
         _ => u64::MAX,
     };
 
-    let mut relchange = RelativeGradChange::new(config.ewma_window, config.ewma_alpha);
     let mut lssr = LssrCounter::new();
     let mut records = Vec::new();
     let mut evals = Vec::new();
-    // loop-persistent snapshot buffer for SSP (allocation-free after the
-    // first sync; the outgoing delta itself is wire-bound and moves into
-    // the message)
-    let mut ssp_before: Vec<f32> = Vec::new();
-    // loop-persistent flat-gradient scratch for the pipelined push
-    let mut grad_scratch: Vec<f32> = Vec::new();
+    let mut crashed = false;
 
-    for step in 0..config.max_steps {
+    for step in first..config.max_steps {
+        if matches!(&ctx.dep, Deployment::Elastic(e) if e.crash_at == Some(step)) {
+            crashed = true;
+            break; // go silent: no shutdown, no farewell — a real crash
+        }
         opt.set_lr(config.lr.at(step));
         // injected systems heterogeneity (§II-A): the straggler computes
         // more slowly than its peers
@@ -556,7 +638,7 @@ fn worker_main<T: Transport>(
         let mut batch = cursor.next_batch(&workload.data);
 
         // --- data injection: sharers broadcast a slice of their batch ---
-        if let Some(inj) = injection {
+        if let Some(inj) = config.injection {
             batch = exchange_injection(ep, n, step, inj, config.seed, batch)?;
         }
 
@@ -564,23 +646,16 @@ fn worker_main<T: Transport>(
         let logits = model.as_model().forward(&batch.input, true);
         let (loss, dlogits) = softmax_cross_entropy(&logits, &batch.targets);
         model.as_model().zero_grad();
-        let pipelined = match config.overlap_buckets {
+        let pipelined = match (config.overlap_buckets, &ctx.dep) {
             // pipelined BSP push (DESIGN.md §12): backward itself streams
             // ready gradient buckets to the PS as the readiness watermark
-            // descends, overlapping comm with the rest of backprop
-            Some(bucket_size) => {
-                push_grad_buckets(
-                    ep,
-                    &mut ctx,
-                    step,
-                    &mut model,
-                    &dlogits,
-                    bucket_size,
-                    &mut grad_scratch,
-                )?;
+            // descends, overlapping comm with the rest of backprop. An
+            // elastic worker's buckets only frame its parameter push.
+            (Some(bucket_size), Deployment::Static) => {
+                push_grad_buckets(ep, &mut ctx, step, &mut model, &dlogits, bucket_size)?;
                 true
             }
-            None => {
+            _ => {
                 model.as_model().backward(&dlogits);
                 false
             }
@@ -591,34 +666,51 @@ fn worker_main<T: Transport>(
 
         // --- strategy-specific update & communication ---
         let (synced, delta_g) = match config.strategy {
-            Strategy::Bsp { aggregation } => {
-                if pipelined {
+            Strategy::Bsp { aggregation } | Strategy::SelSync { aggregation, .. } => {
+                // Alg. 1 lines 8–13: Δ(g) and this worker's flag; BSP has
+                // no Δ(g) and its flag is always up
+                let (flag, dg) = match config.strategy {
+                    Strategy::SelSync { delta, .. } => {
+                        let dg = relchange.update(grad_sqnorm(model.as_visitor()));
+                        (Some(u8::from(dg >= delta)), dg)
+                    }
+                    _ => (None, f32::NAN),
+                };
+                let sync = match &mut ctx.dep {
+                    // static BSP needs no flags round at all
+                    Deployment::Static => match flag {
+                        Some(bit) => allgather_flags(ep, n, step, bit)?.contains(&1),
+                        None => true,
+                    },
+                    // the elastic flags round is also the heartbeat, and
+                    // the status vector it returns is the membership
+                    Deployment::Elastic(e) => {
+                        let (sync, now_alive) = e.heartbeat(ep, step, flag.unwrap_or(1))?;
+                        if now_alive != members {
+                            // eviction or rejoin: every survivor recomputes
+                            // the same partition of the dataset
+                            members = now_alive;
+                            cursor = cursor_for(config, workload, &members, worker);
+                        }
+                        sync
+                    }
+                };
+                if !sync {
+                    opt.step(model.as_model());
+                } else if pipelined {
                     // the buckets are already on the wire; collect the
                     // round average and apply it like the monolithic path
-                    let avg = recv_round_reply(ep, ctx.server, step)?;
+                    let avg = recv_round_reply(ep, n, step)?;
                     set_flat_grads(model.as_model(), &avg);
                     opt.step(model.as_model());
                 } else {
                     apply_sync(ep, &mut ctx, step, &mut model, &mut opt, aggregation)?;
                 }
-                (true, f32::NAN)
+                (sync, dg)
             }
             Strategy::LocalOnly => {
                 opt.step(model.as_model());
                 (false, f32::NAN)
-            }
-            Strategy::SelSync { delta, aggregation } => {
-                // Alg. 1 lines 8–15
-                let dg = relchange.update(grad_sqnorm(model.as_visitor()));
-                let my_bit = u8::from(dg >= delta);
-                let flags = allgather_flags(ep, n, step, my_bit)?;
-                if flags.contains(&1) {
-                    apply_sync(ep, &mut ctx, step, &mut model, &mut opt, aggregation)?;
-                    (true, dg)
-                } else {
-                    opt.step(model.as_model());
-                    (false, dg)
-                }
             }
             Strategy::FedAvg { c, .. } => {
                 opt.step(model.as_model());
@@ -631,7 +723,7 @@ fn worker_main<T: Transport>(
                     } else {
                         SyncRequest::Pull
                     };
-                    let avg = sync_round(ep, ctx.server, step, req)?;
+                    let avg = sync_round(ep, n, step, req)?;
                     ctx.logical_bytes += 4 * avg.len() as u64;
                     set_flat_params(model.as_model(), &avg);
                     (true, f32::NAN)
@@ -640,19 +732,21 @@ fn worker_main<T: Transport>(
                 }
             }
             Strategy::Ssp { .. } => {
-                flat_params_into(model.as_visitor(), &mut ssp_before);
+                let before = &mut ctx.flat;
+                flat_params_into(model.as_visitor(), before);
                 opt.step(model.as_model());
                 // delta = after − before, streamed straight off the
-                // updated params without materializing `after`
-                let mut delta = Vec::with_capacity(ssp_before.len());
+                // updated params without materializing `after`; the delta
+                // itself is wire-bound and moves into the message
+                let mut delta = Vec::with_capacity(before.len());
                 let mut off = 0;
                 model.as_visitor().visit_params(&mut |p| {
-                    let prev = &ssp_before[off..off + p.numel()];
+                    let prev = &before[off..off + p.numel()];
                     delta.extend(p.value.as_slice().iter().zip(prev).map(|(a, b)| a - b));
                     off += p.numel();
                 });
-                ctx.logical_bytes += 4 * ssp_before.len() as u64;
-                let global = ssp_step(ep, ctx.server, step, delta)?;
+                ctx.logical_bytes += 4 * before.len() as u64;
+                let global = ssp_step(ep, n, step, delta)?;
                 set_flat_params(model.as_model(), &global);
                 (true, f32::NAN)
             }
@@ -660,6 +754,9 @@ fn worker_main<T: Transport>(
 
         if synced {
             lssr.record_sync();
+            if let Deployment::Elastic(e) = &ctx.dep {
+                e.mirror(step, lssr.sync_steps, &opt, &relchange, &members, &model);
+            }
         } else {
             lssr.record_local();
         }
@@ -680,9 +777,13 @@ fn worker_main<T: Transport>(
         }
     }
 
-    // dedicated shutdown round (all workers, same tag)
-    if ctx.backend == SyncBackend::ParameterServer {
-        send_shutdown(ep, ctx.server, config.max_steps)?;
+    match &mut ctx.dep {
+        // dedicated shutdown round (all workers, same tag)
+        Deployment::Static if config.backend == SyncBackend::ParameterServer => {
+            send_shutdown(ep, n, config.max_steps)?;
+        }
+        Deployment::Elastic(e) if !crashed => e.client.shutdown(ep, config.max_steps),
+        _ => {}
     }
 
     Ok(WorkerOutput {
@@ -714,10 +815,10 @@ fn push_grad_buckets<T: Transport>(
     model: &mut AnyModel,
     dlogits: &Tensor,
     bucket_size: usize,
-    scratch: &mut Vec<f32>,
 ) -> Result<(), TransportError> {
     let total = model.as_visitor().num_params();
-    let server = ctx.server;
+    let server = ctx.config.n_workers;
+    let scratch = &mut ctx.flat;
     // lowest bucket index not yet sent, counting down from the top;
     // everything in `unsent_hi..` is already on the wire
     let mut unsent_hi = n_buckets(total, bucket_size);
@@ -760,7 +861,7 @@ fn push_grad_buckets<T: Transport>(
 /// One synchronization (Alg. 1 lines 14–15 for PA; the §IV-D
 /// gradient-aggregation variant otherwise), through the configured
 /// transport: PS push/pull rounds or the decentralized ring allreduce
-/// §III-E suggests as a drop-in replacement.
+/// §III-E suggests as a drop-in replacement, or the elastic group.
 fn apply_sync<T: Transport>(
     ep: &mut T,
     ctx: &mut SyncCtx,
@@ -769,24 +870,30 @@ fn apply_sync<T: Transport>(
     opt: &mut AnyOptimizer,
     aggregation: Aggregation,
 ) -> Result<(), TransportError> {
-    let inv_n = 1.0 / ctx.n_workers as f32;
+    let n = ctx.config.n_workers; // also the PS's rank
+    let inv_n = 1.0 / n as f32;
     match aggregation {
         Aggregation::Parameter => {
             // local update first (Alg. 1 line 9), then average parameters
             opt.step(model.as_model());
-            let mut params = flat_params(model.as_visitor());
+            let params = &mut ctx.flat;
+            flat_params_into(model.as_visitor(), params);
             ctx.logical_bytes += 4 * params.len() as u64;
-            match ctx.backend {
-                SyncBackend::ParameterServer => {
-                    let avg = sync_round(ep, ctx.server, step, SyncRequest::PushParams(params))?;
-                    set_flat_params(model.as_model(), &avg);
+            match (&mut ctx.dep, ctx.config.backend) {
+                // the group's replies land in `params` itself
+                (Deployment::Elastic(e), _) => {
+                    e.client.sync(ep, step, params)?;
+                    set_flat_params(model.as_model(), params);
                 }
-                SyncBackend::RingAllReduce => {
-                    ring_allreduce(ep, ctx.n_workers, step, &mut params)?;
-                    for v in &mut params {
-                        *v *= inv_n;
-                    }
-                    set_flat_params(model.as_model(), &params);
+                // the push moves into the message
+                (Deployment::Static, SyncBackend::ParameterServer) => {
+                    let req = SyncRequest::PushParams(std::mem::take(params));
+                    set_flat_params(model.as_model(), &sync_round(ep, n, step, req)?);
+                }
+                (Deployment::Static, SyncBackend::RingAllReduce) => {
+                    ring_allreduce(ep, n, step, params)?;
+                    params.iter_mut().for_each(|v| *v *= inv_n);
+                    set_flat_params(model.as_model(), params);
                 }
             }
         }
@@ -797,25 +904,24 @@ fn apply_sync<T: Transport>(
             let n_values = grads.len();
             let (wire_bytes, wire_payload) = ctx.compress_with_ef(&mut grads);
             ctx.logical_bytes += wire_bytes;
-            match ctx.backend {
+            match ctx.config.backend {
                 SyncBackend::ParameterServer => {
                     let avg = match wire_payload {
                         // ship the compact wire form; the server
                         // densifies at arrival, and PowerSGD's matrix
                         // padding is truncated back off the reply
                         Some(payload) => {
-                            ep.send(ctx.server, step, payload)?;
-                            let mut v = recv_round_reply(ep, ctx.server, step)?.into_vec();
+                            ep.send(n, step, payload)?;
+                            let mut v = recv_round_reply(ep, n, step)?.into_vec();
                             v.truncate(n_values);
                             v
                         }
-                        None => sync_round(ep, ctx.server, step, SyncRequest::PushGrads(grads))?
-                            .into_vec(),
+                        None => sync_round(ep, n, step, SyncRequest::PushGrads(grads))?.into_vec(),
                     };
                     set_flat_grads(model.as_model(), &avg);
                 }
                 SyncBackend::RingAllReduce => {
-                    ring_allreduce(ep, ctx.n_workers, step, &mut grads)?;
+                    ring_allreduce(ep, n, step, &mut grads)?;
                     for v in &mut grads {
                         *v *= inv_n;
                     }
@@ -1083,6 +1189,18 @@ mod tests {
         let r = run_distributed(&cfg, &wl);
         assert_eq!(r.steps_run, 6);
         assert!(r.comm_bytes > 0);
+    }
+
+    /// An impossible label split fails validation on the calling thread,
+    /// not once per worker thread inside the partitioner.
+    #[test]
+    #[should_panic(expected = "multiple of classes")]
+    fn impossible_noniid_split_fails_before_any_rank_starts() {
+        let cfg = RunConfig {
+            noniid_labels: Some(2),
+            ..quick(Strategy::LocalOnly, 3, 2)
+        };
+        let _ = run_distributed(&cfg, &mlp_workload());
     }
 
     #[test]
