@@ -44,6 +44,16 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Every intra-doc link must resolve to an item the docs show, so a link
+# to a private or deleted item fails here. vendor/ is left out: the
+# vendored proptest has an ambiguous `[vec]` link that is not ours.
+echo "==> cargo doc -D warnings (workspace crates)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
+  -p selsync-bench -p selsync-chaos -p selsync-comm -p selsync-core \
+  -p selsync-data -p selsync-lint -p selsync-net -p selsync-nn \
+  -p selsync-serve -p selsync-shard -p selsync-stats -p selsync-tensor \
+  -p selsync-suite
+
 # Workspace-wide determinism & protocol-invariant linter (DESIGN.md §8,
 # §13). The run is ratcheted against the committed baseline: any finding
 # not in lint-baseline.json (or any baseline entry the code no longer

@@ -13,7 +13,7 @@
 //!
 //! One loop, two deployments: an elastic worker runs the static trainer's
 //! step loop ([`crate::trainer`]), with its flags round, its parameter
-//! sync and three hooks routed here through [`ElasticWorker`]. This
+//! sync and three hooks routed here through `ElasticWorker`. This
 //! module adds the training side of the protocol:
 //!
 //! - **Eviction tolerance**: when the status vector reports a rank dead,

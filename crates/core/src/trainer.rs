@@ -8,7 +8,7 @@
 //! exchange between *real* threads; only the wall-clock claims are later
 //! derived by `crate::timing` from the decision log.
 //!
-//! One loop, two deployments: [`train`] is the crate's only training
+//! One loop, two deployments: `train` is the crate's only training
 //! loop, run by the static ranks here and by the elastic ranks of
 //! [`crate::elastic`]. A static worker's membership is `0..n` for good;
 //! an elastic worker's is its PS group's status vector (DESIGN.md §10).

@@ -1,7 +1,7 @@
 //! The event-driven driver: one thread, nonblocking sockets, a
 //! readiness wait in `poll(2)`.
 //!
-//! [`PollTcpEndpoint`] is the shared [`MeshEndpoint`] — the same type,
+//! [`PollTcpEndpoint`] is the shared `MeshEndpoint` — the same type,
 //! hence the same `Transport` semantics, as the blocking
 //! [`crate::tcp::TcpEndpoint`] — over this driver, which speaks exactly
 //! the blocking driver's wire protocol — same 8-byte version
@@ -118,7 +118,7 @@ const READ_MIN: usize = 16 * 1024;
 const REDIAL_ATTEMPT: Duration = Duration::from_millis(100);
 
 /// One rank's handle on the event-driven TCP fabric: the shared
-/// [`MeshEndpoint`] — the exact semantics of the blocking
+/// `MeshEndpoint` — the exact semantics of the blocking
 /// [`crate::tcp::TcpEndpoint`] — served by a single driver thread.
 pub type PollTcpEndpoint = MeshEndpoint<PollDriver>;
 
@@ -133,7 +133,7 @@ pub struct PollDriver {
 }
 
 /// A snapshot of the driver thread's activity counters (see
-/// [`PollTcpEndpoint::driver_gauges`]).
+/// `PollTcpEndpoint::driver_gauges`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DriverGauges {
     /// Full passes over the connection set.

@@ -2,12 +2,12 @@
 //! threads) served by one acceptor thread, one reader thread per
 //! inbound connection and one writer thread per peer, all on blocking
 //! sockets — plus the socket helpers (`bind_reuse`, `dial`, the dialer
-//! handshake) both drivers and the shared [`MeshEndpoint`] use.
+//! handshake) both drivers and the shared `MeshEndpoint` use.
 //!
-//! [`TcpEndpoint`] is [`MeshEndpoint`] over this driver; everything a
+//! [`TcpEndpoint`] is `MeshEndpoint` over this driver; everything a
 //! caller sees — `connect`, the `Transport` receive semantics,
 //! [`LinkFault`] reporting, teardown — is documented on
-//! [`MeshEndpoint`]. Writer threads drain their peer's
+//! `MeshEndpoint`, in `endpoint.rs`. Writer threads drain their peer's
 //! frame queue with `write_all` and redial a broken link within
 //! `reconnect_timeout`; reader threads decode frames into the shared
 //! inbox and report byte-level damage as typed faults.
@@ -126,7 +126,7 @@ fn bind_reuse_v4(addr: &std::net::SocketAddrV4) -> io::Result<TcpListener> {
 }
 
 /// One rank's handle on the blocking TCP fabric: the shared
-/// [`MeshEndpoint`] served by reader/writer/acceptor threads.
+/// `MeshEndpoint` served by reader/writer/acceptor threads.
 pub type TcpEndpoint = MeshEndpoint<ThreadDriver>;
 
 /// The blocking driver's threads. Only names the driver in

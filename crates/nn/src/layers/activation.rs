@@ -56,55 +56,6 @@ impl Module for Relu {
     }
 }
 
-/// Hyperbolic-tangent activation.
-#[derive(Clone, Default)]
-pub struct Tanh {
-    cache_y: Tensor,
-}
-
-impl Tanh {
-    /// A fresh Tanh layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl ParamVisitor for Tanh {
-    fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}
-    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-}
-
-impl Module for Tanh {
-    fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
-        self.cache_y.ensure_shape(x.shape().clone());
-        let mut y = ws.take(x.shape().clone());
-        for ((y, c), v) in y
-            .as_mut_slice()
-            .iter_mut()
-            .zip(self.cache_y.as_mut_slice())
-            .zip(x.as_slice())
-        {
-            *y = v.tanh();
-            *c = *y;
-        }
-        y
-    }
-
-    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        assert_eq!(dy.numel(), self.cache_y.numel(), "backward before forward");
-        let mut dx = ws.take(dy.shape().clone());
-        for ((d, g), y) in dx
-            .as_mut_slice()
-            .iter_mut()
-            .zip(dy.as_slice())
-            .zip(self.cache_y.as_slice())
-        {
-            *d = g * (1.0 - y * y);
-        }
-        dx
-    }
-}
-
 /// Gaussian error linear unit (tanh approximation), used by the
 /// Transformer feed-forward blocks.
 #[derive(Clone, Default)]
@@ -206,15 +157,6 @@ mod tests {
         let dx = r.backward(&t(&[5.0, 5.0, f32::NAN]), &mut ws);
         assert_eq!(dx.as_slice()[..2], [0.0, 0.0]);
         assert!(dx.as_slice()[2].is_nan(), "a kept gradient is copied as is");
-    }
-
-    #[test]
-    fn tanh_gradient_at_zero_is_one() {
-        let mut ws = Workspace::new();
-        let mut th = Tanh::new();
-        let _ = th.forward(&t(&[0.0]), true, &mut ws);
-        let dx = th.backward(&t(&[1.0]), &mut ws);
-        assert!((dx.as_slice()[0] - 1.0).abs() < 1e-6);
     }
 
     /// `Gelu::forward` as it was before the derivative was cached:
@@ -333,16 +275,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "backward before forward")]
-    fn tanh_backward_rejects_a_gradient_of_another_size() {
-        let mut ws = dirty_workspace();
-        let mut th = Tanh::new();
-        let y = th.forward(&t(&[0.5, -0.5]), true, &mut ws);
-        ws.give(y);
-        let _ = th.backward(&t(&[1.0, 1.0, 1.0]), &mut ws);
-    }
-
-    #[test]
     fn gelu_matches_finite_differences() {
         let mut ws = Workspace::new();
         let mut g = Gelu::new();
@@ -361,7 +293,6 @@ mod tests {
     fn activations_have_no_params() {
         let r = Relu::new();
         assert_eq!(r.num_params(), 0);
-        assert_eq!(Tanh::new().num_params(), 0);
         assert_eq!(Gelu::new().num_params(), 0);
     }
 }

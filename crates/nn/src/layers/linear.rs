@@ -1,9 +1,13 @@
 //! Fully-connected layer `y = x·Wᵀ + b`.
+//!
+//! Any `[n, …]` input is read as `[n, in_features]` by rows, so a conv
+//! trunk's `[n, c, h, w]` maps feed a dense head with no flatten stage
+//! between them; `dx` comes back in the input's shape.
 
 use crate::module::{Module, Param, ParamVisitor};
 use crate::workspace::Workspace;
 use rand::rngs::StdRng;
-use selsync_tensor::{init, matmul, ops, reduce, Tensor};
+use selsync_tensor::{init, matmul, ops, reduce, Shape, Tensor};
 
 /// A dense affine layer. Weight is stored `[out, in]` so both forward
 /// (`x·Wᵀ`) and input-gradient (`dy·W`) passes stream rows contiguously.
@@ -13,21 +17,17 @@ pub struct Linear {
     pub w: Param,
     /// Bias parameter `[out_features]`, absent if constructed without bias.
     pub b: Option<Param>,
+    /// The last forward's input, read as `[n, in_features]`.
     cache_x: Tensor,
+    /// The last forward's input shape, which `dx` takes back.
+    in_shape: Shape,
 }
 
 impl Linear {
     /// Xavier-initialized layer `in_features → out_features`.
     pub fn new(name: &str, in_features: usize, out_features: usize, rng: &mut StdRng) -> Self {
         let w = init::xavier_uniform([out_features, in_features], in_features, out_features, rng);
-        Linear {
-            w: Param::new(format!("{name}.weight"), w),
-            b: Some(Param::new_no_decay(
-                format!("{name}.bias"),
-                Tensor::zeros([out_features]),
-            )),
-            cache_x: Tensor::zeros([0]),
-        }
+        Self::with_weight(name, w)
     }
 
     /// Kaiming-initialized layer for ReLU networks.
@@ -38,13 +38,17 @@ impl Linear {
         rng: &mut StdRng,
     ) -> Self {
         let w = init::kaiming_normal([out_features, in_features], in_features, rng);
+        Self::with_weight(name, w)
+    }
+
+    /// A layer over weight `w` (`[out, in]`) and a zero bias.
+    fn with_weight(name: &str, w: Tensor) -> Self {
+        let b = Tensor::zeros([w.shape().dim(0)]);
         Linear {
             w: Param::new(format!("{name}.weight"), w),
-            b: Some(Param::new_no_decay(
-                format!("{name}.bias"),
-                Tensor::zeros([out_features]),
-            )),
+            b: Some(Param::new_no_decay(format!("{name}.bias"), b)),
             cache_x: Tensor::zeros([0]),
+            in_shape: Shape::default(),
         }
     }
 
@@ -88,11 +92,19 @@ impl ParamVisitor for Linear {
 
 impl Module for Linear {
     fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
-        assert_eq!(x.shape().ndim(), 2, "Linear expects [n, in] input");
-        self.cache_x.ensure_shape(x.shape().clone());
-        self.cache_x.copy_from(x);
-        let mut y = ws.take([x.shape().dim(0), self.out_features()]);
-        matmul::matmul_nt_into(x, &self.w.value, &mut y);
+        let n = x.shape().dim(0);
+        assert_eq!(
+            x.numel(),
+            n * self.in_features(),
+            "Linear expects [n, …] with {} values a row, got {}",
+            self.in_features(),
+            x.shape()
+        );
+        self.in_shape = x.shape().clone();
+        self.cache_x.ensure_shape([n, self.in_features()]);
+        self.cache_x.copy_from_slice(x.as_slice());
+        let mut y = ws.take([n, self.out_features()]);
+        matmul::matmul_nt_into(&self.cache_x, &self.w.value, &mut y);
         if let Some(b) = &self.b {
             ops::add_row_bias(&mut y, &b.value);
         }
@@ -111,7 +123,7 @@ impl Module for Linear {
         // dx = dy · W     ([n, out]·[out, in] = [n, in])
         let mut dx = ws.take([dy.shape().dim(0), self.in_features()]);
         matmul::matmul_into(dy, &self.w.value, &mut dx);
-        dx
+        dx.reshape(self.in_shape.clone())
     }
 }
 
@@ -188,6 +200,39 @@ mod tests {
         let dy = Tensor::ones([3, 2]);
         let _ = l.backward(&dy, &mut Workspace::new());
         assert_eq!(l.b.as_ref().unwrap().grad.as_slice(), &[3.0, 3.0]);
+    }
+
+    #[test]
+    fn image_input_is_read_as_its_flattened_rows() {
+        // VggMini's head: [n, 32, 2, 2] maps into fc(128→64)
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut l = Linear::new_kaiming("l", 32 * 2 * 2, 64, &mut rng);
+        let mut flat = l.clone();
+        let x = init::randn([8, 32, 2, 2], 1.0, &mut rng);
+        let dy = init::randn([8, 64], 1.0, &mut rng);
+        let mut ws = Workspace::new();
+        let y = l.forward(&x, true, &mut ws);
+        let dx = l.backward(&dy, &mut ws);
+        let want_y = flat.forward(&x.reshaped([8, 128]), true, &mut ws);
+        let want_dx = flat.backward(&dy, &mut ws);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(y.shape().dims(), &[8, 64]);
+        assert_eq!(dx.shape().dims(), &[8, 32, 2, 2]);
+        assert_eq!(bits(&y), bits(&want_y));
+        assert_eq!(bits(&dx), bits(&want_dx));
+        assert_eq!(bits(&l.w.grad), bits(&flat.w.grad));
+        assert_eq!(
+            bits(&l.b.as_ref().unwrap().grad),
+            bits(&flat.b.as_ref().unwrap().grad)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "Linear expects [n, …] with 12 values a row, got [2, 3, 2, 3]")]
+    fn input_rows_must_hold_in_features_values() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut l = Linear::new("l", 12, 2, &mut rng);
+        let _ = l.forward(&Tensor::zeros([2, 3, 2, 3]), true, &mut Workspace::new());
     }
 
     #[test]

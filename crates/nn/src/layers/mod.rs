@@ -9,11 +9,11 @@ pub mod linear;
 pub mod norm;
 pub mod pool;
 
-pub use activation::{Gelu, Relu, Tanh};
+pub use activation::{Gelu, Relu};
 pub use attention::MultiHeadSelfAttention;
 pub use conv2d::Conv2d;
 pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use linear::Linear;
-pub use norm::{BatchNorm1d, BatchNorm2d, LayerNorm};
+pub use norm::{BatchNorm, LayerNorm};
 pub use pool::{GlobalAvgPool, MaxPool2d};

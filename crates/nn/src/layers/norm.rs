@@ -1,4 +1,9 @@
-//! Normalization layers: BatchNorm (1d / 2d) and LayerNorm.
+//! Normalization layers. `BatchNorm` normalizes each channel of
+//! `[n, c, …]` input over the batch and every trailing position, and
+//! keeps running statistics for evaluation. `LayerNorm` normalizes each
+//! row of `[n, features]` and keeps none; it stays its own type because
+//! the two reduce over different axes, and one folded layer would branch
+//! in every loop on which of them it serves.
 //!
 //! Every layer writes `y` and the cached x̂ in one pass, x̂ into a buffer
 //! kept across steps and `y` (and `dx`) into a workspace buffer, so a
@@ -9,7 +14,7 @@
 
 use crate::module::{Module, Param, ParamVisitor};
 use crate::workspace::Workspace;
-use selsync_tensor::Tensor;
+use selsync_tensor::{Shape, Tensor};
 
 const EPS: f32 = 1e-5;
 const MOMENTUM: f32 = 0.1;
@@ -84,130 +89,38 @@ impl NormState {
     }
 }
 
-/// Batch normalization over `[n, features]` input.
+/// Batch normalization over `[n, c, …]` input: each channel's statistics
+/// run over the batch and every trailing position, so `[n, c]` has one
+/// position per sample and `[n, c, h, w]` has `h·w`.
 #[derive(Clone)]
-pub struct BatchNorm1d {
-    st: NormState,
-    features: usize,
-}
-
-impl BatchNorm1d {
-    /// A fresh BatchNorm1d over `features` columns.
-    pub fn new(name: &str, features: usize) -> Self {
-        BatchNorm1d {
-            st: NormState::new(name, features),
-            features,
-        }
-    }
-}
-
-impl ParamVisitor for BatchNorm1d {
-    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
-        f(&self.st.gamma);
-        f(&self.st.beta);
-    }
-    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.st.gamma);
-        f(&mut self.st.beta);
-    }
-}
-
-impl Module for BatchNorm1d {
-    fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        assert_eq!(x.shape().dims()[1], self.features, "feature mismatch");
-        let n = x.shape().dim(0);
-        let c = self.features;
-        let st = &mut self.st;
-        let src = x.as_slice();
-        st.reset_stats(c);
-        if train {
-            // column j's sums run down the rows in ascending i
-            for row in src.chunks_exact(c) {
-                for (m, v) in st.stat_a.iter_mut().zip(row) {
-                    *m += v;
-                }
-            }
-            for m in &mut st.stat_a {
-                *m /= n as f32;
-            }
-            for row in src.chunks_exact(c) {
-                for ((v, m), x) in st.stat_b.iter_mut().zip(&st.stat_a).zip(row) {
-                    let d = x - m;
-                    *v += d * d;
-                }
-            }
-        }
-        st.finish_batch_stats(n as f32, train);
-        st.xhat.ensure_shape([n, c]);
-        let mut y = ws.take([n, c]);
-        let (gamma, beta) = (st.gamma.value.as_slice(), st.beta.value.as_slice());
-        for ((row, xh_row), y_row) in src
-            .chunks_exact(c)
-            .zip(st.xhat.as_mut_slice().chunks_exact_mut(c))
-            .zip(y.as_mut_slice().chunks_exact_mut(c))
-        {
-            for j in 0..c {
-                let xh = (row[j] - st.stat_a[j]) * st.inv_std[j];
-                xh_row[j] = xh;
-                y_row[j] = gamma[j] * xh + beta[j];
-            }
-        }
-        y
-    }
-
-    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let n = dy.shape().dim(0);
-        let c = self.features;
-        let st = &mut self.st;
-        // stat_a = Σ dy, stat_b = Σ dy·x̂, each down the rows in ascending i
-        st.reset_stats(c);
-        for (d_row, xh_row) in dy
-            .as_slice()
-            .chunks_exact(c)
-            .zip(st.xhat.as_slice().chunks_exact(c))
-        {
-            for j in 0..c {
-                st.stat_a[j] += d_row[j];
-                st.stat_b[j] += d_row[j] * xh_row[j];
-            }
-        }
-        st.accumulate_affine_grads();
-        let nf = n as f32;
-        let gamma = st.gamma.value.as_slice();
-        let mut dx = ws.take([n, c]);
-        for ((d_row, xh_row), dx_row) in dy
-            .as_slice()
-            .chunks_exact(c)
-            .zip(st.xhat.as_slice().chunks_exact(c))
-            .zip(dx.as_mut_slice().chunks_exact_mut(c))
-        {
-            for j in 0..c {
-                dx_row[j] = gamma[j] * st.inv_std[j] / nf
-                    * (nf * d_row[j] - st.stat_a[j] - xh_row[j] * st.stat_b[j]);
-            }
-        }
-        dx
-    }
-}
-
-/// Batch normalization over `[n, c, h, w]` input (per-channel statistics).
-#[derive(Clone)]
-pub struct BatchNorm2d {
+pub struct BatchNorm {
     st: NormState,
     channels: usize,
 }
 
-impl BatchNorm2d {
-    /// A fresh BatchNorm2d over `channels` feature maps.
+impl BatchNorm {
+    /// A fresh BatchNorm over `channels` channels.
     pub fn new(name: &str, channels: usize) -> Self {
-        BatchNorm2d {
+        BatchNorm {
             st: NormState::new(name, channels),
             channels,
         }
     }
+
+    /// `(n, c, plane)` of an `[n, c, …]` shape, `plane` being the product
+    /// of the trailing dims.
+    fn geometry(&self, shape: &Shape) -> (usize, usize, usize) {
+        let dims = shape.dims();
+        assert!(
+            dims.len() >= 2 && dims[1] == self.channels,
+            "BatchNorm expects [n, {}, …], got {shape}",
+            self.channels
+        );
+        (dims[0], dims[1], dims[2..].iter().product())
+    }
 }
 
-impl ParamVisitor for BatchNorm2d {
+impl ParamVisitor for BatchNorm {
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
         f(&self.st.gamma);
         f(&self.st.beta);
@@ -218,12 +131,9 @@ impl ParamVisitor for BatchNorm2d {
     }
 }
 
-impl Module for BatchNorm2d {
+impl Module for BatchNorm {
     fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        let dims = x.shape().dims();
-        assert_eq!(dims.len(), 4, "BatchNorm2d expects [n,c,h,w]");
-        assert_eq!(dims[1], self.channels, "channel mismatch");
-        let (n, c, plane) = (dims[0], dims[1], dims[2] * dims[3]);
+        let (n, c, plane) = self.geometry(x.shape());
         let count = (n * plane) as f32;
         let st = &mut self.st;
         let src = x.as_slice();
@@ -275,8 +185,7 @@ impl Module for BatchNorm2d {
     }
 
     fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let dims = dy.shape().dims();
-        let (n, c, plane) = (dims[0], dims[1], dims[2] * dims[3]);
+        let (n, c, plane) = self.geometry(dy.shape());
         let count = (n * plane) as f32;
         let st = &mut self.st;
         let dsrc = dy.as_slice();
@@ -348,9 +257,14 @@ impl ParamVisitor for LayerNorm {
 
 impl Module for LayerNorm {
     fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
-        assert_eq!(x.shape().dims()[1], self.features, "feature mismatch");
-        let n = x.shape().dim(0);
-        let c = self.features;
+        let dims = x.shape().dims();
+        assert!(
+            dims.len() == 2 && dims[1] == self.features,
+            "LayerNorm expects [n, {}], got {}",
+            self.features,
+            x.shape()
+        );
+        let (n, c) = (dims[0], self.features);
         let st = &mut self.st;
         st.xhat.ensure_shape([n, c]);
         st.inv_std.clear();
@@ -428,9 +342,9 @@ mod tests {
     }
 
     #[test]
-    fn bn1d_normalizes_columns_in_train_mode() {
+    fn batchnorm_normalizes_columns_of_rows() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut bn = BatchNorm1d::new("bn", 3);
+        let mut bn = BatchNorm::new("bn", 3);
         let x = init::randn([64, 3], 3.0, &mut rng);
         let y = bn.forward(&x, true, &mut Workspace::new());
         for j in 0..3 {
@@ -440,9 +354,9 @@ mod tests {
     }
 
     #[test]
-    fn bn1d_eval_uses_running_stats() {
+    fn batchnorm_eval_uses_running_stats() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut bn = BatchNorm1d::new("bn", 2);
+        let mut bn = BatchNorm::new("bn", 2);
         // feed many batches so running stats converge to batch stats
         let x = init::randn([256, 2], 2.0, &mut rng);
         for _ in 0..60 {
@@ -457,9 +371,9 @@ mod tests {
     }
 
     #[test]
-    fn bn2d_normalizes_channels() {
+    fn batchnorm_normalizes_channels_of_images() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut bn = BatchNorm2d::new("bn", 2);
+        let mut bn = BatchNorm::new("bn", 2);
         let x = init::randn([8, 2, 4, 4], 5.0, &mut rng);
         let y = bn.forward(&x, true, &mut Workspace::new());
         for c in 0..2 {
@@ -487,14 +401,14 @@ mod tests {
     }
 
     #[test]
-    fn bn1d_backward_matches_finite_differences() {
+    fn batchnorm_backward_matches_finite_differences() {
         let mut rng = StdRng::seed_from_u64(4);
-        let mut bn = BatchNorm1d::new("bn", 2);
+        let mut bn = BatchNorm::new("bn", 2);
         bn.st.gamma.value = Tensor::from_vec(vec![1.5, 0.7], [2]);
         let x = init::randn([5, 2], 1.0, &mut rng);
         // weighted objective to get nonzero dx through normalization
         let wts: Vec<f32> = (0..10).map(|i| (i as f32 * 0.7).sin()).collect();
-        let obj = |bn: &mut BatchNorm1d, x: &Tensor| -> f32 {
+        let obj = |bn: &mut BatchNorm, x: &Tensor| -> f32 {
             bn.forward(x, true, &mut Workspace::new())
                 .as_slice()
                 .iter()
@@ -551,7 +465,7 @@ mod tests {
         }
     }
 
-    /// The plain per-channel formulation the batch norms interleave:
+    /// The plain per-channel formulation `BatchNorm` interleaves:
     /// one channel at a time, every statistic one sequential sum over
     /// that channel's elements in ascending order. Returns
     /// `(y, dx, dγ, dβ)`, the gradients accumulated from zero.
@@ -609,55 +523,46 @@ mod tests {
     fn batchnorm_matches_the_channelwise_formulation_bitwise() {
         let mut rng = StdRng::seed_from_u64(6);
         // 11 channels: more than one pipeline's worth, and odd
-        let (n, c, h, w) = (5, 11, 3, 4);
+        let (n, c) = (5, 11);
         let gamma = init::randn([c], 1.0, &mut rng);
         let beta = init::randn([c], 1.0, &mut rng);
-
-        let x = init::randn([n, c, h, w], 3.0, &mut rng);
-        let dy = init::randn([n, c, h, w], 1.0, &mut rng);
-        let mut bn = BatchNorm2d::new("bn", c);
-        bn.st.gamma.value = gamma.clone();
-        bn.st.beta.value = beta.clone();
-        let y = bn.forward(&x, true, &mut Workspace::new());
-        let dx = bn.backward(&dy, &mut Workspace::new());
-        let plane = h * w;
-        let want = channelwise_oracle(
-            &x,
-            &dy,
-            gamma.as_slice(),
-            beta.as_slice(),
-            &|j, i| (i / plane * c + j) * plane + i % plane,
-            n * plane,
-        );
-        assert_eq!(bits(y.as_slice()), bits(&want.0));
-        assert_eq!(bits(dx.as_slice()), bits(&want.1));
-        assert_eq!(bits(bn.st.gamma.grad.as_slice()), bits(&want.2));
-        assert_eq!(bits(bn.st.beta.grad.as_slice()), bits(&want.3));
-
-        let x = init::randn([n, c], 3.0, &mut rng);
-        let dy = init::randn([n, c], 1.0, &mut rng);
-        let mut bn = BatchNorm1d::new("bn", c);
-        bn.st.gamma.value = gamma.clone();
-        bn.st.beta.value = beta.clone();
-        let y = bn.forward(&x, true, &mut Workspace::new());
-        let dx = bn.backward(&dy, &mut Workspace::new());
-        let want = channelwise_oracle(
-            &x,
-            &dy,
-            gamma.as_slice(),
-            beta.as_slice(),
-            &|j, i| i * c + j,
-            n,
-        );
-        assert_eq!(bits(y.as_slice()), bits(&want.0));
-        assert_eq!(bits(dx.as_slice()), bits(&want.1));
-        assert_eq!(bits(bn.st.gamma.grad.as_slice()), bits(&want.2));
-        assert_eq!(bits(bn.st.beta.grad.as_slice()), bits(&want.3));
+        // images, rows, and rows of 3 positions each
+        for shape in [&[n, c, 3, 4][..], &[n, c], &[n, c, 3]] {
+            let plane: usize = shape[2..].iter().product();
+            let x = init::randn(shape, 3.0, &mut rng);
+            let dy = init::randn(shape, 1.0, &mut rng);
+            let mut bn = BatchNorm::new("bn", c);
+            bn.st.gamma.value = gamma.clone();
+            bn.st.beta.value = beta.clone();
+            let y = bn.forward(&x, true, &mut Workspace::new());
+            let dx = bn.backward(&dy, &mut Workspace::new());
+            assert_eq!((y.shape(), dx.shape()), (x.shape(), x.shape()));
+            let want = channelwise_oracle(
+                &x,
+                &dy,
+                gamma.as_slice(),
+                beta.as_slice(),
+                &|j, i| (i / plane * c + j) * plane + i % plane,
+                n * plane,
+            );
+            assert_eq!(bits(y.as_slice()), bits(&want.0), "y at {shape:?}");
+            assert_eq!(bits(dx.as_slice()), bits(&want.1), "dx at {shape:?}");
+            assert_eq!(bits(bn.st.gamma.grad.as_slice()), bits(&want.2));
+            assert_eq!(bits(bn.st.beta.grad.as_slice()), bits(&want.3));
+        }
     }
 
     #[test]
     fn norm_params_are_no_decay() {
-        let bn = BatchNorm1d::new("bn", 2);
+        let bn = BatchNorm::new("bn", 2);
         bn.visit_params(&mut |p| assert!(!p.decay));
+    }
+
+    #[test]
+    #[should_panic(expected = "LayerNorm expects [n, 4], got [2, 4, 3]")]
+    fn layernorm_rejects_input_that_is_not_rank_2() {
+        // read as [n, features], it would lose 16 of its 24 values
+        let mut ln = LayerNorm::new("ln", 4);
+        let _ = ln.forward(&Tensor::zeros([2, 4, 3]), true, &mut Workspace::new());
     }
 }

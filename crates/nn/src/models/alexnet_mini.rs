@@ -3,13 +3,14 @@
 //!
 //! Architecture over `[n, 3, 8, 8]` inputs:
 //! `conv3x3(3→12) → relu → maxpool2 → conv3x3(12→24) → relu → maxpool2
-//!  → flatten → dropout(0.5) → fc(96→48) → relu → fc(48 → classes)`.
+//!  → dropout(0.5) → fc(24·2·2 = 96→48) → relu → fc(48 → classes)`, the
+//! first fc reading each image's `[24, 2, 2]` maps as one row.
 //! Shallow and few-layered — the property that made SSP competitive on
 //! AlexNet in the paper (staleness hurts less with fewer layers), trained
 //! with Adam and evaluated by top-5 accuracy.
 
 use crate::layers::{Conv2d, Dropout, Linear, MaxPool2d, Relu};
-use crate::models::sequential::{Flatten, Sequential, Stage};
+use crate::models::sequential::{Sequential, Stage};
 use crate::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,7 +53,6 @@ impl AlexNetMini {
             )),
             Stage::Relu(Relu::new()),
             Stage::MaxPool2d(MaxPool2d::new(2)),
-            Stage::Flatten(Flatten::default()),
             Stage::Dropout(Dropout::new(0.5, seed ^ 0xA1EC)),
             Stage::Linear(Linear::new_kaiming("classifier.1", flat_dim, 48, &mut rng)),
             Stage::Relu(Relu::new()),

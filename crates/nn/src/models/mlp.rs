@@ -2,7 +2,7 @@
 //! by unit/integration tests and overhead-measurement experiments.
 
 use crate::layers::{Linear, Relu};
-use crate::models::sequential::{Flatten, Sequential, Stage};
+use crate::models::sequential::{Sequential, Stage};
 use crate::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,8 +26,8 @@ impl Mlp {
     pub fn new(dims: &[usize], seed: u64) -> Self {
         assert!(dims.len() >= 2, "need at least input and output widths");
         let mut rng = StdRng::seed_from_u64(seed);
-        // accept [n, d] or flatten [n, c, h, w]
-        let mut stages = vec![Stage::Flatten(Flatten::default())];
+        // the first layer reads [n, d] and [n, c, h, w] alike
+        let mut stages = Vec::new();
         for (i, io) in dims.windows(2).enumerate() {
             if i > 0 {
                 stages.push(Stage::Relu(Relu::new()));

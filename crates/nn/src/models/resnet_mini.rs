@@ -8,7 +8,7 @@
 //! leans on: skip-connection nets generalize better and tolerate long
 //! stretches of local-SGD training (§IV-C).
 
-use crate::layers::{BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Relu};
+use crate::layers::{BatchNorm, Conv2d, GlobalAvgPool, Linear, Relu};
 use crate::models::sequential::{Sequential, Stage};
 use crate::module::{Module, Param, ParamVisitor};
 use crate::workspace::Workspace;
@@ -77,16 +77,16 @@ impl ResBlock {
             );
             Sequential::new(vec![
                 Stage::Conv2d(down),
-                Stage::BatchNorm2d(BatchNorm2d::new(&format!("{name}.down_bn"), out_ch)),
+                Stage::BatchNorm(BatchNorm::new(&format!("{name}.down_bn"), out_ch)),
             ])
         });
         ResBlock {
             main: Sequential::new(vec![
                 Stage::Conv2d(conv1),
-                Stage::BatchNorm2d(BatchNorm2d::new(&format!("{name}.bn1"), out_ch)),
+                Stage::BatchNorm(BatchNorm::new(&format!("{name}.bn1"), out_ch)),
                 Stage::Relu(Relu::new()),
                 Stage::Conv2d(conv2),
-                Stage::BatchNorm2d(BatchNorm2d::new(&format!("{name}.bn2"), out_ch)),
+                Stage::BatchNorm(BatchNorm::new(&format!("{name}.bn2"), out_ch)),
             ]),
             shortcut,
             relu_out: Relu::new(),
@@ -167,7 +167,7 @@ impl ResNetMini {
         // the seeded RNG is consumed in list order: conv, blocks, fc
         let net = Sequential::new(vec![
             Stage::Conv2d(Conv2d::new("conv1", 3, c, s, s, 3, 1, 1, &mut rng)),
-            Stage::BatchNorm2d(BatchNorm2d::new("bn1", c)),
+            Stage::BatchNorm(BatchNorm::new("bn1", c)),
             Stage::Relu(Relu::new()),
             Stage::ResBlock(ResBlock::new("layer1_0", c, c, s, s, 1, &mut rng)),
             Stage::ResBlock(ResBlock::new("layer2_0", c, 2 * c, s, s, 2, &mut rng)),

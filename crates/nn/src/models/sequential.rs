@@ -2,41 +2,13 @@
 //! backward and visited in the same order for every model in the zoo.
 
 use crate::layers::{
-    BatchNorm2d, Conv2d, Dropout, Embedding, GlobalAvgPool, Linear, MaxPool2d, Relu,
+    BatchNorm, Conv2d, Dropout, Embedding, GlobalAvgPool, Linear, MaxPool2d, Relu,
 };
 use crate::models::resnet_mini::ResBlock;
 use crate::models::transformer_mini::EncoderLayer;
 use crate::module::{Module, Param, ParamVisitor};
 use crate::workspace::Workspace;
-use selsync_tensor::{Shape, Tensor};
-
-/// `[n, …] → [n, features]`: the reshape between a convolutional trunk
-/// and a dense head, as a stage so it sits in the list like any layer.
-#[derive(Clone, Default)]
-pub(crate) struct Flatten {
-    in_shape: Shape,
-}
-
-impl ParamVisitor for Flatten {
-    fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}
-    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-}
-
-impl Module for Flatten {
-    fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
-        self.in_shape = x.shape().clone();
-        let n = x.shape().dim(0);
-        let mut y = ws.take([n, x.numel() / n.max(1)]);
-        y.copy_from_slice(x.as_slice());
-        y
-    }
-
-    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let mut dx = ws.take(self.in_shape.clone());
-        dx.copy_from_slice(dy.as_slice());
-        dx
-    }
-}
+use selsync_tensor::Tensor;
 
 /// Every kind of stage a model lists. A closed enum rather than
 /// `Box<dyn Module>` so a model stays `Clone + Send` without a cloning
@@ -45,11 +17,10 @@ impl Module for Flatten {
 #[derive(Clone)]
 pub(crate) enum Stage {
     Conv2d(Conv2d),
-    BatchNorm2d(BatchNorm2d),
+    BatchNorm(BatchNorm),
     Relu(Relu),
     MaxPool2d(MaxPool2d),
     GlobalAvgPool(GlobalAvgPool),
-    Flatten(Flatten),
     Dropout(Dropout),
     Linear(Linear),
     ResBlock(ResBlock),
@@ -60,11 +31,10 @@ impl Stage {
     fn module(&self) -> &dyn Module {
         match self {
             Stage::Conv2d(m) => m,
-            Stage::BatchNorm2d(m) => m,
+            Stage::BatchNorm(m) => m,
             Stage::Relu(m) => m,
             Stage::MaxPool2d(m) => m,
             Stage::GlobalAvgPool(m) => m,
-            Stage::Flatten(m) => m,
             Stage::Dropout(m) => m,
             Stage::Linear(m) => m,
             Stage::ResBlock(m) => m,
@@ -75,11 +45,10 @@ impl Stage {
     fn module_mut(&mut self) -> &mut dyn Module {
         match self {
             Stage::Conv2d(m) => m,
-            Stage::BatchNorm2d(m) => m,
+            Stage::BatchNorm(m) => m,
             Stage::Relu(m) => m,
             Stage::MaxPool2d(m) => m,
             Stage::GlobalAvgPool(m) => m,
-            Stage::Flatten(m) => m,
             Stage::Dropout(m) => m,
             Stage::Linear(m) => m,
             Stage::ResBlock(m) => m,

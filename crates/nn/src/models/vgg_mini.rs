@@ -3,12 +3,13 @@
 //!
 //! Architecture over `[n, 3, 8, 8]` inputs:
 //! `conv3x3(3→16) → relu → maxpool2 → conv3x3(16→32) → relu → maxpool2
-//!  → flatten → fc(128→64) → relu → fc(64 → classes)`.
+//!  → fc(32·2·2 = 128→64) → relu → fc(64 → classes)`, the first fc reading
+//! each image's `[32, 2, 2]` maps as one row.
 //! No skip connections and no batch-norm — the "simpler convolution-based
 //! architecture" whose generalization suffers most under DefDP (§IV-C).
 
 use crate::layers::{Conv2d, Linear, MaxPool2d, Relu};
-use crate::models::sequential::{Flatten, Sequential, Stage};
+use crate::models::sequential::{Sequential, Stage};
 use crate::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,7 +51,6 @@ impl VggMini {
             )),
             Stage::Relu(Relu::new()),
             Stage::MaxPool2d(MaxPool2d::new(2)),
-            Stage::Flatten(Flatten::default()),
             Stage::Linear(Linear::new_kaiming("classifier.0", flat_dim, 64, &mut rng)),
             Stage::Relu(Relu::new()),
             Stage::Linear(Linear::new("classifier.2", 64, classes, &mut rng)),

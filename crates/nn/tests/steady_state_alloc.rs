@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selsync_nn::layers::{
-    BatchNorm2d, Conv2d, Gelu, LayerNorm, Linear, MaxPool2d, MultiHeadSelfAttention, Relu,
+    BatchNorm, Conv2d, Gelu, LayerNorm, Linear, MaxPool2d, MultiHeadSelfAttention, Relu,
 };
 use selsync_nn::models::{Mlp, Model};
 use selsync_nn::module::ParamVisitor;
@@ -63,18 +63,15 @@ fn conv2d_steady_state_is_allocation_free() {
 }
 
 #[test]
-fn batchnorm2d_steady_state_is_allocation_free() {
+fn batchnorm_steady_state_is_allocation_free() {
     let mut rng = StdRng::seed_from_u64(4);
-    let mut bn = BatchNorm2d::new("bn", 8);
+    let mut bn = BatchNorm::new("bn", 8);
     let x = init::randn([4, 8, 8, 8], 1.0, &mut rng);
     let dy = Tensor::ones([4, 8, 8, 8]);
     let mut ws = Workspace::new();
     let (start, end) = drive(&mut bn, &x, &dy, &mut ws, 2, 8);
     assert!(start > 0, "warmup must have populated the arena");
-    assert_eq!(
-        end, start,
-        "steady-state BatchNorm2d steps must not allocate"
-    );
+    assert_eq!(end, start, "steady-state BatchNorm steps must not allocate");
 }
 
 #[test]

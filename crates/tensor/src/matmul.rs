@@ -8,7 +8,7 @@
 //! * [`matmul_nt`]  — `C = A·Bᵀ`     (input gradients)
 //!
 //! All three route through one packed gemm core: operands are described
-//! by a [`MatRef`] view (a transpose is a flag on the view, never a
+//! by a `MatRef` view (a transpose is a flag on the view, never a
 //! copy) and blocked MC×KC×NC. `A` is packed into MR-wide panels; a
 //! row-major `B` (every NN and TN call) is streamed by the MR×NR
 //! register microkernel where it lies, at its own row stride, and only
@@ -21,9 +21,10 @@
 //! the distributed bit-exactness tests (same-seed single-process vs TCP
 //! multi-process runs must agree exactly).
 //!
-//! The pre-rewrite scalar kernels survive in [`reference`] as the test
-//! oracle and the `kernel_bench --reference` baseline; flipping
-//! [`set_reference_mode`] routes the public entry points through them.
+//! The pre-rewrite scalar kernels survive in [`reference`](mod@reference)
+//! as the test oracle and the `kernel_bench --reference` baseline;
+//! flipping [`set_reference_mode`] routes the public entry points
+//! through them.
 
 use crate::tensor::Tensor;
 use crate::MATMUL_PAR_MACS;
@@ -52,7 +53,7 @@ const NC: usize = 512;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Par {
     /// Parallelize when one parallel region's MAC count crosses
-    /// [`MATMUL_PAR_MACS`](crate::MATMUL_PAR_MACS).
+    /// [`MATMUL_PAR_MACS`].
     Auto,
     /// Force the serial path.
     Never,
@@ -62,7 +63,7 @@ pub enum Par {
 
 static REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
 
-/// Route the matmul family through the naive [`reference`]
+/// Route the matmul family through the naive [`reference`](mod@reference)
 /// implementations (im2col/col2im are pure data movement and have no
 /// second implementation). Used by `kernel_bench
 /// --reference` to measure the pre-optimization baseline; not intended
