@@ -95,6 +95,13 @@ cargo test -q --workspace --exclude selsync-bench --exclude selsync-serve
 echo "==> cargo test -q --release (crc kernels under the optimiser)"
 cargo test -q --release -p selsync-comm crc -- --nocapture
 
+# A warm 4 MB sync round allocates nothing model-sized in net/comm: a
+# counting global allocator over two workers and the round server, on
+# both drivers. The debug run above checks it without the optimiser;
+# this one checks the build the benchmark ships.
+echo "==> cargo test -q --release (fabric allocations under the optimiser)"
+cargo test -q --release -p selsync-net --test fabric_allocations
+
 # The GEMM microkernel reads B in place through raw pointers and the
 # conv / norm loops lean on the optimiser for their speed; the debug run
 # above checked their bit-identity oracles without it, this one checks

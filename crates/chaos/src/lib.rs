@@ -637,6 +637,10 @@ impl<T: Transport> Transport for ChaosTransport<T> {
     fn try_recv(&mut self) -> Option<Msg> {
         self.inner.try_recv()
     }
+
+    fn recycle(&mut self, v: Vec<f32>) {
+        self.inner.recycle(v);
+    }
 }
 
 #[cfg(test)]

@@ -22,6 +22,10 @@
 //! Both finish a sub-16-byte tail with the single-table byte loop. The
 //! whole-buffer byte loop this module used to be survives only as the
 //! test oracle the two kernels are checked against.
+//!
+//! [`crc32_continue`] carries a finished CRC across a split, so a frame
+//! reader checks the bytes of a frame as they arrive instead of holding
+//! the whole frame first.
 
 const POLY: u32 = 0xEDB8_8320;
 
@@ -58,11 +62,21 @@ const fn build_tables() -> [[u32; 256]; 16] {
 
 /// CRC32 of `bytes` (IEEE, as used by zip/gzip/ethernet).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_continue(0, bytes)
+}
+
+/// The CRC32 of a message whose first part had CRC32 `crc` and whose
+/// next part is `bytes`: `crc32_continue(crc32(a), b) == crc32(a ++ b)`,
+/// and `crc32_continue(0, b) == crc32(b)`. This is how a reader checks a
+/// frame while its bytes are still arriving. Each piece picks its kernel
+/// by its own length, so a stream fed in pieces of 64 bytes or more runs
+/// at the folding kernel's speed.
+pub fn crc32_continue(crc: u32, bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    if let Some(state) = clmul::update(!0, bytes) {
+    if let Some(state) = clmul::update(!crc, bytes) {
         return !state;
     }
-    !update_slice16(!0, bytes)
+    !update_slice16(!crc, bytes)
 }
 
 /// Advance the (pre-inverted) CRC state one byte at a time.
@@ -296,6 +310,48 @@ mod tests {
             gbps(&slice16),
             gbps(&|b| folded(b).unwrap_or(0))
         );
+    }
+
+    /// A CRC continued across any split point equals the one-shot CRC,
+    /// with either side of the split above or below the folding kernel's
+    /// 64-byte threshold, and continuing from 0 is the one-shot CRC.
+    #[test]
+    fn continuation_across_every_split_equals_the_one_shot_crc() {
+        for (len, seed) in [
+            (0, 1),
+            (1, 2),
+            (63, 3),
+            (64, 4),
+            (65, 5),
+            (200, 6),
+            (1000, 7),
+        ] {
+            let buf = seeded(len, seed);
+            let want = crc32(&buf);
+            assert_eq!(want, oracle(&buf), "len {len}");
+            assert_eq!(crc32_continue(0, &buf), want, "from 0, len {len}");
+            for split in 0..=len {
+                let (a, b) = buf.split_at(split);
+                assert_eq!(
+                    crc32_continue(crc32(a), b),
+                    want,
+                    "len {len}, split at {split}"
+                );
+            }
+        }
+        // three pieces, as a reader fed short reads sees them
+        let buf = seeded(4096 + 13, 8);
+        let pieces = [7usize, 64, 1000, 3, 129];
+        let (mut crc, mut at) = (0, 0);
+        for p in pieces.iter().cycle() {
+            let end = (at + p).min(buf.len());
+            crc = crc32_continue(crc, &buf[at..end]);
+            at = end;
+            if at == buf.len() {
+                break;
+            }
+        }
+        assert_eq!(crc, crc32(&buf));
     }
 
     /// Provenance of the folding constants: each is `x^n mod P` in the

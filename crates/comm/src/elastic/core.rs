@@ -571,7 +571,7 @@ impl Core {
         let step = self.st.step;
         let pushes = std::mem::take(&mut self.pushes);
         let pushers: Vec<usize> = pushes.keys().copied().collect();
-        if let Some(avg) = average(pushes.into_values()) {
+        if let Some(avg) = average(pushes.into_values(), drop) {
             if matches!(self.cfg.crash, Some(ServerCrashPoint::MidSync(s)) if step >= s) {
                 // die with the average computed but nothing durable: no
                 // checkpoint, no shadow, no reply

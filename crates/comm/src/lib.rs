@@ -30,7 +30,7 @@ pub mod transport;
 
 pub use bucket::{BucketAssembler, BucketError, BucketIntake};
 pub use clock::ClusterClock;
-pub use crc::crc32;
+pub use crc::{crc32, crc32_continue};
 pub use densify::densify_payload;
 pub use error::TransportError;
 pub use fabric::{

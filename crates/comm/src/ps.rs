@@ -132,6 +132,12 @@ pub fn send_shutdown<T: Transport>(
 /// has always consumed, so reduction order (sorted by worker id) and
 /// results stay bit-identical to the monolithic path.
 ///
+/// No round copies the model. The global is held behind an `Arc` that
+/// every reply shares, and the buffers a round is done with go back to
+/// the fabric through [`Transport::recycle`]: the pushes the mean did
+/// not accumulate into, and the previous round's reply once nothing
+/// but this server holds it.
+///
 /// # Errors
 /// Propagates transport faults; [`TransportError::Protocol`] on a
 /// malformed round (mixed push kinds, pushes of unequal length, partial
@@ -142,7 +148,10 @@ pub fn run_round_server<T: Transport>(
     n_workers: usize,
     init_params: Vec<f32>,
 ) -> Result<Vec<f32>, TransportError> {
-    let mut global = init_params;
+    let mut global = Arc::new(init_params);
+    // the previous round's reply: once the next round's requests are in,
+    // every worker is done with it
+    let mut last_reply: Option<Arc<Vec<f32>>> = None;
     let mut done = vec![false; n_workers];
     let mut intake = BucketIntake::grads();
     while done.iter().any(|d| !d) {
@@ -215,29 +224,46 @@ pub fn run_round_server<T: Transport>(
             }
             continue;
         }
-        // one model copy into the shared buffer; each per-worker send
-        // below clones only the Arc, so the fan-out is O(1) copies
-        let reply = match average(pushes) {
+        // the reply is shared, never copied: each per-worker send below
+        // clones only the Arc
+        let reply = match average(pushes, |v| ep.recycle(v)) {
             Some(avg) if params_pushed => {
-                global = avg;
-                Payload::SharedParams(Arc::new(global.clone()))
+                global = Arc::new(avg);
+                Arc::clone(&global)
             }
-            Some(avg) => Payload::SharedParams(Arc::new(avg)),
-            None => Payload::SharedParams(Arc::new(global.clone())),
+            Some(avg) => Arc::new(avg),
+            None => Arc::clone(&global),
         };
+        if let Some(prev) = last_reply.replace(Arc::clone(&reply)) {
+            // `into_inner` succeeds only for the last holder: a reply
+            // that is still the global, or that a worker on an
+            // in-process fabric still reads, is merely released
+            if let Some(v) = Arc::into_inner(prev) {
+                ep.recycle(v);
+            }
+        }
         for from in members {
-            ep.send(from, tag, reply.clone())?;
+            ep.send(from, tag, Payload::SharedParams(Arc::clone(&reply)))?;
         }
     }
-    Ok(global)
+    // the run's last reply goes back like every other; the global goes
+    // to the caller
+    if let Some(v) = last_reply.and_then(Arc::into_inner) {
+        ep.recycle(v);
+    }
+    Ok(Arc::unwrap_or_clone(global))
 }
 
 /// Element-wise mean of `pushes`, accumulated in place into the first
 /// push's own buffer — `v0`, `+= v1`, …, `/= n`, the operand order the
 /// reduction has always had, so the result is bit-identical to summing
-/// into a fresh copy. `None` when nothing was pushed. The caller has
-/// checked that the lengths agree.
-pub(crate) fn average(pushes: impl IntoIterator<Item = Vec<f32>>) -> Option<Vec<f32>> {
+/// into a fresh copy. Every other push is handed to `spent` once it is
+/// added in. `None` when nothing was pushed. The caller has checked that
+/// the lengths agree.
+pub(crate) fn average(
+    pushes: impl IntoIterator<Item = Vec<f32>>,
+    mut spent: impl FnMut(Vec<f32>),
+) -> Option<Vec<f32>> {
     let mut pushes = pushes.into_iter();
     let mut out = pushes.next()?;
     let mut n = 1usize;
@@ -245,6 +271,7 @@ pub(crate) fn average(pushes: impl IntoIterator<Item = Vec<f32>>) -> Option<Vec<
         for (o, x) in out.iter_mut().zip(&v) {
             *o += x;
         }
+        spent(v);
         n += 1;
     }
     let n = n as f32;

@@ -83,6 +83,17 @@ pub trait Transport {
 
     /// Non-blocking receive of any message (buffered first).
     fn try_recv(&mut self) -> Option<Msg>;
+
+    /// Hand back a vector this rank is done with — a received push the
+    /// reduction consumed, a reply no one holds any more — so a fabric
+    /// that decodes into pooled buffers can receive the next message
+    /// into it instead of allocating. A hint, never a requirement: the
+    /// default drops `v`, and so may an implementation whose pool is
+    /// full. Wrappers forward it, or their inner fabric never sees a
+    /// buffer come back.
+    fn recycle(&mut self, v: Vec<f32>) {
+        drop(v);
+    }
 }
 
 /// A mutable reference to a transport is itself a transport, so
@@ -124,6 +135,10 @@ impl<T: Transport> Transport for &mut T {
 
     fn try_recv(&mut self) -> Option<Msg> {
         (**self).try_recv()
+    }
+
+    fn recycle(&mut self, v: Vec<f32>) {
+        (**self).recycle(v);
     }
 }
 

@@ -91,7 +91,7 @@ fn check_codec_site(cs: &SourceFile, variants: &[VariantItem], out: &mut Vec<(St
     }
 
     // every variant needs an encode arm
-    if let Some(ef) = cs.items.fn_named("encode_frame") {
+    if let Some(ef) = encode_fn(cs) {
         for v in variants {
             if !has_variant(cs, ef.body.clone(), &v.name) {
                 out.push((
@@ -100,8 +100,8 @@ fn check_codec_site(cs: &SourceFile, variants: &[VariantItem], out: &mut Vec<(St
                         rule: RULE,
                         line: ef.line,
                         message: format!(
-                            "variant {} missing from encode_frame ({})",
-                            v.name, cs.rel
+                            "variant {} missing from {} ({})",
+                            v.name, ef.name, cs.rel
                         ),
                     },
                 ));
@@ -215,6 +215,15 @@ fn kind_map(f: &SourceFile, kf: &FnItem) -> Vec<(String, String)> {
     map
 }
 
+/// The codec site's encode fn, the one whose match writes each body:
+/// `encode_frame_into` when the codec encodes into caller buffers, else
+/// `encode_frame`.
+fn encode_fn(f: &SourceFile) -> Option<&FnItem> {
+    f.items
+        .fn_named("encode_frame_into")
+        .or_else(|| f.items.fn_named("encode_frame"))
+}
+
 /// The codec site's decode fn: `decode_after_len` by convention, else
 /// the first fn whose name starts with `decode`.
 fn decode_fn(f: &SourceFile) -> Option<&FnItem> {
@@ -260,10 +269,7 @@ pub fn wire_table(index: &WorkspaceIndex) -> Result<String, String> {
         .items
         .fn_named("kind_of")
         .ok_or("codec site lost its kind_of")?;
-    let ef = cs
-        .items
-        .fn_named("encode_frame")
-        .ok_or("codec site has no encode_frame to derive layouts from")?;
+    let ef = encode_fn(cs).ok_or("codec site has no encode_frame to derive layouts from")?;
     let _ = ps; // site resolution validated; layouts come from the codec
 
     let km = kind_map(cs, kf);
@@ -587,5 +593,33 @@ pub fn decode_after_len(buf: &[u8]) -> Result<Payload, Err> {
             "| 1 | KIND_BETA | Beta | u32 tag + u32 count + count × f32 |"
         );
         assert_eq!(lines[4], "| 2 | KIND_GAMMA | Gamma | u64 code |");
+    }
+
+    /// A codec that encodes into caller buffers keeps its arms in
+    /// `encode_frame_into`, and `encode_frame` only delegates: the arms
+    /// are checked, and the layouts derived, where they are.
+    #[test]
+    fn encode_arms_are_read_from_encode_frame_into_when_it_exists() {
+        let codec = CODEC_OK.replace(
+            "pub fn encode_frame(p: &Payload) -> Vec<u8> {\n    let mut buf = Buf::new();",
+            "pub fn encode_frame(p: &Payload) -> Vec<u8> {\n    encode_frame_into(Buf::new(), p)\n}\n\
+             fn encode_frame_into(mut buf: Buf, p: &Payload) -> Vec<u8> {",
+        );
+        assert!(codec.contains("fn encode_frame_into"));
+        let files = [
+            ("crates/comm/src/fabric.rs", PAYLOAD),
+            ("crates/net/src/codec.rs", codec.as_str()),
+        ];
+        assert!(run_rule(&files).is_empty());
+        let t = wire_table(&index_of(&files)).expect("table");
+        assert!(t.contains("| 2 | KIND_GAMMA | Gamma | u64 code |"), "{t}");
+
+        let dropped = codec.replace("        Payload::Gamma(code) => buf.put_u64(*code),\n", "");
+        let f = run_rule(&[
+            ("crates/comm/src/fabric.rs", PAYLOAD),
+            ("crates/net/src/codec.rs", &dropped),
+        ]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].2.contains("Gamma missing from encode_frame_into"));
     }
 }

@@ -7,10 +7,13 @@
 //! ```
 //!
 //! The trailing CRC-32 (IEEE) covers everything after the length
-//! prefix — `[from][tag][kind][body]` — and is verified before any
-//! body byte is interpreted, so a bit-flipped frame is rejected as
+//! prefix — `[from][tag][kind][body]` — and nothing is delivered before
+//! it verifies, so a bit-flipped frame is rejected as
 //! [`FrameError::Crc`] instead of decoding into garbage parameters.
-//! `rest_len` includes the trailer.
+//! `rest_len` includes the trailer. [`decode_frame`] checks the trailer
+//! before it reads a body byte; the socket readers' [`FrameReader`]
+//! reads the header first and decodes a model-sized body as it arrives,
+//! carrying the CRC along, and drops it if the trailer disagrees.
 //!
 //! Body layouts by kind (big-endian, length prefixes inline):
 //!
@@ -60,9 +63,11 @@
 //! [`FrameError::BadMagic`] instead of mis-parsing each other's
 //! frames indefinitely.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use selsync_comm::{Msg, Payload, ShardSpec};
+use crate::pool::BufferPool;
+use bytes::{Buf, BufMut, Bytes};
+use selsync_comm::{crc32_continue, Msg, Payload, ShardSpec};
 use std::fmt;
+use std::sync::Arc;
 
 const KIND_PARAMS: u8 = 0;
 const KIND_GRADS: u8 = 1;
@@ -245,8 +250,21 @@ fn kind_of(payload: &Payload) -> u8 {
 /// analytic accounting and the real codec fails loudly rather than
 /// skewing `CommStats`.
 pub fn encode_frame(from: usize, tag: u64, payload: &Payload) -> Bytes {
+    encode_frame_into(Vec::new(), from, tag, payload)
+}
+
+/// [`encode_frame`] into `buf`: its contents are discarded and its
+/// allocation is kept when it has room for the frame — how an endpoint
+/// encodes into a pooled buffer.
+pub(crate) fn encode_frame_into(
+    mut buf: Vec<u8>,
+    from: usize,
+    tag: u64,
+    payload: &Payload,
+) -> Bytes {
     let wire = payload.wire_bytes() as usize;
-    let mut buf = BytesMut::with_capacity(wire);
+    buf.clear();
+    buf.reserve_exact(wire);
     buf.put_u32((wire - 4) as u32);
     buf.put_u32(from as u32);
     buf.put_u64(tag);
@@ -333,7 +351,7 @@ pub fn encode_frame(from: usize, tag: u64, payload: &Payload) -> Bytes {
         wire,
         "encoded frame length diverged from Payload::wire_bytes"
     );
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Elements a section writer converts per [`BufMut::put_slice`]. A
@@ -347,7 +365,7 @@ const SECTION_BLOCK: usize = 256;
 /// one copy per block — per-element appends were most of a 4 MB
 /// encode once the CRC stopped being.
 fn put_section<T: Copy, const N: usize>(
-    buf: &mut BytesMut,
+    buf: &mut impl BufMut,
     v: &[T],
     to_be_bytes: impl Fn(T) -> [u8; N],
 ) {
@@ -361,15 +379,15 @@ fn put_section<T: Copy, const N: usize>(
     }
 }
 
-fn put_f32_section(buf: &mut BytesMut, v: &[f32]) {
+fn put_f32_section(buf: &mut impl BufMut, v: &[f32]) {
     put_section(buf, v, |x| x.to_bits().to_be_bytes());
 }
 
-fn put_u64_section(buf: &mut BytesMut, v: &[usize]) {
+fn put_u64_section(buf: &mut impl BufMut, v: &[usize]) {
     put_section(buf, v, |x| (x as u64).to_be_bytes());
 }
 
-fn put_u32_section(buf: &mut BytesMut, v: &[u32]) {
+fn put_u32_section(buf: &mut impl BufMut, v: &[u32]) {
     put_section(buf, v, u32::to_be_bytes);
 }
 
@@ -396,8 +414,8 @@ pub fn decode_frame(frame: &[u8]) -> Result<Msg, FrameError> {
 }
 
 /// Decode the portion of a frame after the `u32 rest_len` prefix — what
-/// the TCP reader hands over once it has read a full frame body. The
-/// CRC trailer is verified before any body byte is interpreted.
+/// [`FrameReader`] decodes every frame it does not stream with. The CRC
+/// trailer is verified before any body byte is interpreted.
 pub fn decode_after_len(buf: &[u8]) -> Result<Msg, FrameError> {
     if buf.len() < MIN_REST_BYTES {
         return Err(FrameError::Truncated {
@@ -587,9 +605,500 @@ fn get_u64_section(buf: &mut &[u8]) -> Result<Vec<usize>, FrameError> {
         .collect())
 }
 
+// ---------------------------------------------------------------------
+// The streaming reader
+// ---------------------------------------------------------------------
+
+/// Bytes after the length prefix up to and including the first section
+/// count: `u32 from` + `u64 tag` + `u8 kind` + `u32 count`. Enough to
+/// tell a frame whose body is one f32 section from any other.
+const HEADER_BYTES: usize = 4 + 8 + 1 + 4;
+
+/// The read buffer a driver feeds a [`FrameReader`] from: the most one
+/// `read(2)` returns. A small frame arrives whole in one; a model-sized
+/// one is decoded a buffer at a time while it is still in cache.
+pub(crate) const READ_BUF_BYTES: usize = 64 * 1024;
+
+/// A `body` grown past this by one large frame goes back to the pool
+/// once the frame is decoded, so a connection pins no model-sized
+/// buffer between frames.
+const BODY_KEEP: usize = READ_BUF_BYTES;
+
+/// The header of a frame whose body is exactly one f32 section: the kinds
+/// a model travels as, with a count the length prefix agrees with.
+#[derive(Clone, Copy)]
+struct FloatHead {
+    /// Declared bytes after the length prefix.
+    len: usize,
+    from: usize,
+    tag: u64,
+    /// The payload variant of the kind.
+    make: fn(Vec<f32>) -> Payload,
+    count: usize,
+}
+
+impl FloatHead {
+    /// `Some` when `header` (the [`HEADER_BYTES`] after a prefix that
+    /// declared `len`) starts a frame the reader can decode as it
+    /// arrives: an f32-section kind whose count fills the frame exactly.
+    fn parse(len: usize, header: &[u8; HEADER_BYTES]) -> Option<FloatHead> {
+        let h = header;
+        let make: fn(Vec<f32>) -> Payload = match h[12] {
+            KIND_PARAMS => Payload::Params,
+            KIND_GRADS => Payload::Grads,
+            KIND_SHARD_PUSH => Payload::ShardPush,
+            KIND_SHARD_PULL => Payload::ShardPull,
+            // every other kind, today's or a future one, is decoded
+            // whole by decode_after_len, whose match names each kind
+            _ => return None,
+        };
+        let count = u32::from_be_bytes([h[13], h[14], h[15], h[16]]) as usize;
+        let fills = (HEADER_BYTES + CRC_BYTES) as u64 + 4 * count as u64 == len as u64;
+        fills.then(|| FloatHead {
+            len,
+            from: u32::from_be_bytes([h[0], h[1], h[2], h[3]]) as usize,
+            tag: u64::from_be_bytes([h[4], h[5], h[6], h[7], h[8], h[9], h[10], h[11]]),
+            make,
+            count,
+        })
+    }
+}
+
+/// Where a [`FrameReader`] stands in its stream.
+#[derive(Clone, Copy)]
+enum Phase {
+    /// Collecting the peer's preamble.
+    Handshake,
+    /// Collecting a frame's length prefix.
+    Prefix,
+    /// Collecting the header of a frame of `len` declared bytes.
+    Header { len: usize },
+    /// Decoding a single-f32-section frame's values as they arrive, then
+    /// its trailer.
+    Floats(FloatHead),
+    /// Accumulating any other frame's `len` bytes in `body`.
+    Whole { len: usize },
+    /// A fault ended the stream.
+    Failed,
+}
+
+/// Why a [`FrameReader`] gave up on its stream: the stream has lost its
+/// framing, so the connection is torn down.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StreamFault {
+    /// Stream bytes consumed before the fault, handshake included: where
+    /// the rejected frame began, or where a torn stream ended.
+    pub offset: u64,
+    /// What went wrong.
+    pub kind: StreamFaultKind,
+}
+
+/// The kinds of [`StreamFault`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StreamFaultKind {
+    /// The peer's preamble was not ours.
+    Handshake(FrameError),
+    /// The stream ended `have` bytes into the handshake.
+    TornHandshake {
+        /// Handshake bytes received.
+        have: usize,
+        /// Why the stream ended.
+        cause: String,
+    },
+    /// A length prefix above the reader's cap.
+    HostileLength {
+        /// The declared length.
+        len: usize,
+        /// The cap.
+        cap: usize,
+    },
+    /// A complete frame of `len` declared bytes failed its CRC or did not
+    /// decode: exactly what [`decode_after_len`] returns for its bytes.
+    Frame {
+        /// The declared length.
+        len: usize,
+        /// The decode error.
+        error: FrameError,
+    },
+    /// The stream ended `have` bytes into a length prefix.
+    TornPrefix {
+        /// Prefix bytes received.
+        have: usize,
+        /// Why the stream ended.
+        cause: String,
+    },
+    /// The stream ended `have` of a frame's `len` declared bytes in.
+    TornBody {
+        /// Declared bytes received.
+        have: usize,
+        /// The declared length.
+        len: usize,
+        /// Why the stream ended.
+        cause: String,
+    },
+}
+
+impl StreamFault {
+    /// The frame bytes the fault destroyed, prefix included, as
+    /// `CommStats::record_corrupt` tallies them; `None` for a handshake
+    /// fault, which loses no message.
+    pub fn corrupt_bytes(&self) -> Option<u64> {
+        match &self.kind {
+            StreamFaultKind::Handshake(_) | StreamFaultKind::TornHandshake { .. } => None,
+            StreamFaultKind::HostileLength { .. } => Some(4),
+            StreamFaultKind::Frame { len, .. } => Some(4 + *len as u64),
+            StreamFaultKind::TornPrefix { have, .. } => Some(*have as u64),
+            StreamFaultKind::TornBody { have, .. } => Some(4 + *have as u64),
+        }
+    }
+}
+
+impl fmt::Display for StreamFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.kind {
+            StreamFaultKind::Handshake(e) => write!(f, "handshake rejected: {e}"),
+            StreamFaultKind::TornHandshake { have, cause } => write!(
+                f,
+                "connection died {have} bytes into the {HANDSHAKE_BYTES}-byte handshake: {cause}"
+            ),
+            StreamFaultKind::HostileLength { len, cap } => {
+                write!(f, "hostile frame length {len} exceeds the {cap}-byte cap")
+            }
+            StreamFaultKind::Frame { error, .. } => write!(f, "frame rejected: {error}"),
+            StreamFaultKind::TornPrefix { have, cause } => write!(
+                f,
+                "torn frame: {have} of 4 length-prefix bytes, then {cause}"
+            ),
+            StreamFaultKind::TornBody { have, len, cause } => {
+                write!(f, "torn frame: {have} of {len} body bytes, then {cause}")
+            }
+        }
+    }
+}
+
+/// The receive side of one connection: the peer's handshake, then frames,
+/// from byte slices of any size in stream order. Both socket drivers
+/// read through it, so they validate, cap, decode and classify damage
+/// alike.
+///
+/// A frame whose body is one f32 section (`Params`, `Grads`, `ShardPush`,
+/// `ShardPull`) with a count its length prefix agrees with is decoded as
+/// its bytes arrive, into a vector from the endpoint's pool: the vector
+/// grows with the bytes received and is never zero-filled, and the CRC
+/// is carried over the raw bytes ([`crc32_continue`]). The header is read
+/// before the trailer is checked, but nothing is delivered unless the
+/// trailer matches. Any other frame accumulates until complete (or, when
+/// it lies whole in one slice, is read in place) and goes through
+/// [`decode_after_len`]. Either way the outcome for a frame is exactly
+/// `decode_after_len` of its bytes.
+///
+/// Memory follows the bytes actually received, not the declared length:
+/// a prefix that claims a gigabyte and is followed by 64 bytes costs a
+/// few hundred bytes.
+pub struct FrameReader {
+    max_frame: usize,
+    pool: Arc<BufferPool>,
+    phase: Phase,
+    /// A fixed-size unit in progress: the handshake, a prefix, a header,
+    /// a float split across slices, or a trailer; `unit[..unit_len]`.
+    unit: [u8; HEADER_BYTES],
+    unit_len: usize,
+    /// The values of the f32 frame in progress, and the CRC of its
+    /// covered bytes so far.
+    values: Vec<f32>,
+    crc: u32,
+    /// The bytes of any other frame in progress.
+    body: Vec<u8>,
+    /// Stream bytes consumed, handshake included.
+    pos: u64,
+    /// Where the handshake or frame in progress began.
+    start: u64,
+}
+
+impl FrameReader {
+    /// A reader that expects the handshake first and rejects a length
+    /// prefix above `max_frame` bytes. Decoded vectors are allocated as
+    /// they are needed.
+    pub fn new(max_frame: usize) -> FrameReader {
+        FrameReader::pooled(max_frame, Arc::new(BufferPool::with_slots(1)))
+    }
+
+    /// A reader that decodes into, and returns buffers to, `pool`.
+    pub(crate) fn pooled(max_frame: usize, pool: Arc<BufferPool>) -> FrameReader {
+        FrameReader {
+            max_frame,
+            pool,
+            phase: Phase::Handshake,
+            unit: [0; HEADER_BYTES],
+            unit_len: 0,
+            values: Vec::new(),
+            crc: 0,
+            body: Vec::new(),
+            pos: 0,
+            start: 0,
+        }
+    }
+
+    /// Consume the next `bytes` of the stream, handing every message
+    /// completed and verified on the way to `deliver`, in order.
+    ///
+    /// # Errors
+    /// The first fault in the stream; the reader ignores anything fed
+    /// after it.
+    pub fn feed(
+        &mut self,
+        mut bytes: &[u8],
+        mut deliver: impl FnMut(Msg),
+    ) -> Result<(), StreamFault> {
+        while !bytes.is_empty() {
+            let used = match self.phase {
+                Phase::Failed => bytes.len(),
+                Phase::Handshake => self.read_handshake(bytes)?,
+                Phase::Prefix => self.read_prefix(bytes, &mut deliver)?,
+                Phase::Header { len } => self.read_header(bytes, len),
+                Phase::Floats(head) => self.read_floats(bytes, head, &mut deliver)?,
+                Phase::Whole { len } => self.read_whole(bytes, len, &mut deliver)?,
+            };
+            bytes = &bytes[used..];
+        }
+        Ok(())
+    }
+
+    /// The stream ended for `cause` (an EOF, a reset, a read error):
+    /// `None` at a handshake or frame boundary, else the torn-frame fault.
+    pub fn end(&self, cause: &dyn fmt::Display) -> Option<StreamFault> {
+        let have = (self.pos - self.start) as usize;
+        let cause = cause.to_string();
+        let kind = match self.phase {
+            Phase::Failed => return None,
+            Phase::Handshake | Phase::Prefix if have == 0 => return None,
+            Phase::Handshake => StreamFaultKind::TornHandshake { have, cause },
+            Phase::Prefix => StreamFaultKind::TornPrefix { have, cause },
+            Phase::Header { len } | Phase::Whole { len } | Phase::Floats(FloatHead { len, .. }) => {
+                StreamFaultKind::TornBody {
+                    have: have - 4,
+                    len,
+                    cause,
+                }
+            }
+        };
+        Some(StreamFault {
+            offset: self.pos,
+            kind,
+        })
+    }
+
+    /// Copy from `bytes` into the unit until it holds `need` bytes;
+    /// returns how many were used.
+    fn fill(&mut self, bytes: &[u8], need: usize) -> usize {
+        let used = (need - self.unit_len).min(bytes.len());
+        self.unit[self.unit_len..self.unit_len + used].copy_from_slice(&bytes[..used]);
+        self.unit_len += used;
+        self.pos += used as u64;
+        used
+    }
+
+    /// The unit is complete: clear it and return its first `N` bytes.
+    fn take_unit<const N: usize>(&mut self) -> [u8; N] {
+        self.unit_len = 0;
+        let mut out = [0; N];
+        out.copy_from_slice(&self.unit[..N]);
+        out
+    }
+
+    /// End the stream with a fault at the handshake or frame in progress.
+    fn fail(&mut self, kind: StreamFaultKind) -> StreamFault {
+        self.phase = Phase::Failed;
+        StreamFault {
+            offset: self.start,
+            kind,
+        }
+    }
+
+    /// A frame was delivered: the next one starts here.
+    fn next_frame(&mut self) {
+        self.phase = Phase::Prefix;
+        self.start = self.pos;
+    }
+
+    fn read_handshake(&mut self, bytes: &[u8]) -> Result<usize, StreamFault> {
+        let used = self.fill(bytes, HANDSHAKE_BYTES);
+        if self.unit_len == HANDSHAKE_BYTES {
+            let preamble = self.take_unit::<HANDSHAKE_BYTES>();
+            if let Err(e) = decode_handshake(&preamble) {
+                return Err(self.fail(StreamFaultKind::Handshake(e)));
+            }
+            self.next_frame();
+        }
+        Ok(used)
+    }
+
+    fn read_prefix(
+        &mut self,
+        bytes: &[u8],
+        deliver: &mut impl FnMut(Msg),
+    ) -> Result<usize, StreamFault> {
+        let used = self.fill(bytes, 4);
+        if self.unit_len < 4 {
+            return Ok(used);
+        }
+        let len = u32::from_be_bytes(self.take_unit::<4>()) as usize;
+        if len > self.max_frame {
+            let cap = self.max_frame;
+            return Err(self.fail(StreamFaultKind::HostileLength { len, cap }));
+        }
+        // a frame that is not decoded as it arrives and lies whole in
+        // this slice is decoded in place
+        let rest = &bytes[used..];
+        let streamed = rest
+            .first_chunk::<HEADER_BYTES>()
+            .is_some_and(|h| FloatHead::parse(len, h).is_some());
+        if rest.len() >= len && !streamed {
+            self.pos += len as u64;
+            match decode_after_len(&rest[..len]) {
+                Ok(msg) => deliver(msg),
+                Err(error) => return Err(self.fail(StreamFaultKind::Frame { len, error })),
+            }
+            self.next_frame();
+            return Ok(used + len);
+        }
+        if len < HEADER_BYTES {
+            self.begin_whole(len);
+        } else {
+            self.phase = Phase::Header { len };
+        }
+        Ok(used)
+    }
+
+    fn read_header(&mut self, bytes: &[u8], len: usize) -> usize {
+        let used = self.fill(bytes, HEADER_BYTES);
+        if self.unit_len < HEADER_BYTES {
+            return used;
+        }
+        let header = self.take_unit::<HEADER_BYTES>();
+        if let Some(head) = FloatHead::parse(len, &header) {
+            self.crc = crc32_continue(0, &header);
+            self.values = self.pool.take_floats(head.count).unwrap_or_default();
+            self.phase = Phase::Floats(head);
+        } else {
+            self.begin_whole(len);
+            self.body.extend_from_slice(&header);
+        }
+        used
+    }
+
+    fn read_floats(
+        &mut self,
+        bytes: &[u8],
+        head: FloatHead,
+        deliver: &mut impl FnMut(Msg),
+    ) -> Result<usize, StreamFault> {
+        if self.values.len() < head.count {
+            // section bytes still owed, less a split float's first bytes
+            let owed = 4 * (head.count - self.values.len()) - self.unit_len;
+            let chunk = &bytes[..owed.min(bytes.len())];
+            self.crc = crc32_continue(self.crc, chunk);
+            self.pos += chunk.len() as u64;
+            let mut rest = chunk;
+            if self.unit_len > 0 {
+                let k = (4 - self.unit_len).min(rest.len());
+                self.unit[self.unit_len..self.unit_len + k].copy_from_slice(&rest[..k]);
+                self.unit_len += k;
+                rest = &rest[k..];
+                if self.unit_len < 4 {
+                    return Ok(chunk.len());
+                }
+                let word = self.take_unit::<4>();
+                grow_for(&mut self.values, 1, head.count);
+                self.values.push(f32::from_bits(u32::from_be_bytes(word)));
+            }
+            let (words, tail) = rest.as_chunks::<4>();
+            grow_for(&mut self.values, words.len(), head.count);
+            self.values
+                .extend(words.iter().map(|w| f32::from_bits(u32::from_be_bytes(*w))));
+            self.unit[..tail.len()].copy_from_slice(tail);
+            self.unit_len = tail.len();
+            return Ok(chunk.len());
+        }
+        let used = self.fill(bytes, CRC_BYTES);
+        if self.unit_len < CRC_BYTES {
+            return Ok(used);
+        }
+        let expected = u32::from_be_bytes(self.take_unit::<CRC_BYTES>());
+        let values = std::mem::take(&mut self.values);
+        if expected != self.crc {
+            self.pool.give_floats(values);
+            let error = FrameError::Crc {
+                expected,
+                computed: self.crc,
+            };
+            return Err(self.fail(StreamFaultKind::Frame {
+                len: head.len,
+                error,
+            }));
+        }
+        deliver(Msg {
+            from: head.from,
+            tag: head.tag,
+            payload: (head.make)(values),
+        });
+        self.next_frame();
+        Ok(used)
+    }
+
+    /// Start accumulating a frame of `len` bytes, in a pooled buffer when
+    /// it is a large one.
+    fn begin_whole(&mut self, len: usize) {
+        self.body.clear();
+        if self.body.capacity() < len {
+            if let Some(buf) = self.pool.take_frame(len) {
+                self.body = buf;
+            }
+        }
+        self.phase = Phase::Whole { len };
+    }
+
+    fn read_whole(
+        &mut self,
+        bytes: &[u8],
+        len: usize,
+        deliver: &mut impl FnMut(Msg),
+    ) -> Result<usize, StreamFault> {
+        let used = (len - self.body.len()).min(bytes.len());
+        self.body.extend_from_slice(&bytes[..used]);
+        self.pos += used as u64;
+        if self.body.len() < len {
+            return Ok(used);
+        }
+        let decoded = decode_after_len(&self.body);
+        self.body.clear();
+        if self.body.capacity() > BODY_KEEP {
+            self.pool.give_frame(std::mem::take(&mut self.body));
+        }
+        match decoded {
+            Ok(msg) => deliver(msg),
+            Err(error) => return Err(self.fail(StreamFaultKind::Frame { len, error })),
+        }
+        self.next_frame();
+        Ok(used)
+    }
+}
+
+/// Make room in `values` for `incoming` more of `count` values. Growth
+/// follows what has arrived — at least doubling, never past `count` — so
+/// a prefix that lies about its length costs at most twice the bytes
+/// actually sent, and a pooled vector with room never reallocates.
+fn grow_for(values: &mut Vec<f32>, incoming: usize, count: usize) {
+    if values.capacity() - values.len() < incoming {
+        let extra = incoming.max(values.len()).min(count - values.len());
+        values.reserve_exact(extra);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn roundtrip(from: usize, tag: u64, payload: Payload) -> Msg {
         let frame = encode_frame(from, tag, &payload);
@@ -597,9 +1106,10 @@ mod tests {
         decode_frame(&frame).expect("decode")
     }
 
-    #[test]
-    fn every_variant_roundtrips() {
-        let cases = vec![
+    /// One payload of every variant, plus model-sized f32 frames the
+    /// reader decodes across many slices.
+    fn every_variant() -> Vec<Payload> {
+        vec![
             Payload::Params(vec![1.0, -2.5, f32::NAN, 0.0]),
             Payload::Grads(vec![]),
             Payload::Flags(vec![0, 1, 1, 0, 1]),
@@ -646,13 +1156,30 @@ mod tests {
                 p: vec![1.0, 2.0, 3.0],
                 q: vec![-1.0, 0.5],
             },
-        ];
-        for (i, p) in cases.into_iter().enumerate() {
+            Payload::SharedParams(Arc::new(vec![0.5; 7])),
+            Payload::Grads(
+                (0..3000u32)
+                    .map(|i| f32::from_bits(i.wrapping_mul(0x9E37_79B9)))
+                    .collect(),
+            ),
+            Payload::ShardPush((0..1500).map(|i| i as f32 - 700.25).collect()),
+        ]
+    }
+
+    #[test]
+    fn every_variant_roundtrips() {
+        for (i, p) in every_variant().into_iter().enumerate() {
             let m = roundtrip(i, i as u64 * 1000, p.clone());
             assert_eq!(m.from, i);
             assert_eq!(m.tag, i as u64 * 1000);
             match (&m.payload, &p) {
-                // NaN != NaN under PartialEq; compare bit patterns
+                // NaN != NaN under PartialEq; compare the bytes
+                (_, Payload::SharedParams(_) | Payload::Grads(_)) => {
+                    assert_eq!(
+                        encode_frame(i, m.tag, &m.payload),
+                        encode_frame(i, m.tag, &p)
+                    );
+                }
                 (Payload::Params(a), Payload::Params(b)) => {
                     assert_eq!(
                         a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -694,6 +1221,7 @@ mod tests {
     /// must come through untouched.
     #[test]
     fn section_writers_match_per_element_appends_across_block_boundaries() {
+        use bytes::BytesMut;
         const B: usize = SECTION_BLOCK;
         for len in [0, 1, B - 1, B, B + 1, 3 * B + 7] {
             let floats: Vec<f32> = (0..len as u32)
@@ -826,6 +1354,160 @@ mod tests {
             decode_frame(&frame),
             Err(FrameError::Truncated { .. })
         ));
+    }
+
+    /// Feed `stream` to a reader in pieces of `size` bytes; the messages
+    /// it delivered and how it ended.
+    fn read_in_pieces(
+        reader: &mut FrameReader,
+        stream: &[u8],
+        size: usize,
+    ) -> (Vec<Msg>, Result<(), StreamFault>) {
+        let mut got = Vec::new();
+        for piece in stream.chunks(size) {
+            if let Err(f) = reader.feed(piece, |m| got.push(m)) {
+                return (got, Err(f));
+            }
+        }
+        (got, Ok(()))
+    }
+
+    fn stream_of(frames: &[Bytes]) -> Vec<u8> {
+        let mut stream = encode_handshake().to_vec();
+        frames.iter().for_each(|f| stream.extend_from_slice(f));
+        stream
+    }
+
+    /// Every variant, one stream, cut into pieces of every size from a
+    /// byte to the whole: the reader delivers exactly what
+    /// `decode_frame` makes of each frame, in order, and ends at a frame
+    /// boundary.
+    #[test]
+    fn the_reader_decodes_every_variant_however_the_stream_is_cut() {
+        let payloads = every_variant();
+        let frames: Vec<Bytes> = payloads
+            .iter()
+            .enumerate()
+            .map(|(i, p)| encode_frame(i, 1000 + i as u64, p))
+            .collect();
+        let stream = stream_of(&frames);
+        for size in [1, 2, 3, 5, 17, 64, 1000, 4099, stream.len()] {
+            let mut reader = FrameReader::new(1 << 20);
+            let (got, end) = read_in_pieces(&mut reader, &stream, size);
+            assert_eq!(end, Ok(()), "pieces of {size}");
+            assert_eq!(got.len(), frames.len(), "pieces of {size}");
+            for (m, frame) in got.iter().zip(&frames) {
+                let want = decode_frame(frame).unwrap();
+                assert_eq!((m.from, m.tag), (want.from, want.tag));
+                assert_eq!(
+                    encode_frame(m.from, m.tag, &m.payload),
+                    *frame,
+                    "pieces of {size}"
+                );
+            }
+            assert_eq!(reader.end(&"EOF"), None, "ends at a frame boundary");
+        }
+    }
+
+    /// A pooled vector that is larger than the frame and full of another
+    /// message's values receives a shorter frame as exactly its values,
+    /// in the pooled allocation.
+    #[test]
+    fn a_pooled_vector_with_room_and_stale_values_decodes_a_shorter_frame_exactly() {
+        let pool = Arc::new(BufferPool::with_slots(2));
+        let stale = vec![f32::NAN; 3000];
+        let ptr = stale.as_ptr();
+        pool.give_floats(stale);
+        let values: Vec<f32> = (0..2000).map(|i| f32::from_bits(0x4000_0000 ^ i)).collect();
+        let frame = encode_frame(4, 9, &Payload::Params(values.clone()));
+        let mut reader = FrameReader::pooled(1 << 20, Arc::clone(&pool));
+        let (got, end) = read_in_pieces(&mut reader, &stream_of(&[frame]), 777);
+        assert_eq!(end, Ok(()));
+        let [Msg {
+            from: 4,
+            tag: 9,
+            payload: Payload::Params(v),
+        }] = &got[..]
+        else {
+            panic!("{got:?}");
+        };
+        assert_eq!(v.as_ptr(), ptr, "decoded into the pooled vector");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(v), bits(&values));
+    }
+
+    /// Damage is classified as the drivers report it: a bad trailer on a
+    /// streamed frame is the CRC error `decode_frame` gives, a length
+    /// over the cap is hostile, and a stream that stops mid-frame is torn
+    /// at the byte where it stopped.
+    #[test]
+    fn the_reader_classifies_damage_like_decode_frame() {
+        let mut frame = encode_frame(1, 2, &Payload::Grads(vec![1.5; 2000])).to_vec();
+        frame[100] ^= 0x08;
+        let Err(want) = decode_frame(&frame) else {
+            panic!("damage decoded");
+        };
+        let (got, end) = read_in_pieces(
+            &mut FrameReader::new(1 << 20),
+            &stream_of(&[frame.into()]),
+            500,
+        );
+        assert!(got.is_empty());
+        let fault = end.unwrap_err();
+        assert_eq!(
+            fault.kind,
+            StreamFaultKind::Frame {
+                len: 4 * 2000 + 21,
+                error: want
+            }
+        );
+        assert_eq!(
+            (fault.offset, fault.corrupt_bytes()),
+            (8, Some(4 * 2000 + 25))
+        );
+        assert!(fault
+            .to_string()
+            .starts_with("frame rejected: frame CRC mismatch"));
+
+        let mut reader = FrameReader::new(1000);
+        let mut stream = encode_handshake().to_vec();
+        stream.extend_from_slice(&1001u32.to_be_bytes());
+        let fault = reader.feed(&stream, |_| panic!()).unwrap_err();
+        assert_eq!(
+            fault.to_string(),
+            "hostile frame length 1001 exceeds the 1000-byte cap"
+        );
+        assert_eq!((fault.offset, fault.corrupt_bytes()), (8, Some(4)));
+
+        let frame = encode_frame(1, 2, &Payload::Params(vec![0.5; 40]));
+        let stream = stream_of(&[frame.clone(), frame]);
+        for (cut, want) in [
+            (0, None),
+            (
+                5,
+                Some("connection died 5 bytes into the 8-byte handshake: EOF"),
+            ),
+            (8, None),
+            (10, Some("torn frame: 2 of 4 length-prefix bytes, then EOF")),
+            (33, Some("torn frame: 21 of 181 body bytes, then EOF")),
+            (8 + 185, None),
+            (
+                8 + 185 + 184,
+                Some("torn frame: 180 of 181 body bytes, then EOF"),
+            ),
+        ] {
+            let mut reader = FrameReader::new(1 << 20);
+            reader.feed(&stream[..cut], |_| {}).unwrap();
+            let fault = reader.end(&"EOF");
+            assert_eq!(
+                fault.as_ref().map(|f| f.to_string()).as_deref(),
+                want,
+                "cut {cut}"
+            );
+            if let Some(f) = fault {
+                assert_eq!(f.offset, cut as u64, "cut {cut}");
+            }
+        }
     }
 
     #[test]

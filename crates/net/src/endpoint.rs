@@ -47,7 +47,8 @@
 //! damaged frame behaves like a lost one (`RecvTimeout` + resend), so
 //! clean-link behavior is unchanged.
 
-use crate::codec::encode_frame;
+use crate::codec::{encode_frame_into, FrameReader, StreamFault};
+use crate::pool::BufferPool;
 use crate::tcp::{bind_reuse, dial, shake_hands_as_dialer};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -56,7 +57,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Default ceiling on a single frame's declared size; a corrupted
@@ -151,6 +152,55 @@ pub struct Links {
     /// Raised by teardown: stop accepting, reading and redialing.
     pub shutdown: Arc<AtomicBool>,
     pub stats: Arc<CommStats>,
+    /// The endpoint's buffers: a driver decodes into them through its
+    /// `FrameReader`s and hands every written frame back.
+    pub pool: Arc<BufferPool>,
+}
+
+impl Links {
+    /// Feed bytes read from the connection from `peer` to its reader:
+    /// every message completed goes to the inbox, a fault is filed.
+    /// `false` once the connection is done — a fault tore its framing,
+    /// or the endpoint is gone.
+    pub fn feed(&self, reader: &mut FrameReader, peer: SocketAddr, bytes: &[u8]) -> bool {
+        let mut gone = false;
+        let fed = reader.feed(bytes, |msg| {
+            gone |= self.inbox.send(InboxEvent::Msg(msg)).is_err();
+        });
+        if let Err(fault) = fed {
+            // CRC mismatch, structural damage or a hostile length: a
+            // stream that produced it cannot be trusted to still be
+            // frame-aligned, so the connection is torn down and the
+            // peer's writer redials
+            self.fault(peer, &fault);
+            return false;
+        }
+        !gone
+    }
+
+    /// The connection from `peer` ended for `cause`: quietly at a frame
+    /// boundary, else as the torn frame (or handshake) its reader holds.
+    pub fn end(&self, reader: &FrameReader, peer: SocketAddr, cause: &dyn std::fmt::Display) {
+        if let Some(fault) = reader.end(cause) {
+            self.fault(peer, &fault);
+        }
+    }
+
+    /// File a fault a reader found on the connection from `peer`: tally
+    /// the frame it cost and, unless the endpoint is shutting down,
+    /// report it.
+    fn fault(&self, peer: SocketAddr, fault: &StreamFault) {
+        if let Some(bytes) = fault.corrupt_bytes() {
+            self.stats.record_corrupt(bytes);
+        }
+        if !self.shutdown.load(Ordering::SeqCst) {
+            let _ = self.inbox.send(InboxEvent::Fault(link_fault(
+                peer,
+                fault.offset,
+                &fault.to_string(),
+            )));
+        }
+    }
 }
 
 /// The seam between [`MeshEndpoint`] and whatever moves its bytes. A
@@ -200,9 +250,11 @@ pub struct MeshEndpoint<D: Driver> {
     faults: Vec<LinkFault>,
     /// The last [`Payload::SharedParams`] frame encoded, with the tag and
     /// the buffer it was encoded from: a fan-out of one buffer encodes
-    /// once. Holding the `Arc` keeps the allocation alive and unshared
-    /// for writing, so pointer equality means same contents.
-    fanout: Option<(u64, Arc<Vec<f32>>, Bytes)>,
+    /// once. The `Weak` lets the sender take the buffer back once every
+    /// `Arc` is gone, yet keeps the `Arc`'s allocation from being reused
+    /// and, while any `Arc` lives, its contents from being written:
+    /// pointer equality with a live `Arc` means same contents.
+    fanout: Option<(u64, Weak<Vec<f32>>, Bytes)>,
     /// Largest declared length (`wire_bytes - 4`) `send` will frame.
     max_declared_len: u64,
     recv_timeout: Duration,
@@ -259,6 +311,7 @@ impl<D: Driver> MeshEndpoint<D> {
             inbox: inbox_tx,
             shutdown: Arc::new(AtomicBool::new(false)),
             stats: Arc::new(CommStats::default()),
+            pool: Arc::new(BufferPool::for_fabric(n)),
         };
         let driver = D::start((n > 1).then_some(listener), links.clone(), &config)?;
         // From here on an early return drops `ep`, and its teardown
@@ -376,22 +429,36 @@ impl<D: Driver> MeshEndpoint<D> {
         self.driver.stop();
     }
 
-    /// The wire frame for `payload`. Nothing in a frame names its
-    /// destination, so a [`Payload::SharedParams`] sent again under the
-    /// same tag from the same buffer — the parameter server answering
-    /// every worker of a round — reuses the bytes of the first encode.
+    /// The wire frame for `payload`, encoded into a pooled buffer. Nothing
+    /// in a frame names its destination, so a [`Payload::SharedParams`]
+    /// sent again under the same tag from the same buffer — the parameter
+    /// server answering every worker of a round — reuses the bytes of the
+    /// first encode; the frame it replaces goes back to the pool.
     fn frame_for(&mut self, tag: u64, payload: &Payload) -> Bytes {
         let Payload::SharedParams(params) = payload else {
-            return encode_frame(self.id, tag, payload);
+            return self.encode(tag, payload);
         };
         if let Some((t, p, frame)) = &self.fanout {
-            if *t == tag && Arc::ptr_eq(p, params) {
+            if *t == tag && std::ptr::eq(p.as_ptr(), Arc::as_ptr(params)) {
                 return frame.clone();
             }
         }
-        let frame = encode_frame(self.id, tag, payload);
-        self.fanout = Some((tag, Arc::clone(params), frame.clone()));
+        let frame = self.encode(tag, payload);
+        let entry = (tag, Arc::downgrade(params), frame.clone());
+        if let Some((_, _, replaced)) = self.fanout.replace(entry) {
+            self.links.pool.give_bytes(replaced);
+        }
         frame
+    }
+
+    fn encode(&self, tag: u64, payload: &Payload) -> Bytes {
+        let wire = payload.wire_bytes() as usize;
+        let buf = self
+            .links
+            .pool
+            .take_frame(wire)
+            .unwrap_or_else(|| Vec::with_capacity(wire));
+        encode_frame_into(buf, self.id, tag, payload)
     }
 
     /// Account for one inbox event: a message is tallied and handed
@@ -493,6 +560,10 @@ impl<D: Driver> Transport for MeshEndpoint<D> {
             )));
         }
         let frame = self.frame_for(tag, &payload);
+        // encoded: the caller's vector is the next reply's buffer
+        if let Payload::Params(v) | Payload::Grads(v) = payload {
+            self.links.pool.give_floats(v);
+        }
         match self.outbound.get(to).and_then(|s| s.as_ref()) {
             None => return Err(TransportError::Closed),
             Some(tx) => tx
@@ -534,6 +605,11 @@ impl<D: Driver> Transport for MeshEndpoint<D> {
             }
         }
     }
+
+    /// Pools `v`: the driver decodes the next model-sized message into it.
+    fn recycle(&mut self, v: Vec<f32>) {
+        self.links.pool.give_floats(v);
+    }
 }
 
 impl<D: Driver> Drop for MeshEndpoint<D> {
@@ -548,8 +624,8 @@ impl<D: Driver> Drop for MeshEndpoint<D> {
 pub(crate) mod tests {
     use super::*;
     use crate::codec::{
-        decode_after_len, decode_handshake, encode_handshake, FrameError, HANDSHAKE_BYTES,
-        PROTOCOL_VERSION,
+        decode_after_len, decode_handshake, encode_frame, encode_handshake, FrameError,
+        HANDSHAKE_BYTES, PROTOCOL_VERSION,
     };
     use crate::poll::PollDriver;
     use crate::tcp::ThreadDriver;

@@ -47,11 +47,12 @@
 //!   with a byte offset into the partially-written front frame, and the
 //!   driver resumes mid-frame when `POLLOUT` fires — `Transport::send`
 //!   never blocks the caller, exactly like the channel fabric;
-//! * inbound connections parse incrementally: bytes are read straight
-//!   into a per-connection buffer and complete handshakes/frames peel
-//!   off as they arrive, so one slow peer trickling a large frame never
-//!   stalls the others (the head-of-line blocking a blocking
-//!   `read_exact` would impose).
+//! * inbound connections parse incrementally: each read lands in the
+//!   driver's one read buffer and goes straight to the connection's
+//!   `FrameReader`, which keeps only what a frame in progress needs, so
+//!   one slow peer trickling a large frame never stalls the others (the
+//!   head-of-line blocking a blocking `read_exact` would impose). A
+//!   frame the driver finishes writing goes back to the endpoint's pool.
 //!
 //! Off unix there is no `poll(2)` to call: the one wait function falls
 //! back (as `bind_reuse` falls back to a plain bind) to blocking at most
@@ -78,8 +79,8 @@
 //! see the resent frame's abandoned prefix as a torn-frame
 //! [`crate::LinkFault`] on the old connection.
 
-use crate::codec::{decode_after_len, decode_handshake, encode_handshake, HANDSHAKE_BYTES};
-use crate::endpoint::{link_fault, Driver, InboxEvent, Links, MeshEndpoint, TcpFabricConfig};
+use crate::codec::{encode_handshake, FrameReader, READ_BUF_BYTES};
+use crate::endpoint::{Driver, Links, MeshEndpoint, TcpFabricConfig};
 use crate::tcp::{dial, shake_hands_as_dialer};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -105,11 +106,6 @@ const READ_CHUNK: usize = 256 * 1024;
 /// go stale: after this many progressing sweeps in a row it tries every
 /// socket once.
 const BUSY_RECHECK: u32 = 8;
-
-/// Smallest tail a read is offered: room for a length prefix and a
-/// small frame. Once a partial frame's prefix is known the tail is
-/// sized to the rest of that frame instead.
-const READ_MIN: usize = 16 * 1024;
 
 /// Dial budget for one *redial* attempt inside the driver loop. Short:
 /// a redial must not stall the sweep (and with it every other peer)
@@ -246,28 +242,17 @@ impl PollTcpEndpoint {
     }
 }
 
-/// One accepted inbound connection: its socket, an accumulation buffer
-/// the incremental parser peels handshakes/frames off of, and the
-/// not-yet-written tail of our handshake echo.
+/// One accepted inbound connection: its socket, the reader its bytes go
+/// to, and the not-yet-written tail of our handshake echo.
 struct InboundConn {
     stream: TcpStream,
     peer: SocketAddr,
-    /// Read buffer: `buf[..filled]` holds the unparsed inbound bytes (at
-    /// most a partial frame once parsing catches up), the rest is
-    /// zeroed room the next read lands in directly. It only grows, to
-    /// the largest frame seen, so steady state neither allocates nor
-    /// re-zeroes.
-    buf: Vec<u8>,
-    filled: usize,
+    reader: FrameReader,
     /// Readiness hint: the last [`wait_ready`] reported input (or the
     /// connection is new, or a read stopped at its budget). A sweep reads
     /// only hinted sockets; a wrong `false` costs nothing, because
     /// `poll(2)` is level-triggered and the next park corrects it.
     readable: bool,
-    /// Stream bytes fully parsed so far — the frame-boundary offset
-    /// fault reports anchor to.
-    offset: u64,
-    handshaken: bool,
     /// Our handshake preamble, written opportunistically (the peer's
     /// dialer blocks on reading it, we must not block sending it).
     echo_pending: Vec<u8>,
@@ -351,6 +336,9 @@ fn driver_loop(
     reconnect_timeout: Duration,
 ) {
     let shutdown = &*links.shutdown;
+    // every connection reads into this one buffer; its `FrameReader`
+    // keeps what it needs before the next read overwrites it
+    let mut read_buf = vec![0u8; READ_BUF_BYTES];
     let mut outbound: Vec<OutboundConn> = Vec::new();
     let mut inbound: Vec<InboundConn> = Vec::new();
     let mut interest = Interest::default();
@@ -385,11 +373,8 @@ fn driver_loop(
                             inbound.push(InboundConn {
                                 stream,
                                 peer,
-                                buf: Vec::new(),
-                                filled: 0,
+                                reader: FrameReader::pooled(max_frame, Arc::clone(&links.pool)),
                                 readable: true,
-                                offset: 0,
-                                handshaken: false,
                                 echo_pending: encode_handshake().to_vec(),
                                 echo_off: 0,
                             });
@@ -406,7 +391,7 @@ fn driver_loop(
         if !shutting {
             let mut i = 0;
             while i < inbound.len() {
-                match pump_inbound(&mut inbound[i], links, max_frame) {
+                match pump_inbound(&mut inbound[i], links, &mut read_buf) {
                     PumpOutcome::Progress => {
                         progressed = true;
                         i += 1;
@@ -455,7 +440,9 @@ fn driver_loop(
                             conn.front_off += k;
                             progressed = true;
                             if conn.front_off == front.len() {
-                                conn.queue.pop_front();
+                                if let Some(done) = conn.queue.pop_front() {
+                                    links.pool.give_bytes(done);
+                                }
                                 conn.front_off = 0;
                             }
                         }
@@ -779,21 +766,10 @@ fn finish_redial(mut s: TcpStream) -> RedialOutcome {
     }
 }
 
-/// The frame length a 4-byte big-endian prefix at the start of `buf`
-/// announces (callers have checked that the four bytes are there).
-fn frame_len(buf: &[u8]) -> usize {
-    u32::from_be_bytes(buf[..4].try_into().unwrap_or([0; 4])) as usize
-}
-
-/// Service one inbound connection: push our handshake echo, read
-/// whatever the socket has (up to [`READ_CHUNK`]), and peel completed
-/// handshakes/frames off the buffer.
-fn pump_inbound(conn: &mut InboundConn, links: &Links, max_frame: usize) -> PumpOutcome {
-    let Links {
-        inbox,
-        shutdown,
-        stats,
-    } = links;
+/// Service one inbound connection: push our handshake echo, then read
+/// whatever the socket has (up to [`READ_CHUNK`]) into `buf` and feed it
+/// to the connection's reader.
+fn pump_inbound(conn: &mut InboundConn, links: &Links, buf: &mut [u8]) -> PumpOutcome {
     let mut progressed = false;
 
     // write our half of the preamble (opportunistically, never blocking)
@@ -810,141 +786,32 @@ fn pump_inbound(conn: &mut InboundConn, links: &Links, max_frame: usize) -> Pump
         }
     }
 
-    // read what the socket has, straight into the buffer's tail
-    let mut eof = false;
     let mut read_total = 0;
     // fairness: at most READ_CHUNK per sweep, then the other connections run
     while conn.readable && read_total < READ_CHUNK {
-        // Offer the room the buffer already has, grown to the rest of the
-        // partial frame when its length prefix is in (one read can then
-        // finish it), else to READ_MIN. The prefix may not have been
-        // checked against `max_frame` yet, so the READ_CHUNK budget also
-        // caps what it can make us allocate.
-        let frame_rest = if conn.handshaken && conn.filled >= 4 {
-            frame_len(&conn.buf)
-                .saturating_add(4)
-                .saturating_sub(conn.filled)
-        } else {
-            0
-        };
-        let spare = conn.buf.len() - conn.filled;
-        let room = frame_rest
-            .max(READ_MIN)
-            .max(spare)
-            .min(READ_CHUNK - read_total);
-        if spare < room {
-            conn.buf.resize(conn.filled + room, 0);
-        }
-        match conn
-            .stream
-            .read(&mut conn.buf[conn.filled..conn.filled + room])
-        {
+        let room = buf.len().min(READ_CHUNK - read_total);
+        match conn.stream.read(&mut buf[..room]) {
             Ok(0) => {
-                eof = true;
-                break;
+                links.end(&conn.reader, conn.peer, &"EOF");
+                return PumpOutcome::Closed;
             }
             Ok(k) => {
-                conn.filled += k;
                 read_total += k;
                 progressed = true;
                 // a short read means the socket is drained for now
                 conn.readable = k == room;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => conn.readable = false,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                eof = true; // connection reset mid-stream
-                break;
-            }
-        }
-    }
-
-    let report = |offset: u64, detail: &str| {
-        if !shutdown.load(Ordering::SeqCst) {
-            let _ = inbox.send(InboxEvent::Fault(link_fault(conn.peer, offset, detail)));
-        }
-    };
-
-    // parse: handshake first, then complete frames
-    let mut consumed = 0usize;
-    loop {
-        let avail = conn.filled - consumed;
-        if !conn.handshaken {
-            if avail < HANDSHAKE_BYTES {
-                break;
-            }
-            let mut preamble = [0u8; HANDSHAKE_BYTES];
-            preamble.copy_from_slice(&conn.buf[consumed..consumed + HANDSHAKE_BYTES]);
-            match decode_handshake(&preamble) {
-                Ok(_) => {
-                    conn.handshaken = true;
-                    consumed += HANDSHAKE_BYTES;
-                    conn.offset += HANDSHAKE_BYTES as u64;
-                    progressed = true;
-                    continue;
-                }
-                Err(e) => {
-                    report(0, &format!("handshake rejected: {e}"));
+                if !links.feed(&mut conn.reader, conn.peer, &buf[..k]) {
                     return PumpOutcome::Closed;
                 }
             }
-        }
-        if avail < 4 {
-            break;
-        }
-        let len = frame_len(&conn.buf[consumed..]);
-        if len > max_frame {
-            stats.record_corrupt(4);
-            report(
-                conn.offset,
-                &format!("hostile frame length {len} exceeds the {max_frame}-byte cap"),
-            );
-            return PumpOutcome::Closed;
-        }
-        if avail < 4 + len {
-            break; // partial frame: wait for more bytes
-        }
-        match decode_after_len(&conn.buf[consumed + 4..consumed + 4 + len]) {
-            Ok(msg) => {
-                if inbox.send(InboxEvent::Msg(msg)).is_err() {
-                    return PumpOutcome::Closed; // endpoint gone
-                }
-                consumed += 4 + len;
-                conn.offset += 4 + len as u64;
-                progressed = true;
-            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => conn.readable = false,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            // connection reset mid-stream
             Err(e) => {
-                // CRC mismatch or structural damage: frame lost, stream
-                // no longer trustworthy — tear the connection down
-                stats.record_corrupt(4 + len as u64);
-                report(conn.offset, &format!("frame rejected: {e}"));
+                links.end(&conn.reader, conn.peer, &e);
                 return PumpOutcome::Closed;
             }
         }
-    }
-    if consumed > 0 {
-        // move the partial frame (if any) to the front
-        conn.buf.copy_within(consumed..conn.filled, 0);
-        conn.filled -= consumed;
-    }
-
-    if eof {
-        let filled = conn.filled;
-        if filled == 0 {
-            return PumpOutcome::Closed; // clean EOF at a frame boundary
-        }
-        // torn frame: the peer died mid-frame (or mid-handshake)
-        let detail = if !conn.handshaken {
-            format!("connection died {filled} bytes into the {HANDSHAKE_BYTES}-byte handshake")
-        } else if filled < 4 {
-            format!("torn frame: {filled} of 4 length-prefix bytes, then EOF")
-        } else {
-            let len = frame_len(&conn.buf);
-            format!("torn frame: {} of {len} body bytes, then EOF", filled - 4)
-        };
-        stats.record_corrupt(filled as u64);
-        report(conn.offset + filled as u64, &detail);
-        return PumpOutcome::Closed;
     }
     if progressed {
         PumpOutcome::Progress
@@ -1039,9 +906,9 @@ mod tests {
         blocking.close();
     }
 
-    /// The read buffer across read boundaries: frames dribbled in odd
-    /// slices (splitting the handshake, a length prefix and a body that
-    /// outgrows `READ_MIN`) reassemble in order, and a final frame cut
+    /// The reader across read boundaries: frames dribbled in odd slices
+    /// (splitting the handshake, a length prefix and a body larger than
+    /// one read) reassemble in order, and a final frame cut
     /// short by EOF is a torn-frame fault at the right stream offset.
     #[test]
     fn dribbled_frames_reassemble_and_a_torn_tail_is_a_fault() {

@@ -8,12 +8,17 @@
 //! caller sees — `connect`, the `Transport` receive semantics,
 //! [`LinkFault`] reporting, teardown — is documented on
 //! `MeshEndpoint`, in `endpoint.rs`. Writer threads drain their peer's
-//! frame queue with `write_all` and redial a broken link within
-//! `reconnect_timeout`; reader threads decode frames into the shared
-//! inbox and report byte-level damage as typed faults.
+//! frame queue with `write_all`, hand each written frame back to the
+//! endpoint's pool, and redial a broken link within `reconnect_timeout`;
+//! reader threads feed what each `read(2)` returns to a `FrameReader`,
+//! which decodes frames into the shared inbox and classifies byte-level
+//! damage as typed faults.
 
-use crate::codec::{decode_after_len, decode_handshake, encode_handshake, HANDSHAKE_BYTES};
-use crate::endpoint::{link_fault, Driver, InboxEvent, Links, MeshEndpoint};
+use crate::codec::{
+    decode_handshake, encode_handshake, FrameReader, HANDSHAKE_BYTES, READ_BUF_BYTES,
+};
+use crate::endpoint::{Driver, Links, MeshEndpoint};
+use crate::pool::BufferPool;
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use std::io::{self, Read, Write};
@@ -136,6 +141,8 @@ pub struct ThreadDriver {
     /// writer per peer.
     threads: Vec<JoinHandle<()>>,
     shutdown: Arc<AtomicBool>,
+    /// Where writers hand back the frames they finish.
+    pool: Arc<BufferPool>,
     write_timeout: Duration,
     reconnect_timeout: Duration,
 }
@@ -147,6 +154,7 @@ impl Driver for ThreadDriver {
         config: &TcpFabricConfig,
     ) -> io::Result<Self> {
         let shutdown = Arc::clone(&links.shutdown);
+        let pool = Arc::clone(&links.pool);
         let max_frame = config.max_frame_bytes;
         let threads = listener
             .map(|l| std::thread::spawn(move || accept_loop(&l, &links, max_frame)))
@@ -155,6 +163,7 @@ impl Driver for ThreadDriver {
         Ok(ThreadDriver {
             threads,
             shutdown,
+            pool,
             write_timeout: config.write_timeout,
             reconnect_timeout: config.reconnect_timeout,
         })
@@ -163,6 +172,7 @@ impl Driver for ThreadDriver {
     fn adopt(&mut self, addr: &str, stream: TcpStream, frames: Receiver<Bytes>) -> io::Result<()> {
         let addr = addr.to_string();
         let shutdown = Arc::clone(&self.shutdown);
+        let pool = Arc::clone(&self.pool);
         let (write_timeout, reconnect_timeout) = (self.write_timeout, self.reconnect_timeout);
         self.threads.push(std::thread::spawn(move || {
             write_loop(
@@ -170,6 +180,7 @@ impl Driver for ThreadDriver {
                 &addr,
                 &frames,
                 &shutdown,
+                &pool,
                 write_timeout,
                 reconnect_timeout,
             );
@@ -253,164 +264,33 @@ fn accept_loop(listener: &TcpListener, links: &Links, max_frame: usize) {
     }
 }
 
-/// Outcome of filling a fixed-size buffer from a socket.
-enum ReadOutcome {
-    Full,
-    /// Peer closed cleanly at a frame boundary.
-    CleanEof,
-    /// Local shutdown was requested while blocked.
-    Shutdown,
-}
-
-/// A read that died partway through a fixed-size unit: how many bytes
-/// made it, and why it stopped. Lets the reader report *where* in the
-/// stream a frame was torn instead of a generic connection error.
-struct ShortRead {
-    filled: usize,
-    error: io::Error,
-}
-
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-    allow_clean_eof: bool,
-) -> Result<ReadOutcome, ShortRead> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 && allow_clean_eof {
-                    Ok(ReadOutcome::CleanEof)
-                } else {
-                    Err(ShortRead {
-                        filled,
-                        error: io::ErrorKind::UnexpectedEof.into(),
-                    })
-                };
+fn read_loop(mut stream: TcpStream, links: &Links, max_frame: usize) {
+    let Ok(peer) = stream.peer_addr() else { return };
+    // Acceptor half of the connection preamble: advertise ours first
+    // (so the dialer can diagnose a mismatch symmetrically); the reader
+    // requires a valid one before any frame byte is interpreted.
+    if stream.write_all(&encode_handshake()).is_err() {
+        return;
+    }
+    let mut reader = FrameReader::pooled(max_frame, Arc::clone(&links.pool));
+    let mut buf = [0u8; READ_BUF_BYTES];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => return links.end(&reader, peer, &"EOF"),
+            Ok(k) => {
+                if !links.feed(&mut reader, peer, &buf[..k]) {
+                    return;
+                }
             }
-            Ok(k) => filled += k,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if shutdown.load(Ordering::SeqCst) {
-                    return Ok(ReadOutcome::Shutdown);
+                if links.shutdown.load(Ordering::SeqCst) {
+                    return;
                 }
             }
-            Err(error) => return Err(ShortRead { filled, error }),
-        }
-    }
-    Ok(ReadOutcome::Full)
-}
-
-fn read_loop(mut stream: TcpStream, links: &Links, max_frame: usize) {
-    let Links {
-        inbox,
-        shutdown,
-        stats,
-    } = links;
-    let Ok(peer) = stream.peer_addr() else { return };
-    let report = |offset: u64, detail: &str| {
-        if !shutdown.load(Ordering::SeqCst) {
-            let _ = inbox.send(InboxEvent::Fault(link_fault(peer, offset, detail)));
-        }
-    };
-
-    // Acceptor half of the connection preamble: advertise ours first
-    // (so the dialer can diagnose a mismatch symmetrically), then
-    // require a valid one before any frame byte is interpreted.
-    if stream.write_all(&encode_handshake()).is_err() {
-        return;
-    }
-    let mut preamble = [0u8; HANDSHAKE_BYTES];
-    match read_full(&mut stream, &mut preamble, shutdown, true) {
-        Ok(ReadOutcome::Full) => {}
-        Ok(ReadOutcome::CleanEof) | Ok(ReadOutcome::Shutdown) => return,
-        Err(short) => {
-            report(
-                short.filled as u64,
-                &format!(
-                    "connection died {} bytes into the {HANDSHAKE_BYTES}-byte handshake: {}",
-                    short.filled, short.error
-                ),
-            );
-            return;
-        }
-    }
-    if let Err(e) = decode_handshake(&preamble) {
-        report(0, &format!("handshake rejected: {e}"));
-        return;
-    }
-
-    // bytes consumed from this connection's stream so far
-    let mut offset = HANDSHAKE_BYTES as u64;
-    // One receive buffer per connection, resized per frame: it grows to
-    // the largest frame seen (bounded by `max_frame`) and never shrinks,
-    // the retention rule the poll driver's `conn.buf` has.
-    let mut body = Vec::new();
-    loop {
-        let frame_start = offset;
-        let mut len_bytes = [0u8; 4];
-        match read_full(&mut stream, &mut len_bytes, shutdown, true) {
-            Ok(ReadOutcome::Full) => offset += 4,
-            Ok(ReadOutcome::CleanEof) | Ok(ReadOutcome::Shutdown) => return,
-            Err(short) => {
-                // a partial length prefix is already a torn frame
-                stats.record_corrupt(short.filled as u64);
-                report(
-                    frame_start + short.filled as u64,
-                    &format!(
-                        "torn frame: {} of 4 length-prefix bytes, then {}",
-                        short.filled, short.error
-                    ),
-                );
-                return;
-            }
-        }
-        let len = u32::from_be_bytes(len_bytes) as usize;
-        if len > max_frame {
-            stats.record_corrupt(4);
-            report(
-                frame_start,
-                &format!("hostile frame length {len} exceeds the {max_frame}-byte cap"),
-            );
-            return;
-        }
-        body.resize(len, 0);
-        match read_full(&mut stream, &mut body, shutdown, false) {
-            Ok(ReadOutcome::Full) => offset += len as u64,
-            // lint:allow(unwrap-in-prod): read_full(eof_ok = false) maps a
-            // mid-frame EOF to an error, so CleanEof cannot reach this arm
-            Ok(ReadOutcome::CleanEof) => unreachable!("clean EOF not allowed mid-frame"),
-            Ok(ReadOutcome::Shutdown) => return,
-            Err(short) => {
-                stats.record_corrupt(4 + short.filled as u64);
-                report(
-                    frame_start + 4 + short.filled as u64,
-                    &format!(
-                        "torn frame: {} of {len} body bytes, then {}",
-                        short.filled, short.error
-                    ),
-                );
-                return;
-            }
-        }
-        match decode_after_len(&body) {
-            Ok(msg) => {
-                if inbox.send(InboxEvent::Msg(msg)).is_err() {
-                    return; // endpoint gone
-                }
-            }
-            Err(e) => {
-                // CRC mismatch or structural damage: the whole frame
-                // (prefix included) is lost, and a stream that produced
-                // it cannot be trusted to still be frame-aligned — tear
-                // the connection down and let the writer side redial
-                stats.record_corrupt(4 + len as u64);
-                report(frame_start, &format!("frame rejected: {e}"));
-                return;
-            }
+            Err(e) => return links.end(&reader, peer, &e),
         }
     }
 }
@@ -420,12 +300,14 @@ fn write_loop(
     addr: &str,
     frames: &Receiver<Bytes>,
     shutdown: &AtomicBool,
+    pool: &BufferPool,
     write_timeout: Duration,
     reconnect_timeout: Duration,
 ) {
     // recv() errors once the endpoint drops the sender: drain then FIN.
     while let Ok(frame) = frames.recv() {
         if stream.write_all(&frame).is_ok() {
+            pool.give_bytes(frame);
             continue;
         }
         // The established link broke (peer crashed/restarted, transient
@@ -444,6 +326,7 @@ fn write_loop(
             }
             return;
         }
+        pool.give_bytes(frame);
     }
     let _ = stream.shutdown(Shutdown::Write);
 }

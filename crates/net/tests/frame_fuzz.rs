@@ -12,12 +12,20 @@
 //!    the bytes that were decoded, so a damaged frame can never decode
 //!    into a plausible-but-wrong message silently.
 //!
+//! The same schedule then goes through the streaming `FrameReader` the
+//! socket drivers read with, in random-size pieces: its verdict on every
+//! frame must be the decoder's.
+//!
 //! Deterministic: the schedule is a pure function of `FRAME_FUZZ_SEED`
 //! (default 0xC0FFEE). `FRAME_FUZZ_ITERS` (default 12288, spread over
 //! all variants) scales the run for longer offline sweeps.
 
-use selsync_comm::{Payload, ShardSpec};
-use selsync_net::{decode_frame, encode_frame};
+use selsync_comm::{Msg, Payload, ShardSpec};
+use selsync_net::codec::decode_after_len;
+use selsync_net::{
+    decode_frame, encode_frame, encode_handshake, FrameError, FrameReader, StreamFaultKind,
+    DEFAULT_MAX_FRAME_BYTES,
+};
 use std::sync::Arc;
 
 /// splitmix64: tiny, seedable, and good enough to explore the damage
@@ -206,4 +214,105 @@ fn mutated_frames_never_panic_or_misdecode() {
     // (pristine frames decode; garbage is rejected)
     assert!(accepted > 0, "schedule produced no accepted frames");
     assert!(rejected > 0, "schedule produced no rejected frames");
+}
+
+/// A decode result compared by bytes: an accepted message by its
+/// re-encoding, which the test above holds equal to the bytes decoded
+/// (NaN payloads make `Msg` itself unequal to its own copy).
+fn verdict(r: Result<Msg, FrameError>) -> Result<Vec<u8>, FrameError> {
+    r.map(|m| encode_frame(m.from, m.tag, &m.payload).to_vec())
+}
+
+/// Every mutated frame of the schedule above, behind a handshake, fed to
+/// a `FrameReader` in pieces of 1 to 64 bytes. Its verdict on the frame
+/// the length prefix announces is `decode_after_len` of exactly those
+/// bytes — `decode_frame`'s verdict whenever the prefix matches the
+/// frame — delivered as the message or reported as that `FrameError`.
+/// A frame shorter than its prefix claims is a torn frame at EOF, never
+/// a message.
+#[test]
+fn the_stream_reader_agrees_with_the_decoder_in_random_pieces() {
+    let seed = std::env::var("FRAME_FUZZ_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0xC0FFEE_u64);
+    let iters: usize = std::env::var("FRAME_FUZZ_ITERS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(12_288);
+    let mut rng = Rng(seed);
+    let mut pieces = Rng(seed ^ 0x5EED_F00D);
+    let (mut streamed_ok, mut streamed_err) = (0u64, 0u64);
+    for i in 0..iters {
+        let variant = i % 15;
+        let payload = gen_payload(&mut rng, variant);
+        let from = rng.below(1 << 16);
+        let tag = rng.next();
+        let frame = encode_frame(from, tag, &payload);
+        let strategy = rng.below(7);
+        let bad = mutate(&mut rng, &frame, strategy);
+
+        let mut stream = encode_handshake().to_vec();
+        stream.extend_from_slice(&bad);
+        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
+        let mut got = Vec::new();
+        let mut fault = None;
+        let mut at = 0;
+        while at < stream.len() && fault.is_none() {
+            let end = (at + 1 + pieces.below(64)).min(stream.len());
+            fault = reader.feed(&stream[at..end], |m| got.push(m)).err();
+            at = end;
+        }
+        let ctx = format!("iter {i} (variant {variant}, strategy {strategy}, seed {seed})");
+
+        let Some(prefix) = bad.first_chunk::<4>() else {
+            assert!(got.is_empty() && fault.is_none(), "{ctx}");
+            let torn = reader.end(&"EOF").map(|f| f.kind);
+            assert_eq!(torn.is_some(), !bad.is_empty(), "{ctx}: {torn:?}");
+            continue;
+        };
+        let len = u32::from_be_bytes(*prefix) as usize;
+        if len > DEFAULT_MAX_FRAME_BYTES {
+            let hostile = fault.map(|f| f.kind);
+            assert!(got.is_empty(), "{ctx}");
+            assert!(
+                matches!(hostile, Some(StreamFaultKind::HostileLength { .. })),
+                "{ctx}: {hostile:?}"
+            );
+            continue;
+        }
+        if bad.len() < 4 + len {
+            assert!(
+                got.is_empty() && fault.is_none(),
+                "{ctx}: {got:?} {fault:?}"
+            );
+            let torn = reader.end(&"EOF").map(|f| f.kind);
+            assert!(
+                matches!(torn, Some(StreamFaultKind::TornBody { .. })),
+                "{ctx}: {torn:?}"
+            );
+            continue;
+        }
+        let want = verdict(decode_after_len(&bad[4..4 + len]));
+        if bad.len() == 4 + len {
+            assert_eq!(want, verdict(decode_frame(&bad)), "{ctx}");
+        }
+        let first = match got.into_iter().next() {
+            Some(m) => Ok(m),
+            None => match fault.map(|f| f.kind) {
+                Some(StreamFaultKind::Frame { len: l, error }) if l == len => Err(error),
+                other => panic!("{ctx}: no verdict on the frame, got {other:?}"),
+            },
+        };
+        if matches!(payload, Payload::Params(_) | Payload::Grads(_)) {
+            if want.is_ok() {
+                streamed_ok += 1;
+            } else {
+                streamed_err += 1;
+            }
+        }
+        assert_eq!(verdict(first), want, "{ctx}");
+    }
+    // the float kinds took both outcomes, so the streamed path was judged
+    assert!(streamed_ok > 0 && streamed_err > 0);
 }
