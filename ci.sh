@@ -89,11 +89,12 @@ echo "==> cargo test -q (workspace, minus multi-process suites)"
 cargo test -q --workspace --exclude selsync-bench --exclude selsync-serve
 
 # The CRC32 kernel has the only `unsafe` in crates/comm (PCLMULQDQ
-# folding behind runtime detection); the run above tested it in a debug
-# build, this one tests it as the optimiser compiles it. --nocapture
-# shows which kernels this machine could exercise.
-echo "==> cargo test -q --release (crc kernels under the optimiser)"
-cargo test -q --release -p selsync-comm crc -- --nocapture
+# folding behind runtime detection); the run above tested the crate in
+# a debug build, this one tests all of it as the optimiser compiles it,
+# so a bit-identity test that only the optimiser breaks fails here.
+# --nocapture shows which CRC kernels this machine could exercise.
+echo "==> cargo test -q --release (comm, crc kernels under the optimiser)"
+cargo test -q --release -p selsync-comm -- --nocapture
 
 # A warm 4 MB sync round allocates nothing model-sized in net/comm: a
 # counting global allocator over two workers and the round server, on
@@ -132,20 +133,23 @@ done
 echo "==> cargo test -q (serve_processes, isolated)"
 cargo test -q -p selsync-serve --test serve_processes -- --test-threads=1
 
-echo "==> chaos smoke (fault_experiments, reduced)"
-SELSYNC_WORKERS=2 SELSYNC_STEPS=6 ./target/release/fault_experiments > /dev/null
-
 # Seeded mutational fuzzing of the frame codec: ~12k mutated frames
 # across every payload kind must decode to Ok or a typed FrameError —
 # never a panic — and every accepted frame must re-encode bit-identical.
 echo "==> frame-fuzz smoke (codec totality)"
 cargo test -q -p selsync-net --test frame_fuzz
 
-# Randomized fault-schedule sweep: 51 seeded FaultPlans across the
-# monolithic / sharded / serve topologies, each checked against the
-# soak invariants (deadline, conservation, classified recovery,
-# bit-identity). Exits 1 and writes a shrunk JSON repro on violation.
-echo "==> selsync_soak --quick (randomized fault sweep)"
+# Chaos sweep: the nine named scenarios (worker crash, stragglers,
+# lossy and corrupting links, PS and shard crashes restarted from their
+# checkpoints, one over a torn generation) × the channel, blocking-TCP
+# and poll-TCP fabrics, then 51 seeded random FaultPlans across the
+# monolithic / bucketed / sharded / serve topologies, training
+# schedules rotating over the three fabrics by index. Every run is
+# checked against the soak invariants (deadline, conservation,
+# classified recovery, bit-identity with the channel fault-free run, PS
+# restart fired and resumed). Exits 1 on violation and writes a shrunk
+# JSON repro for a failing random schedule.
+echo "==> selsync_soak --quick (named chaos scenarios + randomized fault sweep)"
 ./target/release/selsync_soak --quick --out /tmp/SOAK_repro_ci.json > /dev/null
 
 # Writes a quick-mode kernel table to /tmp (the committed

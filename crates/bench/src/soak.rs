@@ -27,19 +27,35 @@
 //! single simplification does. The minimal plan is emitted as a JSON
 //! repro so the schedule can be replayed directly.
 //!
-//! Runs use the in-process channel fabric: per-schedule TCP mesh setup
-//! would dominate the sweep, and the wire-level integrity of real
-//! sockets is covered separately (`crates/net` torn-frame suite,
-//! `fault_experiments` TCP rows). Byte-level corruption still exercises
-//! the real codec — [`ChaosTransport`] damages *encoded frames* and
-//! feeds them back through `selsync_net::decode_frame`.
+//! Before the random sweep, `selsync_soak` runs the nine
+//! [`named_scenarios`], among them the PS crashes a random plan never
+//! draws: a shard dies on schedule and restarts from its own checkpoint
+//! ([`PsRecovery`]), once over a torn current generation. Two more
+//! invariants hold them to it: the crash fired and the shard resumed,
+//! and a torn run loaded `.prev`.
+//!
+//! One driver runs a training schedule over any endpoint type — the
+//! channel [`Fabric`], or [`TcpEndpoint`]s or [`PollTcpEndpoint`]s on a
+//! loopback mesh. Named scenarios run on all three; random training
+//! schedule `i` runs on [`FabricKind::for_schedule`]`(i)`; serve
+//! schedules stay on the channel fabric. Benign runs are compared with
+//! the *channel* fault-free fingerprint, so each benign socket run is a
+//! cross-fabric bit-identity check. [`ChaosTransport`] damages *encoded
+//! frames* and feeds them back through `selsync_net::decode_frame`, so
+//! corruption exercises the real codec on every fabric.
 
 use selsync_chaos::{ChaosTransport, Crash, FaultPlan, Partition, Straggler};
-use selsync_comm::{Fabric, Transport};
+use selsync_comm::elastic::{ElasticReport, ServerCrashPoint};
+use selsync_comm::{CommStats, Fabric, Transport, TransportError};
+use selsync_core::checkpoint::{load_state_with_fallback, prev_path};
 use selsync_core::prelude::*;
 use selsync_core::trainer::WorkerOutput;
 use selsync_core::ElasticOptions;
-use selsync_core::{run_elastic_server_rank, run_elastic_worker_rank};
+use selsync_core::{
+    run_elastic_server_rank, run_elastic_server_rank_from, run_elastic_worker_rank,
+    shard_state_path,
+};
+use selsync_net::{PollTcpEndpoint, TcpEndpoint};
 use selsync_nn::models::ModelKind;
 use selsync_serve::{
     run_client, run_replica, run_router, ClientConfig, ModelSpec, PredictEngine, Ranks,
@@ -47,8 +63,9 @@ use selsync_serve::{
 };
 use selsync_shard::{Role, ShardLayout};
 use serde::Serialize;
-use std::path::PathBuf;
-use std::sync::mpsc;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -89,6 +106,35 @@ impl Topology {
             Topology::Sharded(k) => *k,
             Topology::Monolithic | Topology::Bucketed => 1,
             Topology::Serve => unreachable!("serve schedules use run_serve"),
+        }
+    }
+}
+
+/// Which endpoint type a training schedule's ranks talk over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FabricKind {
+    /// The in-process channel [`Fabric`] (one shared `CommStats`).
+    Channel,
+    /// Blocking-TCP [`TcpEndpoint`]s on a loopback mesh.
+    Tcp,
+    /// Poll-TCP [`PollTcpEndpoint`]s on a loopback mesh.
+    Poll,
+}
+
+impl FabricKind {
+    pub const ALL: [FabricKind; 3] = [FabricKind::Channel, FabricKind::Tcp, FabricKind::Poll];
+
+    /// The fabric random training schedule `index` runs on — a pure
+    /// function of the index, so a repro needs no extra number.
+    pub fn for_schedule(index: u64) -> FabricKind {
+        FabricKind::ALL[(index % 3) as usize]
+    }
+
+    pub fn name(&self) -> &'static str {
+        match self {
+            FabricKind::Channel => "channel",
+            FabricKind::Tcp => "tcp",
+            FabricKind::Poll => "poll",
         }
     }
 }
@@ -254,15 +300,19 @@ impl Violation {
     }
 }
 
+/// Schema tag of [`Repro`] files; `v2` added the fabric.
+pub const REPRO_SCHEMA: &str = "selsync-soak-repro-v2";
+
 /// The minimal reproduction emitted when a schedule fails — everything
 /// needed to replay: the shrunk plan (and the original it came from),
-/// the topology, and what broke.
+/// the topology and fabric, and what broke.
 #[derive(Debug, Clone, Serialize, serde::Deserialize)]
 pub struct Repro {
     pub schema: String,
     pub sweep_seed: u64,
     pub schedule: u64,
     pub topology: String,
+    pub fabric: String,
     pub invariant: String,
     pub detail: String,
     pub shrunk_plan: FaultPlan,
@@ -296,29 +346,100 @@ fn training_fingerprint(completed: &[WorkerOutput]) -> u64 {
     h
 }
 
+/// The chaos layer's counters summed over a run's ranks, and what the
+/// fabric underneath actually forwarded.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ChaosTally {
+    pub sent: u64,
+    pub dropped: u64,
+    pub duplicated: u64,
+    pub corrupt: u64,
+    pub forwarded: u64,
+}
+
+impl ChaosTally {
+    /// Add one rank's chaos layer.
+    fn add<T: Transport>(&mut self, cep: &ChaosTransport<T>) {
+        let s = cep.stats();
+        self.sent += s.total_messages();
+        self.dropped += s.dropped_messages();
+        self.duplicated += s.duplicated_messages();
+        self.corrupt += s.corrupt_messages();
+    }
+
+    /// Conservation, which holds for every class: nothing the chaos
+    /// layer did is unaccounted for.
+    fn check(&self) -> Option<Violation> {
+        let balance = self.sent - self.dropped - self.corrupt + self.duplicated;
+        (balance != self.forwarded).then(|| {
+            Violation::new(
+                "conservation",
+                format!(
+                    "sent {} − dropped {} − corrupt {} + duplicated {} = {} ≠ forwarded {}",
+                    self.sent, self.dropped, self.corrupt, self.duplicated, balance, self.forwarded
+                ),
+            )
+        })
+    }
+}
+
+/// A reading of what the fabric under `endpoints` has forwarded, summed
+/// over its distinct counters: the channel fabric shares one
+/// `CommStats` among its endpoints, each TCP endpoint owns its own.
+fn forwarded<T: Transport>(endpoints: &[T]) -> impl Fn() -> u64 {
+    let mut stats: Vec<Arc<CommStats>> = endpoints.iter().map(|ep| ep.stats().clone()).collect();
+    stats.dedup_by(|a, b| Arc::ptr_eq(a, b));
+    move || stats.iter().map(|s| s.total_messages()).sum()
+}
+
+/// Run `drive` on its own thread under `deadline` and return its result
+/// with the wall time. A hang becomes a `deadline` violation, a
+/// panicking rank a `no-panic` violation, an error (a dead server) a
+/// `server-survival` violation.
+fn watchdog<R: Send + 'static>(
+    deadline: Duration,
+    drive: impl FnOnce() -> Result<R, String> + Send + 'static,
+) -> Result<(R, u64), Violation> {
+    let start = Instant::now();
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = tx.send(drive());
+    });
+    match rx.recv_timeout(deadline) {
+        Ok(Ok(r)) => Ok((r, start.elapsed().as_millis() as u64)),
+        Ok(Err(e)) => Err(Violation::new("server-survival", e)),
+        Err(mpsc::RecvTimeoutError::Timeout) => Err(Violation::new(
+            "deadline",
+            format!("run exceeded the {deadline:?} budget"),
+        )),
+        Err(mpsc::RecvTimeoutError::Disconnected) => Err(Violation::new(
+            "no-panic",
+            "a rank thread panicked mid-run".to_string(),
+        )),
+    }
+}
+
 /// Everything a training schedule produced, condensed for checking.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TrainingRun {
-    pub rounds: u64,
     pub syncs: u64,
     pub evictions: usize,
     pub completed: usize,
     pub failed: usize,
     pub full_run: usize,
     pub fingerprint: u64,
-    pub sent: u64,
-    pub dropped: u64,
-    pub duplicated: u64,
-    pub corrupt: u64,
-    pub forwarded: u64,
+    pub chaos: ChaosTally,
+    /// PS shards that crashed on schedule and resumed from a checkpoint.
+    pub ps_resumed: usize,
+    /// Of those, the ones that loaded the `.prev` generation.
+    pub fallback_prev: usize,
     pub wall_ms: u64,
 }
 
-/// Fixed per-sweep training parameters (model, cluster size, budget).
+/// Fixed per-sweep training parameters: the model, and in `cfg` the
+/// cluster size (`n_workers`) and step budget (`max_steps`).
 #[derive(Clone)]
 pub struct TrainingKnobs {
-    pub workers: usize,
-    pub steps: u64,
     pub cfg: RunConfig,
     pub wl: Workload,
     pub opts: ElasticOptions,
@@ -329,13 +450,12 @@ impl TrainingKnobs {
     /// CI-scale knobs: 3 workers, a few steps of the small conv net,
     /// liveness tuned so loss-type faults resolve in a second or two.
     pub fn quick(steps: u64) -> TrainingKnobs {
-        let workers = 3;
         let cfg = RunConfig {
             strategy: Strategy::SelSync {
                 delta: 0.25,
                 aggregation: Aggregation::Parameter,
             },
-            n_workers: workers,
+            n_workers: 3,
             max_steps: steps,
             eval_every: steps,
             ..RunConfig::quick_defaults()
@@ -344,8 +464,6 @@ impl TrainingKnobs {
         let mut opts = ElasticOptions::with_liveness(Duration::from_millis(150), 3);
         opts.comm_retries = 6;
         TrainingKnobs {
-            workers,
-            steps,
             cfg,
             wl,
             opts,
@@ -354,265 +472,427 @@ impl TrainingKnobs {
     }
 }
 
-struct RawRun {
-    rounds: u64,
-    syncs: u64,
-    evictions: usize,
-    completed: Vec<WorkerOutput>,
-    failed: usize,
-    sent: u64,
-    dropped: u64,
-    duplicated: u64,
-    corrupt: u64,
-    forwarded: u64,
+/// A scheduled PS crash and its in-process restart: shard `shard` dies
+/// at `point`, waits the plan's `server_crash.restart_after_ms`, tears
+/// its current checkpoint generation if `tear_current` (forcing the
+/// `.prev` fallback), reloads its own checkpoint and serves the rest of
+/// the run over the same endpoint. Its siblings serve throughout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PsRecovery {
+    pub shard: usize,
+    pub point: ServerCrashPoint,
+    pub tear_current: bool,
 }
 
-/// Tally one rank's chaos layer into the run totals.
-fn tally<T: Transport>(raw: &mut RawRun, cep: &ChaosTransport<T>) {
-    let s = cep.stats();
-    raw.sent += s.total_messages();
-    raw.dropped += s.dropped_messages();
-    raw.duplicated += s.duplicated_messages();
-    raw.corrupt += s.corrupt_messages();
+/// Truncate the current generation mid-byte — simulated bit rot of the
+/// newest file, strictly harsher than a real mid-write kill (the
+/// temp-file + atomic-rename writer never opens the current generation
+/// for writing). With no `.prev` generation to fall back on, the damage
+/// is unrecoverable by construction and the scenario would test
+/// nothing, so that is an error, not a skip.
+fn tear_checkpoint(path: &Path) -> Result<(), String> {
+    let prev = prev_path(path);
+    if !prev.exists() {
+        return Err(format!("no {} generation to fall back on", prev.display()));
+    }
+    let bytes = std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    std::fs::write(path, &bytes[..bytes.len() / 2])
+        .map_err(|e| format!("tearing {}: {e}", path.display()))
 }
 
-/// Drive one elastic run — workers `0..W`, a `k`-shard PS group after
-/// them — with every endpoint wrapped in a [`ChaosTransport`] executing
-/// `plan`.
-fn drive_training(k: usize, plan: &FaultPlan, knobs: &TrainingKnobs) -> Result<RawRun, String> {
-    let layout = ShardLayout::new(k, knobs.workers, false);
-    let endpoints = Fabric::new(layout.total_ranks());
-    // the channel fabric shares one CommStats across endpoints: its
-    // total is exactly "messages every rank's chaos layer forwarded"
-    let fabric_stats = endpoints[0].stats().clone();
+/// Restart shard `rec.shard` after its scheduled crash: wait out the
+/// plan's restart delay, tear the current generation if asked, reload
+/// the shard's own checkpoint and serve on. Returns the report and
+/// whether `.prev` was loaded.
+fn restart_shard<T: Transport>(
+    cep: &mut ChaosTransport<T>,
+    rec: PsRecovery,
+    knobs: &TrainingKnobs,
+    layout: ShardLayout,
+) -> Result<(ElasticReport, bool), TransportError> {
+    let restart_after = cep
+        .plan()
+        .server_crash
+        .as_ref()
+        .map_or(0, |c| c.restart_after_ms);
+    thread::sleep(Duration::from_millis(restart_after));
+    let base = knobs
+        .opts
+        .checkpoint
+        .as_deref()
+        .expect("a PS-crash run writes checkpoints");
+    let path = shard_state_path(base, &layout, rec.shard);
+    if rec.tear_current {
+        tear_checkpoint(&path).map_err(TransportError::Protocol)?;
+    }
+    let (state, fallback) = load_state_with_fallback(&path)
+        .map_err(|e| TransportError::Protocol(format!("recovering {}: {e}", path.display())))?;
+    let mut opts = knobs.opts.clone();
+    opts.server_crash = None;
+    run_elastic_server_rank_from(cep, &knobs.cfg, &knobs.wl, &opts, layout, &state)
+        .map(|report| (report, fallback))
+}
+
+/// Drive one elastic run over `endpoints` — workers `0..W`, the
+/// `layout`'s PS group after them — with every endpoint wrapped in a
+/// [`ChaosTransport`] executing `plan`, and the shard `recovery` names
+/// restarted after its scheduled crash.
+fn drive_training<T: Transport + Send + 'static>(
+    endpoints: Vec<T>,
+    layout: ShardLayout,
+    plan: &FaultPlan,
+    knobs: &TrainingKnobs,
+    recovery: Option<PsRecovery>,
+) -> Result<TrainingRun, String> {
+    let forwarded = forwarded(&endpoints);
     let mut servers = Vec::new();
     let mut workers = Vec::new();
     for ep in endpoints {
-        let (cfg, wl, plan) = (knobs.cfg.clone(), knobs.wl.clone(), plan.clone());
-        let mut opts = knobs.opts.clone();
+        let (mut knobs, plan) = (knobs.clone(), plan.clone());
         match layout.role_of(ep.id()) {
             Role::Worker(_) => {
-                opts.crash_at = plan.crash_step(ep.id());
+                knobs.opts.crash_at = plan.crash_step(ep.id());
                 workers.push(thread::spawn(move || {
                     let mut cep = ChaosTransport::new(ep, plan);
-                    let res = run_elastic_worker_rank(&mut cep, &cfg, &wl, &opts, layout);
+                    let (cfg, wl, opts) = (&knobs.cfg, &knobs.wl, &knobs.opts);
+                    let res = run_elastic_worker_rank(&mut cep, cfg, wl, opts, layout);
                     (res, cep)
                 }));
             }
-            Role::Shard(_) => servers.push(thread::spawn(move || {
-                let mut cep = ChaosTransport::new(ep, plan);
-                let res = run_elastic_server_rank(&mut cep, &cfg, &wl, &opts, layout);
-                (res, cep)
-            })),
+            Role::Shard(s) => {
+                // the crash schedule is per process: siblings serve on
+                let rec = recovery.filter(|r| r.shard == s);
+                knobs.opts.server_crash = rec.map(|r| r.point);
+                servers.push(thread::spawn(move || {
+                    let mut cep = ChaosTransport::new(ep, plan);
+                    let (cfg, wl, opts) = (&knobs.cfg, &knobs.wl, &knobs.opts);
+                    let mut res = run_elastic_server_rank(&mut cep, cfg, wl, opts, layout)
+                        .map(|report| (report, None));
+                    if let (Some(rec), Ok((report, _))) = (rec, &res) {
+                        if report.crashed {
+                            res = restart_shard(&mut cep, rec, &knobs, layout)
+                                .map(|(report, prev)| (report, Some(prev)));
+                        }
+                    }
+                    (res, cep)
+                }));
+            }
             Role::Standby(_) => unreachable!("soak runs without standbys"),
         }
     }
 
-    let mut raw = RawRun {
-        rounds: 0,
-        syncs: 0,
-        evictions: 0,
-        completed: Vec::new(),
-        failed: 0,
-        sent: 0,
-        dropped: 0,
-        duplicated: 0,
-        corrupt: 0,
-        forwarded: 0,
-    };
+    let mut run = TrainingRun::default();
+    let mut completed = Vec::new();
     for h in workers {
         let (res, cep) = h.join().expect("worker thread");
-        tally(&mut raw, &cep);
+        run.chaos.add(&cep);
         match res {
-            Ok(out) => raw.completed.push(out),
-            Err(_) => raw.failed += 1,
+            Ok(out) => completed.push(out),
+            Err(_) => run.failed += 1,
         }
     }
     for (s, h) in servers.into_iter().enumerate() {
         let (res, cep) = h.join().expect("server thread");
-        tally(&mut raw, &cep);
-        let report = res.map_err(|e| format!("PS shard {s} failed: {e}"))?;
+        run.chaos.add(&cep);
+        let (report, resumed) = res.map_err(|e| format!("PS shard {s} failed: {e}"))?;
+        if let Some(prev) = resumed {
+            run.ps_resumed += 1;
+            run.fallback_prev += usize::from(prev);
+        }
         if s == 0 {
             // shard 0 is the authoritative membership view
-            raw.rounds = report.rounds;
-            raw.syncs = report.syncs;
-            raw.evictions = report.evictions.len();
+            run.syncs = report.syncs;
+            run.evictions = report.evictions.len();
         }
     }
-    raw.completed.sort_by_key(|o| o.worker);
-    raw.forwarded = fabric_stats.total_messages();
-    Ok(raw)
+    completed.sort_by_key(|o| o.worker);
+    run.completed = completed.len();
+    run.full_run = completed
+        .iter()
+        .filter(|o| o.lssr.total() == knobs.cfg.max_steps)
+        .count();
+    run.fingerprint = training_fingerprint(&completed);
+    run.chaos.forwarded = forwarded();
+    Ok(run)
 }
 
-/// Run one training schedule under a deadline watchdog. A hang becomes
-/// a `deadline` violation, a panicking rank a `no-panic` violation, a
-/// dead server a `server-survival` violation.
+/// A fresh directory for one run's checkpoints, unique in the process.
+fn checkpoint_dir() -> PathBuf {
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("selsync_soak_{}_{run}", std::process::id()));
+    let _ = std::fs::create_dir_all(&dir);
+    dir
+}
+
+/// Run one training schedule over `fabric` under a deadline watchdog.
+/// A hang becomes a `deadline` violation, a panicking rank a `no-panic`
+/// violation, a dead server a `server-survival` violation.
 pub fn run_training(
     topo: Topology,
+    fabric: FabricKind,
     plan: &FaultPlan,
     knobs: &TrainingKnobs,
+    recovery: Option<PsRecovery>,
 ) -> Result<TrainingRun, Violation> {
-    let start = Instant::now();
-    let (tx, rx) = mpsc::channel();
-    {
-        let (plan, knobs) = (plan.clone(), knobs.clone());
-        thread::spawn(move || {
-            let mut knobs = knobs;
-            if topo == Topology::Bucketed {
-                // identical cluster, bucketed wire format: the elastic
-                // param push becomes several Bucket frames
-                knobs.cfg.overlap_buckets = Some(SOAK_BUCKET_VALUES);
-            }
-            let _ = tx.send(drive_training(topo.shards(), &plan, &knobs));
-        });
-    }
-    let raw = match rx.recv_timeout(knobs.deadline) {
-        Ok(Ok(raw)) => raw,
-        Ok(Err(e)) => return Err(Violation::new("server-survival", e)),
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            return Err(Violation::new(
-                "deadline",
-                format!("run exceeded the {:?} budget", knobs.deadline),
-            ))
+    let (plan, mut knobs) = (plan.clone(), knobs.clone());
+    let (mut run, wall_ms) = watchdog(knobs.deadline, move || {
+        if topo == Topology::Bucketed {
+            // identical cluster, bucketed wire format: the elastic
+            // param push becomes several Bucket frames
+            knobs.cfg.overlap_buckets = Some(SOAK_BUCKET_VALUES);
         }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            return Err(Violation::new(
-                "no-panic",
-                "a rank thread panicked mid-run".to_string(),
-            ))
+        // a restarted shard reloads its checkpoint from a directory
+        // private to this run
+        let dir = recovery.map(|_| checkpoint_dir());
+        knobs.opts.checkpoint = dir.as_ref().map(|d| d.join("ps.ckpt"));
+        let layout = ShardLayout::new(topo.shards(), knobs.cfg.n_workers, false);
+        let n = layout.total_ranks();
+        let mesh = |e: std::io::Error| format!("loopback mesh: {e}");
+        let res = match fabric {
+            FabricKind::Channel => drive_training(Fabric::new(n), layout, &plan, &knobs, recovery),
+            FabricKind::Tcp => TcpEndpoint::loopback_mesh(n, |_| {})
+                .map_err(mesh)
+                .and_then(|eps| drive_training(eps, layout, &plan, &knobs, recovery)),
+            FabricKind::Poll => PollTcpEndpoint::loopback_mesh(n, |_| {})
+                .map_err(mesh)
+                .and_then(|eps| drive_training(eps, layout, &plan, &knobs, recovery)),
+        };
+        if let Some(dir) = dir {
+            let _ = std::fs::remove_dir_all(dir);
         }
-    };
-    let full_run = raw
-        .completed
-        .iter()
-        .filter(|o| o.lssr.total() == knobs.steps)
-        .count();
-    Ok(TrainingRun {
-        rounds: raw.rounds,
-        syncs: raw.syncs,
-        evictions: raw.evictions,
-        completed: raw.completed.len(),
-        failed: raw.failed,
-        full_run,
-        fingerprint: training_fingerprint(&raw.completed),
-        sent: raw.sent,
-        dropped: raw.dropped,
-        duplicated: raw.duplicated,
-        corrupt: raw.corrupt,
-        forwarded: raw.forwarded,
-        wall_ms: start.elapsed().as_millis() as u64,
-    })
+        res
+    })?;
+    run.wall_ms = wall_ms;
+    Ok(run)
 }
 
 /// Check every class-dependent invariant of a completed training run.
-/// `baseline` is the fault-free fingerprint for the same topology.
+/// `baseline` is the channel fabric's fault-free fingerprint for the
+/// same shard count; `recovery` is the PS crash the run scheduled.
 pub fn verify_training(
     plan: &FaultPlan,
     run: &TrainingRun,
     baseline: u64,
     knobs: &TrainingKnobs,
+    recovery: Option<PsRecovery>,
 ) -> Option<Violation> {
-    // conservation holds for every class: nothing the chaos layer did
-    // is unaccounted for
-    let balance = run.sent - run.dropped - run.corrupt + run.duplicated;
-    if balance != run.forwarded {
-        return Some(Violation::new(
-            "conservation",
-            format!(
-                "sent {} − dropped {} − corrupt {} + duplicated {} = {} ≠ forwarded {}",
-                run.sent, run.dropped, run.corrupt, run.duplicated, balance, run.forwarded
+    if let Some(v) = run.chaos.check() {
+        return Some(v);
+    }
+    // a scheduled PS crash that never fired, or never resumed, tested
+    // nothing; neither did a torn generation nobody fell back from
+    if let Some(rec) = recovery {
+        if run.ps_resumed != 1 {
+            return Some(Violation::new(
+                "ps-recovery",
+                format!(
+                    "shard {} was scheduled to crash at {:?} and restart; {} shard(s) resumed",
+                    rec.shard, rec.point, run.ps_resumed
+                ),
+            ));
+        }
+        if rec.tear_current && run.fallback_prev != 1 {
+            return Some(Violation::new(
+                "ps-recovery",
+                format!(
+                    "shard {}'s current generation was to be torn, but recovery did not load .prev",
+                    rec.shard
+                ),
+            ));
+        }
+    }
+    let (workers, crashes) = (knobs.cfg.n_workers, plan.crashes.len());
+    let checks = match classify(plan) {
+        PlanClass::Benign => vec![
+            (
+                run.evictions != 0,
+                "no-unexpected-eviction",
+                format!("benign plan evicted {} rank(s)", run.evictions),
             ),
-        ));
-    }
-    match classify(plan) {
-        PlanClass::Benign => {
-            if run.evictions != 0 {
-                return Some(Violation::new(
-                    "no-unexpected-eviction",
-                    format!("benign plan evicted {} rank(s)", run.evictions),
-                ));
-            }
-            if run.failed != 0 || run.full_run != knobs.workers {
-                return Some(Violation::new(
-                    "classified-recovery",
-                    format!(
-                        "benign plan: {} failed, {}/{} full-run workers",
-                        run.failed, run.full_run, knobs.workers
-                    ),
-                ));
-            }
-            if run.fingerprint != baseline {
-                return Some(Violation::new(
-                    "bit-identity",
-                    format!(
-                        "benign run fingerprint 0x{:016x} ≠ fault-free 0x{:016x}",
-                        run.fingerprint, baseline
-                    ),
-                ));
-            }
-        }
-        PlanClass::CrashOnly => {
-            let crashes = plan.crashes.len();
-            if run.failed != 0 {
-                return Some(Violation::new(
-                    "classified-recovery",
-                    format!(
-                        "crash-only plan: {} unexplained worker failure(s)",
-                        run.failed
-                    ),
-                ));
-            }
-            if run.evictions != crashes {
-                return Some(Violation::new(
-                    "classified-recovery",
-                    format!(
-                        "crash-only plan scheduled {} crash(es) but {} eviction(s) happened",
-                        crashes, run.evictions
-                    ),
-                ));
-            }
-            if run.full_run != knobs.workers - crashes {
-                return Some(Violation::new(
-                    "classified-recovery",
-                    format!(
-                        "{} survivors should have run all {} steps, {} did",
-                        knobs.workers - crashes,
-                        knobs.steps,
-                        run.full_run
-                    ),
-                ));
-            }
-        }
-        PlanClass::Lossy => {
-            // evictions/failures are legitimate recovery here; what
-            // must still hold is the accounting above and that every
-            // worker resolved one way or the other
-            if run.completed + run.failed != knobs.workers {
-                return Some(Violation::new(
-                    "classified-recovery",
-                    format!(
-                        "{} completed + {} failed ≠ {} workers",
-                        run.completed, run.failed, knobs.workers
-                    ),
-                ));
-            }
-        }
-    }
-    None
+            (
+                run.failed != 0 || run.full_run != workers,
+                "classified-recovery",
+                format!(
+                    "benign plan: {} failed, {}/{workers} full-run workers",
+                    run.failed, run.full_run
+                ),
+            ),
+            (
+                run.fingerprint != baseline,
+                "bit-identity",
+                format!(
+                    "benign run fingerprint 0x{:016x} ≠ fault-free 0x{baseline:016x}",
+                    run.fingerprint
+                ),
+            ),
+        ],
+        PlanClass::CrashOnly => vec![
+            (
+                run.failed != 0,
+                "classified-recovery",
+                format!(
+                    "crash-only plan: {} unexplained worker failure(s)",
+                    run.failed
+                ),
+            ),
+            (
+                run.evictions != crashes,
+                "classified-recovery",
+                format!(
+                    "crash-only plan scheduled {crashes} crash(es) but {} eviction(s) happened",
+                    run.evictions
+                ),
+            ),
+            (
+                run.full_run != workers - crashes,
+                "classified-recovery",
+                format!(
+                    "{} survivors should have run all {} steps, {} did",
+                    workers - crashes,
+                    knobs.cfg.max_steps,
+                    run.full_run
+                ),
+            ),
+        ],
+        // evictions/failures are legitimate recovery here; what must
+        // still hold is the accounting above and that every worker
+        // resolved one way or the other
+        PlanClass::Lossy => vec![(
+            run.completed + run.failed != workers,
+            "classified-recovery",
+            format!(
+                "{} completed + {} failed ≠ {workers} workers",
+                run.completed, run.failed
+            ),
+        )],
+    };
+    checks
+        .into_iter()
+        .find(|(failed, _, _)| *failed)
+        .map(|(_, invariant, detail)| Violation::new(invariant, detail))
+}
+
+/// One canned chaos scenario: a fixed plan on a fixed topology, the
+/// class that plan must classify as, and — for a PS crash — the shard
+/// restart it schedules.
+#[derive(Clone)]
+pub struct Scenario {
+    pub name: &'static str,
+    pub topo: Topology,
+    pub class: PlanClass,
+    pub plan: FaultPlan,
+    pub recovery: Option<PsRecovery>,
+}
+
+/// The nine named scenarios `selsync_soak` runs on every fabric before
+/// its random sweep, sized for `w` workers; `seed` seeds each plan.
+/// Every scenario runs the K = 1 group but the last two, which run
+/// K = 2.
+pub fn named_scenarios(seed: u64, w: usize) -> Vec<Scenario> {
+    use PlanClass::{Benign, CrashOnly, Lossy};
+    use ServerCrashPoint::{MidSync, RoundStart};
+    use Topology::{Monolithic, Sharded};
+    let crash_ps = |at_step| FaultPlan::crash_server(seed, at_step, 150);
+    let crash_shard = |at_step| FaultPlan::crash_one_shard(seed, at_step, 150);
+    let skewed = ShardLayout::new(2, w, false).shard_rank(1);
+    let rows = [
+        (
+            "fault-free",
+            Monolithic,
+            Benign,
+            FaultPlan::quiet(seed),
+            None,
+        ),
+        // the highest rank goes silent at step 1 and is evicted
+        (
+            "crash-one-worker",
+            Monolithic,
+            CrashOnly,
+            FaultPlan::crash_one(seed, w - 1, 1),
+            None,
+        ),
+        // training paces at the straggler, nobody is evicted
+        (
+            "slow-straggler",
+            Monolithic,
+            Benign,
+            FaultPlan::slow_straggler(seed, 1 % w, 3),
+            None,
+        ),
+        (
+            "flaky-network",
+            Monolithic,
+            Lossy,
+            FaultPlan::flaky_network(seed, 0.02, 0.03, 2),
+            None,
+        ),
+        // a corrupted frame dies at the decoder's CRC check, a truncated
+        // one at the length audit: either way a lost message
+        (
+            "corrupt-link",
+            Monolithic,
+            Lossy,
+            FaultPlan::corrupt_link(seed, 0.02, 0.01),
+            None,
+        ),
+        // the PS dies at a round boundary and resumes from step 0's sync
+        (
+            "crash-ps-midrun",
+            Monolithic,
+            Lossy,
+            crash_ps(1),
+            Some((0, RoundStart(1), false)),
+        ),
+        // steps 0 and 1 both sync (Δ(g) starts high), so the first sync
+        // from step 2 on dies with two durable generations behind it:
+        // the current one is torn and recovery must load `.prev`
+        (
+            "crash-ps-midckpt",
+            Monolithic,
+            Lossy,
+            crash_ps(2),
+            Some((0, MidSync(2), true)),
+        ),
+        // shard 1 resumes from its own `.s1` file while shard 0 serves on
+        (
+            "crash-one-shard",
+            Sharded(2),
+            Lossy,
+            crash_shard(2),
+            Some((1, MidSync(2), false)),
+        ),
+        // one slow shard paces every fan-out round
+        (
+            "shard-skew",
+            Sharded(2),
+            Benign,
+            FaultPlan::slow_shard(seed, skewed, 3),
+            None,
+        ),
+    ];
+    rows.into_iter()
+        .map(|(name, topo, class, plan, crash)| Scenario {
+            name,
+            topo,
+            class,
+            plan,
+            recovery: crash.map(|(shard, point, tear_current)| PsRecovery {
+                shard,
+                point,
+                tear_current,
+            }),
+        })
+        .collect()
 }
 
 /// Everything a serve schedule produced, condensed for checking.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeRun {
     pub completed: u64,
     pub evicted: Vec<usize>,
-    pub requeued: u64,
     pub fingerprint: u64,
-    pub sent: u64,
-    pub dropped: u64,
-    pub duplicated: u64,
-    pub corrupt: u64,
-    pub forwarded: u64,
+    pub chaos: ChaosTally,
     pub wall_ms: u64,
 }
 
@@ -636,17 +916,13 @@ impl ServeKnobs {
     }
 }
 
-const SOAK_MLP_DIMS: [usize; 3] = [16, 32, 8];
+/// The MLP spec the serve checkpoint is written for.
+pub const SOAK_MLP_DIMS: [usize; 3] = [16, 32, 8];
 
-/// The MLP spec the soak checkpoint is written for (binary + tests).
-pub fn soak_model_dims() -> Vec<usize> {
-    SOAK_MLP_DIMS.to_vec()
-}
-
-fn drive_serve(plan: &FaultPlan, knobs: &ServeKnobs) -> Result<RawServe, String> {
+fn drive_serve(plan: &FaultPlan, knobs: &ServeKnobs) -> Result<ServeRun, String> {
     let ranks = Ranks::new(knobs.replicas);
     let mut eps = Fabric::new(knobs.replicas + 2);
-    let fabric_stats = eps[0].stats().clone();
+    let forwarded = forwarded(&eps);
     let client_ep = eps.pop().expect("client endpoint");
     let router_ep = eps.pop().expect("router endpoint");
 
@@ -705,40 +981,20 @@ fn drive_serve(plan: &FaultPlan, knobs: &ServeKnobs) -> Result<RawServe, String>
     let mut client = ChaosTransport::new(client_ep, plan.clone());
     let report = run_client(&mut client, &client_cfg).map_err(|e| format!("client: {e}"))?;
 
-    let mut raw = RawServe {
+    let mut run = ServeRun {
         completed: report.completed,
-        evicted: Vec::new(),
-        requeued: 0,
-        fingerprint: 0,
-        sent: 0,
-        dropped: 0,
-        duplicated: 0,
-        corrupt: 0,
-        forwarded: 0,
+        ..ServeRun::default()
     };
-    let s = client.stats();
-    raw.sent += s.total_messages();
-    raw.dropped += s.dropped_messages();
-    raw.duplicated += s.duplicated_messages();
-    raw.corrupt += s.corrupt_messages();
+    run.chaos.add(&client);
     for h in replica_handles {
         let (res, cep) = h.join().expect("replica thread");
-        let s = cep.stats();
-        raw.sent += s.total_messages();
-        raw.dropped += s.dropped_messages();
-        raw.duplicated += s.duplicated_messages();
-        raw.corrupt += s.corrupt_messages();
+        run.chaos.add(&cep);
         res.map_err(|e| format!("replica: {e}"))?;
     }
     let (router_res, cep) = router.join().expect("router thread");
-    let s = cep.stats();
-    raw.sent += s.total_messages();
-    raw.dropped += s.dropped_messages();
-    raw.duplicated += s.duplicated_messages();
-    raw.corrupt += s.corrupt_messages();
+    run.chaos.add(&cep);
     let router_report = router_res.map_err(|e| format!("router: {e}"))?;
-    raw.evicted = router_report.evicted;
-    raw.requeued = router_report.requeued_batches;
+    run.evicted = router_report.evicted;
 
     // reply fingerprints in request order: the serving tier's outputs
     // are a pure function of (checkpoint, inputs), so this is stable
@@ -754,62 +1010,18 @@ fn drive_serve(plan: &FaultPlan, knobs: &ServeKnobs) -> Result<RawServe, String>
         fnv(&mut h, req);
         fnv(&mut h, fp);
     }
-    raw.fingerprint = h;
-    raw.forwarded = fabric_stats.total_messages();
-    Ok(raw)
-}
-
-struct RawServe {
-    completed: u64,
-    evicted: Vec<usize>,
-    requeued: u64,
-    fingerprint: u64,
-    sent: u64,
-    dropped: u64,
-    duplicated: u64,
-    corrupt: u64,
-    forwarded: u64,
+    run.fingerprint = h;
+    run.chaos.forwarded = forwarded();
+    Ok(run)
 }
 
 /// Run one serve schedule under the same watchdog contract as
 /// [`run_training`].
 pub fn run_serve(plan: &FaultPlan, knobs: &ServeKnobs) -> Result<ServeRun, Violation> {
-    let start = Instant::now();
-    let (tx, rx) = mpsc::channel();
-    {
-        let (plan, knobs) = (plan.clone(), knobs.clone());
-        thread::spawn(move || {
-            let _ = tx.send(drive_serve(&plan, &knobs));
-        });
-    }
-    let raw = match rx.recv_timeout(knobs.deadline) {
-        Ok(Ok(raw)) => raw,
-        Ok(Err(e)) => return Err(Violation::new("server-survival", e)),
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            return Err(Violation::new(
-                "deadline",
-                format!("serve run exceeded the {:?} budget", knobs.deadline),
-            ))
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            return Err(Violation::new(
-                "no-panic",
-                "a serving thread panicked mid-run".to_string(),
-            ))
-        }
-    };
-    Ok(ServeRun {
-        completed: raw.completed,
-        evicted: raw.evicted,
-        requeued: raw.requeued,
-        fingerprint: raw.fingerprint,
-        sent: raw.sent,
-        dropped: raw.dropped,
-        duplicated: raw.duplicated,
-        corrupt: raw.corrupt,
-        forwarded: raw.forwarded,
-        wall_ms: start.elapsed().as_millis() as u64,
-    })
+    let (plan, knobs) = (plan.clone(), knobs.clone());
+    let (mut run, wall_ms) = watchdog(knobs.deadline, move || drive_serve(&plan, &knobs))?;
+    run.wall_ms = wall_ms;
+    Ok(run)
 }
 
 /// Check every invariant of a completed serve run.
@@ -819,15 +1031,8 @@ pub fn verify_serve(
     baseline: u64,
     knobs: &ServeKnobs,
 ) -> Option<Violation> {
-    let balance = run.sent - run.dropped - run.corrupt + run.duplicated;
-    if balance != run.forwarded {
-        return Some(Violation::new(
-            "conservation",
-            format!(
-                "sent {} − dropped {} − corrupt {} + duplicated {} = {} ≠ forwarded {}",
-                run.sent, run.dropped, run.corrupt, run.duplicated, balance, run.forwarded
-            ),
-        ));
+    if let Some(v) = run.chaos.check() {
+        return Some(v);
     }
     if run.completed != knobs.requests {
         return Some(Violation::new(
@@ -870,50 +1075,37 @@ pub fn verify_serve(
 /// schedule entry removed, or one probability/knob zeroed.
 pub fn simplifications(p: &FaultPlan) -> Vec<FaultPlan> {
     let mut out = Vec::new();
-    for i in 0..p.crashes.len() {
+    let mut push = |edit: &dyn Fn(&mut FaultPlan)| {
         let mut c = p.clone();
-        c.crashes.remove(i);
+        edit(&mut c);
         out.push(c);
+    };
+    for i in 0..p.crashes.len() {
+        push(&|c| _ = c.crashes.remove(i));
     }
     for i in 0..p.partitions.len() {
-        let mut c = p.clone();
-        c.partitions.remove(i);
-        out.push(c);
+        push(&|c| _ = c.partitions.remove(i));
     }
     for i in 0..p.stragglers.len() {
-        let mut c = p.clone();
-        c.stragglers.remove(i);
-        out.push(c);
+        push(&|c| _ = c.stragglers.remove(i));
     }
     if p.server_crash.is_some() {
-        let mut c = p.clone();
-        c.server_crash = None;
-        out.push(c);
+        push(&|c| c.server_crash = None);
     }
     if p.drop_prob > 0.0 {
-        let mut c = p.clone();
-        c.drop_prob = 0.0;
-        out.push(c);
+        push(&|c| c.drop_prob = 0.0);
     }
     if p.duplicate_prob > 0.0 {
-        let mut c = p.clone();
-        c.duplicate_prob = 0.0;
-        out.push(c);
+        push(&|c| c.duplicate_prob = 0.0);
     }
     if p.corrupt_prob > 0.0 {
-        let mut c = p.clone();
-        c.corrupt_prob = 0.0;
-        out.push(c);
+        push(&|c| c.corrupt_prob = 0.0);
     }
     if p.truncate_prob > 0.0 {
-        let mut c = p.clone();
-        c.truncate_prob = 0.0;
-        out.push(c);
+        push(&|c| c.truncate_prob = 0.0);
     }
     if p.delay_ms_max > 0 {
-        let mut c = p.clone();
-        c.delay_ms_max = 0;
-        out.push(c);
+        push(&|c| c.delay_ms_max = 0);
     }
     out
 }
@@ -986,6 +1178,7 @@ mod tests {
             Topology::Serve,
         ];
         let mut seen = std::collections::HashSet::new();
+        let mut seen_pairs = std::collections::HashSet::new();
         for i in 0..160u64 {
             let topo = topos[(i % 4) as usize];
             // serve plans are drawn over the replica count (2), not the
@@ -995,6 +1188,10 @@ mod tests {
             let b = random_plan(9, i, topo, ranks, 6);
             assert_eq!(a, b, "pure function of (seed, index, topo, W, steps)");
             seen.insert(classify(&a));
+            assert!(a.server_crash.is_none(), "PS crashes are named scenarios");
+            if topo != Topology::Serve {
+                seen_pairs.insert((topo.name(), FabricKind::for_schedule(i).name()));
+            }
             if topo == Topology::Serve {
                 // the serve menu never schedules loss-type faults
                 assert_eq!(a.drop_prob, 0.0);
@@ -1013,6 +1210,14 @@ mod tests {
         assert!(seen.contains(&PlanClass::Benign));
         assert!(seen.contains(&PlanClass::CrashOnly));
         assert!(seen.contains(&PlanClass::Lossy));
+        // training schedules rotate channel → blocking TCP → poll TCP by
+        // index alone, which over a sweep reaches every training
+        // topology × fabric pair
+        assert_eq!(
+            (0..6).map(FabricKind::for_schedule).collect::<Vec<_>>(),
+            [FabricKind::ALL, FabricKind::ALL].concat()
+        );
+        assert_eq!(seen_pairs.len(), 3 * FabricKind::ALL.len());
         // a different sweep seed reshuffles the schedules
         assert_ne!(
             random_plan(9, 5, Topology::Monolithic, 3, 6),
@@ -1086,10 +1291,11 @@ mod tests {
         assert!(checks > 0 && checks < 200, "greedy, not exhaustive");
 
         let repro = Repro {
-            schema: "selsync-soak-repro-v1".to_string(),
+            schema: REPRO_SCHEMA.to_string(),
             sweep_seed: 9,
             schedule: 3,
             topology: "monolithic".to_string(),
+            fabric: "poll".to_string(),
             invariant: "classified-recovery".to_string(),
             detail: "demo".to_string(),
             shrunk_plan: minimal.clone(),
@@ -1122,16 +1328,19 @@ mod tests {
     fn fault_free_training_run_is_reproducible_and_clean() {
         let knobs = TrainingKnobs::quick(3);
         let quiet = FaultPlan::quiet(1);
-        let a = run_training(Topology::Monolithic, &quiet, &knobs).expect("baseline run");
-        let b = run_training(Topology::Monolithic, &quiet, &knobs).expect("baseline rerun");
+        let chan = FabricKind::Channel;
+        let a =
+            run_training(Topology::Monolithic, chan, &quiet, &knobs, None).expect("baseline run");
+        let b =
+            run_training(Topology::Monolithic, chan, &quiet, &knobs, None).expect("baseline rerun");
         assert_eq!(
             a.fingerprint, b.fingerprint,
             "fault-free runs are bit-identical"
         );
-        assert!(verify_training(&quiet, &a, b.fingerprint, &knobs).is_none());
+        assert!(verify_training(&quiet, &a, b.fingerprint, &knobs, None).is_none());
         assert_eq!(a.evictions, 0);
         assert_eq!(a.failed, 0);
-        assert_eq!(a.full_run, knobs.workers);
+        assert_eq!(a.full_run, knobs.cfg.n_workers);
     }
 
     /// The bucketed topology is the monolithic one in a different wire
@@ -1142,20 +1351,76 @@ mod tests {
     fn bucketed_topology_matches_monolithic_and_survives_loss() {
         let knobs = TrainingKnobs::quick(3);
         let quiet = FaultPlan::quiet(1);
-        let bucketed = run_training(Topology::Bucketed, &quiet, &knobs).expect("bucketed baseline");
-        let mono = run_training(Topology::Monolithic, &quiet, &knobs).expect("monolithic baseline");
+        let chan = FabricKind::Channel;
+        let bucketed = run_training(Topology::Bucketed, chan, &quiet, &knobs, None)
+            .expect("bucketed baseline");
+        let mono = run_training(Topology::Monolithic, chan, &quiet, &knobs, None)
+            .expect("monolithic baseline");
         assert_eq!(
             bucketed.fingerprint, mono.fingerprint,
             "bucketing changes the wire format, not the outcome"
         );
-        assert!(verify_training(&quiet, &bucketed, mono.fingerprint, &knobs).is_none());
+        assert!(verify_training(&quiet, &bucketed, mono.fingerprint, &knobs, None).is_none());
 
         let mut lossy = FaultPlan::flaky_network(7, 0.05, 0.0, 0);
         lossy.corrupt_prob = 0.03;
-        let run = run_training(Topology::Bucketed, &lossy, &knobs).expect("lossy bucketed run");
+        let run = run_training(Topology::Bucketed, chan, &lossy, &knobs, None)
+            .expect("lossy bucketed run");
         assert!(
-            verify_training(&lossy, &run, bucketed.fingerprint, &knobs).is_none(),
+            verify_training(&lossy, &run, bucketed.fingerprint, &knobs, None).is_none(),
             "lossy bucketed run must terminate, conserve, and resolve every worker"
         );
+    }
+
+    /// The named table is a fixed contract: each plan classifies as its
+    /// row says, and each PS crash restarts a shard its layout has.
+    #[test]
+    fn named_scenarios_classify_as_their_rows_say() {
+        let workers = TrainingKnobs::quick(4).cfg.n_workers;
+        let table = named_scenarios(42, workers);
+        assert_eq!(table.len(), 9);
+        for s in &table {
+            assert_eq!(classify(&s.plan), s.class, "{}", s.name);
+            assert_eq!(
+                s.plan.server_crash.is_some(),
+                s.recovery.is_some(),
+                "{}: a planned PS crash is a scheduled restart",
+                s.name
+            );
+            if let Some(rec) = s.recovery {
+                assert!(rec.shard < s.topo.shards(), "{}: victim shard", s.name);
+            }
+        }
+        let torn: Vec<_> = table
+            .iter()
+            .filter(|s| s.recovery.is_some_and(|r| r.tear_current))
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(torn, ["crash-ps-midckpt"]);
+    }
+
+    /// One quiet plan over a 2-worker mesh on each endpoint type: the
+    /// same fingerprint everywhere, and conservation holds whether the
+    /// fabric shares one `CommStats` or each endpoint owns its own.
+    #[test]
+    fn quiet_plan_is_bit_identical_across_fabrics() {
+        let mut knobs = TrainingKnobs::quick(3);
+        knobs.cfg.n_workers = 2;
+        let quiet = FaultPlan::quiet(1);
+        let runs: Vec<TrainingRun> = FabricKind::ALL
+            .iter()
+            .map(|&f| {
+                run_training(Topology::Monolithic, f, &quiet, &knobs, None).expect("quiet run")
+            })
+            .collect();
+        for (f, run) in FabricKind::ALL.iter().zip(&runs) {
+            assert_eq!(run.fingerprint, runs[0].fingerprint, "{}", f.name());
+            assert!(run.chaos.forwarded > 0);
+            assert!(
+                verify_training(&quiet, run, runs[0].fingerprint, &knobs, None).is_none(),
+                "{}",
+                f.name()
+            );
+        }
     }
 }

@@ -483,7 +483,12 @@ mod tests {
         assert_eq!(global, vec![5.5]);
     }
 
+    /// `id` goes through `black_box` so that a constant `id` (the
+    /// references) and a runtime one (the workers) both call `sin` at
+    /// run time: the optimiser would otherwise fold the constant calls,
+    /// and its folded `sin` can differ from the library's by one ulp.
     fn wavy(id: usize) -> Vec<f32> {
+        let id = std::hint::black_box(id);
         (0..13).map(|i| ((id * 31 + i) as f32).sin()).collect()
     }
 
