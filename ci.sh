@@ -111,6 +111,11 @@ cargo test -q --release -p selsync-net --test fabric_allocations
 # recorded before the layer contract was unified) and `heap_allocations`
 # (a counting global allocator: two allocations per steady-state training
 # step, none per predict), so the optimiser is held to both as well.
+# This step also carries the exhaustive sweep of `tensor::math`: every
+# body of the `tanh` lane kernel (AVX2 and portable) against libm's
+# `f32::tanh` by `to_bits` on all 2^32 inputs, on scoped threads. It is
+# `#[cfg_attr(debug_assertions, ignore)]`, so the debug run above skips
+# it; on two cores it adds about 100 s.
 echo "==> cargo test -q --release (tensor + nn kernels under the optimiser)"
 cargo test -q --release -p selsync-tensor -p selsync-nn
 

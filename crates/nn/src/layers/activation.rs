@@ -2,7 +2,7 @@
 
 use crate::module::{Module, Param, ParamVisitor};
 use crate::workspace::Workspace;
-use selsync_tensor::Tensor;
+use selsync_tensor::{math, Tensor};
 
 /// Rectified linear unit `max(0, x)`.
 #[derive(Clone, Default)]
@@ -82,17 +82,16 @@ impl Module for Gelu {
         self.dydx.ensure_shape(x.shape().clone());
         let mut y = ws.take(x.shape().clone());
         let (xs, ds) = (x.as_slice(), self.dydx.as_mut_slice());
-        // `tanh` is the layer's one libm call and the derivative needs the
-        // same value, so each element's is taken once, in a pass of its
-        // own between two that vectorise. The expressions are those of
-        // x·Φ(x) and its analytic derivative with their association kept,
-        // so the bits do not depend on the split (DESIGN.md §7).
+        // The derivative needs the same `tanh` as the output, so each
+        // element's is taken once, by the bit-exact lane kernel, in a pass
+        // of its own between two more that vectorise. The expressions are
+        // those of x·Φ(x) and its analytic derivative with their
+        // association kept, so the bits do not depend on the split
+        // (DESIGN.md §7).
         for (d, &v) in ds.iter_mut().zip(xs) {
             *d = C * (v + 0.044715 * v * v * v);
         }
-        for d in ds.iter_mut() {
-            *d = d.tanh();
-        }
+        math::tanh_in_place(ds);
         for ((y, d), &v) in y.as_mut_slice().iter_mut().zip(ds).zip(xs) {
             let t = *d;
             let phi = 0.5 * (1.0 + t);

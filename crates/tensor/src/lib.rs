@@ -4,8 +4,9 @@
 //! SelSync reproduction. It provides the numerical substrate the neural
 //! network crate (`selsync-nn`) is built on: contiguous row-major `f32`
 //! tensors, elementwise arithmetic, reductions, blocked (and optionally
-//! rayon-parallel) matrix multiplication, and im2col-based convolution
-//! helpers.
+//! rayon-parallel) matrix multiplication, im2col-based convolution
+//! helpers, and lane kernels that replace per-element libm calls bit for
+//! bit (`math`).
 //!
 //! Design notes (per the hpc-parallel guides):
 //! * Hot loops never allocate: every op has an in-place or `*_into` variant
@@ -16,6 +17,7 @@
 
 pub mod conv;
 pub mod init;
+pub mod math;
 pub mod matmul;
 pub mod ops;
 pub mod reduce;

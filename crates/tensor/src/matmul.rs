@@ -421,7 +421,7 @@ fn pack_b(bp: &mut [f32], b: MatRef<'_>, pc: usize, kc: usize, j0: usize, nc: us
 /// once; the result is stable for the process lifetime, so kernel
 /// dispatch is deterministic.
 #[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
+pub(crate) fn avx2_available() -> bool {
     use std::sync::OnceLock;
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| {
@@ -430,7 +430,7 @@ fn avx2_available() -> bool {
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-fn avx2_available() -> bool {
+pub(crate) fn avx2_available() -> bool {
     false
 }
 
