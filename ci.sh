@@ -111,6 +111,9 @@ cargo test -q --release -p selsync-net --test fabric_allocations
 # recorded before the layer contract was unified) and `heap_allocations`
 # (a counting global allocator: two allocations per steady-state training
 # step, none per predict), so the optimiser is held to both as well.
+# The packed GEMM is held to the naive reference kernels here too, at
+# the 256^3, transformer, im2col, attention-head and conv shapes the
+# models run, as NN, TN and NT (`tile_boundary_shapes_match_reference`).
 # This step also carries the exhaustive sweep of `tensor::math`: every
 # body of the `tanh` lane kernel (AVX2 and portable) against libm's
 # `f32::tanh` by `to_bits` on all 2^32 inputs, on scoped threads. It is
@@ -156,25 +159,6 @@ cargo test -q -p selsync-net --test frame_fuzz
 # JSON repro for a failing random schedule.
 echo "==> selsync_soak --quick (named chaos scenarios + randomized fault sweep)"
 ./target/release/selsync_soak --quick --out /tmp/SOAK_repro_ci.json > /dev/null
-
-# Writes a quick-mode kernel table to /tmp (the committed
-# BENCH_kernels.json is itself a quick-mode snapshot, but one a CI smoke
-# run must not overwrite) and exits nonzero if the file is malformed or any optimized
-# kernel's checksum diverges from the naive reference kernels beyond
-# float-reassociation tolerance. The overlap smoke rides along: the
-# `overlap_steps_per_sec` rows re-run the real bucketed vs monolithic
-# BSP cluster and fail the run unless the two are bit-identical
-# (DESIGN.md §12).
-echo "==> kernel bench (quick; checksum + overlap bit-identity + JSON validation)"
-./target/release/kernel_bench --quick --out /tmp/BENCH_kernels_ci.json > /dev/null
-
-# Merges the sharded-PS sweep rows into the same /tmp table (must run
-# after kernel_bench, which rewrites the file wholesale) and exits
-# nonzero if the fan-out byte accounting drifts, results diverge across
-# shard counts, or the modeled K=4 stops beating K=1 at the congested
-# point.
-echo "==> shard bench (quick; byte-accounting + crossover validation)"
-./target/release/shard_bench --quick --out /tmp/BENCH_kernels_ci.json > /dev/null
 
 # Regenerates BENCH_serve.json from an in-process serving group and
 # exits nonzero if any grid point dropped a request, produced a

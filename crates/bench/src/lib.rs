@@ -40,7 +40,7 @@ pub struct Scale {
 impl Scale {
     /// Read `SELSYNC_SCALE` / `SELSYNC_WORKERS` / `SELSYNC_STEPS`.
     pub fn from_env() -> Self {
-        let full = std::env::var("SELSYNC_SCALE").is_ok_and(|v| v == "full");
+        let full = std::env::var("SELSYNC_SCALE").is_ok_and(|v| parse_scale_is_full(&v));
         let mut s = if full {
             Scale {
                 workers: 16,
@@ -63,6 +63,17 @@ impl Scale {
             s.steps = parse_env_int("SELSYNC_STEPS", &st);
         }
         s
+    }
+}
+
+/// Parse `SELSYNC_SCALE`: `true` for `full`, `false` for `quick`, and a
+/// panic that names the variable and the value for anything else, so
+/// `SELSYNC_SCALE=Full` does not quietly run at quick scale.
+fn parse_scale_is_full(value: &str) -> bool {
+    match value {
+        "quick" => false,
+        "full" => true,
+        _ => panic!("SELSYNC_SCALE must be quick or full, got SELSYNC_SCALE={value:?}"),
     }
 }
 
@@ -252,6 +263,27 @@ mod tests {
             .expect("panic carries a String");
         assert!(msg.contains("SELSYNC_WORKERS"), "names the variable: {msg}");
         assert!(msg.contains("\"8x\""), "names the offending value: {msg}");
+    }
+
+    #[test]
+    fn parse_scale_accepts_exactly_quick_and_full() {
+        assert!(!parse_scale_is_full("quick"));
+        assert!(parse_scale_is_full("full"));
+    }
+
+    #[test]
+    fn parse_scale_names_variable_and_value_on_failure() {
+        for typo in ["Full", "ful", "FULL", ""] {
+            let err = std::panic::catch_unwind(|| parse_scale_is_full(typo)).unwrap_err();
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("panic carries a String");
+            assert!(msg.contains("SELSYNC_SCALE"), "names the variable: {msg}");
+            assert!(
+                msg.contains(&format!("{typo:?}")),
+                "names the offending value: {msg}"
+            );
+        }
     }
 
     #[test]

@@ -22,11 +22,6 @@ impl ClusterClock {
         }
     }
 
-    /// Number of lanes.
-    pub fn num_workers(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Advance worker `w` by `dt` seconds of local work.
     pub fn advance(&mut self, w: usize, dt: f64) {
         debug_assert!(dt >= 0.0, "time cannot go backwards");

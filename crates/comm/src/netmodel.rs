@@ -146,13 +146,6 @@ impl NetworkModel {
         // parallel exchange: two latency hops plus negligible payload
         2.0 * self.latency_s + (n as f64 * 8.0) / self.bandwidth_bps
     }
-
-    /// Per-iteration data-injection traffic time (§III-E): the shared
-    /// samples ride P2P links in parallel with, at worst, one serialized
-    /// hop each way.
-    pub fn injection_time(&self, injected_bytes: u64) -> f64 {
-        self.p2p_time(injected_bytes)
-    }
 }
 
 #[cfg(test)]

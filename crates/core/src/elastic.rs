@@ -578,7 +578,8 @@ mod tests {
     use super::*;
     use crate::config::{Aggregation, Strategy};
     use crate::run_distributed;
-    use selsync_comm::Fabric;
+    use selsync_comm::shard::fanout_push_wire_bytes;
+    use selsync_comm::{Fabric, Payload};
     use selsync_nn::models::ModelKind;
     use std::thread;
 
@@ -621,18 +622,21 @@ mod tests {
     }
 
     /// Run a full fault-free K-shard elastic cluster on one fabric;
-    /// returns the server reports by shard and the worker outputs by
-    /// rank.
+    /// returns the server reports by shard, the worker outputs by rank,
+    /// and every byte the cluster put on the fabric (the channel fabric
+    /// shares one `CommStats` across its endpoints).
     fn run_cluster(
         cfg: &RunConfig,
         wl: &Workload,
         opts: &ElasticOptions,
         k: usize,
-    ) -> (Vec<ElasticReport>, Vec<WorkerOutput>) {
+    ) -> (Vec<ElasticReport>, Vec<WorkerOutput>, u64) {
         let layout = ShardLayout::new(k, cfg.n_workers, false);
+        let eps = Fabric::new(layout.total_ranks());
+        let stats = std::sync::Arc::clone(eps[0].stats());
         let mut servers = Vec::new();
         let mut workers = Vec::new();
-        for mut ep in Fabric::new(layout.total_ranks()) {
+        for mut ep in eps {
             let (cfg, wl, opts) = (cfg.clone(), wl.clone(), opts.clone());
             match layout.role_of(ep.id()) {
                 Role::Worker(_) => workers.push(thread::spawn(move || {
@@ -651,14 +655,38 @@ mod tests {
             .into_iter()
             .map(|h| h.join().unwrap().unwrap())
             .collect();
-        (reports, outs)
+        (reports, outs, stats.total_bytes())
+    }
+
+    /// Closed-form wire bytes the whole cluster sends in a fault-free
+    /// K-shard run, every frame of the protocol in both directions:
+    ///
+    /// * handshake: each worker sends its map to every shard, each shard
+    ///   echoes it back;
+    /// * per step: each worker fans a 1-byte flags frame to every shard,
+    ///   each shard answers with the n-byte status vector;
+    /// * per sync: each worker's push splits into K sub-frames
+    ///   ([`fanout_push_wire_bytes`]), and the K range replies cost
+    ///   exactly the same bytes coming back;
+    /// * shutdown: one control frame from each worker to every shard.
+    fn expected_cluster_bytes(params: usize, n: usize, k: usize, steps: u64, syncs: u64) -> u64 {
+        let map = ShardMap::compute(params as u64, k);
+        let map_frame = Payload::ShardMap(map.spec().clone()).wire_bytes();
+        let flags_up = Payload::Flags(vec![0]).wire_bytes();
+        let flags_down = Payload::Flags(vec![0; n]).wire_bytes();
+        let ctrl_frame = Payload::Control(0).wire_bytes();
+        let (n64, k64) = (n as u64, k as u64);
+        2 * n64 * k64 * map_frame
+            + steps * n64 * k64 * (flags_up + flags_down)
+            + 2 * syncs * n64 * fanout_push_wire_bytes(params, k)
+            + n64 * k64 * ctrl_frame
     }
 
     #[test]
     fn fault_free_elastic_run_completes() {
         let cfg = elastic_cfg(3, 10, 0.35);
         let opts = ElasticOptions::with_liveness(Duration::from_millis(500), 3);
-        let (reports, outputs) = run_cluster(&cfg, &small_workload(), &opts, 1);
+        let (reports, outputs, _) = run_cluster(&cfg, &small_workload(), &opts, 1);
         assert!(reports[0].evictions.is_empty());
         assert!(reports[0].joins.is_empty());
         assert!(reports[0].syncs >= 1, "step 0 must sync (Δ = ∞)");
@@ -697,7 +725,7 @@ mod tests {
                 ..elastic_cfg(2, 8, 0.25)
             };
             let reference = run_distributed(&cfg, &wl);
-            let (reports, outs) = run_cluster(&cfg, &wl, &opts, 1);
+            let (reports, outs, _) = run_cluster(&cfg, &wl, &opts, 1);
 
             assert_eq!(
                 bits(&reports[0].final_params),
@@ -736,19 +764,47 @@ mod tests {
         }
     }
 
+    /// Sharding is a pure re-layout of the same arithmetic: at K = 1, 2
+    /// and 4, on a δ that leaves some steps local, every worker ends on
+    /// the same bits, the shard ranges concatenate to the K = 1 global
+    /// vector, and the cluster puts exactly the closed-form bytes on the
+    /// wire. A frame the accounting forgot, or an unplanned retry or
+    /// catch-up, shows as a byte mismatch.
     #[test]
-    fn k2_shards_reassemble_the_global_vector() {
-        let cfg = elastic_cfg(2, 6, 0.0); // δ=0: sync every step
+    fn k_shards_reassemble_the_global_vector() {
+        let (n, steps) = (2, 6);
+        let cfg = elastic_cfg(n, steps, 0.25);
+        let wl = small_workload();
         let opts = ElasticOptions::with_liveness(Duration::from_millis(500), 3);
-        let (reports, outs) = run_cluster(&cfg, &small_workload(), &opts, 2);
-        assert_eq!(reports.len(), 2);
-        // both shards saw the same sync schedule
-        assert_eq!(reports[0].syncs, reports[1].syncs);
-        // concatenating the shard ranges rebuilds every worker's final
-        // params exactly (δ=0 ⇒ the last step synced)
-        let global = [&reports[0].final_params[..], &reports[1].final_params].concat();
-        for o in &outs {
-            assert_eq!(o.final_params, global, "worker {}", o.worker);
+        let params = shard_map_for(&wl, &ShardLayout::new(1, n, false)).total() as usize;
+        let mut k1: Option<(Vec<f32>, Vec<Vec<u32>>)> = None;
+        for k in [1, 2, 4] {
+            let (reports, outs, bytes) = run_cluster(&cfg, &wl, &opts, k);
+            assert_eq!(reports.len(), k);
+            // every shard saw the same sync schedule
+            let syncs = reports[0].syncs;
+            assert!(reports.iter().all(|r| r.syncs == syncs), "k={k}");
+            assert!(
+                0 < syncs && syncs < steps,
+                "k={k}: δ must leave some steps local"
+            );
+            assert_eq!(
+                bytes,
+                expected_cluster_bytes(params, n, k, steps, syncs),
+                "k={k}: cluster wire bytes vs the closed form"
+            );
+            let global: Vec<f32> = reports
+                .iter()
+                .flat_map(|r| r.final_params.clone())
+                .collect();
+            let finals: Vec<Vec<u32>> = outs.iter().map(|o| bits(&o.final_params)).collect();
+            match &k1 {
+                None => k1 = Some((global, finals)),
+                Some((k1_global, k1_finals)) => {
+                    assert_eq!(bits(&global), bits(k1_global), "k={k}: shard concatenation");
+                    assert_eq!(&finals, k1_finals, "k={k}: worker parameters");
+                }
+            }
         }
     }
 
@@ -761,9 +817,9 @@ mod tests {
         let opts = ElasticOptions::with_liveness(Duration::from_millis(500), 3);
         for k in [1, 2] {
             let mut cfg = elastic_cfg(2, 6, 0.0); // δ=0: sync every step
-            let (plain_reports, plain_outs) = run_cluster(&cfg, &wl, &opts, k);
+            let (plain_reports, plain_outs, _) = run_cluster(&cfg, &wl, &opts, k);
             cfg.overlap_buckets = Some(1000);
-            let (bucket_reports, bucket_outs) = run_cluster(&cfg, &wl, &opts, k);
+            let (bucket_reports, bucket_outs, _) = run_cluster(&cfg, &wl, &opts, k);
             for (p, b) in plain_reports.iter().zip(&bucket_reports) {
                 assert_eq!(bits(&p.final_params), bits(&b.final_params), "k={k}");
                 assert_eq!(p.syncs, b.syncs, "k={k}");
@@ -939,7 +995,7 @@ mod tests {
         // reference: the same cluster with no faults
         let mut ref_opts = ElasticOptions::with_liveness(Duration::from_millis(400), 3);
         ref_opts.ps_patience = Duration::from_secs(30);
-        let (ref_reports, ref_outs) = run_cluster(&cfg, &wl, &ref_opts, 1);
+        let (ref_reports, ref_outs, _) = run_cluster(&cfg, &wl, &ref_opts, 1);
         assert!(!ref_reports[0].crashed);
 
         // faulted run: PS dies mid-sync at step 4, then resumes from the
@@ -1009,7 +1065,7 @@ mod tests {
         opts.checkpoint = Some(ckpt.clone());
 
         // fault-free reference (no checkpointing, same seed)
-        let (_, reference) = run_cluster(&cfg, &wl, &ref_opts, 2);
+        let (_, reference, _) = run_cluster(&cfg, &wl, &ref_opts, 2);
 
         let layout = ShardLayout::new(2, n, false);
         let mut servers = Vec::new();

@@ -1297,34 +1297,42 @@ mod tests {
     fn overlap_bucketed_run_matches_monolithic_bitwise() {
         // the tentpole invariant (DESIGN.md §12): pipelining the push as
         // buckets emitted during backward must not change a single bit —
-        // the PS fixes the reduction order by bucket index, not arrival
-        let wl = mlp_workload();
-        let mut cfg = quick(
-            Strategy::Bsp {
-                aggregation: Aggregation::Gradient,
-            },
-            3,
-            6,
-        );
-        let mono = run_distributed(&cfg, &wl);
-        cfg.overlap_buckets = Some(1000);
-        let bucketed = run_distributed(&cfg, &wl);
-        assert_eq!(mono.worker_params.len(), bucketed.worker_params.len());
-        for (m, b) in mono.worker_params.iter().zip(&bucketed.worker_params) {
-            let mb: Vec<u32> = m.iter().map(|v| v.to_bits()).collect();
-            let bb: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(mb, bb, "bucketed push must be bit-identical");
+        // the PS fixes the reduction order by bucket index, not arrival.
+        // Bucket emission follows each model's backward order, so the
+        // conv-residual and attention models are inputs too.
+        for wl in [
+            mlp_workload(),
+            Workload::vision(ModelKind::ResNetMini, 48, 16, 7),
+            Workload::text(48 * SEQ_LEN, 7),
+        ] {
+            let kind = wl.kind;
+            let mut cfg = quick(
+                Strategy::Bsp {
+                    aggregation: Aggregation::Gradient,
+                },
+                3,
+                6,
+            );
+            let mono = run_distributed(&cfg, &wl);
+            cfg.overlap_buckets = Some(1000);
+            let bucketed = run_distributed(&cfg, &wl);
+            assert_eq!(mono.worker_params.len(), bucketed.worker_params.len());
+            for (m, b) in mono.worker_params.iter().zip(&bucketed.worker_params) {
+                let mb: Vec<u32> = m.iter().map(|v| v.to_bits()).collect();
+                let bb: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(mb, bb, "{kind:?}: bucketed push must be bit-identical");
+            }
+            assert_eq!(
+                mono.logical_sync_bytes, bucketed.logical_sync_bytes,
+                "{kind:?}: same model bytes either way"
+            );
+            assert!(
+                bucketed.comm_bytes > mono.comm_bytes,
+                "{kind:?}: per-bucket frames carry header overhead: {} vs {}",
+                bucketed.comm_bytes,
+                mono.comm_bytes
+            );
         }
-        assert_eq!(
-            mono.logical_sync_bytes, bucketed.logical_sync_bytes,
-            "same model bytes either way"
-        );
-        assert!(
-            bucketed.comm_bytes > mono.comm_bytes,
-            "per-bucket frames carry header overhead: {} vs {}",
-            bucketed.comm_bytes,
-            mono.comm_bytes
-        );
     }
 
     #[test]

@@ -52,8 +52,6 @@ pub struct SourceFile {
     test_lines: Vec<bool>,
     /// 1-based line → every token on it belongs to an attribute.
     attr_only: Vec<bool>,
-    /// 1-based line → contains at least one token.
-    code_lines: Vec<bool>,
     /// Parsed `lint:allow` suppressions.
     pub suppressions: Vec<Suppression>,
     /// Item tree (fns, enums, consts, loops) for the semantic rules.
@@ -91,7 +89,6 @@ impl SourceFile {
             is_test_file,
             test_lines,
             attr_only,
-            code_lines,
             suppressions,
             items,
         }
@@ -105,11 +102,6 @@ impl SourceFile {
     /// Does this 1-based line consist solely of attribute tokens?
     pub fn is_attr_only_line(&self, line: u32) -> bool {
         *self.attr_only.get(line as usize).unwrap_or(&false)
-    }
-
-    /// Does this 1-based line carry any token at all?
-    pub fn is_code_line(&self, line: u32) -> bool {
-        *self.code_lines.get(line as usize).unwrap_or(&false)
     }
 }
 

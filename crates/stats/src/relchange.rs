@@ -38,13 +38,6 @@ impl RelativeGradChange {
         }
     }
 
-    /// Paper defaults for an `n_workers` cluster: window 25,
-    /// α = N/100 clamped into (0, 1].
-    pub fn paper_defaults(n_workers: usize) -> Self {
-        let alpha = (n_workers as f32 / 100.0).clamp(0.01, 1.0);
-        Self::new(Self::DEFAULT_WINDOW, alpha)
-    }
-
     /// Feed this step's squared gradient norm; returns Δ(g_i).
     ///
     /// The first step has no predecessor and returns `f32::INFINITY`, so

@@ -45,20 +45,6 @@ impl RunningStats {
         }
     }
 
-    /// Sample (Bessel-corrected) variance.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Merge another accumulator (parallel Welford / Chan et al.).
     pub fn merge(&mut self, other: &RunningStats) {
         if other.count == 0 {

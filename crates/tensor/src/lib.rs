@@ -6,7 +6,8 @@
 //! tensors, elementwise arithmetic, reductions, blocked (and optionally
 //! rayon-parallel) matrix multiplication, im2col-based convolution
 //! helpers, and lane kernels that replace per-element libm calls bit for
-//! bit (`math`).
+//! bit (`math`). The naive `matmul::reference` kernels are the serial
+//! oracle the tests hold the packed GEMM to.
 //!
 //! Design notes (per the hpc-parallel guides):
 //! * Hot loops never allocate: every op has an in-place or `*_into` variant
@@ -24,7 +25,7 @@ pub mod reduce;
 pub mod shape;
 pub mod tensor;
 
-pub use matmul::{reference_mode, set_reference_mode, Par};
+pub use matmul::Par;
 pub use shape::Shape;
 pub use tensor::Tensor;
 

@@ -22,15 +22,13 @@
 //! multi-process runs must agree exactly).
 //!
 //! The pre-rewrite scalar kernels survive in [`reference`](mod@reference)
-//! as the test oracle and the `kernel_bench --reference` baseline;
-//! flipping [`set_reference_mode`] routes the public entry points
-//! through them.
+//! as the serial test oracle the packed kernels are checked against
+//! (`tests/proptest_packed_kernels.rs`).
 
 use crate::tensor::Tensor;
 use crate::MATMUL_PAR_MACS;
 use rayon::prelude::*;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Register-block rows: each microkernel invocation produces an MR×NR
 /// tile of `C` held entirely in accumulator registers. 6×16 f32 = 12
@@ -59,22 +57,6 @@ pub enum Par {
     Never,
     /// Force the row-block fan-out (used by determinism tests).
     Always,
-}
-
-static REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
-
-/// Route the matmul family through the naive [`reference`](mod@reference)
-/// implementations (im2col/col2im are pure data movement and have no
-/// second implementation). Used by `kernel_bench
-/// --reference` to measure the pre-optimization baseline; not intended
-/// for concurrent toggling mid-computation.
-pub fn set_reference_mode(on: bool) {
-    REFERENCE_MODE.store(on, Ordering::SeqCst);
-}
-
-/// Whether [`set_reference_mode`] routing is active.
-pub fn reference_mode() -> bool {
-    REFERENCE_MODE.load(Ordering::SeqCst)
 }
 
 /// Read-only view of a rank-2 operand over row-major storage, so one
@@ -112,10 +94,6 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
 pub fn matmul_into_with(a: &Tensor, b: &Tensor, c: &mut Tensor, par: Par) {
     let (m, k, n) = dims_nn(a, b);
     assert_eq!(c.shape().dims(), &[m, n], "output shape mismatch");
-    if reference_mode() {
-        reference::matmul_into(a, b, c);
-        return;
-    }
     let av = MatRef {
         data: a.as_slice(),
         ld: k,
@@ -149,10 +127,6 @@ pub fn matmul_tn_into_with(a: &Tensor, b: &Tensor, c: &mut Tensor, par: Par) {
     let (m2, n) = dims2(b);
     assert_eq!(m, m2, "matmul_tn inner dimension mismatch ({m} vs {m2})");
     assert_eq!(c.shape().dims(), &[k, n], "output shape mismatch");
-    if reference_mode() {
-        reference::matmul_tn_into(a, b, c);
-        return;
-    }
     // Effective operand Aᵀ is [k, m]: element (i, p) lives at A[p, i].
     let av = MatRef {
         data: a.as_slice(),
@@ -187,10 +161,6 @@ pub fn matmul_nt_into_with(a: &Tensor, b: &Tensor, c: &mut Tensor, par: Par) {
     let (k, n2) = dims2(b);
     assert_eq!(n, n2, "matmul_nt inner dimension mismatch ({n} vs {n2})");
     assert_eq!(c.shape().dims(), &[m, k], "output shape mismatch");
-    if reference_mode() {
-        reference::matmul_nt_into(a, b, c);
-        return;
-    }
     let av = MatRef {
         data: a.as_slice(),
         ld: n,
@@ -577,131 +547,67 @@ pub(crate) fn dims_nn(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
     (m, k, n)
 }
 
-/// Pre-rewrite scalar kernels, kept verbatim as the proptest oracle and
-/// the `kernel_bench --reference` baseline. They retain the original
-/// single `PAR_FLOP_THRESHOLD` row-parallel dispatch so baseline
-/// numbers reflect what the repo actually shipped before the packed
-/// rewrite.
+/// Pre-rewrite scalar kernels, kept as the serial test oracle: each
+/// output row is one independent scalar loop, with none of the packed
+/// core's blocking, so a packing or tiling bug cannot hide in both.
 pub mod reference {
     use super::{dims2, dims_nn};
     use crate::ops::dot_slice;
     use crate::tensor::Tensor;
-    use rayon::prelude::*;
-
-    /// The old single global dispatch threshold (MACs).
-    pub const PAR_FLOP_THRESHOLD: usize = 1 << 18;
 
     /// Naive `C = A·B` (ikj scalar loop).
     pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, _k, n) = dims_nn(a, b);
-        let mut c = Tensor::zeros([m, n]);
-        matmul_into(a, b, &mut c);
-        c
-    }
-
-    /// Naive `C = A·B` into a preallocated output.
-    pub fn matmul_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
         let (m, k, n) = dims_nn(a, b);
-        assert_eq!(c.shape().dims(), &[m, n], "output shape mismatch");
+        let mut c = Tensor::zeros([m, n]);
         let (a, b) = (a.as_slice(), b.as_slice());
-        let kernel = |row_i: usize, c_row: &mut [f32]| {
-            c_row.fill(0.0);
-            let a_row = &a[row_i * k..(row_i + 1) * k];
-            for (p, &aval) in a_row.iter().enumerate() {
+        for (i, c_row) in c.as_mut_slice().chunks_exact_mut(n).enumerate() {
+            for (p, &aval) in a[i * k..(i + 1) * k].iter().enumerate() {
                 if aval == 0.0 {
                     continue;
                 }
-                let b_row = &b[p * n..(p + 1) * n];
-                for (cv, bv) in c_row.iter_mut().zip(b_row) {
+                for (cv, bv) in c_row.iter_mut().zip(&b[p * n..(p + 1) * n]) {
                     *cv += aval * bv;
                 }
             }
-        };
-        if m * n * k >= PAR_FLOP_THRESHOLD && m > 1 {
-            c.as_mut_slice()
-                .par_chunks_exact_mut(n)
-                .enumerate()
-                .for_each(|(i, row)| kernel(i, row));
-        } else {
-            for (i, row) in c.as_mut_slice().chunks_exact_mut(n).enumerate() {
-                kernel(i, row);
-            }
         }
+        c
     }
 
     /// Naive `C = Aᵀ·B` (column-strided reads of A).
     pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
-        let (_m, k) = dims2(a);
-        let (_m2, n) = dims2(b);
-        let mut c = Tensor::zeros([k, n]);
-        matmul_tn_into(a, b, &mut c);
-        c
-    }
-
-    /// Naive `C = Aᵀ·B` into a preallocated output.
-    pub fn matmul_tn_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
         let (m, k) = dims2(a);
         let (m2, n) = dims2(b);
         assert_eq!(m, m2, "matmul_tn inner dimension mismatch ({m} vs {m2})");
-        assert_eq!(c.shape().dims(), &[k, n], "output shape mismatch");
+        let mut c = Tensor::zeros([k, n]);
         let (a, b) = (a.as_slice(), b.as_slice());
-        let kernel = |row_p: usize, c_row: &mut [f32]| {
-            c_row.fill(0.0);
+        for (p, c_row) in c.as_mut_slice().chunks_exact_mut(n).enumerate() {
             for i in 0..m {
-                let aval = a[i * k + row_p];
+                let aval = a[i * k + p];
                 if aval == 0.0 {
                     continue;
                 }
-                let b_row = &b[i * n..(i + 1) * n];
-                for (cv, bv) in c_row.iter_mut().zip(b_row) {
+                for (cv, bv) in c_row.iter_mut().zip(&b[i * n..(i + 1) * n]) {
                     *cv += aval * bv;
                 }
             }
-        };
-        if m * n * k >= PAR_FLOP_THRESHOLD && k > 1 {
-            c.as_mut_slice()
-                .par_chunks_exact_mut(n)
-                .enumerate()
-                .for_each(|(p, row)| kernel(p, row));
-        } else {
-            for (p, row) in c.as_mut_slice().chunks_exact_mut(n).enumerate() {
-                kernel(p, row);
-            }
         }
+        c
     }
 
     /// Naive `C = A·Bᵀ` (row-dot-row).
     pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, _n) = dims2(a);
-        let (k, _n2) = dims2(b);
-        let mut c = Tensor::zeros([m, k]);
-        matmul_nt_into(a, b, &mut c);
-        c
-    }
-
-    /// Naive `C = A·Bᵀ` into a preallocated output.
-    pub fn matmul_nt_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
         let (m, n) = dims2(a);
         let (k, n2) = dims2(b);
         assert_eq!(n, n2, "matmul_nt inner dimension mismatch ({n} vs {n2})");
-        assert_eq!(c.shape().dims(), &[m, k], "output shape mismatch");
+        let mut c = Tensor::zeros([m, k]);
         let (a, b) = (a.as_slice(), b.as_slice());
-        let kernel = |row_i: usize, c_row: &mut [f32]| {
-            let a_row = &a[row_i * n..(row_i + 1) * n];
+        for (i, c_row) in c.as_mut_slice().chunks_exact_mut(k).enumerate() {
+            let a_row = &a[i * n..(i + 1) * n];
             for (j, cv) in c_row.iter_mut().enumerate() {
                 *cv = dot_slice(a_row, &b[j * n..(j + 1) * n]);
             }
-        };
-        if m * n * k >= PAR_FLOP_THRESHOLD && m > 1 {
-            c.as_mut_slice()
-                .par_chunks_exact_mut(k)
-                .enumerate()
-                .for_each(|(i, row)| kernel(i, row));
-        } else {
-            for (i, row) in c.as_mut_slice().chunks_exact_mut(k).enumerate() {
-                kernel(i, row);
-            }
         }
+        c
     }
 }
 
@@ -844,16 +750,6 @@ mod tests {
                 assert!((x - y).abs() <= 1e-3 * y.abs().max(1.0), "nt {m}x{k}x{n}");
             }
         }
-    }
-
-    #[test]
-    fn reference_mode_routes_to_naive_kernels() {
-        let a = t2(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let b = t2(2, 2, &[5.0, 6.0, 7.0, 8.0]);
-        set_reference_mode(true);
-        let c = matmul(&a, &b);
-        set_reference_mode(false);
-        assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
     }
 
     #[test]

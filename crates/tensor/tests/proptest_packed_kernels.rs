@@ -137,11 +137,14 @@ proptest! {
 }
 
 /// Deterministic sweep of the degenerate and tile-edge shapes the
-/// random generator might miss: 1×N strips, exact tile multiples, and
-/// one-off-the-tile sizes for MR=6 / NR=16 / KC=256.
+/// random generator might miss (1×N strips, exact tile multiples, and
+/// one-off-the-tile sizes for MR=6 / NR=16 / KC=256), plus the products
+/// the models run: every case is an `[m, n]` output contracted over `k`,
+/// computed as NN, TN and NT and each held to its reference kernel within
+/// 1e-3.
 #[test]
 fn tile_boundary_shapes_match_reference() {
-    let cases = [
+    let mut cases = vec![
         (1, 1, 1),
         (1, 7, 33),
         (6, 16, 16),   // exactly one microtile
@@ -150,15 +153,47 @@ fn tile_boundary_shapes_match_reference() {
         (13, 257, 31), // one past the KC block
         (5, 3, 97),
         (97, 1, 1),
+        (256, 256, 256),
+        (128, 64, 128), // a transformer feed-forward GEMM
+        (256, 72, 8),   // an im2col GEMM
+        (12, 8, 12),    // TransformerMini attention, per head: Q·Kᵀ, dctx·Vᵀ
+        (12, 12, 8),    // A·V, Aᵀ·dctx, dS·K, dSᵀ·Q
     ];
+    // The conv layer's three products on a batch of 5: forward
+    // W[oc, plen]·cols[plen, r], dW = dy[oc, r]·colsᵀ and
+    // dcols = Wᵀ·dy[oc, r]; the 32→7 geometry's plen = 288 crosses KC.
+    // (in_ch, out_ch, h, w, kernel, stride, pad)
+    for (ic, oc, h, w, k, s, p) in [
+        (8, 8, 8, 8, 3, 1, 1),
+        (8, 16, 8, 8, 3, 2, 1),
+        (3, 5, 7, 6, 5, 1, 2),
+        (32, 7, 8, 8, 3, 1, 1),
+    ] {
+        let plen = ic * k * k;
+        let r = 5 * ((h + 2 * p - k) / s + 1) * ((w + 2 * p - k) / s + 1);
+        cases.extend([(oc, plen, r), (oc, r, plen), (plen, oc, r)]);
+    }
     for (m, k, n) in cases {
         let a = randt(&[m, k], (m * 1000 + k * 10 + n) as u64);
         let b = randt(&[k, n], (m * 1000 + k * 10 + n) as u64 + 1);
-        let packed = matmul::matmul(&a, &b);
-        let naive = reference::matmul(&a, &b);
-        assert!(
-            close(&packed, &naive, 1e-3),
-            "packed vs reference diverged at {m}x{k}x{n}"
-        );
+        let (at, bt) = (matmul::transpose(&a), matmul::transpose(&b));
+        for (form, packed, naive) in [
+            ("nn", matmul::matmul(&a, &b), reference::matmul(&a, &b)),
+            (
+                "tn",
+                matmul::matmul_tn(&at, &b),
+                reference::matmul_tn(&at, &b),
+            ),
+            (
+                "nt",
+                matmul::matmul_nt(&a, &bt),
+                reference::matmul_nt(&a, &bt),
+            ),
+        ] {
+            assert!(
+                close(&packed, &naive, 1e-3),
+                "{form} packed vs reference diverged at {m}x{k}x{n}"
+            );
+        }
     }
 }
