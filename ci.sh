@@ -103,10 +103,18 @@ cargo test -q --release -p selsync-comm -- --nocapture
 echo "==> cargo test -q --release (fabric allocations under the optimiser)"
 cargo test -q --release -p selsync-net --test fabric_allocations
 
-# The GEMM microkernel reads B in place through raw pointers and the
-# conv / norm loops lean on the optimiser for their speed; the debug run
-# above checked their bit-identity oracles without it, this one checks
-# them as they ship. Both runs include nn's `model_digests` (gradients
+# The GEMM microkernel reads B in place and stores full tiles straight
+# into C through raw pointers, the NT pack transposes 8x8 blocks in
+# registers, and the conv lowering's masked shifts and the norm loops
+# lean on the optimiser for their speed; the debug run above checked
+# their bit-identity oracles without it, this one checks them as they
+# ship: both NT pack bodies against each other and the definition
+# (`transposed_pack_bodies_write_identical_panels`), direct-store tiles
+# against the accumulator path over a stale C
+# (`direct_store_tiles_match_the_acc_path`), and im2col / col2im against
+# their definitions with NaN, +-inf and -0.0 on masked and kept pixels,
+# which a multiply-by-zero mask fails, as it fails conv2d's row-major
+# oracle on an x and a dy that carry a NaN and an inf. Both runs include nn's `model_digests` (gradients
 # and parameters of the five models, bit for bit against constants
 # recorded before the layer contract was unified) and `heap_allocations`
 # (a counting global allocator: two allocations per steady-state training

@@ -116,6 +116,29 @@ impl Module for Conv2d {
     }
 
     fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+        let dy_mat = self.param_grads(dy, ws);
+        // dcols = Wᵀ · dy_mat, then scatter back to the input image
+        let mut dcols = ws.take(self.cache_cols.shape().clone());
+        matmul::matmul_tn_into(&self.w.value, &dy_mat, &mut dcols);
+        ws.give(dy_mat);
+        let n = self.cache_n;
+        let mut dx = ws.take([n, self.geom.in_ch, self.geom.in_h, self.geom.in_w]);
+        col2im_into(&dcols, n, &self.geom, &mut dx);
+        ws.give(dcols);
+        dx
+    }
+
+    fn backward_params(&mut self, dy: &Tensor, ws: &mut Workspace) {
+        let dy_mat = self.param_grads(dy, ws);
+        ws.give(dy_mat);
+    }
+}
+
+impl Conv2d {
+    /// Accumulate `db` and `dW` from `dy` and return `dy` as
+    /// `[oc, n·plane]`, the `dcols` product's operand (the caller gives
+    /// it back).
+    fn param_grads(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let (n, oc) = (self.cache_n, self.out_ch);
         let plane = self.out_h() * self.out_w();
         assert_eq!(
@@ -137,14 +160,7 @@ impl Module for Conv2d {
         matmul::matmul_nt_into(&dy_mat, &self.cache_cols, &mut dw);
         ops::add_assign(&mut self.w.grad, &dw);
         ws.give(dw);
-        // dcols = Wᵀ · dy_mat, then scatter back to the input image
-        let mut dcols = ws.take(self.cache_cols.shape().clone());
-        matmul::matmul_tn_into(&self.w.value, &dy_mat, &mut dcols);
-        ws.give(dy_mat);
-        let mut dx = ws.take([n, self.geom.in_ch, self.geom.in_h, self.geom.in_w]);
-        col2im_into(&dcols, n, &self.geom, &mut dx);
-        ws.give(dcols);
-        dx
+        dy_mat
     }
 }
 
@@ -307,13 +323,29 @@ mod tests {
     type Geometry = (usize, usize, usize, usize, usize, usize, usize);
 
     /// Forward + backward on the layer against the oracle, bit for bit.
-    fn assert_matches_oracle(batch: usize, (ic, oc, h, w, k, s, p): Geometry) {
-        let label = format!("n{batch} {ic}->{oc} {h}x{w} k{k} s{s} p{p}");
+    fn assert_matches_oracle(batch: usize, geometry: Geometry) {
+        assert_matches_oracle_with(batch, geometry, false);
+    }
+
+    /// [`assert_matches_oracle`]; with `poison` set, `x` and `dy` each
+    /// carry a `NaN` in the first column of a row and an `∞` in the last
+    /// column of another, the elements a flat shift's wrapped fringe
+    /// reads.
+    fn assert_matches_oracle_with(batch: usize, (ic, oc, h, w, k, s, p): Geometry, poison: bool) {
+        let label = format!("n{batch} {ic}->{oc} {h}x{w} k{k} s{s} p{p} poison {poison}");
         let mut rng = StdRng::seed_from_u64((batch * 131 + ic * 17 + oc + h * 7 + k) as u64);
         let mut c = Conv2d::new("c", ic, oc, h, w, k, s, p, &mut rng);
         c.b.value = init::randn([oc], 1.0, &mut rng);
-        let x = init::randn([batch, ic, h, w], 1.0, &mut rng);
-        let dy = init::randn([batch, oc, c.out_h(), c.out_w()], 1.0, &mut rng);
+        let mut x = init::randn([batch, ic, h, w], 1.0, &mut rng);
+        let mut dy = init::randn([batch, oc, c.out_h(), c.out_w()], 1.0, &mut rng);
+        if poison {
+            for (t, row) in [(&mut x, w), (&mut dy, c.out_w())] {
+                let v = t.as_mut_slice();
+                let len = v.len();
+                v[row.min(len - 1)] = f32::NAN;
+                v[len.saturating_sub(row + 1)] = f32::INFINITY;
+            }
+        }
         let want_y = oracle::forward(&c, &x);
         let (want_dw, want_db, want_dx) = oracle::backward(&c, &x, &dy);
 
@@ -349,6 +381,9 @@ mod tests {
             for g in MINI_GEOMETRIES {
                 assert_matches_oracle(batch, g);
             }
+        }
+        for g in MINI_GEOMETRIES {
+            assert_matches_oracle_with(3, g, true);
         }
     }
 

@@ -112,6 +112,14 @@ impl Module for Linear {
     }
 
     fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+        self.backward_params(dy, ws);
+        // dx = dy · W     ([n, out]·[out, in] = [n, in])
+        let mut dx = ws.take([dy.shape().dim(0), self.in_features()]);
+        matmul::matmul_into(dy, &self.w.value, &mut dx);
+        dx.reshape(self.in_shape.clone())
+    }
+
+    fn backward_params(&mut self, dy: &Tensor, ws: &mut Workspace) {
         // dW += dyᵀ · x   ([out, n]·[n, in] = [out, in])
         let mut dw = ws.take(self.w.value.shape().clone());
         matmul::matmul_tn_into(dy, &self.cache_x, &mut dw);
@@ -120,10 +128,6 @@ impl Module for Linear {
         if let Some(b) = &mut self.b {
             reduce::sum_axis0_acc(dy, b.grad.as_mut_slice());
         }
-        // dx = dy · W     ([n, out]·[out, in] = [n, in])
-        let mut dx = ws.take([dy.shape().dim(0), self.in_features()]);
-        matmul::matmul_into(dy, &self.w.value, &mut dx);
-        dx.reshape(self.in_shape.clone())
     }
 }
 

@@ -44,8 +44,8 @@ macro_rules! dense_model {
                 dlogits: &selsync_tensor::Tensor,
                 hook: &mut dyn FnMut(usize, &dyn $crate::module::ParamVisitor),
             ) {
-                let dx = self.net.backward(dlogits, &mut self.ws, hook);
-                self.ws.give(dx);
+                // the input batch needs no gradient
+                self.net.backward_params(dlogits, &mut self.ws, hook);
             }
 
             fn predict_ws(

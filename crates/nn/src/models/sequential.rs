@@ -148,21 +148,65 @@ impl Sequential {
         ws: &mut Workspace,
         hook: &mut dyn FnMut(usize, &dyn ParamVisitor),
     ) -> Tensor {
+        self.walk_back(dy, ws, hook, |first, g, ws| first.backward(g, ws))
+    }
+
+    /// [`Sequential::backward`] for a list whose input needs no gradient
+    /// (a dense model's input batch): the first stage runs
+    /// [`Module::backward_params`]. The parameter gradients, the hook
+    /// calls and their watermarks are those of `backward`.
+    pub(crate) fn backward_params(
+        &mut self,
+        dy: &Tensor,
+        ws: &mut Workspace,
+        hook: &mut dyn FnMut(usize, &dyn ParamVisitor),
+    ) {
+        self.walk_back(dy, ws, hook, |first, g, ws| first.backward_params(g, ws))
+    }
+
+    /// The reverse walk of both backward passes; `first` runs stage 0
+    /// on the gradient w.r.t. its output.
+    fn walk_back<R>(
+        &mut self,
+        dy: &Tensor,
+        ws: &mut Workspace,
+        hook: &mut dyn FnMut(usize, &dyn ParamVisitor),
+        first: impl FnOnce(&mut dyn Module, &Tensor, &mut Workspace) -> R,
+    ) -> R {
         let mut watermark = self.num_params();
         let mut g: Option<Tensor> = None;
-        for i in (0..self.stages.len()).rev() {
+        for i in (1..self.stages.len()).rev() {
             let stage = self.stages[i].module_mut();
             let next = stage.backward(g.as_ref().unwrap_or(dy), ws);
             let finalized = stage.num_params();
             if let Some(prev) = g.replace(next) {
                 ws.give(prev);
             }
-            if finalized > 0 {
-                watermark -= finalized;
-                hook(watermark, &*self);
-            }
+            watermark = self.announce(watermark, finalized, hook);
         }
+        let stage = self.stages[0].module_mut();
+        let out = first(stage, g.as_ref().unwrap_or(dy), ws);
+        let finalized = stage.num_params();
+        if let Some(prev) = g {
+            ws.give(prev);
+        }
+        watermark = self.announce(watermark, finalized, hook);
         debug_assert_eq!(watermark, self.embed.as_ref().map_or(0, |e| e.num_params()));
-        g.expect("the list is non-empty")
+        out
+    }
+
+    /// After a stage with `finalized` parameters returns: lower the
+    /// watermark past them and tell `hook`, if there were any.
+    fn announce(
+        &self,
+        watermark: usize,
+        finalized: usize,
+        hook: &mut dyn FnMut(usize, &dyn ParamVisitor),
+    ) -> usize {
+        if finalized == 0 {
+            return watermark;
+        }
+        hook(watermark - finalized, self);
+        watermark - finalized
     }
 }

@@ -89,6 +89,16 @@ pub trait Module: ParamVisitor + Send {
     /// Must be called after `forward`; returns the gradient w.r.t. the
     /// forward input.
     fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor;
+
+    /// [`Module::backward`] for a module whose input needs no gradient
+    /// (a dense model's first stage): accumulates every `Param::grad`
+    /// with the same bits and computes no input gradient. The default
+    /// runs `backward` and gives its result back; a layer whose input
+    /// gradient is a product of its own overrides it to skip that work.
+    fn backward_params(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        let dx = self.backward(grad_out, ws);
+        ws.give(dx);
+    }
 }
 
 #[cfg(test)]

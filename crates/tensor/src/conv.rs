@@ -4,9 +4,16 @@
 //! im2col expansion, the same lowering the reference frameworks use on
 //! CPU. The column matrix is *patch-major*: one row per receptive-field
 //! element `(c, ky, kx)` and one column per output pixel `(n, oy, ox)`,
-//! so every row is a sequence of `out_w`-long runs that are contiguous
-//! in the input too (stride 1) and the long `n·out_h·out_w` axis is the
-//! one the GEMM microkernel vectorizes over.
+//! so the long `n·out_h·out_w` axis is the one the GEMM microkernel
+//! vectorizes over.
+//!
+//! Neither direction moves data one row at a time. Where a tap is one
+//! constant shift of the plane (stride 1, `out_w == in_w`), each (tap,
+//! image) is one pass over the whole plane of the shifted input, with
+//! every pixel that reads padding ANDed to `+0.0` by the window's mask;
+//! every other geometry gathers (or scatters) each plane through a
+//! per-window table of input indices and masks. A mask never multiplies,
+//! so a `NaN` or `±∞` read from the padding cannot leak (DESIGN.md §7).
 //!
 //! Both directions have `*_into` variants writing into caller-provided
 //! buffers (the workspace path allocates nothing in steady state).
@@ -14,6 +21,7 @@
 //! enough to amortize a parallel region (DESIGN.md §7).
 
 use crate::tensor::Tensor;
+use std::cell::RefCell;
 
 /// Geometry of a conv / pooling window sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +71,14 @@ impl ConvGeom {
         (lo.min(hi), hi)
     }
 
+    /// Whether window offset `(ky, kx)` reads the input at any output
+    /// pixel, rather than padding only.
+    fn reads_input(&self, ky: usize, kx: usize) -> bool {
+        let (y_lo, y_hi) = self.valid_out(ky, self.in_h, self.out_h());
+        let (x_lo, x_hi) = self.valid_out(kx, self.in_w, self.out_w());
+        y_lo < y_hi && x_lo < x_hi
+    }
+
     /// Split a patch-row index into its `(channel, ky, kx)` tap.
     fn tap(&self, row: usize) -> (usize, usize, usize) {
         (
@@ -71,6 +87,91 @@ impl ConvGeom {
             row % self.k_w,
         )
     }
+}
+
+/// The mask of an output pixel whose tap reads inside the input; `0`
+/// (the bits of `+0.0`) marks one that reads padding. ANDed into a
+/// value's bits it keeps them or makes the value exactly `+0.0`,
+/// whatever the value is — a multiply by 0 would turn `NaN` and `±∞`
+/// into `NaN`.
+const KEEP: u32 = !0;
+
+thread_local! {
+    /// The sweep's window table (see [`window_table`]), reused across
+    /// calls on the same thread so steady-state steps do not reallocate
+    /// it.
+    static TABLE: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
+
+impl ConvGeom {
+    /// Stride 1 with output rows as long as input rows (every 3×3,
+    /// pad-1 layer of the minis): output pixel `o = oy·ow + ox` of tap
+    /// `(ky, kx)` reads input pixel `o + (ky − pad)·w + kx − pad`, one
+    /// constant shift for the whole plane. The pixels that read padding
+    /// map onto the neighbouring input row's far end (the wrapped
+    /// fringe) or past the plane's first or last row.
+    fn flat_shift(&self) -> bool {
+        self.stride == 1 && self.out_w() == self.in_w
+    }
+}
+
+/// Fill `table` for the sweep `g`: per window offset `(ky, kx)`, over the
+/// `oh·ow` output pixels of one image plane, the input-plane index each
+/// pixel reads (0 in the padding; left out for a
+/// [flat-shift](ConvGeom::flat_shift) geometry, where the index is the
+/// pixel's own plus a constant) followed by each pixel's mask.
+fn window_table(g: &ConvGeom, table: &mut Vec<u32>) {
+    let (h, w, oh, ow) = (g.in_h, g.in_w, g.out_h(), g.out_w());
+    assert!(h * w <= u32::MAX as usize, "input plane too large to index");
+    let plane = oh * ow;
+    table.clear();
+    for ky in 0..g.k_h {
+        let (y_lo, y_hi) = g.valid_out(ky, h, oh);
+        for kx in 0..g.k_w {
+            let (x_lo, x_hi) = g.valid_out(kx, w, ow);
+            if !g.flat_shift() {
+                let at = table.len();
+                table.resize(at + plane, 0);
+                for oy in y_lo..y_hi {
+                    let iy = oy * g.stride + ky - g.pad;
+                    for (i, ox) in table[at + oy * ow..][x_lo..x_hi].iter_mut().zip(x_lo..) {
+                        *i = (iy * w + ox * g.stride + kx - g.pad) as u32;
+                    }
+                }
+            }
+            let at = table.len();
+            table.resize(at + plane, 0);
+            for oy in y_lo..y_hi {
+                table[at + oy * ow..][x_lo..x_hi].fill(KEEP);
+            }
+        }
+    }
+}
+
+/// Window `(ky, kx)` of a [`window_table`]: `(indices, masks)`, the
+/// indices empty for a flat-shift geometry.
+fn window<'t>(table: &'t [u32], g: &ConvGeom, ky: usize, kx: usize) -> (&'t [u32], &'t [u32]) {
+    let plane = g.out_h() * g.out_w();
+    let len = if g.flat_shift() { plane } else { 2 * plane };
+    table[(ky * g.k_w + kx) * len..][..len].split_at(len - plane)
+}
+
+/// For a flat-shift tap whose output pixel `o` of one plane reads
+/// element `base + o` of an `len`-long tensor: the pixels `[lo, hi)`
+/// whose element lies inside the tensor, and the element pixel `lo`
+/// reads (in bounds even when the range is empty). Every pixel outside
+/// the range reads padding.
+fn inside(base: isize, len: usize, plane: usize) -> (usize, usize, usize) {
+    let lo = (-base).clamp(0, plane as isize);
+    let hi = (len as isize - base).clamp(lo, plane as isize);
+    let at = (base + lo).clamp(0, len as isize);
+    (lo as usize, hi as usize, at as usize)
+}
+
+/// `v` where `mask` is [`KEEP`], `+0.0` where it is 0.
+#[inline(always)]
+fn masked(v: f32, mask: u32) -> f32 {
+    f32::from_bits(v.to_bits() & mask)
 }
 
 /// Expand input `[n, c, h, w]` into columns `[c*k_h*k_w, n*out_h*out_w]`.
@@ -83,6 +184,11 @@ pub fn im2col(input: &Tensor, g: &ConvGeom) -> Tensor {
 
 /// [`im2col`] writing into a preallocated `[c*k_h*k_w, n*out_h*out_w]`
 /// output (contents overwritten).
+///
+/// A flat-shift tap (stride 1, `out_w == in_w`) copies each image's plane
+/// in one pass from the shifted input, ANDing every pixel that reads
+/// padding to `+0.0`; any other geometry gathers every output pixel
+/// through the window table's index and mask.
 pub fn im2col_into(input: &Tensor, g: &ConvGeom, cols: &mut Tensor) {
     let dims = input.shape().dims();
     assert_eq!(dims.len(), 4, "im2col expects [n,c,h,w]");
@@ -101,48 +207,43 @@ pub fn im2col_into(input: &Tensor, g: &ConvGeom, cols: &mut Tensor) {
         return;
     }
     let src = input.as_slice();
-    // One patch row per tap (ch, ky, kx), in the weight's column order.
-    for (tap, row) in cols.as_mut_slice().chunks_exact_mut(total).enumerate() {
-        let (ch, ky, kx) = g.tap(tap);
-        let (y_lo, y_hi) = g.valid_out(ky, h, oh);
-        let (x_lo, x_hi) = g.valid_out(kx, w, ow);
-        if y_lo == y_hi || x_lo == x_hi {
-            row.fill(0.0);
-            continue;
-        }
-        // input element read by the first valid output pixel
-        let first = (y_lo * g.stride + ky - g.pad) * w + x_lo * g.stride + kx - g.pad;
-        for (b, out_plane) in row.chunks_exact_mut(oh * ow).enumerate() {
-            let plane = &src[(b * c + ch) * h * w..][..h * w];
-            out_plane[..y_lo * ow].fill(0.0);
-            out_plane[y_hi * ow..].fill(0.0);
-            let valid = &mut out_plane[y_lo * ow..y_hi * ow];
-            if g.stride == 1 && ow == w {
-                // Output and input planes have the same pitch, so the tap
-                // is one constant shift: copy the whole valid span at
-                // once, then zero the padded columns it dragged along.
-                let span = valid.len() - x_lo - (ow - x_hi);
-                valid[x_lo..x_lo + span].copy_from_slice(&plane[first..first + span]);
-                if x_lo > 0 || x_hi < ow {
-                    for out in valid.chunks_exact_mut(ow) {
-                        out[..x_lo].fill(0.0);
-                        out[x_hi..].fill(0.0);
+    let plane = oh * ow;
+    TABLE.with(|table| {
+        let mut table = table.borrow_mut();
+        window_table(g, &mut table);
+        // One patch row per tap (ch, ky, kx), in the weight's column order.
+        for (tap, row) in cols.as_mut_slice().chunks_exact_mut(total).enumerate() {
+            let (ch, ky, kx) = g.tap(tap);
+            let (idx, mask) = window(&table, g, ky, kx);
+            let images = row.chunks_exact_mut(plane).enumerate();
+            if g.flat_shift() {
+                let shift = (ky * w + kx) as isize - (g.pad * w + g.pad) as isize;
+                for (b, out) in images {
+                    let base = ((b * c + ch) * h * w) as isize + shift;
+                    let (lo, hi, at) = inside(base, src.len(), plane);
+                    let span = &src[at..][..hi - lo];
+                    for ((o, &v), &m) in out[lo..hi].iter_mut().zip(span).zip(&mask[lo..]) {
+                        *o = masked(v, m);
+                    }
+                    // only the first and last planes of the input reach
+                    // past it
+                    if lo > 0 || hi < plane {
+                        out[..lo].fill(0.0);
+                        out[hi..].fill(0.0);
                     }
                 }
-                continue;
-            }
-            for (out, in_row) in valid
-                .chunks_exact_mut(ow)
-                .zip(plane[first..].chunks(g.stride * w))
-            {
-                out[..x_lo].fill(0.0);
-                out[x_hi..].fill(0.0);
-                for (i, o) in out[x_lo..x_hi].iter_mut().enumerate() {
-                    *o = in_row[i * g.stride];
+            } else if g.reads_input(ky, kx) {
+                for (b, out) in images {
+                    let in_plane = &src[(b * c + ch) * h * w..][..h * w];
+                    for ((o, &i), &m) in out.iter_mut().zip(idx).zip(mask) {
+                        *o = masked(in_plane[i as usize], m);
+                    }
                 }
+            } else {
+                row.fill(0.0);
             }
         }
-    }
+    });
 }
 
 /// Scatter column gradients `[c*k_h*k_w, n*out_h*out_w]` back onto the
@@ -159,7 +260,15 @@ pub fn col2im(cols: &Tensor, n: usize, g: &ConvGeom) -> Tensor {
 /// Every input element sums its contributions in ascending `(oy, ox)`
 /// order starting from `+0.0`: for a fixed element a larger tap offset
 /// means a smaller output coordinate, so the tap planes are walked in
-/// *descending* `(ky, kx)`.
+/// *descending* `(ky, kx)`. Within one (tap, image) an element gets at
+/// most one addend. A flat-shift tap (stride 1, `out_w == in_w`) adds each
+/// image's plane in one pass onto the shifted input and any other
+/// geometry scatters every output pixel through the window table;
+/// either way a pixel that reads padding adds `+0.0` (masked, never
+/// multiplied by 0), possibly to an element of a neighbouring plane.
+/// That changes no bits: every element starts at `+0.0`, a sum started
+/// at `+0.0` is never `−0.0`, and `x + (+0.0)` is `x` bit for bit for
+/// every other `x`, `NaN` included.
 pub fn col2im_into(cols: &Tensor, n: usize, g: &ConvGeom, out: &mut Tensor) {
     let (oh, ow, plen) = (g.out_h(), g.out_w(), g.patch_len());
     let total = n * oh * ow;
@@ -179,34 +288,37 @@ pub fn col2im_into(cols: &Tensor, n: usize, g: &ConvGeom, out: &mut Tensor) {
     if total == 0 {
         return;
     }
-    for (tap, row) in cols.as_slice().chunks_exact(total).enumerate().rev() {
-        let (ch, ky, kx) = g.tap(tap);
-        let (y_lo, y_hi) = g.valid_out(ky, h, oh);
-        let (x_lo, x_hi) = g.valid_out(kx, w, ow);
-        if y_lo == y_hi || x_lo == x_hi {
-            continue;
-        }
-        // input element fed by the first valid output pixel
-        let first = (y_lo * g.stride + ky - g.pad) * w + x_lo * g.stride + kx - g.pad;
-        for (b, in_plane) in row.chunks_exact(oh * ow).enumerate() {
-            let plane = &mut dst[(b * c + ch) * h * w..][..h * w];
-            for (src, run) in in_plane[y_lo * ow..y_hi * ow]
-                .chunks_exact(ow)
-                .zip(plane[first..].chunks_mut(g.stride * w))
-            {
-                let src = &src[x_lo..x_hi];
-                if g.stride == 1 {
-                    for (d, v) in run.iter_mut().zip(src) {
-                        *d += v;
+    let plane = oh * ow;
+    TABLE.with(|table| {
+        let mut table = table.borrow_mut();
+        window_table(g, &mut table);
+        for (tap, row) in cols.as_slice().chunks_exact(total).enumerate().rev() {
+            let (ch, ky, kx) = g.tap(tap);
+            let (idx, mask) = window(&table, g, ky, kx);
+            if !g.reads_input(ky, kx) {
+                continue;
+            }
+            let images = row.chunks_exact(plane).enumerate();
+            if g.flat_shift() {
+                let shift = (ky * w + kx) as isize - (g.pad * w + g.pad) as isize;
+                for (b, grads) in images {
+                    let base = ((b * c + ch) * h * w) as isize + shift;
+                    let (lo, hi, at) = inside(base, dst.len(), plane);
+                    let span = &mut dst[at..][..hi - lo];
+                    for ((d, &v), &m) in span.iter_mut().zip(&grads[lo..]).zip(&mask[lo..]) {
+                        *d += masked(v, m);
                     }
-                } else {
-                    for (i, v) in src.iter().enumerate() {
-                        run[i * g.stride] += v;
+                }
+            } else {
+                for (b, grads) in images {
+                    let in_plane = &mut dst[(b * c + ch) * h * w..][..h * w];
+                    for ((&v, &i), &m) in grads.iter().zip(idx).zip(mask) {
+                        in_plane[i as usize] += masked(v, m);
                     }
                 }
             }
         }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -297,6 +409,18 @@ mod tests {
         t.as_slice().iter().map(|x| x.to_bits()).collect()
     }
 
+    /// [`bits`] with every `NaN` as one pattern. Which payload an
+    /// addition of two `NaN`s returns is unspecified (the compiler may
+    /// commute its operands), so sums are compared this way; infinities
+    /// and signed zeros still compare bit for bit.
+    fn sum_bits(t: &Tensor) -> Vec<u32> {
+        let nan = f32::NAN.to_bits();
+        t.as_slice()
+            .iter()
+            .map(|x| if x.is_nan() { nan } else { x.to_bits() })
+            .collect()
+    }
+
     #[test]
     fn output_geometry() {
         let g = geom(3, 8, 8, 3, 1, 1);
@@ -363,10 +487,41 @@ mod tests {
         out
     }
 
+    /// The values a mask has to drop, not multiply: `v · 0` is `NaN`
+    /// for the first three and `−0.0` for the last.
+    const SPECIALS: [f32; 4] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+
+    /// Overwrite every element of a `[.., rows, cols]` tensor that lies
+    /// in the first or last column, or on every fifth index, with
+    /// [`SPECIALS`] in turn; returns how many were written.
+    fn salt(t: &mut Tensor) -> usize {
+        let cols = t.shape().dim(t.shape().ndim() - 1);
+        let mut salted = 0;
+        for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+            if i % cols == 0 || i % cols == cols - 1 || i % 5 == 0 {
+                *v = SPECIALS[salted % SPECIALS.len()];
+                salted += 1;
+            }
+        }
+        salted
+    }
+
+    /// Whether the tap and output pixel of `cols[tap, pixel]` read
+    /// padding rather than the input.
+    fn reads_padding(g: &ConvGeom, tap: usize, pixel: usize) -> bool {
+        let (_, ky, kx) = g.tap(tap);
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let (oy, ox) = (pixel % (oh * ow) / ow, pixel % ow);
+        tap_src(oy, ky, g, g.in_h).is_none() || tap_src(ox, kx, g, g.in_w).is_none()
+    }
+
     #[test]
     fn im2col_matches_its_definition_over_the_sweep() {
         for (n, g) in sweep() {
-            let x = wavy(&[n, g.in_ch, g.in_h, g.in_w], 0.37);
+            let mut x = wavy(&[n, g.in_ch, g.in_h, g.in_w], 0.37);
+            // the edge columns are what a flat shift's wrapped fringe
+            // reads, and index 0 what a masked gather reads in padding
+            assert!(salt(&mut x) > 0);
             // stale contents must be overwritten, padding included
             let mut cols = Tensor::full([g.patch_len(), n * g.out_h() * g.out_w()], 99.0);
             im2col_into(&x, &g, &mut cols);
@@ -378,13 +533,40 @@ mod tests {
     fn col2im_keeps_the_ascending_output_order_over_the_sweep() {
         for (n, g) in sweep() {
             // wide dynamic range so a reordered sum rounds differently
-            let mut cols = wavy(&[g.patch_len(), n * g.out_h() * g.out_w()], 0.11);
+            let total = n * g.out_h() * g.out_w();
+            let mut cols = wavy(&[g.patch_len(), total], 0.11);
             for (i, v) in cols.as_mut_slice().iter_mut().enumerate() {
                 *v *= [1e-3, 1.0, 1e3, -0.0][i % 4];
             }
+            salt(&mut cols);
+            // and the first valid pixel of every tap, so a sweep with
+            // few valid pixels gets its share
+            for (tap, row) in cols.as_mut_slice().chunks_exact_mut(total).enumerate() {
+                if let Some(p) = (0..total).find(|&p| !reads_padding(&g, tap, p)) {
+                    row[p] = SPECIALS[tap % SPECIALS.len()];
+                }
+            }
+            // specials must reach both kinds of position where there is
+            // padding: the ones the mask drops and the ones it keeps
+            let (mut dropped, mut kept) = (0, 0);
+            for (i, v) in cols.as_slice().iter().enumerate() {
+                if !v.is_finite() || v.to_bits() == (-0.0f32).to_bits() {
+                    if reads_padding(&g, i / total, i % total) {
+                        dropped += 1;
+                    } else {
+                        kept += 1;
+                    }
+                }
+            }
+            let padding =
+                (0..g.patch_len() * total).filter(|&i| reads_padding(&g, i / total, i % total));
+            let padding = padding.count();
+            assert_eq!(dropped > 0, padding > 0, "{n} x {g:?}");
+            assert_eq!(kept > 0, padding < g.patch_len() * total, "{n} x {g:?}");
             let mut out = Tensor::full([n, g.in_ch, g.in_h, g.in_w], 99.0);
             col2im_into(&cols, n, &g, &mut out);
-            assert_eq!(bits(&out), bits(&col2im_spec(&cols, n, &g)), "{n} x {g:?}");
+            let want = col2im_spec(&cols, n, &g);
+            assert_eq!(sum_bits(&out), sum_bits(&want), "{n} x {g:?}");
         }
     }
 

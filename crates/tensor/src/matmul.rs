@@ -13,7 +13,11 @@
 //! row-major `B` (every NN and TN call) is streamed by the MR×NR
 //! register microkernel where it lies, at its own row stride, and only
 //! a ragged last panel is packed; a transposed `B` (NT) is packed into
-//! NR-wide panels. Both packs walk their source contiguously.
+//! NR-wide panels by 8×8 in-register transposes (an AVX2 body and a
+//! portable one), element by element only in the `k % 8` and `n % 8`
+//! tails. Both packs walk their source contiguously. A tile NR columns
+//! wide in the first KC block is stored by the microkernel straight into
+//! `C`; the others go through an accumulator array.
 //!
 //! Parallelism fans the MC row-blocks of `C` out over threads. Each
 //! block runs byte-for-byte the same code serially or in parallel, so
@@ -243,7 +247,15 @@ fn gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32
                 if pb.len() < need {
                     pb.resize(need, 0.0);
                 }
-                pack_b(&mut pb[..need], b, pc, kc, j_packed, packed_cols);
+                pack_b(
+                    &mut pb[..need],
+                    b,
+                    pc,
+                    kc,
+                    j_packed,
+                    packed_cols,
+                    avx2_available(),
+                );
                 let bb = BBlock {
                     src: if direct > 0 {
                         &b.data[pc * b.ld + jc..]
@@ -320,20 +332,23 @@ fn gemm_block(
             let j0 = jc + jp * NR;
             let nr = NR.min(jc + nc - j0);
             let (bpanel, ldb) = bb.panel(jp, kc);
-            let mut acc = [[0.0f32; NR]; MR];
-            microkernel(mr, &ap, bpanel, ldb, kc, &mut acc);
-            for (i, acc_row) in acc.iter().enumerate().take(mr) {
+            if first && nr == NR {
+                // A full-width tile of the first KC block is stored
+                // straight into C's rows at stride `n`.
+                microkernel(mr, &ap, bpanel, ldb, kc, &mut c_rows[ir * n + j0..], n);
+                continue;
+            }
+            let mut acc = [0.0f32; MR * NR];
+            microkernel(mr, &ap, bpanel, ldb, kc, &mut acc, NR);
+            for (i, acc_row) in acc.chunks_exact(NR).enumerate().take(mr) {
                 let base = (ir + i) * n + j0;
                 let row = &mut c_rows[base..base + nr];
-                if !first {
+                if first {
+                    row.copy_from_slice(&acc_row[..nr]);
+                } else {
                     for (cv, av) in row.iter_mut().zip(acc_row) {
                         *cv += av;
                     }
-                } else if let Ok(full) = <&mut [f32; NR]>::try_from(&mut *row) {
-                    // a full panel is a fixed-size move, not a memcpy call
-                    *full = *acc_row;
-                } else {
-                    row.copy_from_slice(&acc_row[..nr]);
                 }
             }
         }
@@ -363,8 +378,9 @@ fn pack_a(ap: &mut [f32; KC * MR], a: MatRef<'_>, row0: usize, mr: usize, pc: us
 /// Pack `nc` columns of the B view's KC block, from column `j0` on,
 /// into NR-wide panels (zero-padded): panel `jp` holds
 /// `bp[jp*kc*NR + p*NR + j] = B_eff[pc+p, j0+jp*NR+j]`. Either layout
-/// is read in storage order.
-fn pack_b(bp: &mut [f32], b: MatRef<'_>, pc: usize, kc: usize, j0: usize, nc: usize) {
+/// is read in storage order; a transposed B through the AVX2 transpose
+/// body when `avx2` is set and [`avx2_available`] holds.
+fn pack_b(bp: &mut [f32], b: MatRef<'_>, pc: usize, kc: usize, j0: usize, nc: usize, avx2: bool) {
     for (jp, panel) in bp.chunks_exact_mut(kc * NR).enumerate() {
         let j0 = j0 + jp * NR;
         let nr = NR.min(nc - jp * NR);
@@ -372,16 +388,167 @@ fn pack_b(bp: &mut [f32], b: MatRef<'_>, pc: usize, kc: usize, j0: usize, nc: us
             panel.fill(0.0);
         }
         if b.trans {
-            for j in 0..nr {
-                let src = (j0 + j) * b.ld + pc;
-                for (dst, &v) in panel.chunks_exact_mut(NR).zip(&b.data[src..src + kc]) {
-                    dst[j] = v;
-                }
-            }
+            pack_b_trans(panel, b.data, b.ld, pc, kc, j0, nr, avx2);
         } else {
             for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
                 let src = (pc + p) * b.ld + j0;
                 dst[..nr].copy_from_slice(&b.data[src..src + nr]);
+            }
+        }
+    }
+}
+
+/// One panel of a transposed B: stored row `j0 + j` (its elements from
+/// `pc` to `pc + kc`) becomes column `j` of the panel. The whole 8×8
+/// blocks are transposed in registers; the `kc % 8` and `nr % 8` tails
+/// are moved one element at a time.
+#[allow(clippy::too_many_arguments)]
+fn pack_b_trans(
+    panel: &mut [f32],
+    src: &[f32],
+    ld: usize,
+    pc: usize,
+    kc: usize,
+    j0: usize,
+    nr: usize,
+    avx2: bool,
+) {
+    let (kb, jb) = (kc - kc % 8, nr - nr % 8);
+    if kb > 0 && jb > 0 {
+        transpose_blocks(panel, src, ld, pc, kb, j0, jb, avx2);
+    }
+    for j in 0..nr {
+        // columns below `jb` are done up to `kb` already
+        let p0 = if j < jb { kb } else { 0 };
+        let row = &src[(j0 + j) * ld + pc..][..kc];
+        for (dst, &v) in panel[p0 * NR..].chunks_exact_mut(NR).zip(&row[p0..]) {
+            dst[j] = v;
+        }
+    }
+}
+
+/// Transpose every 8×8 block with column offset `jj < jb` and row
+/// offset `pp < kb` (both multiples of 8):
+/// `panel[(pp+q)*NR + jj+r] = src[(j0+jj+r)*ld + pc+pp+q]`. The AVX2
+/// body runs when `avx2` is set and the host has the feature.
+#[allow(clippy::too_many_arguments)]
+fn transpose_blocks(
+    panel: &mut [f32],
+    src: &[f32],
+    ld: usize,
+    pc: usize,
+    kb: usize,
+    j0: usize,
+    jb: usize,
+    avx2: bool,
+) {
+    // Both bodies move whole 8-float rows: the bounds of every block
+    // are checked here, once per panel.
+    assert!(
+        kb.is_multiple_of(8)
+            && jb.is_multiple_of(8)
+            && jb <= NR
+            && panel.len() >= kb * NR
+            && src.len() >= (j0 + jb - 1) * ld + pc + kb
+    );
+    #[cfg(target_arch = "x86_64")]
+    if avx2 && avx2_available() {
+        // SAFETY: avx2_available() verified the avx2 feature, and the
+        // assert above is the body's bounds contract.
+        unsafe { transpose_blocks_avx2(panel, src, ld, pc, kb, j0, jb) };
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = avx2;
+    transpose_blocks_portable(panel, src, ld, pc, kb, j0, jb);
+}
+
+/// Portable body of [`transpose_blocks`].
+fn transpose_blocks_portable(
+    panel: &mut [f32],
+    src: &[f32],
+    ld: usize,
+    pc: usize,
+    kb: usize,
+    j0: usize,
+    jb: usize,
+) {
+    for jj in (0..jb).step_by(8) {
+        for pp in (0..kb).step_by(8) {
+            let mut block = [[0.0f32; 8]; 8];
+            for (r, row) in block.iter_mut().enumerate() {
+                let at = (j0 + jj + r) * ld + pc + pp;
+                *row = src[at..at + 8].try_into().expect("an 8-float row");
+            }
+            for (q, dst) in panel[pp * NR..].chunks_exact_mut(NR).take(8).enumerate() {
+                for (r, row) in block.iter().enumerate() {
+                    dst[jj + r] = row[q];
+                }
+            }
+        }
+    }
+}
+
+/// AVX2 body of [`transpose_blocks`]: eight row loads, three shuffle
+/// stages and eight row stores per block.
+///
+/// # Safety
+/// Caller must ensure the CPU supports `avx2`, that `kb` and `jb` are
+/// multiples of 8 with `jb <= NR`, `panel.len() >= kb * NR` and
+/// `src.len() >= (j0 + jb - 1) * ld + pc + kb`.
+// SAFETY: unsafe because of #[target_feature] and the raw-pointer
+// loads and stores — the sole caller is gated on avx2_available() and
+// asserts the lengths, which bound every load `(j0+jj+r)*ld + pc+pp + 8
+// <= src.len()` for `r < 8`, `jj + 8 <= jb`, `pp + 8 <= kb`, and every
+// store `(pp+q)*NR + jj + 8 <= kb*NR` for `q < 8`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose_blocks_avx2(
+    panel: &mut [f32],
+    src: &[f32],
+    ld: usize,
+    pc: usize,
+    kb: usize,
+    j0: usize,
+    jb: usize,
+) {
+    use std::arch::x86_64::*;
+    let (s, d) = (src.as_ptr(), panel.as_mut_ptr());
+    for jj in (0..jb).step_by(8) {
+        for pp in (0..kb).step_by(8) {
+            let at = (j0 + jj) * ld + pc + pp;
+            let r: [__m256; 8] = std::array::from_fn(|i| _mm256_loadu_ps(s.add(at + i * ld)));
+            // pairs of rows interleaved
+            let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+            let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+            let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+            let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+            let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+            let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+            let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+            let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+            // columns q and q + 4 of four rows
+            let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+            let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+            let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+            let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+            let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+            let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+            let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+            let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+            // column q of all eight rows
+            let cols = [
+                _mm256_permute2f128_ps::<0x20>(u0, u4),
+                _mm256_permute2f128_ps::<0x20>(u1, u5),
+                _mm256_permute2f128_ps::<0x20>(u2, u6),
+                _mm256_permute2f128_ps::<0x20>(u3, u7),
+                _mm256_permute2f128_ps::<0x31>(u0, u4),
+                _mm256_permute2f128_ps::<0x31>(u1, u5),
+                _mm256_permute2f128_ps::<0x31>(u2, u6),
+                _mm256_permute2f128_ps::<0x31>(u3, u7),
+            ];
+            for (q, col) in cols.into_iter().enumerate() {
+                _mm256_storeu_ps(d.add((pp + q) * NR + jj), col);
             }
         }
     }
@@ -404,8 +571,9 @@ pub(crate) fn avx2_available() -> bool {
     false
 }
 
-/// Register microkernel: `acc[..mr] = Apanel[kc×MR]ᵀ[..mr] · Bpanel[kc×NR]`,
-/// row `p` of the B panel at `bp[p*ldb..][..NR]`. The B panel is either
+/// Register microkernel: `C[..mr] = Apanel[kc×MR]ᵀ[..mr] · Bpanel[kc×NR]`,
+/// row `p` of the B panel at `bp[p*ldb..][..NR]` and row `i` of the
+/// tile stored to `c[i*ldc..][..NR]` (overwritten). The B panel is either
 /// packed and zero-padded or a full in-place panel, and a short A panel
 /// runs the variant with exactly `mr` accumulator rows, so the loop
 /// body is branch-free and multiplies no padding rows. Dispatches to the
@@ -419,39 +587,45 @@ fn microkernel(
     bp: &[f32],
     ldb: usize,
     kc: usize,
-    acc: &mut [[f32; NR]; MR],
+    c: &mut [f32],
+    ldc: usize,
 ) {
     match mr {
-        1 => microkernel_rows::<1>(ap, bp, ldb, kc, acc),
-        2 => microkernel_rows::<2>(ap, bp, ldb, kc, acc),
-        3 => microkernel_rows::<3>(ap, bp, ldb, kc, acc),
-        4 => microkernel_rows::<4>(ap, bp, ldb, kc, acc),
-        5 => microkernel_rows::<5>(ap, bp, ldb, kc, acc),
-        _ => microkernel_rows::<MR>(ap, bp, ldb, kc, acc),
+        1 => microkernel_rows::<1>(ap, bp, ldb, kc, c, ldc),
+        2 => microkernel_rows::<2>(ap, bp, ldb, kc, c, ldc),
+        3 => microkernel_rows::<3>(ap, bp, ldb, kc, c, ldc),
+        4 => microkernel_rows::<4>(ap, bp, ldb, kc, c, ldc),
+        5 => microkernel_rows::<5>(ap, bp, ldb, kc, c, ldc),
+        _ => microkernel_rows::<MR>(ap, bp, ldb, kc, c, ldc),
     }
 }
 
-/// [`microkernel`] on the first `M` rows of the A panel and of `acc`.
+/// [`microkernel`] on the first `M` rows of the A panel and of the tile.
 #[inline(always)]
 fn microkernel_rows<const M: usize>(
     ap: &[f32],
     bp: &[f32],
     ldb: usize,
     kc: usize,
-    acc: &mut [[f32; NR]; MR],
+    c: &mut [f32],
+    ldc: usize,
 ) {
-    // The AVX2 kernel reads through raw pointers: its bounds are checked
-    // here, once per tile.
-    assert!(kc > 0 && ap.len() >= kc * MR && bp.len() >= (kc - 1) * ldb + NR);
-    let acc: &mut [[f32; NR]; M] = (&mut acc[..M]).try_into().expect("M <= MR");
+    // The AVX2 kernel reads and writes through raw pointers: its bounds
+    // are checked here, once per tile.
+    assert!(
+        kc > 0
+            && ap.len() >= kc * MR
+            && bp.len() >= (kc - 1) * ldb + NR
+            && c.len() >= (M - 1) * ldc + NR
+    );
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: avx2_available() verified the avx2 and fma features,
         // and the assert above is the kernel's bounds contract.
-        unsafe { microkernel_avx2(ap, bp, ldb, kc, acc) };
+        unsafe { microkernel_avx2::<M>(ap, bp, ldb, kc, c, ldc) };
         return;
     }
-    microkernel_portable(ap, bp, ldb, kc, acc);
+    microkernel_portable::<M>(ap, bp, ldb, kc, c, ldc);
 }
 
 /// Portable fallback microkernel (autovectorizes at the target's
@@ -462,8 +636,10 @@ fn microkernel_portable<const M: usize>(
     bp: &[f32],
     ldb: usize,
     kc: usize,
-    acc: &mut [[f32; NR]; M],
+    c: &mut [f32],
+    ldc: usize,
 ) {
+    let mut acc = [[0.0f32; NR]; M];
     for p in 0..kc {
         let arow = &ap[p * MR..p * MR + M];
         let brow: &[f32; NR] = bp[p * ldb..p * ldb + NR].try_into().unwrap();
@@ -473,6 +649,9 @@ fn microkernel_portable<const M: usize>(
             }
         }
     }
+    for (i, acc_row) in acc.iter().enumerate() {
+        c[i * ldc..i * ldc + NR].copy_from_slice(acc_row);
+    }
 }
 
 /// AVX2+FMA microkernel: the full 6×16 accumulator tile is 12 ymm
@@ -481,12 +660,13 @@ fn microkernel_portable<const M: usize>(
 ///
 /// # Safety
 /// Caller must ensure the CPU supports `avx2` and `fma`, and that
-/// `ap.len() >= kc * MR` and `bp.len() >= (kc - 1) * ldb + NR`.
+/// `ap.len() >= kc * MR`, `bp.len() >= (kc - 1) * ldb + NR` and
+/// `c.len() >= (M - 1) * ldc + NR`.
 // SAFETY: unsafe because of #[target_feature] and the raw-pointer loads
-// — the sole caller is gated on avx2_available() and asserts the panel
-// lengths, which bound `p * ldb + 8 + 8 <= bp.len()` and
-// `p * MR + i < ap.len()` for every `p < kc`, `i < M <= MR`; each acc
-// row is NR = 16 floats, covering the two 8-lane stores.
+// and stores — the sole caller is gated on avx2_available() and asserts
+// the lengths, which bound `p * ldb + 8 + 8 <= bp.len()` and
+// `p * MR + i < ap.len()` for every `p < kc`, `i < M <= MR`, and
+// `i * ldc + 8 + 8 <= c.len()` for the two 8-lane stores of row `i < M`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn microkernel_avx2<const M: usize>(
@@ -494,22 +674,24 @@ unsafe fn microkernel_avx2<const M: usize>(
     bp: &[f32],
     ldb: usize,
     kc: usize,
-    acc: &mut [[f32; NR]; M],
+    c: &mut [f32],
+    ldc: usize,
 ) {
     use std::arch::x86_64::*;
-    let mut c = [[_mm256_setzero_ps(); 2]; M];
+    let mut acc = [[_mm256_setzero_ps(); 2]; M];
     for p in 0..kc {
         let b0 = _mm256_loadu_ps(bp.as_ptr().add(p * ldb));
         let b1 = _mm256_loadu_ps(bp.as_ptr().add(p * ldb + 8));
-        for (i, ci) in c.iter_mut().enumerate() {
+        for (i, ci) in acc.iter_mut().enumerate() {
             let a = _mm256_broadcast_ss(ap.get_unchecked(p * MR + i));
             ci[0] = _mm256_fmadd_ps(a, b0, ci[0]);
             ci[1] = _mm256_fmadd_ps(a, b1, ci[1]);
         }
     }
-    for (row, ci) in acc.iter_mut().zip(&c) {
-        _mm256_storeu_ps(row.as_mut_ptr(), ci[0]);
-        _mm256_storeu_ps(row.as_mut_ptr().add(8), ci[1]);
+    for (i, ci) in acc.iter().enumerate() {
+        let row = c.as_mut_ptr().add(i * ldc);
+        _mm256_storeu_ps(row, ci[0]);
+        _mm256_storeu_ps(row.add(8), ci[1]);
     }
 }
 
@@ -749,6 +931,84 @@ mod tests {
             for (x, y) in cn.as_slice().iter().zip(rn.as_slice()) {
                 assert!((x - y).abs() <= 1e-3 * y.abs().max(1.0), "nt {m}x{k}x{n}");
             }
+        }
+    }
+
+    /// Distinct, non-trivial bits at every index.
+    fn seq(len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| (i as f32 * 0.37).sin() * 1e3 + i as f32)
+            .collect()
+    }
+
+    #[test]
+    fn transposed_pack_bodies_write_identical_panels() {
+        // an odd row stride and non-zero offsets on both axes
+        let (ld, pc, j0) = (263, 3, 5);
+        let data = seq((j0 + NR) * ld);
+        let b = MatRef {
+            data: &data,
+            ld,
+            trans: true,
+        };
+        for kc in (1..=17).chain([255, 256]) {
+            for nr in 1..=NR {
+                let mut panels = [vec![f32::NAN; kc * NR], vec![f32::NAN; kc * NR]];
+                for (panel, avx2) in panels.iter_mut().zip([false, true]) {
+                    pack_b(panel, b, pc, kc, j0, nr, avx2);
+                }
+                let [portable, avx2] = panels;
+                for (p, row) in portable.chunks_exact(NR).enumerate() {
+                    for (j, v) in row.iter().enumerate() {
+                        let want = if j < nr {
+                            data[(j0 + j) * ld + pc + p]
+                        } else {
+                            0.0
+                        };
+                        assert_eq!(v.to_bits(), want.to_bits(), "kc {kc} nr {nr} at ({p}, {j})");
+                    }
+                }
+                // without AVX2 both runs took the portable body
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&avx2), bits(&portable), "kc {kc} nr {nr}");
+            }
+        }
+    }
+
+    #[test]
+    fn direct_store_tiles_match_the_acc_path() {
+        const STALE: f32 = -7.25;
+        let ldc = 37;
+        for kc in [1, 7, 8, 100, KC] {
+            let ap = seq(KC * MR);
+            let bp: Vec<f32> = seq(kc * NR).iter().map(|v| v * 0.5).collect();
+            for mr in 1..=MR {
+                let mut acc = [0.0f32; MR * NR];
+                microkernel(mr, &ap, &bp, NR, kc, &mut acc, NR);
+                let mut c = vec![STALE; (MR - 1) * ldc + NR + 3];
+                microkernel(mr, &ap, &bp, NR, kc, &mut c, ldc);
+                for (i, v) in c.iter().enumerate() {
+                    let (row, col) = (i / ldc, i % ldc);
+                    let want = if row < mr && col < NR {
+                        acc[row * NR + col]
+                    } else {
+                        STALE
+                    };
+                    assert_eq!(v.to_bits(), want.to_bits(), "kc {kc} mr {mr} at {i}");
+                }
+            }
+        }
+        // Through the gemm: a C full of stale values, every tile stored
+        // directly or through `acc`, against a zeroed C.
+        for (m, k, n) in [(8, 72, 512), (13, 9, 37), (72, 8, 512), (7, 300, 33)] {
+            let a = Tensor::from_vec(seq(m * k), [m, k]);
+            let b = Tensor::from_vec(seq(k * n), [k, n]);
+            let mut fresh = Tensor::zeros([m, n]);
+            let mut stale = Tensor::full([m, n], f32::NAN);
+            matmul_into(&a, &b, &mut fresh);
+            matmul_into(&a, &b, &mut stale);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&stale), bits(&fresh), "{m}x{k}x{n}");
         }
     }
 

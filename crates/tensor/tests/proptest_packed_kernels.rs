@@ -105,6 +105,9 @@ proptest! {
     /// place), NT on the stored transpose of B (B packed) and TN on the
     /// stored transpose of A (A packed contiguously) must agree bit for
     /// bit, serial and parallel.
+    ///
+    /// Every fourth case forces `k % 8 != 0` and `n % 8 != 0`, so the NT
+    /// pack's 8×8 register transpose runs beside both of its tails.
     #[test]
     fn operand_paths_and_parallelism_are_bit_identical(
         m in 1usize..=20,
@@ -113,10 +116,18 @@ proptest! {
         n_small in 1usize..=50,
         n_large in 500usize..=560,
         large in 0usize..4,
+        ragged in 0usize..4,
+        k_tail in 1usize..8,
+        n_tail in 1usize..8,
         seed in 0u64..1000,
     ) {
         let k = if large & 1 == 0 { k_small } else { k_large };
         let n = if large & 2 == 0 { n_small } else { n_large };
+        let (k, n) = if ragged == 0 {
+            (k / 8 * 8 + k_tail, n / 8 * 8 + n_tail)
+        } else {
+            (k, n)
+        };
         let a = randt(&[m, k], seed);
         let b = randt(&[k, n], seed + 8);
         let mut want = Tensor::zeros([m, n]);
@@ -158,6 +169,12 @@ fn tile_boundary_shapes_match_reference() {
         (256, 72, 8),   // an im2col GEMM
         (12, 8, 12),    // TransformerMini attention, per head: Q·Kᵀ, dctx·Vᵀ
         (12, 12, 8),    // A·V, Aᵀ·dctx, dS·K, dSᵀ·Q
+        // k % 8 != 0 and n % 8 != 0 beside whole 8×8 blocks: the NT
+        // pack's register transpose and both of its tails
+        (5, 23, 37),
+        (9, 263, 45), // the second KC block is 7 deep
+        (16, 17, 19),
+        (3, 9, 15),
     ];
     // The conv layer's three products on a batch of 5: forward
     // W[oc, plen]·cols[plen, r], dW = dy[oc, r]·colsᵀ and
