@@ -120,13 +120,21 @@ cargo test -q --release -p selsync-net --test fabric_allocations
 # (a counting global allocator: two allocations per steady-state training
 # step, none per predict), so the optimiser is held to both as well.
 # The packed GEMM is held to the naive reference kernels here too, at
-# the 256^3, transformer, im2col, attention-head and conv shapes the
-# models run, as NN, TN and NT (`tile_boundary_shapes_match_reference`).
-# This step also carries the exhaustive sweep of `tensor::math`: every
-# body of the `tanh` lane kernel (AVX2 and portable) against libm's
-# `f32::tanh` by `to_bits` on all 2^32 inputs, on scoped threads. It is
+# the 256^3, transformer, im2col and conv shapes the models run and the
+# per-head attention oracle's 12x8x12, as NN, TN and NT
+# (`tile_boundary_shapes_match_reference`).
+# This step also carries the exhaustive sweeps of `tensor::math`, each
+# against libm by `to_bits` on all 2^32 inputs, on scoped threads: every
+# body of the `tanh` lane kernel (AVX2 and portable) against `f32::tanh`
+# (about 100 s on two cores), and every body of the `expf` lane kernel
+# against `f32::exp` (about 23 s): the fused AVX2 vector and lane bodies
+# exact on an AVX2+FMA host, the unfused portable body (glibc's generic
+# build) off by one ulp at exactly its two split inputs. Both are
 # `#[cfg_attr(debug_assertions, ignore)]`, so the debug run above skips
-# it; on two cores it adds about 100 s.
+# them. The batched-heads attention kernel and the row softmax are held
+# here, as in debug, to the per-head path they replaced, by `to_bits`
+# (`lane_kernel_matches_per_head_oracle_on_salted_inputs`,
+# `layer_matches_per_head_layer_across_an_eval_forward`).
 echo "==> cargo test -q --release (tensor + nn kernels under the optimiser)"
 cargo test -q --release -p selsync-tensor -p selsync-nn
 

@@ -21,6 +21,7 @@
 //! | `poll-blocking` | blocking calls reachable from the poll driver's sweep |
 //! | `unbounded-retry` | dial/send retry loops with no visible cap or deadline |
 //! | `lock-across-send` | a MutexGuard held across a `Transport::send` |
+//! | `libm-call` | per-element libm calls on the model's step path (`tensor`, `nn`) |
 //! | `wire-conformance` | a `Payload` variant missing one of its five codec sites |
 //!
 //! The pass is offline and dependency-free (std only), built on a

@@ -61,6 +61,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(PollBlocking),
         Box::new(UnboundedRetry),
         Box::new(LockAcrossSend),
+        Box::new(LibmCall),
     ]
 }
 
@@ -851,6 +852,66 @@ impl Rule for LockAcrossSend {
                         out,
                     );
                 }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// libm-call
+// ---------------------------------------------------------------------
+
+/// Per-element libm calls on the model's step path. A call into libm is
+/// opaque to the optimiser, so a loop over one never vectorises, and its
+/// bits are whatever the platform's libm returns. The model crates call
+/// the bit-exact lane kernels of `tensor::math` instead; every call that
+/// survives says why it is not per element (set-up only, once per row,
+/// a reported metric).
+struct LibmCall;
+
+/// `f32`/`f64` methods that lower to a libm call (not `sqrt`, `abs` or
+/// `mul_add`, which are instructions on the hosts the kernels target).
+const LIBM_CALLS: [&str; 20] = [
+    "exp", "exp2", "exp_m1", "ln", "ln_1p", "log", "log2", "log10", "powf", "sin", "cos", "tan",
+    "sin_cos", "asin", "acos", "atan", "atan2", "sinh", "cosh", "tanh",
+];
+
+impl Rule for LibmCall {
+    fn name(&self) -> &'static str {
+        "libm-call"
+    }
+    fn in_scope(&self, rel: &str) -> bool {
+        rel.starts_with("crates/tensor/src/") || rel.starts_with("crates/nn/src/")
+    }
+    fn check(&self, f: &SourceFile, out: &mut Vec<Finding>) {
+        let toks = &f.toks;
+        for i in 1..toks.len() {
+            let t = &toks[i];
+            if t.kind != TokKind::Ident
+                || !LIBM_CALLS.contains(&t.text.as_str())
+                || !toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+            {
+                continue;
+            }
+            // `x.exp(` or `f32::exp(`
+            let method = toks[i - 1].is_punct('.');
+            let path = i >= 3
+                && toks[i - 1].is_punct(':')
+                && toks[i - 2].is_punct(':')
+                && (toks[i - 3].is_ident("f32") || toks[i - 3].is_ident("f64"));
+            if method || path {
+                emit(
+                    self,
+                    f,
+                    t.line,
+                    format!(
+                        "`{}` calls libm, which does not vectorise and returns the platform's \
+                         bits; use a tensor::math lane kernel, or justify a call that is not \
+                         per element with lint:allow",
+                        t.text
+                    ),
+                    out,
+                );
             }
         }
     }

@@ -127,6 +127,27 @@ fn float_order_positive_and_negative() {
 }
 
 #[test]
+fn libm_call_positive_and_negative() {
+    let r = run_fixtures();
+    // a method call and an `f32::` path call on the model crates' path
+    assert_eq!(
+        findings(&r, "crates/nn/src/libm_call_pos.rs"),
+        vec![
+            ("libm-call".into(), 4, false),
+            ("libm-call".into(), 6, false),
+        ]
+    );
+    // comments, strings, instructions (`sqrt`, `mul_add`, `abs`) and
+    // test code stay silent; a justified allow silences its line
+    assert_eq!(
+        findings(&r, "crates/tensor/src/libm_call_neg.rs"),
+        vec![("libm-call".into(), 10, true)]
+    );
+    // outside tensor and nn the rule does not run
+    assert!(rules_hit(&r, "crates/core/src/libm_call_scope_neg.rs").is_empty());
+}
+
+#[test]
 fn raw_net_positive_and_negative() {
     let r = run_fixtures();
     assert_eq!(

@@ -97,7 +97,9 @@ impl PositionalEncoding {
         for pos in 0..max_len {
             let row = table.row_mut(pos);
             for (i, v) in row.iter_mut().enumerate() {
+                // lint:allow(libm-call): set-up only, the table is built once per model
                 let angle = pos as f32 / (10000.0f32).powf((2 * (i / 2)) as f32 / dim as f32);
+                // lint:allow(libm-call): set-up only, as above
                 *v = if i % 2 == 0 { angle.sin() } else { angle.cos() };
             }
         }

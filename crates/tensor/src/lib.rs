@@ -5,8 +5,9 @@
 //! network crate (`selsync-nn`) is built on: contiguous row-major `f32`
 //! tensors, elementwise arithmetic, reductions, blocked (and optionally
 //! rayon-parallel) matrix multiplication, im2col-based convolution
-//! helpers, and lane kernels that replace per-element libm calls bit for
-//! bit (`math`). The naive `matmul::reference` kernels are the serial
+//! helpers, lane kernels that replace per-element libm calls bit for
+//! bit (`math`), and softmax attention with its heads across vector
+//! lanes (`attention`). The naive `matmul::reference` kernels are the serial
 //! oracle the tests hold the packed GEMM to.
 //!
 //! Design notes (per the hpc-parallel guides):
@@ -16,6 +17,7 @@
 //!   distributed-training worker threads above remain plain `std::thread`s.
 //! * All randomness is seeded (`StdRng`) so experiments are reproducible.
 
+pub mod attention;
 pub mod conv;
 pub mod init;
 pub mod math;

@@ -5,25 +5,31 @@
 //! 2.36's `tanhf` returns (the libm behind `f32::tanh` there), but over
 //! a whole slice with no call per element, so the optimiser vectorises
 //! the loop. GELU takes one `tanh` per element of its input.
+//! `exp_lane` is `expf` on one lane, and `exp_in_place` runs it over a
+//! slice eight lanes a step; the softmaxes of [`crate::attention`]
+//! inline them into their vector loops.
 //!
-//! The kernel is the C routine — fdlibm's `s_tanhf.c` over
-//! `s_expm1f.c` — rewritten lane-wise. Every lane computes every branch
-//! with the same IEEE operations, in the same order, and then one chain
-//! of selects picks the value of the branch the C code would have
-//! returned from. Branches have no side effects, so no lane depends on
-//! another lane or on the vector width. The integer steps (the
-//! float-to-int truncation, the shifts of `expm1f`'s reconstruction)
-//! are made total first: each is clamped to a range that changes no lane
-//! that uses it, so nothing a discarded branch computes can trap or
-//! panic. glibc compiles these routines without FMA on every x86-64
-//! host, and Rust never contracts a multiply and an add, so nothing here
-//! fuses.
+//! Each kernel is the C routine — fdlibm's `s_tanhf.c` over
+//! `s_expm1f.c`, and glibc's table-driven `e_expf.c` — rewritten
+//! lane-wise. Every lane computes every branch with the same IEEE
+//! operations, in the same order, and then one chain of selects picks
+//! the value of the branch the C code would have returned from. Branches
+//! have no side effects, so no lane depends on another lane or on the
+//! vector width. The integer steps (the float-to-int truncation, the
+//! shifts of `expm1f`'s reconstruction, `expf`'s table index) are made
+//! total first: each is clamped or masked to a range that changes no
+//! lane that uses it, so nothing a discarded branch computes can trap or
+//! panic. glibc compiles `tanhf` without FMA on every x86-64 host, and
+//! Rust never contracts a multiply and an add, so nothing in it fuses.
+//! glibc's `expf` is an ifunc that runs an FMA build on hosts with FMA
+//! and AVX2, so `exp_lane` fuses exactly when its caller's body does.
 //!
 //! The claim is proven by exhaustion, not argued: the release build of
 //! this module's tests compares every body with libm by `to_bits` on
-//! all 2³² inputs (DESIGN.md §7). The kernel dispatches on the GEMM
-//! microkernel's cached check: an AVX2 body when the host has AVX2 and
-//! FMA, a portable body otherwise; both give the same bits.
+//! all 2³² inputs (DESIGN.md §7). `tanh_in_place`, and the softmax
+//! bodies around `exp_in_place`, dispatch on the GEMM microkernel's
+//! cached check: an AVX2 body when the host has AVX2 and FMA, a portable
+//! body otherwise.
 
 /// `xs[i] = tanh(xs[i])`, bit for bit glibc's `tanhf`.
 pub fn tanh_in_place(xs: &mut [f32]) {
@@ -201,11 +207,175 @@ fn expm1_lane(x: f32) -> f32 {
     }
 }
 
+// e_expf.c over e_exp2f_data.c, with N = 32 table entries
+const EXP_N: u64 = 32;
+const INV_LN2_N: f64 = f64::from_bits(0x3ff7_1547_652b_82fe) * EXP_N as f64;
+const SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000); // 0x1.8p+52
+const EXP_C0: f64 = f64::from_bits(0x3fac_6af8_4b91_2394) / (32.0 * 32.0 * 32.0);
+const EXP_C1: f64 = f64::from_bits(0x3fce_bfce_50fa_c4f3) / (32.0 * 32.0);
+const EXP_C2: f64 = f64::from_bits(0x3fe6_2e42_ff0c_52d6) / 32.0;
+/// `bits(2^(i/32)) - (i << 47)`: adding `k << 47` to entry `k % 32`
+/// yields `2^(k/32)` for any integer `k`.
+const EXP_T: [u64; 32] = [
+    0x3ff0000000000000,
+    0x3fefd9b0d3158574,
+    0x3fefb5586cf9890f,
+    0x3fef9301d0125b51,
+    0x3fef72b83c7d517b,
+    0x3fef54873168b9aa,
+    0x3fef387a6e756238,
+    0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb,
+    0x3feedea64c123422,
+    0x3feece086061892d,
+    0x3feebfdad5362a27,
+    0x3feeb42b569d4f82,
+    0x3feeab07dd485429,
+    0x3feea47eb03a5585,
+    0x3feea09e667f3bcd,
+    0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187,
+    0x3feea589994cce13,
+    0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5,
+    0x3feec49182a3f090,
+    0x3feed503b23e255d,
+    0x3feee89f995ad3ad,
+    0x3feeff76f2fb5e47,
+    0x3fef199bdd85529c,
+    0x3fef3720dcef9069,
+    0x3fef5818dcfba487,
+    0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da,
+    0x3fefd0765b6e4540,
+];
+// the outcomes of e_expf.c's |x| >= 88 filter
+const EXP_OFLOW: u32 = 0x42b1_7217; // x above: +inf
+const EXP_UFLOW: u32 = 0xc2cf_f1b4; // x below: +0
+const EXP_MAY_UFLOW: u32 = 0xc2ce_8ecf; // x below: 2^-149
+
+/// glibc's `expf` on one lane: its FMA build when `FUSED`, its generic
+/// build otherwise. Every multiply-add of the C source is one `mul_add`
+/// in the former and a product and a sum in the latter; the two differ
+/// at `0x4202422f` and `0xc27c65d9` only. A caller fuses exactly when it
+/// runs in a body compiled for AVX2 and FMA, which is the predicate of
+/// glibc's own dispatch, so the lane returns `f32::exp`'s bits on every
+/// host. The C code's `|x| >= 88` filter is written as its outcomes:
+/// every lane it does not decide takes the common path, as in C.
+#[inline(always)]
+pub(crate) fn exp_lane<const FUSED: bool>(x: f32) -> f32 {
+    let xd = x as f64;
+    // x·N/ln2 = k + r with r in [-1/2, 1/2] and integer k, rounded by
+    // the shift; the shifted value's low bits are k
+    let (ki, r) = if FUSED {
+        let kd = INV_LN2_N.mul_add(xd, SHIFT);
+        (kd.to_bits(), INV_LN2_N.mul_add(xd, -(kd - SHIFT)))
+    } else {
+        let z = INV_LN2_N * xd;
+        let kd = z + SHIFT;
+        (kd.to_bits(), z - (kd - SHIFT))
+    };
+    // exp(x) = 2^(k/N)·2^(r/N) ≈ s·(C0·r³ + C1·r² + C2·r + 1)
+    let s = f64::from_bits(EXP_T[(ki % EXP_N) as usize].wrapping_add(ki << 47));
+    let r2 = r * r;
+    let y = if FUSED {
+        EXP_C0
+            .mul_add(r, EXP_C1)
+            .mul_add(r2, EXP_C2.mul_add(r, 1.0))
+    } else {
+        (EXP_C0 * r + EXP_C1) * r2 + (EXP_C2 * r + 1.0)
+    };
+    let common = (y * s) as f32;
+    if x.is_nan() {
+        x + x
+    } else if x > f32::from_bits(EXP_OFLOW) {
+        f32::INFINITY
+    } else if x < f32::from_bits(EXP_UFLOW) {
+        0.0
+    } else if x < f32::from_bits(EXP_MAY_UFLOW) {
+        f32::from_bits(1)
+    } else {
+        common
+    }
+}
+
+/// `xs[i] = exp(xs[i])`, bit for bit [`exp_lane::<FUSED>`]: eight lanes
+/// a step in AVX2 instructions when `FUSED` ([`exp8_fused`]), one lane
+/// at a time otherwise.
+///
+/// # Safety
+/// With `FUSED` the CPU must support `avx2` and `fma`.
+// SAFETY: unsafe only for the `FUSED` contract; every load and store
+// is of a whole 8-float chunk of `xs`.
+#[inline(always)]
+pub(crate) unsafe fn exp_in_place<const FUSED: bool>(xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if FUSED {
+        use std::arch::x86_64::{_mm256_loadu_ps, _mm256_storeu_ps};
+        let mut chunks = xs.chunks_exact_mut(8);
+        for v in &mut chunks {
+            // SAFETY: the caller guarantees avx2 and fma; `v` holds eight
+            // floats for the unaligned load and store.
+            unsafe { _mm256_storeu_ps(v.as_mut_ptr(), exp8_fused(_mm256_loadu_ps(v.as_ptr()))) };
+        }
+        for x in chunks.into_remainder() {
+            *x = exp_lane::<true>(*x);
+        }
+        return;
+    }
+    for x in xs {
+        *x = exp_lane::<FUSED>(*x);
+    }
+}
+
+/// [`exp_lane::<true>`] on eight lanes: the same IEEE operations on the
+/// same operands in the same order, four `f64` lanes an instruction,
+/// with the filter's outcomes blended in by the same priority.
+///
+/// # Safety
+/// The CPU must support `avx2` and `fma`.
+// SAFETY: unsafe because of #[target_feature]; the gather reads
+// `EXP_T[ki & 31]`, always inside the 32-entry table.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn exp8_fused(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let half = |xd: __m256d| -> __m128 {
+        let inv = _mm256_set1_pd(INV_LN2_N);
+        let shift = _mm256_set1_pd(SHIFT);
+        let kd = _mm256_fmadd_pd(inv, xd, shift);
+        let ki = _mm256_castpd_si256(kd);
+        // fma(InvLn2N, xd, -(kd - SHIFT)); negating is exact
+        let r = _mm256_fmsub_pd(inv, xd, _mm256_sub_pd(kd, shift));
+        let idx = _mm256_and_si256(ki, _mm256_set1_epi64x(EXP_N as i64 - 1));
+        let t = _mm256_i64gather_epi64::<8>(EXP_T.as_ptr().cast(), idx);
+        let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+        let r2 = _mm256_mul_pd(r, r);
+        let z = _mm256_fmadd_pd(_mm256_set1_pd(EXP_C0), r, _mm256_set1_pd(EXP_C1));
+        let y = _mm256_fmadd_pd(_mm256_set1_pd(EXP_C2), r, _mm256_set1_pd(1.0));
+        let y = _mm256_fmadd_pd(z, r2, y);
+        _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
+    };
+    let lo = half(_mm256_cvtps_pd(_mm256_castps256_ps128(x)));
+    let hi = half(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(x)));
+    let mut y = _mm256_set_m128(hi, lo);
+    let below = |bits: u32| _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(f32::from_bits(bits)));
+    y = _mm256_blendv_ps(y, _mm256_set1_ps(f32::from_bits(1)), below(EXP_MAY_UFLOW));
+    y = _mm256_blendv_ps(y, _mm256_setzero_ps(), below(EXP_UFLOW));
+    let over = _mm256_cmp_ps::<_CMP_GT_OQ>(x, _mm256_set1_ps(f32::from_bits(EXP_OFLOW)));
+    y = _mm256_blendv_ps(y, _mm256_set1_ps(f32::INFINITY), over);
+    let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x);
+    _mm256_blendv_ps(y, _mm256_add_ps(x, x), nan)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     type Body = fn(&mut [f32]);
+    type Libm = fn(f32) -> f32;
 
     /// [`tanh_avx2`] behind the dispatch check, as a plain fn.
     #[cfg(target_arch = "x86_64")]
@@ -215,9 +385,9 @@ mod tests {
         unsafe { tanh_avx2(xs) }
     }
 
-    /// Every body this host can run, by name: the dispatched kernel and
-    /// each body it can dispatch to.
-    fn bodies() -> Vec<(&'static str, Body)> {
+    /// Every `tanh` body this host can run, by name: the dispatched
+    /// kernel and each body it can dispatch to.
+    fn tanh_bodies() -> Vec<(&'static str, Body)> {
         #[allow(unused_mut)]
         let mut out: Vec<(&'static str, Body)> = vec![
             ("tanh_in_place", tanh_in_place),
@@ -230,20 +400,93 @@ mod tests {
         out
     }
 
+    /// [`exp_lane`]'s generic (unfused) build over a slice.
+    fn exp_unfused(xs: &mut [f32]) {
+        for x in xs {
+            *x = exp_lane::<false>(*x);
+        }
+    }
+
+    /// The FMA build over a slice as the kernels' AVX2 bodies run it:
+    /// [`exp8_fused`] on whole vectors, [`exp_lane`] on the rest.
+    ///
+    /// # Safety
+    /// The CPU must support `avx2` and `fma`.
+    // SAFETY: unsafe only because of #[target_feature]; the sole caller
+    // asserts avx2_available(), and the body is safe code.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn exp_fused_avx2(xs: &mut [f32]) {
+        // SAFETY: this function's target features are the contract.
+        unsafe { exp_in_place::<true>(xs) }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn exp_fused(xs: &mut [f32]) {
+        assert!(crate::matmul::avx2_available());
+        // SAFETY: the assert above is the target-feature contract.
+        unsafe { exp_fused_avx2(xs) }
+    }
+
+    /// [`exp_lane::<true>`] one lane at a time, as [`exp_in_place`] runs
+    /// a slice's last `len % 8` elements.
+    ///
+    /// # Safety
+    /// The CPU must support `avx2` and `fma`.
+    // SAFETY: unsafe only because of #[target_feature]; the sole caller
+    // asserts avx2_available(), and the body is safe code.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn exp_fused_lanes_avx2(xs: &mut [f32]) {
+        for x in xs {
+            *x = exp_lane::<true>(*x);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn exp_fused_lanes(xs: &mut [f32]) {
+        assert!(crate::matmul::avx2_available());
+        // SAFETY: the assert above is the target-feature contract.
+        unsafe { exp_fused_lanes_avx2(xs) }
+    }
+
+    /// Where glibc's FMA and generic `expf` builds differ: the generic
+    /// one is one ulp low at both.
+    const EXP_SPLITS: [u32; 2] = [0x4202_422f, 0xc27c_65d9];
+
+    /// Every `expf` body this host can run, with the inputs at which it
+    /// must differ from this host's libm: none for the build glibc
+    /// dispatches to here (the fused one exactly when
+    /// `avx2_available()`), [`EXP_SPLITS`] for the other.
+    fn exp_bodies() -> Vec<(&'static str, Body, &'static [u32])> {
+        #[allow(unused_mut)]
+        let mut out: Vec<(&'static str, Body, &'static [u32])> = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        if crate::matmul::avx2_available() {
+            out.push(("fused", exp_fused, &[]));
+            out.push(("fused lanes", exp_fused_lanes, &[]));
+            out.push(("unfused", exp_unfused, &EXP_SPLITS));
+            return out;
+        }
+        out.push(("unfused", exp_unfused, &[]));
+        out
+    }
+
     /// At most this many differing inputs are kept per body and list.
     const KEEP: usize = 16;
 
     /// Runs every body on `xs` (`got` is scratch of the same length) and
     /// appends to `found`, per body, the bit patterns of the inputs whose
-    /// result differs from `f32::tanh`'s by `to_bits`.
+    /// result differs from `libm`'s by `to_bits`.
     fn collect_mismatches(
-        bodies: &[(&str, Body)],
+        bodies: &[Body],
+        libm: Libm,
         xs: &[f32],
         got: &mut [f32],
         found: &mut [Vec<u32>],
     ) {
-        let want: Vec<u32> = xs.iter().map(|x| x.tanh().to_bits()).collect();
-        for ((_, body), found) in bodies.iter().zip(found) {
+        let want: Vec<u32> = xs.iter().map(|&x| libm(x).to_bits()).collect();
+        for (body, found) in bodies.iter().zip(found) {
             got.copy_from_slice(xs);
             body(got);
             for ((x, g), w) in xs.iter().zip(got.iter()).zip(&want) {
@@ -254,22 +497,84 @@ mod tests {
         }
     }
 
-    /// Panics on the first body with a mismatch, naming the lowest
-    /// differing input's bits.
-    fn assert_no_mismatch(bodies: &[(&str, Body)], found: &[Vec<u32>]) {
-        for ((name, body), found) in bodies.iter().zip(found) {
-            if let Some(&bits) = found.iter().min() {
+    /// Panics on the first body whose mismatches are not exactly its
+    /// `expected` inputs, naming the lowest unexpected one's bits.
+    fn assert_mismatches(
+        what: &str,
+        bodies: &[(&str, Body, &[u32])],
+        libm: Libm,
+        found: &mut [Vec<u32>],
+    ) {
+        for ((name, body, expected), found) in bodies.iter().zip(found) {
+            found.sort_unstable();
+            found.dedup();
+            let unexpected = found.iter().find(|b| !expected.contains(b));
+            if let Some(&bits) = unexpected {
                 let x = f32::from_bits(bits);
                 let mut got = [x];
                 body(&mut got);
                 panic!(
-                    "tanh ({name}) differs from libm; first at x = {bits:#010x} ({x:e}): \
+                    "{what} ({name}) differs from libm; first at x = {bits:#010x} ({x:e}): \
                      {:#010x}, libm {:#010x}",
                     got[0].to_bits(),
-                    x.tanh().to_bits()
+                    libm(x).to_bits()
                 );
             }
+            assert_eq!(
+                found.as_slice(),
+                *expected,
+                "{what} ({name}) must differ from libm exactly at these inputs"
+            );
         }
+    }
+
+    /// Sweeps `bodies` over `xs` and asserts their mismatches.
+    fn check(what: &str, bodies: &[(&str, Body, &[u32])], libm: Libm, xs: &[f32]) {
+        let fns: Vec<Body> = bodies.iter().map(|b| b.1).collect();
+        let mut found = vec![Vec::new(); bodies.len()];
+        collect_mismatches(&fns, libm, xs, &mut xs.to_vec(), &mut found);
+        assert_mismatches(what, bodies, libm, &mut found);
+    }
+
+    /// Sweeps `bodies` over all 2³² inputs on scoped threads and asserts
+    /// their mismatches.
+    fn check_every_input(what: &str, bodies: &[(&str, Body, &[u32])], libm: Libm) {
+        let fns: Vec<Body> = bodies.iter().map(|b| b.1).collect();
+        let fns = &fns;
+        const CHUNK: u64 = 1 << 16;
+        let chunks = (1u64 << 32) / CHUNK;
+        let threads = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(4) as u64;
+        let mut found = vec![Vec::new(); bodies.len()];
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    s.spawn(move || {
+                        let mut xs = vec![0.0f32; CHUNK as usize];
+                        let mut got = xs.clone();
+                        let mut found = vec![Vec::new(); fns.len()];
+                        for c in (t..chunks).step_by(threads as usize) {
+                            for (i, x) in (c * CHUNK..).zip(xs.iter_mut()) {
+                                *x = f32::from_bits(i as u32);
+                            }
+                            collect_mismatches(fns, libm, &xs, &mut got, &mut found);
+                        }
+                        found
+                    })
+                })
+                .collect();
+            for h in handles {
+                for (all, f) in found.iter_mut().zip(h.join().unwrap()) {
+                    all.extend(f);
+                }
+            }
+        });
+        assert_mismatches(what, bodies, libm, &mut found);
+    }
+
+    fn exact(bodies: Vec<(&'static str, Body)>) -> Vec<(&'static str, Body, &'static [u32])> {
+        bodies.into_iter().map(|(n, b)| (n, b, &[][..])).collect()
     }
 
     /// `x` and its `ulps` neighbours on either side, of both signs.
@@ -279,9 +584,10 @@ mod tests {
             .flat_map(|b| [f32::from_bits(b), -f32::from_bits(b)])
     }
 
-    #[test]
-    fn tanh_matches_libm_at_every_threshold_and_a_sample() {
-        // ±0, the subnormals' edges, ±∞ and the largest finite values
+    /// ±0, the subnormals' edges, ±∞, the largest finite values, NaNs of
+    /// both signs with several payloads, and a stride of 65 537 through
+    /// all 2³² bit patterns.
+    fn edges_and_sample() -> Vec<f32> {
         let mut v: Vec<f32> = [0.0, f32::from_bits(1), f32::from_bits(0x007f_ffff)]
             .into_iter()
             .flat_map(|x| around(x, 3))
@@ -299,6 +605,13 @@ mod tests {
             v.push(f32::from_bits(0x7f80_0000 | payload));
             v.push(f32::from_bits(0xff80_0000 | payload));
         }
+        v.extend((0..=u32::MAX).step_by(65_537).map(f32::from_bits));
+        v
+    }
+
+    #[test]
+    fn tanh_matches_libm_at_every_threshold_and_a_sample() {
+        let mut v = edges_and_sample();
         // s_tanhf.c's own thresholds
         for bits in [TANH_TINY, TANH_ONE, TANH_SAT] {
             v.extend(around(f32::from_bits(bits), 1));
@@ -317,49 +630,54 @@ mod tests {
         for k in [2, 22, 23, 56, 57] {
             v.extend(around((k as f32 - 0.5) * std::f32::consts::LN_2 / 2.0, 64));
         }
-        // a stride of 65 537 through all 2³² bit patterns
-        v.extend((0..=u32::MAX).step_by(65_537).map(f32::from_bits));
-
-        let bodies = bodies();
-        let mut found = vec![Vec::new(); bodies.len()];
-        collect_mismatches(&bodies, &v, &mut v.clone(), &mut found);
-        assert_no_mismatch(&bodies, &found);
+        check("tanh", &exact(tanh_bodies()), f32::tanh, &v);
     }
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "2^32 inputs: run by the release test step")]
     fn tanh_matches_libm_on_every_input() {
         // the dispatched kernel is one of the bodies; sweep those
-        let bodies = &bodies()[1..];
-        const CHUNK: u64 = 1 << 16;
-        let chunks = (1u64 << 32) / CHUNK;
-        let threads = std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(4) as u64;
-        let mut found = vec![Vec::new(); bodies.len()];
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    s.spawn(move || {
-                        let mut xs = vec![0.0f32; CHUNK as usize];
-                        let mut got = xs.clone();
-                        let mut found = vec![Vec::new(); bodies.len()];
-                        for c in (t..chunks).step_by(threads as usize) {
-                            for (i, x) in (c * CHUNK..).zip(xs.iter_mut()) {
-                                *x = f32::from_bits(i as u32);
-                            }
-                            collect_mismatches(bodies, &xs, &mut got, &mut found);
-                        }
-                        found
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (all, f) in found.iter_mut().zip(h.join().unwrap()) {
-                    all.extend(f);
-                }
-            }
-        });
-        assert_no_mismatch(bodies, &found);
+        check_every_input("tanh", &exact(tanh_bodies())[1..], f32::tanh);
+    }
+
+    #[test]
+    fn exp_matches_libm_at_every_threshold_and_a_sample() {
+        let mut v = edges_and_sample();
+        // e_expf.c's filter (|x| >= 88) and its outcomes' thresholds,
+        // both signs of each
+        for bits in [0x42b0_0000, EXP_OFLOW, EXP_UFLOW, EXP_MAY_UFLOW] {
+            v.extend(around(f32::from_bits(bits), 1));
+        }
+        // the fused and unfused builds' split inputs
+        v.extend(EXP_SPLITS.map(f32::from_bits));
+        // where k = round(x·32/ln2) steps, so the table index wraps
+        for k in [-1, 1, 31, 32, 33, -32] {
+            v.extend(around(k as f32 * std::f32::consts::LN_2 / 32.0, 2));
+        }
+        check("exp", &exp_bodies(), f32::exp, &v);
+    }
+
+    #[test]
+    fn exp_builds_split_by_one_ulp() {
+        for bits in EXP_SPLITS {
+            // opaque to the optimiser: a release build folds a constant
+            // `exp` at compile time, to the generic build's bits here
+            let x = std::hint::black_box(f32::from_bits(bits));
+            let mut got = [x];
+            exp_unfused(&mut got);
+            let libm = x.exp().to_bits();
+            let want = if crate::matmul::avx2_available() {
+                libm - 1
+            } else {
+                libm
+            };
+            assert_eq!(got[0].to_bits(), want, "unfused exp at {bits:#010x}");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "2^32 inputs: run by the release test step")]
+    fn exp_matches_libm_on_every_input() {
+        check_every_input("exp", &exp_bodies(), f32::exp);
     }
 }

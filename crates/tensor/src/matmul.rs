@@ -44,7 +44,7 @@ const MR: usize = 6;
 const NR: usize = 16;
 /// K-dimension block: one packed A panel (KC×MR floats = 4 KiB, kept on
 /// the stack) and one B panel row-run fit comfortably in L1/L2.
-const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 /// Row block fanned out as the unit of parallelism; MC×KC of packed A
 /// is 64 KiB, well inside L2.
 const MC: usize = 64;
@@ -518,40 +518,57 @@ unsafe fn transpose_blocks_avx2(
         for pp in (0..kb).step_by(8) {
             let at = (j0 + jj) * ld + pc + pp;
             let r: [__m256; 8] = std::array::from_fn(|i| _mm256_loadu_ps(s.add(at + i * ld)));
-            // pairs of rows interleaved
-            let t0 = _mm256_unpacklo_ps(r[0], r[1]);
-            let t1 = _mm256_unpackhi_ps(r[0], r[1]);
-            let t2 = _mm256_unpacklo_ps(r[2], r[3]);
-            let t3 = _mm256_unpackhi_ps(r[2], r[3]);
-            let t4 = _mm256_unpacklo_ps(r[4], r[5]);
-            let t5 = _mm256_unpackhi_ps(r[4], r[5]);
-            let t6 = _mm256_unpacklo_ps(r[6], r[7]);
-            let t7 = _mm256_unpackhi_ps(r[6], r[7]);
-            // columns q and q + 4 of four rows
-            let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
-            let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
-            let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
-            let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
-            let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
-            let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
-            let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
-            let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
-            // column q of all eight rows
-            let cols = [
-                _mm256_permute2f128_ps::<0x20>(u0, u4),
-                _mm256_permute2f128_ps::<0x20>(u1, u5),
-                _mm256_permute2f128_ps::<0x20>(u2, u6),
-                _mm256_permute2f128_ps::<0x20>(u3, u7),
-                _mm256_permute2f128_ps::<0x31>(u0, u4),
-                _mm256_permute2f128_ps::<0x31>(u1, u5),
-                _mm256_permute2f128_ps::<0x31>(u2, u6),
-                _mm256_permute2f128_ps::<0x31>(u3, u7),
-            ];
+            let cols = transpose8(r);
             for (q, col) in cols.into_iter().enumerate() {
                 _mm256_storeu_ps(d.add((pp + q) * NR + jj), col);
             }
         }
     }
+}
+
+/// An 8×8 block transposed in registers: element `q` of output `r` is
+/// element `r` of input `q`, by three unpack/shuffle/permute stages.
+///
+/// # Safety
+/// The CPU must support `avx2`.
+// SAFETY: unsafe only because of #[target_feature]; it touches no
+// memory.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+pub(crate) unsafe fn transpose8(
+    r: [std::arch::x86_64::__m256; 8],
+) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::*;
+    // pairs of rows interleaved
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    // columns q and q + 4 of four rows
+    let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+    let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+    let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+    let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+    // column q of all eight rows
+    [
+        _mm256_permute2f128_ps::<0x20>(u0, u4),
+        _mm256_permute2f128_ps::<0x20>(u1, u5),
+        _mm256_permute2f128_ps::<0x20>(u2, u6),
+        _mm256_permute2f128_ps::<0x20>(u3, u7),
+        _mm256_permute2f128_ps::<0x31>(u0, u4),
+        _mm256_permute2f128_ps::<0x31>(u1, u5),
+        _mm256_permute2f128_ps::<0x31>(u2, u6),
+        _mm256_permute2f128_ps::<0x31>(u3, u7),
+    ]
 }
 
 /// Whether the AVX2+FMA microkernel can run on this host. Detected

@@ -125,10 +125,11 @@ pub fn sum_axis0_acc(t: &Tensor, acc: &mut [f32]) {
 
 /// Row sums of a rank-2 tensor `[rows, cols]` accumulated into an
 /// existing length-`rows` slice: `acc[i] += Σ_j t[i, j]`, every row
-/// summed sequentially in ascending `j` straight into its accumulator
-/// (the bias-gradient reduction of a channel-major gradient). Rows are
-/// taken eight at a time so eight independent add chains are in flight
-/// instead of one.
+/// summed sequentially in ascending `j` onto its accumulator (the
+/// bias-gradient reduction of a channel-major gradient). Rows are taken
+/// eight at a time so eight independent add chains are in flight
+/// instead of one, their sums held in a local array between the load
+/// from `acc` and the store back.
 pub fn sum_axis1_acc(t: &Tensor, acc: &mut [f32]) {
     const LANES: usize = 8;
     assert_eq!(t.shape().ndim(), 2, "sum_axis1_acc needs rank-2 input");
@@ -138,11 +139,23 @@ pub fn sum_axis1_acc(t: &Tensor, acc: &mut [f32]) {
         return;
     }
     for (block, accs) in t.as_slice().chunks(LANES * cols).zip(acc.chunks_mut(LANES)) {
-        for j in 0..cols {
-            for (i, a) in accs.iter_mut().enumerate() {
-                *a += block[i * cols + j];
+        let mut sums = [0.0f32; LANES];
+        let n = accs.len();
+        sums[..n].copy_from_slice(accs);
+        if n == LANES {
+            for j in 0..cols {
+                for (i, s) in sums.iter_mut().enumerate() {
+                    *s += block[i * cols + j];
+                }
+            }
+        } else {
+            for j in 0..cols {
+                for (i, s) in sums[..n].iter_mut().enumerate() {
+                    *s += block[i * cols + j];
+                }
             }
         }
+        accs.copy_from_slice(&sums[..n]);
     }
 }
 
@@ -224,6 +237,45 @@ mod tests {
             .collect();
         sum_axis1_acc(&x, &mut acc);
         assert_eq!(acc, want);
+    }
+
+    #[test]
+    fn axis1_sum_matches_per_row_loop_bit_for_bit_under_cancellation() {
+        // terms of ±1e7 that cancel around small ones, so any change of
+        // order or of the starting value shows in the low bits; rows
+        // straddle the 8-row blocks, and the accumulators start at
+        // -0.0, +0.0 and values that cancel the row
+        for (rows, cols) in [(13, 64), (8, 512), (3, 5), (17, 1)] {
+            let x = Tensor::from_vec(
+                (0..rows * cols)
+                    .map(|i| match i % 4 {
+                        0 => 1e7 + (i as f32 * 0.61).sin(),
+                        1 => -1e7,
+                        2 => (i as f32 * 0.23).cos() * 1e-3,
+                        _ => -0.0,
+                    })
+                    .collect(),
+                [rows, cols],
+            );
+            let start: Vec<f32> = (0..rows)
+                .map(|i| [-0.0, 0.0, -3.5e6, 1.25][i % 4])
+                .collect();
+            let want: Vec<u32> = start
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| {
+                    let mut s = a;
+                    for v in x.row(i) {
+                        s += v;
+                    }
+                    s.to_bits()
+                })
+                .collect();
+            let mut acc = start.clone();
+            sum_axis1_acc(&x, &mut acc);
+            let got: Vec<u32> = acc.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{rows} x {cols}");
+        }
     }
 
     #[test]
