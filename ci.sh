@@ -104,11 +104,12 @@ echo "==> cargo test -q --release (fabric allocations under the optimiser)"
 cargo test -q --release -p selsync-net --test fabric_allocations
 
 # The GEMM microkernel reads B in place and stores full tiles straight
-# into C through raw pointers, the NT pack transposes 8x8 blocks in
-# registers, and the conv lowering's masked shifts and the norm loops
-# lean on the optimiser for their speed; the debug run above checked
-# their bit-identity oracles without it, this one checks them as they
-# ship: both NT pack bodies against each other and the definition
+# into C, the NT pack transposes 8x8 blocks in registers, and the conv
+# lowering's masked shifts and the norm loops lean on the optimiser for
+# their speed. selsync-tensor is optimised in the debug profile too
+# (Cargo.toml: unoptimised, each `mul_add` is two calls), so the debug
+# run above checked these oracles with debug assertions on; this one
+# checks them as they ship: both NT pack bodies against each other and the definition
 # (`transposed_pack_bodies_write_identical_panels`), direct-store tiles
 # against the accumulator path over a stale C
 # (`direct_store_tiles_match_the_acc_path`), and im2col / col2im against
@@ -119,19 +120,21 @@ cargo test -q --release -p selsync-net --test fabric_allocations
 # recorded before the layer contract was unified) and `heap_allocations`
 # (a counting global allocator: two allocations per steady-state training
 # step, none per predict), so the optimiser is held to both as well.
-# The packed GEMM is held to the naive reference kernels here too, at
-# the 256^3, transformer, im2col and conv shapes the models run and the
-# per-head attention oracle's 12x8x12, as NN, TN and NT
-# (`tile_boundary_shapes_match_reference`).
+# The packed GEMM is held bit for bit to the exact reference kernels
+# here too, at the 256^3, transformer, im2col and conv shapes the models
+# run and the per-head attention oracle's 12x8x12, as NN, TN and NT, on
+# plain and on NaN/inf/-0.0-salted operands
+# (`tile_boundary_shapes_match_reference`), and the microkernel's
+# baseline and FMA compilations to each other.
 # This step also carries the exhaustive sweeps of `tensor::math`, each
 # against libm by `to_bits` on all 2^32 inputs, on scoped threads: every
 # body of the `tanh` lane kernel (AVX2 and portable) against `f32::tanh`
-# (about 100 s on two cores), and every body of the `expf` lane kernel
-# against `f32::exp` (about 23 s): the fused AVX2 vector and lane bodies
-# exact on an AVX2+FMA host, the unfused portable body (glibc's generic
-# build) off by one ulp at exactly its two split inputs. Both are
-# `#[cfg_attr(debug_assertions, ignore)]`, so the debug run above skips
-# them. The batched-heads attention kernel and the row softmax are held
+# (about 100 s on two cores), and the `expf` lane kernel, which is
+# glibc's FMA build on every host, against `f32::exp` (about 22 s): on an
+# AVX2+FMA host its AVX2 vector and lane bodies, exact; without FMA its
+# portable body, one ulp above the host's generic build at exactly the
+# two split inputs. Both are `#[cfg_attr(debug_assertions, ignore)]`, so
+# the debug run above skips them. The batched-heads attention kernel and the row softmax are held
 # here, as in debug, to the per-head path they replaced, by `to_bits`
 # (`lane_kernel_matches_per_head_oracle_on_salted_inputs`,
 # `layer_matches_per_head_layer_across_an_eval_forward`).

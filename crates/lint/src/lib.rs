@@ -22,6 +22,7 @@
 //! | `unbounded-retry` | dial/send retry loops with no visible cap or deadline |
 //! | `lock-across-send` | a MutexGuard held across a `Transport::send` |
 //! | `libm-call` | per-element libm calls on the model's step path (`tensor`, `nn`) |
+//! | `simd-intrinsic` | hand-written `_mm256_*`/`_mm_*` bodies in `tensor` kept without a measurement |
 //! | `wire-conformance` | a `Payload` variant missing one of its five codec sites |
 //!
 //! The pass is offline and dependency-free (std only), built on a

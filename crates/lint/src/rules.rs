@@ -62,6 +62,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(UnboundedRetry),
         Box::new(LockAcrossSend),
         Box::new(LibmCall),
+        Box::new(SimdIntrinsic),
     ]
 }
 
@@ -869,8 +870,11 @@ impl Rule for LockAcrossSend {
 /// a reported metric).
 struct LibmCall;
 
-/// `f32`/`f64` methods that lower to a libm call (not `sqrt`, `abs` or
-/// `mul_add`, which are instructions on the hosts the kernels target).
+/// `f32`/`f64` methods that lower to a libm call. Not `sqrt` or `abs`,
+/// which are instructions everywhere, nor `mul_add`: it is one where
+/// FMA is available (the kernels' AVX2 bodies are compiled for it), and
+/// elsewhere a libm `fma` call that is exact, so its bits are the same
+/// on every host; only its speed is not (DESIGN.md §7).
 const LIBM_CALLS: [&str; 20] = [
     "exp", "exp2", "exp_m1", "ln", "ln_1p", "log", "log2", "log10", "powf", "sin", "cos", "tan",
     "sin_cos", "asin", "acos", "atan", "atan2", "sinh", "cosh", "tanh",
@@ -913,6 +917,75 @@ impl Rule for LibmCall {
                     out,
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// simd-intrinsic
+// ---------------------------------------------------------------------
+
+/// Hand-written SIMD intrinsics in the tensor kernels. A body of
+/// `_mm256_*`/`_mm_*` calls is raw-pointer code the compiler cannot
+/// check, and a safe body compiled under `#[target_feature]` often
+/// vectorises to the same instructions (the GEMM microkernel does). So
+/// every fn that calls one is a finding, once, on the first line of its
+/// attributes, where a `lint:allow(simd-intrinsic)` above the item lands;
+/// the allow cites the measurement that keeps the intrinsics: the safe
+/// twin's time against theirs.
+struct SimdIntrinsic;
+
+impl Rule for SimdIntrinsic {
+    fn name(&self) -> &'static str {
+        "simd-intrinsic"
+    }
+    fn in_scope(&self, rel: &str) -> bool {
+        rel.starts_with("crates/tensor/src/")
+    }
+    fn check(&self, f: &SourceFile, out: &mut Vec<Finding>) {
+        let toks = &f.toks;
+        let fns = &f.items.fns;
+        // innermost fn holding each call, in order of first call
+        let mut callers: Vec<usize> = Vec::new();
+        for (i, t) in toks.iter().enumerate() {
+            let intrinsic = t.kind == TokKind::Ident
+                && (t.text.starts_with("_mm256_") || t.text.starts_with("_mm_"));
+            // `_mm256_add_ps(` or `_mm256_shuffle_ps::<0x44>(`
+            let punct = |k: usize, c: char| toks.get(i + k).is_some_and(|n| n.is_punct(c));
+            if !intrinsic || !(punct(1, '(') || punct(1, ':') && punct(2, ':') && punct(3, '<')) {
+                continue;
+            }
+            let caller = (0..fns.len())
+                .filter(|&x| fns[x].body.contains(&i))
+                .min_by_key(|&x| fns[x].body.len());
+            match caller {
+                Some(x) if !callers.contains(&x) => callers.push(x),
+                Some(_) => {}
+                None => emit(
+                    self,
+                    f,
+                    t.line,
+                    "a SIMD intrinsic outside any fn".into(),
+                    out,
+                ),
+            }
+        }
+        for x in callers {
+            let mut line = fns[x].line;
+            while line > 1 && f.is_attr_only_line(line - 1) {
+                line -= 1;
+            }
+            emit(
+                self,
+                f,
+                line,
+                format!(
+                    "`{}` calls SIMD intrinsics; write the body as safe code compiled under \
+                     #[target_feature], or cite with lint:allow the measurement that keeps them",
+                    fns[x].name
+                ),
+                out,
+            );
         }
     }
 }

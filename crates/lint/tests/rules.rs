@@ -148,6 +148,29 @@ fn libm_call_positive_and_negative() {
 }
 
 #[test]
+fn simd_intrinsic_positive_and_negative() {
+    let r = run_fixtures();
+    // one finding per fn that calls an intrinsic, plain or turbofished,
+    // on the first line of its attributes
+    assert_eq!(
+        findings(&r, "crates/tensor/src/simd_intrinsic_pos.rs"),
+        vec![
+            ("simd-intrinsic".into(), 4, false),
+            ("simd-intrinsic".into(), 13, false),
+        ]
+    );
+    // comments, strings, `use` lists, safe bodies under
+    // #[target_feature] and test code stay silent; a justified allow
+    // above the item silences it
+    assert_eq!(
+        findings(&r, "crates/tensor/src/simd_intrinsic_neg.rs"),
+        vec![("simd-intrinsic".into(), 17, true)]
+    );
+    // outside tensor the rule does not run
+    assert!(rules_hit(&r, "crates/nn/src/simd_intrinsic_scope_neg.rs").is_empty());
+}
+
+#[test]
 fn raw_net_positive_and_negative() {
     let r = run_fixtures();
     assert_eq!(

@@ -16,17 +16,19 @@
 //! *Why the bits are the per-head path's:* every lane performs exactly
 //! the operations of the per-head code, in the same order, on the same
 //! operands. Each product element is the packed GEMM's chain for
-//! `k ≤ KC`: one multiply-add per term in ascending order from `+0.0`,
-//! fused in the AVX2 body (the GEMM's `microkernel_avx2`) and a product
-//! then a sum in the portable one (`microkernel_portable`); a sum that
-//! spans the outer loop (`dK`, `dV`) stays one chain, kept in memory
-//! between steps. The softmax keeps its max fold from `−∞`, its
-//! `exp(x − m)`, its sum from `+0.0` and its division; the softmax
-//! backward keeps the `Iterator::sum` of `dA ⊙ A` (from `−0.0`, that
-//! sum's neutral element) and `A ⊙ (dA − dot)` before the scale. The
-//! `exp` is [`crate::math`]'s lane kernel, which fuses in the AVX2 body
-//! as glibc's `expf` does on such a host. Padding lanes are zero on the
-//! way in and never read on the way out.
+//! `k ≤ KC`: one fused multiply-add per term in ascending order from
+//! `+0.0`; a sum that spans the outer loop (`dK`, `dV`) stays one chain,
+//! kept in memory between steps. The softmax keeps its max fold from
+//! `−∞`, its `exp(x − m)`, its sum from `+0.0` and its division; the
+//! softmax backward keeps the `Iterator::sum` of `dA ⊙ A` (from `−0.0`,
+//! that sum's neutral element) and `A ⊙ (dA − dot)` before the scale.
+//! The `exp` is [`crate::math`]'s lane kernel. Padding lanes are zero on
+//! the way in and never read on the way out.
+//!
+//! Each body is compiled twice, for the baseline target and for AVX2
+//! and FMA, with the same arithmetic: the const flag `AVX2` a body takes
+//! only lets it move blocks by register transposes and run the `exp` by
+//! [`crate::math`]'s AVX2 vector body, never changes what it computes.
 
 use crate::math::exp_in_place;
 use crate::matmul::KC;
@@ -118,15 +120,11 @@ pub fn to_lanes(g: Heads, rows: &[f32], lanes: &mut [f32]) {
     unsafe { to_lanes_body::<false>(g, rows, lanes) };
 }
 
-/// [`to_lanes`] compiled for AVX2.
-///
-/// # Safety
-/// The CPU must support `avx2`.
-// SAFETY: unsafe only because of #[target_feature]; the sole caller is
-// gated on avx2_available().
+/// [`to_lanes`] compiled for AVX2. A safe fn; its caller checks the
+/// feature in `unsafe`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn to_lanes_avx2(g: Heads, rows: &[f32], lanes: &mut [f32]) {
+fn to_lanes_avx2(g: Heads, rows: &[f32], lanes: &mut [f32]) {
     // SAFETY: this function's target feature.
     unsafe { to_lanes_body::<true>(g, rows, lanes) };
 }
@@ -178,15 +176,11 @@ pub fn from_lanes(g: Heads, lanes: &[f32], rows: &mut [f32]) {
     unsafe { from_lanes_body::<false>(g, lanes, rows) };
 }
 
-/// [`from_lanes`] compiled for AVX2.
-///
-/// # Safety
-/// The CPU must support `avx2`.
-// SAFETY: unsafe only because of #[target_feature]; the sole caller is
-// gated on avx2_available().
+/// [`from_lanes`] compiled for AVX2. A safe fn; its caller checks the
+/// feature in `unsafe`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn from_lanes_avx2(g: Heads, lanes: &[f32], rows: &mut [f32]) {
+fn from_lanes_avx2(g: Heads, lanes: &[f32], rows: &mut [f32]) {
     // SAFETY: this function's target feature.
     unsafe { from_lanes_body::<true>(g, lanes, rows) };
 }
@@ -262,7 +256,7 @@ pub fn forward(
     unsafe { forward_body::<false>(g, causal, q, k, v, attn, ctx) };
 }
 
-/// [`forward`] compiled for AVX2 and FMA, the products and `exp` fused.
+/// [`forward`] compiled for AVX2 and FMA, the `exp` eight lanes a step.
 ///
 /// # Safety
 /// The CPU must support `avx2` and `fma`, and the slices have the
@@ -285,14 +279,14 @@ unsafe fn forward_avx2(
 }
 
 /// # Safety
-/// Every slice has the length [`forward`] asserts, and with `F` the CPU
-/// supports `avx2` and `fma`.
+/// Every slice has the length [`forward`] asserts, and with `AVX2` the
+/// CPU supports `avx2` and `fma`.
 // SAFETY: unsafe because its loads and stores are unchecked. Each lands
 // inside its slice: `(t·hd + d)·L + c + 8 <= seq·hd·L` for `t < seq`,
 // `d < hd` and `c + 8 <= L`; `(i·seq + j)·L + c + 8 <= seq²·L`; and
 // `j·8 + 8 <= seq·8` in the row.
 #[inline(always)]
-unsafe fn forward_body<const F: bool>(
+unsafe fn forward_body<const AVX2: bool>(
     g: Heads,
     causal: bool,
     q: &[f32],
@@ -319,18 +313,18 @@ unsafe fn forward_body<const F: bool>(
                 } else {
                     let mut acc = [0.0; W];
                     for d in 0..hd {
-                        acc = madd::<F>(load(q, at(i, d)), load(k, at(j, d)), acc);
+                        acc = madd(load(q, at(i, d)), load(k, at(j, d)), acc);
                     }
                     acc.map(|x| x * scale)
                 };
                 store(row, j * W, s);
             }
-            softmax_lanes::<F>(row, live);
+            softmax_lanes::<AVX2>(row, live);
             // ctx_i = a_i · v
             for d in 0..hd {
                 let mut acc = [0.0; W];
                 for j in 0..seq {
-                    acc = madd::<F>(load(row, j * W), load(v, at(j, d)), acc);
+                    acc = madd(load(row, j * W), load(v, at(j, d)), acc);
                 }
                 store(ctx, at(i, d), acc);
             }
@@ -368,12 +362,11 @@ pub fn backward(
         unsafe { backward_avx2(g, q, k, v, attn, dctx, dq, dk, dv) };
         return;
     }
-    // SAFETY: the asserts above are the body's contract, and the
-    // portable body needs no CPU feature.
-    unsafe { backward_body::<false>(g, q, k, v, attn, dctx, dq, dk, dv) };
+    // SAFETY: the asserts above are the body's contract.
+    unsafe { backward_body(g, q, k, v, attn, dctx, dq, dk, dv) };
 }
 
-/// [`backward`] compiled for AVX2 and FMA, the products fused.
+/// [`backward`] compiled for AVX2 and FMA.
 ///
 /// # Safety
 /// The CPU must support `avx2` and `fma`, and the slices have the
@@ -395,7 +388,7 @@ unsafe fn backward_avx2(
     dk: &mut [f32],
     dv: &mut [f32],
 ) {
-    backward_body::<true>(g, q, k, v, attn, dctx, dq, dk, dv);
+    backward_body(g, q, k, v, attn, dctx, dq, dk, dv);
 }
 
 /// Row by row: row `i` of the weights' gradient is all `dQ_i` needs,
@@ -403,13 +396,12 @@ unsafe fn backward_avx2(
 /// order.
 ///
 /// # Safety
-/// Every slice has the length [`backward`] asserts, and with `F` the CPU
-/// supports `avx2` and `fma`.
+/// Every slice has the length [`backward`] asserts.
 // SAFETY: unsafe because its loads and stores are unchecked; they land
 // inside their slices by the bounds [`forward_body`] states.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn backward_body<const F: bool>(
+unsafe fn backward_body(
     g: Heads,
     q: &[f32],
     k: &[f32],
@@ -439,7 +431,7 @@ unsafe fn backward_body<const F: bool>(
             for j in 0..seq {
                 let a = load(attn, aw(i, j));
                 for d in 0..hd {
-                    let acc = madd::<F>(a, load(dctx, at(i, d)), load(dv, at(j, d)));
+                    let acc = madd(a, load(dctx, at(i, d)), load(dv, at(j, d)));
                     store(dv, at(j, d), acc);
                 }
             }
@@ -447,7 +439,7 @@ unsafe fn backward_body<const F: bool>(
             for j in 0..seq {
                 let mut acc = [0.0; W];
                 for d in 0..hd {
-                    acc = madd::<F>(load(dctx, at(i, d)), load(v, at(j, d)), acc);
+                    acc = madd(load(dctx, at(i, d)), load(v, at(j, d)), acc);
                 }
                 store(scratch, j * W, acc);
             }
@@ -471,7 +463,7 @@ unsafe fn backward_body<const F: bool>(
             for d in 0..hd {
                 let mut acc = [0.0; W];
                 for j in 0..seq {
-                    acc = madd::<F>(load(scratch, j * W), load(k, at(j, d)), acc);
+                    acc = madd(load(scratch, j * W), load(k, at(j, d)), acc);
                 }
                 store(dq, at(i, d), acc);
             }
@@ -479,7 +471,7 @@ unsafe fn backward_body<const F: bool>(
             for j in 0..seq {
                 let s = load(scratch, j * W);
                 for d in 0..hd {
-                    let acc = madd::<F>(s, load(q, at(i, d)), load(dk, at(j, d)));
+                    let acc = madd(s, load(q, at(i, d)), load(dk, at(j, d)));
                     store(dk, at(j, d), acc);
                 }
             }
@@ -523,16 +515,14 @@ pub fn softmax_rows(x: &mut [f32], cols: usize) {
     });
 }
 
-/// [`softmax_rows`] compiled for AVX2 and FMA, the `exp` fused.
-///
-/// # Safety
-/// The CPU must support `avx2` and `fma`.
-// SAFETY: unsafe only because of #[target_feature]; the sole caller is
-// gated on avx2_available(), which is the body's `F` contract.
+/// [`softmax_rows`] compiled for AVX2 and FMA, the `exp` eight lanes a
+/// step. A safe fn; its caller checks the features in `unsafe`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn softmax_rows_avx2(x: &mut [f32], cols: usize, lanes: &mut [f32]) {
-    softmax_rows_body::<true>(x, cols, lanes);
+fn softmax_rows_avx2(x: &mut [f32], cols: usize, lanes: &mut [f32]) {
+    // SAFETY: this function's target features are the body's `AVX2`
+    // contract.
+    unsafe { softmax_rows_body::<true>(x, cols, lanes) };
 }
 
 /// Eight rows at a time: transposed into `lanes` (`[cols, 8]`, a last
@@ -540,10 +530,10 @@ unsafe fn softmax_rows_avx2(x: &mut [f32], cols: usize, lanes: &mut [f32]) {
 /// blocks move in registers, the rest one float at a time.
 ///
 /// # Safety
-/// With `F` the CPU must support `avx2` and `fma`.
-// SAFETY: unsafe only for the `F` contract, which it passes on.
+/// With `AVX2` the CPU must support `avx2` and `fma`.
+// SAFETY: unsafe only for the `AVX2` contract, which it passes on.
 #[inline(always)]
-unsafe fn softmax_rows_body<const F: bool>(x: &mut [f32], cols: usize, lanes: &mut [f32]) {
+unsafe fn softmax_rows_body<const AVX2: bool>(x: &mut [f32], cols: usize, lanes: &mut [f32]) {
     let cb = cols - cols % W;
     for block in x.chunks_mut(W * cols) {
         let rows = block.len() / cols;
@@ -556,17 +546,17 @@ unsafe fn softmax_rows_body<const F: bool>(x: &mut [f32], cols: usize, lanes: &m
         };
         for j in (0..j0).step_by(W) {
             let (from, to) = at(j);
-            transpose_block::<F>(block, from, lanes, to);
+            transpose_block::<AVX2>(block, from, lanes, to);
         }
         for (j, e) in lanes.chunks_exact_mut(W).enumerate().skip(j0) {
             for (r, l) in e.iter_mut().enumerate() {
                 *l = if r < rows { block[r * cols + j] } else { 0.0 };
             }
         }
-        softmax_lanes::<F>(lanes, cols);
+        softmax_lanes::<AVX2>(lanes, cols);
         for j in (0..j0).step_by(W) {
             let (to, from) = at(j);
-            transpose_block::<F>(lanes, from, block, to);
+            transpose_block::<AVX2>(lanes, from, block, to);
         }
         for (j, e) in lanes.chunks_exact(W).enumerate().skip(j0) {
             for (r, &l) in e.iter().enumerate().take(rows) {
@@ -582,10 +572,10 @@ unsafe fn softmax_rows_body<const F: bool>(x: &mut [f32], cols: usize, lanes: &m
 /// returns for those inputs, so only the live ones run it.
 ///
 /// # Safety
-/// With `F` the CPU must support `avx2` and `fma`.
-// SAFETY: unsafe only for the `F` contract, which it passes on.
+/// With `AVX2` the CPU must support `avx2` and `fma`.
+// SAFETY: unsafe only for the `AVX2` contract, which it passes on.
 #[inline(always)]
-unsafe fn softmax_lanes<const F: bool>(row: &mut [f32], live: usize) {
+unsafe fn softmax_lanes<const AVX2: bool>(row: &mut [f32], live: usize) {
     let mut m = [f32::NEG_INFINITY; W];
     for x in row.chunks_exact(W) {
         for w in 0..W {
@@ -598,7 +588,7 @@ unsafe fn softmax_lanes<const F: bool>(row: &mut [f32], live: usize) {
         }
     }
     let (live, masked) = row.split_at_mut(live * W);
-    exp_in_place::<F>(live);
+    exp_in_place::<AVX2>(live);
     for x in masked {
         *x = if x.is_nan() { *x + *x } else { 0.0 };
     }
@@ -622,6 +612,7 @@ unsafe fn softmax_lanes<const F: bool>(row: &mut [f32], live: usize) {
 /// With `AVX2` the CPU must support `avx2`.
 // SAFETY: unsafe only for the `AVX2` contract; the asserts keep every
 // run inside its slice.
+// lint:allow(simd-intrinsic): to_lanes at the training geometry takes 416–486 ns with it against 1 081–1 536 ns for the safe body compiled for AVX2 (2-vCPU AVX2+FMA host, best of 7 × 20 000 calls)
 #[inline(always)]
 unsafe fn transpose_block<const AVX2: bool>(
     src: &[f32],
@@ -672,16 +663,11 @@ unsafe fn store(s: &mut [f32], at: usize, v: V) {
     s.as_mut_ptr().add(at).cast::<V>().write(v);
 }
 
-/// One step of a product chain per lane: fused as `microkernel_avx2`,
-/// or a product then a sum as `microkernel_portable`.
+/// One step of a product chain per lane, fused as the GEMM microkernel's.
 #[inline(always)]
-fn madd<const F: bool>(a: V, b: V, mut acc: V) -> V {
+fn madd(a: V, b: V, mut acc: V) -> V {
     for w in 0..W {
-        acc[w] = if F {
-            a[w].mul_add(b[w], acc[w])
-        } else {
-            acc[w] + a[w] * b[w]
-        };
+        acc[w] = a[w].mul_add(b[w], acc[w]);
     }
     acc
 }
@@ -693,21 +679,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// One step of a scalar product chain, as [`madd`] takes it per lane.
-    fn madd1<const F: bool>(a: f32, b: f32, acc: f32) -> f32 {
-        if F {
-            a.mul_add(b, acc)
-        } else {
-            acc + a * b
-        }
-    }
-
-    /// The one-row softmax the lanes reproduce, with `exp` as given.
-    fn softmax_row(row: &mut [f32], exp: fn(f32) -> f32) {
+    /// The one-row softmax the lanes reproduce.
+    fn softmax_row(row: &mut [f32]) {
         let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut z = 0.0;
         for v in row.iter_mut() {
-            *v = exp(*v - m);
+            *v = crate::math::exp_lane(*v - m);
             z += *v;
         }
         for v in row.iter_mut() {
@@ -725,9 +702,9 @@ mod tests {
         dv: Vec<f32>,
     }
 
-    /// The per-head algorithm one lane and one scalar at a time, fused
-    /// when `F`: the definition the lane bodies are held to.
-    fn definition<const F: bool>(g: Heads, causal: bool, x: &[Vec<f32>; 4]) -> Out {
+    /// The per-head algorithm one lane and one scalar at a time: the
+    /// definition the lane bodies are held to.
+    fn definition(g: Heads, causal: bool, x: &[Vec<f32>; 4]) -> Out {
         let [q, k, v, dctx] = x;
         let (seq, hd, ln) = (g.seq, g.head_dim, g.lanes());
         let scale = 1.0 / (hd as f32).sqrt();
@@ -744,26 +721,23 @@ mod tests {
             for i in 0..seq {
                 let row = &mut a[i * seq..(i + 1) * seq];
                 for (j, s) in row.iter_mut().enumerate() {
-                    let dot = (0..hd).fold(0.0, |acc, d| madd1::<F>(q[at(i, d)], k[at(j, d)], acc));
+                    let dot = (0..hd).fold(0.0, |acc, d| q[at(i, d)].mul_add(k[at(j, d)], acc));
                     *s = if causal && j > i {
                         f32::NEG_INFINITY
                     } else {
                         dot * scale
                     };
                 }
-                softmax_row(row, crate::math::exp_lane::<F>);
+                softmax_row(row);
             }
             let mut ds = vec![0.0f32; seq * seq];
             for i in 0..seq {
                 for d in 0..hd {
-                    let c =
-                        (0..seq).fold(0.0, |acc, j| madd1::<F>(a[i * seq + j], v[at(j, d)], acc));
+                    let c = (0..seq).fold(0.0, |acc, j| a[i * seq + j].mul_add(v[at(j, d)], acc));
                     o.ctx[at(i, d)] = c;
                 }
                 let da: Vec<f32> = (0..seq)
-                    .map(|j| {
-                        (0..hd).fold(0.0, |acc, d| madd1::<F>(dctx[at(i, d)], v[at(j, d)], acc))
-                    })
+                    .map(|j| (0..hd).fold(0.0, |acc, d| dctx[at(i, d)].mul_add(v[at(j, d)], acc)))
                     .collect();
                 let arow = &a[i * seq..(i + 1) * seq];
                 let dot: f32 = da.iter().zip(arow).map(|(x, y)| x * y).sum();
@@ -774,12 +748,11 @@ mod tests {
             for t in 0..seq {
                 for d in 0..hd {
                     o.dq[at(t, d)] =
-                        (0..seq).fold(0.0, |acc, j| madd1::<F>(ds[t * seq + j], k[at(j, d)], acc));
+                        (0..seq).fold(0.0, |acc, j| ds[t * seq + j].mul_add(k[at(j, d)], acc));
                     o.dk[at(t, d)] =
-                        (0..seq).fold(0.0, |acc, i| madd1::<F>(ds[i * seq + t], q[at(i, d)], acc));
-                    o.dv[at(t, d)] = (0..seq).fold(0.0, |acc, i| {
-                        madd1::<F>(a[i * seq + t], dctx[at(i, d)], acc)
-                    });
+                        (0..seq).fold(0.0, |acc, i| ds[i * seq + t].mul_add(q[at(i, d)], acc));
+                    o.dv[at(t, d)] =
+                        (0..seq).fold(0.0, |acc, i| a[i * seq + t].mul_add(dctx[at(i, d)], acc));
                 }
             }
             for (e, w) in a.iter().enumerate() {
@@ -835,7 +808,7 @@ mod tests {
         dv: &mut [f32],
     ) {
         // SAFETY: as in forward_portable.
-        unsafe { backward_body::<false>(g, q, k, v, attn, dctx, dq, dk, dv) }
+        unsafe { backward_body(g, q, k, v, attn, dctx, dq, dk, dv) }
     }
 
     type Fwd = fn(Heads, bool, &[f32], &[f32], &[f32], &mut [f32], &mut [f32]);
@@ -843,15 +816,19 @@ mod tests {
     type Bwd =
         fn(Heads, &[f32], &[f32], &[f32], &[f32], &[f32], &mut [f32], &mut [f32], &mut [f32]);
 
-    /// Bits of the real lanes, every NaN as `f32::NAN`: which payload
+    /// Bits of every float, every NaN as `f32::NAN`: which payload
     /// survives where two NaNs meet is the compiler's choice of operand
     /// order, and Rust leaves it unspecified.
-    fn real_bits(g: Heads, t: &[f32]) -> Vec<u32> {
-        let (ln, real) = (g.lanes(), g.batch * g.heads);
-        t.chunks_exact(ln)
-            .flat_map(|e| &e[..real])
+    fn canon<'a>(t: impl IntoIterator<Item = &'a f32>) -> Vec<u32> {
+        t.into_iter()
             .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
             .collect()
+    }
+
+    /// [`canon`] of the real lanes.
+    fn real_bits(g: Heads, t: &[f32]) -> Vec<u32> {
+        let (ln, real) = (g.lanes(), g.batch * g.heads);
+        canon(t.chunks_exact(ln).flat_map(|e| &e[..real]))
     }
 
     fn assert_same(g: Heads, got: &Out, want: &Out, what: &str) {
@@ -909,12 +886,21 @@ mod tests {
         assert_eq!(back, rows);
     }
 
+    /// Both compilations against the definition, so also against each
+    /// other: the portable body, whatever the host dispatches to, gives
+    /// the dispatched bits. The last two shapes are TransformerMini's
+    /// training and eval batches.
     #[test]
     fn bodies_match_the_per_lane_definition() {
         let mut rng = StdRng::seed_from_u64(5);
-        for (batch, heads, seq, head_dim) in
-            [(3, 2, 5, 8), (1, 1, 1, 4), (5, 3, 7, 4), (2, 4, 12, 8)]
-        {
+        for (batch, heads, seq, head_dim) in [
+            (3, 2, 5, 8),
+            (1, 1, 1, 4),
+            (5, 3, 7, 4),
+            (2, 4, 12, 8),
+            (8, 2, 12, 8),
+            (16, 2, 12, 8),
+        ] {
             let g = Heads {
                 batch,
                 heads,
@@ -924,19 +910,17 @@ mod tests {
             for causal in [true, false] {
                 let what = format!("{g:?} causal={causal}");
                 let x = inputs(g, &mut rng);
+                let want = definition(g, causal, &x);
                 let portable = run(g, causal, &x, forward_portable, backward_portable);
-                assert_same(g, &portable, &definition::<false>(g, causal, &x), &what);
+                assert_same(g, &portable, &want, &what);
                 let dispatched = run(g, causal, &x, forward, backward);
-                let want = if crate::matmul::avx2_available() {
-                    definition::<true>(g, causal, &x)
-                } else {
-                    definition::<false>(g, causal, &x)
-                };
                 assert_same(g, &dispatched, &want, &what);
             }
         }
     }
 
+    /// Both compilations against the one-row form, at the loss's 96 × 64
+    /// and the classifier's 8 × 10 among other shapes.
     #[test]
     fn softmax_rows_matches_the_one_row_form() {
         let mut rng = StdRng::seed_from_u64(9);
@@ -954,23 +938,12 @@ mod tests {
                 }
                 let mut want = x.clone();
                 for row in want.chunks_exact_mut(cols) {
-                    softmax_row(row, f32::exp);
+                    softmax_row(row);
                 }
-                let canon = |t: &[f32]| -> Vec<u32> {
-                    t.iter()
-                        .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
-                        .collect()
-                };
                 let mut got = x.clone();
                 softmax_rows(&mut got, cols);
                 assert!(canon(&got) == canon(&want), "{rows} x {cols}");
 
-                // the portable body against the one-row form on
-                // glibc's generic `expf`
-                let mut want = x.clone();
-                for row in want.chunks_exact_mut(cols) {
-                    softmax_row(row, crate::math::exp_lane::<false>);
-                }
                 let mut got = x.clone();
                 // SAFETY: the portable body needs no CPU feature.
                 unsafe {

@@ -21,15 +21,18 @@
 //! lane that uses it, so nothing a discarded branch computes can trap or
 //! panic. glibc compiles `tanhf` without FMA on every x86-64 host, and
 //! Rust never contracts a multiply and an add, so nothing in it fuses.
-//! glibc's `expf` is an ifunc that runs an FMA build on hosts with FMA
-//! and AVX2, so `exp_lane` fuses exactly when its caller's body does.
+//! glibc's `expf` is an ifunc whose FMA build runs on hosts with FMA and
+//! AVX2; `exp_lane` is that build on every host, each multiply-add of
+//! the C source one `mul_add`, so a lane's bits never depend on the host
+//! (without FMA they are one ulp above the host's `f32::exp` at two
+//! inputs, where glibc's generic build rounds the other way).
 //!
 //! The claim is proven by exhaustion, not argued: the release build of
 //! this module's tests compares every body with libm by `to_bits` on
 //! all 2³² inputs (DESIGN.md §7). `tanh_in_place`, and the softmax
 //! bodies around `exp_in_place`, dispatch on the GEMM microkernel's
-//! cached check: an AVX2 body when the host has AVX2 and FMA, a portable
-//! body otherwise.
+//! cached check: a body compiled for AVX2 and FMA when the host has
+//! both, the same body compiled for the baseline target otherwise.
 
 /// `xs[i] = tanh(xs[i])`, bit for bit glibc's `tanhf`.
 pub fn tanh_in_place(xs: &mut [f32]) {
@@ -51,15 +54,11 @@ fn tanh_portable(xs: &mut [f32]) {
 }
 
 /// [`tanh_in_place`] compiled for AVX2, eight lanes a vector, with the
-/// portable body's bits.
-///
-/// # Safety
-/// The CPU must support `avx2`.
-// SAFETY: unsafe only because of #[target_feature]; the sole caller is
-// gated on avx2_available(), and the body is safe code.
+/// portable body's bits. A safe fn; its caller checks the feature in
+/// `unsafe`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn tanh_avx2(xs: &mut [f32]) {
+fn tanh_avx2(xs: &mut [f32]) {
     for x in xs {
         *x = tanh_lane(*x);
     }
@@ -255,37 +254,26 @@ const EXP_OFLOW: u32 = 0x42b1_7217; // x above: +inf
 const EXP_UFLOW: u32 = 0xc2cf_f1b4; // x below: +0
 const EXP_MAY_UFLOW: u32 = 0xc2ce_8ecf; // x below: 2^-149
 
-/// glibc's `expf` on one lane: its FMA build when `FUSED`, its generic
-/// build otherwise. Every multiply-add of the C source is one `mul_add`
-/// in the former and a product and a sum in the latter; the two differ
-/// at `0x4202422f` and `0xc27c65d9` only. A caller fuses exactly when it
-/// runs in a body compiled for AVX2 and FMA, which is the predicate of
-/// glibc's own dispatch, so the lane returns `f32::exp`'s bits on every
-/// host. The C code's `|x| >= 88` filter is written as its outcomes:
-/// every lane it does not decide takes the common path, as in C.
+/// glibc's `expf` on one lane: its FMA build, every multiply-add of the
+/// C source one `mul_add`. (glibc's generic build, which an x86-64 host
+/// without FMA runs, rounds one ulp lower at `0x4202422f` and
+/// `0xc27c65d9` only.) The C code's `|x| >= 88` filter is written as its
+/// outcomes: every lane it does not decide takes the common path, as in
+/// C.
 #[inline(always)]
-pub(crate) fn exp_lane<const FUSED: bool>(x: f32) -> f32 {
+pub(crate) fn exp_lane(x: f32) -> f32 {
     let xd = x as f64;
     // x·N/ln2 = k + r with r in [-1/2, 1/2] and integer k, rounded by
     // the shift; the shifted value's low bits are k
-    let (ki, r) = if FUSED {
-        let kd = INV_LN2_N.mul_add(xd, SHIFT);
-        (kd.to_bits(), INV_LN2_N.mul_add(xd, -(kd - SHIFT)))
-    } else {
-        let z = INV_LN2_N * xd;
-        let kd = z + SHIFT;
-        (kd.to_bits(), z - (kd - SHIFT))
-    };
+    let kd = INV_LN2_N.mul_add(xd, SHIFT);
+    let ki = kd.to_bits();
+    let r = INV_LN2_N.mul_add(xd, -(kd - SHIFT));
     // exp(x) = 2^(k/N)·2^(r/N) ≈ s·(C0·r³ + C1·r² + C2·r + 1)
     let s = f64::from_bits(EXP_T[(ki % EXP_N) as usize].wrapping_add(ki << 47));
     let r2 = r * r;
-    let y = if FUSED {
-        EXP_C0
-            .mul_add(r, EXP_C1)
-            .mul_add(r2, EXP_C2.mul_add(r, 1.0))
-    } else {
-        (EXP_C0 * r + EXP_C1) * r2 + (EXP_C2 * r + 1.0)
-    };
+    let y = EXP_C0
+        .mul_add(r, EXP_C1)
+        .mul_add(r2, EXP_C2.mul_add(r, 1.0));
     let common = (y * s) as f32;
     if x.is_nan() {
         x + x
@@ -300,18 +288,18 @@ pub(crate) fn exp_lane<const FUSED: bool>(x: f32) -> f32 {
     }
 }
 
-/// `xs[i] = exp(xs[i])`, bit for bit [`exp_lane::<FUSED>`]: eight lanes
-/// a step in AVX2 instructions when `FUSED` ([`exp8_fused`]), one lane
-/// at a time otherwise.
+/// `xs[i] = exp_lane(xs[i])`: eight lanes a step by [`exp8_fused`] when
+/// `AVX2`, one lane at a time otherwise.
 ///
 /// # Safety
-/// With `FUSED` the CPU must support `avx2` and `fma`.
-// SAFETY: unsafe only for the `FUSED` contract; every load and store
+/// With `AVX2` the CPU must support `avx2` and `fma`.
+// SAFETY: unsafe only for the `AVX2` contract; every load and store
 // is of a whole 8-float chunk of `xs`.
+// lint:allow(simd-intrinsic): one unaligned load and store a vector, which feed exp8_fused (measured there)
 #[inline(always)]
-pub(crate) unsafe fn exp_in_place<const FUSED: bool>(xs: &mut [f32]) {
+pub(crate) unsafe fn exp_in_place<const AVX2: bool>(xs: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if FUSED {
+    if AVX2 {
         use std::arch::x86_64::{_mm256_loadu_ps, _mm256_storeu_ps};
         let mut chunks = xs.chunks_exact_mut(8);
         for v in &mut chunks {
@@ -320,16 +308,16 @@ pub(crate) unsafe fn exp_in_place<const FUSED: bool>(xs: &mut [f32]) {
             unsafe { _mm256_storeu_ps(v.as_mut_ptr(), exp8_fused(_mm256_loadu_ps(v.as_ptr()))) };
         }
         for x in chunks.into_remainder() {
-            *x = exp_lane::<true>(*x);
+            *x = exp_lane(*x);
         }
         return;
     }
     for x in xs {
-        *x = exp_lane::<FUSED>(*x);
+        *x = exp_lane(*x);
     }
 }
 
-/// [`exp_lane::<true>`] on eight lanes: the same IEEE operations on the
+/// [`exp_lane`] on eight lanes: the same IEEE operations on the
 /// same operands in the same order, four `f64` lanes an instruction,
 /// with the filter's outcomes blended in by the same priority.
 ///
@@ -337,6 +325,7 @@ pub(crate) unsafe fn exp_in_place<const FUSED: bool>(xs: &mut [f32]) {
 /// The CPU must support `avx2` and `fma`.
 // SAFETY: unsafe because of #[target_feature]; the gather reads
 // `EXP_T[ki & 31]`, always inside the 32-entry table.
+// lint:allow(simd-intrinsic): the loss's 96×64 softmax `exp` takes 7.2–10.9 µs with it against 10.6–16.1 µs for exp_lane compiled for AVX2 and FMA (2-vCPU AVX2+FMA host, best of 7 × 2 000 calls)
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[inline]
@@ -400,23 +389,18 @@ mod tests {
         out
     }
 
-    /// [`exp_lane`]'s generic (unfused) build over a slice.
-    fn exp_unfused(xs: &mut [f32]) {
-        for x in xs {
-            *x = exp_lane::<false>(*x);
-        }
+    /// [`exp_in_place`]'s portable body: the lanes one at a time, each
+    /// `mul_add` a libm `fma` call unless the compiler may emit FMA.
+    fn exp_portable(xs: &mut [f32]) {
+        // SAFETY: the portable body needs no CPU feature.
+        unsafe { exp_in_place::<false>(xs) }
     }
 
-    /// The FMA build over a slice as the kernels' AVX2 bodies run it:
-    /// [`exp8_fused`] on whole vectors, [`exp_lane`] on the rest.
-    ///
-    /// # Safety
-    /// The CPU must support `avx2` and `fma`.
-    // SAFETY: unsafe only because of #[target_feature]; the sole caller
-    // asserts avx2_available(), and the body is safe code.
+    /// [`exp_in_place`]'s AVX2 body: [`exp8_fused`] on whole vectors,
+    /// [`exp_lane`] on the rest.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn exp_fused_avx2(xs: &mut [f32]) {
+    fn exp_fused_avx2(xs: &mut [f32]) {
         // SAFETY: this function's target features are the contract.
         unsafe { exp_in_place::<true>(xs) }
     }
@@ -428,18 +412,13 @@ mod tests {
         unsafe { exp_fused_avx2(xs) }
     }
 
-    /// [`exp_lane::<true>`] one lane at a time, as [`exp_in_place`] runs
-    /// a slice's last `len % 8` elements.
-    ///
-    /// # Safety
-    /// The CPU must support `avx2` and `fma`.
-    // SAFETY: unsafe only because of #[target_feature]; the sole caller
-    // asserts avx2_available(), and the body is safe code.
+    /// [`exp_lane`] one lane at a time compiled for AVX2 and FMA, as
+    /// [`exp_in_place`] runs a slice's last `len % 8` elements there.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn exp_fused_lanes_avx2(xs: &mut [f32]) {
+    fn exp_fused_lanes_avx2(xs: &mut [f32]) {
         for x in xs {
-            *x = exp_lane::<true>(*x);
+            *x = exp_lane(*x);
         }
     }
 
@@ -454,21 +433,21 @@ mod tests {
     /// one is one ulp low at both.
     const EXP_SPLITS: [u32; 2] = [0x4202_422f, 0xc27c_65d9];
 
-    /// Every `expf` body this host can run, with the inputs at which it
-    /// must differ from this host's libm: none for the build glibc
-    /// dispatches to here (the fused one exactly when
-    /// `avx2_available()`), [`EXP_SPLITS`] for the other.
+    /// Every `expf` body this host can run, portable first, each with the
+    /// inputs at which it must differ from this host's libm: none where
+    /// glibc runs its FMA build (exactly when `avx2_available()`),
+    /// [`EXP_SPLITS`] where it runs its generic one.
     fn exp_bodies() -> Vec<(&'static str, Body, &'static [u32])> {
+        let avx2 = crate::matmul::avx2_available();
+        let splits: &'static [u32] = if avx2 { &[] } else { &EXP_SPLITS };
         #[allow(unused_mut)]
-        let mut out: Vec<(&'static str, Body, &'static [u32])> = Vec::new();
+        let mut out: Vec<(&'static str, Body, &'static [u32])> =
+            vec![("portable", exp_portable, splits)];
         #[cfg(target_arch = "x86_64")]
-        if crate::matmul::avx2_available() {
+        if avx2 {
             out.push(("fused", exp_fused, &[]));
             out.push(("fused lanes", exp_fused_lanes, &[]));
-            out.push(("unfused", exp_unfused, &EXP_SPLITS));
-            return out;
         }
-        out.push(("unfused", exp_unfused, &[]));
         out
     }
 
@@ -648,7 +627,7 @@ mod tests {
         for bits in [0x42b0_0000, EXP_OFLOW, EXP_UFLOW, EXP_MAY_UFLOW] {
             v.extend(around(f32::from_bits(bits), 1));
         }
-        // the fused and unfused builds' split inputs
+        // where glibc's FMA and generic builds split
         v.extend(EXP_SPLITS.map(f32::from_bits));
         // where k = round(x·32/ln2) steps, so the table index wraps
         for k in [-1, 1, 31, 32, 33, -32] {
@@ -658,26 +637,35 @@ mod tests {
     }
 
     #[test]
-    fn exp_builds_split_by_one_ulp() {
+    fn exp_returns_the_fma_builds_bits_at_the_split_inputs() {
         for bits in EXP_SPLITS {
             // opaque to the optimiser: a release build folds a constant
             // `exp` at compile time, to the generic build's bits here
             let x = std::hint::black_box(f32::from_bits(bits));
             let mut got = [x];
-            exp_unfused(&mut got);
+            exp_portable(&mut got);
             let libm = x.exp().to_bits();
+            // glibc's generic build, which runs without FMA, is one ulp low
             let want = if crate::matmul::avx2_available() {
-                libm - 1
-            } else {
                 libm
+            } else {
+                libm + 1
             };
-            assert_eq!(got[0].to_bits(), want, "unfused exp at {bits:#010x}");
+            assert_eq!(got[0].to_bits(), want, "exp at {bits:#010x}");
         }
     }
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "2^32 inputs: run by the release test step")]
     fn exp_matches_libm_on_every_input() {
-        check_every_input("exp", &exp_bodies(), f32::exp);
+        let bodies = exp_bodies();
+        // where the dispatch never runs the portable body, its per-lane
+        // libm `fma` calls would take most of the sweep's time
+        let swept = if crate::matmul::avx2_available() {
+            &bodies[1..]
+        } else {
+            &bodies[..]
+        };
+        check_every_input("exp", swept, f32::exp);
     }
 }

@@ -25,9 +25,11 @@
 //! the distributed bit-exactness tests (same-seed single-process vs TCP
 //! multi-process runs must agree exactly).
 //!
-//! The pre-rewrite scalar kernels survive in [`reference`](mod@reference)
-//! as the serial test oracle the packed kernels are checked against
-//! (`tests/proptest_packed_kernels.rs`).
+//! Every output element is one fused multiply-add chain over the
+//! contraction index, ascending from `+0.0` within each KC block, the
+//! blocks added in order, on every host: [`reference`](mod@reference)
+//! computes exactly that, one element at a time, and the packed kernels
+//! are held to it bit for bit (`tests/proptest_packed_kernels.rs`).
 
 use crate::tensor::Tensor;
 use crate::MATMUL_PAR_MACS;
@@ -501,6 +503,7 @@ fn transpose_blocks_portable(
 // asserts the lengths, which bound every load `(j0+jj+r)*ld + pc+pp + 8
 // <= src.len()` for `r < 8`, `jj + 8 <= jb`, `pp + 8 <= kb`, and every
 // store `(pp+q)*NR + jj + 8 <= kb*NR` for `q < 8`.
+// lint:allow(simd-intrinsic): a 72×16 NT panel takes 167–173 ns here against 504–841 ns for transpose_blocks_portable compiled for AVX2 (2-vCPU AVX2+FMA host, best of 7 × 20 000 calls)
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn transpose_blocks_avx2(
@@ -528,17 +531,13 @@ unsafe fn transpose_blocks_avx2(
 
 /// An 8×8 block transposed in registers: element `q` of output `r` is
 /// element `r` of input `q`, by three unpack/shuffle/permute stages.
-///
-/// # Safety
-/// The CPU must support `avx2`.
-// SAFETY: unsafe only because of #[target_feature]; it touches no
-// memory.
+/// It touches no memory, so it is a safe fn; a caller not compiled for
+/// AVX2 calls it in `unsafe`, having checked the feature.
+// lint:allow(simd-intrinsic): the NT pack's and the lane layout's 8×8 blocks; their safe twins take 2.9–5.0× and 2.2–3.7× the time (see transpose_blocks_avx2 and attention::transpose_block)
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-pub(crate) unsafe fn transpose8(
-    r: [std::arch::x86_64::__m256; 8],
-) -> [std::arch::x86_64::__m256; 8] {
+pub(crate) fn transpose8(r: [std::arch::x86_64::__m256; 8]) -> [std::arch::x86_64::__m256; 8] {
     use std::arch::x86_64::*;
     // pairs of rows interleaved
     let t0 = _mm256_unpacklo_ps(r[0], r[1]);
@@ -571,9 +570,9 @@ pub(crate) unsafe fn transpose8(
     ]
 }
 
-/// Whether the AVX2+FMA microkernel can run on this host. Detected
-/// once; the result is stable for the process lifetime, so kernel
-/// dispatch is deterministic.
+/// Whether the host has AVX2 and FMA, so the kernels' bodies compiled
+/// for them can run. Detected once; the result is stable for the process
+/// lifetime, so kernel dispatch is deterministic.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn avx2_available() -> bool {
     use std::sync::OnceLock;
@@ -593,10 +592,8 @@ pub(crate) fn avx2_available() -> bool {
 /// tile stored to `c[i*ldc..][..NR]` (overwritten). The B panel is either
 /// packed and zero-padded or a full in-place panel, and a short A panel
 /// runs the variant with exactly `mr` accumulator rows, so the loop
-/// body is branch-free and multiplies no padding rows. Dispatches to the
-/// AVX2+FMA variant when the host supports it (rustc's baseline x86-64
-/// target only autovectorizes the portable loop to SSE2 width, which
-/// caps it near the old scalar kernels' throughput).
+/// body is branch-free and multiplies no padding rows. Every element is
+/// one fused chain over `p` from `+0.0`.
 #[inline(always)]
 fn microkernel(
     mr: usize,
@@ -617,7 +614,11 @@ fn microkernel(
     }
 }
 
-/// [`microkernel`] on the first `M` rows of the A panel and of the tile.
+/// [`microkernel`] on the first `M` rows of the A panel and of the tile:
+/// one safe body, compiled twice. This dispatches to the compilation
+/// for AVX2 and FMA when the host has both; at rustc's baseline x86-64
+/// target the loop runs at SSE2 width and each `mul_add` is a libm
+/// `fmaf` call, with the same bits, slowly.
 #[inline(always)]
 fn microkernel_rows<const M: usize>(
     ap: &[f32],
@@ -627,66 +628,22 @@ fn microkernel_rows<const M: usize>(
     c: &mut [f32],
     ldc: usize,
 ) {
-    // The AVX2 kernel reads and writes through raw pointers: its bounds
-    // are checked here, once per tile.
-    assert!(
-        kc > 0
-            && ap.len() >= kc * MR
-            && bp.len() >= (kc - 1) * ldb + NR
-            && c.len() >= (M - 1) * ldc + NR
-    );
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
-        // SAFETY: avx2_available() verified the avx2 and fma features,
-        // and the assert above is the kernel's bounds contract.
-        unsafe { microkernel_avx2::<M>(ap, bp, ldb, kc, c, ldc) };
+        // SAFETY: avx2_available() verified the avx2 and fma features the
+        // body is compiled for; the body is safe code.
+        unsafe { microkernel_fma::<M>(ap, bp, ldb, kc, c, ldc) };
         return;
     }
-    microkernel_portable::<M>(ap, bp, ldb, kc, c, ldc);
+    microkernel_body::<M>(ap, bp, ldb, kc, c, ldc);
 }
 
-/// Portable fallback microkernel (autovectorizes at the target's
-/// baseline SIMD width).
-#[inline(always)]
-fn microkernel_portable<const M: usize>(
-    ap: &[f32],
-    bp: &[f32],
-    ldb: usize,
-    kc: usize,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    let mut acc = [[0.0f32; NR]; M];
-    for p in 0..kc {
-        let arow = &ap[p * MR..p * MR + M];
-        let brow: &[f32; NR] = bp[p * ldb..p * ldb + NR].try_into().unwrap();
-        for (acc_row, &ai) in acc.iter_mut().zip(arow) {
-            for (av, bv) in acc_row.iter_mut().zip(brow) {
-                *av += ai * bv;
-            }
-        }
-    }
-    for (i, acc_row) in acc.iter().enumerate() {
-        c[i * ldc..i * ldc + NR].copy_from_slice(acc_row);
-    }
-}
-
-/// AVX2+FMA microkernel: the full 6×16 accumulator tile is 12 ymm
-/// registers, leaving two for the B panel row and one for the A
-/// broadcast.
-///
-/// # Safety
-/// Caller must ensure the CPU supports `avx2` and `fma`, and that
-/// `ap.len() >= kc * MR`, `bp.len() >= (kc - 1) * ldb + NR` and
-/// `c.len() >= (M - 1) * ldc + NR`.
-// SAFETY: unsafe because of #[target_feature] and the raw-pointer loads
-// and stores — the sole caller is gated on avx2_available() and asserts
-// the lengths, which bound `p * ldb + 8 + 8 <= bp.len()` and
-// `p * MR + i < ap.len()` for every `p < kc`, `i < M <= MR`, and
-// `i * ldc + 8 + 8 <= c.len()` for the two 8-lane stores of row `i < M`.
+/// [`microkernel_body`] compiled for AVX2 and FMA: each row step is two
+/// ymm loads of B, and per A row a broadcast and two `vfmadd231ps`. A
+/// safe fn; its caller checks the features in `unsafe`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn microkernel_avx2<const M: usize>(
+fn microkernel_fma<const M: usize>(
     ap: &[f32],
     bp: &[f32],
     ldb: usize,
@@ -694,21 +651,55 @@ unsafe fn microkernel_avx2<const M: usize>(
     c: &mut [f32],
     ldc: usize,
 ) {
-    use std::arch::x86_64::*;
-    let mut acc = [[_mm256_setzero_ps(); 2]; M];
-    for p in 0..kc {
-        let b0 = _mm256_loadu_ps(bp.as_ptr().add(p * ldb));
-        let b1 = _mm256_loadu_ps(bp.as_ptr().add(p * ldb + 8));
-        for (i, ci) in acc.iter_mut().enumerate() {
-            let a = _mm256_broadcast_ss(ap.get_unchecked(p * MR + i));
-            ci[0] = _mm256_fmadd_ps(a, b0, ci[0]);
-            ci[1] = _mm256_fmadd_ps(a, b1, ci[1]);
-        }
+    microkernel_body::<M>(ap, bp, ldb, kc, c, ldc);
+}
+
+/// The body of [`microkernel_rows`]. After B's row 0, the panel from
+/// `NR` on is `kc - 1` exact chunks of `ldb` floats, and chunk `p` ends
+/// with row `p + 1`: zipped with A's rows, the loop carries one counter
+/// and no bounds check. The loops over `M` rows have a constant trip
+/// count, so the accumulators live in registers from the first step to
+/// the store, and each accumulator row is two arrays of eight floats,
+/// one ymm register each.
+#[inline(always)]
+fn microkernel_body<const M: usize>(
+    ap: &[f32],
+    bp: &[f32],
+    ldb: usize,
+    kc: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    // the slicing checks every operand's length, once per tile
+    assert!(kc > 0 && ldb >= NR);
+    let mut acc = [[[0.0f32; 8]; 2]; M];
+    let (a_first, a_rest) = ap[..kc * MR].split_at(MR);
+    let (b_first, b_rest) = bp[..(kc - 1) * ldb + NR].split_at(NR);
+    microkernel_step(&mut acc, a_first, b_first);
+    for (arow, chunk) in a_rest.chunks_exact(MR).zip(b_rest.chunks_exact(ldb)) {
+        microkernel_step(&mut acc, arow, &chunk[ldb - NR..]);
     }
-    for (i, ci) in acc.iter().enumerate() {
-        let row = c.as_mut_ptr().add(i * ldc);
-        _mm256_storeu_ps(row, ci[0]);
-        _mm256_storeu_ps(row.add(8), ci[1]);
+    for (i, [acc0, acc1]) in acc.iter().enumerate() {
+        let row = &mut c[i * ldc..i * ldc + NR];
+        row[..8].copy_from_slice(acc0);
+        row[8..].copy_from_slice(acc1);
+    }
+}
+
+/// One row step of [`microkernel_body`]: `acc[i] = fma(a[i], b, acc[i])`.
+/// A fn, not a closure: a closure may stay out of line, and there it is
+/// compiled for the baseline target, each `mul_add` a libm call (the
+/// GEMM ran at 1/50 of its speed, with every bit right).
+#[inline(always)]
+fn microkernel_step<const M: usize>(acc: &mut [[[f32; 8]; 2]; M], arow: &[f32], brow: &[f32]) {
+    let (b0, b1) = brow[..NR].split_at(8);
+    for ([acc0, acc1], &ai) in acc.iter_mut().zip(arow) {
+        for (av, &bv) in acc0.iter_mut().zip(b0) {
+            *av = ai.mul_add(bv, *av);
+        }
+        for (av, &bv) in acc1.iter_mut().zip(b1) {
+            *av = ai.mul_add(bv, *av);
+        }
     }
 }
 
@@ -746,67 +737,65 @@ pub(crate) fn dims_nn(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
     (m, k, n)
 }
 
-/// Pre-rewrite scalar kernels, kept as the serial test oracle: each
-/// output row is one independent scalar loop, with none of the packed
-/// core's blocking, so a packing or tiling bug cannot hide in both.
+/// The exact test oracle: each output element is one scalar loop, with
+/// none of the packed core's packing, tiling or operand paths, so a bug
+/// there cannot hide in both. It computes the packed core's arithmetic,
+/// which is what makes the comparison `to_bits`: per KC block a fused
+/// chain over `p` ascending from `+0.0`, the first block's sum stored
+/// and the others added in order. Every term is multiplied, so a `0·NaN`
+/// or `0·∞` reaches the result as it does in the packed core.
 pub mod reference {
-    use super::{dims2, dims_nn};
-    use crate::ops::dot_slice;
+    use super::{dims2, dims_nn, KC};
     use crate::tensor::Tensor;
 
-    /// Naive `C = A·B` (ikj scalar loop).
-    pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, k, n) = dims_nn(a, b);
+    /// `C[i, j] = Σ_p x·y` over `(x, y) = ab(i, j, p)`, `p < k`.
+    fn product(
+        m: usize,
+        n: usize,
+        k: usize,
+        ab: impl Fn(usize, usize, usize) -> (f32, f32),
+    ) -> Tensor {
         let mut c = Tensor::zeros([m, n]);
-        let (a, b) = (a.as_slice(), b.as_slice());
-        for (i, c_row) in c.as_mut_slice().chunks_exact_mut(n).enumerate() {
-            for (p, &aval) in a[i * k..(i + 1) * k].iter().enumerate() {
-                if aval == 0.0 {
-                    continue;
+        for (e, cv) in c.as_mut_slice().iter_mut().enumerate() {
+            let (i, j) = (e / n, e % n);
+            *cv = (0..k).step_by(KC).fold(0.0, |sum, p0| {
+                let block = (p0..k.min(p0 + KC)).fold(0.0f32, |acc, p| {
+                    let (x, y) = ab(i, j, p);
+                    x.mul_add(y, acc)
+                });
+                if p0 == 0 {
+                    block
+                } else {
+                    sum + block
                 }
-                for (cv, bv) in c_row.iter_mut().zip(&b[p * n..(p + 1) * n]) {
-                    *cv += aval * bv;
-                }
-            }
+            });
         }
         c
     }
 
-    /// Naive `C = Aᵀ·B` (column-strided reads of A).
+    /// `C = A·B`.
+    pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k, n) = dims_nn(a, b);
+        let (a, b) = (a.as_slice(), b.as_slice());
+        product(m, n, k, |i, j, p| (a[i * k + p], b[p * n + j]))
+    }
+
+    /// `C = Aᵀ·B`.
     pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k) = dims2(a);
         let (m2, n) = dims2(b);
         assert_eq!(m, m2, "matmul_tn inner dimension mismatch ({m} vs {m2})");
-        let mut c = Tensor::zeros([k, n]);
         let (a, b) = (a.as_slice(), b.as_slice());
-        for (p, c_row) in c.as_mut_slice().chunks_exact_mut(n).enumerate() {
-            for i in 0..m {
-                let aval = a[i * k + p];
-                if aval == 0.0 {
-                    continue;
-                }
-                for (cv, bv) in c_row.iter_mut().zip(&b[i * n..(i + 1) * n]) {
-                    *cv += aval * bv;
-                }
-            }
-        }
-        c
+        product(k, n, m, |i, j, p| (a[p * k + i], b[p * n + j]))
     }
 
-    /// Naive `C = A·Bᵀ` (row-dot-row).
+    /// `C = A·Bᵀ`.
     pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, n) = dims2(a);
         let (k, n2) = dims2(b);
         assert_eq!(n, n2, "matmul_nt inner dimension mismatch ({n} vs {n2})");
-        let mut c = Tensor::zeros([m, k]);
         let (a, b) = (a.as_slice(), b.as_slice());
-        for (i, c_row) in c.as_mut_slice().chunks_exact_mut(k).enumerate() {
-            let a_row = &a[i * n..(i + 1) * n];
-            for (j, cv) in c_row.iter_mut().enumerate() {
-                *cv = dot_slice(a_row, &b[j * n..(j + 1) * n]);
-            }
-        }
-        c
+        product(m, k, n, |i, j, p| (a[i * n + p], b[j * n + p]))
     }
 }
 
@@ -938,16 +927,12 @@ mod tests {
             let b2 = Tensor::from_vec((0..m * n).map(|i| ((i % 5) as f32) - 2.0).collect(), [m, n]);
             let ct = matmul_tn(&a, &b2);
             let rt = reference::matmul_tn(&a, &b2);
-            for (x, y) in ct.as_slice().iter().zip(rt.as_slice()) {
-                assert!((x - y).abs() <= 1e-3 * y.abs().max(1.0), "tn {m}x{k}x{n}");
-            }
+            assert_eq!(ct.as_slice(), rt.as_slice(), "tn {m}x{k}x{n}");
             // NT contracts over columns: B here must be [n2, k].
             let b3 = Tensor::from_vec((0..n * k).map(|i| ((i % 9) as f32) - 4.0).collect(), [n, k]);
             let cn = matmul_nt(&a, &b3);
             let rn = reference::matmul_nt(&a, &b3);
-            for (x, y) in cn.as_slice().iter().zip(rn.as_slice()) {
-                assert!((x - y).abs() <= 1e-3 * y.abs().max(1.0), "nt {m}x{k}x{n}");
-            }
+            assert_eq!(cn.as_slice(), rn.as_slice(), "nt {m}x{k}x{n}");
         }
     }
 
@@ -1027,6 +1012,66 @@ mod tests {
             let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&stale), bits(&fresh), "{m}x{k}x{n}");
         }
+    }
+
+    /// Both compilations of the `M`-row microkernel on the same panels,
+    /// held to the definition and to each other.
+    fn check_microkernel_compilations<const M: usize>() {
+        let ldc = NR + 3;
+        for ldb in [NR, 37] {
+            for kc in (1..=17).chain([255, 256]) {
+                let mut ap = seq(KC * MR);
+                let mut bp = seq((kc - 1) * ldb + NR);
+                for v in ap.iter_mut().chain(bp.iter_mut()).step_by(23) {
+                    *v = -0.0;
+                }
+                // an infinite row of A and column of B: ±∞ in row 1, and
+                // ∞ − ∞ = NaN where they meet
+                ap[(kc - 1) * MR + 1] = f32::INFINITY;
+                bp[(kc / 2) * ldb + 4] = f32::NEG_INFINITY;
+                let what = format!("ldb {ldb} kc {kc} M {M}");
+                let mut baseline = vec![f32::NAN; MR * ldc];
+                microkernel_body::<M>(&ap, &bp, ldb, kc, &mut baseline, ldc);
+                // the definition: one fused chain per element from +0.0
+                for (i, row) in baseline.chunks_exact(ldc).enumerate() {
+                    for (j, v) in row.iter().enumerate() {
+                        let want = if i < M && j < NR {
+                            (0..kc).fold(0.0f32, |acc, p| {
+                                ap[p * MR + i].mul_add(bp[p * ldb + j], acc)
+                            })
+                        } else {
+                            f32::NAN
+                        };
+                        assert!(
+                            v.to_bits() == want.to_bits() || v.is_nan() && want.is_nan(),
+                            "{what} at ({i}, {j})"
+                        );
+                    }
+                }
+                #[cfg(target_arch = "x86_64")]
+                if avx2_available() {
+                    let mut fma = vec![f32::NAN; MR * ldc];
+                    // SAFETY: avx2_available() holds.
+                    unsafe { microkernel_fma::<M>(&ap, &bp, ldb, kc, &mut fma, ldc) };
+                    let canon = |c: &[f32]| -> Vec<u32> {
+                        c.iter()
+                            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+                            .collect()
+                    };
+                    assert_eq!(canon(&fma), canon(&baseline), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn microkernel_compilations_write_the_same_bits() {
+        check_microkernel_compilations::<1>();
+        check_microkernel_compilations::<2>();
+        check_microkernel_compilations::<3>();
+        check_microkernel_compilations::<4>();
+        check_microkernel_compilations::<5>();
+        check_microkernel_compilations::<MR>();
     }
 
     #[test]

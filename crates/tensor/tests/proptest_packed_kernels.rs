@@ -1,5 +1,5 @@
-//! Property-based equivalence of the packed/tiled GEMM kernels against
-//! the naive reference kernels, over irregular shapes — degenerate 1×N
+//! Property-based bit-equality of the packed/tiled GEMM kernels with the
+//! exact reference kernels, over irregular shapes — degenerate 1×N
 //! strips, sizes straddling the MR/NR/KC tile boundaries, and anything
 //! in between — plus the determinism properties the distributed protocol
 //! relies on: the serial and parallel code paths are bit-identical, and
@@ -19,18 +19,17 @@ fn randt(dims: &[usize], seed: u64) -> Tensor {
     init::randn(dims, 1.0, &mut rng)
 }
 
-/// Relative closeness: the packed kernels reassociate the k-sum
-/// (KC blocking + FMA), so equality holds only up to rounding.
-fn close(a: &Tensor, b: &Tensor, tol: f32) -> bool {
-    a.shape().same(b.shape())
-        && a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| (x - y).abs() <= tol * y.abs().max(1.0))
-}
-
 fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// [`bits`] with every NaN as `f32::NAN`: which payload survives where
+/// NaNs of two payloads meet is the compiler's choice of operand order.
+fn nan_blind_bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice()
+        .iter()
+        .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+        .collect()
 }
 
 proptest! {
@@ -42,7 +41,7 @@ proptest! {
         let b = randt(&[k, n], seed + 1);
         let packed = matmul::matmul(&a, &b);
         let naive = reference::matmul(&a, &b);
-        prop_assert!(close(&packed, &naive, 1e-3));
+        prop_assert_eq!(bits(&packed), bits(&naive));
     }
 
     #[test]
@@ -51,7 +50,7 @@ proptest! {
         let b = randt(&[m, n], seed + 2);
         let packed = matmul::matmul_tn(&a, &b);
         let naive = reference::matmul_tn(&a, &b);
-        prop_assert!(close(&packed, &naive, 1e-3));
+        prop_assert_eq!(bits(&packed), bits(&naive));
     }
 
     #[test]
@@ -60,7 +59,7 @@ proptest! {
         let b = randt(&[k, n], seed + 3);
         let packed = matmul::matmul_nt(&a, &b);
         let naive = reference::matmul_nt(&a, &b);
-        prop_assert!(close(&packed, &naive, 1e-3));
+        prop_assert_eq!(bits(&packed), bits(&naive));
     }
 
     /// Serial and parallel paths must be BIT-identical, not just close:
@@ -132,7 +131,7 @@ proptest! {
         let b = randt(&[k, n], seed + 8);
         let mut want = Tensor::zeros([m, n]);
         matmul_into_with(&a, &b, &mut want, Par::Never);
-        prop_assert!(close(&want, &reference::matmul(&a, &b), 1e-3));
+        prop_assert_eq!(bits(&want), bits(&reference::matmul(&a, &b)));
 
         let mut got = Tensor::zeros([m, n]);
         matmul_into_with(&a, &b, &mut got, Par::Always);
@@ -151,8 +150,10 @@ proptest! {
 /// random generator might miss (1×N strips, exact tile multiples, and
 /// one-off-the-tile sizes for MR=6 / NR=16 / KC=256), plus the products
 /// the models run: every case is an `[m, n]` output contracted over `k`,
-/// computed as NN, TN and NT and each held to its reference kernel within
-/// 1e-3.
+/// computed as NN, TN and NT and each held to its reference kernel bit
+/// for bit. Each shape runs twice: on normals, and on normals salted
+/// with NaN, ±∞ and −0.0, where a skipped `0·NaN` or `0·∞` term would
+/// show (NaNs compared by presence, not payload).
 #[test]
 fn tile_boundary_shapes_match_reference() {
     let mut cases = vec![
@@ -190,27 +191,48 @@ fn tile_boundary_shapes_match_reference() {
         let r = 5 * ((h + 2 * p - k) / s + 1) * ((w + 2 * p - k) / s + 1);
         cases.extend([(oc, plen, r), (oc, r, plen), (plen, oc, r)]);
     }
+    // Zeros among the terms, and a sparse few non-finite ones, so most
+    // outputs stay finite and the rest are ±∞ or NaN.
+    let salt = |t: &mut Tensor, seed: usize| {
+        for (e, x) in t.as_mut_slice().iter_mut().enumerate() {
+            match (e * 7 + seed) % 211 {
+                0 => *x = f32::NAN,
+                1 => *x = f32::INFINITY,
+                2 => *x = f32::NEG_INFINITY,
+                3..=30 => *x = -0.0,
+                31..=50 => *x = 0.0,
+                _ => {}
+            }
+        }
+    };
     for (m, k, n) in cases {
-        let a = randt(&[m, k], (m * 1000 + k * 10 + n) as u64);
-        let b = randt(&[k, n], (m * 1000 + k * 10 + n) as u64 + 1);
-        let (at, bt) = (matmul::transpose(&a), matmul::transpose(&b));
-        for (form, packed, naive) in [
-            ("nn", matmul::matmul(&a, &b), reference::matmul(&a, &b)),
-            (
-                "tn",
-                matmul::matmul_tn(&at, &b),
-                reference::matmul_tn(&at, &b),
-            ),
-            (
-                "nt",
-                matmul::matmul_nt(&a, &bt),
-                reference::matmul_nt(&a, &bt),
-            ),
-        ] {
-            assert!(
-                close(&packed, &naive, 1e-3),
-                "{form} packed vs reference diverged at {m}x{k}x{n}"
-            );
+        for salted in [false, true] {
+            let mut a = randt(&[m, k], (m * 1000 + k * 10 + n) as u64);
+            let mut b = randt(&[k, n], (m * 1000 + k * 10 + n) as u64 + 1);
+            if salted {
+                salt(&mut a, 0);
+                salt(&mut b, 5);
+            }
+            let (at, bt) = (matmul::transpose(&a), matmul::transpose(&b));
+            for (form, packed, naive) in [
+                ("nn", matmul::matmul(&a, &b), reference::matmul(&a, &b)),
+                (
+                    "tn",
+                    matmul::matmul_tn(&at, &b),
+                    reference::matmul_tn(&at, &b),
+                ),
+                (
+                    "nt",
+                    matmul::matmul_nt(&a, &bt),
+                    reference::matmul_nt(&a, &bt),
+                ),
+            ] {
+                assert_eq!(
+                    nan_blind_bits(&packed),
+                    nan_blind_bits(&naive),
+                    "{form} packed vs reference at {m}x{k}x{n}, salted: {salted}"
+                );
+            }
         }
     }
 }
