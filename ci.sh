@@ -38,6 +38,32 @@ for workload in train_local_chan train_bsp_tcp train_selsync_poll sync_dense_tcp
   esac
 done
 
+# Two properties of the release codegen the kernels' speed rests on and
+# no test sees: `transpose8` inlined into its AVX2 callers (left out of
+# line, the lane layout's `to_lanes` ran about 6x slower), and no 64-bit
+# `div` in the GEMM microkernel (counting B's rows with one cost a
+# division per tile). The check needs binutils and skips without them.
+echo "==> release codegen: transpose8 inlined, no div in microkernel_fma"
+if command -v nm > /dev/null && command -v objdump > /dev/null; then
+  bin=target/release/selsync_run
+  if nm -C "$bin" | grep -q 'transpose8'; then
+    echo "${bin} carries an out-of-line transpose8" >&2
+    exit 1
+  fi
+  kernels="$(objdump -d --no-show-raw-insn -C "$bin" \
+    | awk '/^[0-9a-f]+ <selsync_tensor::matmul::microkernel_fma[<>]/ {f = 1; n++; next}
+           /^$/ {f = 0}
+           f && /\tdiv/ {d++}
+           END {print n + 0, d + 0}')"
+  read -r bodies divs <<< "$kernels"
+  if [ "$bodies" -eq 0 ] || [ "$divs" -ne 0 ]; then
+    echo "${bin}: ${bodies} microkernel_fma bodies, ${divs} div instructions in them (want >0 and 0)" >&2
+    exit 1
+  fi
+else
+  echo "nm or objdump not found; skipping the codegen check"
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

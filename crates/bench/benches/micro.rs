@@ -104,7 +104,8 @@ fn bench_matmul(c: &mut Criterion) {
 
 fn bench_conv_im2col(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
-    let x = init::randn([8, 3, 8, 8], 1.0, &mut rng);
+    // a batch of 8 three-channel 8×8 images, channel-major [c, n, h, w]
+    let x = init::randn([3, 8, 8, 8], 1.0, &mut rng);
     let g = selsync_tensor::conv::ConvGeom {
         in_ch: 3,
         in_h: 8,

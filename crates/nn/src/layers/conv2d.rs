@@ -1,4 +1,5 @@
-//! 2-D convolution via the patch-major im2col lowering.
+//! 2-D convolution via the patch-major im2col lowering, over
+//! channel-major activations `[c, n, h, w]`.
 
 use crate::module::{Module, Param, ParamVisitor};
 use crate::workspace::Workspace;
@@ -6,13 +7,15 @@ use rand::rngs::StdRng;
 use selsync_tensor::conv::{col2im_into, im2col_into, ConvGeom};
 use selsync_tensor::{init, matmul, ops, reduce, Tensor};
 
-/// A 2-D convolution layer.
+/// A 2-D convolution layer over channel-major activations
+/// `[in_ch, n, h, w]`.
 ///
 /// Weights are stored flattened `[out_ch, in_ch*k_h*k_w]` so the forward
 /// pass is a single `W · cols` product over the patch-major im2col
-/// expansion `[in_ch*k_h*k_w, n*out_h*out_w]`; the product, and the
-/// gradient coming back, are `[out_ch, n*out_h*out_w]`, which differs
-/// from NCHW only in the order of `out_h*out_w`-long runs.
+/// expansion `[in_ch*k_h*k_w, n*out_h*out_w]`. The product is the
+/// channel-major output `[out_ch, n, out_h, out_w]` as it stands, and the
+/// gradient coming back is the `dW` and `dcols` products' operand as it
+/// stands: no layout copy on either side.
 #[derive(Clone)]
 pub struct Conv2d {
     /// Flattened kernel `[out_ch, in_ch*k_h*k_w]`.
@@ -91,82 +94,63 @@ impl ParamVisitor for Conv2d {
 
 impl Module for Conv2d {
     fn forward(&mut self, x: &Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
-        let n = x.shape().dim(0);
-        let (plane, oc) = (self.out_h() * self.out_w(), self.out_ch);
+        let n = x.shape().dim(1);
+        let (oc, oh, ow) = (self.out_ch, self.out_h(), self.out_w());
         self.cache_n = n;
         self.cache_cols
-            .ensure_shape([self.geom.patch_len(), n * plane]);
+            .ensure_shape([self.geom.patch_len(), n * oh * ow]);
         im2col_into(x, &self.geom, &mut self.cache_cols);
-        let mut y_mat = ws.take([oc, n * plane]);
-        matmul::matmul_into(&self.w.value, &self.cache_cols, &mut y_mat);
-        // [oc, n, plane] -> [n, oc, plane], adding the bias on the way
-        let mut out = ws.take([n, oc, self.out_h(), self.out_w()]);
-        let bias = self.b.value.as_slice();
-        for (b, image) in out.as_mut_slice().chunks_exact_mut(oc * plane).enumerate() {
-            for (c, dst) in image.chunks_exact_mut(plane).enumerate() {
-                let src = &y_mat.as_slice()[(c * n + b) * plane..][..plane];
-                let bias = bias[c];
-                for (d, v) in dst.iter_mut().zip(src) {
-                    *d = v + bias;
-                }
+        let mut y = ws.take([oc, n * oh * ow]);
+        matmul::matmul_into(&self.w.value, &self.cache_cols, &mut y);
+        let channels = y.as_mut_slice().chunks_exact_mut((n * oh * ow).max(1));
+        for (channel, &bias) in channels.zip(self.b.value.as_slice()) {
+            for v in channel {
+                *v += bias;
             }
         }
-        ws.give(y_mat);
-        out
+        y.reshape([oc, n, oh, ow])
     }
 
     fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let dy_mat = self.param_grads(dy, ws);
-        // dcols = Wᵀ · dy_mat, then scatter back to the input image
+        self.param_grads(dy, ws);
+        // dcols = Wᵀ · dy, then scatter back to the input maps
         let mut dcols = ws.take(self.cache_cols.shape().clone());
-        matmul::matmul_tn_into(&self.w.value, &dy_mat, &mut dcols);
-        ws.give(dy_mat);
+        matmul::matmul_tn_into(&self.w.value, dy, &mut dcols);
         let n = self.cache_n;
-        let mut dx = ws.take([n, self.geom.in_ch, self.geom.in_h, self.geom.in_w]);
+        let mut dx = ws.take([self.geom.in_ch, n, self.geom.in_h, self.geom.in_w]);
         col2im_into(&dcols, n, &self.geom, &mut dx);
         ws.give(dcols);
         dx
     }
 
     fn backward_params(&mut self, dy: &Tensor, ws: &mut Workspace) {
-        let dy_mat = self.param_grads(dy, ws);
-        ws.give(dy_mat);
+        self.param_grads(dy, ws);
     }
 }
 
 impl Conv2d {
-    /// Accumulate `db` and `dW` from `dy` and return `dy` as
-    /// `[oc, n·plane]`, the `dcols` product's operand (the caller gives
-    /// it back).
-    fn param_grads(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let (n, oc) = (self.cache_n, self.out_ch);
-        let plane = self.out_h() * self.out_w();
+    /// Accumulate `db` and `dW` from `dy`, read as the matrix
+    /// `[oc, n·plane]` it is.
+    fn param_grads(&mut self, dy: &Tensor, ws: &mut Workspace) {
         assert_eq!(
             dy.shape().dims(),
-            &[n, oc, self.out_h(), self.out_w()],
+            &[self.out_ch, self.cache_n, self.out_h(), self.out_w()],
             "Conv2d::backward gradient shape mismatch"
         );
-        // [n, oc, plane] -> [oc, n, plane]
-        let mut dy_mat = ws.take([oc, n * plane]);
-        for (b, image) in dy.as_slice().chunks_exact(oc * plane).enumerate() {
-            for (c, src) in image.chunks_exact(plane).enumerate() {
-                dy_mat.as_mut_slice()[(c * n + b) * plane..][..plane].copy_from_slice(src);
-            }
-        }
-        // db[c] += Σ_r dy_mat[c, r], each channel summed in ascending r
-        reduce::sum_axis1_acc(&dy_mat, self.b.grad.as_mut_slice());
-        // dW += dy_mat · colsᵀ    ([oc, r]·[r, plen])
+        // db[c] += Σ_r dy[c, r], each channel summed in ascending r
+        reduce::sum_axis1_acc(dy, self.b.grad.as_mut_slice());
+        // dW += dy · colsᵀ    ([oc, r]·[r, plen])
         let mut dw = ws.take(self.w.value.shape().clone());
-        matmul::matmul_nt_into(&dy_mat, &self.cache_cols, &mut dw);
+        matmul::matmul_nt_into(dy, &self.cache_cols, &mut dw);
         ops::add_assign(&mut self.w.grad, &dw);
         ws.give(dw);
-        dy_mat
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::swap_outer;
     use rand::SeedableRng;
 
     /// The row-major lowering this layer used before the patch-major
@@ -322,7 +306,9 @@ mod tests {
     /// `(in_ch, out_ch, in_h, in_w, kernel, stride, pad)`
     type Geometry = (usize, usize, usize, usize, usize, usize, usize);
 
-    /// Forward + backward on the layer against the oracle, bit for bit.
+    /// Forward + backward on the layer against the oracle, bit for bit:
+    /// the oracle takes `x` and `dy` NCHW, the layer channel-major, and
+    /// the layer's `y` and `dx` are compared after converting back.
     fn assert_matches_oracle(batch: usize, geometry: Geometry) {
         assert_matches_oracle_with(batch, geometry, false);
     }
@@ -350,9 +336,9 @@ mod tests {
         let (want_dw, want_db, want_dx) = oracle::backward(&c, &x, &dy);
 
         let mut ws = Workspace::new();
-        let y = c.forward(&x, true, &mut ws);
+        let y = swap_outer(&c.forward(&swap_outer(&x), true, &mut ws));
         c.zero_grad();
-        let dx = c.backward(&dy, &mut ws);
+        let dx = swap_outer(&c.backward(&swap_outer(&dy), &mut ws));
         assert_eq!(bits(&y), bits(&want_y), "y {label}");
         assert_eq!(bits(&c.w.grad), bits(&want_dw), "dW {label}");
         assert_eq!(bits(&c.b.grad), bits(&want_db), "db {label}");
@@ -433,15 +419,15 @@ mod tests {
     fn shapes_with_padding_and_stride() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut c = Conv2d::new("c", 3, 8, 8, 8, 3, 2, 1, &mut rng);
-        let y = c.forward(&Tensor::zeros([2, 3, 8, 8]), true, &mut Workspace::new());
-        assert_eq!(y.shape().dims(), &[2, 8, 4, 4]);
+        let y = c.forward(&Tensor::zeros([3, 2, 8, 8]), true, &mut Workspace::new());
+        assert_eq!(y.shape().dims(), &[8, 2, 4, 4]);
     }
 
     #[test]
     fn backward_matches_finite_differences() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut c = Conv2d::new("c", 2, 3, 4, 4, 3, 1, 1, &mut rng);
-        let x = init::randn([1, 2, 4, 4], 1.0, &mut rng);
+        let x = init::randn([2, 1, 4, 4], 1.0, &mut rng);
         let objective = |c: &mut Conv2d, x: &Tensor| -> f32 {
             c.forward(x, true, &mut Workspace::new())
                 .as_slice()
@@ -450,7 +436,7 @@ mod tests {
         };
         let base = objective(&mut c, &x);
         c.zero_grad();
-        let dy = Tensor::ones([1, 3, 4, 4]);
+        let dy = Tensor::ones([3, 1, 4, 4]);
         let dx = c.backward(&dy, &mut Workspace::new());
 
         let eps = 1e-2;
@@ -480,7 +466,7 @@ mod tests {
     fn bias_gradient_counts_output_pixels() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut c = Conv2d::new("c", 1, 2, 4, 4, 3, 1, 1, &mut rng);
-        let _ = c.forward(&Tensor::zeros([2, 1, 4, 4]), true, &mut Workspace::new());
+        let _ = c.forward(&Tensor::zeros([1, 2, 4, 4]), true, &mut Workspace::new());
         c.zero_grad();
         let _ = c.backward(&Tensor::ones([2, 2, 4, 4]), &mut Workspace::new());
         // each bias sees n*oh*ow = 2*16 = 32 gradient contributions of 1

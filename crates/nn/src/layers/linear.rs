@@ -1,8 +1,9 @@
 //! Fully-connected layer `y = x·Wᵀ + b`.
 //!
-//! Any `[n, …]` input is read as `[n, in_features]` by rows, so a conv
-//! trunk's `[n, c, h, w]` maps feed a dense head with no flatten stage
-//! between them; `dx` comes back in the input's shape.
+//! Any `[n, …]` input is read as `[n, in_features]` by rows, so an NCHW
+//! batch `[n, c, h, w]` (the MLP's) feeds it with no flatten stage; `dx`
+//! comes back in the input's shape. A conv trunk's channel-major maps
+//! `[c, n, h, w]` reach it through the `ToRows` boundary stage.
 
 use crate::module::{Module, Param, ParamVisitor};
 use crate::workspace::Workspace;

@@ -16,4 +16,24 @@ pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use linear::Linear;
 pub use norm::{BatchNorm, LayerNorm};
-pub use pool::{GlobalAvgPool, MaxPool2d};
+pub use pool::{GlobalAvgPool, MaxPool2d, ToRows};
+
+/// `t` with its two outer axes swapped, `[a, b, …]` → `[b, a, …]`: an
+/// NCHW tensor to the channel-major layout the conv layers exchange, and
+/// back. The layers' tests feed their NCHW oracles through it.
+#[cfg(test)]
+pub(crate) fn swap_outer(t: &selsync_tensor::Tensor) -> selsync_tensor::Tensor {
+    let dims = t.shape().dims();
+    let inner = dims[2..].iter().product();
+    let mut swapped = dims.to_vec();
+    swapped.swap(0, 1);
+    let mut out = selsync_tensor::Tensor::zeros(&swapped[..]);
+    selsync_tensor::conv::swap_outer_axes(
+        t.as_slice(),
+        dims[0],
+        dims[1],
+        inner,
+        out.as_mut_slice(),
+    );
+    out
+}

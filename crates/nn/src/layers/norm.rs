@@ -1,20 +1,22 @@
 //! Normalization layers. `BatchNorm` normalizes each channel of
-//! `[n, c, …]` input over the batch and every trailing position, and
-//! keeps running statistics for evaluation. `LayerNorm` normalizes each
-//! row of `[n, features]` and keeps none; it stays its own type because
-//! the two reduce over different axes, and one folded layer would branch
-//! in every loop on which of them it serves.
+//! channel-major `[c, …]` input over every element of the channel (the
+//! conv layers' `[c, n, h, w]`: the batch and every position), and keeps
+//! running statistics for evaluation. `LayerNorm` normalizes each row of
+//! `[n, features]` and keeps none; it stays its own type because the two
+//! reduce over different axes, and one folded layer would branch in
+//! every loop on which of them it serves.
 //!
 //! Every layer writes `y` and the cached x̂ in one pass, x̂ into a buffer
 //! kept across steps and `y` (and `dx`) into a workspace buffer, so a
-//! steady-state step allocates nothing. Each statistic is still one
-//! sequential sum per channel (per row for LayerNorm) in ascending
-//! element order; the loops only interleave *different* channels'
-//! chains, which reorders no sum.
+//! steady-state step allocates nothing. Each statistic is one sequential
+//! sum per channel (per row for LayerNorm) in ascending element order;
+//! BatchNorm folds its channels a chunk at a time, which interleaves
+//! *different* channels' chains and reorders no sum.
 
 use crate::module::{Module, Param, ParamVisitor};
 use crate::workspace::Workspace;
 use selsync_tensor::{Shape, Tensor};
+use std::ops::Range;
 
 const EPS: f32 = 1e-5;
 const MOMENTUM: f32 = 0.1;
@@ -89,9 +91,10 @@ impl NormState {
     }
 }
 
-/// Batch normalization over `[n, c, …]` input: each channel's statistics
-/// run over the batch and every trailing position, so `[n, c]` has one
-/// position per sample and `[n, c, h, w]` has `h·w`.
+/// Batch normalization over channel-major `[c, …]` input: each
+/// channel's statistics run over its contiguous `len = numel / c`
+/// elements, so the conv layers' `[c, n, h, w]` has `n·h·w` per channel
+/// and `[c, n]` one per sample.
 #[derive(Clone)]
 pub struct BatchNorm {
     st: NormState,
@@ -107,16 +110,32 @@ impl BatchNorm {
         }
     }
 
-    /// `(n, c, plane)` of an `[n, c, …]` shape, `plane` being the product
-    /// of the trailing dims.
-    fn geometry(&self, shape: &Shape) -> (usize, usize, usize) {
+    /// `(c, len)` of a `[c, …]` shape, `len` being the product of the
+    /// trailing dims.
+    fn geometry(&self, shape: &Shape) -> (usize, usize) {
         let dims = shape.dims();
         assert!(
-            dims.len() >= 2 && dims[1] == self.channels,
-            "BatchNorm expects [n, {}, …], got {shape}",
+            dims.len() >= 2 && dims[0] == self.channels,
+            "BatchNorm expects [{}, …], got {shape}",
             self.channels
         );
-        (dims[0], dims[1], dims[2..].iter().product())
+        (dims[0], dims[1..].iter().product())
+    }
+}
+
+/// Call `fold(j, range)` over the element ranges of every channel `j`
+/// of `[c, len]` data, ascending within each channel, a chunk at a
+/// time: every channel's chunk before the next chunk of any, so
+/// consecutive folds belong to different channels and their chains
+/// overlap in the pipeline while each channel's sum stays one
+/// sequential chain.
+fn channel_chunks(c: usize, len: usize, mut fold: impl FnMut(usize, Range<usize>)) {
+    const CHUNK: usize = 64;
+    for i0 in (0..len).step_by(CHUNK) {
+        let end = len.min(i0 + CHUNK);
+        for j in 0..c {
+            fold(j, j * len + i0..j * len + end);
+        }
     }
 }
 
@@ -133,94 +152,74 @@ impl ParamVisitor for BatchNorm {
 
 impl Module for BatchNorm {
     fn forward(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        let (n, c, plane) = self.geometry(x.shape());
-        let count = (n * plane) as f32;
+        let (c, len) = self.geometry(x.shape());
+        let count = len as f32;
         let st = &mut self.st;
         let src = x.as_slice();
         st.reset_stats(c);
         if train {
-            // Channel j's sums take its planes in ascending (b, p). With
-            // the image loop outside, consecutive chains belong to
-            // different channels and overlap in the pipeline.
-            for b in 0..n {
-                for (j, m) in st.stat_a.iter_mut().enumerate() {
-                    let at = (b * c + j) * plane;
-                    *m = src[at..at + plane].iter().fold(*m, |s, v| s + v);
-                }
-            }
-            for m in &mut st.stat_a {
+            let (mean, var) = (&mut st.stat_a, &mut st.stat_b);
+            channel_chunks(c, len, |j, r| {
+                mean[j] = src[r].iter().fold(mean[j], |s, v| s + v);
+            });
+            for m in mean.iter_mut() {
                 *m /= count;
             }
-            for b in 0..n {
-                for (j, (v, m)) in st.stat_b.iter_mut().zip(&st.stat_a).enumerate() {
-                    let at = (b * c + j) * plane;
-                    *v = src[at..at + plane].iter().fold(*v, |s, x| {
-                        let d = x - m;
-                        s + d * d
-                    });
-                }
-            }
+            channel_chunks(c, len, |j, r| {
+                let m = mean[j];
+                var[j] = src[r].iter().fold(var[j], |s, x| {
+                    let d = x - m;
+                    s + d * d
+                });
+            });
         }
         st.finish_batch_stats(count, train);
         st.xhat.ensure_shape(x.shape().clone());
         let mut y = ws.take(x.shape().clone());
         let (gamma, beta) = (st.gamma.value.as_slice(), st.beta.value.as_slice());
-        let (xhat, out) = (st.xhat.as_mut_slice(), y.as_mut_slice());
-        for b in 0..n {
-            for j in 0..c {
-                let at = (b * c + j) * plane;
-                let (mean, inv, g, bt) = (st.stat_a[j], st.inv_std[j], gamma[j], beta[j]);
-                for ((x, xh), y) in src[at..at + plane]
-                    .iter()
-                    .zip(&mut xhat[at..at + plane])
-                    .zip(&mut out[at..at + plane])
-                {
-                    let v = (x - mean) * inv;
-                    *xh = v;
-                    *y = g * v + bt;
-                }
+        let rows = src
+            .chunks_exact(len.max(1))
+            .zip(st.xhat.as_mut_slice().chunks_exact_mut(len.max(1)))
+            .zip(y.as_mut_slice().chunks_exact_mut(len.max(1)));
+        for (j, ((src, xhat), out)) in rows.enumerate() {
+            let (mean, inv, g, bt) = (st.stat_a[j], st.inv_std[j], gamma[j], beta[j]);
+            for ((x, xh), y) in src.iter().zip(xhat).zip(out) {
+                let v = (x - mean) * inv;
+                *xh = v;
+                *y = g * v + bt;
             }
         }
         y
     }
 
     fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let (n, c, plane) = self.geometry(dy.shape());
-        let count = (n * plane) as f32;
+        let (c, len) = self.geometry(dy.shape());
+        let count = len as f32;
         let st = &mut self.st;
         let dsrc = dy.as_slice();
-        // stat_a = Σ dy, stat_b = Σ dy·x̂ per channel, in ascending (b, p)
+        // stat_a = Σ dy, stat_b = Σ dy·x̂ per channel, in ascending order
         st.reset_stats(c);
-        for b in 0..n {
-            for j in 0..c {
-                let at = (b * c + j) * plane;
-                let (mut sum_dy, mut sum_dyxh) = (st.stat_a[j], st.stat_b[j]);
-                for (d, x) in dsrc[at..at + plane]
-                    .iter()
-                    .zip(&st.xhat.as_slice()[at..at + plane])
-                {
-                    sum_dy += d;
-                    sum_dyxh += d * x;
-                }
-                st.stat_a[j] = sum_dy;
-                st.stat_b[j] = sum_dyxh;
+        let (xhat, sums_dy, sums_dyxh) = (st.xhat.as_slice(), &mut st.stat_a, &mut st.stat_b);
+        channel_chunks(c, len, |j, r| {
+            let (mut sum_dy, mut sum_dyxh) = (sums_dy[j], sums_dyxh[j]);
+            for (d, x) in dsrc[r.clone()].iter().zip(&xhat[r]) {
+                sum_dy += d;
+                sum_dyxh += d * x;
             }
-        }
+            sums_dy[j] = sum_dy;
+            sums_dyxh[j] = sum_dyxh;
+        });
         st.accumulate_affine_grads();
         let mut dx = ws.take(dy.shape().clone());
-        let (xhat, out) = (st.xhat.as_slice(), dx.as_mut_slice());
-        for b in 0..n {
-            for j in 0..c {
-                let at = (b * c + j) * plane;
-                let (g, inv) = (st.gamma.value.as_slice()[j], st.inv_std[j]);
-                let (sum_dy, sum_dyxh) = (st.stat_a[j], st.stat_b[j]);
-                for ((d, x), o) in dsrc[at..at + plane]
-                    .iter()
-                    .zip(&xhat[at..at + plane])
-                    .zip(&mut out[at..at + plane])
-                {
-                    *o = g * inv / count * (count * d - sum_dy - x * sum_dyxh);
-                }
+        let rows = dsrc
+            .chunks_exact(len.max(1))
+            .zip(st.xhat.as_slice().chunks_exact(len.max(1)))
+            .zip(dx.as_mut_slice().chunks_exact_mut(len.max(1)));
+        for (j, ((dsrc, xhat), out)) in rows.enumerate() {
+            let (g, inv) = (st.gamma.value.as_slice()[j], st.inv_std[j]);
+            let (sum_dy, sum_dyxh) = (st.stat_a[j], st.stat_b[j]);
+            for ((d, x), o) in dsrc.iter().zip(xhat).zip(out) {
+                *o = g * inv / count * (count * d - sum_dy - x * sum_dyxh);
             }
         }
         dx
@@ -329,6 +328,7 @@ impl Module for LayerNorm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::swap_outer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use selsync_tensor::init;
@@ -342,14 +342,13 @@ mod tests {
     }
 
     #[test]
-    fn batchnorm_normalizes_columns_of_rows() {
+    fn batchnorm_normalizes_channels_of_samples() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut bn = BatchNorm::new("bn", 3);
-        let x = init::randn([64, 3], 3.0, &mut rng);
+        let x = init::randn([3, 64], 3.0, &mut rng);
         let y = bn.forward(&x, true, &mut Workspace::new());
         for j in 0..3 {
-            let col: Vec<f32> = (0..64).map(|i| y.at(&[i, j])).collect();
-            assert_unit_stats(&col);
+            assert_unit_stats(y.row(j));
         }
     }
 
@@ -358,14 +357,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut bn = BatchNorm::new("bn", 2);
         // feed many batches so running stats converge to batch stats
-        let x = init::randn([256, 2], 2.0, &mut rng);
+        let x = init::randn([2, 256], 2.0, &mut rng);
         for _ in 0..60 {
             let _ = bn.forward(&x, true, &mut Workspace::new());
         }
         let y = bn.forward(&x, false, &mut Workspace::new());
         for j in 0..2 {
-            let col: Vec<f32> = (0..256).map(|i| y.at(&[i, j])).collect();
-            let m: f32 = col.iter().sum::<f32>() / 256.0;
+            let m: f32 = y.row(j).iter().sum::<f32>() / 256.0;
             assert!(m.abs() < 0.1, "eval mean {m}");
         }
     }
@@ -374,14 +372,14 @@ mod tests {
     fn batchnorm_normalizes_channels_of_images() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut bn = BatchNorm::new("bn", 2);
-        let x = init::randn([8, 2, 4, 4], 5.0, &mut rng);
+        let x = init::randn([2, 8, 4, 4], 5.0, &mut rng);
         let y = bn.forward(&x, true, &mut Workspace::new());
         for c in 0..2 {
             let mut vals = Vec::new();
             for b in 0..8 {
                 for h in 0..4 {
                     for w in 0..4 {
-                        vals.push(y.at(&[b, c, h, w]));
+                        vals.push(y.at(&[c, b, h, w]));
                     }
                 }
             }
@@ -405,7 +403,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut bn = BatchNorm::new("bn", 2);
         bn.st.gamma.value = Tensor::from_vec(vec![1.5, 0.7], [2]);
-        let x = init::randn([5, 2], 1.0, &mut rng);
+        let x = init::randn([2, 5], 1.0, &mut rng);
         // weighted objective to get nonzero dx through normalization
         let wts: Vec<f32> = (0..10).map(|i| (i as f32 * 0.7).sin()).collect();
         let obj = |bn: &mut BatchNorm, x: &Tensor| -> f32 {
@@ -418,7 +416,7 @@ mod tests {
         };
         let base = obj(&mut bn, &x);
         bn.zero_grad();
-        let dy = Tensor::from_vec(wts.clone(), [5, 2]);
+        let dy = Tensor::from_vec(wts.clone(), [2, 5]);
         let dx = bn.backward(&dy, &mut Workspace::new());
         let eps = 1e-3;
         for &i in &[0usize, 3, 7] {
@@ -526,9 +524,9 @@ mod tests {
         let (n, c) = (5, 11);
         let gamma = init::randn([c], 1.0, &mut rng);
         let beta = init::randn([c], 1.0, &mut rng);
-        // images, rows, and rows of 3 positions each
-        for shape in [&[n, c, 3, 4][..], &[n, c], &[n, c, 3]] {
-            let plane: usize = shape[2..].iter().product();
+        // images, samples, and samples of 3 positions each
+        for shape in [&[c, n, 3, 4][..], &[c, n], &[c, n, 3]] {
+            let len: usize = shape[1..].iter().product();
             let x = init::randn(shape, 3.0, &mut rng);
             let dy = init::randn(shape, 1.0, &mut rng);
             let mut bn = BatchNorm::new("bn", c);
@@ -542,13 +540,190 @@ mod tests {
                 &dy,
                 gamma.as_slice(),
                 beta.as_slice(),
-                &|j, i| (i / plane * c + j) * plane + i % plane,
-                n * plane,
+                &|j, i| j * len + i,
+                len,
             );
             assert_eq!(bits(y.as_slice()), bits(&want.0), "y at {shape:?}");
             assert_eq!(bits(dx.as_slice()), bits(&want.1), "dx at {shape:?}");
             assert_eq!(bits(bn.st.gamma.grad.as_slice()), bits(&want.2));
             assert_eq!(bits(bn.st.beta.grad.as_slice()), bits(&want.3));
+        }
+    }
+
+    /// The NCHW bodies this layer had before activations went
+    /// channel-major, kept verbatim (bar the geometry, read here from the
+    /// NCHW shape) as the bit-identity oracle: each channel's sums take
+    /// its `[b, j]` planes in ascending `(b, p)`, the image loop outside.
+    mod nchw {
+        use super::super::*;
+
+        fn geometry(st: &NormState, shape: &Shape) -> (usize, usize, usize) {
+            let dims = shape.dims();
+            assert_eq!(dims[1], st.gamma.value.numel());
+            (dims[0], dims[1], dims[2..].iter().product())
+        }
+
+        pub fn forward(st: &mut NormState, x: &Tensor, train: bool) -> Tensor {
+            let (n, c, plane) = geometry(st, x.shape());
+            let count = (n * plane) as f32;
+            let src = x.as_slice();
+            st.reset_stats(c);
+            if train {
+                for b in 0..n {
+                    for (j, m) in st.stat_a.iter_mut().enumerate() {
+                        let at = (b * c + j) * plane;
+                        *m = src[at..at + plane].iter().fold(*m, |s, v| s + v);
+                    }
+                }
+                for m in &mut st.stat_a {
+                    *m /= count;
+                }
+                for b in 0..n {
+                    for (j, (v, m)) in st.stat_b.iter_mut().zip(&st.stat_a).enumerate() {
+                        let at = (b * c + j) * plane;
+                        *v = src[at..at + plane].iter().fold(*v, |s, x| {
+                            let d = x - m;
+                            s + d * d
+                        });
+                    }
+                }
+            }
+            st.finish_batch_stats(count, train);
+            st.xhat.ensure_shape(x.shape().clone());
+            let mut y = Tensor::zeros(x.shape().clone());
+            let (gamma, beta) = (st.gamma.value.as_slice(), st.beta.value.as_slice());
+            let (xhat, out) = (st.xhat.as_mut_slice(), y.as_mut_slice());
+            for b in 0..n {
+                for j in 0..c {
+                    let at = (b * c + j) * plane;
+                    let (mean, inv, g, bt) = (st.stat_a[j], st.inv_std[j], gamma[j], beta[j]);
+                    for ((x, xh), y) in src[at..at + plane]
+                        .iter()
+                        .zip(&mut xhat[at..at + plane])
+                        .zip(&mut out[at..at + plane])
+                    {
+                        let v = (x - mean) * inv;
+                        *xh = v;
+                        *y = g * v + bt;
+                    }
+                }
+            }
+            y
+        }
+
+        pub fn backward(st: &mut NormState, dy: &Tensor) -> Tensor {
+            let (n, c, plane) = geometry(st, dy.shape());
+            let count = (n * plane) as f32;
+            let dsrc = dy.as_slice();
+            st.reset_stats(c);
+            for b in 0..n {
+                for j in 0..c {
+                    let at = (b * c + j) * plane;
+                    let (mut sum_dy, mut sum_dyxh) = (st.stat_a[j], st.stat_b[j]);
+                    for (d, x) in dsrc[at..at + plane]
+                        .iter()
+                        .zip(&st.xhat.as_slice()[at..at + plane])
+                    {
+                        sum_dy += d;
+                        sum_dyxh += d * x;
+                    }
+                    st.stat_a[j] = sum_dy;
+                    st.stat_b[j] = sum_dyxh;
+                }
+            }
+            st.accumulate_affine_grads();
+            let mut dx = Tensor::zeros(dy.shape().clone());
+            let (xhat, out) = (st.xhat.as_slice(), dx.as_mut_slice());
+            for b in 0..n {
+                for j in 0..c {
+                    let at = (b * c + j) * plane;
+                    let (g, inv) = (st.gamma.value.as_slice()[j], st.inv_std[j]);
+                    let (sum_dy, sum_dyxh) = (st.stat_a[j], st.stat_b[j]);
+                    for ((d, x), o) in dsrc[at..at + plane]
+                        .iter()
+                        .zip(&xhat[at..at + plane])
+                        .zip(&mut out[at..at + plane])
+                    {
+                        *o = g * inv / count * (count * d - sum_dy - x * sum_dyxh);
+                    }
+                }
+            }
+            dx
+        }
+    }
+
+    /// `to_bits`, with every `NaN` as one pattern: which payload an
+    /// operation on two `NaN`s returns depends on the operand order the
+    /// compiler picks. Infinities and signed zeros compare bit for bit.
+    fn nan_bits(x: &[f32]) -> Vec<u32> {
+        x.iter()
+            .map(|v| {
+                if v.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    v.to_bits()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batchnorm_matches_its_nchw_body_bitwise_on_salted_input() {
+        let mut rng = StdRng::seed_from_u64(7);
+        // 11 channels: a full lockstep block of eight and a partial one
+        let (n, c, h, w) = (5, 11, 3, 4);
+        let mut x = init::randn([n, c, h, w], 3.0, &mut rng);
+        let mut dy = init::randn([n, c, h, w], 1.0, &mut rng);
+        let plane = h * w;
+        // channels 0-2 carry one NaN / +inf / -inf in x, 3 is all -0.0
+        // (a sum started at -0.0 would stay -0.0), 4-6 carry the same
+        // specials in dy, and 7 gets a -0.0 in each
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for (j, &v) in specials.iter().enumerate() {
+            x.as_mut_slice()[(2 * c + j) * plane + 5] = v;
+            dy.as_mut_slice()[(3 * c + 4 + j) * plane + 7] = v;
+        }
+        for b in 0..n {
+            x.as_mut_slice()[(b * c + 3) * plane..][..plane].fill(-0.0);
+        }
+        x.as_mut_slice()[(c + 7) * plane] = -0.0;
+        dy.as_mut_slice()[(4 * c + 7) * plane + 1] = -0.0;
+        let mut layer = BatchNorm::new("bn", c);
+        layer.st.gamma.value = init::randn([c], 1.0, &mut rng);
+        layer.st.beta.value = init::randn([c], 1.0, &mut rng);
+        let mut oracle = layer.clone();
+        let mut ws = Workspace::new();
+        for train in [true, false] {
+            let y = swap_outer(&layer.forward(&swap_outer(&x), train, &mut ws));
+            let want = nchw::forward(&mut oracle.st, &x, train);
+            assert_eq!(
+                nan_bits(y.as_slice()),
+                nan_bits(want.as_slice()),
+                "y, train {train}"
+            );
+            for (got, want) in [
+                (&layer.st.running_mean, &oracle.st.running_mean),
+                (&layer.st.running_var, &oracle.st.running_var),
+            ] {
+                assert_eq!(
+                    nan_bits(got),
+                    nan_bits(want),
+                    "running stats, train {train}"
+                );
+            }
+            let dx = swap_outer(&layer.backward(&swap_outer(&dy), &mut ws));
+            let want = nchw::backward(&mut oracle.st, &dy);
+            assert_eq!(
+                nan_bits(dx.as_slice()),
+                nan_bits(want.as_slice()),
+                "dx, train {train}"
+            );
+            for (got, want) in [
+                (&layer.st.gamma.grad, &oracle.st.gamma.grad),
+                (&layer.st.beta.grad, &oracle.st.beta.grad),
+            ] {
+                assert_eq!(nan_bits(got.as_slice()), nan_bits(want.as_slice()));
+            }
         }
     }
 

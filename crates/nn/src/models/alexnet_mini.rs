@@ -3,13 +3,16 @@
 //!
 //! Architecture over `[n, 3, 8, 8]` inputs:
 //! `conv3x3(3→12) → relu → maxpool2 → conv3x3(12→24) → relu → maxpool2
-//!  → dropout(0.5) → fc(24·2·2 = 96→48) → relu → fc(48 → classes)`, the
-//! first fc reading each image's `[24, 2, 2]` maps as one row.
+//!  → dropout(0.5) → fc(24·2·2 = 96→48) → relu → fc(48 → classes)`. The
+//! conv stack runs channel-major; a boundary stage ahead of the dropout
+//! turns the `[24, n, 2, 2]` maps into one row per image, in NCHW order,
+//! so the dropout draws its mask over the same elements in the same
+//! order as over an NCHW batch.
 //! Shallow and few-layered — the property that made SSP competitive on
 //! AlexNet in the paper (staleness hurts less with fewer layers), trained
 //! with Adam and evaluated by top-5 accuracy.
 
-use crate::layers::{Conv2d, Dropout, Linear, MaxPool2d, Relu};
+use crate::layers::{Conv2d, Dropout, Linear, MaxPool2d, Relu, ToRows};
 use crate::models::sequential::{Sequential, Stage};
 use crate::workspace::Workspace;
 use rand::rngs::StdRng;
@@ -53,6 +56,8 @@ impl AlexNetMini {
             )),
             Stage::Relu(Relu::new()),
             Stage::MaxPool2d(MaxPool2d::new(2)),
+            // before the dropout: its mask is drawn in element order
+            Stage::ToRows(ToRows::new()),
             Stage::Dropout(Dropout::new(0.5, seed ^ 0xA1EC)),
             Stage::Linear(Linear::new_kaiming("classifier.1", flat_dim, 48, &mut rng)),
             Stage::Relu(Relu::new()),
@@ -66,7 +71,7 @@ impl AlexNetMini {
     }
 }
 
-dense_model!(AlexNetMini, "alexnet_mini");
+dense_model!(AlexNetMini, "alexnet_mini", forward_images);
 
 #[cfg(test)]
 mod tests {

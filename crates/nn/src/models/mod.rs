@@ -14,9 +14,16 @@
 //! *paper's* model sizes, not the minis'.
 
 /// [`ParamVisitor`] and [`Model`] for a dense-input model: a struct with
-/// a stage list `net`, an arena `ws` and a class count `classes`.
+/// a stage list `net`, an arena `ws` and a class count `classes`. The
+/// optional third argument names the [`sequential::Sequential`] method
+/// the input goes through: `forward` (the default) for rows,
+/// `forward_images` for an NCHW image batch the stages take
+/// channel-major.
 macro_rules! dense_model {
     ($model:ty, $name:literal) => {
+        dense_model!($model, $name, forward);
+    };
+    ($model:ty, $name:literal, $entry:ident) => {
         impl $crate::module::ParamVisitor for $model {
             fn visit_params(&self, f: &mut dyn FnMut(&$crate::module::Param)) {
                 self.net.visit_params(f);
@@ -32,7 +39,7 @@ macro_rules! dense_model {
                 input: &$crate::batch::Input,
                 train: bool,
             ) -> selsync_tensor::Tensor {
-                self.net.forward(input.dense(), train, &mut self.ws, true)
+                self.net.$entry(input.dense(), train, &mut self.ws, true)
             }
 
             fn backward(&mut self, dlogits: &selsync_tensor::Tensor) {
@@ -53,7 +60,7 @@ macro_rules! dense_model {
                 x: &selsync_tensor::Tensor,
                 ws: &mut $crate::workspace::Workspace,
             ) -> selsync_tensor::Tensor {
-                self.net.forward(x, false, ws, false)
+                self.net.$entry(x, false, ws, false)
             }
 
             fn num_classes(&self) -> usize {
@@ -331,7 +338,7 @@ mod tests {
         ws: Workspace,
     }
 
-    dense_model!(Staged, "staged");
+    dense_model!(Staged, "staged", forward_images);
 
     #[test]
     fn backward_hooked_contract_sequential() {

@@ -1,7 +1,8 @@
 //! `ResNetMini` — the skip-connection workload standing in for
 //! ResNet101/CIFAR10 (§IV-A of the paper).
 //!
-//! Architecture over `[n, 3, 8, 8]` inputs:
+//! Architecture over `[n, 3, 8, 8]` inputs, taken channel-major from the
+//! first conv to the pool:
 //! `conv3x3(3→c) → bn → relu → ResBlock(c) → ResBlock(c→2c, stride 2)
 //!  → ResBlock(2c) → global-avg-pool → fc(2c → classes)`.
 //! The residual (identity shortcut) structure is the property the paper
@@ -191,7 +192,7 @@ impl ResNetMini {
     }
 }
 
-dense_model!(ResNetMini, "resnet_mini");
+dense_model!(ResNetMini, "resnet_mini", forward_images);
 
 #[cfg(test)]
 mod tests {

@@ -2,12 +2,13 @@
 //! backward and visited in the same order for every model in the zoo.
 
 use crate::layers::{
-    BatchNorm, Conv2d, Dropout, Embedding, GlobalAvgPool, Linear, MaxPool2d, Relu,
+    BatchNorm, Conv2d, Dropout, Embedding, GlobalAvgPool, Linear, MaxPool2d, Relu, ToRows,
 };
 use crate::models::resnet_mini::ResBlock;
 use crate::models::transformer_mini::EncoderLayer;
 use crate::module::{Module, Param, ParamVisitor};
 use crate::workspace::Workspace;
+use selsync_tensor::conv::swap_outer_axes;
 use selsync_tensor::Tensor;
 
 /// Every kind of stage a model lists. A closed enum rather than
@@ -21,6 +22,7 @@ pub(crate) enum Stage {
     Relu(Relu),
     MaxPool2d(MaxPool2d),
     GlobalAvgPool(GlobalAvgPool),
+    ToRows(ToRows),
     Dropout(Dropout),
     Linear(Linear),
     ResBlock(ResBlock),
@@ -35,6 +37,7 @@ impl Stage {
             Stage::Relu(m) => m,
             Stage::MaxPool2d(m) => m,
             Stage::GlobalAvgPool(m) => m,
+            Stage::ToRows(m) => m,
             Stage::Dropout(m) => m,
             Stage::Linear(m) => m,
             Stage::ResBlock(m) => m,
@@ -49,6 +52,7 @@ impl Stage {
             Stage::Relu(m) => m,
             Stage::MaxPool2d(m) => m,
             Stage::GlobalAvgPool(m) => m,
+            Stage::ToRows(m) => m,
             Stage::Dropout(m) => m,
             Stage::Linear(m) => m,
             Stage::ResBlock(m) => m,
@@ -131,6 +135,27 @@ impl Sequential {
             }
         }
         h.expect("the list is non-empty")
+    }
+
+    /// [`Sequential::forward`] of an image model: the NCHW batch `x`
+    /// `[n, c, h, w]` is turned once into the channel-major `[c, n, h, w]`
+    /// the conv-family stages exchange, in a buffer from `ws` that goes
+    /// back once the stages have run.
+    pub(crate) fn forward_images(
+        &mut self,
+        x: &Tensor,
+        train: bool,
+        ws: &mut Workspace,
+        escapes: bool,
+    ) -> Tensor {
+        let dims = x.shape().dims();
+        assert_eq!(dims.len(), 4, "an image model expects [n, c, h, w]");
+        let (n, c) = (dims[0], dims[1]);
+        let mut maps = ws.take([c, n, dims[2], dims[3]]);
+        swap_outer_axes(x.as_slice(), n, c, dims[2] * dims[3], maps.as_mut_slice());
+        let y = self.forward(&maps, train, ws, escapes);
+        ws.give(maps);
+        y
     }
 
     /// Run every stage in reverse and return the gradient w.r.t. the

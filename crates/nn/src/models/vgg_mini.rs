@@ -3,12 +3,13 @@
 //!
 //! Architecture over `[n, 3, 8, 8]` inputs:
 //! `conv3x3(3→16) → relu → maxpool2 → conv3x3(16→32) → relu → maxpool2
-//!  → fc(32·2·2 = 128→64) → relu → fc(64 → classes)`, the first fc reading
-//! each image's `[32, 2, 2]` maps as one row.
+//!  → fc(32·2·2 = 128→64) → relu → fc(64 → classes)`. The conv stack
+//! runs channel-major; a boundary stage before the first fc turns the
+//! `[32, n, 2, 2]` maps into one row per image, in NCHW order.
 //! No skip connections and no batch-norm — the "simpler convolution-based
 //! architecture" whose generalization suffers most under DefDP (§IV-C).
 
-use crate::layers::{Conv2d, Linear, MaxPool2d, Relu};
+use crate::layers::{Conv2d, Linear, MaxPool2d, Relu, ToRows};
 use crate::models::sequential::{Sequential, Stage};
 use crate::workspace::Workspace;
 use rand::rngs::StdRng;
@@ -51,6 +52,7 @@ impl VggMini {
             )),
             Stage::Relu(Relu::new()),
             Stage::MaxPool2d(MaxPool2d::new(2)),
+            Stage::ToRows(ToRows::new()),
             Stage::Linear(Linear::new_kaiming("classifier.0", flat_dim, 64, &mut rng)),
             Stage::Relu(Relu::new()),
             Stage::Linear(Linear::new("classifier.2", 64, classes, &mut rng)),
@@ -63,7 +65,7 @@ impl VggMini {
     }
 }
 
-dense_model!(VggMini, "vgg_mini");
+dense_model!(VggMini, "vgg_mini", forward_images);
 
 #[cfg(test)]
 mod tests {

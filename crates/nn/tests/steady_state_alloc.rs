@@ -54,8 +54,9 @@ fn linear_steady_state_is_allocation_free() {
 fn conv2d_steady_state_is_allocation_free() {
     let mut rng = StdRng::seed_from_u64(1);
     let mut c = Conv2d::new("c", 3, 8, 8, 8, 3, 1, 1, &mut rng);
-    let x = init::randn([4, 3, 8, 8], 1.0, &mut rng);
-    let dy = Tensor::ones([4, 8, 8, 8]);
+    // channel-major [c, n, h, w], as the conv layers exchange it
+    let x = init::randn([3, 4, 8, 8], 1.0, &mut rng);
+    let dy = Tensor::ones([8, 4, 8, 8]);
     let mut ws = Workspace::new();
     let (start, end) = drive(&mut c, &x, &dy, &mut ws, 2, 8);
     assert!(start > 0, "warmup must have populated the arena");
@@ -66,8 +67,8 @@ fn conv2d_steady_state_is_allocation_free() {
 fn batchnorm_steady_state_is_allocation_free() {
     let mut rng = StdRng::seed_from_u64(4);
     let mut bn = BatchNorm::new("bn", 8);
-    let x = init::randn([4, 8, 8, 8], 1.0, &mut rng);
-    let dy = Tensor::ones([4, 8, 8, 8]);
+    let x = init::randn([8, 4, 8, 8], 1.0, &mut rng);
+    let dy = Tensor::ones([8, 4, 8, 8]);
     let mut ws = Workspace::new();
     let (start, end) = drive(&mut bn, &x, &dy, &mut ws, 2, 8);
     assert!(start > 0, "warmup must have populated the arena");
@@ -200,8 +201,8 @@ fn shared_arena_across_layers_stays_flat() {
     let mut rng = StdRng::seed_from_u64(2);
     let mut c = Conv2d::new("c", 3, 4, 8, 8, 3, 1, 1, &mut rng);
     let mut l = Linear::new("l", 4 * 8 * 8, 16, &mut rng);
-    let xc = init::randn([2, 3, 8, 8], 1.0, &mut rng);
-    let dyc = Tensor::ones([2, 4, 8, 8]);
+    let xc = init::randn([3, 2, 8, 8], 1.0, &mut rng);
+    let dyc = Tensor::ones([4, 2, 8, 8]);
     let xl = init::randn([2, 4 * 8 * 8], 1.0, &mut rng);
     let dyl = Tensor::ones([2, 16]);
     let mut ws = Workspace::new();

@@ -531,13 +531,22 @@ unsafe fn transpose_blocks_avx2(
 
 /// An 8×8 block transposed in registers: element `q` of output `r` is
 /// element `r` of input `q`, by three unpack/shuffle/permute stages.
-/// It touches no memory, so it is a safe fn; a caller not compiled for
-/// AVX2 calls it in `unsafe`, having checked the feature.
+/// It touches no memory. It carries no `target_feature` so that it can
+/// be `#[inline(always)]`: it is compiled only inside its callers, which
+/// are compiled for AVX2. Left out of line, the lane layout's
+/// `to_lanes` ran about 6× slower; `ci.sh` checks that the release
+/// binary has no `transpose8` symbol.
+///
+/// # Safety
+/// The CPU must support `avx2`.
+// SAFETY: unsafe only for the avx2 contract; the body is register
+// shuffles and touches no memory.
 // lint:allow(simd-intrinsic): the NT pack's and the lane layout's 8×8 blocks; their safe twins take 2.9–5.0× and 2.2–3.7× the time (see transpose_blocks_avx2 and attention::transpose_block)
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-pub(crate) fn transpose8(r: [std::arch::x86_64::__m256; 8]) -> [std::arch::x86_64::__m256; 8] {
+#[inline(always)]
+pub(crate) unsafe fn transpose8(
+    r: [std::arch::x86_64::__m256; 8],
+) -> [std::arch::x86_64::__m256; 8] {
     use std::arch::x86_64::*;
     // pairs of rows interleaved
     let t0 = _mm256_unpacklo_ps(r[0], r[1]);
@@ -655,9 +664,12 @@ fn microkernel_fma<const M: usize>(
 }
 
 /// The body of [`microkernel_rows`]. After B's row 0, the panel from
-/// `NR` on is `kc - 1` exact chunks of `ldb` floats, and chunk `p` ends
-/// with row `p + 1`: zipped with A's rows, the loop carries one counter
-/// and no bounds check. The loops over `M` rows have a constant trip
+/// `NR` on is `kc - 1` chunks of `ldb` floats, and chunk `p` ends with
+/// row `p + 1`. The loop walks A's rows in exact chunks and splits one
+/// chunk of B off per row: no division counts B's chunks (a 64-bit
+/// `div` per tile, which `dcols`'s 384 short tiles a call paid), and
+/// the split's length test is the one check a row step makes. The loops
+/// over `M` rows have a constant trip
 /// count, so the accumulators live in registers from the first step to
 /// the store, and each accumulator row is two arrays of eight floats,
 /// one ymm register each.
@@ -674,10 +686,12 @@ fn microkernel_body<const M: usize>(
     assert!(kc > 0 && ldb >= NR);
     let mut acc = [[[0.0f32; 8]; 2]; M];
     let (a_first, a_rest) = ap[..kc * MR].split_at(MR);
-    let (b_first, b_rest) = bp[..(kc - 1) * ldb + NR].split_at(NR);
+    let (b_first, mut b_rest) = bp[..(kc - 1) * ldb + NR].split_at(NR);
     microkernel_step(&mut acc, a_first, b_first);
-    for (arow, chunk) in a_rest.chunks_exact(MR).zip(b_rest.chunks_exact(ldb)) {
+    for arow in a_rest.chunks_exact(MR) {
+        let (chunk, rest) = b_rest.split_at(ldb);
         microkernel_step(&mut acc, arow, &chunk[ldb - NR..]);
+        b_rest = rest;
     }
     for (i, [acc0, acc1]) in acc.iter().enumerate() {
         let row = &mut c[i * ldc..i * ldc + NR];
@@ -725,9 +739,13 @@ pub fn transpose(a: &Tensor) -> Tensor {
     out
 }
 
+/// An operand as the matrix `[dim 0, product of the other dims]`: a
+/// rank-2 tensor as it is, and a channel-major activation
+/// `[c, n, h, w]` as `[c, n·h·w]`, the conv layer's gradient operand.
 pub(crate) fn dims2(t: &Tensor) -> (usize, usize) {
-    assert_eq!(t.shape().ndim(), 2, "matmul operands must be rank-2");
-    (t.shape().dim(0), t.shape().dim(1))
+    let dims = t.shape().dims();
+    assert!(dims.len() >= 2, "matmul operands must be rank-2 or more");
+    (dims[0], dims[1..].iter().product())
 }
 
 pub(crate) fn dims_nn(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {

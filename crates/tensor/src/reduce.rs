@@ -123,17 +123,20 @@ pub fn sum_axis0_acc(t: &Tensor, acc: &mut [f32]) {
     }
 }
 
-/// Row sums of a rank-2 tensor `[rows, cols]` accumulated into an
-/// existing length-`rows` slice: `acc[i] += Σ_j t[i, j]`, every row
-/// summed sequentially in ascending `j` onto its accumulator (the
-/// bias-gradient reduction of a channel-major gradient). Rows are taken
+/// Row sums of a tensor read as `[rows, cols]` (`rows` its first dim,
+/// `cols` the product of the rest) accumulated into an existing
+/// length-`rows` slice: `acc[i] += Σ_j t[i, j]`, every row summed
+/// sequentially in ascending `j` onto its accumulator (the
+/// bias-gradient reduction of a channel-major gradient `[c, n, h, w]`,
+/// one row per channel). Rows are taken
 /// eight at a time so eight independent add chains are in flight
 /// instead of one, their sums held in a local array between the load
 /// from `acc` and the store back.
 pub fn sum_axis1_acc(t: &Tensor, acc: &mut [f32]) {
     const LANES: usize = 8;
-    assert_eq!(t.shape().ndim(), 2, "sum_axis1_acc needs rank-2 input");
-    let (rows, cols) = (t.shape().dim(0), t.shape().dim(1));
+    let dims = t.shape().dims();
+    assert!(dims.len() >= 2, "sum_axis1_acc needs rank-2 or more input");
+    let (rows, cols) = (dims[0], dims[1..].iter().product::<usize>());
     assert_eq!(acc.len(), rows, "sum_axis1_acc accumulator length mismatch");
     if cols == 0 {
         return;

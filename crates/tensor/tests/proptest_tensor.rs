@@ -81,7 +81,8 @@ proptest! {
     ) {
         prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
         let g = ConvGeom { in_ch: c, in_h: h, in_w: w, k_h: k, k_w: k, stride, pad };
-        let x = randt(&[n, c, h, w], seed);
+        // channel-major [c, n, h, w]
+        let x = randt(&[c, n, h, w], seed);
         // patch-major: one row per tap (c, ky, kx), one column per output pixel
         let cols = im2col(&x, &g);
         prop_assert_eq!(cols.shape().dims(), &[c * k * k, n * g.out_h() * g.out_w()]);
