@@ -64,6 +64,29 @@ else
   echo "nm or objdump not found; skipping the codegen check"
 fi
 
+# The wire codec's byte swaps are one safe body compiled twice, and the
+# AVX2 compilation is what runs on an AVX2 host. Its speed rests on the
+# optimiser vectorising the swap into `vpshufb`; a body that stayed
+# scalar still passes every test. The release binary that ships the
+# TCP fabric must carry the AVX2 bodies, and each must hold a `vpshufb`.
+# (`selsync_run` trains over in-process channels and links no codec.)
+echo "==> release codegen: the wire codec's AVX2 swap bodies use vpshufb"
+if command -v objdump > /dev/null; then
+  bin=target/release/selsync_dist
+  swaps="$(objdump -d --no-show-raw-insn -C "$bin" \
+    | awk '/^[0-9a-f]+ <selsync_net::codec::[a-z_]+_avx2[<>]/ {f = 1; n++; s = 0; next}
+           /^$/ {if (f && s == 0) z++; f = 0}
+           f && /\tvpshufb/ {s++}
+           END {print n + 0, z + 0}')"
+  read -r bodies scalar <<< "$swaps"
+  if [ "$bodies" -eq 0 ] || [ "$scalar" -ne 0 ]; then
+    echo "${bin}: ${bodies} AVX2 codec bodies, ${scalar} of them without vpshufb (want >0 and 0)" >&2
+    exit 1
+  fi
+else
+  echo "objdump not found; skipping the codec codegen check"
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

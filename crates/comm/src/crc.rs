@@ -12,9 +12,13 @@
 //!   128-bit lanes per 64-byte block, then 4 → 1 lane, 128 → 64 bits,
 //!   and a Barrett reduction to the 32-bit state (Gopal et al., *Fast
 //!   CRC Computation for Generic Polynomials Using PCLMULQDQ*, Intel
-//!   2009). It stops at 128-bit lanes on purpose: at well under a
-//!   millisecond per 4 MB frame the checksum is no longer a visible
-//!   share of a sync step.
+//!   2009). It stops at 128-bit lanes. On a 2-vCPU x86-64 host it runs
+//!   at 15–19 GB/s, about 0.25 ms per 4 MB frame; a two-worker 4 MB PS
+//!   round checksums seven frames, a sixth of the round's CPU, and the
+//!   CRC is about three fifths of a 64 KiB frame's encode, the rest
+//!   being the byte swap and the append. A VPCLMULQDQ (256/512-bit)
+//!   variant is the next step and is left out: it would be a second
+//!   intrinsic body to prove.
 //! * **Slice-by-16** (portable, safe Rust): everything else — short
 //!   inputs (a flags frame covers 18 bytes) and every other CPU —
 //!   consumes 16 bytes per iteration through sixteen 256-entry tables.

@@ -257,26 +257,37 @@ pub fn run_round_server<T: Transport>(
 /// Element-wise mean of `pushes`, accumulated in place into the first
 /// push's own buffer — `v0`, `+= v1`, …, `/= n`, the operand order the
 /// reduction has always had, so the result is bit-identical to summing
-/// into a fresh copy. Every other push is handed to `spent` once it is
-/// added in. `None` when nothing was pushed. The caller has checked that
-/// the lengths agree.
+/// into a fresh copy. The division rides on the last push's pass,
+/// `o = (o + x) / n`: the same IEEE operations in the same order, one
+/// model-sized read-write pass fewer; a lone push is divided by 1 as it
+/// always was. Every other push is handed to `spent` once it is added
+/// in. `None` when nothing was pushed. The caller has checked that the
+/// lengths agree.
 pub(crate) fn average(
     pushes: impl IntoIterator<Item = Vec<f32>>,
     mut spent: impl FnMut(Vec<f32>),
 ) -> Option<Vec<f32>> {
-    let mut pushes = pushes.into_iter();
+    let mut pushes = pushes.into_iter().peekable();
     let mut out = pushes.next()?;
     let mut n = 1usize;
-    for v in pushes {
-        for (o, x) in out.iter_mut().zip(&v) {
-            *o += x;
+    if pushes.peek().is_none() {
+        for o in &mut out {
+            *o /= n as f32;
+        }
+    }
+    while let Some(v) = pushes.next() {
+        n += 1;
+        if pushes.peek().is_some() {
+            for (o, x) in out.iter_mut().zip(&v) {
+                *o += x;
+            }
+        } else {
+            let n = n as f32;
+            for (o, x) in out.iter_mut().zip(&v) {
+                *o = (*o + x) / n;
+            }
         }
         spent(v);
-        n += 1;
-    }
-    let n = n as f32;
-    for o in &mut out {
-        *o /= n;
     }
     Some(out)
 }
@@ -536,31 +547,60 @@ mod tests {
         out
     }
 
+    /// `wavy(id)` salted with what a reduction must carry bit for bit:
+    /// quiet NaNs whose payloads name the push, ±∞, -0.0 and subnormals.
+    /// Each push's NaN sits where no other push has one: which of two
+    /// NaN operands an addition returns is the compiler's choice (it may
+    /// commute the operands), so no reduction order pins it.
+    fn salted(id: usize) -> Vec<f32> {
+        let id32 = id as u32;
+        let mut v = wavy(id);
+        v[[1, 2, 4, 6, 8][id]] = f32::from_bits(0x7FC0_0000 | ((id32 + 1) * 0x111));
+        v[3] = if id.is_multiple_of(2) {
+            f32::INFINITY
+        } else {
+            f32::NEG_INFINITY
+        };
+        v[5] = -0.0;
+        v[7] = f32::from_bits(1 + id32);
+        v[9] = -f32::from_bits(0x007F_FFFF - id32);
+        if id == 2 {
+            v[11] = f32::from_bits(0xFFC0_0042);
+        }
+        v
+    }
+
     #[test]
     fn in_place_reduce_matches_the_copying_average_bitwise() {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        let pushed: Vec<Vec<f32>> = (0..3).map(wavy).collect();
-        let views: Vec<&[f32]> = pushed.iter().map(|v| v.as_slice()).collect();
-        let want = bits(&copying_average(&views));
+        for n in [1, 2, 3, 5] {
+            let pushed: Vec<Vec<f32>> = (0..n).map(salted).collect();
+            let views: Vec<&[f32]> = pushed.iter().map(|v| v.as_slice()).collect();
+            let want = bits(&copying_average(&views));
 
-        let (params, global) = with_round_server(3, vec![0.0; 13], |ep, id, n| {
-            let v = sync_round(ep, n, 0, SyncRequest::PushParams(wavy(id))).unwrap();
-            send_shutdown(ep, n, 1).unwrap();
-            v.into_vec()
-        });
-        let (grads, _) = with_round_server(3, vec![0.0; 13], |ep, id, n| {
-            let v = sync_round(ep, n, 0, SyncRequest::PushGrads(wavy(id))).unwrap();
-            send_shutdown(ep, n, 1).unwrap();
-            v.into_vec()
-        });
-        let (bucketed, _) = with_round_server(3, vec![0.0; 13], |ep, id, n| {
-            let v = sync_round_bucketed(ep, n, 0, &wavy(id), 4).unwrap();
-            send_shutdown(ep, n, 1).unwrap();
-            v.into_vec()
-        });
-        assert_eq!(bits(&global), want, "stored global after a Params round");
-        for reply in params.iter().chain(&grads).chain(&bucketed) {
-            assert_eq!(bits(reply), want);
+            let (params, global) = with_round_server(n, vec![0.0; 13], |ep, id, n| {
+                let v = sync_round(ep, n, 0, SyncRequest::PushParams(salted(id))).unwrap();
+                send_shutdown(ep, n, 1).unwrap();
+                v.into_vec()
+            });
+            let (grads, _) = with_round_server(n, vec![0.0; 13], |ep, id, n| {
+                let v = sync_round(ep, n, 0, SyncRequest::PushGrads(salted(id))).unwrap();
+                send_shutdown(ep, n, 1).unwrap();
+                v.into_vec()
+            });
+            let (bucketed, _) = with_round_server(n, vec![0.0; 13], |ep, id, n| {
+                let v = sync_round_bucketed(ep, n, 0, &salted(id), 4).unwrap();
+                send_shutdown(ep, n, 1).unwrap();
+                v.into_vec()
+            });
+            assert_eq!(
+                bits(&global),
+                want,
+                "n = {n}: stored global after a Params round"
+            );
+            for reply in params.iter().chain(&grads).chain(&bucketed) {
+                assert_eq!(bits(reply), want, "n = {n}");
+            }
         }
     }
 
