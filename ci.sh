@@ -124,15 +124,24 @@ diff -u lint-baseline.json /tmp/selsync_lint_baseline_ci.json || {
 }
 
 # The wire-protocol table in DESIGN.md §13 is derived, not hand-written:
-# regenerate it from the Payload enum + codec and diff against the copy
-# committed between the wire-table markers.
-echo "==> selsync-lint --wire-table vs DESIGN.md"
-./target/release/selsync-lint --wire-table > /tmp/selsync_wire_table_ci.md
-awk '/<!-- wire-table:begin -->/{f=1;next} /<!-- wire-table:end -->/{f=0} f' DESIGN.md > /tmp/selsync_wire_table_design.md
-diff -u /tmp/selsync_wire_table_design.md /tmp/selsync_wire_table_ci.md || {
-  echo "DESIGN.md wire table is stale; paste the output of: ./target/release/selsync-lint --wire-table" >&2
+# the root-package test renders it from the wire schema that declares
+# `Payload` and compares it byte for byte with the copy committed
+# between the wire-table markers. It is run by name, and a filter that
+# ran no test fails here as hard as a stale table.
+echo "==> wire-table vs DESIGN.md"
+wire_table="$(cargo test -q --test wire_table -- --exact design_wire_table_matches_the_schema 2>&1)" || {
+  echo "${wire_table}" >&2
+  echo "DESIGN.md wire table is stale; paste the table printed above between its markers" >&2
   exit 1
 }
+case "$wire_table" in
+  *'test result: ok. 1 passed'*) ;;
+  *)
+    echo "${wire_table}" >&2
+    echo "the wire-table test did not run" >&2
+    exit 1
+    ;;
+esac
 
 echo "==> cargo test -q (workspace, minus multi-process suites)"
 cargo test -q --workspace --exclude selsync-bench --exclude selsync-serve

@@ -3,123 +3,128 @@
 
 use crate::error::TransportError;
 use crate::stats::CommStats;
+use crate::wire::wire_schema;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A message payload. Sizes are accounted as fp32/byte counts so the
-/// [`CommStats`] totals mirror what a wire transport would move.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Payload {
-    /// A flat parameter vector (pushToPS / pullFromPS of Alg. 1).
-    Params(Vec<f32>),
-    /// A flat parameter vector broadcast to several receivers from one
-    /// shared allocation: cloning the payload bumps the `Arc`, so an
-    /// N-worker fan-out costs O(1) model copies instead of O(N).
-    /// Wire-identical to [`Payload::Params`] — the codec emits the same
-    /// frame kind and the byte accounting matches exactly.
-    SharedParams(Arc<Vec<f32>>),
-    /// A flat gradient vector (gradient-aggregation mode).
-    Grads(Vec<f32>),
-    /// Synchronization-status bits, one per worker (Alg. 1 line 12).
-    Flags(Vec<u8>),
-    /// Raw training samples for data injection (§III-E).
-    Samples {
-        /// Flattened sample features.
-        data: Vec<f32>,
-        /// Class targets, one per sample.
-        targets: Vec<usize>,
-        /// Per-sample feature dimensions (e.g. `[3, 8, 8]`).
-        dims: Vec<usize>,
-    },
-    /// Small control message (requests, acks, shutdown).
-    Control(u64),
-    /// Inference request: one or more samples flattened back-to-back,
-    /// each of shape `dims` (serving tier, `selsync-serve`). The number
-    /// of rows is `data.len() / dims.iter().product()`.
-    Predict {
-        /// Flattened sample features, row-major, rows back-to-back.
-        data: Vec<f32>,
-        /// Per-sample feature dimensions (e.g. `[16]` or `[3, 8, 8]`).
-        dims: Vec<usize>,
-    },
-    /// Inference reply: logits rows back-to-back, `classes` per row.
-    Logits {
-        /// Flattened logits, `rows × classes` values.
-        rows: Vec<f32>,
-        /// Logits per row (the model's class count).
-        classes: usize,
-    },
-    /// The range-partition map of the flat parameter vector across a
-    /// sharded PS group (`crates/shard`). Carried on the wire so every
-    /// rank can prove it agrees with its peers before any sub-frame
-    /// traffic flows — a silent partition mismatch would scatter
-    /// parameters across the wrong servers.
-    ShardMap(ShardSpec),
-    /// A worker's parameter push restricted to one shard's range. Body
-    /// layout is identical to [`Payload::Params`] (count + values):
-    /// the shard index is implied by the destination rank and the
-    /// range by the agreed [`Payload::ShardMap`], so at `K = 1` the
-    /// sharded path moves exactly as many bytes as the monolithic one.
-    ShardPush(Vec<f32>),
-    /// A shard server's reply carrying its updated range. Body layout
-    /// is identical to [`Payload::Params`], mirroring [`Payload::ShardPush`].
-    ShardPull(Vec<f32>),
-    /// One fixed-size chunk of a flat `f32` vector, shipped the moment
-    /// its values are final so communication overlaps the rest of the
-    /// step (DDP-style gradient bucketing). `bucket` is the chunk index
-    /// — bucket `i` covers flat range `[i·B, i·B + values.len())` for
-    /// the sender's bucket size `B` — and `n_buckets` the total chunk
-    /// count of the vector being shipped. Receivers reassemble strictly
-    /// by index ([`BucketAssembler`](crate::BucketAssembler)), so
-    /// arrival order can never change the reduction order.
-    Bucket {
-        /// Chunk index within the flat vector (0-based).
-        bucket: u32,
-        /// Total chunks the sender will ship for this vector.
-        n_buckets: u32,
-        /// The chunk's values.
-        values: Vec<f32>,
-    },
-    /// Top-k sparse gradient: `len` is the dense vector length, and
-    /// `indices`/`values` are parallel sections of the surviving
-    /// coordinates (indices ascending). Wire twin of
-    /// `core::compression::SparseGrad`.
-    SparseGrad {
-        /// Dense length of the gradient this sparsifies.
-        len: u32,
-        /// Flat indices of the kept coordinates, ascending.
-        indices: Vec<u32>,
-        /// Values at those indices.
-        values: Vec<f32>,
-    },
-    /// 1-bit sign-compressed gradient: bit `i` of the little-endian
-    /// bitmap gives the sign of coordinate `i` (1 ⇒ `+scale`, 0 ⇒
-    /// `-scale`). Wire twin of `core::compression::SignGrad`.
-    SignGrad {
-        /// Dense length of the gradient (bits beyond `len` are padding).
-        len: u32,
-        /// Magnitude applied to every coordinate.
-        scale: f32,
-        /// Sign bitmap, `ceil(len / 8)` bytes.
-        bits: Vec<u8>,
-    },
-    /// Low-rank factor pair: the dense `rows × cols` gradient matrix is
-    /// `P · Qᵀ` with `P` of shape `rows × rank` and `Q` of shape
-    /// `cols × rank`, both row-major. Wire form of a PowerSGD step.
-    LowRank {
-        /// Rows of the dense matrix.
-        rows: u32,
-        /// Columns of the dense matrix.
-        cols: u32,
-        /// Factor rank.
-        rank: u32,
-        /// Left factor, `rows × rank` row-major.
-        p: Vec<f32>,
-        /// Right factor, `cols × rank` row-major.
-        q: Vec<f32>,
-    },
+wire_schema! {
+    /// A message payload, declared as the wire schema (see [`crate::wire`]):
+    /// each entry is a kind's number, its `KIND_*` name, its variant and
+    /// its fields in wire order. Sizes are accounted as fp32/byte counts
+    /// so the [`CommStats`] totals mirror what a wire transport would move.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Payload {
+        /// A flat parameter vector (pushToPS / pullFromPS of Alg. 1).
+        0 KIND_PARAMS => Params(values: [f32])
+        /// A flat parameter vector broadcast to several receivers from one
+        /// shared allocation: cloning the payload bumps the `Arc`, so an
+        /// N-worker fan-out costs O(1) model copies instead of O(N).
+        /// Wire-identical to [`Payload::Params`] — the codec emits the same
+        /// frame kind and the byte accounting matches exactly.
+        | SharedParams(Arc<Vec<f32>>),
+        /// A flat gradient vector (gradient-aggregation mode).
+        1 KIND_GRADS => Grads(values: [f32]),
+        /// Synchronization-status bits, one per worker (Alg. 1 line 12).
+        2 KIND_FLAGS => Flags(flags: [u8]),
+        /// Raw training samples for data injection (§III-E).
+        3 KIND_SAMPLES => Samples {
+            /// Flattened sample features.
+            data: [f32],
+            /// Class targets, one per sample.
+            targets: [usize],
+            /// Per-sample feature dimensions (e.g. `[3, 8, 8]`).
+            dims: [usize],
+        },
+        /// Small control message (requests, acks, shutdown).
+        4 KIND_CONTROL => Control(code: u64),
+        /// Inference request: one or more samples flattened back-to-back,
+        /// each of shape `dims` (serving tier, `selsync-serve`). The number
+        /// of rows is `data.len() / dims.iter().product()`.
+        5 KIND_PREDICT => Predict {
+            /// Flattened sample features, row-major, rows back-to-back.
+            data: [f32],
+            /// Per-sample feature dimensions (e.g. `[16]` or `[3, 8, 8]`).
+            dims: [usize],
+        },
+        /// Inference reply: logits rows back-to-back, `classes` per row.
+        6 KIND_LOGITS => Logits {
+            /// Flattened logits, `rows × classes` values.
+            rows: [f32],
+            /// Logits per row (the model's class count).
+            classes: usize,
+        },
+        /// The range-partition map of the flat parameter vector across a
+        /// sharded PS group (`crates/shard`). Carried on the wire so every
+        /// rank can prove it agrees with its peers before any sub-frame
+        /// traffic flows — a silent partition mismatch would scatter
+        /// parameters across the wrong servers.
+        7 KIND_SHARD_MAP => ShardMap(ShardSpec { version: u64, total: u64, starts: [u64] }),
+        /// A worker's parameter push restricted to one shard's range. Body
+        /// layout is identical to [`Payload::Params`] (count + values):
+        /// the shard index is implied by the destination rank and the
+        /// range by the agreed [`Payload::ShardMap`], so at `K = 1` the
+        /// sharded path moves exactly as many bytes as the monolithic one.
+        8 KIND_SHARD_PUSH => ShardPush(values: [f32]),
+        /// A shard server's reply carrying its updated range. Body layout
+        /// is identical to [`Payload::Params`], mirroring [`Payload::ShardPush`].
+        9 KIND_SHARD_PULL => ShardPull(values: [f32]),
+        /// One fixed-size chunk of a flat `f32` vector, shipped the moment
+        /// its values are final so communication overlaps the rest of the
+        /// step (DDP-style gradient bucketing). `bucket` is the chunk index
+        /// — bucket `i` covers flat range `[i·B, i·B + values.len())` for
+        /// the sender's bucket size `B` — and `n_buckets` the total chunk
+        /// count of the vector being shipped. Receivers reassemble strictly
+        /// by index ([`BucketAssembler`](crate::BucketAssembler)), so
+        /// arrival order can never change the reduction order.
+        10 KIND_BUCKET => Bucket {
+            /// Chunk index within the flat vector (0-based).
+            bucket: u32,
+            /// Total chunks the sender will ship for this vector.
+            n_buckets: u32,
+            /// The chunk's values.
+            values: [f32],
+        },
+        /// Top-k sparse gradient: `len` is the dense vector length, and
+        /// `indices`/`values` are parallel sections of the surviving
+        /// coordinates (indices ascending). Wire twin of
+        /// `core::compression::SparseGrad`.
+        11 KIND_SPARSE_GRAD => SparseGrad {
+            /// Dense length of the gradient this sparsifies.
+            len: u32,
+            /// Flat indices of the kept coordinates, ascending.
+            indices: [u32],
+            /// Values at those indices.
+            values: [f32],
+        },
+        /// 1-bit sign-compressed gradient: bit `i` of the little-endian
+        /// bitmap gives the sign of coordinate `i` (1 ⇒ `+scale`, 0 ⇒
+        /// `-scale`). Wire twin of `core::compression::SignGrad`.
+        12 KIND_SIGN_GRAD => SignGrad {
+            /// Dense length of the gradient (bits beyond `len` are padding).
+            len: u32,
+            /// Magnitude applied to every coordinate.
+            scale: f32,
+            /// Sign bitmap, `ceil(len / 8)` bytes.
+            bits: [u8],
+        },
+        /// Low-rank factor pair: the dense `rows × cols` gradient matrix is
+        /// `P · Qᵀ` with `P` of shape `rows × rank` and `Q` of shape
+        /// `cols × rank`, both row-major. Wire form of a PowerSGD step.
+        13 KIND_LOW_RANK => LowRank {
+            /// Rows of the dense matrix.
+            rows: u32,
+            /// Columns of the dense matrix.
+            cols: u32,
+            /// Factor rank.
+            rank: u32,
+            /// Left factor, `rows × rank` row-major.
+            p: [f32],
+            /// Right factor, `cols × rank` row-major.
+            q: [f32],
+        },
+    }
 }
 
 /// Wire form of the shard partition map: `starts[i]` is the first flat
@@ -149,39 +154,6 @@ pub const FRAME_HEADER_BYTES: u64 = 4 + 4 + 8 + 1;
 pub const FRAME_CRC_BYTES: u64 = 4;
 
 impl Payload {
-    /// Bytes of the payload body as the wire codec encodes it (length
-    /// prefixes included). `selsync-net` asserts this against real
-    /// encoded frames, so in-process and TCP byte accounting agree.
-    pub fn body_bytes(&self) -> u64 {
-        match self {
-            Payload::Params(v) | Payload::Grads(v) => 4 + 4 * v.len() as u64,
-            Payload::SharedParams(v) => 4 + 4 * v.len() as u64,
-            Payload::Flags(v) => 4 + v.len() as u64,
-            Payload::Samples {
-                data,
-                targets,
-                dims,
-            } => {
-                4 + 4 * data.len() as u64 + 4 + 8 * targets.len() as u64 + 4 + 8 * dims.len() as u64
-            }
-            Payload::Control(_) => 8,
-            Payload::Predict { data, dims } => {
-                4 + 4 * data.len() as u64 + 4 + 8 * dims.len() as u64
-            }
-            Payload::Logits { rows, .. } => 4 + 4 * rows.len() as u64 + 8,
-            Payload::ShardMap(spec) => 8 + 8 + 4 + 8 * spec.starts.len() as u64,
-            Payload::ShardPush(v) | Payload::ShardPull(v) => 4 + 4 * v.len() as u64,
-            Payload::Bucket { values, .. } => 4 + 4 + 4 + 4 * values.len() as u64,
-            Payload::SparseGrad {
-                indices, values, ..
-            } => 4 + (4 + 4 * indices.len() as u64) + (4 + 4 * values.len() as u64),
-            Payload::SignGrad { bits, .. } => 4 + 4 + 4 + bits.len() as u64,
-            Payload::LowRank { p, q, .. } => {
-                4 + 4 + 4 + (4 + 4 * p.len() as u64) + (4 + 4 * q.len() as u64)
-            }
-        }
-    }
-
     /// Exact bytes this payload occupies on the wire, header and CRC
     /// trailer included — the unit every [`CommStats`] counter is
     /// denominated in.

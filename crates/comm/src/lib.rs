@@ -27,6 +27,7 @@ pub mod ps;
 pub mod shard;
 pub mod stats;
 pub mod transport;
+pub mod wire;
 
 pub use bucket::{BucketAssembler, BucketError, BucketIntake};
 pub use clock::ClusterClock;

@@ -1,8 +1,7 @@
 //! File discovery, rule execution, suppression resolution and report
 //! formatting.
 
-use crate::index::WorkspaceIndex;
-use crate::rules::{all_rules, is_known_rule, workspace_rules, Finding};
+use crate::rules::{all_rules, is_known_rule};
 use crate::source::SourceFile;
 use std::fmt::Write as _;
 use std::fs;
@@ -97,60 +96,27 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Load and parse every `.rs` file under `root` (restricted to the
-/// given sub-roots) into a [`WorkspaceIndex`]. Built once per run; the
-/// per-file rules, the cross-file rules and `--wire-table` all read
-/// from the same index.
-pub fn load_index(root: &Path, subs: &[String]) -> io::Result<WorkspaceIndex> {
-    let mut files = Vec::new();
+/// Run every rule over the `.rs` files under `root` (restricted to the
+/// given sub-roots), resolve suppressions per file, and return the
+/// report: a `lint:allow(rule)` targeting a finding's line silences it,
+/// and unused/bare allows are reported.
+pub fn run(root: &Path, subs: &[String]) -> io::Result<Report> {
+    let rules = all_rules();
+    let mut report = Report::default();
     for path in collect_files(root, subs)? {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
-        let src = fs::read_to_string(&path)?;
-        files.push(SourceFile::new(rel, &src));
-    }
-    Ok(WorkspaceIndex { files })
-}
-
-/// Run every rule over the `.rs` files under `root` (restricted to the
-/// given sub-roots), resolve suppressions, and return the report.
-pub fn run(root: &Path, subs: &[String]) -> io::Result<Report> {
-    Ok(run_on_index(&load_index(root, subs)?))
-}
-
-/// Run the per-file rules, then the cross-file workspace rules, then
-/// resolve suppressions per file. Suppression semantics are identical
-/// for both rule families: a `lint:allow(rule)` targeting the finding's
-/// line silences it, and unused/bare allows are reported.
-pub fn run_on_index(index: &WorkspaceIndex) -> Report {
-    let rules = all_rules();
-    let mut report = Report {
-        files_scanned: index.files.len(),
-        ..Report::default()
-    };
-
-    let mut raw: Vec<Vec<Finding>> = index.files.iter().map(|_| Vec::new()).collect();
-    for (fi, file) in index.files.iter().enumerate() {
+        let file = SourceFile::new(rel, &fs::read_to_string(&path)?);
+        report.files_scanned += 1;
+        let mut raw = Vec::new();
         for rule in &rules {
             if rule.in_scope(&file.rel) && (rule.lints_tests() || !file.is_test_file) {
-                rule.check(file, &mut raw[fi]);
+                rule.check(&file, &mut raw);
             }
         }
-    }
-    for wrule in workspace_rules() {
-        let mut found: Vec<(String, Finding)> = Vec::new();
-        wrule.check(index, &mut found);
-        for (rel, f) in found {
-            if let Some(fi) = index.files.iter().position(|x| x.rel == rel) {
-                raw[fi].push(f);
-            }
-        }
-    }
-
-    for (file, raw) in index.files.iter().zip(raw) {
         let rel = &file.rel;
         // resolve suppressions: a lint:allow silences findings of its
         // rule on its target line (justified or not — an unjustified
@@ -210,7 +176,7 @@ pub fn run_on_index(index: &WorkspaceIndex) -> Report {
     report
         .findings
         .sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
-    report
+    Ok(report)
 }
 
 /// Human-readable report: one `path:line rule message` per unsuppressed

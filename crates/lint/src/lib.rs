@@ -23,15 +23,12 @@
 //! | `lock-across-send` | a MutexGuard held across a `Transport::send` |
 //! | `libm-call` | per-element libm calls on the model's step path (`tensor`, `nn`) |
 //! | `simd-intrinsic` | hand-written `_mm256_*`/`_mm_*` bodies in `tensor` kept without a measurement |
-//! | `wire-conformance` | a `Payload` variant missing one of its five codec sites |
 //!
 //! The pass is offline and dependency-free (std only), built on a
 //! hand-rolled lexer so rules see real tokens — never the contents of
 //! strings or comments. Above the lexer sits a lightweight item-tree
-//! parser (fn/enum/const/loop extents, match arms — no type inference)
-//! and a once-per-run [`index::WorkspaceIndex`], which is what lets
-//! `wire-conformance` cross-check the `Payload` enum in crates/comm
-//! against the codec in crates/net. Findings are silenced inline with
+//! parser (fn and loop extents — no type inference), which the
+//! call-graph and loop rules read. Findings are silenced inline with
 //! `// lint:allow(rule): <justification>`; a bare allow without a
 //! justification, and an allow that silences nothing, are themselves
 //! findings. `--baseline` diffs a run against a committed snapshot
@@ -41,14 +38,10 @@
 
 pub mod baseline;
 pub mod engine;
-pub mod index;
 pub mod json;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
 pub mod source;
-pub mod wire;
 
-pub use engine::{
-    format_human, load_index, run, run_on_index, RecordedFinding, Report, DEFAULT_ROOTS,
-};
+pub use engine::{format_human, run, RecordedFinding, Report, DEFAULT_ROOTS};

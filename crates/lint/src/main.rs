@@ -3,7 +3,6 @@
 //! ```text
 //! selsync-lint [--json] [--root DIR] [--baseline FILE] [PATH...]
 //! selsync-lint --write-baseline FILE [--root DIR] [PATH...]
-//! selsync-lint --wire-table [--root DIR]
 //! ```
 //!
 //! Scans `crates/ src/ tests/ examples/` under the workspace root (or
@@ -13,11 +12,10 @@
 //! failure, not a silent artifact. `--baseline` diffs the run against
 //! a committed snapshot and fails on drift in either direction (new
 //! finding, or stale entry); `--write-baseline` regenerates the
-//! snapshot. `--wire-table` prints the kind → layout table derived
-//! from the parsed codec, which ci.sh diffs against DESIGN.md.
+//! snapshot.
 #![deny(unsafe_code)]
 
-use selsync_lint::{baseline, engine, json, wire};
+use selsync_lint::{baseline, engine, json};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -27,7 +25,6 @@ selsync-lint: workspace determinism & protocol-invariant linter
 USAGE:
   selsync-lint [--json] [--root DIR] [--baseline FILE] [PATH...]
   selsync-lint --write-baseline FILE [--root DIR] [PATH...]
-  selsync-lint --wire-table [--root DIR]
 
 OPTIONS:
   --json                 emit the machine-readable report (self-validated)
@@ -35,7 +32,6 @@ OPTIONS:
   --baseline FILE        diff findings against the committed snapshot;
                          fail on any new finding or stale entry
   --write-baseline FILE  snapshot the current findings to FILE and exit 0
-  --wire-table           print the kind -> layout table parsed from the codec
   PATH...                sub-paths to scan instead of crates/ src/ tests/ examples/
   -h, --help             show this help
 
@@ -47,7 +43,6 @@ EXIT CODES:
 
 fn main() -> ExitCode {
     let mut json_mode = false;
-    let mut wire_table = false;
     let mut root = PathBuf::from(".");
     let mut baseline_path: Option<PathBuf> = None;
     let mut write_baseline: Option<PathBuf> = None;
@@ -56,7 +51,6 @@ fn main() -> ExitCode {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--json" => json_mode = true,
-            "--wire-table" => wire_table = true,
             "--root" => match args.next() {
                 Some(d) => root = PathBuf::from(d),
                 None => {
@@ -96,14 +90,14 @@ fn main() -> ExitCode {
             .collect();
     }
 
-    let index = match engine::load_index(&root, &paths) {
-        Ok(i) => i,
+    let report = match engine::run(&root, &paths) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("selsync-lint: scan failed: {e}");
             return ExitCode::from(2);
         }
     };
-    if index.files.is_empty() {
+    if report.files_scanned == 0 {
         eprintln!(
             "selsync-lint: no .rs files under {} in {:?}",
             root.display(),
@@ -111,21 +105,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     }
-
-    if wire_table {
-        return match wire::wire_table(&index) {
-            Ok(t) => {
-                print!("{t}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("selsync-lint: --wire-table: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    let report = engine::run_on_index(&index);
 
     if let Some(path) = write_baseline {
         let snapshot = baseline::to_json(&report);

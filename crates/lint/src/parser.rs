@@ -1,12 +1,12 @@
 //! A lightweight item-tree parser layered on the lexer.
 //!
 //! This is deliberately *not* an AST: it recovers only the structure
-//! the semantic rules need — function extents and names, enum variant
-//! lists, integer `const` values, loop extents, and match arms — as
-//! index ranges into the flat token stream. No type inference, no
-//! expression trees, no path resolution. Everything degrades safely:
-//! a construct the parser does not model is simply absent from the
-//! tree, and rules built on it stay silent rather than guessing.
+//! the semantic rules need — function extents and names, and loop
+//! extents — as index ranges into the flat token stream. No type
+//! inference, no expression trees, no path resolution. Everything
+//! degrades safely: a construct the parser does not model is simply
+//! absent from the tree, and rules built on it stay silent rather than
+//! guessing.
 //!
 //! All ranges are half-open `[start, end)` token indices. A body range
 //! covers the tokens *between* the braces, excluding the braces
@@ -24,32 +24,6 @@ pub struct FnItem {
     pub line: u32,
     /// Tokens between the body braces (empty for bodyless trait fns).
     pub body: Range<usize>,
-}
-
-/// One variant of an enum.
-#[derive(Debug, Clone)]
-pub struct VariantItem {
-    pub name: String,
-    /// 1-based line the variant name sits on.
-    pub line: u32,
-}
-
-/// One `enum` item with its variant list.
-#[derive(Debug, Clone)]
-pub struct EnumItem {
-    pub name: String,
-    pub line: u32,
-    pub variants: Vec<VariantItem>,
-}
-
-/// One `const NAME: T = <int>;` whose initializer is a single integer
-/// literal. Consts with computed initializers are recorded with
-/// `value: None`.
-#[derive(Debug, Clone)]
-pub struct ConstItem {
-    pub name: String,
-    pub line: u32,
-    pub value: Option<u64>,
 }
 
 /// The keyword that introduced a loop.
@@ -72,36 +46,11 @@ pub struct LoopItem {
     pub span: Range<usize>,
 }
 
-/// One arm of a `match`: `pat => body`.
-#[derive(Debug, Clone)]
-pub struct MatchArm {
-    /// Tokens of the pattern (guard included), up to the `=>`.
-    pub pat: Range<usize>,
-    /// Tokens of the arm body (braces excluded for block bodies).
-    pub body: Range<usize>,
-    /// 1-based line the pattern starts on.
-    pub line: u32,
-}
-
 /// Flat item tree for one file.
 #[derive(Debug, Default)]
 pub struct ItemTree {
     pub fns: Vec<FnItem>,
-    pub enums: Vec<EnumItem>,
-    pub consts: Vec<ConstItem>,
     pub loops: Vec<LoopItem>,
-}
-
-impl ItemTree {
-    /// First function with this name, if any.
-    pub fn fn_named(&self, name: &str) -> Option<&FnItem> {
-        self.fns.iter().find(|f| f.name == name)
-    }
-
-    /// First enum with this name, if any.
-    pub fn enum_named(&self, name: &str) -> Option<&EnumItem> {
-        self.enums.iter().find(|e| e.name == name)
-    }
 }
 
 /// Parse the token stream into an item tree. Single linear pass; items
@@ -122,25 +71,6 @@ pub fn parse(toks: &[Tok]) -> ItemTree {
                     tree.fns.push(f);
                 }
                 // do not skip the body: nested items must be seen too
-                i += 1;
-            }
-            "enum" => {
-                if let Some((e, next)) = parse_enum(toks, i) {
-                    tree.enums.push(e);
-                    i = next;
-                } else {
-                    i += 1;
-                }
-            }
-            "const" => {
-                // skip `const fn` and raw-pointer `*const`
-                let is_ptr = i > 0 && toks[i - 1].is_punct('*');
-                let is_const_fn = toks.get(i + 1).is_some_and(|n| n.is_ident("fn"));
-                if !is_ptr && !is_const_fn {
-                    if let Some(c) = parse_const(toks, i) {
-                        tree.consts.push(c);
-                    }
-                }
                 i += 1;
             }
             "loop" | "while" | "for" => {
@@ -216,146 +146,6 @@ fn parse_fn(toks: &[Tok], kw: usize) -> Option<FnItem> {
     })
 }
 
-fn parse_enum(toks: &[Tok], kw: usize) -> Option<(EnumItem, usize)> {
-    let name_tok = toks.get(kw + 1)?;
-    if name_tok.kind != TokKind::Ident {
-        return None;
-    }
-    // find the body `{`; an enum declaration cannot contain `;` first
-    let mut open = kw + 2;
-    while open < toks.len() && !toks[open].is_punct('{') {
-        if toks[open].is_punct(';') {
-            return None;
-        }
-        open += 1;
-    }
-    if open >= toks.len() {
-        return None;
-    }
-    let close = close_brace(toks, open)?;
-    let mut variants = Vec::new();
-    let mut k = open + 1;
-    while k < close {
-        let t = &toks[k];
-        // skip attributes on variants: #[...]
-        if t.is_punct('#') {
-            let mut j = k + 1;
-            if j < close && toks[j].is_punct('[') {
-                let mut depth = 0i32;
-                while j < close {
-                    if toks[j].is_punct('[') {
-                        depth += 1;
-                    } else if toks[j].is_punct(']') {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-                k = j + 1;
-                continue;
-            }
-        }
-        if t.kind == TokKind::Ident {
-            variants.push(VariantItem {
-                name: t.text.clone(),
-                line: t.line,
-            });
-            // skip the variant's payload/discriminant to the next `,`
-            // at variant depth (or the enum's closing brace)
-            let mut paren = 0i32;
-            let mut brace = 0i32;
-            let mut bracket = 0i32;
-            k += 1;
-            while k < close {
-                let p = &toks[k];
-                if p.is_punct('(') {
-                    paren += 1;
-                } else if p.is_punct(')') {
-                    paren -= 1;
-                } else if p.is_punct('{') {
-                    brace += 1;
-                } else if p.is_punct('}') {
-                    brace -= 1;
-                } else if p.is_punct('[') {
-                    bracket += 1;
-                } else if p.is_punct(']') {
-                    bracket -= 1;
-                } else if p.is_punct(',') && paren == 0 && brace == 0 && bracket == 0 {
-                    k += 1;
-                    break;
-                }
-                k += 1;
-            }
-        } else {
-            k += 1;
-        }
-    }
-    Some((
-        EnumItem {
-            name: name_tok.text.clone(),
-            line: toks[kw].line,
-            variants,
-        },
-        close + 1,
-    ))
-}
-
-fn parse_const(toks: &[Tok], kw: usize) -> Option<ConstItem> {
-    let name_tok = toks.get(kw + 1)?;
-    if name_tok.kind != TokKind::Ident {
-        return None;
-    }
-    // scan to `=` (stopping at `;` for associated-const declarations)
-    let mut k = kw + 2;
-    while k < toks.len() && !toks[k].is_punct('=') {
-        if toks[k].is_punct(';') || toks[k].is_punct('{') {
-            return None;
-        }
-        k += 1;
-    }
-    if k >= toks.len() {
-        return None;
-    }
-    // initializer tokens up to the `;`
-    let init_start = k + 1;
-    let mut end = init_start;
-    while end < toks.len() && !toks[end].is_punct(';') {
-        end += 1;
-    }
-    let init = &toks[init_start..end];
-    let value = match init {
-        [only] if only.kind == TokKind::Num => parse_int(&only.text),
-        _ => None,
-    };
-    Some(ConstItem {
-        name: name_tok.text.clone(),
-        line: name_tok.line,
-        value,
-    })
-}
-
-/// Parse an integer literal: decimal or `0x`/`0o`/`0b`, underscores and
-/// a type suffix allowed.
-fn parse_int(text: &str) -> Option<u64> {
-    let t: String = text.chars().filter(|c| *c != '_').collect();
-    let (digits, radix) = if let Some(h) = t.strip_prefix("0x") {
-        (h, 16)
-    } else if let Some(o) = t.strip_prefix("0o") {
-        (o, 8)
-    } else if let Some(b) = t.strip_prefix("0b") {
-        (b, 2)
-    } else {
-        (t.as_str(), 10)
-    };
-    // strip a type suffix (u8, u32, usize, ...)
-    let digits = digits
-        .find(|c: char| !c.is_digit(radix))
-        .map_or(digits, |cut| &digits[..cut]);
-    u64::from_str_radix(digits, radix).ok()
-}
-
 fn parse_loop(toks: &[Tok], kw: usize) -> Option<LoopItem> {
     let kind = match toks[kw].text.as_str() {
         "loop" => LoopKind::Loop,
@@ -394,113 +184,6 @@ fn parse_loop(toks: &[Tok], kw: usize) -> Option<LoopItem> {
     })
 }
 
-/// Split the body of the first `match` inside `range` into arms.
-/// Returns an empty vec when no match is found.
-pub fn first_match_arms(toks: &[Tok], range: Range<usize>) -> Vec<MatchArm> {
-    let Some(kw) = (range.start..range.end).find(|&k| toks[k].is_ident("match")) else {
-        return Vec::new();
-    };
-    let Some(open) = fn_body_open(toks, kw + 1) else {
-        return Vec::new();
-    };
-    let Some(close) = close_brace(toks, open) else {
-        return Vec::new();
-    };
-    match_arms(toks, open + 1..close)
-}
-
-/// Split a match body (tokens strictly between the match braces) into
-/// arms. Handles struct patterns (`X { .. } =>`), or-patterns, guards,
-/// block and expression bodies, and trailing commas.
-pub fn match_arms(toks: &[Tok], body: Range<usize>) -> Vec<MatchArm> {
-    let mut arms = Vec::new();
-    let mut k = body.start;
-    while k < body.end {
-        // pattern: scan to `=>` at zero relative depth
-        let pat_start = k;
-        let mut paren = 0i32;
-        let mut brace = 0i32;
-        let mut bracket = 0i32;
-        let mut arrow = None;
-        while k < body.end {
-            let t = &toks[k];
-            if t.is_punct('(') {
-                paren += 1;
-            } else if t.is_punct(')') {
-                paren -= 1;
-            } else if t.is_punct('{') {
-                brace += 1;
-            } else if t.is_punct('}') {
-                brace -= 1;
-            } else if t.is_punct('[') {
-                bracket += 1;
-            } else if t.is_punct(']') {
-                bracket -= 1;
-            } else if t.is_punct('=')
-                && paren == 0
-                && brace == 0
-                && bracket == 0
-                && toks.get(k + 1).is_some_and(|n| n.is_punct('>'))
-            {
-                arrow = Some(k);
-                break;
-            }
-            k += 1;
-        }
-        let Some(arrow) = arrow else { break };
-        if pat_start == arrow {
-            // stray `=>`; bail rather than loop forever
-            break;
-        }
-        let body_start = arrow + 2;
-        let (arm_body, next) = if toks.get(body_start).is_some_and(|t| t.is_punct('{')) {
-            match close_brace(toks, body_start) {
-                Some(c) => {
-                    let mut n = c + 1;
-                    if toks.get(n).is_some_and(|t| t.is_punct(',')) {
-                        n += 1;
-                    }
-                    (body_start + 1..c, n)
-                }
-                None => (body_start + 1..body.end, body.end),
-            }
-        } else {
-            // expression body: to the `,` at zero relative depth
-            let mut paren = 0i32;
-            let mut brace = 0i32;
-            let mut bracket = 0i32;
-            let mut e = body_start;
-            while e < body.end {
-                let t = &toks[e];
-                if t.is_punct('(') {
-                    paren += 1;
-                } else if t.is_punct(')') {
-                    paren -= 1;
-                } else if t.is_punct('{') {
-                    brace += 1;
-                } else if t.is_punct('}') {
-                    brace -= 1;
-                } else if t.is_punct('[') {
-                    bracket += 1;
-                } else if t.is_punct(']') {
-                    bracket -= 1;
-                } else if t.is_punct(',') && paren == 0 && brace == 0 && bracket == 0 {
-                    break;
-                }
-                e += 1;
-            }
-            (body_start..e, (e + 1).min(body.end))
-        };
-        arms.push(MatchArm {
-            pat: pat_start..arrow,
-            body: arm_body,
-            line: toks[pat_start].line,
-        });
-        k = next;
-    }
-    arms
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,44 +208,11 @@ trait T { fn decl(&self); }
         let (toks, t) = tree(src);
         let names: Vec<_> = t.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["outer", "inner"]);
-        let outer = t.fn_named("outer").unwrap();
+        let outer = &t.fns[0];
         // the loop keyword sits inside outer's body
         let l = &t.loops[0];
         assert!(outer.body.contains(&l.span.start));
         assert!(toks[l.span.end - 1].is_punct('}'));
-    }
-
-    #[test]
-    fn enum_variants_with_payloads_and_attrs() {
-        let src = "\
-#[derive(Debug)]
-pub enum Payload {
-    Params(Vec<f32>),
-    #[allow(dead_code)]
-    Bucket { bucket: u32, values: Vec<f32> },
-    Control(u64),
-}
-";
-        let (_, t) = tree(src);
-        let e = t.enum_named("Payload").unwrap();
-        let names: Vec<_> = e.variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(names, vec!["Params", "Bucket", "Control"]);
-        assert_eq!(e.variants[1].line, 5);
-    }
-
-    #[test]
-    fn const_values_parse_and_computed_is_none() {
-        let src = "\
-pub const KIND_PARAMS: u8 = 0;
-pub const KIND_HEX: u8 = 0x0b;
-pub const SIZE: usize = 4 + 8;
-const fn not_a_const() -> u8 { 1 }
-";
-        let (_, t) = tree(src);
-        assert_eq!(t.consts.len(), 3);
-        assert_eq!(t.consts[0].value, Some(0));
-        assert_eq!(t.consts[1].value, Some(11));
-        assert_eq!(t.consts[2].value, None);
     }
 
     #[test]
@@ -583,35 +233,5 @@ fn f(deadline: u32) {
         // the while span includes its condition tokens
         let w = &t.loops[0];
         assert!(toks[w.span.clone()].iter().any(|x| x.is_ident("deadline")));
-    }
-
-    #[test]
-    fn match_arms_split_struct_patterns_and_guards() {
-        let src = "\
-fn kind_of(p: &Payload) -> u8 {
-    match p {
-        Payload::Params(_) | Payload::SharedParams(_) => KIND_PARAMS,
-        Payload::Bucket { .. } => KIND_BUCKET,
-        Payload::Control(c) if *c > 0 => { KIND_CONTROL }
-        other => fallback(other),
-    }
-}
-";
-        let (toks, t) = tree(src);
-        let f = t.fn_named("kind_of").unwrap();
-        let arms = first_match_arms(&toks, f.body.clone());
-        assert_eq!(arms.len(), 4);
-        let pat0: Vec<_> = toks[arms[0].pat.clone()]
-            .iter()
-            .filter(|x| x.kind == TokKind::Ident)
-            .map(|x| x.text.as_str())
-            .collect();
-        assert!(pat0.contains(&"SharedParams"));
-        assert!(toks[arms[1].body.clone()]
-            .iter()
-            .any(|x| x.is_ident("KIND_BUCKET")));
-        assert!(toks[arms[2].body.clone()]
-            .iter()
-            .any(|x| x.is_ident("KIND_CONTROL")));
     }
 }

@@ -5,7 +5,6 @@
 //! the fixture trees under `tests/fixtures/` exercise the same scoping
 //! logic as the real workspace.
 
-use crate::index::WorkspaceIndex;
 use crate::lexer::TokKind;
 use crate::source::SourceFile;
 
@@ -36,17 +35,6 @@ pub trait Rule {
     fn check(&self, f: &SourceFile, out: &mut Vec<Finding>);
 }
 
-/// A cross-file rule: runs once per scan over the whole
-/// [`WorkspaceIndex`], after the per-file rules. Findings are keyed by
-/// the workspace-relative path they belong to, so suppression
-/// resolution works exactly as for per-file rules.
-pub trait WorkspaceRule {
-    /// Kebab-case rule name, as used in `lint:allow(<name>)`.
-    fn name(&self) -> &'static str;
-    /// Scan the index and append `(path, finding)` pairs.
-    fn check(&self, index: &WorkspaceIndex, out: &mut Vec<(String, Finding)>);
-}
-
 /// The full registry, in stable order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
@@ -66,20 +54,12 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
     ]
 }
 
-/// The cross-file registry, in stable order.
-pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
-    vec![Box::new(crate::wire::WireConformance)]
-}
-
 /// Names of findings the engine itself emits about suppression misuse.
 pub const META_RULES: [&str; 2] = ["bare-allow", "unused-allow"];
 
-/// Is `name` a real rule (registry, workspace registry, or engine
-/// meta-rule)?
+/// Is `name` a real rule (registry or engine meta-rule)?
 pub fn is_known_rule(name: &str) -> bool {
-    all_rules().iter().any(|r| r.name() == name)
-        || workspace_rules().iter().any(|r| r.name() == name)
-        || META_RULES.contains(&name)
+    all_rules().iter().any(|r| r.name() == name) || META_RULES.contains(&name)
 }
 
 fn in_crates(rel: &str, crates: &[&str]) -> bool {

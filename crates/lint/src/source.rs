@@ -54,7 +54,7 @@ pub struct SourceFile {
     attr_only: Vec<bool>,
     /// Parsed `lint:allow` suppressions.
     pub suppressions: Vec<Suppression>,
-    /// Item tree (fns, enums, consts, loops) for the semantic rules.
+    /// Item tree (fns, loops) for the semantic rules.
     pub items: ItemTree,
 }
 

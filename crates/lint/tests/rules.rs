@@ -332,48 +332,6 @@ fn fixture_report_json_round_trips() {
 }
 
 #[test]
-fn wire_conformance_fixture_sites_are_clean() {
-    let r = run_fixtures();
-    // a codec in lockstep with the payload site produces nothing
-    assert!(rules_hit(&r, "crates/net/src/codec_ok.rs").is_empty());
-    assert!(rules_hit(&r, "crates/comm/src/payload_site.rs").is_empty());
-}
-
-#[test]
-fn seeded_codec_mutations_are_caught_exactly() {
-    let r = run_fixtures();
-    // two seeded mutations, two findings: the duplicated KIND_DELTA
-    // value at its const, and the deleted KIND_GAMMA decode arm at the
-    // decode fn
-    assert_eq!(
-        findings(&r, "crates/net/src/codec_mutated.rs"),
-        vec![
-            ("wire-conformance".into(), 9, false),
-            ("wire-conformance".into(), 33, false),
-        ]
-    );
-    let msgs: Vec<&str> = r
-        .findings
-        .iter()
-        .filter(|f| f.path == "crates/net/src/codec_mutated.rs")
-        .map(|f| f.message.as_str())
-        .collect();
-    assert!(
-        msgs[0].contains("duplicate wire kind value 1")
-            && msgs[0].contains("KIND_DELTA")
-            && msgs[0].contains("KIND_BETA"),
-        "unexpected duplicate-kind message: {}",
-        msgs[0]
-    );
-    assert!(
-        msgs[1].contains("variant Gamma missing from decode_after_len")
-            && msgs[1].contains("KIND_GAMMA"),
-        "unexpected missing-decode message: {}",
-        msgs[1]
-    );
-}
-
-#[test]
 fn poll_blocking_positive_and_negative() {
     let r = run_fixtures();
     // the sleep in driver_loop itself, and two hops down the call graph
@@ -431,23 +389,6 @@ fn lock_across_send_positive_and_negative() {
     );
     // drop(guard) before send, and a guard confined to an inner block
     assert!(rules_hit(&r, "crates/comm/src/lock_send_neg.rs").is_empty());
-}
-
-#[test]
-fn real_workspace_wire_table_derives() {
-    // the cross-file analysis must resolve the real payload + codec
-    // sites and derive a complete table: 14 wire kinds, plus the
-    // header and separator rows
-    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    let subs: Vec<String> = engine::DEFAULT_ROOTS
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let index = engine::load_index(root, &subs).expect("workspace scan");
-    let table = selsync_lint::wire::wire_table(&index).expect("wire table derivation");
-    assert_eq!(table.lines().count(), 16, "table:\n{table}");
-    assert!(table.contains("| 0 | KIND_PARAMS | Params, SharedParams |"));
-    assert!(table.contains("| 13 | KIND_LOW_RANK |"));
 }
 
 #[test]

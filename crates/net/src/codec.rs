@@ -15,24 +15,10 @@
 //! reads the header first and decodes a model-sized body as it arrives,
 //! carrying the CRC along, and drops it if the trailer disagrees.
 //!
-//! Body layouts by kind (big-endian, length prefixes inline):
-//!
-//! * `Params`/`Grads`: `u32 count` + `count × f32`
-//! * `Flags`:          `u32 count` + `count × u8`
-//! * `Samples`:        three sections — `u32 count + count × f32` data,
-//!   `u32 count + count × u64` targets, `u32 count + count × u64` dims
-//! * `Control`:        `u64 code`
-//! * `Predict`:        two sections — `u32 count + count × f32` data,
-//!   `u32 count + count × u64` dims
-//! * `Logits`:         `u32 count + count × f32` rows, then `u64 classes`
-//! * `ShardMap`:       `u64 version` + `u64 total` + `u32 count + count × u64` starts
-//! * `ShardPush`/`ShardPull`: `u32 count` + `count × f32` (Params-shaped)
-//! * `Bucket`:     `u32 bucket` + `u32 n_buckets` + `u32 count + count × f32` values
-//! * `SparseGrad`: `u32 len` + `u32 count + count × u32` indices +
-//!   `u32 count + count × f32` values
-//! * `SignGrad`:   `u32 len` + `f32 scale` + `u32 count + count × u8` bits
-//! * `LowRank`:    `u32 rows` + `u32 cols` + `u32 rank` +
-//!   `u32 count + count × f32` P + `u32 count + count × f32` Q
+//! Each payload kind's body layout is declared once, in the wire schema
+//! that defines [`Payload`] (`selsync_comm::wire`); DESIGN.md §13
+//! prints the table of kinds and layouts. The codec writes a body with
+//! [`Payload::write_body`] and reads one with [`Payload::read_body`].
 //!
 //! Every inner `u32 count` is validated against the bytes actually
 //! remaining in the frame *before* anything is allocated, so a hostile
@@ -69,25 +55,11 @@
 //! frames indefinitely.
 
 use crate::pool::BufferPool;
-use bytes::{Buf, Bytes};
-use selsync_comm::{crc32_continue, Msg, Payload, ShardSpec};
+use bytes::Bytes;
+use selsync_comm::wire::{WireSink, WireSource, Word};
+use selsync_comm::{crc32_continue, Msg, Payload};
 use std::fmt;
 use std::sync::Arc;
-
-const KIND_PARAMS: u8 = 0;
-const KIND_GRADS: u8 = 1;
-const KIND_FLAGS: u8 = 2;
-const KIND_SAMPLES: u8 = 3;
-const KIND_CONTROL: u8 = 4;
-const KIND_PREDICT: u8 = 5;
-const KIND_LOGITS: u8 = 6;
-const KIND_SHARD_MAP: u8 = 7;
-const KIND_SHARD_PUSH: u8 = 8;
-const KIND_SHARD_PULL: u8 = 9;
-const KIND_BUCKET: u8 = 10;
-const KIND_SPARSE_GRAD: u8 = 11;
-const KIND_SIGN_GRAD: u8 = 12;
-const KIND_LOW_RANK: u8 = 13;
 
 /// Wire-protocol magic: `b"SSYN"` as a big-endian `u32`. A peer that
 /// opens with anything else is not speaking this protocol at all.
@@ -227,27 +199,6 @@ pub fn decode_handshake(raw: &[u8; HANDSHAKE_BYTES]) -> Result<Handshake, FrameE
     Ok(Handshake { version, features })
 }
 
-fn kind_of(payload: &Payload) -> u8 {
-    match payload {
-        // SharedParams is an in-process optimization; on the wire it is
-        // indistinguishable from Params (decode always yields Params)
-        Payload::Params(_) | Payload::SharedParams(_) => KIND_PARAMS,
-        Payload::Grads(_) => KIND_GRADS,
-        Payload::Flags(_) => KIND_FLAGS,
-        Payload::Samples { .. } => KIND_SAMPLES,
-        Payload::Control(_) => KIND_CONTROL,
-        Payload::Predict { .. } => KIND_PREDICT,
-        Payload::Logits { .. } => KIND_LOGITS,
-        Payload::ShardMap(_) => KIND_SHARD_MAP,
-        Payload::ShardPush(_) => KIND_SHARD_PUSH,
-        Payload::ShardPull(_) => KIND_SHARD_PULL,
-        Payload::Bucket { .. } => KIND_BUCKET,
-        Payload::SparseGrad { .. } => KIND_SPARSE_GRAD,
-        Payload::SignGrad { .. } => KIND_SIGN_GRAD,
-        Payload::LowRank { .. } => KIND_LOW_RANK,
-    }
-}
-
 /// Encode one message as a complete wire frame, CRC trailer included.
 ///
 /// The returned buffer's length always equals
@@ -269,80 +220,10 @@ pub(crate) fn encode_frame_into(
 ) -> Bytes {
     let wire = payload.wire_bytes() as usize;
     let mut w = FrameWriter::new(&mut buf, wire);
-    w.put_u32(from as u32);
-    w.put_u64(tag);
-    w.put_u8(kind_of(payload));
-    match payload {
-        Payload::Params(v) | Payload::Grads(v) => put_f32_section(&mut w, v),
-        Payload::SharedParams(v) => put_f32_section(&mut w, v),
-        Payload::Flags(v) => {
-            w.put_u32(v.len() as u32);
-            w.put_slice(v);
-        }
-        Payload::Samples {
-            data,
-            targets,
-            dims,
-        } => {
-            put_f32_section(&mut w, data);
-            put_u64_section(&mut w, targets);
-            put_u64_section(&mut w, dims);
-        }
-        Payload::Control(code) => w.put_u64(*code),
-        Payload::Predict { data, dims } => {
-            put_f32_section(&mut w, data);
-            put_u64_section(&mut w, dims);
-        }
-        Payload::Logits { rows, classes } => {
-            put_f32_section(&mut w, rows);
-            w.put_u64(*classes as u64);
-        }
-        Payload::ShardMap(spec) => {
-            w.put_u64(spec.version);
-            w.put_u64(spec.total);
-            put_u64_section(&mut w, &spec.starts);
-        }
-        // shard push/pull bodies are deliberately Params-shaped so the
-        // K=1 sharded path moves exactly the monolithic byte count
-        Payload::ShardPush(v) | Payload::ShardPull(v) => put_f32_section(&mut w, v),
-        Payload::Bucket {
-            bucket,
-            n_buckets,
-            values,
-        } => {
-            w.put_u32(*bucket);
-            w.put_u32(*n_buckets);
-            put_f32_section(&mut w, values);
-        }
-        Payload::SparseGrad {
-            len,
-            indices,
-            values,
-        } => {
-            w.put_u32(*len);
-            put_u32_section(&mut w, indices);
-            put_f32_section(&mut w, values);
-        }
-        Payload::SignGrad { len, scale, bits } => {
-            w.put_u32(*len);
-            w.put_f32(*scale);
-            w.put_u32(bits.len() as u32);
-            w.put_slice(bits);
-        }
-        Payload::LowRank {
-            rows,
-            cols,
-            rank,
-            p,
-            q,
-        } => {
-            w.put_u32(*rows);
-            w.put_u32(*cols);
-            w.put_u32(*rank);
-            put_f32_section(&mut w, p);
-            put_f32_section(&mut w, q);
-        }
-    }
+    w.put_raw(&(from as u32).to_be_bytes());
+    w.put_raw(&tag.to_be_bytes());
+    w.put_raw(&[payload.kind()]);
+    payload.write_body(&mut w);
     w.finish();
     assert_eq!(
         buf.len(),
@@ -391,6 +272,20 @@ impl Sink for FrameWriter<'_> {
     }
 }
 
+/// The schema writes a body here: raw bytes a [`CARRY_BYTES`] piece at a
+/// time, sections block by block.
+impl WireSink for FrameWriter<'_> {
+    fn put_raw(&mut self, bytes: &[u8]) {
+        for piece in bytes.chunks(CARRY_BYTES) {
+            self.put_block(piece);
+        }
+    }
+
+    fn put_section<T: Word<N>, const N: usize>(&mut self, v: &[T]) {
+        put_section(self, v);
+    }
+}
+
 impl FrameWriter<'_> {
     /// A frame of `wire` bytes in `buf`, whose contents are discarded and
     /// whose allocation is kept when it has room; the length prefix,
@@ -403,29 +298,6 @@ impl FrameWriter<'_> {
             buf,
             crc: 0,
             carried: 4,
-        }
-    }
-
-    fn put_u8(&mut self, x: u8) {
-        self.put_block(&[x]);
-    }
-
-    fn put_u32(&mut self, x: u32) {
-        self.put_block(&x.to_be_bytes());
-    }
-
-    fn put_u64(&mut self, x: u64) {
-        self.put_block(&x.to_be_bytes());
-    }
-
-    fn put_f32(&mut self, x: f32) {
-        self.put_u32(x.to_bits());
-    }
-
-    /// Bytes that travel as they are.
-    fn put_slice(&mut self, bytes: &[u8]) {
-        for piece in bytes.chunks(CARRY_BYTES) {
-            self.put_block(piece);
         }
     }
 
@@ -443,57 +315,6 @@ impl FrameWriter<'_> {
     }
 }
 
-/// An element a section carries: `N` big-endian bytes on the wire. Floats
-/// travel as their raw bits, and a `usize` as a `u64`.
-trait Word<const N: usize>: Copy {
-    fn to_wire(self) -> [u8; N];
-    fn from_wire(bytes: [u8; N]) -> Self;
-}
-
-impl Word<4> for f32 {
-    #[inline(always)]
-    fn to_wire(self) -> [u8; 4] {
-        self.to_bits().to_be_bytes()
-    }
-    #[inline(always)]
-    fn from_wire(bytes: [u8; 4]) -> f32 {
-        f32::from_bits(u32::from_be_bytes(bytes))
-    }
-}
-
-impl Word<4> for u32 {
-    #[inline(always)]
-    fn to_wire(self) -> [u8; 4] {
-        self.to_be_bytes()
-    }
-    #[inline(always)]
-    fn from_wire(bytes: [u8; 4]) -> u32 {
-        u32::from_be_bytes(bytes)
-    }
-}
-
-impl Word<8> for u64 {
-    #[inline(always)]
-    fn to_wire(self) -> [u8; 8] {
-        self.to_be_bytes()
-    }
-    #[inline(always)]
-    fn from_wire(bytes: [u8; 8]) -> u64 {
-        u64::from_be_bytes(bytes)
-    }
-}
-
-impl Word<8> for usize {
-    #[inline(always)]
-    fn to_wire(self) -> [u8; 8] {
-        (self as u64).to_be_bytes()
-    }
-    #[inline(always)]
-    fn from_wire(bytes: [u8; 8]) -> usize {
-        u64::from_be_bytes(bytes) as usize
-    }
-}
-
 /// Write `u32 count` + `count` big-endian elements: each block of
 /// [`SECTION_BLOCK`] elements is byte-swapped into a stack array and
 /// handed to the sink whole.
@@ -505,18 +326,6 @@ fn put_section<T: Word<N>, const N: usize>(sink: &mut impl Sink, v: &[T]) {
         to_wire(block, chunk);
         sink.put_block(block.as_flattened());
     }
-}
-
-fn put_f32_section(sink: &mut impl Sink, v: &[f32]) {
-    put_section(sink, v);
-}
-
-fn put_u64_section<T: Word<8>>(sink: &mut impl Sink, v: &[T]) {
-    put_section(sink, v);
-}
-
-fn put_u32_section(sink: &mut impl Sink, v: &[u32]) {
-    put_section(sink, v);
 }
 
 /// Whether the host has AVX2, so the swap bodies compiled for it can
@@ -625,168 +434,68 @@ pub fn decode_after_len(buf: &[u8]) -> Result<Msg, FrameError> {
     if computed != expected {
         return Err(FrameError::Crc { expected, computed });
     }
-    let mut buf = covered;
-    let from = get_u32_checked(&mut buf)? as usize;
-    let tag = get_u64_checked(&mut buf)?;
-    let kind = {
-        let b = take(&mut buf, 1)?;
-        b[0]
-    };
-    let payload = match kind {
-        KIND_PARAMS => Payload::Params(get_f32_section(&mut buf)?),
-        KIND_GRADS => Payload::Grads(get_f32_section(&mut buf)?),
-        KIND_FLAGS => Payload::Flags(take_section(&mut buf, 1)?.to_vec()),
-        KIND_SAMPLES => {
-            let data = get_f32_section(&mut buf)?;
-            let targets = get_u64_section(&mut buf)?;
-            let dims = get_u64_section(&mut buf)?;
-            Payload::Samples {
-                data,
-                targets,
-                dims,
-            }
-        }
-        KIND_CONTROL => Payload::Control(get_u64_checked(&mut buf)?),
-        KIND_PREDICT => {
-            let data = get_f32_section(&mut buf)?;
-            let dims = get_u64_section(&mut buf)?;
-            Payload::Predict { data, dims }
-        }
-        KIND_LOGITS => {
-            let rows = get_f32_section(&mut buf)?;
-            let classes = get_u64_checked(&mut buf)? as usize;
-            Payload::Logits { rows, classes }
-        }
-        KIND_SHARD_MAP => {
-            let version = get_u64_checked(&mut buf)?;
-            let total = get_u64_checked(&mut buf)?;
-            // the count is validated against the frame's remaining bytes
-            // BEFORE any allocation — a hostile count of 4 billion must
-            // not reserve 32 GB
-            let starts = get_u64_section(&mut buf)?;
-            Payload::ShardMap(ShardSpec {
-                version,
-                total,
-                starts,
-            })
-        }
-        KIND_SHARD_PUSH => Payload::ShardPush(get_f32_section(&mut buf)?),
-        KIND_SHARD_PULL => Payload::ShardPull(get_f32_section(&mut buf)?),
-        KIND_BUCKET => {
-            let bucket = get_u32_checked(&mut buf)?;
-            let n_buckets = get_u32_checked(&mut buf)?;
-            let values = get_f32_section(&mut buf)?;
-            // cross-field consistency (bucket < n_buckets) is the
-            // receiver's protocol layer's concern, like ShardMap's
-            // range sanity: the frame itself is well-formed
-            Payload::Bucket {
-                bucket,
-                n_buckets,
-                values,
-            }
-        }
-        KIND_SPARSE_GRAD => {
-            let len = get_u32_checked(&mut buf)?;
-            let indices = get_u32_section(&mut buf)?;
-            let values = get_f32_section(&mut buf)?;
-            Payload::SparseGrad {
-                len,
-                indices,
-                values,
-            }
-        }
-        KIND_SIGN_GRAD => {
-            let len = get_u32_checked(&mut buf)?;
-            let scale = {
-                let b = take(&mut buf, 4)?;
-                // lint:allow(unwrap-in-prod): take() returned exactly 4 bytes
-                f32::from_bits(u32::from_be_bytes(b.try_into().unwrap()))
-            };
-            let bits = take_section(&mut buf, 1)?.to_vec();
-            Payload::SignGrad { len, scale, bits }
-        }
-        KIND_LOW_RANK => {
-            let rows = get_u32_checked(&mut buf)?;
-            let cols = get_u32_checked(&mut buf)?;
-            let rank = get_u32_checked(&mut buf)?;
-            let p = get_f32_section(&mut buf)?;
-            let q = get_f32_section(&mut buf)?;
-            Payload::LowRank {
-                rows,
-                cols,
-                rank,
-                p,
-                q,
-            }
-        }
-        other => return Err(FrameError::BadKind(other)),
-    };
-    if buf.has_remaining() {
-        return Err(FrameError::TrailingBytes(buf.remaining()));
+    let mut body = Verified(covered);
+    let from = u32::from_wire(body.take()?) as usize;
+    let tag = u64::from_wire(body.take()?);
+    let [kind] = body.take()?;
+    let payload = Payload::read_body(kind, &mut body)?.ok_or(FrameError::BadKind(kind))?;
+    if !body.0.is_empty() {
+        return Err(FrameError::TrailingBytes(body.0.len()));
     }
     Ok(Msg { from, tag, payload })
 }
 
-fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], FrameError> {
-    if buf.len() < n {
-        return Err(FrameError::Truncated {
-            needed: n,
-            have: buf.len(),
-        });
+/// The bytes of a frame whose CRC has verified that are still to be
+/// read: the schema reads a body from here, every read checked against
+/// what is left.
+struct Verified<'a>(&'a [u8]);
+
+impl<'a> Verified<'a> {
+    /// Read an inner section's `u32 count` and hand back its
+    /// `count × elem` raw bytes, rejecting before any allocation or
+    /// overflow if the frame does not actually hold that many bytes.
+    fn take_section(&mut self, elem: usize) -> Result<&'a [u8], FrameError> {
+        let count = u32::from_wire(self.take()?) as u64;
+        let needed = count * elem as u64; // <= (2^32 - 1) * 8, cannot overflow u64
+        if needed > self.0.len() as u64 {
+            return Err(FrameError::Truncated {
+                needed: usize::try_from(needed).unwrap_or(usize::MAX),
+                have: self.0.len(),
+            });
+        }
+        let (section, rest) = self.0.split_at(needed as usize);
+        self.0 = rest;
+        Ok(section)
     }
-    let (head, rest) = buf.split_at(n);
-    *buf = rest;
-    Ok(head)
 }
 
-/// Read an inner section's `u32 count` and hand back its `count × elem`
-/// raw bytes, rejecting before any allocation or overflow if the frame
-/// does not actually hold that many bytes.
-fn take_section<'a>(buf: &mut &'a [u8], elem: usize) -> Result<&'a [u8], FrameError> {
-    let count = get_u32_checked(buf)? as u64;
-    let needed = count * elem as u64; // <= (2^32 - 1) * 8, cannot overflow u64
-    if needed > buf.len() as u64 {
-        return Err(FrameError::Truncated {
-            needed: usize::try_from(needed).unwrap_or(usize::MAX),
-            have: buf.len(),
-        });
+impl WireSource for Verified<'_> {
+    type Error = FrameError;
+
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], FrameError> {
+        let (head, rest) = self.0.split_first_chunk().ok_or(FrameError::Truncated {
+            needed: N,
+            have: self.0.len(),
+        })?;
+        self.0 = rest;
+        Ok(*head)
     }
-    take(buf, needed as usize)
-}
 
-fn get_u32_checked(buf: &mut &[u8]) -> Result<u32, FrameError> {
-    let b = take(buf, 4)?;
-    // lint:allow(unwrap-in-prod): take() returned exactly 4 bytes, so the
-    // conversion into [u8; 4] cannot fail
-    Ok(u32::from_be_bytes(b.try_into().unwrap()))
-}
+    /// Inlined, as the section reads are, so a flags frame decodes in one
+    /// function.
+    #[inline(always)]
+    fn get_bytes(&mut self) -> Result<Vec<u8>, FrameError> {
+        Ok(self.take_section(1)?.to_vec())
+    }
 
-fn get_u64_checked(buf: &mut &[u8]) -> Result<u64, FrameError> {
-    let b = take(buf, 8)?;
-    // lint:allow(unwrap-in-prod): take() returned exactly 8 bytes, so the
-    // conversion into [u8; 8] cannot fail
-    Ok(u64::from_be_bytes(b.try_into().unwrap()))
-}
-
-/// Read an inner section's `u32 count` and its `count` big-endian
-/// elements, in one pass over the (already verified) frame bytes.
-fn get_section<T: Word<N>, const N: usize>(buf: &mut &[u8]) -> Result<Vec<T>, FrameError> {
-    let (words, _) = take_section(buf, N)?.as_chunks::<N>();
-    let mut v = Vec::with_capacity(words.len());
-    extend_from_wire(&mut v, words);
-    Ok(v)
-}
-
-fn get_f32_section(buf: &mut &[u8]) -> Result<Vec<f32>, FrameError> {
-    get_section(buf)
-}
-
-fn get_u32_section(buf: &mut &[u8]) -> Result<Vec<u32>, FrameError> {
-    get_section(buf)
-}
-
-fn get_u64_section<T: Word<8>>(buf: &mut &[u8]) -> Result<Vec<T>, FrameError> {
-    get_section(buf)
+    /// An inner section's `u32 count` and its `count` big-endian elements,
+    /// in one pass over the frame bytes.
+    fn get_section<T: Word<N>, const N: usize>(&mut self) -> Result<Vec<T>, FrameError> {
+        let (words, _) = self.take_section(N)?.as_chunks::<N>();
+        let mut v = Vec::with_capacity(words.len());
+        extend_from_wire(&mut v, words);
+        Ok(v)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -832,15 +541,8 @@ impl FloatHead {
     /// arrives: an f32-section kind whose count fills the frame exactly.
     fn parse(len: usize, header: &[u8; HEADER_BYTES]) -> Option<FloatHead> {
         let h = header;
-        let make: fn(Vec<f32>) -> Payload = match h[12] {
-            KIND_PARAMS => Payload::Params,
-            KIND_GRADS => Payload::Grads,
-            KIND_SHARD_PUSH => Payload::ShardPush,
-            KIND_SHARD_PULL => Payload::ShardPull,
-            // every other kind, today's or a future one, is decoded
-            // whole by decode_after_len, whose match names each kind
-            _ => return None,
-        };
+        // every other kind is decoded whole by decode_after_len
+        let make = Payload::f32_section_kind(h[12])?;
         let count = u32::from_be_bytes([h[13], h[14], h[15], h[16]]) as usize;
         let fills = (HEADER_BYTES + CRC_BYTES) as u64 + 4 * count as u64 == len as u64;
         fills.then(|| FloatHead {
@@ -1292,6 +994,7 @@ fn grow_for(values: &mut Vec<f32>, incoming: usize, count: usize) {
 mod tests {
     use super::*;
     use bytes::{BufMut, BytesMut};
+    use selsync_comm::ShardSpec;
     use std::sync::Arc;
 
     /// A plain buffer as a section writer's sink: the bytes, no CRC.
@@ -1417,6 +1120,25 @@ mod tests {
         assert_eq!(hex(&long[277..]), "b47aee82");
     }
 
+    /// The kinds the reader streams, as the schema derives them: exactly
+    /// the four one-f32-section kinds a model travels as. Every other
+    /// kind is decoded whole by `decode_after_len`.
+    #[test]
+    fn the_streamed_kinds_are_the_four_model_kinds() {
+        let streamed: Vec<Payload> = (0..=u8::MAX)
+            .filter_map(|kind| Payload::f32_section_kind(kind).map(|make| make(vec![1.5])))
+            .collect();
+        assert_eq!(
+            streamed,
+            [
+                Payload::Params(vec![1.5]),
+                Payload::Grads(vec![1.5]),
+                Payload::ShardPush(vec![1.5]),
+                Payload::ShardPull(vec![1.5]),
+            ]
+        );
+    }
+
     /// The block-wise section writers against one append per element, at
     /// lengths on both sides of every block boundary; NaN payload bits
     /// must come through untouched.
@@ -1432,22 +1154,22 @@ mod tests {
             let sizes: Vec<usize> = words.iter().map(|&w| (w as usize) << 7 | 5).collect();
 
             let (mut got, mut want) = (BytesMut::with_capacity(0), BytesMut::with_capacity(0));
-            put_f32_section(&mut got, &floats);
+            put_section(&mut got, &floats);
             want.put_u32(len as u32);
             floats.iter().for_each(|x| want.put_f32(*x));
             assert_eq!(got, want, "f32 section of {len}");
-            let decoded = get_f32_section(&mut &got[..]).unwrap();
+            let decoded: Vec<f32> = Verified(&got).get_section().unwrap();
             let bits: Vec<u32> = decoded.iter().map(|x| x.to_bits()).collect();
             assert_eq!(bits, words, "f32 bits of {len}");
 
             let (mut got, mut want) = (BytesMut::with_capacity(0), BytesMut::with_capacity(0));
-            put_u32_section(&mut got, &words);
+            put_section(&mut got, &words);
             want.put_u32(len as u32);
             words.iter().for_each(|w| want.put_u32(*w));
             assert_eq!(got, want, "u32 section of {len}");
 
             let (mut got, mut want) = (BytesMut::with_capacity(0), BytesMut::with_capacity(0));
-            put_u64_section(&mut got, &sizes);
+            put_section(&mut got, &sizes);
             want.put_u32(len as u32);
             sizes.iter().for_each(|n| want.put_u64(*n as u64));
             assert_eq!(got, want, "u64 section of {len}");
